@@ -51,7 +51,7 @@ pub struct ChannelCache {
 /// per `(scene, tag table)` pair and shared read-only.
 #[derive(Debug)]
 pub struct StatePlanes {
-    /// [`plane_token`] of the tag-state table these were built from.
+    /// Token identifying the tag-state table these were built from.
     pub token: u64,
     /// Number of states (plane rows).
     pub n_states: usize,
@@ -105,7 +105,7 @@ pub fn config_token(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// Type-erased, bounded map of press-invariant sounding-response tables,
-/// keyed by `(plane token, sounder config token)`. The channel crate
+/// keyed by `(table token, config token)`. The channel crate
 /// cannot name the reader crate's prepared-channel types, so entries are
 /// stored as `Arc<dyn Any>` and downcast on the way out; a key collision
 /// with a different stored type is treated as a miss and overwritten.
@@ -120,11 +120,10 @@ struct ResponseMemo {
     misses: AtomicU64,
 }
 
-/// Entry bound for [`ResponseMemo`]: generous next to real fleets (an
-/// 8-stream batch with per-press contacts holds a channel table plus a
-/// payload table per distinct contact — tens of entries), tiny next to
-/// the planes it guards. On overflow the map is cleared — the next
-/// lookups rebuild, correctness is unaffected.
+/// Entry bound for [`ResponseMemo`]: generous next to what callers store
+/// (press-invariant entries only — a handful per tag and sounder), tiny
+/// next to the planes it guards. On overflow the map is cleared — the
+/// next lookups rebuild, correctness is unaffected.
 const RESPONSE_MEMO_CAP: usize = 256;
 
 impl Default for ResponseMemo {
@@ -184,9 +183,9 @@ impl ChannelCache {
     }
 
     /// Returns the memoized per-state response planes for the tag-state
-    /// table identified by `token` ([`plane_token`] over its entries),
-    /// calling `build` only when the slot is empty or was built from a
-    /// different table. A scene mutation never serves stale planes: the
+    /// table identified by `token` (e.g. [`plane_token`] over its
+    /// entries), calling `build` only when the slot is empty or was built
+    /// from a different table. A scene mutation never serves stale planes: the
     /// fingerprint check in [`SharedChannelCache::get_or_build`] replaces
     /// the whole entry, memo included, before this is ever consulted.
     pub fn state_planes(

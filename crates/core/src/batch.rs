@@ -64,6 +64,7 @@ use crate::tracking::{TrackedReading, Tracker, TrackerConfig};
 use crate::WiForceError;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wiforce_channel::cache::{config_token, ChannelCache};
@@ -596,63 +597,50 @@ impl ReaderProducer {
                 })
                 .collect()
         };
-        // Slot tables go through the scene's response memo. The
-        // reflection network depends only on the tag's electrical parts
-        // (line, switches, splitter) — identical for every stream, since
-        // `wiforce_prototype` varies only the clocks with `fs` — and the
-        // contact, which is fully identified by its two port lengths.
-        // Hashing the contact bits under a path-specific salt therefore
-        // dedupes the untouched table across all streams, repeated
-        // (force, location) pairs across streams, and every table across
-        // repeated `run_batch` calls on one shared cache. Payload tables
-        // additionally key on the sounder's response token.
+        // Slot tables are built once per distinct contact of this
+        // reader's schedules. The reflection network depends only on the
+        // tag's electrical parts (line, switches, splitter) — identical
+        // for every stream, since `wiforce_prototype` varies only the
+        // clocks with `fs` — and the contact, which is fully identified by
+        // its two port lengths. So the untouched table comes from the
+        // memoized EM plan, and each repeated (force, location) pair
+        // across streams shares one table. Contact tables stay out of the
+        // response memo, which holds only press-invariant entries.
         let mut sim_rep = sim.clone();
         if let Some(s0) = spec.streams.first() {
             sim_rep.tag = SensorTag::wiforce_prototype(s0.fs_hz);
         }
-        const TAG_TABLE_SALT: u64 = 0x7461_675f_7462_6c31; // "tag_tbl1"
-        const PAYLOAD_TABLE_SALT: u64 = 0x706c_645f_7462_6c31; // "pld_tbl1"
         const STATIC_PAYLOAD_SALT: u64 = 0x7374_6174_6963_706c; // "staticpl"
-                                                                // port lengths are finite (clamped to [0, beam length]), so the
-                                                                // all-ones NaN pattern can never collide with a real contact
-        let contact_words = |c: Option<&ContactState>| -> [u64; 2] {
-            c.map_or([u64::MAX, u64::MAX], |c| {
+        type SlotTables = (Arc<Vec<[Complex; 4]>>, Option<Arc<Vec<[Complex; 4]>>>);
+        let mut slot_tables: HashMap<[u64; 2], SlotTables> = HashMap::new();
+        let mut slot = |contact: Option<&ContactState>| -> SlotTables {
+            // port lengths are finite (clamped to [0, beam length]), so the
+            // all-ones NaN pattern can never collide with a real contact
+            let words = contact.map_or([u64::MAX, u64::MAX], |c| {
                 [c.port1_short_m.to_bits(), c.port2_short_m.to_bits()]
-            })
-        };
-        let channel_table = |contact: Option<&ContactState>| -> Arc<Vec<[Complex; 4]>> {
-            let [w1, w2] = contact_words(contact);
-            cache.response_tables(config_token([TAG_TABLE_SALT, w1, w2]), 0, || {
-                sim_rep.tag_response_table(&freqs, contact)
-            })
+            });
+            slot_tables
+                .entry(words)
+                .or_insert_with(|| {
+                    let table = sim_rep.tag_response_table(&cache, contact);
+                    let payload = superpose.then(|| Arc::new(payload_table(&table)));
+                    (table, payload)
+                })
+                .clone()
         };
         let payload_cfg = sim.sounder.response_token().unwrap_or(0);
         let streams: Vec<StreamSynth> = spec
             .streams
             .iter()
             .map(|s| {
-                let mut slot_words = vec![contact_words(None)];
-                let mut tables = vec![channel_table(None)];
-                for p in &s.presses {
-                    let contact = sim_rep.contact_for(p.force_n, p.location_m);
-                    slot_words.push(contact_words(contact.as_ref()));
-                    tables.push(channel_table(contact.as_ref()));
-                }
-                let payload_tables = if superpose {
-                    tables
+                let contacts = std::iter::once(None).chain(
+                    s.presses
                         .iter()
-                        .zip(&slot_words)
-                        .map(|(t, w)| {
-                            cache.response_tables(
-                                config_token([PAYLOAD_TABLE_SALT, w[0], w[1]]),
-                                payload_cfg,
-                                || payload_table(t),
-                            )
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                        .map(|p| sim_rep.contact_for(p.force_n, p.location_m)),
+                );
+                let (tables, payload_tables): (Vec<_>, Vec<_>) =
+                    contacts.map(|c| slot(c.as_ref())).unzip();
+                let payload_tables = payload_tables.into_iter().flatten().collect();
                 StreamSynth {
                     tag: SensorTag::wiforce_prototype(s.fs_hz),
                     fs_hz: s.fs_hz,

@@ -29,13 +29,21 @@ impl SensorModel {
     ///
     /// Returns [`WiForceError::OutOfModelRange`] when even the best fit
     /// leaves more than `max_residual_rad` RMS phase error — the signature
-    /// of a measurement the calibration cannot explain.
+    /// of a measurement the calibration cannot explain — and, up front,
+    /// for a NaN or infinite phase, whose cost would never enter the grid
+    /// search.
     pub fn invert(
         &self,
         phi1_rad: f64,
         phi2_rad: f64,
         max_residual_rad: f64,
     ) -> Result<Estimate, WiForceError> {
+        if !(phi1_rad.is_finite() && phi2_rad.is_finite()) {
+            return Err(WiForceError::OutOfModelRange {
+                phi1: phi1_rad,
+                phi2: phi2_rad,
+            });
+        }
         let (f_lo, f_hi) = self.force_range_n();
         let (x_lo, x_hi) = self.location_range_m();
 
@@ -207,6 +215,36 @@ mod tests {
         let m = model();
         let err = m.invert(2.5, -2.5, 0.05).unwrap_err();
         assert!(matches!(err, WiForceError::OutOfModelRange { .. }));
+    }
+
+    #[test]
+    fn nan_phase_rejected_even_with_unbounded_residual() {
+        // a NaN cost never beats the grid's running best, so without the
+        // up-front check this returned Ok at the corner of the range
+        let m = model();
+        for (p1, p2) in [(f64::NAN, 0.3), (0.3, f64::NAN), (f64::NAN, f64::NAN)] {
+            let err = m.invert(p1, p2, f64::INFINITY).unwrap_err();
+            assert!(
+                matches!(err, WiForceError::OutOfModelRange { .. }),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_phase_rejected_even_with_unbounded_residual() {
+        let m = model();
+        for (p1, p2) in [
+            (f64::INFINITY, 0.3),
+            (0.3, f64::NEG_INFINITY),
+            (f64::NEG_INFINITY, f64::INFINITY),
+        ] {
+            let err = m.invert(p1, p2, f64::INFINITY).unwrap_err();
+            assert!(
+                matches!(err, WiForceError::OutOfModelRange { .. }),
+                "{err:?}"
+            );
+        }
     }
 
     /// The original inverter called `predict` per grid cell; the shipped

@@ -501,58 +501,58 @@ impl Simulation {
             .collect()
     }
 
-    /// Precomputes the tag's antenna reflection per subcarrier for each of
-    /// the four switch-state combinations, for a fixed contact. The clock
-    /// pair then selects a column per snapshot — this turns the per-snapshot
-    /// tag evaluation into a table lookup. `freqs` is the absolute
-    /// subcarrier grid ([`Self::subcarrier_freqs_hz`]), computed once by
-    /// the caller and shared across every per-press consumer.
+    /// Memo token of the tag's reflection network: its electrical
+    /// parameters ([`SensorTag::electrical_words`]), clocks excluded.
+    fn tag_token(&self) -> u64 {
+        wiforce_channel::cache::config_token(self.tag.electrical_words())
+    }
+
+    /// The tag's antenna reflection per subcarrier of `cache`'s grid for
+    /// each of the four switch-state combinations (index `on1 | on2 << 1`),
+    /// for a fixed contact. The clock pair then selects a column per
+    /// snapshot — this turns the per-snapshot tag evaluation into a table
+    /// lookup.
+    ///
+    /// Both come from the tag's [`wiforce_sensor::ResponsePlan`] on the
+    /// grid, memoized on the cache entry's response memo under
+    /// [`Self::tag_token`]: the untouched table is part of the plan, and a
+    /// contact table costs two stub reflections per subcarrier. Contact
+    /// tables are never memoized — a jittered contact never recurs.
     pub(crate) fn tag_response_table(
         &self,
-        freqs: &[f64],
+        cache: &ChannelCache,
         contact: Option<&ContactState>,
-    ) -> Vec<[Complex; 4]> {
-        // state index: bit0 = switch1 on, bit1 = switch2 on
-        freqs
-            .iter()
-            .map(|&f| {
-                let mut row = [Complex::ZERO; 4];
-                for (idx, slot) in row.iter_mut().enumerate() {
-                    let on1 = idx & 1 != 0;
-                    let on2 = idx & 2 != 0;
-                    *slot = tag_reflection_for_states(&self.tag, f, on1, on2, contact);
-                }
-                row
+    ) -> Arc<Vec<[Complex; 4]>> {
+        cache
+            .response_tables(self.tag_token(), EM_PLAN_SALT, || {
+                self.tag.response_plan(&cache.freqs_hz)
             })
-            .collect()
+            .table(contact)
     }
 
     /// Builds the four per-tag-state prepared channels for a static scene.
     ///
-    /// For sounders whose preparation is a pure function of hashable
-    /// configuration ([`ChannelSounder::response_token`] returns `Some`),
-    /// the whole `Vec<PreparedChannel>` is a press-invariant *response
-    /// table*: it is gathered from the channel-cache entry's bounded
-    /// response memo keyed by `(tag-table token, sounder config token)`,
-    /// so a repeated table (every reference press, every fixed-contact
-    /// loop iteration, every batch stream slot sharing a table) skips
-    /// both the truth-plane evaluation and the per-state `prepare`
-    /// (symbol multiply + IFFT) entirely. Cached and rebuilt tables are
-    /// bit-identical — `prepare` is deterministic — which the
-    /// cache-equivalence fixtures pin.
-    ///
-    /// Sounders without a response token keep the previous behaviour:
-    /// truth planes memoized on the one-entry plane memo when `memoize`
-    /// is set (no-touch tables), rebuilt otherwise.
+    /// The untouched table (`untouched`) is press-invariant, so its
+    /// prepared states are memoized under [`Self::tag_token`]: for
+    /// sounders whose preparation is a pure function of hashable
+    /// configuration ([`ChannelSounder::response_token`] returns `Some`)
+    /// the whole `Vec<PreparedChannel>` sits in the channel-cache entry's
+    /// response memo, so every reference press skips both the truth-plane
+    /// evaluation and the per-state `prepare` (symbol multiply + IFFT);
+    /// other sounders keep their truth planes on the one-entry plane
+    /// memo. A contact table's states are built inline and never
+    /// memoized. Cached and rebuilt states are bit-identical — `prepare`
+    /// is deterministic — which the cache-equivalence fixtures pin.
     fn prepare_states(
         &self,
         cache: &ChannelCache,
         table: &[[Complex; 4]],
-        memoize: bool,
+        untouched: bool,
     ) -> Arc<Vec<PreparedChannel>> {
         let _s = wiforce_telemetry::span!("pipeline.prepare_states");
         let n_cols = cache.statics.len();
-        let fill = |planes: &mut [Complex]| {
+        let planes = || {
+            let mut planes = vec![Complex::ZERO; 4 * n_cols];
             for state in 0..4 {
                 wiforce_dsp::kernels::synth_truth(
                     &mut planes[state * n_cols..(state + 1) * n_cols],
@@ -562,43 +562,23 @@ impl Simulation {
                     state,
                 );
             }
+            planes
         };
-        if let Some(cfg_token) = self.sounder.response_token() {
-            let token = wiforce_channel::cache::plane_token(table.iter().flatten());
-            return cache.response_tables(token, cfg_token, || {
-                let mut planes = vec![Complex::ZERO; 4 * n_cols];
-                fill(&mut planes);
-                (0..4)
-                    .map(|state| {
-                        self.sounder
-                            .prepare(&planes[state * n_cols..(state + 1) * n_cols])
-                    })
-                    .collect::<Vec<_>>()
-            });
+        let prepare = |planes: &[Complex]| -> Vec<PreparedChannel> {
+            (0..4)
+                .map(|state| {
+                    self.sounder
+                        .prepare(&planes[state * n_cols..(state + 1) * n_cols])
+                })
+                .collect()
+        };
+        if !untouched {
+            return Arc::new(prepare(&planes()));
         }
-        if memoize {
-            let token = wiforce_channel::cache::plane_token(table.iter().flatten());
-            let planes = cache.state_planes(token, 4, || {
-                let mut planes = vec![Complex::ZERO; 4 * n_cols];
-                fill(&mut planes);
-                planes
-            });
-            Arc::new(
-                (0..4)
-                    .map(|state| self.sounder.prepare(planes.state(state)))
-                    .collect(),
-            )
-        } else {
-            let mut planes = vec![Complex::ZERO; 4 * n_cols];
-            fill(&mut planes);
-            Arc::new(
-                (0..4)
-                    .map(|state| {
-                        self.sounder
-                            .prepare(&planes[state * n_cols..(state + 1) * n_cols])
-                    })
-                    .collect(),
-            )
+        let token = self.tag_token();
+        match self.sounder.response_token() {
+            Some(cfg_token) => cache.response_tables(token, cfg_token, || prepare(&planes())),
+            None => Arc::new(prepare(&cache.state_planes(token, 4, planes).planes)),
         }
     }
 
@@ -637,10 +617,6 @@ impl Simulation {
         let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
         let telem = wiforce_telemetry::enabled();
         let freqs = self.subcarrier_freqs_hz();
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(&freqs, contact)
-        };
         let cache: Arc<ChannelCache> = {
             let _s = wiforce_telemetry::span!("pipeline.channel_setup");
             if self.use_channel_cache {
@@ -648,6 +624,10 @@ impl Simulation {
             } else {
                 Arc::new(ChannelCache::build(&self.scene, &freqs))
             }
+        };
+        let table = {
+            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
+            self.tag_response_table(&cache, contact)
         };
         let statics = &cache.statics;
         let gains = &cache.gains;
@@ -884,10 +864,6 @@ impl Simulation {
         let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
         let telem = wiforce_telemetry::enabled();
         use wiforce_telemetry::fastclock;
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(freqs, contact)
-        };
         let cache: Arc<ChannelCache> = {
             let _s = wiforce_telemetry::span!("pipeline.channel_setup");
             if self.use_channel_cache {
@@ -895,6 +871,10 @@ impl Simulation {
             } else {
                 Arc::new(ChannelCache::build(&self.scene, freqs))
             }
+        };
+        let table = {
+            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
+            self.tag_response_table(&cache, contact)
         };
         let statics = &cache.statics;
         let gains = &cache.gains;
@@ -1804,10 +1784,6 @@ impl Simulation {
         spec: &FusedExtraction<'_>,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.spectral_lines");
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(freqs, contact)
-        };
         let cache: Arc<ChannelCache> = {
             let _s = wiforce_telemetry::span!("pipeline.channel_setup");
             if self.use_channel_cache {
@@ -1815,6 +1791,10 @@ impl Simulation {
             } else {
                 Arc::new(ChannelCache::build(&self.scene, freqs))
             }
+        };
+        let table = {
+            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
+            self.tag_response_table(&cache, contact)
         };
         let k_sub = cache.statics.len();
         let n = self.group.n_snapshots;
@@ -1832,27 +1812,22 @@ impl Simulation {
         };
         let var_row = sigma_est * sigma_est + step * step / 12.0;
 
-        // press-invariant per-state backscatter spectra, memoized beside
-        // the prepared-channel tables (salted key, distinct value type)
-        let spectra = {
-            let cfg_token = self
-                .sounder
-                .response_token()
-                .expect("spectral path gated on a hashable sounder config");
-            let token = wiforce_channel::cache::plane_token(table.iter().flatten());
-            cache.response_tables(
-                token,
-                wiforce_channel::cache::config_token([SPECTRAL_TABLE_SALT, cfg_token]),
-                || {
-                    let mut rows = vec![Complex::ZERO; 4 * k_sub];
-                    for state in 0..4 {
-                        for k in 0..k_sub {
-                            rows[state * k_sub + k] = cache.gains[k] * table[k][state];
-                        }
-                    }
-                    SpectralStateSpectra { rows }
-                },
-            )
+        // per-state backscatter spectra: the untouched ones are
+        // press-invariant and memoized beside the EM plan (salted key,
+        // distinct value type); a contact's are built inline
+        let build_spectra = || {
+            let mut rows = vec![Complex::ZERO; 4 * k_sub];
+            for state in 0..4 {
+                for k in 0..k_sub {
+                    rows[state * k_sub + k] = cache.gains[k] * table[k][state];
+                }
+            }
+            SpectralStateSpectra { rows }
+        };
+        let spectra = if contact.is_none() {
+            cache.response_tables(self.tag_token(), SPECTRAL_TABLE_SALT, build_spectra)
+        } else {
+            Arc::new(build_spectra())
         };
 
         let group_s = n as f64 * t_snap;
@@ -2221,12 +2196,17 @@ impl PressNoise {
     }
 }
 
-/// Memo salt distinguishing the spectral per-state backscatter spectra
-/// from the other `response_tables` entries built on the same plane token
+/// Memo salt of the tag's [`wiforce_sensor::ResponsePlan`] among the
+/// `response_tables` entries keyed by the same tag token (`b"emplan01"`
+/// as a u64).
+const EM_PLAN_SALT: u64 = 0x656d_706c_616e_3031;
+
+/// Memo salt of the untouched spectral per-state backscatter spectra
+/// among the `response_tables` entries keyed by the same tag token
 /// (`b"spectbl1"` as a u64).
 const SPECTRAL_TABLE_SALT: u64 = 0x7370_6563_7462_6c31;
 
-/// Memoized per-state backscatter line spectra for the spectral synthesis
+/// Per-state backscatter line spectra for the spectral synthesis
 /// path: `rows[state * k_sub + k] = gains[k] * table[k][state]`, i.e. the
 /// subcarrier response the sounder would estimate if the tag sat in
 /// `state` for the whole snapshot (statics excluded — those cancel in the
@@ -2351,46 +2331,6 @@ pub fn average_lines(groups: &[GroupLines]) -> GroupLines {
     GroupLines { p1, p2 }
 }
 
-/// Tag reflection for explicit switch states (bypasses the clocks).
-fn tag_reflection_for_states(
-    tag: &SensorTag,
-    f_hz: f64,
-    on1: bool,
-    on2: bool,
-    contact: Option<&ContactState>,
-) -> Complex {
-    // mirror SensorTag::antenna_reflection's composition for fixed states
-    use wiforce_em::Termination;
-    let branch = |own_on: bool,
-                  other_on: bool,
-                  own: &wiforce_sensor::RfSwitch,
-                  other: &wiforce_sensor::RfSwitch,
-                  short: Option<f64>|
-     -> Complex {
-        if !own_on {
-            return own.off_branch_reflection();
-        }
-        let far = if other_on {
-            Termination::Matched
-        } else {
-            other.off_termination()
-        };
-        let il2 = own.on_transmission() * own.on_transmission();
-        tag.line.port_reflection(f_hz, short, far) * il2
-    };
-    let s1 = contact.map(|c| c.port1_short_m);
-    let s2 = contact.map(|c| c.port2_short_m);
-    let g1 = branch(on1, on2, &tag.switch1, &tag.switch2, s1);
-    let g2 = branch(on2, on1, &tag.switch2, &tag.switch1, s2);
-    let mut gamma = tag.splitter.combine_reflections(g1, g2);
-    if on1 && on2 && contact.is_none() {
-        let s21 = tag.line.rest_sparams(f_hz).s21;
-        let a2 = tag.splitter.branch_amplitude() * tag.splitter.branch_amplitude();
-        gamma += s21 * (2.0 * a2 * tag.switch1.on_transmission() * tag.switch2.on_transmission());
-    }
-    gamma
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2406,11 +2346,54 @@ mod tests {
     }
 
     #[test]
+    fn tag_tables_match_golden_bits() {
+        // FNV bit-hashes of the untouched table and three contact tables
+        // at both carriers, recorded before the tables came from the
+        // precomputed EM plan: the plan must not move a single bit
+        let golden: [(f64, [u64; 4]); 2] = [
+            (
+                0.9e9,
+                [
+                    0xfe31_a4ee_846e_478d,
+                    0x845e_adc5_0798_3abc,
+                    0x1f4e_591c_5901_4480,
+                    0xbf46_6c29_5c80_145c,
+                ],
+            ),
+            (
+                2.4e9,
+                [
+                    0xc023_063d_c947_7c49,
+                    0xd17c_f70f_9536_e131,
+                    0x6474_6a4e_e7c7_5fe1,
+                    0xe917_0b04_6824_c1fe,
+                ],
+            ),
+        ];
+        for (carrier, hashes) in golden {
+            let sim = fast_sim(carrier);
+            let cache = ChannelCache::build(&sim.scene, &sim.subcarrier_freqs_hz());
+            let contacts = [
+                None,
+                sim.contact_for(1.0, 0.025),
+                sim.contact_for(4.0, 0.040),
+                sim.contact_for(7.5, 0.058),
+            ];
+            for (c, want) in contacts.iter().zip(hashes) {
+                let table = sim.tag_response_table(&cache, c.as_ref());
+                let got = wiforce_channel::cache::plane_token(table.iter().flatten());
+                assert_eq!(got, want, "carrier {carrier}, contact {c:?}");
+            }
+        }
+    }
+
+    #[test]
     fn tag_table_matches_direct_evaluation() {
         let sim = fast_sim(0.9e9);
         let contact = sim.contact_for(4.0, 0.040);
         let freqs = sim.subcarrier_freqs_hz();
-        let table = sim.tag_response_table(&freqs, contact.as_ref());
+        let cache = ChannelCache::build(&sim.scene, &freqs);
+        let table = sim.tag_response_table(&cache, contact.as_ref());
         // compare against SensorTag::antenna_reflection at times with known
         // switch states: t=0 → switch1 on (25% duty), t chosen in switch2 window
         let t_s1_on = 0.1e-3; // inside [0, 0.25 ms)

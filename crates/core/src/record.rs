@@ -21,6 +21,10 @@ use wiforce_dsp::{Complex, SnapshotMatrix};
 
 const MAGIC: &[u8; 4] = b"WIFS";
 const VERSION: u32 = 1;
+/// Magic, version, period and the two dimensions.
+const HEADER_BYTES: u64 = 24;
+/// One sample: two little-endian `f64`s.
+const CELL_BYTES: u64 = 16;
 
 /// A recorded channel-estimate stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,10 +119,29 @@ impl Recording {
                 "implausible dimensions",
             ));
         }
-        let mut data = Vec::with_capacity(n * k);
-        for _ in 0..n * k {
+        // a header can declare far more samples than follow it: check the
+        // bytes actually left before reserving anything
+        let cells = n * k;
+        let left = r.get_ref().metadata()?.len().saturating_sub(HEADER_BYTES);
+        if cells as u64 * CELL_BYTES > left {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "header declares {cells} samples, file holds {}",
+                    left / CELL_BYTES
+                ),
+            ));
+        }
+        let mut data = Vec::with_capacity(cells);
+        for _ in 0..cells {
             let re = read_f64(&mut r)?;
             let im = read_f64(&mut r)?;
+            if !(re.is_finite() && im.is_finite()) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "non-finite sample",
+                ));
+            }
             data.push(Complex::new(re, im));
         }
         let snapshots = SnapshotMatrix::from_flat(k.max(1), data);
@@ -189,6 +212,37 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         assert!(Recording::load(&path).is_err());
+    }
+
+    #[test]
+    fn rejects_header_declaring_more_samples_than_the_file_holds() {
+        // 28 bytes declaring 16384×16384 samples: the plausibility cap
+        // admits 2²⁸ cells, so only the length check stands between this
+        // file and a 4 GiB reservation
+        let path = tmp("oversized_header.wifs");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&57.6e-6f64.to_le_bytes());
+        bytes.extend_from_slice(&16384u32.to_le_bytes());
+        bytes.extend_from_slice(&16384u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(bytes.len(), 28);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Recording::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn rejects_non_finite_samples() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let path = tmp("non_finite.wifs");
+            let mut rec = sample();
+            rec.snapshots.row_mut(3)[1].im = bad;
+            rec.save(&path).unwrap();
+            let err = Recording::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}: {err}");
+        }
     }
 
     #[test]

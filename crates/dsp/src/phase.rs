@@ -9,9 +9,24 @@ use crate::PI;
 use crate::TAU;
 
 /// Wraps an angle into `(-π, π]`.
+///
+/// Bit-identical to `(θ + π).rem_euclid(2π) − π` (with `+π` at the
+/// boundary), without the `fmod` when `x = θ + π` lies in `(−2π, 4π)`:
+/// there the remainder is `x` itself, `x − 2π` (exact by Sterbenz's
+/// lemma, since `2π ≤ x < 4π`), or, for negative `x`, `rem_euclid`'s own
+/// `x + 2π`. NaN, infinities and larger angles take the exact path.
 #[inline]
 pub fn wrap_to_pi(theta: f64) -> f64 {
-    let mut t = (theta + PI).rem_euclid(TAU);
+    let x = theta + PI;
+    let mut t = if (0.0..TAU).contains(&x) {
+        x
+    } else if (TAU..2.0 * TAU).contains(&x) {
+        x - TAU
+    } else if x < 0.0 && x > -TAU {
+        x + TAU
+    } else {
+        x.rem_euclid(TAU)
+    };
     if t == 0.0 {
         t = TAU; // map the boundary so the result is exactly +π, not -π
     }
@@ -94,6 +109,77 @@ mod tests {
         assert!((wrap_to_pi(PI) - PI).abs() < 1e-12);
         assert!((wrap_to_pi(-PI) - PI).abs() < 1e-12);
         assert!((wrap_to_pi(3.0 * PI) - PI).abs() < 1e-9);
+    }
+
+    /// The `rem_euclid` definition `wrap_to_pi` must reproduce bit for bit.
+    fn wrap_reference(theta: f64) -> f64 {
+        let mut t = (theta + PI).rem_euclid(TAU);
+        if t == 0.0 {
+            t = TAU;
+        }
+        t - PI
+    }
+
+    fn assert_wrap_matches(theta: f64) {
+        let (got, want) = (wrap_to_pi(theta), wrap_reference(theta));
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "θ = {theta:e} ({:#x}): {got:e} vs reference {want:e}",
+            theta.to_bits()
+        );
+    }
+
+    #[test]
+    fn wrap_matches_rem_euclid_reference_bitwise() {
+        let specials = [
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            3.0 * PI,
+            -3.0 * PI,
+            TAU,
+            -TAU,
+            2.0 * TAU,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        for &s in &specials {
+            // each special value and its neighbours one ulp either side
+            for theta in [
+                s,
+                f64::from_bits(s.to_bits().wrapping_add(1)),
+                f64::from_bits(s.to_bits().wrapping_sub(1)),
+            ] {
+                assert_wrap_matches(theta);
+            }
+        }
+        // the branch edges of the fast path, x = θ + π at −2π, 0, 2π, 4π
+        for edge in [-TAU, 0.0, TAU, 2.0 * TAU] {
+            let theta0 = edge - PI;
+            let mut up = theta0;
+            let mut down = theta0;
+            for _ in 0..64 {
+                assert_wrap_matches(up);
+                assert_wrap_matches(down);
+                up = up.next_up();
+                down = down.next_down();
+            }
+        }
+        // a dense sweep over the fast range and well past it
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            assert_wrap_matches(-40.0 + 80.0 * u);
+        }
     }
 
     #[test]

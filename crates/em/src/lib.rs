@@ -38,7 +38,7 @@ pub mod vna;
 
 pub use materials::Dielectric;
 pub use microstrip::Microstrip;
-pub use sensor_line::{SensorLine, Termination};
+pub use sensor_line::{LineAt, SensorLine, Termination};
 pub use twoport::{Abcd, SParams};
 
 /// Reference system impedance, Ω.

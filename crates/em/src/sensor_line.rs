@@ -46,6 +46,18 @@ impl Termination {
     }
 }
 
+/// The line's constants at one frequency ([`SensorLine::at`]): the
+/// propagation constant and the characteristic impedance. Evaluating them
+/// takes two `ln` and several square roots, and neither depends on the
+/// contact, so a fixed subcarrier grid evaluates them once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineAt {
+    /// Propagation constant `γ = α + jβ`, 1/m.
+    pub gamma: Complex,
+    /// Characteristic impedance, Ω.
+    pub z0: Complex,
+}
+
 /// The sensor line: a microstrip of fixed length with optional shorts.
 #[derive(Debug, Clone, Copy)]
 pub struct SensorLine {
@@ -72,6 +84,15 @@ impl SensorLine {
         Complex::from_re(self.microstrip.impedance_ohm())
     }
 
+    /// The line's frequency-dependent constants at `f_hz`: everything a
+    /// port reflection at that frequency shares, whatever the contact.
+    pub fn at(&self, f_hz: f64) -> LineAt {
+        LineAt {
+            gamma: self.microstrip.gamma(f_hz),
+            z0: self.z0(),
+        }
+    }
+
     /// Reflection coefficient looking into the line from one port, in the
     /// 50 Ω system, when the nearest short (if any) is `short_dist_m` away
     /// and the far end (at `length_m`) is terminated by `far`.
@@ -84,15 +105,25 @@ impl SensorLine {
         short_dist_m: Option<f64>,
         far: Termination,
     ) -> Complex {
-        let gamma = self.microstrip.gamma(f_hz);
+        self.port_reflection_at(&self.at(f_hz), short_dist_m, far)
+    }
+
+    /// [`Self::port_reflection`] from constants evaluated once by
+    /// [`Self::at`]; bit-identical to it. A shorted stub ignores `far`.
+    pub fn port_reflection_at(
+        &self,
+        at: &LineAt,
+        short_dist_m: Option<f64>,
+        far: Termination,
+    ) -> Complex {
         match short_dist_m {
             Some(d) => {
                 let d = d.clamp(0.0, self.length_m);
-                let stub = Abcd::line(self.z0(), gamma, d);
+                let stub = Abcd::line(at.z0, at.gamma, d);
                 stub.input_reflection(Complex::from_re(self.contact_resistance_ohm), Z_REF)
             }
             None => {
-                let line = Abcd::line(self.z0(), gamma, self.length_m);
+                let line = Abcd::line(at.z0, at.gamma, self.length_m);
                 line.input_reflection(far.impedance(), Z_REF)
             }
         }
@@ -107,8 +138,13 @@ impl SensorLine {
     /// Rest-state (no touch) two-port S-parameters in 50 Ω — the paper's
     /// Fig. 10 VNA characterization.
     pub fn rest_sparams(&self, f_hz: f64) -> SParams {
-        let gamma = self.microstrip.gamma(f_hz);
-        Abcd::line(self.z0(), gamma, self.length_m).to_sparams(Z_REF)
+        self.rest_sparams_at(&self.at(f_hz))
+    }
+
+    /// [`Self::rest_sparams`] from constants evaluated once by
+    /// [`Self::at`]; bit-identical to it.
+    pub fn rest_sparams_at(&self, at: &LineAt) -> SParams {
+        Abcd::line(at.z0, at.gamma, self.length_m).to_sparams(Z_REF)
     }
 
     /// The differential phase the reader ultimately measures at one port:

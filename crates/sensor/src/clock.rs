@@ -20,14 +20,19 @@
 use wiforce_dsp::{Complex, PI, TAU};
 
 /// A periodic square wave described by period, duty cycle and offset.
+/// The fields are private so the cached reciprocal period cannot drift
+/// from the period.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DutyClock {
     /// Period, s.
-    pub period_s: f64,
+    period_s: f64,
     /// High fraction of each period, in `[0, 1]`.
-    pub duty: f64,
+    duty: f64,
     /// Time of a rising edge, s.
-    pub offset_s: f64,
+    offset_s: f64,
+    /// `1/period_s` to within an ulp: the frequency the clock was built
+    /// from.
+    inv_period_s: f64,
 }
 
 impl DutyClock {
@@ -39,6 +44,7 @@ impl DutyClock {
             period_s: 1.0 / freq_hz,
             duty,
             offset_s,
+            inv_period_s: freq_hz,
         }
     }
 
@@ -48,9 +54,28 @@ impl DutyClock {
     }
 
     /// Logic level at time `t` (s).
+    ///
+    /// Bit-for-bit the level of the exact phase
+    /// `(t − offset).rem_euclid(period) / period`, without its `fmod` in
+    /// the common case. The quotient `q = (t − offset)·(1/period)` carries
+    /// two roundings, so for `0 ≤ q < 2²⁰` it is within
+    /// `2²⁰·2⁻⁵² ≈ 2.3e-10` of the true one; its fractional part is then
+    /// within that of the exact phase and, outside a 1e-9 guard band
+    /// around 0, 1 and the duty, lies on the same side of the duty.
+    /// Negative, huge, non-finite and guard-band phases take the exact
+    /// path.
     pub fn is_high(&self, t: f64) -> bool {
-        let phase = (t - self.offset_s).rem_euclid(self.period_s) / self.period_s;
-        phase < self.duty
+        const GUARD: f64 = 1e-9;
+        let d = t - self.offset_s;
+        let q = d * self.inv_period_s;
+        if (0.0..1_048_576.0).contains(&q) {
+            // exact truncation: q is non-negative and below 2²⁰
+            let frac = q - (q as u64) as f64;
+            if frac > GUARD && frac < 1.0 - GUARD && (frac - self.duty).abs() > GUARD {
+                return frac < self.duty;
+            }
+        }
+        d.rem_euclid(self.period_s) / self.period_s < self.duty
     }
 
     /// Complex Fourier coefficient `c_k` of the 0/1 waveform at harmonic
@@ -269,6 +294,76 @@ mod tests {
         assert!(!c.is_high(0.99e-3));
         assert!(c.is_high(1.01e-3)); // next period
         assert!(c.is_high(-0.9e-3)); // negative time wraps
+    }
+
+    /// The `rem_euclid` definition `is_high` must reproduce exactly.
+    fn is_high_reference(c: &DutyClock, t: f64) -> bool {
+        (t - c.offset_s).rem_euclid(c.period_s) / c.period_s < c.duty
+    }
+
+    #[test]
+    fn is_high_matches_rem_euclid_reference() {
+        let pair = ClockPair::wiforce(1234.5);
+        let clocks = [
+            DutyClock::new(1000.0, 0.25, 0.0),
+            DutyClock::new(2000.0, 0.75, 0.375e-3),
+            pair.clock1,
+            pair.clock2,
+            DutyClock::new(977.0, 0.0, 1e-4),
+            DutyClock::new(977.0, 1.0, -1e-4),
+        ];
+        for c in &clocks {
+            let check = |t: f64| {
+                assert_eq!(
+                    c.is_high(t),
+                    is_high_reference(c, t),
+                    "{c:?} at t = {t:e} ({:#x})",
+                    t.to_bits()
+                );
+            };
+            // exact edge times (rising at k·T, falling at (k + duty)·T),
+            // a few ulps either side, at small, negative and ≥ 2²⁰-period
+            // quotients where the exact path takes over
+            for k in [
+                0.0,
+                1.0,
+                7.0,
+                1e3,
+                -1.0,
+                -5e3,
+                1_048_575.0,
+                1_048_576.0,
+                3e6,
+            ] {
+                for frac in [0.0, c.duty, 1.0] {
+                    let t0 = c.offset_s + (k + frac) * c.period_s;
+                    let (mut up, mut down) = (t0, t0);
+                    for _ in 0..16 {
+                        check(up);
+                        check(down);
+                        up = up.next_up();
+                        down = down.next_down();
+                    }
+                    for eps in [1e-12, 1e-10, 1e-9, 1e-7] {
+                        check(t0 + eps * c.period_s);
+                        check(t0 - eps * c.period_s);
+                    }
+                }
+            }
+            for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e300] {
+                check(t);
+            }
+            // dense pseudo-random sweeps: the first 64 periods, and ±2²¹
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            for _ in 0..100_000 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                check(c.offset_s + u * 64.0 * c.period_s);
+                check((u - 0.5) * 4_194_304.0 * c.period_s);
+            }
+        }
     }
 
     #[test]

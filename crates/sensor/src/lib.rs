@@ -38,4 +38,4 @@ pub mod tag;
 pub use clock::{ClockPair, DutyClock};
 pub use splitter::Splitter;
 pub use switch::RfSwitch;
-pub use tag::SensorTag;
+pub use tag::{ResponsePlan, SensorTag};

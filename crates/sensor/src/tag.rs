@@ -17,8 +17,9 @@
 use crate::clock::ClockPair;
 use crate::splitter::Splitter;
 use crate::switch::RfSwitch;
+use std::sync::Arc;
 use wiforce_dsp::Complex;
-use wiforce_em::{SensorLine, Termination};
+use wiforce_em::{LineAt, SensorLine, Termination};
 use wiforce_mech::ContactPatch;
 
 /// The electrical contact state: distance from each port to its nearest
@@ -87,29 +88,56 @@ impl SensorTag {
         self.line.length_m
     }
 
-    /// The reflection looking into one branch (switch + line port).
-    fn branch_reflection(
+    /// Raw bits of every electrical parameter the reflection network
+    /// reads: line, contact resistance, switches and splitter, but not the
+    /// clocks. Tags with equal words have bit-identical
+    /// [`ResponsePlan`]s on any grid, so these words key a memoized plan.
+    pub fn electrical_words(&self) -> [u64; 18] {
+        let ms = &self.line.microstrip;
+        let [s1, s2] = [&self.switch1, &self.switch2];
+        [
+            ms.trace_width_m.to_bits(),
+            ms.height_m.to_bits(),
+            ms.substrate.rel_permittivity.to_bits(),
+            ms.substrate.loss_tangent.to_bits(),
+            ms.substrate.conductivity_s_per_m.to_bits(),
+            ms.conductivity_s_per_m.to_bits(),
+            self.line.length_m.to_bits(),
+            self.line.contact_resistance_ohm.to_bits(),
+            s1.kind as u64,
+            s1.insertion_loss_db.to_bits(),
+            s1.isolation_db.to_bits(),
+            s1.off_branch_mag.to_bits(),
+            s2.kind as u64,
+            s2.insertion_loss_db.to_bits(),
+            s2.isolation_db.to_bits(),
+            s2.off_branch_mag.to_bits(),
+            self.splitter.excess_loss_db.to_bits(),
+            self.splitter.isolation_db.to_bits(),
+        ]
+    }
+
+    /// The tag's antenna reflection with the switches held in fixed states
+    /// (switch 1 on iff `on1`, switch 2 on iff `on2`), bypassing the
+    /// clocks.
+    pub fn reflection_for_states(
         &self,
         f_hz: f64,
-        own_on: bool,
-        other_on: bool,
-        own_switch: &RfSwitch,
-        other_switch: &RfSwitch,
-        short_dist: Option<f64>,
+        on1: bool,
+        on2: bool,
+        contact: Option<&ContactState>,
     ) -> Complex {
-        if !own_on {
-            return own_switch.off_branch_reflection();
-        }
-        // far termination: the other port's switch state
-        let far = if other_on {
-            // other switch conducts: the wave leaves the line into the
-            // other branch — the line sees (approximately) a matched exit
-            Termination::Matched
-        } else {
-            other_switch.off_termination()
-        };
-        let il2 = own_switch.on_transmission() * own_switch.on_transmission();
-        self.line.port_reflection(f_hz, short_dist, far) * il2
+        let at = self.line.at(f_hz);
+        let shorts = contact.map(|c| [c.port1_short_m, c.port2_short_m]);
+        Network::of(self).reflection(
+            [on1, on2],
+            |i, far| self.line.port_reflection_at(&at, shorts.map(|s| s[i]), far),
+            || {
+                contact
+                    .is_none()
+                    .then(|| self.line.rest_sparams_at(&at).s21)
+            },
+        )
     }
 
     /// The tag's antenna reflection coefficient at carrier-offset frequency
@@ -122,24 +150,33 @@ impl SensorTag {
     ) -> Complex {
         let on1 = self.clocks.modulation1(t_s);
         let on2 = self.clocks.modulation2(t_s);
-        let (s1, s2) = (
-            contact.map(|c| c.port1_short_m),
-            contact.map(|c| c.port2_short_m),
-        );
-        let g1 = self.branch_reflection(f_hz, on1, on2, &self.switch1, &self.switch2, s1);
-        let g2 = self.branch_reflection(f_hz, on2, on1, &self.switch2, &self.switch1, s2);
-        let mut gamma = self.splitter.combine_reflections(g1, g2);
+        self.reflection_for_states(f_hz, on1, on2, contact)
+    }
 
-        // both-on through path (intermodulation source): antenna → branch1 →
-        // line S21 → branch2 → antenna, and the reverse (reciprocal ⇒ ×2)
-        if on1 && on2 && contact.is_none() {
-            let s21 = self.line.rest_sparams(f_hz).s21;
-            let a2 = self.splitter.branch_amplitude() * self.splitter.branch_amplitude();
-            let through =
-                s21 * (2.0 * a2 * self.switch1.on_transmission() * self.switch2.on_transmission());
-            gamma += through;
+    /// Precomputes the reflection network on the frequency grid
+    /// `freqs_hz` ([`ResponsePlan`]).
+    pub fn response_plan(&self, freqs_hz: &[f64]) -> ResponsePlan {
+        let network = Network::of(self);
+        let at: Vec<LineAt> = freqs_hz.iter().map(|&f| self.line.at(f)).collect();
+        let no_touch = at
+            .iter()
+            .map(|at| {
+                let s21 = self.line.rest_sparams_at(at).s21;
+                STATES.map(|on| {
+                    network.reflection(
+                        on,
+                        |_, far| self.line.port_reflection_at(at, None, far),
+                        || Some(s21),
+                    )
+                })
+            })
+            .collect();
+        ResponsePlan {
+            line: self.line,
+            network,
+            at,
+            no_touch: Arc::new(no_touch),
         }
-        gamma
     }
 
     /// Samples the antenna reflection at a set of times (one per channel
@@ -154,6 +191,118 @@ impl SensorTag {
             .iter()
             .map(|&t| self.antenna_reflection(f_hz, t, contact))
             .collect()
+    }
+}
+
+/// Switch states `[switch 1 on, switch 2 on]` in table order: state index
+/// `on1 | on2 << 1`.
+const STATES: [[bool; 2]; 4] = [[false, false], [true, false], [false, true], [true, true]];
+
+/// The switch and splitter factors of the reflection network. None of
+/// them depends on frequency or contact, and each costs a `powf`, so they
+/// are evaluated once per tag.
+#[derive(Debug, Clone, Copy)]
+struct Network {
+    /// On-state transmission squared (in and back out), per switch.
+    il2: [f64; 2],
+    /// Off-state branch reflection, per switch.
+    off_reflection: [Complex; 2],
+    /// What the line's far end sees while a switch is off, per switch.
+    off_termination: [Termination; 2],
+    /// Splitter branch power factor `a²`.
+    a2: f64,
+    /// Scale of the both-on through path, `2·a²·t₁·t₂`.
+    through: f64,
+}
+
+impl Network {
+    fn of(tag: &SensorTag) -> Self {
+        let a2 = tag.splitter.branch_amplitude() * tag.splitter.branch_amplitude();
+        let t = [tag.switch1.on_transmission(), tag.switch2.on_transmission()];
+        Network {
+            il2: [t[0] * t[0], t[1] * t[1]],
+            off_reflection: [
+                tag.switch1.off_branch_reflection(),
+                tag.switch2.off_branch_reflection(),
+            ],
+            off_termination: [tag.switch1.off_termination(), tag.switch2.off_termination()],
+            a2,
+            through: 2.0 * a2 * t[0] * t[1],
+        }
+    }
+
+    /// The antenna reflection with switch `i` on iff `on[i]`: the one
+    /// place the reflection network is written. `port(i, far)` is the
+    /// line reflection at port `i` with its far end terminated by `far`;
+    /// `through_s21` the line's rest-state transmission, `None` when a
+    /// press shorts the line. Each is read only when the states need it.
+    fn reflection(
+        &self,
+        on: [bool; 2],
+        port: impl Fn(usize, Termination) -> Complex,
+        through_s21: impl FnOnce() -> Option<Complex>,
+    ) -> Complex {
+        let branch = |i: usize| {
+            if !on[i] {
+                return self.off_reflection[i];
+            }
+            // far termination: the other port's switch state. A conducting
+            // switch lets the wave leave the line into the other branch —
+            // the line sees (approximately) a matched exit
+            let far = if on[1 - i] {
+                Termination::Matched
+            } else {
+                self.off_termination[1 - i]
+            };
+            port(i, far) * self.il2[i]
+        };
+        let mut gamma = (branch(0) + branch(1)) * self.a2;
+        // both-on through path (intermodulation source): antenna → branch1 →
+        // line S21 → branch2 → antenna, and the reverse (reciprocal ⇒ ×2)
+        if on[0] && on[1] {
+            if let Some(s21) = through_s21() {
+                gamma += s21 * self.through;
+            }
+        }
+        gamma
+    }
+}
+
+/// A tag's reflection network precomputed on a fixed frequency grid
+/// ([`SensorTag::response_plan`]): the line constants per frequency, the
+/// switch and splitter factors, and the whole untouched table. A contact
+/// table then costs two shorted-stub reflections per frequency.
+/// Every table is bit-identical to [`SensorTag::reflection_for_states`]
+/// evaluated state by state.
+#[derive(Debug, Clone)]
+pub struct ResponsePlan {
+    line: SensorLine,
+    network: Network,
+    at: Vec<LineAt>,
+    no_touch: Arc<Vec<[Complex; 4]>>,
+}
+
+impl ResponsePlan {
+    /// The tag's reflection per grid frequency for each of the four
+    /// switch states (index `on1 | on2 << 1`), for an optional contact.
+    /// The untouched table is shared, not rebuilt.
+    pub fn table(&self, contact: Option<&ContactState>) -> Arc<Vec<[Complex; 4]>> {
+        let Some(c) = contact else {
+            return Arc::clone(&self.no_touch);
+        };
+        let shorts = [c.port1_short_m, c.port2_short_m];
+        Arc::new(
+            self.at
+                .iter()
+                .map(|at| {
+                    // a shorted stub ignores the far termination, so each
+                    // port's reflection serves every state it is on in
+                    let stub = shorts
+                        .map(|d| self.line.port_reflection_at(at, Some(d), Termination::Open));
+                    STATES.map(|on| self.network.reflection(on, |i, _| stub[i], || None))
+                })
+                .collect(),
+        )
     }
 }
 
@@ -189,6 +338,48 @@ mod tests {
         let c = ContactState::from_patch(&p, 0.08);
         assert!((c.port1_short_m - 0.02).abs() < 1e-12);
         assert!((c.port2_short_m - 0.02).abs() < 1e-12);
+    }
+
+    #[test]
+    fn response_plan_matches_reflection_for_states_bitwise() {
+        // every state of every table, untouched (through path included,
+        // on the naive clocks' both-on state) and pressed, on a grid
+        // spanning both carriers
+        let freqs: Vec<f64> = (0..40).map(|k| 0.8e9 + k as f64 * 45e6).collect();
+        let contacts = [
+            None,
+            Some(contact()),
+            Some(ContactState {
+                port1_short_m: 0.0,
+                port2_short_m: 0.08,
+            }),
+            Some(ContactState {
+                port1_short_m: 0.0123,
+                port2_short_m: 0.0456,
+            }),
+        ];
+        for t in [tag(), tag().with_absorptive_switches()] {
+            let plan = t.response_plan(&freqs);
+            for c in &contacts {
+                let table = plan.table(c.as_ref());
+                for (k, &f) in freqs.iter().enumerate() {
+                    for (idx, on) in STATES.iter().enumerate() {
+                        let want = t.reflection_for_states(f, on[0], on[1], c.as_ref());
+                        let got = table[k][idx];
+                        assert_eq!(
+                            got.re.to_bits(),
+                            want.re.to_bits(),
+                            "{c:?} f={f} state {idx}"
+                        );
+                        assert_eq!(
+                            got.im.to_bits(),
+                            want.im.to_bits(),
+                            "{c:?} f={f} state {idx}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

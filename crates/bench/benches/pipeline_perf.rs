@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::harmonics::extract_lines;
-use wiforce::pipeline::{Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, Simulation, TagClock};
 use wiforce_dsp::Complex;
 use wiforce_reader::{ChannelSounder, OfdmSounder};
 
@@ -24,7 +24,8 @@ fn bench_group_extraction(c: &mut Criterion) {
     let sim = Simulation::paper_default(0.9e9);
     let mut rng = StdRng::seed_from_u64(2);
     let mut clock = TagClock::new(&mut rng);
-    let group = sim.run_snapshots(None, 1, &mut clock, &mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
+    let group = sim.run_snapshots(None, 1, &mut clock, &mut noise);
     c.bench_function("phase_group_extract_625x64", |b| {
         b.iter(|| extract_lines(black_box(&sim.group), black_box(group.view()), 0.0))
     });

@@ -9,14 +9,12 @@
 //! - `ns_per_press_telemetry_on` / `telemetry_overhead_pct` — the same
 //!   loop with the recorder enabled, quantifying the cost of spans,
 //!   counters, and histograms on the hot path;
-//! - `ns_per_group` — one 625×64 phase group synthesized through the
-//!   sequential `run_snapshots_into` reference path into a reused
-//!   [`wiforce_dsp::SnapshotMatrix`];
-//! - `ns_per_group_parallel` / `synth_workers` — the same group through
-//!   the counter-addressed parallel path (`run_snapshots_counter_into`)
-//!   at the session's worker count (`WIFORCE_SYNTH_WORKERS`);
-//! - `allocs_per_group` — heap allocations per steady-state group on the
-//!   sequential path (the flat snapshot engine's target is 0);
+//! - `ns_per_group` / `allocs_per_group` — one 625×64 phase group
+//!   synthesized through the counter-addressed `run_snapshots_into` on
+//!   one worker into a reused [`wiforce_dsp::SnapshotMatrix`]: wall time
+//!   and heap allocations per steady-state group;
+//! - `synth_workers` — the worker count the press loop ran with
+//!   (`WIFORCE_SYNTH_WORKERS` or the machine's parallelism);
 //! - `throughput` — the multi-stream batch engine (`wiforce::batch`) at
 //!   1/4/8 frequency-multiplexed streams: aggregate `presses_per_sec`
 //!   and `p95_stream_latency_ns` per point. Because every stream of a
@@ -88,8 +86,10 @@ use wiforce_telemetry::json::JsonWriter;
 /// the new `observability.metrics_streams` it is gated against, and the
 /// paired off/on overhead blocks rise from 7 to 11 in full mode (the
 /// count is recorded as `overhead_blocks`) so the median behind
-/// `telemetry_overhead_raw_pct` rests on more ratio samples.
-const BENCH_SCHEMA_VERSION: u32 = 9;
+/// `telemetry_overhead_raw_pct` rests on more ratio samples;
+/// v10 measures `ns_per_group` / `allocs_per_group` on the counter path
+/// (the sequential snapshot path is gone) and drops `ns_per_group_parallel`.
+const BENCH_SCHEMA_VERSION: u32 = 10;
 
 /// A pass-through allocator that counts every allocation, so the bench
 /// can assert the steady-state snapshot loop is allocation-free.
@@ -240,41 +240,33 @@ fn main() {
     };
 
     // --- steady-state snapshot groups ---------------------------------
+    // one group at a time through the counter-addressed stream on a
+    // single worker: a worker pool adds a job handle per call, and the
+    // allocation count must not depend on the pool size (the determinism
+    // diff compares it across worker counts)
+    let synth_workers = wiforce::parallel::default_workers();
     let sim = Simulation::paper_default(2.4e9);
+    let single = Simulation {
+        synth_workers: Some(1),
+        ..sim.clone()
+    };
     let mut rng = StdRng::seed_from_u64(7);
     let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_seed(0xBE7C);
     let mut stream = SnapshotMatrix::default();
     // warm up: first fill grows the buffer to capacity once
-    sim.run_snapshots_into(None, 1, &mut clock, &mut rng, &mut stream);
-    stream.clear();
+    single.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
 
     let allocs_before = alloc_count();
     let t0 = Instant::now();
     for _ in 0..group_iters {
         stream.clear();
-        sim.run_snapshots_into(None, 1, &mut clock, &mut rng, &mut stream);
+        single.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
     }
     let group_elapsed = t0.elapsed();
     let allocs = alloc_count() - allocs_before;
     let ns_per_group = group_elapsed.as_nanos() as f64 / group_iters as f64;
     let allocs_per_group = allocs as f64 / group_iters as f64;
-
-    // --- parallel counter-synthesis groups -----------------------------
-    // the same steady-state group through the counter-addressed path at
-    // the session's worker count (bit-identical output at any setting;
-    // the wall time is what parallelism buys)
-    let synth_workers = wiforce::parallel::default_workers();
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut clock = TagClock::new(&mut rng);
-    let mut noise = PressNoise::from_seed(0xBE7C);
-    stream.clear();
-    sim.run_snapshots_counter_into(None, 1, &mut clock, &mut noise, &mut stream);
-    let t0 = Instant::now();
-    for _ in 0..group_iters {
-        stream.clear();
-        sim.run_snapshots_counter_into(None, 1, &mut clock, &mut noise, &mut stream);
-    }
-    let ns_per_group_parallel = t0.elapsed().as_nanos() as f64 / group_iters as f64;
 
     // --- wide vs row counter synthesis ---------------------------------
     // the same counter group with the structure-of-arrays wide path
@@ -288,11 +280,11 @@ fn main() {
         let mut clock = TagClock::new(&mut rng);
         let mut noise = PressNoise::from_seed(0xBE7C);
         stream.clear();
-        sim_w.run_snapshots_counter_into(None, 1, &mut clock, &mut noise, &mut stream);
+        sim_w.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
         let t0 = Instant::now();
         for _ in 0..group_iters {
             stream.clear();
-            sim_w.run_snapshots_counter_into(None, 1, &mut clock, &mut noise, &mut stream);
+            sim_w.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
         }
         wide_times[i] = t0.elapsed().as_nanos() as f64 / group_iters as f64;
     }
@@ -491,7 +483,6 @@ fn main() {
     w.integer("synth_workers", synth_workers as u64);
     w.integer("group_iters", group_iters as u64);
     w.number("ns_per_group", ns_per_group.round());
-    w.number("ns_per_group_parallel", ns_per_group_parallel.round());
     w.number(
         "allocs_per_group",
         (allocs_per_group * 100.0).round() / 100.0,

@@ -128,7 +128,10 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
     // stage-sum reconciliation gate
     if schema >= 5.0 {
         c.number(root, "synth_workers", true);
-        c.number(root, "ns_per_group_parallel", true);
+        // v10 folded the parallel group timing into `ns_per_group`
+        if schema < 10.0 {
+            c.number(root, "ns_per_group_parallel", true);
+        }
         c.number(root, "telemetry_overhead_raw_pct", false);
         if let Some(v) = root.get("telemetry_overhead_pct").and_then(Value::as_f64) {
             if v < 0.0 {

@@ -11,7 +11,7 @@ use crate::table::{fmt, TextTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::estimator::{EstimatorConfig, ForceEstimator};
-use wiforce::pipeline::{Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, Simulation, TagClock};
 use wiforce_dsp::stats::mean;
 use wiforce_mech::profile::{FingertipStaircase, PressProfile};
 use wiforce_mech::Indenter;
@@ -35,6 +35,7 @@ pub fn run(quick: bool) -> Report {
     let mut est = ForceEstimator::new(cfg, model);
     let mut rng = StdRng::seed_from_u64(0xF175);
     let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
 
     // 3 reference groups of untouched sensor; one snapshot buffer is
     // reused for every group of the whole staircase
@@ -43,7 +44,7 @@ pub fn run(quick: bool) -> Report {
         None,
         cfg.reference_groups,
         &mut clock,
-        &mut rng,
+        &mut noise,
         &mut stream,
     );
     for s in stream.rows() {
@@ -58,7 +59,7 @@ pub fn run(quick: bool) -> Report {
         let force = profile.force_at(t_mid);
         let contact = sim.jittered_contact(force, profile.location_m(), &mut rng);
         stream.clear();
-        sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut rng, &mut stream);
+        sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut noise, &mut stream);
         for s in stream.rows() {
             if let Ok(Some(r)) = est.push_snapshot(s) {
                 readings.push((t_mid, force, r));

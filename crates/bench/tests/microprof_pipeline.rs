@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use wiforce::pipeline::{Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, Simulation, TagClock};
 use wiforce_dsp::SnapshotMatrix;
 
 #[test]
@@ -14,14 +14,15 @@ fn microprof_pipeline() {
     let sim = Simulation::paper_default(2.4e9);
     let mut rng = StdRng::seed_from_u64(7);
     let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
     let mut out = SnapshotMatrix::default();
-    sim.run_snapshots_into(None, 1, &mut clock, &mut rng, &mut out);
+    sim.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut out);
 
     let groups = 20;
     let t = Instant::now();
     for _ in 0..groups {
         out.clear();
-        sim.run_snapshots_into(None, 1, &mut clock, &mut rng, &mut out);
+        sim.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut out);
     }
     let per_group = t.elapsed().as_secs_f64() / groups as f64;
     println!(

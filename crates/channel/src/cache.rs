@@ -3,11 +3,12 @@
 //! Everything the pipeline derives from a [`Scene`] at a fixed frequency
 //! grid — static multipath response, backscatter path gain, AGC full
 //! scale — is invariant across presses: only the tag's reflection and the
-//! receiver noise change snapshot to snapshot. Yet the seed pipeline
-//! re-evaluated all of it (per subcarrier, with tissue-stack ABCD
-//! products inside) on every `run_snapshots` call. [`ChannelCache`] holds
-//! that invariant slice, and [`SharedChannelCache`] shares one entry
-//! read-only between the pipeline and every `wiforce::batch` worker.
+//! receiver noise change snapshot to snapshot. Re-evaluating all of it
+//! (per subcarrier, with tissue-stack ABCD products inside) in every
+//! synthesis call — time-domain snapshots or spectral lines — would be
+//! pure waste. [`ChannelCache`] holds that invariant slice, and
+//! [`SharedChannelCache`] shares one entry read-only between the
+//! pipeline and every `wiforce::batch` worker.
 //!
 //! Invalidation is by value, not by notification: an entry stores the
 //! FNV-1a [`scene_fingerprint`] of every scene and grid field it was

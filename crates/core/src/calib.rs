@@ -295,7 +295,9 @@ impl SensorModel {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("bad force range"))?;
-        let mut curves = Vec::with_capacity(n);
+        // the header's count is untrusted: reserve no more curves than
+        // the file has lines left to hold them
+        let mut curves = Vec::with_capacity(n.min(lines.clone().count()));
         for _ in 0..n {
             let line = lines.next().ok_or_else(|| bad("truncated model file"))?;
             let mut parts = line.split('|');
@@ -392,6 +394,17 @@ mod persistence_tests {
         let path = tmp("garbage.wfm");
         std::fs::write(&path, "not a model\n1 2 3").unwrap();
         assert!(SensorModel::load(&path).is_err());
+    }
+
+    #[test]
+    fn load_rejects_a_hostile_curve_count() {
+        // a 23-byte file whose header claims 10^12 curves used to reserve
+        // 56 TB up front and abort the process
+        let path = tmp("hostile.wfm");
+        std::fs::write(&path, "WFM1 1000000000000 0 8\n").unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 23);
+        let err = SensorModel::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -365,12 +365,13 @@ mod tests {
         // hand the estimator raw snapshots from the pipeline: first an
         // untouched stretch, then a 5 N press at 30 mm
         let mut clock = crate::pipeline::TagClock::new(&mut rng);
-        let quiet = sim.run_snapshots(None, 1, &mut clock, &mut rng);
+        let mut noise = crate::pipeline::PressNoise::from_rng(&mut rng);
+        let quiet = sim.run_snapshots(None, 1, &mut clock, &mut noise);
         for s in quiet.rows() {
             let _ = est.push_snapshot(s).unwrap();
         }
         let contact = sim.contact_for(5.0, 0.030);
-        let pressed = sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut rng);
+        let pressed = sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut noise);
         let mut reading = None;
         for s in pressed.rows() {
             if let Some(r) = est.push_snapshot(s).unwrap() {

@@ -17,8 +17,7 @@ use crate::calib::{CalibrationSample, LocationData, SensorModel};
 use crate::diffphase::{differential, Averaging, DiffPhases};
 use crate::estimator::ForceReading;
 use crate::harmonics::{
-    emit_extraction_telemetry, extract_lines, extract_lines_quiet, ExtractionMethod, GroupLines,
-    PhaseGroupConfig,
+    emit_extraction_telemetry, extract_lines_quiet, ExtractionMethod, GroupLines, PhaseGroupConfig,
 };
 use crate::{parallel, WiForceError};
 use rand::Rng;
@@ -124,19 +123,6 @@ impl ChannelSounder for Sounder {
         match self {
             Sounder::Ofdm(s) => s.prepare(true_channel),
             Sounder::Fmcw(s) => s.prepare(true_channel),
-        }
-    }
-
-    fn estimate_prepared_into(
-        &self,
-        prepared: &PreparedChannel,
-        noise_std: f64,
-        rng: &mut dyn rand::RngCore,
-        out: &mut [Complex],
-    ) {
-        match self {
-            Sounder::Ofdm(s) => s.estimate_prepared_into(prepared, noise_std, rng, out),
-            Sounder::Fmcw(s) => s.estimate_prepared_into(prepared, noise_std, rng, out),
         }
     }
 
@@ -289,14 +275,6 @@ pub struct Simulation {
     /// re-evaluates the scene every call — bit-identical output, used by
     /// the cache-equivalence fixture tests.
     pub use_channel_cache: bool,
-    /// Synthesize press snapshots from the counter-addressed noise stream
-    /// (on by default): every Gaussian draw is a pure function of
-    /// `(press key, group, snapshot, lane)`, so groups synthesize in
-    /// parallel on the worker pool and each finished group streams
-    /// straight into spectrum extraction. Turning it off restores the
-    /// sequential `Rng`-threaded reference path (bit-identical to earlier
-    /// releases), kept for the equivalence fixtures.
-    pub counter_synth: bool,
     /// Worker threads for counter synthesis. `None` defers to
     /// `WIFORCE_SYNTH_WORKERS` / the machine's parallelism (see
     /// [`crate::parallel::default_workers`]); results are bit-identical
@@ -367,7 +345,6 @@ impl Simulation {
             patch_position_jitter_m: 1.0e-3,
             patch_edge_jitter_m: 0.25e-3,
             use_channel_cache: true,
-            counter_synth: true,
             synth_workers: None,
             synth_wide: None,
             adaptive: AdaptiveBudget::off(),
@@ -583,200 +560,19 @@ impl Simulation {
     }
 
     /// Simulates `n_groups` worth of raw channel-estimate snapshots for a
-    /// fixed contact state.
+    /// fixed contact state — the stream a real reader would hand to
+    /// [`crate::ForceEstimator`].
     ///
     /// `clock_state` carries the tag's free-running clock phase across
-    /// calls (it keeps running between reference and measurement). This is
-    /// the stream a real reader would hand to [`crate::ForceEstimator`].
-    pub fn run_snapshots<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        n_groups: usize,
-        clock_state: &mut TagClock,
-        rng: &mut R,
-    ) -> SnapshotMatrix {
-        let mut out = SnapshotMatrix::default();
-        self.run_snapshots_into(contact, n_groups, clock_state, rng, &mut out);
-        out
-    }
-
-    /// Like [`Self::run_snapshots`], but appends the snapshots to a
-    /// caller-provided matrix, reusing its capacity — the zero-allocation
-    /// streaming path. Each snapshot is estimated straight into its row;
-    /// a dropped preamble repeats the previous row in place (falling back
-    /// to the noiseless truth when the drop hits this call's first
-    /// snapshot, exactly as the allocating path did).
-    pub fn run_snapshots_into<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        n_groups: usize,
-        clock_state: &mut TagClock,
-        rng: &mut R,
-        out: &mut SnapshotMatrix,
-    ) {
-        let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
-        let telem = wiforce_telemetry::enabled();
-        let freqs = self.subcarrier_freqs_hz();
-        let cache: Arc<ChannelCache> = {
-            let _s = wiforce_telemetry::span!("pipeline.channel_setup");
-            if self.use_channel_cache {
-                self.channel_cache.get_or_build(&self.scene, &freqs)
-            } else {
-                Arc::new(ChannelCache::build(&self.scene, &freqs))
-            }
-        };
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(&cache, contact)
-        };
-        let statics = &cache.statics;
-        let gains = &cache.gains;
-        let direct_amp = cache.direct_amp;
-        let full_scale = cache.full_scale;
-        let n = self.group.n_snapshots;
-        let t_snap = self.group.snapshot_period_s;
-        let mut injector = FaultInjector::new(self.faults);
-        let has_movers = !self.scene.movers.is_empty();
-
-        // With a static scene the tag's switch pair visits only four
-        // distinct channels, so fold the channel-dependent half of the
-        // sounding forward model (for OFDM: symbol multiply + IFFT) into
-        // four prepared states up front — every snapshot then skips
-        // straight to its noise draw. Movers make the channel genuinely
-        // time-varying, so that path keeps the per-snapshot evaluation.
-        let prepared: Option<Arc<Vec<PreparedChannel>>> =
-            (!has_movers).then(|| self.prepare_states(&cache, &table, contact.is_none()));
-
-        out.set_width(statics.len());
-        out.reserve_rows(n_groups * n);
-        // the drop-fallback boundary: `prev_est` resets at every call
-        let first_row = out.n_rows();
-        let mut truth = vec![Complex::ZERO; statics.len()];
-        // per-stage clocks, accumulated here and recorded once per call
-        // (a span! per snapshot was 13.7% overhead, and even bare
-        // `Instant::now` pairs cost ~5% of a press — so the clocks read
-        // the raw TSC via `fastclock` and convert the summed ticks to ns
-        // once at the end; nothing is read while telemetry is off)
-        use wiforce_telemetry::fastclock;
-        let (mut eval_ticks, mut eval_n) = (0_u64, 0_u64);
-        let (mut sounder_ticks, mut sounder_n) = (0_u64, 0_u64);
-        let (mut frontend_ticks, mut frontend_n) = (0_u64, 0_u64);
-        for _g in 0..n_groups {
-            // per-group clock wander (mean-reverting random walk)
-            clock_state.step_group(self.tag_clock_wander_ppm, rng);
-            for _snap in 0..n {
-                let t_reader = clock_state.reader_time_s();
-                let t_tag = clock_state.advance(t_snap, self.faults.tag_clock_ppm);
-                let on1 = self.tag.clocks.modulation1(t_tag);
-                let on2 = self.tag.clocks.modulation2(t_tag);
-                let state_idx = on1 as usize | ((on2 as usize) << 1);
-                let truth_row: &[Complex] = match &prepared {
-                    Some(states) => {
-                        // an O(1) index — count it, don't clock it
-                        eval_n += 1;
-                        &states[state_idx].truth
-                    }
-                    None => {
-                        let t0 = telem.then(fastclock::ticks);
-                        for (k, h) in truth.iter_mut().enumerate() {
-                            *h = statics[k]
-                                + gains[k] * table[k][state_idx]
-                                + self.scene.dynamic_response(freqs[k], t_reader);
-                        }
-                        if let Some(t) = t0 {
-                            eval_ticks += fastclock::ticks().wrapping_sub(t);
-                            eval_n += 1;
-                        }
-                        &truth
-                    }
-                };
-                if injector.drops_snapshot(rng) {
-                    // hold the previous estimate on a dropped preamble
-                    if out.n_rows() > first_row {
-                        out.push_copy_of_last();
-                    } else {
-                        out.push_row(truth_row);
-                    }
-                } else {
-                    let row = out.push_row_default();
-                    let t1 = telem.then(fastclock::ticks);
-                    match &prepared {
-                        Some(states) => self.sounder.estimate_prepared_into(
-                            &states[state_idx],
-                            self.frontend.noise_floor,
-                            rng,
-                            row,
-                        ),
-                        None => self.sounder.estimate_into(
-                            truth_row,
-                            self.frontend.noise_floor,
-                            rng,
-                            row,
-                        ),
-                    }
-                    // one read ends the sounder stage and starts the
-                    // frontend stage — three reads per snapshot total
-                    let t2 = telem.then(fastclock::ticks);
-                    if let (Some(a), Some(b)) = (t1, t2) {
-                        sounder_ticks += b.wrapping_sub(a);
-                        sounder_n += 1;
-                    }
-                    injector.maybe_burst(rng, row, direct_amp);
-                    self.frontend.process(rng, row, full_scale);
-                    if let Some(b) = t2 {
-                        frontend_ticks += fastclock::ticks().wrapping_sub(b);
-                        frontend_n += 1;
-                    }
-                }
-            }
-        }
-        if wiforce_telemetry::enabled() {
-            let ns_per_tick = fastclock::ns_per_tick();
-            wiforce_telemetry::span_bulk(
-                "pipeline.channel_eval",
-                eval_n,
-                eval_ticks as f64 * ns_per_tick,
-            );
-            wiforce_telemetry::span_bulk(
-                "pipeline.sounder",
-                sounder_n,
-                sounder_ticks as f64 * ns_per_tick,
-            );
-            wiforce_telemetry::span_bulk(
-                "pipeline.frontend",
-                frontend_n,
-                frontend_ticks as f64 * ns_per_tick,
-            );
-            let total = (n_groups * n) as u64;
-            wiforce_telemetry::counter!("pipeline.snapshots_total", total);
-            // declare the fault counters so reports always carry them even
-            // on clean runs; the injector adds the actual events as they
-            // fire, so adding 0 here never double-counts
-            wiforce_telemetry::counter!("faults.snapshots_dropped", 0);
-            wiforce_telemetry::counter!("faults.bursts_injected", 0);
-            // effective snapshot yield under fault injection (the dropped
-            // counter itself is recorded by the injector as it fires)
-            let yielded = total.saturating_sub(injector.dropped_count() as u64);
-            wiforce_telemetry::gauge!(
-                "pipeline.snapshot_yield",
-                if total == 0 {
-                    1.0
-                } else {
-                    yielded as f64 / total as f64
-                }
-            );
-        }
-    }
-
-    /// Counter-addressed twin of [`Self::run_snapshots`]: synthesizes the
-    /// same kind of snapshot stream, but every noise draw comes from the
-    /// splittable Philox counter stream keyed by `noise` instead of a
-    /// sequential `Rng`, so snapshot groups are synthesized in parallel on
-    /// the worker pool. Output is bit-identical at any worker count (and
-    /// under `WIFORCE_FORCE_SCALAR`), but is a *different realization*
-    /// from the sequential path — the two are statistically, not bitwise,
-    /// interchangeable.
-    pub fn run_snapshots_counter(
+    /// calls (it keeps running between reference and measurement), and
+    /// `noise` the counter-addressed noise stream: every draw comes from
+    /// the splittable Philox stream keyed by the press key, so snapshot
+    /// groups synthesize in parallel on the worker pool and the output is
+    /// bit-identical at any worker count (and under
+    /// `WIFORCE_FORCE_SCALAR`). Successive calls on one `noise` continue
+    /// its group index, so a stream built call by call never repeats a
+    /// noise realization.
+    pub fn run_snapshots(
         &self,
         contact: Option<&ContactState>,
         n_groups: usize,
@@ -784,13 +580,13 @@ impl Simulation {
         noise: &mut PressNoise,
     ) -> SnapshotMatrix {
         let mut out = SnapshotMatrix::default();
-        self.run_snapshots_counter_into(contact, n_groups, clock_state, noise, &mut out);
+        self.run_snapshots_into(contact, n_groups, clock_state, noise, &mut out);
         out
     }
 
-    /// [`Self::run_snapshots_counter`] appending into a caller-provided
-    /// matrix (the streaming path).
-    pub fn run_snapshots_counter_into(
+    /// Like [`Self::run_snapshots`], but appends the snapshots to a
+    /// caller-provided matrix, reusing its capacity — the streaming path.
+    pub fn run_snapshots_into(
         &self,
         contact: Option<&ContactState>,
         n_groups: usize,
@@ -802,11 +598,11 @@ impl Simulation {
         self.synth_counter(&freqs, contact, n_groups, clock_state, noise, out, None);
     }
 
-    /// Counter-addressed twin of [`Self::run_groups`], with the fused
-    /// synth→spectrum streaming path: each snapshot group is handed to
-    /// line extraction by whichever worker finishes it, while other
-    /// groups are still synthesizing.
-    pub fn run_groups_counter(
+    /// Simulates `n_groups` phase groups for a fixed contact state,
+    /// returning the extracted line values per group. Each snapshot group
+    /// is handed to line extraction by whichever worker finishes it,
+    /// while other groups are still synthesizing.
+    pub fn run_groups(
         &self,
         contact: Option<&ContactState>,
         n_groups: usize,
@@ -832,14 +628,72 @@ impl Simulation {
         .0
     }
 
+    /// Channel set-up and EM transduction shared by both line sources:
+    /// the scene's press-invariant channel-cache entry on the grid
+    /// `freqs`, and the tag's per-state reflection table for `contact`.
+    fn channel_and_table(
+        &self,
+        freqs: &[f64],
+        contact: Option<&ContactState>,
+    ) -> (Arc<ChannelCache>, Arc<Vec<[Complex; 4]>>) {
+        let cache = {
+            let _s = wiforce_telemetry::span!("pipeline.channel_setup");
+            if self.use_channel_cache {
+                self.channel_cache.get_or_build(&self.scene, freqs)
+            } else {
+                Arc::new(ChannelCache::build(&self.scene, freqs))
+            }
+        };
+        let table = {
+            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
+            self.tag_response_table(&cache, contact)
+        };
+        (cache, table)
+    }
+
+    /// Walks the tag clock through `n_groups` phase groups, drawing each
+    /// group's wander from the counter stream, and hands each group a
+    /// closed-form local clock: snapshot `s` of a group reads
+    /// `t_tag0 + s·dt_eff`, where `dt_eff` folds the group's wander and
+    /// the constant drift fault. The walk is inherently sequential but
+    /// cheap (one wander draw per group), so it runs on the calling
+    /// thread before any group is synthesized.
+    fn plan_groups(
+        &self,
+        n_groups: usize,
+        clock_state: &mut TagClock,
+        noise: &mut PressNoise,
+    ) -> Vec<GroupPlan> {
+        let n = self.group.n_snapshots as f64;
+        let t_snap = self.group.snapshot_period_s;
+        (0..n_groups)
+            .map(|_| {
+                let group_id = noise.next_group;
+                noise.next_group = noise.next_group.wrapping_add(1);
+                let mut group_rng = CounterRng::for_group(noise.key, group_id);
+                clock_state.step_group(self.tag_clock_wander_ppm, &mut group_rng);
+                let dt_eff =
+                    t_snap * (1.0 + (clock_state.wander_ppm + self.faults.tag_clock_ppm) * 1e-6);
+                let plan = GroupPlan {
+                    group_id,
+                    t_tag0: clock_state.t_tag,
+                    t_reader0: clock_state.t_reader,
+                    dt_eff,
+                };
+                clock_state.t_tag += n * dt_eff;
+                clock_state.t_reader += n * t_snap;
+                plan
+            })
+            .collect()
+    }
+
     /// The parallel counter-addressed synthesis engine behind
-    /// [`Self::run_snapshots_counter_into`] and the fused group path.
+    /// [`Self::run_snapshots_into`] and the fused group path.
     ///
-    /// The calling thread lays out per-group plans sequentially (the tag
-    /// clock walks group to group through the counter-addressed wander
-    /// stream), then the press becomes a bag of disjoint row-range chunks
-    /// over the preallocated region of `out`, executed by
-    /// [`parallel::run_chunks`]. Each snapshot draws its noise from
+    /// The calling thread lays out per-group plans ([`Self::plan_groups`]),
+    /// then the press becomes a bag of disjoint row-range chunks over the
+    /// preallocated region of `out`, executed by [`parallel::run_chunks`].
+    /// Each snapshot draws its noise from
     /// [`CounterRng::for_snapshot`]`(key, group, snapshot)` in a fixed
     /// order (drop decision → sounder noise → burst → front end), so the
     /// result is a pure function of the press key regardless of worker
@@ -864,18 +718,7 @@ impl Simulation {
         let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
         let telem = wiforce_telemetry::enabled();
         use wiforce_telemetry::fastclock;
-        let cache: Arc<ChannelCache> = {
-            let _s = wiforce_telemetry::span!("pipeline.channel_setup");
-            if self.use_channel_cache {
-                self.channel_cache.get_or_build(&self.scene, freqs)
-            } else {
-                Arc::new(ChannelCache::build(&self.scene, freqs))
-            }
-        };
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(&cache, contact)
-        };
+        let (cache, table) = self.channel_and_table(freqs, contact);
         let statics = &cache.statics;
         let gains = &cache.gains;
         let direct_amp = cache.direct_amp;
@@ -888,29 +731,7 @@ impl Simulation {
 
         let prepared: Option<Arc<Vec<PreparedChannel>>> =
             (!has_movers).then(|| self.prepare_states(&cache, &table, contact.is_none()));
-
-        // group plans: the clock walk is inherently sequential, so it runs
-        // here (cheap — one wander draw per group) and hands each group a
-        // closed-form local clock: snapshot `s` of a group reads
-        // `t_tag0 + s·dt_eff`, where dt_eff folds the group's wander and
-        // the constant drift fault.
-        let mut plans = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            let group_id = noise.next_group;
-            noise.next_group = noise.next_group.wrapping_add(1);
-            let mut group_rng = CounterRng::for_group(key, group_id);
-            clock_state.step_group(self.tag_clock_wander_ppm, &mut group_rng);
-            let dt_eff =
-                t_snap * (1.0 + (clock_state.wander_ppm + self.faults.tag_clock_ppm) * 1e-6);
-            plans.push(GroupPlan {
-                group_id,
-                t_tag0: clock_state.t_tag,
-                t_reader0: clock_state.t_reader,
-                dt_eff,
-            });
-            clock_state.t_tag += n as f64 * dt_eff;
-            clock_state.t_reader += n as f64 * t_snap;
-        }
+        let plans = self.plan_groups(n_groups, clock_state, noise);
 
         out.set_width(n_cols);
         if n_groups == 0 || n == 0 {
@@ -918,9 +739,8 @@ impl Simulation {
         }
         // snapshot drops hold the previous *row*, so a group with drops
         // enabled must synthesize in order as one chunk (the fallback for
-        // a drop on a group's first snapshot is the noiseless truth —
-        // unlike the sequential path, the boundary is per group, not per
-        // call, which keeps groups independent)
+        // a drop on a group's first snapshot is the noiseless truth — the
+        // boundary is per group, which keeps groups independent)
         // chunk width comes from the one-shot startup calibration
         // (`WIFORCE_SYNTH_CHUNK_ROWS` overrides); any width produces the
         // same bits because every draw is counter-addressed
@@ -1344,9 +1164,8 @@ impl Simulation {
         };
         parallel::run_chunks(workers, n_chunks, &worker);
 
-        // fold fault tallies through an injector so counts and telemetry
-        // counters match the sequential path exactly (including the
-        // declare-0 behaviour on clean runs)
+        // fold fault tallies through an injector so the fault counters are
+        // declared even on clean runs (an add of 0 never double-counts)
         let total_dropped = dropped.into_inner();
         let mut injector = FaultInjector::new(self.faults);
         injector.add_external(total_dropped, bursts.into_inner());
@@ -1397,8 +1216,7 @@ impl Simulation {
             wiforce_telemetry::gauge!("pipeline.adaptive_snapshot_yield", 1.0);
             // deterministic re-emission of the extraction telemetry the
             // workers withheld: one bulk span for the thread time, then
-            // the per-group counters/gauges in group order (floor last,
-            // matching the sequential call order in measure_phases)
+            // the per-group counters/gauges in group order (floor last)
             if let Some(spec) = fused {
                 wiforce_telemetry::span_bulk(
                     "harmonics.extract_lines",
@@ -1416,45 +1234,17 @@ impl Simulation {
         (lines, floor)
     }
 
-    /// Simulates `n_groups` phase groups for a fixed contact state,
-    /// returning the extracted line values per group.
-    pub fn run_groups<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        n_groups: usize,
-        clock_state: &mut TagClock,
-        rng: &mut R,
-    ) -> Vec<GroupLines> {
-        self.run_groups_with_cfg(&self.group, contact, n_groups, clock_state, rng)
-    }
-
-    /// [`Self::run_groups`] with an explicit extraction configuration.
-    /// `cfg` must share `n_snapshots` and `snapshot_period_s` with
-    /// `self.group` (only the line frequencies and method may differ),
-    /// since the snapshot synthesis itself is driven by `self.group`.
-    fn run_groups_with_cfg<R: Rng>(
-        &self,
-        cfg: &PhaseGroupConfig,
-        contact: Option<&ContactState>,
-        n_groups: usize,
-        clock_state: &mut TagClock,
-        rng: &mut R,
-    ) -> Vec<GroupLines> {
-        debug_assert_eq!(cfg.n_snapshots, self.group.n_snapshots);
-        debug_assert_eq!(cfg.snapshot_period_s, self.group.snapshot_period_s);
-        let first_start = clock_state.reader_time_s();
-        let snapshots = self.run_snapshots(contact, n_groups, clock_state, rng);
-        let group_s = cfg.n_snapshots as f64 * cfg.snapshot_period_s;
-        (0..n_groups)
-            .map(|g| {
-                let chunk = snapshots.rows_view(g * cfg.n_snapshots, cfg.n_snapshots);
-                extract_lines(cfg, chunk, first_start + g as f64 * group_s)
-            })
-            .collect()
-    }
-
-    /// Measures the differential phases of one press: runs no-touch
-    /// reference groups, then touched groups, and combines (Eq. 4–5).
+    /// Measures the differential phases of one press (Eq. 4–5): no-touch
+    /// reference groups, the tag-detection check against an off-line
+    /// floor, optional tag-clock derotation, then touched groups combined
+    /// coherently against the reference.
+    ///
+    /// The only draws taken from `rng` are the tag clock's phase and the
+    /// press key of the counter noise stream. The lines come from one of
+    /// two sources, chosen once per press: spectral direct synthesis when
+    /// enabled and inside its validity envelope
+    /// ([`Self::spectral_eligible`]), else time-domain counter synthesis
+    /// with extraction fused onto the synthesis workers.
     pub fn measure_phases<R: Rng>(
         &self,
         contact: Option<&ContactState>,
@@ -1462,24 +1252,50 @@ impl Simulation {
     ) -> Result<DiffPhases, WiForceError> {
         let _span = wiforce_telemetry::span!("pipeline.measure_phases");
         let mut clock = TagClock::new(rng);
-        if self.synth_spectral_enabled() && self.spectral_eligible() {
-            return self.measure_phases_spectral(contact, &mut clock, rng);
-        }
-        if self.counter_synth {
-            return self.measure_phases_counter(contact, &mut clock, rng);
-        }
-        // synthesize the reference snapshots once; both the tag lines and
-        // the off-line floor probe below read from this matrix, so the
-        // floor no longer costs a dedicated snapshot group per press
-        let first_start = clock.reader_time_s();
-        let ref_snaps = self.run_snapshots(None, self.reference_groups, &mut clock, rng);
-        let ref_group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
-        let mut refs: Vec<GroupLines> = (0..self.reference_groups)
-            .map(|g| {
-                let chunk = ref_snaps.rows_view(g * self.group.n_snapshots, self.group.n_snapshots);
-                extract_lines(&self.group, chunk, first_start + g as f64 * ref_group_s)
-            })
-            .collect();
+        let mut noise = PressNoise::from_rng(rng);
+        // the subcarrier grid is press-invariant: computed once and shared
+        // by both synthesis calls
+        let freqs = self.subcarrier_freqs_hz();
+        let spectral = self.synth_spectral_enabled() && self.spectral_eligible();
+        let mut scratch = SnapshotMatrix::default();
+        let mut synth_groups =
+            |contact: Option<&ContactState>,
+             n_groups: usize,
+             floor_cfg: Option<&PhaseGroupConfig>| {
+                let spec = FusedExtraction {
+                    cfg: &self.group,
+                    floor_cfg,
+                    first_start: clock.reader_time_s(),
+                };
+                if spectral {
+                    self.synth_lines_spectral(
+                        &freqs, contact, n_groups, &mut clock, &mut noise, &spec,
+                    )
+                } else {
+                    scratch.clear();
+                    self.synth_counter(
+                        &freqs,
+                        contact,
+                        n_groups,
+                        &mut clock,
+                        &mut noise,
+                        &mut scratch,
+                        Some(&spec),
+                    )
+                }
+            };
+
+        // tag-detection floor: off-line bins (1.37·fs and 2.61·fs) of the
+        // first reference group, probed alongside its lines
+        let off_cfg = PhaseGroupConfig {
+            line1_hz: self.group.line1_hz * 1.37,
+            line2_hz: self.group.line1_hz * 2.61,
+            ..self.group
+        };
+        let (mut refs, floor_lines) = synth_groups(None, self.reference_groups, Some(&off_cfg));
+        let floor = floor_lines
+            .expect("floor probe rides on the first reference group")
+            .mean_power();
 
         // optional tag-clock tracking: estimate the constant line-frequency
         // offset from the reference groups' phase slope and de-rotate
@@ -1489,29 +1305,17 @@ impl Simulation {
         } else {
             0.0
         };
-        if df_hz != 0.0 {
-            for (g, lines) in refs.iter_mut().enumerate() {
-                derotate(lines, df_hz, g as f64 * group_s);
+        // groups[g] is the press's group `first + g`
+        let derotate_groups = |groups: &mut [GroupLines], first: usize| {
+            if df_hz != 0.0 {
+                for (g, lines) in groups.iter_mut().enumerate() {
+                    derotate(lines, df_hz, (first + g) as f64 * group_s);
+                }
             }
-        }
+        };
+        derotate_groups(&mut refs, 0);
         let reference = average_lines(&refs);
 
-        // tag-detection check: the reference line must stand above the
-        // quantization/noise floor, measured at off-line bins (1.37·fs and
-        // 2.61·fs) of the first reference group's own snapshots
-        let floor = {
-            let off_cfg = PhaseGroupConfig {
-                line1_hz: self.group.line1_hz * 1.37,
-                line2_hz: self.group.line1_hz * 2.61,
-                ..self.group
-            };
-            extract_lines(
-                &off_cfg,
-                ref_snaps.rows_view(0, self.group.n_snapshots),
-                first_start,
-            )
-            .mean_power()
-        };
         let line_db = 10.0 * (reference.mean_power() / floor.max(1e-300)).log10();
         wiforce_telemetry::gauge!("pipeline.line_to_floor_db", line_db);
         if line_db < 6.0 {
@@ -1521,212 +1325,10 @@ impl Simulation {
             });
         }
 
-        let mut meass = self.run_groups(contact, self.measure_groups, &mut clock, rng);
-        if df_hz != 0.0 {
-            for (g, lines) in meass.iter_mut().enumerate() {
-                let t = (self.reference_groups + g) as f64 * group_s;
-                derotate(lines, df_hz, t);
-            }
-        }
+        let (mut meass, _) = synth_groups(contact, self.measure_groups, None);
+        derotate_groups(&mut meass, self.reference_groups);
         // average the differential phases across measurement groups
         // (coherently, via the summed conj products)
-        let mut acc1 = Complex::ZERO;
-        let mut acc2 = Complex::ZERO;
-        let mut power = 0.0;
-        for m in &meass {
-            let d = differential(&reference, m, self.averaging);
-            acc1 += Complex::cis(d.dphi1_rad);
-            acc2 += Complex::cis(d.dphi2_rad);
-            power += d.line_power;
-        }
-        Ok(DiffPhases {
-            dphi1_rad: acc1.arg(),
-            dphi2_rad: acc2.arg(),
-            line_power: power / meass.len() as f64,
-        })
-    }
-
-    /// The counter-synthesis arm of [`Self::measure_phases`]: same
-    /// reference → floor-check → measurement structure, but groups
-    /// synthesize in parallel and stream straight into extraction. The
-    /// only draws taken from `rng` are the clock phase (by the caller)
-    /// and the press key, so a press costs two sequential draws total.
-    fn measure_phases_counter<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        clock: &mut TagClock,
-        rng: &mut R,
-    ) -> Result<DiffPhases, WiForceError> {
-        let mut noise = PressNoise::from_rng(rng);
-        // the subcarrier grid is press-invariant: compute it once and
-        // share it with both synthesis calls (and everything downstream)
-        let freqs = self.subcarrier_freqs_hz();
-        let group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
-        let mut scratch = SnapshotMatrix::default();
-
-        // the off-line floor probe (1.37·fs and 2.61·fs) fuses onto the
-        // first reference group — extracted by the same worker that
-        // finishes that group's rows
-        let off_cfg = PhaseGroupConfig {
-            line1_hz: self.group.line1_hz * 1.37,
-            line2_hz: self.group.line1_hz * 2.61,
-            ..self.group
-        };
-        let ref_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: Some(&off_cfg),
-            first_start: clock.reader_time_s(),
-        };
-        let (mut refs, floor_lines) = self.synth_counter(
-            &freqs,
-            None,
-            self.reference_groups,
-            clock,
-            &mut noise,
-            &mut scratch,
-            Some(&ref_spec),
-        );
-        let floor = floor_lines
-            .expect("floor probe rides on the first reference group")
-            .mean_power();
-
-        let df_hz = if self.track_tag_clock && refs.len() >= 2 {
-            estimate_line_offset_hz(&refs, group_s)
-        } else {
-            0.0
-        };
-        if df_hz != 0.0 {
-            for (g, lines) in refs.iter_mut().enumerate() {
-                derotate(lines, df_hz, g as f64 * group_s);
-            }
-        }
-        let reference = average_lines(&refs);
-
-        let line_db = 10.0 * (reference.mean_power() / floor.max(1e-300)).log10();
-        wiforce_telemetry::gauge!("pipeline.line_to_floor_db", line_db);
-        if line_db < 6.0 {
-            wiforce_telemetry::counter!("pipeline.tag_not_detected", 1);
-            return Err(WiForceError::TagNotDetected {
-                line_to_floor_db: line_db,
-            });
-        }
-
-        scratch.clear();
-        let meas_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: None,
-            first_start: clock.reader_time_s(),
-        };
-        let (mut meass, _) = self.synth_counter(
-            &freqs,
-            contact,
-            self.measure_groups,
-            clock,
-            &mut noise,
-            &mut scratch,
-            Some(&meas_spec),
-        );
-        if df_hz != 0.0 {
-            for (g, lines) in meass.iter_mut().enumerate() {
-                let t = (self.reference_groups + g) as f64 * group_s;
-                derotate(lines, df_hz, t);
-            }
-        }
-        let mut acc1 = Complex::ZERO;
-        let mut acc2 = Complex::ZERO;
-        let mut power = 0.0;
-        for m in &meass {
-            let d = differential(&reference, m, self.averaging);
-            acc1 += Complex::cis(d.dphi1_rad);
-            acc2 += Complex::cis(d.dphi2_rad);
-            power += d.line_power;
-        }
-        Ok(DiffPhases {
-            dphi1_rad: acc1.arg(),
-            dphi2_rad: acc2.arg(),
-            line_power: power / meass.len() as f64,
-        })
-    }
-
-    /// The spectral-synthesis arm of [`Self::measure_phases`]: identical
-    /// reference → floor-check → measurement structure to the counter
-    /// arm, but groups never materialize time-domain snapshots — their
-    /// lines come straight from [`Self::synth_lines_spectral`]. Per press
-    /// this costs four O(N) tag-state walks and a few hundred Philox
-    /// normals instead of ~2500 per-snapshot sounder evaluations and
-    /// FFTs.
-    fn measure_phases_spectral<R: Rng>(
-        &self,
-        contact: Option<&ContactState>,
-        clock: &mut TagClock,
-        rng: &mut R,
-    ) -> Result<DiffPhases, WiForceError> {
-        let mut noise = PressNoise::from_rng(rng);
-        let freqs = self.subcarrier_freqs_hz();
-        let group_s = self.group.n_snapshots as f64 * self.group.snapshot_period_s;
-
-        let off_cfg = PhaseGroupConfig {
-            line1_hz: self.group.line1_hz * 1.37,
-            line2_hz: self.group.line1_hz * 2.61,
-            ..self.group
-        };
-        let ref_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: Some(&off_cfg),
-            first_start: clock.reader_time_s(),
-        };
-        let (mut refs, floor_lines) = self.synth_lines_spectral(
-            &freqs,
-            None,
-            self.reference_groups,
-            clock,
-            &mut noise,
-            &ref_spec,
-        );
-        let floor = floor_lines
-            .expect("floor probe rides on the first reference group")
-            .mean_power();
-
-        let df_hz = if self.track_tag_clock && refs.len() >= 2 {
-            estimate_line_offset_hz(&refs, group_s)
-        } else {
-            0.0
-        };
-        if df_hz != 0.0 {
-            for (g, lines) in refs.iter_mut().enumerate() {
-                derotate(lines, df_hz, g as f64 * group_s);
-            }
-        }
-        let reference = average_lines(&refs);
-
-        let line_db = 10.0 * (reference.mean_power() / floor.max(1e-300)).log10();
-        wiforce_telemetry::gauge!("pipeline.line_to_floor_db", line_db);
-        if line_db < 6.0 {
-            wiforce_telemetry::counter!("pipeline.tag_not_detected", 1);
-            return Err(WiForceError::TagNotDetected {
-                line_to_floor_db: line_db,
-            });
-        }
-
-        let meas_spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: None,
-            first_start: clock.reader_time_s(),
-        };
-        let (mut meass, _) = self.synth_lines_spectral(
-            &freqs,
-            contact,
-            self.measure_groups,
-            clock,
-            &mut noise,
-            &meas_spec,
-        );
-        if df_hz != 0.0 {
-            for (g, lines) in meass.iter_mut().enumerate() {
-                let t = (self.reference_groups + g) as f64 * group_s;
-                derotate(lines, df_hz, t);
-            }
-        }
         let mut acc1 = Complex::ZERO;
         let mut acc2 = Complex::ZERO;
         let mut power = 0.0;
@@ -1784,18 +1386,7 @@ impl Simulation {
         spec: &FusedExtraction<'_>,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.spectral_lines");
-        let cache: Arc<ChannelCache> = {
-            let _s = wiforce_telemetry::span!("pipeline.channel_setup");
-            if self.use_channel_cache {
-                self.channel_cache.get_or_build(&self.scene, freqs)
-            } else {
-                Arc::new(ChannelCache::build(&self.scene, freqs))
-            }
-        };
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(&cache, contact)
-        };
+        let (cache, table) = self.channel_and_table(freqs, contact);
         let k_sub = cache.statics.len();
         let n = self.group.n_snapshots;
         let t_snap = self.group.snapshot_period_s;
@@ -1834,17 +1425,11 @@ impl Simulation {
         let mut groups = Vec::with_capacity(n_groups);
         let mut floor_out: Option<GroupLines> = None;
         let mut normals = Vec::new();
-        for g in 0..n_groups {
-            let group_id = noise.next_group;
-            noise.next_group = noise.next_group.wrapping_add(1);
-            let mut group_rng = CounterRng::for_group(key, group_id);
-            clock_state.step_group(self.tag_clock_wander_ppm, &mut group_rng);
-            let dt_eff =
-                t_snap * (1.0 + (clock_state.wander_ppm + self.faults.tag_clock_ppm) * 1e-6);
-            let t_tag0 = clock_state.t_tag;
-            clock_state.t_tag += n as f64 * dt_eff;
-            clock_state.t_reader += n as f64 * t_snap;
-
+        for (g, plan) in self
+            .plan_groups(n_groups, clock_state, noise)
+            .iter()
+            .enumerate()
+        {
             // consumed lines this group: the two tag lines, plus the two
             // floor-probe bins on group 0 when requested
             let with_floor = g == 0 && spec.floor_cfg.is_some();
@@ -1867,7 +1452,7 @@ impl Simulation {
                 *r = Complex::cis(-wiforce_dsp::TAU * line_hz[fi] * t_snap);
             }
             for s in 0..n {
-                let t_tag = t_tag0 + s as f64 * dt_eff;
+                let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
                 let on1 = self.tag.clocks.modulation1(t_tag);
                 let on2 = self.tag.clocks.modulation2(t_tag);
                 let state = on1 as usize | ((on2 as usize) << 1);
@@ -1902,7 +1487,7 @@ impl Simulation {
                 let reference = Complex::cis(-wiforce_dsp::TAU * f_hz * start_s);
                 let mut cursor = CounterRng::for_spectral(
                     key,
-                    group_id,
+                    plan.group_id,
                     wiforce_dsp::rng::spectral_bin_id(f_hz),
                 );
                 normals.clear();
@@ -2176,8 +1761,8 @@ pub struct PressNoise {
 }
 
 impl PressNoise {
-    /// Draws a fresh press key from the caller's RNG (the only draw the
-    /// counter path takes from it per press).
+    /// Draws a fresh press key from the caller's RNG (with the tag clock's
+    /// phase, the only draw a press takes from it).
     pub fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> Self {
         PressNoise {
             key: rng.gen::<u64>(),
@@ -2334,6 +1919,7 @@ pub fn average_lines(groups: &[GroupLines]) -> GroupLines {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harmonics::extract_lines;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2418,8 +2004,9 @@ mod tests {
         let run = |sim: &Simulation, seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut clock = TagClock::new(&mut rng);
+            let mut noise = PressNoise::from_rng(&mut rng);
             let contact = sim.contact_for(3.0, 0.030);
-            sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut rng)
+            sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut noise)
         };
         let mut cached = fast_sim(0.9e9);
         let mut uncached = fast_sim(0.9e9);
@@ -2473,8 +2060,9 @@ mod tests {
         let run = |sim: &Simulation| {
             let mut rng = StdRng::seed_from_u64(77);
             let mut clock = TagClock::new(&mut rng);
+            let mut noise = PressNoise::from_rng(&mut rng);
             let contact = sim.contact_for(3.0, 0.030);
-            sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut rng)
+            sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut noise)
         };
         let bits_eq = |a: &wiforce_dsp::SnapshotMatrix, b: &wiforce_dsp::SnapshotMatrix| {
             a.n_rows() == b.n_rows()
@@ -2563,7 +2151,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_synthesis_is_worker_count_invariant() {
+    fn snapshot_stream_is_worker_count_invariant() {
         // the tentpole fixture: the counter-addressed path must produce
         // bit-identical snapshots at any worker count — clean, under
         // heavy fault injection (whole-group chunks), and with movers
@@ -2587,7 +2175,7 @@ mod tests {
                 let mut clock = TagClock::new(&mut rng);
                 let mut noise = PressNoise::from_seed(0xFEED_F00D);
                 let contact = sim.contact_for(3.0, 0.030);
-                let m = sim.run_snapshots_counter(contact.as_ref(), 3, &mut clock, &mut noise);
+                let m = sim.run_snapshots(contact.as_ref(), 3, &mut clock, &mut noise);
                 (m, clock.t_tag.to_bits(), clock.t_reader.to_bits())
             };
             let (m1, t1, r1) = run(1);
@@ -2608,13 +2196,13 @@ mod tests {
     }
 
     #[test]
-    fn counter_synthesis_is_a_pure_function_of_the_key() {
+    fn snapshot_stream_is_a_pure_function_of_the_key() {
         let sim = fast_sim(0.9e9);
         let run = |key: u64| {
             let mut rng = StdRng::seed_from_u64(2);
             let mut clock = TagClock::new(&mut rng);
             let mut noise = PressNoise::from_seed(key);
-            sim.run_snapshots_counter(None, 1, &mut clock, &mut noise)
+            sim.run_snapshots(None, 1, &mut clock, &mut noise)
         };
         let a = run(7);
         let b = run(7);
@@ -2636,13 +2224,12 @@ mod tests {
         let mut clock_a = TagClock::new(&mut rng);
         let mut noise_a = PressNoise::from_seed(0xABCD);
         let first_start = clock_a.reader_time_s();
-        let fused = sim.run_groups_counter(contact.as_ref(), n_groups, &mut clock_a, &mut noise_a);
+        let fused = sim.run_groups(contact.as_ref(), n_groups, &mut clock_a, &mut noise_a);
 
         let mut rng = StdRng::seed_from_u64(3);
         let mut clock_b = TagClock::new(&mut rng);
         let mut noise_b = PressNoise::from_seed(0xABCD);
-        let snaps =
-            sim.run_snapshots_counter(contact.as_ref(), n_groups, &mut clock_b, &mut noise_b);
+        let snaps = sim.run_snapshots(contact.as_ref(), n_groups, &mut clock_b, &mut noise_b);
         let n = sim.group.n_snapshots;
         let group_s = n as f64 * sim.group.snapshot_period_s;
         assert_eq!(fused.len(), n_groups);
@@ -2697,7 +2284,7 @@ mod tests {
                     let mut clock = TagClock::new(&mut rng);
                     let mut noise = PressNoise::from_seed(0xD1CE_0000 + workers as u64);
                     let contact = sim.contact_for(3.0, 0.030);
-                    sim.run_snapshots_counter(contact.as_ref(), 3, &mut clock, &mut noise)
+                    sim.run_snapshots(contact.as_ref(), 3, &mut clock, &mut noise)
                 };
                 let w = run(true);
                 let r = run(false);
@@ -2723,7 +2310,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(23);
             let mut clock = TagClock::new(&mut rng);
             let mut noise = PressNoise::from_seed(0xBEEF);
-            sim.run_groups_counter(contact.as_ref(), 3, &mut clock, &mut noise)
+            sim.run_groups(contact.as_ref(), 3, &mut clock, &mut noise)
         };
         let w = run(true);
         let r = run(false);
@@ -2756,7 +2343,7 @@ mod tests {
         let mut clock = TagClock::new(&mut rng);
         let mut noise = PressNoise::from_seed(0xADA9);
         let first_start = clock.reader_time_s();
-        let snaps = exact.run_snapshots_counter(contact.as_ref(), n_groups, &mut clock, &mut noise);
+        let snaps = exact.run_snapshots(contact.as_ref(), n_groups, &mut clock, &mut noise);
 
         let policy = AdaptiveBudget::wiforce();
         let min = policy.min_snapshots;
@@ -2783,7 +2370,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(29);
             let mut clock = TagClock::new(&mut rng);
             let mut noise = PressNoise::from_seed(0xADA9);
-            let lines = sim.run_groups_counter(contact.as_ref(), n_groups, &mut clock, &mut noise);
+            let lines = sim.run_groups(contact.as_ref(), n_groups, &mut clock, &mut noise);
             assert_eq!(lines.len(), n_groups);
             for (g, got) in lines.iter().enumerate() {
                 let start = first_start + g as f64 * group_s;
@@ -2825,7 +2412,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         let mut clock = TagClock::new(&mut rng);
         let mut noise = PressNoise::from_seed(0xADA9);
-        let full = sim.run_groups_counter(contact.as_ref(), n_groups, &mut clock, &mut noise);
+        let full = sim.run_groups(contact.as_ref(), n_groups, &mut clock, &mut noise);
         for (g, got) in full.iter().enumerate() {
             let start = first_start + g as f64 * group_s;
             let want = extract_lines(&base.group, snaps.rows_view(g * n, n), start);
@@ -2868,21 +2455,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_reference_path_still_tracks_vna() {
-        // the Rng-threaded path stays as the cross-check reference; it
-        // must keep producing the pre-counter results
-        let mut sim = fast_sim(0.9e9);
-        sim.counter_synth = false;
-        let mut rng = StdRng::seed_from_u64(11);
-        let (v1, v2) = sim.vna_phases(4.0, 0.040);
-        let contact = sim.contact_for(4.0, 0.040);
-        let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
-        let tol = 3.0f64.to_radians();
-        assert!((w.dphi1_rad - v1).abs() < tol, "{} vs {v1}", w.dphi1_rad);
-        assert!((w.dphi2_rad - v2).abs() < tol, "{} vs {v2}", w.dphi2_rad);
-    }
-
-    #[test]
     fn multi_tag_crosstalk_stays_low_under_parallel_synthesis() {
         // two FMCW tags modulating at different fs share one scene; their
         // backscatter superposes at the reader. Each tag's lines must
@@ -2905,7 +2477,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(4);
             let mut clock = TagClock::new(&mut rng);
             let mut noise = PressNoise::from_seed(key);
-            sim.run_snapshots_counter(contact, 1, &mut clock, &mut noise)
+            sim.run_snapshots(contact, 1, &mut clock, &mut noise)
         };
         let a = synth(&sim_a, 0xA, contact.as_ref());
         let b = synth(&sim_b, 0xB, None);

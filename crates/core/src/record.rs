@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn replays_into_estimator() {
         use crate::estimator::{EstimatorConfig, ForceEstimator};
-        use crate::pipeline::{Simulation, TagClock};
+        use crate::pipeline::{PressNoise, Simulation, TagClock};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -267,9 +267,10 @@ mod tests {
         let model = sim.vna_calibration().unwrap();
         let mut rng = StdRng::seed_from_u64(0x5EC);
         let mut clock = TagClock::new(&mut rng);
-        let mut snaps = sim.run_snapshots(None, 1, &mut clock, &mut rng);
+        let mut noise = PressNoise::from_rng(&mut rng);
+        let mut snaps = sim.run_snapshots(None, 1, &mut clock, &mut noise);
         let contact = sim.contact_for(4.0, 0.040);
-        sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut rng, &mut snaps);
+        sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut noise, &mut snaps);
 
         let path = tmp("replay.wifs");
         Recording::new(sim.group.snapshot_period_s, snaps.clone())

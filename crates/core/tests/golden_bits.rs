@@ -1,10 +1,13 @@
 //! Golden bit-hashes of end-to-end readings.
 //!
-//! Each hash is FNV-1a over the raw bits of every output field, recorded
-//! from the implementation before the EM plan, the fmod-free clock and the
-//! fmod-free phase wrap replaced the per-press recomputation. Those
-//! changes are exact rewrites, so the readings must not move by one bit;
-//! any change to these constants is a change in what the system reports.
+//! Each hash is FNV-1a over the raw bits of every output field. The
+//! default-path pins were recorded before the EM plan, the fmod-free clock
+//! and the fmod-free phase wrap replaced the per-press recomputation; the
+//! branch pins (tag-clock tracking, a failed tag detection, drop and burst
+//! faults, the FMCW reader, a two-call snapshot stream) were recorded
+//! before the press measurement was folded into one driver. Those changes
+//! are exact rewrites, so the readings must not move by one bit; any
+//! change to these constants is a change in what the system reports.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,21 +64,27 @@ fn setup(spectral: bool) -> (Simulation, SensorModel) {
     (sim, model)
 }
 
-/// Seeded presses over the calibrated domain, hashed in order.
-fn press_hash(spectral: bool, presses: u64) -> u64 {
-    let (sim, model) = setup(spectral);
+/// Seeded presses over the calibrated domain, hashed in order, with the
+/// number that produced a reading.
+fn presses_hash(sim: &Simulation, model: &SensorModel, presses: u64) -> (u64, u64) {
     let mut h = Fnv::new();
     let mut ok = 0;
     for i in 0..presses {
         let force = 0.5 + 7.5 * ((i * 7) % presses) as f64 / presses as f64;
         let location = 0.022 + 0.036 * ((i * 5) % presses) as f64 / presses as f64;
         let mut rng = StdRng::seed_from_u64(0x601D_0000 + i);
-        let r = sim.measure_press(&model, force, location, &mut rng);
+        let r = sim.measure_press(model, force, location, &mut rng);
         ok += r.is_ok() as u64;
         h.result(&r);
     }
+    (h.0, ok)
+}
+
+fn press_hash(spectral: bool, presses: u64) -> u64 {
+    let (sim, model) = setup(spectral);
+    let (hash, ok) = presses_hash(&sim, &model, presses);
     assert!(ok * 4 >= presses * 3, "{ok} of {presses} presses read");
-    h.0
+    hash
 }
 
 #[test]
@@ -86,6 +95,98 @@ fn spectral_press_readings_match_golden_bits() {
 #[test]
 fn time_domain_press_readings_match_golden_bits() {
     assert_eq!(press_hash(false, 4), 0x3bc8_5837_6e9b_405c);
+}
+
+/// Presses through the driver branches the default configuration skips:
+/// tag-clock tracking under drift, a failed tag detection, snapshot-drop
+/// and burst faults, and the FMCW reader. Configurations outside the
+/// spectral envelope fall back to the time-domain arm, so their spectral
+/// run must hash the same.
+fn branch_hash(spectral: bool, configure: impl Fn(&mut Simulation), presses: u64) -> (u64, u64) {
+    let (mut sim, model) = setup(spectral);
+    configure(&mut sim);
+    presses_hash(&sim, &model, presses)
+}
+
+fn tracked_clock(sim: &mut Simulation) {
+    sim.track_tag_clock = true;
+    sim.reference_groups = 3;
+    sim.faults.tag_clock_ppm = 40.0;
+}
+
+fn phantom_without_plate(sim: &mut Simulation) {
+    sim.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 0.0);
+}
+
+fn dropped_and_burst(sim: &mut Simulation) {
+    sim.faults.snapshot_drop_prob = 0.05;
+    sim.faults.burst_prob = 0.05;
+    sim.faults.burst_rel_amp = 0.1;
+}
+
+fn fmcw(sim: &mut Simulation) {
+    *sim = sim.clone().with_fmcw_sounder();
+}
+
+#[test]
+fn tracked_clock_press_readings_match_golden_bits() {
+    assert_eq!(
+        branch_hash(false, tracked_clock, 2),
+        (0xcb46_3e13_a112_4fb0, 2)
+    );
+    assert_eq!(
+        branch_hash(true, tracked_clock, 4),
+        (0xce27_855d_acc5_1bc9, 4)
+    );
+}
+
+#[test]
+fn undetected_tag_errors_match_golden_bits() {
+    assert_eq!(
+        branch_hash(false, phantom_without_plate, 2),
+        (0x311f_0e07_71b3_99cd, 0)
+    );
+    assert_eq!(
+        branch_hash(true, phantom_without_plate, 2),
+        (0xe4d1_b381_b59b_50e0, 0)
+    );
+}
+
+#[test]
+fn faulted_time_domain_press_readings_match_golden_bits() {
+    let td = branch_hash(false, dropped_and_burst, 2);
+    assert_eq!(td, (0xd16c_5e1b_d325_22da, 2));
+    assert_eq!(branch_hash(true, dropped_and_burst, 2), td);
+}
+
+#[test]
+fn fmcw_press_readings_match_golden_bits() {
+    let td = branch_hash(false, fmcw, 2);
+    assert_eq!(td, (0x7661_7266_c56e_403a, 2));
+    assert_eq!(branch_hash(true, fmcw, 2), td);
+}
+
+/// A quiet group then a pressed group appended to one matrix through the
+/// counter-addressed stream, hashed over every sample and the clock.
+#[test]
+fn snapshot_stream_matches_golden_bits() {
+    use wiforce::pipeline::{PressNoise, TagClock};
+    let (sim, _) = setup(false);
+    let mut rng = StdRng::seed_from_u64(0x57_2EA3);
+    let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
+    let mut stream = wiforce_dsp::SnapshotMatrix::default();
+    sim.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
+    let contact = sim.jittered_contact(4.0, 0.040, &mut rng);
+    sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut noise, &mut stream);
+    assert_eq!(stream.n_rows(), 2 * sim.group.n_snapshots);
+    let mut h = Fnv::new();
+    for z in stream.as_slice() {
+        h.f64(z.re);
+        h.f64(z.im);
+    }
+    h.f64(clock.reader_time_s());
+    assert_eq!(h.0, 0x302d_02da_004f_fbe5);
 }
 
 #[test]

@@ -241,8 +241,8 @@ impl ChannelSounder for OfdmSounder {
     }
 
     /// Precomputes the noiseless received preamble symbol (symbol
-    /// multiply, IFFT, power scaling) so [`Self::estimate_prepared_into`]
-    /// can skip straight to the noisy-repeat averaging. A phase-group
+    /// multiply, IFFT, power scaling) so prepared estimates skip straight
+    /// to the noisy-repeat averaging. A phase-group
     /// revisits only the tag's four switch states, so four of these
     /// replace hundreds of per-snapshot IFFTs.
     fn prepare(&self, true_channel: &[Complex]) -> PreparedChannel {
@@ -269,51 +269,6 @@ impl ChannelSounder for OfdmSounder {
             truth: true_channel.to_vec(),
             payload,
         }
-    }
-
-    /// The prepared fast path: identical RNG draws and floating-point
-    /// operations as [`Self::estimate_into`] — the precomputed payload *is*
-    /// the `rx_sym` that path would have built — so estimates match
-    /// bit-for-bit (pinned by a test).
-    fn estimate_prepared_into(
-        &self,
-        prepared: &PreparedChannel,
-        noise_std: f64,
-        rng: &mut dyn RngCore,
-        out: &mut [Complex],
-    ) {
-        let n = self.n_subcarriers;
-        assert_eq!(
-            prepared.payload.len(),
-            n,
-            "prepared payload must match the sounder configuration"
-        );
-        assert_eq!(out.len(), n, "output buffer must match the estimate grid");
-        let half = n / 2;
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-
-            // identical draws and arithmetic as `estimate_into` from here
-            let n_normals = 2 * n;
-            draw_box_muller_uniforms(rng, n_normals, &mut scratch.u1s, &mut scratch.u2s);
-            scratch.normals.clear();
-            scratch.normals.resize(n_normals, 0.0);
-            standard_normals_from_uniforms(&scratch.u1s, &scratch.u2s, &mut scratch.normals);
-            let amp = (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt();
-            scratch.avg.clear();
-            scratch.avg.resize(n, Complex::ZERO);
-            {
-                let OfdmScratch { avg, normals, .. } = scratch;
-                wiforce_dsp::kernels::accumulate_noisy(avg, &prepared.payload, normals, amp);
-            }
-
-            with_plan(n, |plan| plan.forward_inplace(&mut scratch.avg));
-            for (i, slot) in out.iter_mut().enumerate() {
-                let bin = (i + n - half) % n;
-                *slot = scratch.avg[bin] * scratch.eq[bin];
-            }
-        });
     }
 
     /// Counter-addressed estimation: like [`Self::estimate_into`], but
@@ -813,30 +768,6 @@ mod tests {
         let est = s.estimate(&truth, 0.001, &mut rng);
         for (e, t) in est.iter().zip(&truth) {
             assert!((*e - *t).abs() < 0.01);
-        }
-    }
-
-    #[test]
-    fn prepared_path_is_bit_identical() {
-        let s = OfdmSounder::wiforce();
-        let truth: Vec<Complex> = (0..64)
-            .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.05 * k as f64))
-            .collect();
-        let prepared = s.prepare(&truth);
-        assert_eq!(prepared.truth, truth);
-        for noise in [0.0, 0.05] {
-            let mut a = StdRng::seed_from_u64(31);
-            let mut b = StdRng::seed_from_u64(31);
-            let mut direct = [Complex::ZERO; 64];
-            let mut fast = [Complex::ZERO; 64];
-            s.estimate_into(&truth, noise, &mut a, &mut direct);
-            s.estimate_prepared_into(&prepared, noise, &mut b, &mut fast);
-            for (d, f) in direct.iter().zip(&fast) {
-                assert_eq!(d.re.to_bits(), f.re.to_bits());
-                assert_eq!(d.im.to_bits(), f.im.to_bits());
-            }
-            // same RNG stream consumed
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

@@ -18,7 +18,8 @@ use wiforce_dsp::Complex;
 /// channel-dependent, noise-independent part of the estimation forward
 /// model — for OFDM, the symbol multiply and the IFFT to the time domain —
 /// into this struct once, and
-/// [`ChannelSounder::estimate_prepared_into`] reuses it per snapshot.
+/// [`ChannelSounder::estimate_prepared_counter_into`] reuses it per
+/// snapshot.
 #[derive(Debug, Clone)]
 pub struct PreparedChannel {
     /// The true per-frequency channel this was prepared from (ascending
@@ -96,31 +97,17 @@ pub trait ChannelSounder {
 
     /// Folds the channel-dependent, noise-independent part of the
     /// estimation forward model into a [`PreparedChannel`] for repeated
-    /// use with [`Self::estimate_prepared_into`].
+    /// use with [`Self::estimate_prepared_counter_into`].
     ///
     /// The default keeps only the truth (no precomputation), which the
-    /// default `estimate_prepared_into` feeds back through
-    /// [`Self::estimate_into`] — correct for every sounder, fast for none.
+    /// default `estimate_prepared_counter_into` feeds back through
+    /// [`Self::estimate_counter_into`] — correct for every sounder, fast
+    /// for none.
     fn prepare(&self, true_channel: &[Complex]) -> PreparedChannel {
         PreparedChannel {
             truth: true_channel.to_vec(),
             payload: Vec::new(),
         }
-    }
-
-    /// Like [`Self::estimate_into`], but starting from a
-    /// [`PreparedChannel`] built by [`Self::prepare`] on the same sounder
-    /// configuration. Must draw the identical RNG sequence and produce
-    /// bit-identical estimates to
-    /// `estimate_into(&prepared.truth, noise_std, rng, out)`.
-    fn estimate_prepared_into(
-        &self,
-        prepared: &PreparedChannel,
-        noise_std: f64,
-        rng: &mut dyn RngCore,
-        out: &mut [Complex],
-    ) {
-        self.estimate_into(&prepared.truth, noise_std, rng, out);
     }
 
     /// Like [`Self::estimate_into`], but drawing noise from a
@@ -146,9 +133,11 @@ pub trait ChannelSounder {
         self.estimate_into(true_channel, noise_std, cursor, out);
     }
 
-    /// Counter-cursor twin of [`Self::estimate_prepared_into`]: must be
-    /// bit-identical to `estimate_counter_into(&prepared.truth, …)` with
-    /// a cursor at the same coordinates.
+    /// Like [`Self::estimate_counter_into`], but starting from a
+    /// [`PreparedChannel`] built by [`Self::prepare`] on the same sounder
+    /// configuration. Must be bit-identical to
+    /// `estimate_counter_into(&prepared.truth, …)` with a cursor at the
+    /// same coordinates.
     fn estimate_prepared_counter_into(
         &self,
         prepared: &PreparedChannel,

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::estimator::{EstimatorConfig, ForceEstimator};
-use wiforce::pipeline::{Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, Simulation, TagClock};
 use wiforce_mech::profile::{FingertipStaircase, PressProfile};
 use wiforce_mech::Indenter;
 
@@ -40,6 +40,7 @@ fn main() {
     let mut est = ForceEstimator::new(cfg, model);
     let mut rng = StdRng::seed_from_u64(7);
     let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
 
     // acquire the no-touch reference; one snapshot buffer serves the run
     let mut stream = wiforce_dsp::SnapshotMatrix::default();
@@ -47,7 +48,7 @@ fn main() {
         None,
         cfg.reference_groups,
         &mut clock,
-        &mut rng,
+        &mut noise,
         &mut stream,
     );
     for s in stream.rows() {
@@ -66,7 +67,7 @@ fn main() {
         let force = profile.force_at(t);
         let contact = sim.jittered_contact(force, profile.location_m(), &mut rng);
         stream.clear();
-        sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut rng, &mut stream);
+        sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut noise, &mut stream);
         for s in stream.rows() {
             if let Ok(Some(r)) = est.push_snapshot(s) {
                 // print every 4th group to keep the output readable

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::estimator::{EstimatorConfig, ForceEstimator};
 use wiforce::gestures::{Gesture, GestureConfig, GestureRecognizer};
-use wiforce::pipeline::{Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, Simulation, TagClock};
 use wiforce::tracking::{Tracker, TrackerConfig};
 use wiforce_mech::Indenter;
 
@@ -36,13 +36,14 @@ fn main() {
     let mut gestures = GestureRecognizer::new(GestureConfig::wiforce());
     let mut rng = StdRng::seed_from_u64(0x6E5);
     let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
 
     let mut stream = wiforce_dsp::SnapshotMatrix::default();
     sim.run_snapshots_into(
         None,
         cfg.reference_groups,
         &mut clock,
-        &mut rng,
+        &mut noise,
         &mut stream,
     );
     for s in stream.rows() {
@@ -105,7 +106,7 @@ fn main() {
                 None
             };
             stream.clear();
-            sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut rng, &mut stream);
+            sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut noise, &mut stream);
             for snap in stream.rows() {
                 if let Ok(Some(raw)) = est.push_snapshot(snap) {
                     group_idx += 1;

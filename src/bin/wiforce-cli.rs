@@ -58,7 +58,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use wiforce::batch::{run_batch_observed, BatchConfig, BatchReport, OverflowPolicy, ReaderSpec};
 use wiforce::estimator::{EstimatorConfig, ForceEstimator};
-use wiforce::pipeline::{Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, Simulation, TagClock};
 use wiforce::record::Recording;
 use wiforce::spectrum::{discover_tags, DopplerSpectrum};
 use wiforce::tracking::{Tracker, TrackerConfig};
@@ -303,15 +303,16 @@ fn cmd_record(args: &Args) -> Result<(), String> {
     let seed = args.u64_or("seed", 11)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
     // half the capture untouched (reference), half pressed
     let ref_groups = groups.div_ceil(2);
-    let mut snaps = sim.run_snapshots(None, ref_groups, &mut clock, &mut rng);
+    let mut snaps = sim.run_snapshots(None, ref_groups, &mut clock, &mut noise);
     let contact = sim.jittered_contact(force, loc, &mut rng);
     sim.run_snapshots_into(
         contact.as_ref(),
         groups - ref_groups,
         &mut clock,
-        &mut rng,
+        &mut noise,
         &mut snaps,
     );
     let rec = Recording::new(sim.group.snapshot_period_s, snaps);
@@ -482,12 +483,13 @@ fn cmd_health(args: &Args) -> Result<(), String> {
     let mut est = ForceEstimator::new(cfg, model);
     let mut tracker = Tracker::new(TrackerConfig::wiforce());
     let mut clock = TagClock::new(&mut rng);
-    let quiet = sim.run_snapshots(None, 1, &mut clock, &mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
+    let quiet = sim.run_snapshots(None, 1, &mut clock, &mut noise);
     for s in quiet.rows() {
         let _ = est.push_snapshot(s).map_err(|e| e.to_string())?;
     }
     let contact = sim.jittered_contact(force, loc, &mut rng);
-    let pressed = sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut rng);
+    let pressed = sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut noise);
     for s in pressed.rows() {
         if let Some(r) = est.push_snapshot(s).map_err(|e| e.to_string())? {
             tracker.update(&r);

@@ -184,14 +184,15 @@ fn clock_tracking_rescues_drifting_tag() {
 fn tag_discovery_on_real_stream() {
     // the reader shouldn't need to be told fs: discover it from the
     // Doppler spectrum of a raw snapshot stream
-    use wiforce::pipeline::TagClock;
+    use wiforce::pipeline::{PressNoise, TagClock};
     use wiforce::spectrum::{discover_tags, DopplerSpectrum};
 
     let sim = Simulation::paper_default(0.9e9);
     let mut rng = StdRng::seed_from_u64(0xD15C);
     let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
     let contact = sim.contact_for(4.0, 0.040);
-    let snaps = sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut rng);
+    let snaps = sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut noise);
     let spec = DopplerSpectrum::compute(snaps.view(), sim.group.snapshot_period_s);
     let tags = discover_tags(&spec, 10.0);
     assert_eq!(tags.len(), 1, "should find exactly the one tag: {tags:?}");

@@ -31,21 +31,22 @@ fn microprof_pipeline() {
         per_group * 1e6 / sim.group.n_snapshots as f64
     );
 
-    // modulation alone (clock advance is a couple of flops)
-    let iters = 200_000;
+    // the tag-state walk alone: the edge-driven runs synthesis takes
+    // over whole phase groups
+    let walked = 400;
+    let n = sim.group.n_snapshots;
     let t_snap = sim.group.snapshot_period_s;
     let mut acc = 0usize;
-    let mut t_tag = 0.0;
     let t = Instant::now();
-    for _ in 0..iters {
-        t_tag += t_snap;
-        let on1 = sim.tag.clocks.modulation1(t_tag);
-        let on2 = sim.tag.clocks.modulation2(t_tag);
-        acc += on1 as usize | ((on2 as usize) << 1);
+    for g in 0..walked {
+        let t0 = 0.5e-3 + (g * n) as f64 * t_snap;
+        for (state, len) in sim.tag.clocks.runs(t0, t_snap, 0..n) {
+            acc += state * len;
+        }
     }
     println!(
-        "modulation: {:.3} us/snapshot (acc {acc})",
-        t.elapsed().as_secs_f64() / iters as f64 * 1e6
+        "state walk: {:.4} us/snapshot (acc {acc})",
+        t.elapsed().as_secs_f64() / (walked * n) as f64 * 1e6
     );
 
     // frontend alone

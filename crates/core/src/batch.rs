@@ -73,6 +73,7 @@ use wiforce_channel::{Frontend, Scene};
 use wiforce_dsp::{Complex, SnapshotMatrix};
 use wiforce_reader::stream::{GroupItem, TagDemux};
 use wiforce_reader::ChannelSounder;
+use wiforce_sensor::clock::WindowWalker;
 use wiforce_sensor::multi::allocate_frequencies_on_grid;
 use wiforce_sensor::tag::ContactState;
 use wiforce_sensor::SensorTag;
@@ -441,6 +442,8 @@ struct StreamSynth {
     /// (`fs`, `4fs`) derive from it.
     fs_hz: f64,
     clock: TagClock,
+    /// Integration-window state walk over `clock`'s instants.
+    walk: WindowWalker,
     /// Slot tables live behind `Arc`s out of the scene's response memo:
     /// the reflection network is identical across streams (clocks never
     /// enter it), so the untouched table and every repeated
@@ -493,8 +496,6 @@ struct ReaderProducer {
     reference_groups: usize,
     groups_done: u64,
     truth: Vec<Complex>,
-    /// Edge scratch for [`wiforce_sensor::clock::ClockPair::state_weights_into`].
-    edges: Vec<f64>,
     /// Wide synthesis resolved from the template (flag, else env, else
     /// the startup calibration's verdict).
     wide: bool,
@@ -645,6 +646,7 @@ impl ReaderProducer {
                     tag: SensorTag::wiforce_prototype(s.fs_hz),
                     fs_hz: s.fs_hz,
                     clock: TagClock::new(&mut rng),
+                    walk: WindowWalker::default(),
                     tables,
                     payload_tables,
                     n_presses: s.presses.len(),
@@ -682,7 +684,6 @@ impl ReaderProducer {
             reference_groups: cfg.reference_groups,
             groups_done: 0,
             truth,
-            edges: Vec::new(),
             wide: sim.synth_wide_enabled(),
             superpose,
             spectral,
@@ -763,7 +764,6 @@ impl ReaderProducer {
             injector,
             rng,
             truth,
-            edges,
             payload_static,
             ones,
             payload_plane,
@@ -803,7 +803,7 @@ impl ReaderProducer {
                     row.copy_from_slice(payload_static);
                     for s in streams.iter_mut() {
                         let t_tag = s.clock.advance(t_snap, drift_ppm);
-                        let w = s.tag.clocks.state_weights_into(t_tag, t_int, edges);
+                        let w = s.walk.weights(&s.tag.clocks, t_tag, t_int);
                         let table = s.payload_table_for_group(seq, reference_groups);
                         if let Some(pure) = (0..4).find(|&q| w[q] == 1.0) {
                             wiforce_dsp::kernels::accumulate_state(row, ones, table, pure);
@@ -856,7 +856,6 @@ impl ReaderProducer {
                         streams,
                         scene,
                         cache,
-                        edges,
                         seq,
                         reference_groups,
                         t_snap,
@@ -889,7 +888,6 @@ impl ReaderProducer {
                     streams,
                     scene,
                     cache,
-                    edges,
                     seq,
                     reference_groups,
                     t_snap,
@@ -912,9 +910,11 @@ impl ReaderProducer {
                 }
             }
         }
+        let exact_evals: u64 = streams.iter_mut().map(|s| s.walk.take_exact_evals()).sum();
         if wiforce_telemetry::enabled() {
             wiforce_telemetry::counter!("batch.groups_produced", 1);
             wiforce_telemetry::counter!("pipeline.snapshots_total", n as u64);
+            wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
             wiforce_telemetry::counter!("faults.snapshots_dropped", 0);
             wiforce_telemetry::counter!("faults.bursts_injected", 0);
             if let Some(occ) = cross_occupancy {
@@ -966,7 +966,6 @@ impl ReaderProducer {
             cache,
             frontend,
             rng,
-            edges,
             normals,
             jitters,
             retired,
@@ -1018,7 +1017,7 @@ impl ReaderProducer {
             let mut counts = [0.0f64; 4];
             for &th in jitters.iter().take(n) {
                 let t_tag = s.clock.advance(t_snap, drift_ppm);
-                let w = s.tag.clocks.state_weights_into(t_tag, t_int, edges);
+                let w = s.walk.weights(&s.tag.clocks, t_tag, t_int);
                 for q in 0..4 {
                     if w[q] != 0.0 {
                         e[0][q] += ph[0].scale(w[q]);
@@ -1073,9 +1072,11 @@ impl ReaderProducer {
                 }
             }
         }
+        let exact_evals: u64 = streams.iter_mut().map(|s| s.walk.take_exact_evals()).sum();
         if wiforce_telemetry::enabled() {
             wiforce_telemetry::counter!("batch.groups_produced", 1);
             wiforce_telemetry::counter!("batch.spectral_groups", 1);
+            wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
             // the group still stands in for n soundings of reader time
             wiforce_telemetry::counter!("pipeline.snapshots_total", n as u64);
             wiforce_telemetry::counter!("faults.snapshots_dropped", 0);
@@ -1103,7 +1104,6 @@ fn eval_shared_truth(
     streams: &mut [StreamSynth],
     scene: &Scene,
     cache: &ChannelCache,
-    edges: &mut Vec<f64>,
     seq: u64,
     reference_groups: usize,
     t_snap: f64,
@@ -1121,7 +1121,7 @@ fn eval_shared_truth(
         // drive's high harmonics onto *other* tags' Doppler bins
         // (see `ClockPair::state_weights`), leaking press phase
         // across frequency-multiplexed streams
-        let w = s.tag.clocks.state_weights_into(t_tag, t_int, edges);
+        let w = s.walk.weights(&s.tag.clocks, t_tag, t_int);
         let table = s.table_for_group(seq, reference_groups);
         if let Some(pure) = (0..4).find(|&q| w[q] == 1.0) {
             // no drive edge inside the window — one pure state

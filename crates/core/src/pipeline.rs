@@ -766,6 +766,7 @@ impl Simulation {
         let (sounder_ticks, sounder_n) = (AtomicU64::new(0), AtomicU64::new(0));
         let (frontend_ticks, frontend_n) = (AtomicU64::new(0), AtomicU64::new(0));
         let (extract_ticks, extract_n) = (AtomicU64::new(0), AtomicU64::new(0));
+        let exact_evals = AtomicU64::new(0);
         let dropped = AtomicUsize::new(0);
         let bursts = AtomicUsize::new(0);
 
@@ -806,18 +807,20 @@ impl Simulation {
             let (mut l_sounder_t, mut l_sounder_n) = (0_u64, 0_u64);
             let (mut l_frontend_t, mut l_frontend_n) = (0_u64, 0_u64);
             let (mut l_dropped, mut l_bursts) = (0_usize, 0_usize);
+            let mut l_exact = 0_u64;
             let mut wide_done = false;
             if wide && rows <= chunk_cap {
                 if let Some(states) = prepared.as_deref() {
                     // the tag-state walk is the whole channel evaluation
                     // on the prepared path: an O(1) table index per row
                     let mut st = [0u8; crate::calibrate::MAX_CHUNK_ROWS];
-                    for s in s0..s1 {
-                        let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
-                        let on1 = self.tag.clocks.modulation1(t_tag);
-                        let on2 = self.tag.clocks.modulation2(t_tag);
-                        st[s - s0] = on1 as u8 | ((on2 as u8) << 1);
+                    let mut runs = self.tag.clocks.runs(plan.t_tag0, plan.dt_eff, s0..s1);
+                    let mut filled = 0;
+                    for (state, len) in runs.by_ref() {
+                        st[filled..filled + len].fill(state as u8);
+                        filled += len;
                     }
+                    l_exact += runs.exact_evals();
                     let t1 = telem.then(fastclock::ticks);
                     if let Some(lanes) = self.sounder.estimate_prepared_counter_rows_into(
                         states,
@@ -865,13 +868,16 @@ impl Simulation {
             // without a wide entry): empty range when the plane call above
             // already synthesized the chunk
             let row_range = if wide_done { s0..s0 } else { s0..s1 };
-            for s in row_range {
+            let mut runs = self
+                .tag
+                .clocks
+                .runs(plan.t_tag0, plan.dt_eff, row_range.clone());
+            let states = runs
+                .by_ref()
+                .flat_map(|(state, len)| std::iter::repeat_n(state, len));
+            for (s, state_idx) in row_range.zip(states) {
                 let row_off = (s - s0) * n_cols;
                 let t_reader = plan.t_reader0 + s as f64 * t_snap;
-                let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
-                let on1 = self.tag.clocks.modulation1(t_tag);
-                let on2 = self.tag.clocks.modulation2(t_tag);
-                let state_idx = on1 as usize | ((on2 as usize) << 1);
                 let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
                 match &prepared {
                     Some(_) => l_eval_n += 1,
@@ -931,6 +937,8 @@ impl Simulation {
                     l_frontend_n += 1;
                 }
             }
+            l_exact += runs.exact_evals();
+            exact_evals.fetch_add(l_exact, Ordering::Relaxed);
             eval_ticks.fetch_add(l_eval_t, Ordering::Relaxed);
             eval_n.fetch_add(l_eval_n, Ordering::Relaxed);
             sounder_ticks.fetch_add(l_sounder_t, Ordering::Relaxed);
@@ -1078,6 +1086,7 @@ impl Simulation {
                     frontend_ticks.into_inner() as f64 * ns_per_tick,
                 );
                 wiforce_telemetry::counter!("pipeline.snapshots_total", budget as u64);
+                wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals.into_inner());
                 wiforce_telemetry::counter!("pipeline.snapshots_synthesized", synthesized as u64);
                 wiforce_telemetry::gauge!("pipeline.snapshot_yield", 1.0);
                 wiforce_telemetry::gauge!(
@@ -1202,6 +1211,7 @@ impl Simulation {
             );
             let total = (n_groups * n) as u64;
             wiforce_telemetry::counter!("pipeline.snapshots_total", total);
+            wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals.into_inner());
             let yielded = total.saturating_sub(total_dropped as u64);
             wiforce_telemetry::gauge!(
                 "pipeline.snapshot_yield",
@@ -1425,6 +1435,7 @@ impl Simulation {
         let mut groups = Vec::with_capacity(n_groups);
         let mut floor_out: Option<GroupLines> = None;
         let mut normals = Vec::new();
+        let mut exact_evals = 0;
         for (g, plan) in self
             .plan_groups(n_groups, clock_state, noise)
             .iter()
@@ -1442,26 +1453,21 @@ impl Simulation {
                 nf = 4;
             }
 
-            // one O(N) state walk accumulating E_σ(ω) per consumed line
-            // via phasor recurrences
+            // one O(N) edge-driven state walk accumulating E_σ(ω) per
+            // consumed line via phasor recurrences
             let mut e_acc = [[Complex::ZERO; 4]; 4]; // [line][state]
             let mut counts = [0u64; 4];
-            let mut ph = [Complex::ONE; 4];
             let mut rot = [Complex::ONE; 4];
             for (fi, r) in rot.iter_mut().enumerate().take(nf) {
                 *r = Complex::cis(-wiforce_dsp::TAU * line_hz[fi] * t_snap);
             }
-            for s in 0..n {
-                let t_tag = plan.t_tag0 + s as f64 * plan.dt_eff;
-                let on1 = self.tag.clocks.modulation1(t_tag);
-                let on2 = self.tag.clocks.modulation2(t_tag);
-                let state = on1 as usize | ((on2 as usize) << 1);
-                counts[state] += 1;
-                for fi in 0..nf {
-                    e_acc[fi][state] += ph[fi];
-                    ph[fi] *= rot[fi];
-                }
+            let mut runs = self.tag.clocks.runs(plan.t_tag0, plan.dt_eff, 0..n);
+            if with_floor {
+                accumulate_state_phasors::<4>(&mut runs, &rot, &mut e_acc, &mut counts);
+            } else {
+                accumulate_state_phasors::<2>(&mut runs, &rot, &mut e_acc, &mut counts);
             }
+            exact_evals += runs.exact_evals();
             let inv_n = 1.0 / n as f64;
             let cbar = [
                 counts[0] as f64 * inv_n,
@@ -1470,8 +1476,20 @@ impl Simulation {
                 counts[3] as f64 * inv_n,
             ];
 
+            // the line-invariant mean row, written into each line's
+            // output and turned into that line in place
+            let mut mean_p: Vec<Complex> = (0..k_sub)
+                .map(|k| {
+                    let b = |state: usize| spectra.rows[state * k_sub + k];
+                    cache.statics[k]
+                        + b(0).scale(cbar[0])
+                        + b(1).scale(cbar[1])
+                        + b(2).scale(cbar[2])
+                        + b(3).scale(cbar[3])
+                })
+                .collect();
             let start_s = spec.first_start + g as f64 * group_s;
-            let mut line_out = |fi: usize| -> Vec<Complex> {
+            let mut line_out = |fi: usize, mut out: Vec<Complex>| -> Vec<Complex> {
                 let f_hz = line_hz[fi];
                 // D̄ = (Σ_σ E_σ)/N exactly (0 at nonzero integer bins)
                 let dbar = (e_acc[fi][0] + e_acc[fi][1] + e_acc[fi][2] + e_acc[fi][3]).scale(inv_n);
@@ -1494,35 +1512,37 @@ impl Simulation {
                 normals.resize(2 * k_sub + 2, 0.0);
                 cursor.fill_normals(&mut normals);
                 let jc = Complex::new(normals[2 * k_sub], normals[2 * k_sub + 1]).scale(sigma_jit);
-                (0..k_sub)
-                    .map(|k| {
-                        let b = |state: usize| spectra.rows[state * k_sub + k];
-                        let det = b(0) * w[0] + b(1) * w[1] + b(2) * w[2] + b(3) * w[3];
-                        let noise_k =
-                            Complex::new(normals[2 * k], normals[2 * k + 1]).scale(sigma_line);
-                        let mean_p = cache.statics[k]
-                            + b(0).scale(cbar[0])
-                            + b(1).scale(cbar[1])
-                            + b(2).scale(cbar[2])
-                            + b(3).scale(cbar[3]);
-                        reference * (det + noise_k + Complex::I * mean_p * jc)
-                    })
-                    .collect()
+                for (k, slot) in out.iter_mut().enumerate() {
+                    let b = |state: usize| spectra.rows[state * k_sub + k];
+                    let det = b(0) * w[0] + b(1) * w[1] + b(2) * w[2] + b(3) * w[3];
+                    let noise_k =
+                        Complex::new(normals[2 * k], normals[2 * k + 1]).scale(sigma_line);
+                    *slot = reference * (det + noise_k + Complex::I * *slot * jc);
+                }
+                out
             };
             let lines = GroupLines {
-                p1: line_out(0),
-                p2: line_out(1),
+                p1: line_out(0, mean_p.clone()),
+                p2: line_out(
+                    1,
+                    if with_floor {
+                        mean_p.clone()
+                    } else {
+                        std::mem::take(&mut mean_p)
+                    },
+                ),
             };
             if with_floor {
                 floor_out = Some(GroupLines {
-                    p1: line_out(2),
-                    p2: line_out(3),
+                    p1: line_out(2, mean_p.clone()),
+                    p2: line_out(3, mean_p),
                 });
             }
             wiforce_telemetry::counter!("pipeline.spectral_groups", 1);
             emit_extraction_telemetry(spec.cfg, &lines);
             groups.push(lines);
         }
+        wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
         (groups, floor_out)
     }
 
@@ -1790,6 +1810,33 @@ const EM_PLAN_SALT: u64 = 0x656d_706c_616e_3031;
 /// among the `response_tables` entries keyed by the same tag token
 /// (`b"spectbl1"` as a u64).
 const SPECTRAL_TABLE_SALT: u64 = 0x7370_6563_7462_6c31;
+
+/// Adds each snapshot's line phasors `e^{-jωs}` into `e_acc[line][state]`
+/// for the first `NF` lines, run by run of the drive state. Within a run
+/// the phasors and the state's partial sums stay in registers; the sums
+/// take their terms in snapshot order, exactly as a per-snapshot loop
+/// would.
+fn accumulate_state_phasors<const NF: usize>(
+    runs: impl Iterator<Item = (usize, usize)>,
+    rot: &[Complex; 4],
+    e_acc: &mut [[Complex; 4]; 4],
+    counts: &mut [u64; 4],
+) {
+    let mut ph = [Complex::ONE; NF];
+    for (state, len) in runs {
+        counts[state] += len as u64;
+        let mut acc: [Complex; NF] = std::array::from_fn(|fi| e_acc[fi][state]);
+        for _ in 0..len {
+            for fi in 0..NF {
+                acc[fi] += ph[fi];
+                ph[fi] *= rot[fi];
+            }
+        }
+        for (fi, a) in acc.into_iter().enumerate() {
+            e_acc[fi][state] = a;
+        }
+    }
+}
 
 /// Per-state backscatter line spectra for the spectral synthesis
 /// path: `rows[state * k_sub + k] = gains[k] * table[k][state]`, i.e. the
@@ -2720,6 +2767,34 @@ mod tests {
         assert!(
             matches!(res, Err(WiForceError::TagNotDetected { .. })),
             "expected detection failure, got {res:?}"
+        );
+    }
+
+    #[test]
+    fn spectral_press_takes_the_edge_walk() {
+        // the paper-default spectral press evaluates the clocks one
+        // snapshot at a time only before clock 2's first edge and where
+        // an edge nearly meets a snapshot; a group that fell back to a
+        // per-snapshot walk would put all of its snapshots on the counter
+        let mut sim = Simulation::paper_default(0.9e9);
+        sim.synth_spectral = Some(true);
+        assert!(sim.spectral_eligible());
+        wiforce_telemetry::set_enabled(true);
+        wiforce_telemetry::reset();
+        let mut rng = StdRng::seed_from_u64(0xED6E);
+        for i in 0..16 {
+            let contact = sim.jittered_contact(1.0 + 0.4 * i as f64, 0.030, &mut rng);
+            sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
+        }
+        let snap = wiforce_telemetry::take();
+        wiforce_telemetry::set_enabled(false);
+        let groups = snap.counters["pipeline.spectral_groups"];
+        let exact = snap.counters["clock.walk_exact_evals"];
+        let snapshots = groups * sim.group.n_snapshots as u64;
+        assert!(groups >= 16, "{groups} spectral groups");
+        assert!(
+            exact * 100 <= snapshots,
+            "{exact} exact clock evaluations over {snapshots} snapshots"
         );
     }
 

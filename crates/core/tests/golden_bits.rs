@@ -252,3 +252,31 @@ fn spectral_batch_readings_match_golden_bits() {
 fn time_domain_batch_readings_match_golden_bits() {
     assert_eq!(batch_hash(false), 0xc825_530f_147d_c067);
 }
+
+/// The 8-stream spectral batch on the 800–2000 Hz frequency-multiplexed
+/// plan: every producer window sees several streams' clock edges.
+#[test]
+fn multiplexed_spectral_batch_readings_match_golden_bits() {
+    let (sim, model) = setup(true);
+    let model = std::sync::Arc::new(model);
+    let spec = ReaderSpec::frequency_multiplexed(8, 3, 0xBA7C_8008, &sim.group)
+        .expect("8 clocks fit the 800-2000 Hz band");
+    let report = run_batch(
+        &sim,
+        &model,
+        std::slice::from_ref(&spec),
+        &BatchConfig::wiforce(2),
+    )
+    .expect("a valid 8-stream reader");
+    assert!(report.streams.iter().all(|s| s.readings.len() >= 3));
+    let mut h = Fnv::new();
+    for s in &report.streams {
+        h.word(s.failures);
+        h.word(s.readings.len() as u64);
+        for r in &s.readings {
+            h.word(r.group);
+            h.reading(&r.reading);
+        }
+    }
+    assert_eq!(h.0, 0xb76d_1360_8bda_29da);
+}

@@ -357,14 +357,22 @@ pub fn absorb(snap: &TelemetrySnapshot) {
     RECORDER.with(|r| r.borrow_mut().data.merge_from(snap));
 }
 
-/// Records `n` onto a monotonic counter. No-op while disabled.
+/// Records `n` onto a monotonic counter. No-op while disabled. Only the
+/// first record of a name allocates its key, so a counter bumped once
+/// per call costs the traced run no allocation.
 #[inline]
 pub fn counter(name: &'static str, n: u64) {
     if !enabled() {
         return;
     }
     RECORDER.with(|r| {
-        *r.borrow_mut().data.counters.entry(name.into()).or_insert(0) += n;
+        let counters = &mut r.borrow_mut().data.counters;
+        match counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                counters.insert(name.into(), n);
+            }
+        }
     });
 }
 
@@ -582,10 +590,11 @@ mod tests {
     use super::*;
 
     /// Serializes access to the global enable flag across tests.
+    /// Serializes the tests that flip the process-wide enable gate.
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn with_enabled<T>(f: impl FnOnce() -> T) -> T {
-        use std::sync::Mutex;
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap();
+        let _g = GATE.lock().unwrap();
         reset();
         set_enabled(true);
         let out = f();
@@ -613,6 +622,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
+        let _g = GATE.lock().unwrap();
         reset();
         set_enabled(false);
         counter("c", 3);
@@ -660,6 +670,7 @@ mod tests {
 
     #[test]
     fn owned_names_noop_while_disabled() {
+        let _g = GATE.lock().unwrap();
         reset();
         set_enabled(false);
         counter_owned("c".into(), 1);

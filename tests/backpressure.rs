@@ -54,7 +54,7 @@ fn stall_policy_counts_backpressure_and_loses_nothing() {
 
     let report = run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs");
 
-    // capacity-1 queues plus a 5 ms consume throttle force the producer
+    // capacity-1 queues plus a 40 ms consume throttle force the producer
     // to park; the stall transitions must be counted
     assert!(
         report.backpressure_events > 0,

@@ -60,19 +60,14 @@ use wiforce_telemetry::json::JsonWriter;
 /// observability stack, not just the recorder;
 /// v7 the `synth_wide` section: the counter group timed with the SoA
 /// wide path forced on vs off (`ns_per_group_on` / `ns_per_group_off`,
-/// bitwise-identical output either way) plus
-/// `adaptive_snapshot_yield` — the fraction of the snapshot budget an
-/// SNR-targeted adaptive press actually synthesized;
+/// bitwise-identical output either way);
 /// v8 the wide-batching / response-table fields: a top-level `quick`
 /// flag (gates relax on quick artifacts), the `calibration` object (the
 /// one-shot SoA chunk-width probe's verdict, also written to
-/// `CALIBRATION_synth.json`), `response_table_hit_rate` (steady-state
-/// per-scene sounding-response memo hit rate under zeroed patch jitter),
-/// and the `cross_stream_batch` object (superposition batch occupancy +
-/// chunk width from an untimed observed run); throughput points now run
-/// with `cross_stream` superposition on and record it, and the batch
-/// press count is 8 per stream in full mode (2 quick) so the steady
-/// state dominates the fixed per-run cost;
+/// `CALIBRATION_synth.json`) and `response_table_hit_rate` (steady-state
+/// per-scene sounding-response memo hit rate under zeroed patch jitter);
+/// the batch press count is 8 per stream in full mode (2 quick) so the
+/// steady state dominates the fixed per-run cost;
 /// v9 the spectral-synthesis fields: the `synth_spectral` object times
 /// the direct line-synthesis path (`WIFORCE_SYNTH_SPECTRAL`) that never
 /// materializes time-domain snapshots — `ns_per_press` /
@@ -89,6 +84,9 @@ use wiforce_telemetry::json::JsonWriter;
 /// `telemetry_overhead_raw_pct` rests on more ratio samples;
 /// v10 measures `ns_per_group` / `allocs_per_group` on the counter path
 /// (the sequential snapshot path is gone) and drops `ns_per_group_parallel`.
+/// Keys that described the retired adaptive snapshot budget and batch
+/// payload superposition arms are no longer written; the `throughput`
+/// points run the default batch producer.
 const BENCH_SCHEMA_VERSION: u32 = 10;
 
 /// A pass-through allocator that counts every allocation, so the bench
@@ -290,29 +288,6 @@ fn main() {
     }
     let [ns_per_group_wide_on, ns_per_group_wide_off] = wide_times;
 
-    // --- adaptive snapshot budget --------------------------------------
-    // one SNR-targeted press with the recorder on: the yield gauge says
-    // what fraction of the budget the adaptive path synthesized before
-    // the extracted lines cleared the target (deterministic for a fixed
-    // seed, so the determinism diff covers it)
-    let mut sim_a = Simulation::paper_default(2.4e9);
-    sim_a.reference_groups = 1;
-    sim_a.measure_groups = 1;
-    sim_a.adaptive = wiforce::pipeline::AdaptiveBudget::wiforce();
-    let model_a = sim_a.vna_calibration().expect("calibration");
-    let mut rng_a = StdRng::seed_from_u64(11);
-    wiforce_telemetry::reset();
-    wiforce_telemetry::set_enabled(true);
-    sim_a
-        .measure_press(&model_a, 4.0, 0.040, &mut rng_a)
-        .expect("adaptive press");
-    wiforce_telemetry::set_enabled(false);
-    let adaptive_snapshot_yield = wiforce_telemetry::take()
-        .gauges
-        .get("pipeline.adaptive_snapshot_yield")
-        .copied()
-        .unwrap_or(1.0);
-
     // --- response-table steady state -----------------------------------
     // repeated presses at one (force, location) with patch jitter zeroed:
     // the warmup press populates the per-scene response memo, after which
@@ -377,10 +352,7 @@ fn main() {
     for &n_streams in &[1usize, 4, 8] {
         let spec = ReaderSpec::frequency_multiplexed(n_streams, batch_presses, 17, &sim.group)
             .expect("frequency allocation");
-        let cfg = BatchConfig {
-            cross_stream: true,
-            ..BatchConfig::wiforce(n_streams)
-        };
+        let cfg = BatchConfig::wiforce(n_streams);
         let mut best = (0.0f64, 0u64);
         // best-of-3: the ≥1200 presses/sec gate compares against machine
         // capability, not scheduler luck, and jitter is strictly additive
@@ -414,20 +386,17 @@ fn main() {
     let (spectral_batch_pps, spectral_batch_p95) = spectral_best;
 
     // untimed observed re-run at the top stream count: the timed loops
-    // keep telemetry off, so the cross-stream occupancy / chunk gauges —
-    // and the metrics registry's per-stream series, whose count the
-    // artifact reports — are harvested from one extra instrumented run
+    // keep telemetry off, so the metrics registry's per-stream series,
+    // whose count the artifact reports, are harvested from one extra
+    // instrumented run
     wiforce_telemetry::reset();
     wiforce_telemetry::metrics::reset();
     wiforce_telemetry::metrics::set_metrics_enabled(true);
     wiforce_telemetry::set_enabled(true);
     let spec = ReaderSpec::frequency_multiplexed(8, batch_presses, 17, &sim.group)
         .expect("frequency allocation");
-    let cfg = BatchConfig {
-        cross_stream: true,
-        ..BatchConfig::wiforce(8)
-    };
-    let observed = wiforce::batch::run_batch_observed(
+    let cfg = BatchConfig::wiforce(8);
+    wiforce::batch::run_batch_observed(
         &sim,
         &batch_model,
         std::slice::from_ref(&spec),
@@ -444,18 +413,6 @@ fn main() {
     // (one-plus series per stream), not the single-stream press loop
     let metrics_streams = 8u64;
     let metrics_series = wiforce_telemetry::metrics::snapshot().series_count() as u64;
-    let cross_occupancy = observed
-        .telemetry
-        .gauges
-        .get("batch.cross_stream_occupancy")
-        .copied()
-        .unwrap_or(0.0);
-    let cross_chunk_rows = observed
-        .telemetry
-        .gauges
-        .get("batch.cross_stream_chunk_rows")
-        .copied()
-        .unwrap_or(0.0);
     let cal = *wiforce::calibrate::calibration();
 
     let mut w = JsonWriter::new();
@@ -498,11 +455,6 @@ fn main() {
     w.number("ns_per_row_narrow", cal.ns_per_row_narrow.round());
     w.boolean("probed", cal.probed);
     w.end_object();
-    w.begin_object_key("cross_stream_batch");
-    w.integer("batch_presses", batch_presses as u64);
-    w.number("occupancy", (cross_occupancy * 10000.0).round() / 10000.0);
-    w.integer("chunk_rows", cross_chunk_rows as u64);
-    w.end_object();
     w.begin_object_key("synth_spectral");
     w.number("ns_per_press", ns_per_press_spectral.round());
     w.number(
@@ -518,10 +470,6 @@ fn main() {
     w.begin_object_key("synth_wide");
     w.number("ns_per_group_on", ns_per_group_wide_on.round());
     w.number("ns_per_group_off", ns_per_group_wide_off.round());
-    w.number(
-        "adaptive_snapshot_yield",
-        (adaptive_snapshot_yield * 10000.0).round() / 10000.0,
-    );
     w.end_object();
     w.begin_object_key("observability");
     w.integer("trace_events", trace_events);
@@ -545,7 +493,6 @@ fn main() {
         w.begin_object();
         w.integer("streams", streams as u64);
         w.integer("workers", workers as u64);
-        w.boolean("cross_stream", true);
         w.number("presses_per_sec", (pps * 100.0).round() / 100.0);
         w.integer("p95_stream_latency_ns", p95);
         w.end_object();

@@ -230,8 +230,7 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
         }
     }
 
-    // schema v7: the synth_wide section — wide vs row group timings plus
-    // the adaptive snapshot yield (a budget fraction, so (0, 1])
+    // schema v7: the synth_wide section — wide vs row group timings
     if schema >= 7.0 {
         match root.get("synth_wide") {
             None => c.fail("missing 'synth_wide' object (schema v7)".into()),
@@ -244,15 +243,6 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
                         }
                         Some(_) => {}
                     }
-                }
-                match sw.get("adaptive_snapshot_yield").and_then(Value::as_f64) {
-                    None => {
-                        c.fail("synth_wide missing numeric key 'adaptive_snapshot_yield'".into())
-                    }
-                    Some(y) if !(y > 0.0 && y <= 1.0) => c.fail(format!(
-                        "synth_wide.adaptive_snapshot_yield = {y}, expected in (0, 1]"
-                    )),
-                    Some(_) => {}
                 }
             }
         }
@@ -291,23 +281,6 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
                 regression::MIN_RESPONSE_TABLE_HIT_RATE
             )),
             _ => {}
-        }
-        match root.get("cross_stream_batch") {
-            None => c.fail("missing 'cross_stream_batch' object (schema v8)".into()),
-            Some(cs) => {
-                for key in ["batch_presses", "chunk_rows"] {
-                    if cs.get(key).and_then(Value::as_f64).is_none() {
-                        c.fail(format!("cross_stream_batch missing numeric key '{key}'"));
-                    }
-                }
-                match cs.get("occupancy").and_then(Value::as_f64) {
-                    None => c.fail("cross_stream_batch missing numeric key 'occupancy'".into()),
-                    Some(o) if !(0.0..=1.0).contains(&o) => c.fail(format!(
-                        "cross_stream_batch.occupancy = {o}, expected in [0, 1]"
-                    )),
-                    _ => {}
-                }
-            }
         }
         if let Some(v) = root.get("allocs_per_group").and_then(Value::as_f64) {
             if v > regression::MAX_ALLOCS_PER_GROUP {
@@ -473,11 +446,7 @@ fn check_health(file: &str, root: &Value) -> Vec<String> {
 
     // yield and lock state must be present (null only when the relevant
     // subsystem never ran; the CLI `health` command runs them all)
-    for key in [
-        "snapshot_yield",
-        "adaptive_snapshot_yield",
-        "estimator_reference_locked",
-    ] {
+    for key in ["snapshot_yield", "estimator_reference_locked"] {
         if root.get(key).is_none() {
             c.fail(format!("missing key '{key}'"));
         }
@@ -491,11 +460,7 @@ fn check_health(file: &str, root: &Value) -> Vec<String> {
         .unwrap_or(0.0)
         >= 3.0
     {
-        for key in [
-            "response_table_hit_rate",
-            "synth_chunk_rows",
-            "cross_stream_occupancy",
-        ] {
+        for key in ["response_table_hit_rate", "synth_chunk_rows"] {
             if root.get(key).is_none() {
                 c.fail(format!("missing key '{key}' (health schema v3)"));
             }

@@ -99,6 +99,10 @@ pub fn run(quick: bool) -> Report {
                 let mut sim = Simulation::paper_default(0.9e9);
                 sim.group.n_snapshots = n;
                 sim.group.method = method;
+                // both extractors on the time-domain arm: the spectral arm
+                // models only the DFT, so LS would fall back and the gap
+                // would compare two noise realizations, not two extractors
+                sim.synth_spectral = Some(false);
                 let mut rng = StdRng::seed_from_u64(0xAB2 + i as u64 * 6151);
                 sim.measure_phases(contact.as_ref(), &mut rng)
                     .ok()

@@ -446,12 +446,10 @@ pub fn is_timing_key(key: &str) -> bool {
         || key == "trace_dropped"
         || key == "metrics_series"
         // schema-v8 wide-batching fields: the chunk-width probe times the
-        // machine, so its verdict (and everything downstream of the
-        // chosen width — chunk sizes, superposition-block occupancy)
+        // machine, so its verdict (and the chunk width it chose)
         // legitimately differs between runs and hosts
         || key == "calibration"
         || key == "chunk_rows"
-        || key == "occupancy"
         || key == "wide_default"
         // the response memo's counters are shared across synth workers
         // and a racing double-build counts as an extra miss, so the

@@ -67,7 +67,7 @@ use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use wiforce_channel::cache::{config_token, ChannelCache};
+use wiforce_channel::cache::ChannelCache;
 use wiforce_channel::faults::{FaultConfig, FaultInjector};
 use wiforce_channel::{Frontend, Scene};
 use wiforce_dsp::{Complex, SnapshotMatrix};
@@ -241,24 +241,6 @@ pub struct BatchConfig {
     /// backpressure and overflow paths actually exercise. `None` (no
     /// delay) outside tests.
     pub consume_throttle: Option<Duration>,
-    /// Cross-stream superposition synthesis (opt-in). The sounder's
-    /// payload transform is linear in the channel, so every stream
-    /// riding a reader contributes a precomputed per-state *payload*
-    /// table instead of a channel table: one table gather per stream
-    /// replaces the per-snapshot symbol multiply + IFFT, and noise
-    /// comes from the counter kernel at `(key, group, snapshot, lane)`
-    /// — a pure function of coordinates. Per-stream results are
-    /// bit-identical at any [`Self::chunk_rows`] width, worker count,
-    /// and SIMD dispatch, but are a *different* (equally valid) noise
-    /// realization than the row/wide paths, which is why this is not
-    /// the default. Falls back to the row/wide paths for sounders
-    /// without a payload entry, moving scenes, and fault regimes that
-    /// draw mid-stream (drops, bursts).
-    pub cross_stream: bool,
-    /// SoA block width for the cross-stream path, clamped to
-    /// `1..=`[`crate::calibrate::MAX_CHUNK_ROWS`]. `None` defers to the
-    /// one-shot startup calibration; any width produces the same bits.
-    pub chunk_rows: Option<usize>,
 }
 
 impl BatchConfig {
@@ -270,8 +252,6 @@ impl BatchConfig {
             reference_groups: 2,
             overflow: OverflowPolicy::Stall,
             consume_throttle: None,
-            cross_stream: false,
-            chunk_rows: None,
         }
     }
 }
@@ -449,12 +429,6 @@ struct StreamSynth {
     /// enter it), so the untouched table and every repeated
     /// (force, location) contact are built once per scene and shared.
     tables: Vec<Arc<Vec<[Complex; 4]>>>,
-    /// Payload-domain twin of `tables` for the cross-stream
-    /// superposition path: entry `[k][q]` is sample `k` of the sounder
-    /// payload prepared from this stream's state-`q` channel
-    /// contribution (`gains ⊙ table[·][q]`). Empty when the path is
-    /// off.
-    payload_tables: Vec<Arc<Vec<[Complex; 4]>>>,
     n_presses: usize,
 }
 
@@ -468,10 +442,6 @@ impl StreamSynth {
 
     fn table_for_group(&self, group: u64, reference_groups: usize) -> &[[Complex; 4]] {
         self.tables[self.slot_for_group(group, reference_groups)].as_slice()
-    }
-
-    fn payload_table_for_group(&self, group: u64, reference_groups: usize) -> &[[Complex; 4]] {
-        self.payload_tables[self.slot_for_group(group, reference_groups)].as_slice()
     }
 }
 
@@ -499,31 +469,16 @@ struct ReaderProducer {
     /// Wide synthesis resolved from the template (flag, else env, else
     /// the startup calibration's verdict).
     wide: bool,
-    /// Cross-stream superposition resolved from the config (opt-in, and
-    /// only when the sounder has a payload path and the scene is
-    /// static; see [`BatchConfig::cross_stream`]).
-    superpose: bool,
     /// Spectral-domain line synthesis resolved from the template
     /// ([`Simulation::synth_spectral_enabled`]) and this reader's
     /// eligibility (static scene, no mid-stream fault draws, white
     /// estimate noise, mean-subtracted-DFT extraction). Takes priority
-    /// over the superposition and wide paths when engaged.
+    /// over the wide path when engaged.
     spectral: bool,
     /// Per-snapshot, per-subcarrier estimate-noise sigma (per component)
     /// of the sounder — the unitarity input of the spectral path. 0 when
     /// `spectral` is off.
     sigma_est: f64,
-    /// SoA block width for the superposition path.
-    chunk_rows: usize,
-    /// Sounder payload of the static channel alone — the superposition
-    /// accumulator's starting row.
-    payload_static: Vec<Complex>,
-    /// All-ones gain vector: the payload tables already fold
-    /// `cache.gains` in, so the shared accumulate/blend kernels run
-    /// with unit gains on this path.
-    ones: Vec<Complex>,
-    /// Superposition scratch: row-major payload plane for one block.
-    payload_plane: Vec<Complex>,
     /// Wide-path scratch: row-major truth plane for one snapshot block.
     truth_plane: Vec<Complex>,
     /// Wide-path scratch: pre-drawn sounder normals, `rows ×
@@ -552,17 +507,11 @@ impl ReaderProducer {
         } else {
             Arc::new(ChannelCache::build(&sim.scene, &freqs))
         };
-        // superposition needs the payload-linearity path: a sounder with
-        // a hashable prepared transform, a static scene (mover Doppler is
-        // channel-domain and time-varying), and no mid-stream fault draws
-        let superpose = cfg.cross_stream
-            && sim.sounder.response_token().is_some()
-            && sim.scene.movers.is_empty()
-            && spec.faults.snapshot_drop_prob == 0.0
-            && spec.faults.burst_prob == 0.0;
         // spectral-domain line synthesis never materializes snapshots at
-        // all; besides the superposition conditions it needs white
-        // sounder estimate noise (for the unitarity argument) and the
+        // all: it needs a sounder with a hashable prepared transform, a
+        // static scene (mover Doppler is channel-domain and
+        // time-varying), no mid-stream fault draws, white sounder
+        // estimate noise (for the unitarity argument) and the
         // mean-subtracted-DFT extraction the line model reproduces. It
         // is accuracy-gated, not bit-pinned, so it only engages on the
         // explicit opt-in ([`Simulation::synth_spectral_enabled`]).
@@ -574,30 +523,6 @@ impl ReaderProducer {
             && sim.scene.movers.is_empty()
             && spec.faults.snapshot_drop_prob == 0.0
             && spec.faults.burst_prob == 0.0;
-        // per-state payload contribution of one channel table: prepare
-        // `gains ⊙ table[·][q]` through the sounder and keep its payload
-        let payload_table = |table: &[[Complex; 4]]| -> Vec<[Complex; 4]> {
-            let per_state: Vec<Vec<Complex>> = (0..4)
-                .map(|q| {
-                    let plane: Vec<Complex> = table
-                        .iter()
-                        .zip(&cache.gains)
-                        .map(|(row, g)| *g * row[q])
-                        .collect();
-                    sim.sounder.prepare(&plane).payload
-                })
-                .collect();
-            (0..per_state[0].len())
-                .map(|k| {
-                    [
-                        per_state[0][k],
-                        per_state[1][k],
-                        per_state[2][k],
-                        per_state[3][k],
-                    ]
-                })
-                .collect()
-        };
         // Slot tables are built once per distinct contact of this
         // reader's schedules. The reflection network depends only on the
         // tag's electrical parts (line, switches, splitter) — identical
@@ -611,10 +536,8 @@ impl ReaderProducer {
         if let Some(s0) = spec.streams.first() {
             sim_rep.tag = SensorTag::wiforce_prototype(s0.fs_hz);
         }
-        const STATIC_PAYLOAD_SALT: u64 = 0x7374_6174_6963_706c; // "staticpl"
-        type SlotTables = (Arc<Vec<[Complex; 4]>>, Option<Arc<Vec<[Complex; 4]>>>);
-        let mut slot_tables: HashMap<[u64; 2], SlotTables> = HashMap::new();
-        let mut slot = |contact: Option<&ContactState>| -> SlotTables {
+        let mut slot_tables: HashMap<[u64; 2], Arc<Vec<[Complex; 4]>>> = HashMap::new();
+        let mut slot = |contact: Option<&ContactState>| -> Arc<Vec<[Complex; 4]>> {
             // port lengths are finite (clamped to [0, beam length]), so the
             // all-ones NaN pattern can never collide with a real contact
             let words = contact.map_or([u64::MAX, u64::MAX], |c| {
@@ -622,14 +545,9 @@ impl ReaderProducer {
             });
             slot_tables
                 .entry(words)
-                .or_insert_with(|| {
-                    let table = sim_rep.tag_response_table(&cache, contact);
-                    let payload = superpose.then(|| Arc::new(payload_table(&table)));
-                    (table, payload)
-                })
+                .or_insert_with(|| sim_rep.tag_response_table(&cache, contact))
                 .clone()
         };
-        let payload_cfg = sim.sounder.response_token().unwrap_or(0);
         let streams: Vec<StreamSynth> = spec
             .streams
             .iter()
@@ -639,35 +557,17 @@ impl ReaderProducer {
                         .iter()
                         .map(|p| sim_rep.contact_for(p.force_n, p.location_m)),
                 );
-                let (tables, payload_tables): (Vec<_>, Vec<_>) =
-                    contacts.map(|c| slot(c.as_ref())).unzip();
-                let payload_tables = payload_tables.into_iter().flatten().collect();
+                let tables = contacts.map(|c| slot(c.as_ref())).collect();
                 StreamSynth {
                     tag: SensorTag::wiforce_prototype(s.fs_hz),
                     fs_hz: s.fs_hz,
                     clock: TagClock::new(&mut rng),
                     walk: WindowWalker::default(),
                     tables,
-                    payload_tables,
                     n_presses: s.presses.len(),
                 }
             })
             .collect();
-        let payload_static = if superpose {
-            cache
-                .response_tables(config_token([STATIC_PAYLOAD_SALT]), payload_cfg, || {
-                    sim.sounder.prepare(&cache.statics).payload
-                })
-                .as_ref()
-                .clone()
-        } else {
-            Vec::new()
-        };
-        let ones = if superpose {
-            vec![Complex::new(1.0, 0.0); payload_static.len()]
-        } else {
-            Vec::new()
-        };
         let truth = vec![Complex::ZERO; cache.statics.len()];
         ReaderProducer {
             streams,
@@ -685,16 +585,8 @@ impl ReaderProducer {
             groups_done: 0,
             truth,
             wide: sim.synth_wide_enabled(),
-            superpose,
             spectral,
             sigma_est: sigma_est.unwrap_or(0.0),
-            chunk_rows: cfg
-                .chunk_rows
-                .unwrap_or_else(crate::calibrate::synth_chunk_rows)
-                .clamp(1, crate::calibrate::MAX_CHUNK_ROWS),
-            payload_static,
-            ones,
-            payload_plane: Vec::new(),
             truth_plane: Vec::new(),
             normals: Vec::new(),
             jitters: Vec::new(),
@@ -753,8 +645,6 @@ impl ReaderProducer {
         } else {
             None
         };
-        let superpose = self.superpose;
-        let chunk = self.chunk_rows;
         let ReaderProducer {
             streams,
             scene,
@@ -764,9 +654,6 @@ impl ReaderProducer {
             injector,
             rng,
             truth,
-            payload_static,
-            ones,
-            payload_plane,
             truth_plane,
             normals,
             jitters,
@@ -779,62 +666,7 @@ impl ReaderProducer {
         for s in streams.iter_mut() {
             s.clock.step_group(wander_ppm, rng);
         }
-        let mut cross_occupancy = None;
-        if superpose {
-            // cross-stream superposition: the sounder payload is linear
-            // in the channel, so one shared static payload plus one
-            // table gather per stream replaces the per-snapshot symbol
-            // multiply + IFFT the row/wide paths pay. The per-group
-            // noise key is drawn here (one sequential draw), and every
-            // noise lane after that is a pure function of
-            // `(key, group, snapshot, lane)` — so any block width and
-            // any worker count produce the same bits.
-            let noise_std = frontend.noise_floor;
-            let key = rng.next_u64();
-            let mut done = 0;
-            while done < n {
-                let rows = chunk.min(n - done);
-                payload_plane.clear();
-                payload_plane.resize(rows * width, Complex::ZERO);
-                jitters.clear();
-                jitters.resize(rows, 0.0);
-                for r in 0..rows {
-                    let row = &mut payload_plane[r * width..(r + 1) * width];
-                    row.copy_from_slice(payload_static);
-                    for s in streams.iter_mut() {
-                        let t_tag = s.clock.advance(t_snap, drift_ppm);
-                        let w = s.walk.weights(&s.tag.clocks, t_tag, t_int);
-                        let table = s.payload_table_for_group(seq, reference_groups);
-                        if let Some(pure) = (0..4).find(|&q| w[q] == 1.0) {
-                            wiforce_dsp::kernels::accumulate_state(row, ones, table, pure);
-                        } else {
-                            wiforce_dsp::kernels::blend_states(row, ones, table, &w);
-                        }
-                    }
-                    if frontend.phase_jitter_rad > 0.0 {
-                        jitters[r] = wiforce_dsp::rng::standard_normal(rng);
-                    }
-                }
-                let est = out.extend_rows(rows);
-                let lanes = sounder.estimate_payload_counter_rows_into(
-                    payload_plane,
-                    noise_std,
-                    key,
-                    seq as u32,
-                    done as u32,
-                    est,
-                );
-                assert!(
-                    lanes.is_some(),
-                    "superposition gate requires the payload rows path"
-                );
-                for (r, row) in est.chunks_exact_mut(width).enumerate() {
-                    frontend.process_with_jitter_normal(jitters[r], row, cache.full_scale);
-                }
-                done += rows;
-            }
-            cross_occupancy = Some(n as f64 / (n.div_ceil(chunk) * chunk) as f64);
-        } else if let Some(npr) = wide_normals {
+        if let Some(npr) = wide_normals {
             // wide path: per block, evaluate the truth plane and pre-draw
             // each snapshot's scalars in exact row-path stream order
             // (2·n sounder normals, then the jitter normal iff the front
@@ -917,11 +749,6 @@ impl ReaderProducer {
             wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
             wiforce_telemetry::counter!("faults.snapshots_dropped", 0);
             wiforce_telemetry::counter!("faults.bursts_injected", 0);
-            if let Some(occ) = cross_occupancy {
-                wiforce_telemetry::counter!("batch.cross_stream_rows", n as u64);
-                wiforce_telemetry::gauge!("batch.cross_stream_occupancy", occ);
-                wiforce_telemetry::gauge!("batch.cross_stream_chunk_rows", chunk as f64);
-            }
         }
         let group = Arc::new(out);
         retired.push(Arc::clone(&group));
@@ -944,9 +771,9 @@ impl ReaderProducer {
     /// `√((σ_est² + step²/12)·(1−|D̄|²)/N)` drawn from a Philox cursor
     /// keyed `(key, group, bin)`; and the per-snapshot front-end phase
     /// jitter drawn once per group and projected onto every line, so the
-    /// cross-stream and cross-line jitter correlation of the shared
+    /// jitter correlation across streams and lines of the shared
     /// time-domain rows is preserved. One sequential RNG draw per group
-    /// (the press key), exactly like the superposition path.
+    /// (the press key).
     fn produce_group_spectral(&mut self) -> (u64, Arc<SnapshotMatrix>) {
         let _span = wiforce_telemetry::span!("batch.produce_group");
         let seq = self.groups_done;
@@ -1685,9 +1512,6 @@ pub fn run_batch_observed(
             &[],
             crate::calibrate::synth_chunk_rows() as f64,
         );
-        if let Some(&occ) = merged.gauges.get("batch.cross_stream_occupancy") {
-            metrics::gauge_set("batch.cross_stream_occupancy", &[], occ);
-        }
         for (flat, s) in streams.iter().enumerate() {
             let reader = s.reader.to_string();
             let labels = [("reader", reader.as_str()), ("stream", s.name.as_str())];
@@ -1793,71 +1617,28 @@ mod tests {
     }
 
     #[test]
-    fn cross_stream_superposition_is_width_and_worker_invariant() {
-        // the superposition path keys every noise lane by
-        // (key, group, snapshot, lane) and draws its per-row scalars in
-        // row order, so per-stream readings must be bit-identical at any
-        // SoA block width and any worker count (the forced-scalar axis
-        // rides the CI matrix over this same fixture)
-        let (sim, model) = template();
-        let spec = ReaderSpec::frequency_multiplexed(8, 2, 0xAB5, &sim.group).expect("allocation");
-        let run = |chunk: Option<usize>, workers: usize| {
-            let cfg = BatchConfig {
-                cross_stream: true,
-                chunk_rows: chunk,
-                ..BatchConfig::wiforce(workers)
-            };
-            run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
-        };
-        let base = run(Some(1), 1);
-        for (chunk, workers) in [
-            (Some(4), 1),
-            (Some(crate::calibrate::MAX_CHUNK_ROWS), 1),
-            (Some(1), 8),
-            (Some(4), 8),
-            (None, 8),
-        ] {
-            let other = run(chunk, workers);
-            assert!(
-                base.deterministic_eq(&other),
-                "superposition diverged at chunk {chunk:?} workers {workers}"
-            );
-        }
-        assert_eq!(base.press_readings(), 16);
-        // and it is genuinely a different noise realization than the
-        // row/wide paths — not accidentally routed through them
-        let legacy = run_batch(
-            &sim,
-            &model,
-            std::slice::from_ref(&spec),
-            &BatchConfig::wiforce(1),
-        )
-        .expect("batch runs");
-        assert!(!base.deterministic_eq(&legacy));
-    }
-
-    #[test]
-    fn spectral_batch_is_worker_and_chunk_invariant() {
+    fn spectral_batch_is_worker_invariant() {
         // the spectral producer draws one press key per group and keys
         // every noise lane by (key, group, bin, lane), so readings must
-        // be bit-identical at any worker count and any chunk width (the
-        // chunk knob is a no-op on this arm but must stay harmless)
+        // be bit-identical at any worker count
         let (mut sim, model) = template();
         sim.synth_spectral = Some(true);
         let spec = ReaderSpec::frequency_multiplexed(4, 2, 0x5BEC, &sim.group).expect("allocation");
-        let run = |chunk: Option<usize>, workers: usize| {
-            let cfg = BatchConfig {
-                chunk_rows: chunk,
-                ..BatchConfig::wiforce(workers)
-            };
-            run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
+        let run = |workers: usize| {
+            run_batch(
+                &sim,
+                &model,
+                std::slice::from_ref(&spec),
+                &BatchConfig::wiforce(workers),
+            )
+            .expect("batch runs")
         };
-        let base = run(None, 1);
-        for (chunk, workers) in [(None, 8), (Some(4), 1), (Some(4), 8)] {
-            let other = run(chunk, workers);
+        let base = run(1);
+        for workers in [2, 8] {
+            let other = run(workers);
             assert!(
                 base.deterministic_eq(&other),
-                "spectral batch diverged at chunk {chunk:?} workers {workers}"
+                "spectral batch diverged at workers {workers}"
             );
         }
         assert_eq!(base.press_readings(), 8);
@@ -1910,7 +1691,9 @@ mod tests {
         // direct line synthesis changes the noise realization, not the
         // physics: per-stream force/location estimates must land inside
         // press-separating tolerances (2.4 GHz, where the inversion is
-        // well-conditioned — see the superposition twin of this test)
+        // well-conditioned; the 900 MHz inversion's skew would fold
+        // noise-realization differences into N-scale force spread — see
+        // pressed_streams_report_their_own_forces)
         let mut sim = Simulation::paper_default(2.4e9);
         sim.synth_spectral = Some(true);
         let model = Arc::new(sim.vna_calibration().expect("calibration"));
@@ -1963,135 +1746,6 @@ mod tests {
             "soft location {}",
             soft.reading.location_m
         );
-    }
-
-    #[test]
-    fn cross_stream_superposition_estimates_stay_accurate() {
-        // payload superposition changes the noise realization, not the
-        // physics: per-stream force/location estimates must land inside
-        // press-separating tolerances. Runs at 2.4 GHz, where the model
-        // inversion is well-conditioned — the 900 MHz inversion's skew
-        // would fold noise-realization differences into N-scale force
-        // spread (see pressed_streams_report_their_own_forces)
-        let sim = Simulation::paper_default(2.4e9);
-        let model = Arc::new(sim.vna_calibration().expect("calibration"));
-        let grid = 1.0 / (sim.group.n_snapshots as f64 * sim.group.snapshot_period_s);
-        let clocks = allocate_frequencies_on_grid(2, 800.0, 2000.0, grid).unwrap();
-        let spec = ReaderSpec::new(7)
-            .stream(
-                "hard",
-                clocks[0],
-                vec![PressSpec {
-                    force_n: 5.0,
-                    location_m: 0.030,
-                }],
-            )
-            .stream(
-                "soft",
-                clocks[1],
-                vec![PressSpec {
-                    force_n: 2.0,
-                    location_m: 0.050,
-                }],
-            );
-        let cfg = BatchConfig {
-            cross_stream: true,
-            ..BatchConfig::wiforce(2)
-        };
-        let report =
-            run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs");
-        let hard = &report.streams[0].readings[0];
-        let soft = &report.streams[1].readings[0];
-        assert!(hard.reading.touched && soft.reading.touched);
-        assert!(
-            (hard.reading.force_n - 5.0).abs() < 2.2,
-            "hard force {}",
-            hard.reading.force_n
-        );
-        assert!(
-            (soft.reading.force_n - 2.0).abs() < 1.0,
-            "soft force {}",
-            soft.reading.force_n
-        );
-        assert!(
-            (hard.reading.location_m - 0.030).abs() < 5e-3,
-            "hard location {}",
-            hard.reading.location_m
-        );
-        assert!(
-            (soft.reading.location_m - 0.050).abs() < 5e-3,
-            "soft location {}",
-            soft.reading.location_m
-        );
-    }
-
-    #[test]
-    fn cross_stream_superposition_matches_row_path_noiseless() {
-        // with every stochastic stage silenced — noise, jitter, clock
-        // wander (the paths consume different RNG draw counts per group,
-        // so wander trajectories diverge otherwise), and the ADC
-        // quantizer (its thresholds amplify last-bit differences to full
-        // steps) — the two paths differ only by the floating-point
-        // rounding of payload linearity, so readings must agree almost
-        // exactly: the physics-equivalence check that separates
-        // "different noise realization" from "wrong math"
-        let (mut sim, model) = template();
-        sim.frontend.noise_floor = 0.0;
-        sim.frontend.phase_jitter_rad = 0.0;
-        sim.frontend.adc_enob_bits = 0;
-        sim.tag_clock_wander_ppm = 0.0;
-        let spec = ReaderSpec::frequency_multiplexed(4, 2, 0x90D, &sim.group).expect("allocation");
-        let run = |cross: bool| {
-            let cfg = BatchConfig {
-                cross_stream: cross,
-                ..BatchConfig::wiforce(2)
-            };
-            run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
-        };
-        let sup = run(true);
-        let row = run(false);
-        assert_eq!(sup.press_readings(), row.press_readings());
-        for (a, b) in sup.streams.iter().zip(&row.streams) {
-            for (ra, rb) in a.readings.iter().zip(&b.readings) {
-                assert_eq!(ra.reading.touched, rb.reading.touched, "stream {}", a.name);
-                assert!(
-                    (ra.reading.force_n - rb.reading.force_n).abs() < 1e-6,
-                    "stream {} force {} vs {}",
-                    a.name,
-                    ra.reading.force_n,
-                    rb.reading.force_n
-                );
-                assert!(
-                    (ra.reading.location_m - rb.reading.location_m).abs() < 1e-8,
-                    "stream {} location {} vs {}",
-                    a.name,
-                    ra.reading.location_m,
-                    rb.reading.location_m
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cross_stream_falls_back_for_fault_regimes() {
-        // drops and bursts draw from the producer RNG mid-stream, so the
-        // superposition gate must quietly keep the row path — results
-        // identical to a cross_stream=false run
-        let (sim, model) = template();
-        let spec = ReaderSpec::frequency_multiplexed(2, 1, 0xFA17, &sim.group)
-            .expect("allocation")
-            .with_faults(FaultConfig {
-                snapshot_drop_prob: 0.2,
-                ..FaultConfig::none()
-            });
-        let run = |cross: bool| {
-            let cfg = BatchConfig {
-                cross_stream: cross,
-                ..BatchConfig::wiforce(2)
-            };
-            run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
-        };
-        assert!(run(true).deterministic_eq(&run(false)));
     }
 
     #[test]

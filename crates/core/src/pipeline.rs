@@ -186,25 +186,6 @@ impl ChannelSounder for Sounder {
         }
     }
 
-    fn estimate_payload_counter_rows_into(
-        &self,
-        payloads: &[Complex],
-        noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
-        out: &mut [Complex],
-    ) -> Option<u32> {
-        match self {
-            Sounder::Ofdm(s) => {
-                s.estimate_payload_counter_rows_into(payloads, noise_std, key, group, snap0, out)
-            }
-            Sounder::Fmcw(s) => {
-                s.estimate_payload_counter_rows_into(payloads, noise_std, key, group, snap0, out)
-            }
-        }
-    }
-
     fn seq_normals_per_estimate(&self) -> Option<usize> {
         match self {
             Sounder::Ofdm(s) => s.seq_normals_per_estimate(),
@@ -283,19 +264,12 @@ pub struct Simulation {
     /// Structure-of-arrays wide synthesis: whole snapshot chunks go
     /// through one plane-kernel sounder call instead of row-at-a-time
     /// estimation. `None` defers to `WIFORCE_SYNTH_WIDE` (default on);
-    /// `Some(false)` pins the row path. In exact mode (the default, no
-    /// [`Self::adaptive`] budget) the wide path is bitwise identical to
-    /// the row path — fixture-pinned — so this flag trades nothing but
-    /// speed. Falls back to rows automatically for sounders without a
-    /// wide entry (FMCW), moving scenes, and snapshot-drop fault runs.
+    /// `Some(false)` pins the row path. The wide path is bitwise
+    /// identical to the row path — fixture-pinned — so this flag trades
+    /// nothing but speed. Falls back to rows automatically for sounders
+    /// without a wide entry (FMCW), moving scenes, and snapshot-drop
+    /// fault runs.
     pub synth_wide: Option<bool>,
-    /// Adaptive snapshot budget for the fused counter path: stop
-    /// synthesizing a group early once its extracted lines clear a target
-    /// SNR over the quantization floor. Off by default — exact mode keeps
-    /// every bit-identity fixture; adaptive mode trades the tail of each
-    /// group's budget for throughput and is gated by accuracy fixtures
-    /// instead.
-    pub adaptive: AdaptiveBudget,
     /// Spectral-domain direct line synthesis: skip the time-domain
     /// snapshots entirely and generate the harmonic spectral lines at the
     /// consumed bins — the deterministic tag/scene contribution from a
@@ -347,7 +321,6 @@ impl Simulation {
             use_channel_cache: true,
             synth_workers: None,
             synth_wide: None,
-            adaptive: AdaptiveBudget::off(),
             synth_spectral: None,
             channel_cache: SharedChannelCache::new(),
         }
@@ -392,8 +365,7 @@ impl Simulation {
     /// DFT extraction (the model *is* that transform), a static scene
     /// (movers make the per-snapshot truth time-varying), no
     /// snapshot-drop or burst faults (both act on whole time-domain
-    /// rows), exact mode (the adaptive budget decides from time-domain
-    /// prefixes), a sounder with white uniform estimate noise
+    /// rows), a sounder with white uniform estimate noise
     /// ([`ChannelSounder::estimate_noise_sigma`]), and a hashable sounder
     /// configuration for the per-bin response memo. Anything else falls
     /// back to the time-domain counter path.
@@ -402,7 +374,6 @@ impl Simulation {
             && self.scene.movers.is_empty()
             && self.faults.snapshot_drop_prob == 0.0
             && self.faults.burst_prob == 0.0
-            && !self.adaptive.enabled
             && self.sounder.response_token().is_some()
             && self
                 .sounder
@@ -779,17 +750,9 @@ impl Simulation {
         let wide = self.synth_wide_enabled()
             && prepared.is_some()
             && self.faults.snapshot_drop_prob == 0.0;
-        let min_snapshots = self.adaptive.min_snapshots;
-        let adaptive_active = fused.is_some()
-            && self.adaptive.enabled
-            && prepared.is_some()
-            && self.faults.snapshot_drop_prob == 0.0
-            && min_snapshots > 0
-            && min_snapshots < n;
 
         // Synthesizes rows [s0, s1) of group `g` straight into the output
-        // region — the unit of work shared by the exact chunk bag and the
-        // adaptive prefix/remainder passes. Local tallies flush to the
+        // region — one chunk of the work bag. Local tallies flush to the
         // shared atomics per call.
         let synth_rows = |g: usize, s0: usize, s1: usize| {
             let plan = &plans[g];
@@ -955,163 +918,6 @@ impl Simulation {
 
         let workers = self.synth_workers.unwrap_or_else(parallel::default_workers);
 
-        if adaptive_active {
-            let spec = fused.expect("adaptive budgets ride the fused path");
-
-            // Phase A: every group synthesizes its prefix (wide where the
-            // sounder supports it — same synth_rows unit as exact mode,
-            // so the prefix rows are bitwise what exact mode would put
-            // there).
-            let a_chunk = chunk_cap.min(min_snapshots);
-            let a_per_group = min_snapshots.div_ceil(a_chunk);
-            let prefix_worker = |ci: usize| {
-                let g = ci / a_per_group;
-                let c = ci % a_per_group;
-                synth_rows(g, c * a_chunk, ((c + 1) * a_chunk).min(min_snapshots));
-            };
-            parallel::run_chunks(workers, n_groups * a_per_group, &prefix_worker);
-
-            // SNR decisions on the calling thread, from counter-addressed
-            // rows — deterministic at any worker count. The prefix is not
-            // an integer number of modulation periods, so both the line
-            // and floor extraction use the least-squares basis.
-            let prefix_cfg = PhaseGroupConfig {
-                n_snapshots: min_snapshots,
-                method: ExtractionMethod::LeastSquares,
-                ..*spec.cfg
-            };
-            let probe_cfg = PhaseGroupConfig {
-                line1_hz: spec.cfg.line1_hz * 1.37,
-                line2_hz: spec.cfg.line1_hz * 2.61,
-                n_snapshots: min_snapshots,
-                method: ExtractionMethod::LeastSquares,
-                ..*spec.cfg
-            };
-            let group_rows = |g: usize, rows: usize| -> &[Complex] {
-                // Safety: every synthesis pass over these rows has joined.
-                unsafe {
-                    std::slice::from_raw_parts(
-                        (region_ptr as *const Complex).add(g * n * n_cols),
-                        rows * n_cols,
-                    )
-                }
-            };
-            let t0 = telem.then(fastclock::ticks);
-            let floor_lines = extract_lines_quiet(
-                &probe_cfg,
-                SnapshotView::from_flat(n_cols, group_rows(0, min_snapshots)),
-                spec.first_start,
-            );
-            let floor_power = floor_lines.mean_power();
-            let mut lines_out: Vec<Option<GroupLines>> = (0..n_groups).map(|_| None).collect();
-            let mut pending: Vec<usize> = Vec::new();
-            let mut extracted = 1_u64;
-            for (g, slot) in lines_out.iter_mut().enumerate() {
-                let lines = extract_lines_quiet(
-                    &prefix_cfg,
-                    SnapshotView::from_flat(n_cols, group_rows(g, min_snapshots)),
-                    spec.first_start + g as f64 * group_s,
-                );
-                extracted += 1;
-                let line_db = 10.0 * (lines.mean_power() / floor_power.max(1e-300)).log10();
-                if line_db >= self.adaptive.target_snr_db {
-                    *slot = Some(lines);
-                } else {
-                    pending.push(g);
-                }
-            }
-            if let Some(t) = t0 {
-                extract_ticks.fetch_add(fastclock::ticks().wrapping_sub(t), Ordering::Relaxed);
-            }
-
-            // Phase B: below-target groups finish their full budget and
-            // re-extract over the whole window exactly as exact mode
-            // does (default method, all n rows).
-            let rem = n - min_snapshots;
-            if !pending.is_empty() {
-                let b_chunk = chunk_cap.min(rem);
-                let b_per_group = rem.div_ceil(b_chunk);
-                let pending_ref = &pending;
-                let tail_worker = |ci: usize| {
-                    let g = pending_ref[ci / b_per_group];
-                    let c = ci % b_per_group;
-                    synth_rows(
-                        g,
-                        min_snapshots + c * b_chunk,
-                        (min_snapshots + (c + 1) * b_chunk).min(n),
-                    );
-                };
-                parallel::run_chunks(workers, pending.len() * b_per_group, &tail_worker);
-                let t1 = telem.then(fastclock::ticks);
-                for &g in &pending {
-                    lines_out[g] = Some(extract_lines_quiet(
-                        spec.cfg,
-                        SnapshotView::from_flat(n_cols, group_rows(g, n)),
-                        spec.first_start + g as f64 * group_s,
-                    ));
-                    extracted += 1;
-                }
-                if let Some(t) = t1 {
-                    extract_ticks.fetch_add(fastclock::ticks().wrapping_sub(t), Ordering::Relaxed);
-                }
-            }
-            extract_n.fetch_add(extracted, Ordering::Relaxed);
-
-            let lines: Vec<GroupLines> = lines_out
-                .into_iter()
-                .map(|l| l.expect("every group extracted adaptively"))
-                .collect();
-            let floor = spec.floor_cfg.map(|_| floor_lines);
-
-            let mut injector = FaultInjector::new(self.faults);
-            injector.add_external(0, bursts.into_inner());
-
-            let budget = n_groups * n;
-            let synthesized = n_groups * min_snapshots + pending.len() * rem;
-            if telem {
-                let ns_per_tick = fastclock::ns_per_tick();
-                wiforce_telemetry::span_bulk(
-                    "pipeline.channel_eval",
-                    eval_n.into_inner(),
-                    eval_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                wiforce_telemetry::span_bulk(
-                    "pipeline.sounder",
-                    sounder_n.into_inner(),
-                    sounder_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                wiforce_telemetry::span_bulk(
-                    "pipeline.frontend",
-                    frontend_n.into_inner(),
-                    frontend_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                wiforce_telemetry::counter!("pipeline.snapshots_total", budget as u64);
-                wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals.into_inner());
-                wiforce_telemetry::counter!("pipeline.snapshots_synthesized", synthesized as u64);
-                wiforce_telemetry::gauge!("pipeline.snapshot_yield", 1.0);
-                wiforce_telemetry::gauge!(
-                    "pipeline.adaptive_snapshot_yield",
-                    synthesized as f64 / budget as f64
-                );
-                wiforce_telemetry::counter!(
-                    "pipeline.adaptive_groups_early_exit",
-                    (n_groups - pending.len()) as u64
-                );
-                wiforce_telemetry::span_bulk(
-                    "harmonics.extract_lines",
-                    extract_n.into_inner(),
-                    extract_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                for l in &lines {
-                    emit_extraction_telemetry(spec.cfg, l);
-                }
-                if let (Some(fc), Some(fl)) = (spec.floor_cfg, floor.as_ref()) {
-                    emit_extraction_telemetry(fc, fl);
-                }
-            }
-            return (lines, floor);
-        }
-
         let worker = |ci: usize| {
             let g = ci / chunks_per_group;
             let c = ci % chunks_per_group;
@@ -1221,9 +1027,6 @@ impl Simulation {
                     yielded as f64 / total as f64
                 }
             );
-            // exact mode always synthesizes the full budget — report the
-            // unit yield so the adaptive gauge is present in every run
-            wiforce_telemetry::gauge!("pipeline.adaptive_snapshot_yield", 1.0);
             // deterministic re-emission of the extraction telemetry the
             // workers withheld: one bulk span for the thread time, then
             // the per-group counters/gauges in group order (floor last)
@@ -1711,59 +1514,6 @@ impl Simulation {
                 let p2 = self.tag.line.differential_phase(f, c.port2_short_m, far);
                 (p1, p2)
             }
-        }
-    }
-}
-
-/// Adaptive snapshot-budget policy for the fused counter-synthesis path.
-///
-/// A phase group's spectral lines converge long before the full snapshot
-/// budget on clean channels: the line SNR grows with integration length,
-/// and past the paper's detection floor the extra snapshots only shave
-/// phase noise already far below the mechanical jitter that dominates the
-/// location error. With the budget enabled, each group first synthesizes
-/// a `min_snapshots` prefix; its lines (least-squares extraction — the
-/// prefix is not an integer number of modulation periods, so the DFT
-/// bins are not orthogonal over it) are compared against the group-0
-/// off-line floor probe, and a group whose line-to-floor ratio clears
-/// `target_snr_db` stops there. Groups below the bar synthesize the rest
-/// of the budget and extract exactly as the exact-mode path does.
-///
-/// Decisions are made on the calling thread from counter-addressed rows,
-/// so results stay bit-invariant across worker counts. Only active on the
-/// fused path with a static prepared scene and no snapshot-drop faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveBudget {
-    /// Master switch (off by default — exact mode).
-    pub enabled: bool,
-    /// Prefix length every group synthesizes before the SNR decision.
-    /// Also the floor the early exit can never go below.
-    pub min_snapshots: usize,
-    /// Line-to-floor ratio (dB) a prefix must clear to stop early. Keep
-    /// this comfortably above the pipeline's 6 dB detection threshold:
-    /// at ≥15 dB the residual line phase noise is an order of magnitude
-    /// below the paper's mechanical jitter floor.
-    pub target_snr_db: f64,
-}
-
-impl AdaptiveBudget {
-    /// Exact mode: every group synthesizes its full budget.
-    pub fn off() -> Self {
-        AdaptiveBudget {
-            enabled: false,
-            min_snapshots: 0,
-            target_snr_db: 0.0,
-        }
-    }
-
-    /// The default adaptive policy: a 256-snapshot prefix (~40% of the
-    /// paper's 625-snapshot group, ≈15 modulation periods at 1 kHz) and a
-    /// 15 dB target over the quantization floor.
-    pub fn wiforce() -> Self {
-        AdaptiveBudget {
-            enabled: true,
-            min_snapshots: 256,
-            target_snr_db: 15.0,
         }
     }
 }
@@ -2371,137 +2121,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_budget_never_undercuts_the_snr_floor() {
-        // property: a group stops early only when its prefix lines clear
-        // the SNR target over the group-0 floor probe — recomputed here
-        // from the identical (counter-addressed) rows the engine saw; and
-        // the returned lines are bitwise the prefix-LS extraction for
-        // early-exit groups and the full exact-mode extraction otherwise.
-        let n_groups = 4;
-        let base = fast_sim(0.9e9);
-        let contact = base.contact_for(4.0, 0.040);
-
-        // row-path full synthesis of the same press (exact mode is
-        // bitwise wide/row invariant, so these are the adaptive prefix
-        // rows too)
-        let mut exact = base.clone();
-        exact.synth_workers = Some(4);
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut clock = TagClock::new(&mut rng);
-        let mut noise = PressNoise::from_seed(0xADA9);
-        let first_start = clock.reader_time_s();
-        let snaps = exact.run_snapshots(contact.as_ref(), n_groups, &mut clock, &mut noise);
-
-        let policy = AdaptiveBudget::wiforce();
-        let min = policy.min_snapshots;
-        let n = base.group.n_snapshots;
-        let group_s = n as f64 * base.group.snapshot_period_s;
-        let prefix_cfg = PhaseGroupConfig {
-            n_snapshots: min,
-            method: ExtractionMethod::LeastSquares,
-            ..base.group
-        };
-        let probe_cfg = PhaseGroupConfig {
-            line1_hz: base.group.line1_hz * 1.37,
-            line2_hz: base.group.line1_hz * 2.61,
-            n_snapshots: min,
-            method: ExtractionMethod::LeastSquares,
-            ..base.group
-        };
-        let floor = extract_lines(&probe_cfg, snaps.rows_view(0, min), first_start).mean_power();
-
-        for workers in [1usize, 8] {
-            let mut sim = base.clone();
-            sim.synth_workers = Some(workers);
-            sim.adaptive = policy;
-            let mut rng = StdRng::seed_from_u64(29);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_seed(0xADA9);
-            let lines = sim.run_groups(contact.as_ref(), n_groups, &mut clock, &mut noise);
-            assert_eq!(lines.len(), n_groups);
-            for (g, got) in lines.iter().enumerate() {
-                let start = first_start + g as f64 * group_s;
-                let prefix = extract_lines(&prefix_cfg, snaps.rows_view(g * n, min), start);
-                let db = 10.0 * (prefix.mean_power() / floor.max(1e-300)).log10();
-                let want = if db >= policy.target_snr_db {
-                    prefix // early exit: never below the min-snapshot floor
-                } else {
-                    extract_lines(&base.group, snaps.rows_view(g * n, n), start)
-                };
-                for (x, y) in got
-                    .p1
-                    .iter()
-                    .chain(&got.p2)
-                    .zip(want.p1.iter().chain(&want.p2))
-                {
-                    assert_eq!(
-                        x.re.to_bits(),
-                        y.re.to_bits(),
-                        "group {g} workers {workers}"
-                    );
-                    assert_eq!(
-                        x.im.to_bits(),
-                        y.im.to_bits(),
-                        "group {g} workers {workers}"
-                    );
-                }
-            }
-        }
-
-        // an unreachable target forces every group through Phase B: the
-        // output must then be bitwise the exact-mode fused extraction
-        let mut sim = base.clone();
-        sim.synth_workers = Some(4);
-        sim.adaptive = AdaptiveBudget {
-            target_snr_db: f64::INFINITY,
-            ..policy
-        };
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut clock = TagClock::new(&mut rng);
-        let mut noise = PressNoise::from_seed(0xADA9);
-        let full = sim.run_groups(contact.as_ref(), n_groups, &mut clock, &mut noise);
-        for (g, got) in full.iter().enumerate() {
-            let start = first_start + g as f64 * group_s;
-            let want = extract_lines(&base.group, snaps.rows_view(g * n, n), start);
-            for (x, y) in got
-                .p1
-                .iter()
-                .chain(&got.p2)
-                .zip(want.p1.iter().chain(&want.p2))
-            {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "phase-B group {g}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "phase-B group {g}");
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_budget_meets_the_accuracy_gate() {
-        // the accuracy-gated fixture: adaptive mode must keep press
-        // estimation inside the seed CDF envelope at each force tier
-        // (location within 5 mm, force within 1 N — the same gates the
-        // exact-mode end_to_end test pins)
-        let mut sim = fast_sim(2.4e9);
-        sim.adaptive = AdaptiveBudget::wiforce();
-        let model = sim.vna_calibration().unwrap();
-        let mut rng = StdRng::seed_from_u64(31);
-        for (force, loc) in [(2.0, 0.030), (4.0, 0.040), (6.0, 0.050)] {
-            let r = sim.measure_press(&model, force, loc, &mut rng).unwrap();
-            assert!(r.touched);
-            assert!(
-                (r.force_n - force).abs() < 1.0,
-                "force {} at tier {force}",
-                r.force_n
-            );
-            assert!(
-                (r.location_m - loc).abs() < 5e-3,
-                "loc {} at tier {force} N",
-                r.location_m
-            );
-        }
-    }
-
-    #[test]
     fn multi_tag_crosstalk_stays_low_under_parallel_synthesis() {
         // two FMCW tags modulating at different fs share one scene; their
         // backscatter superposes at the reader. Each tag's lines must
@@ -2726,9 +2345,9 @@ mod tests {
 
     #[test]
     fn spectral_dispatch_falls_back_when_ineligible() {
-        // movers, faults, and adaptive budgets disqualify the spectral
-        // model; the dispatch must silently take the bit-pinned counter
-        // path so enabling WIFORCE_SYNTH_SPECTRAL is always safe
+        // movers and faults disqualify the spectral model; the dispatch
+        // must silently take the bit-pinned counter path so enabling
+        // WIFORCE_SYNTH_SPECTRAL is always safe
         let mut moving = fast_sim(0.9e9);
         moving
             .scene

@@ -473,70 +473,6 @@ impl ChannelSounder for OfdmSounder {
         Some(h)
     }
 
-    /// Payload-plane counter path: the same Philox lanes, noisy-average
-    /// kernel, per-row forward FFTs and equalize/reorder as
-    /// [`Self::estimate_prepared_counter_rows_into`], minus the payload
-    /// gather — each row of `payloads` is already the noiseless received
-    /// frame (the cross-stream producer superposes per-state payload
-    /// tables into it). Each row is bit-identical to
-    /// [`Self::estimate_prepared_counter_into`] fed the same payload at
-    /// the same coordinates (pinned by a test).
-    fn estimate_payload_counter_rows_into(
-        &self,
-        payloads: &[Complex],
-        noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
-        out: &mut [Complex],
-    ) -> Option<u32> {
-        let n = self.n_subcarriers;
-        let rows = payloads.len() / n.max(1);
-        assert_eq!(payloads.len(), rows * n, "payload plane must be whole rows");
-        assert_eq!(out.len(), rows * n, "one estimate row per payload row");
-        assert!(rows <= 256, "u8 row index: synthesize in blocks of ≤256");
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-
-            let n_normals = 2 * n;
-            scratch.normals.clear();
-            scratch.normals.resize(rows * n_normals, 0.0);
-            let kf = [key as u32, (key >> 32) as u32];
-            wiforce_dsp::kernels::philox_normals_rows(
-                kf,
-                [group, wiforce_dsp::rng::DOMAIN_SNAPSHOT],
-                snap0,
-                n_normals,
-                &mut scratch.normals,
-            );
-            let amp = (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt();
-            scratch.avg.clear();
-            scratch.avg.resize(rows * n, Complex::ZERO);
-            let mut idx = [0u8; 256];
-            for (r, slot) in idx.iter_mut().enumerate().take(rows) {
-                *slot = r as u8;
-            }
-            {
-                let OfdmScratch { avg, normals, .. } = scratch;
-                wiforce_dsp::kernels::accumulate_noisy_rows(
-                    avg,
-                    payloads,
-                    &idx[..rows],
-                    normals,
-                    amp,
-                );
-            }
-
-            with_plan(n, |plan| plan.forward_rows_inplace(&mut scratch.avg, rows));
-            {
-                let OfdmScratch { avg, eq, .. } = scratch;
-                wiforce_dsp::kernels::eq_reorder_rows(out, avg, eq);
-            }
-        });
-        Some(2 * n as u32)
-    }
-
     fn seq_normals_per_estimate(&self) -> Option<usize> {
         Some(2 * self.n_subcarriers)
     }
@@ -901,47 +837,6 @@ mod tests {
                 let mut skipped = CounterRng::for_snapshot(key, group, snap0 + r as u32);
                 skipped.skip_normals(lanes as usize);
                 assert_eq!(cursor.lane(), skipped.lane());
-            }
-        }
-    }
-
-    #[test]
-    fn payload_rows_path_is_bit_identical_to_prepared_path() {
-        use wiforce_dsp::rng::CounterRng;
-        let s = OfdmSounder::wiforce();
-        // distinct payload per row, as the cross-stream superposition
-        // path produces (blend weights differ row to row)
-        let rows = 29usize;
-        let payload_rows: Vec<Vec<Complex>> = (0..rows)
-            .map(|r| {
-                let truth: Vec<Complex> = (0..64)
-                    .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.02 * (k + r) as f64))
-                    .collect();
-                s.prepare(&truth).payload
-            })
-            .collect();
-        let plane_in: Vec<Complex> = payload_rows.iter().flatten().copied().collect();
-        let key = 0xB10C_57AE_u64;
-        let group = 5u32;
-        let snap0 = 17u32;
-        for noise in [0.0, 0.05] {
-            let mut plane = vec![Complex::ZERO; rows * 64];
-            let lanes = s
-                .estimate_payload_counter_rows_into(&plane_in, noise, key, group, snap0, &mut plane)
-                .expect("OFDM has a payload-plane path");
-            assert_eq!(lanes, 128);
-            for (r, payload) in payload_rows.iter().enumerate() {
-                let prepared = PreparedChannel {
-                    truth: Vec::new(),
-                    payload: payload.clone(),
-                };
-                let mut cursor = CounterRng::for_snapshot(key, group, snap0 + r as u32);
-                let mut row = [Complex::ZERO; 64];
-                s.estimate_prepared_counter_into(&prepared, noise, &mut cursor, &mut row);
-                for (w, x) in plane[r * 64..(r + 1) * 64].iter().zip(&row) {
-                    assert_eq!(w.re.to_bits(), x.re.to_bits(), "row {r}");
-                    assert_eq!(w.im.to_bits(), x.im.to_bits(), "row {r}");
-                }
             }
         }
     }

@@ -233,33 +233,6 @@ pub trait ChannelSounder {
         None
     }
 
-    /// Payload-plane twin of [`Self::estimate_prepared_counter_rows_into`]
-    /// for rows whose payloads are all distinct (the cross-stream
-    /// superposition path blends per-state payload tables into one
-    /// payload per row): `payloads` is a row-major plane of precomputed
-    /// noiseless payloads (`rows × grid`, each row laid out exactly like
-    /// [`PreparedChannel::payload`]) and `out` the matching estimate
-    /// plane. Noise comes from the counter kernel at
-    /// `(key, group, snap0 + r, lane)`, so rows are pure functions of
-    /// their coordinates — any block width, worker count or dispatch
-    /// arm produces identical bits.
-    ///
-    /// Returns `Some(lanes)` consumed per row when the sounder has this
-    /// path (same contract as the prepared wide path), else `None` (the
-    /// default).
-    fn estimate_payload_counter_rows_into(
-        &self,
-        payloads: &[Complex],
-        noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
-        out: &mut [Complex],
-    ) -> Option<u32> {
-        let _ = (payloads, noise_std, key, group, snap0, out);
-        None
-    }
-
     /// Maximum unambiguous modulation ("artificial Doppler") frequency,
     /// Hz: `1/(2T)` (the paper's Nyquist argument in §4.4).
     fn max_doppler_hz(&self) -> f64 {

@@ -14,17 +14,14 @@ use crate::json::JsonWriter;
 use crate::{Histogram, TelemetrySnapshot};
 
 /// Current `PipelineHealth` JSON schema version. Bump when keys change.
-/// v2 added `adaptive_snapshot_yield`: the fraction of the snapshot
-/// budget the adaptive synthesis path actually synthesized (1.0 in exact
-/// mode, lower when groups hit their SNR target early; null when no
-/// synthesis ran).
-/// v3 added the response-table / wide-batching trio:
-/// `response_table_hit_rate` (per-scene sounding-response memo hits over
-/// total lookups; null before any lookup), `synth_chunk_rows` (the SoA
-/// chunk width the calibrated synthesis paths drive), and
-/// `cross_stream_occupancy` (mean fill of the cross-stream superposition
-/// mega-chunks; null when the path never ran).
-pub const HEALTH_SCHEMA_VERSION: u64 = 3;
+/// v3 added `response_table_hit_rate` (per-scene sounding-response memo
+/// hits over total lookups; null before any lookup) and
+/// `synth_chunk_rows` (the SoA chunk width the calibrated synthesis
+/// paths drive).
+/// v4 removed the keys of two retired synthesis arms: the adaptive
+/// snapshot budget's yield (added in v2) and the superposition batch
+/// occupancy (added in v3).
+pub const HEALTH_SCHEMA_VERSION: u64 = 4;
 
 /// Latency statistics for one span path.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,11 +86,6 @@ pub struct PipelineHealth {
     /// Fraction of sounded snapshots that survived fault injection
     /// (1.0 when no snapshots were dropped; `None` when nothing ran).
     pub snapshot_yield: Option<f64>,
-    /// Fraction of the snapshot budget the adaptive synthesis path
-    /// actually synthesized: 1.0 in exact mode, below 1.0 when groups
-    /// reached their SNR target on the prefix and stopped early (`None`
-    /// when no synthesis ran).
-    pub adaptive_snapshot_yield: Option<f64>,
     /// `true` when the streaming estimator reported a locked no-touch
     /// reference (`None` when no estimator ran).
     pub reference_locked: Option<bool>,
@@ -103,9 +95,6 @@ pub struct PipelineHealth {
     /// SoA chunk width the synthesis paths ran at (`None` when no
     /// synthesis reported it).
     pub synth_chunk_rows: Option<f64>,
-    /// Mean occupancy of the cross-stream superposition chunks (`None`
-    /// when the cross-stream path never ran).
-    pub cross_stream_occupancy: Option<f64>,
 }
 
 impl PipelineHealth {
@@ -145,10 +134,8 @@ impl PipelineHealth {
             .gauges
             .get("estimator.reference_locked")
             .map(|&v| v != 0.0);
-        let adaptive_snapshot_yield = snap.gauges.get("pipeline.adaptive_snapshot_yield").copied();
         let response_table_hit_rate = snap.gauges.get("pipeline.response_table_hit_rate").copied();
         let synth_chunk_rows = snap.gauges.get("pipeline.synth_chunk_rows").copied();
-        let cross_stream_occupancy = snap.gauges.get("batch.cross_stream_occupancy").copied();
 
         PipelineHealth {
             schema_version: HEALTH_SCHEMA_VERSION,
@@ -157,11 +144,9 @@ impl PipelineHealth {
             gauges,
             observations,
             snapshot_yield,
-            adaptive_snapshot_yield,
             reference_locked,
             response_table_hit_rate,
             synth_chunk_rows,
-            cross_stream_occupancy,
         }
     }
 
@@ -179,10 +164,6 @@ impl PipelineHealth {
             Some(y) => w.number("snapshot_yield", y),
             None => w.number("snapshot_yield", f64::NAN), // serialized as null
         };
-        match self.adaptive_snapshot_yield {
-            Some(y) => w.number("adaptive_snapshot_yield", y),
-            None => w.number("adaptive_snapshot_yield", f64::NAN),
-        };
         match self.reference_locked {
             Some(locked) => w.boolean("estimator_reference_locked", locked),
             None => w.number("estimator_reference_locked", f64::NAN),
@@ -194,10 +175,6 @@ impl PipelineHealth {
         match self.synth_chunk_rows {
             Some(r) => w.number("synth_chunk_rows", r),
             None => w.number("synth_chunk_rows", f64::NAN),
-        };
-        match self.cross_stream_occupancy {
-            Some(o) => w.number("cross_stream_occupancy", o),
-            None => w.number("cross_stream_occupancy", f64::NAN),
         };
         w.begin_array_key("stages");
         for s in &self.stages {
@@ -288,7 +265,7 @@ mod tests {
         snap.gauges.insert("pipeline.line_to_floor_db".into(), 31.5);
         snap.gauges.insert("estimator.reference_locked".into(), 1.0);
         snap.gauges
-            .insert("pipeline.adaptive_snapshot_yield".into(), 0.44);
+            .insert("pipeline.response_table_hit_rate".into(), 0.44);
         let mut obs = Histogram::default();
         obs.record(0.2);
         snap.observations
@@ -301,7 +278,7 @@ mod tests {
         let health = PipelineHealth::from_snapshot(&sample_snapshot());
         assert_eq!(health.schema_version, HEALTH_SCHEMA_VERSION);
         assert!((health.snapshot_yield.unwrap() - 0.96).abs() < 1e-12);
-        assert_eq!(health.adaptive_snapshot_yield, Some(0.44));
+        assert_eq!(health.response_table_hit_rate, Some(0.44));
         assert_eq!(health.reference_locked, Some(true));
         let stage = health.stage("pipeline.measure_press").unwrap();
         assert_eq!(stage.count, 3);
@@ -315,13 +292,13 @@ mod tests {
     fn empty_snapshot_reports_unknowns() {
         let health = PipelineHealth::from_snapshot(&TelemetrySnapshot::default());
         assert_eq!(health.snapshot_yield, None);
-        assert_eq!(health.adaptive_snapshot_yield, None);
+        assert_eq!(health.response_table_hit_rate, None);
         assert_eq!(health.reference_locked, None);
         assert!(health.stages.is_empty());
         // and the JSON still parses with the required keys present
         let v = json::parse(&health.to_json()).unwrap();
         assert_eq!(v.get("snapshot_yield"), Some(&json::Value::Null));
-        assert_eq!(v.get("adaptive_snapshot_yield"), Some(&json::Value::Null));
+        assert_eq!(v.get("response_table_hit_rate"), Some(&json::Value::Null));
         assert!(v.get("stages").unwrap().as_array().unwrap().is_empty());
     }
 
@@ -339,7 +316,7 @@ mod tests {
             Some(&json::Value::Bool(true))
         );
         assert_eq!(
-            v.get("adaptive_snapshot_yield").unwrap().as_f64(),
+            v.get("response_table_hit_rate").unwrap().as_f64(),
             Some(0.44)
         );
         let stages = v.get("stages").unwrap().as_array().unwrap();

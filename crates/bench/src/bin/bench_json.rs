@@ -13,6 +13,9 @@
 //!   synthesized through the counter-addressed `run_snapshots_into` on
 //!   one worker into a reused [`wiforce_dsp::SnapshotMatrix`]: wall time
 //!   and heap allocations per steady-state group;
+//! - `synth_wide` — one group's soundings through the plane kernel the
+//!   time-domain path always takes vs one row call per snapshot, gated
+//!   at ≤ 1.05× by `check_artifacts`;
 //! - `synth_workers` — the worker count the press loop ran with
 //!   (`WIFORCE_SYNTH_WORKERS` or the machine's parallelism);
 //! - `throughput` — the multi-stream batch engine (`wiforce::batch`) at
@@ -41,9 +44,12 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::batch::{run_batch, BatchConfig, ReaderSpec};
-use wiforce::pipeline::{PressNoise, Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, Simulation, TagClock, CHUNK_ROWS};
 use wiforce::tracking::{Tracker, TrackerConfig};
-use wiforce_dsp::SnapshotMatrix;
+use wiforce_dsp::rng::CounterRng;
+use wiforce_dsp::{Complex, SnapshotMatrix};
+use wiforce_reader::sounder::PreparedChannel;
+use wiforce_reader::{ChannelSounder, OfdmSounder};
 use wiforce_telemetry::json::JsonWriter;
 
 /// Version of the BENCH_pipeline.json layout, bumped on breaking changes.
@@ -62,10 +68,10 @@ use wiforce_telemetry::json::JsonWriter;
 /// wide path forced on vs off (`ns_per_group_on` / `ns_per_group_off`,
 /// bitwise-identical output either way);
 /// v8 the wide-batching / response-table fields: a top-level `quick`
-/// flag (gates relax on quick artifacts), the `calibration` object (the
-/// one-shot SoA chunk-width probe's verdict, also written to
-/// `CALIBRATION_synth.json`) and `response_table_hit_rate` (steady-state
-/// per-scene sounding-response memo hit rate under zeroed patch jitter);
+/// flag (gates relax on quick artifacts), a `calibration` object (the
+/// retired chunk-width probe's verdict; no longer written) and
+/// `response_table_hit_rate` (steady-state per-scene sounding-response
+/// memo hit rate under zeroed patch jitter);
 /// the batch press count is 8 per stream in full mode (2 quick) so the
 /// steady state dominates the fixed per-run cost;
 /// v9 the spectral-synthesis fields: the `synth_spectral` object times
@@ -86,7 +92,11 @@ use wiforce_telemetry::json::JsonWriter;
 /// (the sequential snapshot path is gone) and drops `ns_per_group_parallel`.
 /// Keys that described the retired adaptive snapshot budget and batch
 /// payload superposition arms are no longer written; the `throughput`
-/// points run the default batch producer.
+/// points run the default batch producer. Since the wide/row choice
+/// became fixed by configuration, `synth_wide` times one group's
+/// soundings through the plane kernel (`ns_per_group_on`) vs one row
+/// call per snapshot (`ns_per_group_off`), and the `calibration` object
+/// is no longer written.
 const BENCH_SCHEMA_VERSION: u32 = 10;
 
 /// A pass-through allocator that counts every allocation, so the bench
@@ -151,6 +161,52 @@ fn stage_ns_per_press(
         .map(|(_, h)| h.sum)
         .sum::<f64>()
         / press_iters as f64
+}
+
+/// Best-of-`reps` cost of sounding one `rows`-snapshot group, ns, over a
+/// synthetic 4-state prepared table: through the plane kernel at
+/// [`CHUNK_ROWS`] rows per call (`plane`), else one row call per
+/// snapshot. These are the only entries in which the two time-domain
+/// paths differ.
+fn time_sounding_group(rows: usize, reps: usize, plane: bool) -> f64 {
+    let sounder = OfdmSounder::wiforce();
+    let n = sounder.n_subcarriers;
+    let prepared: Vec<PreparedChannel> = (0..4)
+        .map(|state| {
+            let phase = |k: usize| 0.37 * k as f64 + 1.13 * state as f64;
+            let plane: Vec<Complex> = (0..n)
+                .map(|k| Complex::from_polar(0.8 + 0.05 * state as f64, phase(k)))
+                .collect();
+            sounder.prepare(&plane)
+        })
+        .collect();
+    let mut out = vec![Complex::ZERO; rows * n];
+    let mut best = f64::INFINITY;
+    for rep in 0..reps {
+        let key = 0x51D3_C0DE + rep as u64;
+        let t0 = Instant::now();
+        if plane {
+            let mut st = [0u8; CHUNK_ROWS];
+            for (c, block) in out.chunks_mut(CHUNK_ROWS * n).enumerate() {
+                let (s0, states) = (c * CHUNK_ROWS, &mut st[..block.len() / n]);
+                for (r, state) in states.iter_mut().enumerate() {
+                    *state = ((s0 + r) % 4) as u8;
+                }
+                sounder
+                    .estimate_prepared_counter_rows_into(
+                        &prepared, states, 0.01, key, 7, s0 as u32, block,
+                    )
+                    .expect("the OFDM sounder has a plane kernel");
+            }
+        } else {
+            for (s, row) in out.chunks_exact_mut(n).enumerate() {
+                let mut cursor = CounterRng::for_snapshot(key, 7, s as u32);
+                sounder.estimate_prepared_counter_into(&prepared[s % 4], 0.01, &mut cursor, row);
+            }
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64);
+    }
+    best
 }
 
 fn main() {
@@ -266,27 +322,15 @@ fn main() {
     let ns_per_group = group_elapsed.as_nanos() as f64 / group_iters as f64;
     let allocs_per_group = allocs as f64 / group_iters as f64;
 
-    // --- wide vs row counter synthesis ---------------------------------
-    // the same counter group with the structure-of-arrays wide path
-    // forced on vs off; the outputs are bitwise identical, so the delta
-    // is purely what plane-major synthesis buys
-    let mut wide_times = [0.0f64; 2];
-    for (i, wide) in [true, false].into_iter().enumerate() {
-        let mut sim_w = sim.clone();
-        sim_w.synth_wide = Some(wide);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut clock = TagClock::new(&mut rng);
-        let mut noise = PressNoise::from_seed(0xBE7C);
-        stream.clear();
-        sim_w.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
-        let t0 = Instant::now();
-        for _ in 0..group_iters {
-            stream.clear();
-            sim_w.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
-        }
-        wide_times[i] = t0.elapsed().as_nanos() as f64 / group_iters as f64;
-    }
-    let [ns_per_group_wide_on, ns_per_group_wide_off] = wide_times;
+    // --- plane vs row sounding -----------------------------------------
+    // one group's soundings through the plane kernel vs one row call per
+    // snapshot: bitwise-identical output, so the delta is purely what
+    // the plane kernel buys the default time-domain path
+    let group_rows = sim.group.n_snapshots;
+    // the first pass warms the FFT plan and scratch
+    time_sounding_group(group_rows, 1, true);
+    let ns_per_group_wide_on = time_sounding_group(group_rows, group_iters, true);
+    let ns_per_group_wide_off = time_sounding_group(group_rows, group_iters, false);
 
     // --- response-table steady state -----------------------------------
     // repeated presses at one (force, location) with patch jitter zeroed:
@@ -413,7 +457,6 @@ fn main() {
     // (one-plus series per stream), not the single-stream press loop
     let metrics_streams = 8u64;
     let metrics_series = wiforce_telemetry::metrics::snapshot().series_count() as u64;
-    let cal = *wiforce::calibrate::calibration();
 
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -448,13 +491,6 @@ fn main() {
         "response_table_hit_rate",
         (response_table_hit_rate * 10000.0).round() / 10000.0,
     );
-    w.begin_object_key("calibration");
-    w.boolean("wide_default", cal.wide_default);
-    w.integer("chunk_rows", cal.chunk_rows as u64);
-    w.number("ns_per_row_wide", cal.ns_per_row_wide.round());
-    w.number("ns_per_row_narrow", cal.ns_per_row_narrow.round());
-    w.boolean("probed", cal.probed);
-    w.end_object();
     w.begin_object_key("synth_spectral");
     w.number("ns_per_press", ns_per_press_spectral.round());
     w.number(
@@ -504,10 +540,6 @@ fn main() {
     let root = wiforce_bench::experiments::repo_root();
     let path = root.join("BENCH_pipeline.json");
     std::fs::write(&path, &json).expect("write BENCH_pipeline.json");
-    let cal_path = root.join("CALIBRATION_synth.json");
-    std::fs::write(&cal_path, cal.to_json_stamped(env!("GIT_REV")))
-        .expect("write CALIBRATION_synth.json");
     println!("{json}");
     println!("wrote {}", path.display());
-    println!("wrote {}", cal_path.display());
 }

@@ -6,7 +6,6 @@
 //! ```text
 //! check_artifacts --bench BENCH_pipeline.json --health health.json \
 //!                 [--trace trace.json] [--metrics metrics.prom] \
-//!                 [--calibration CALIBRATION_synth.json] \
 //!                 [--baseline BENCH_baseline.json]
 //! ```
 //!
@@ -21,15 +20,9 @@
 //! presence of per-stream series. Both are backed by
 //! [`wiforce_bench::observability`].
 //!
-//! `--calibration` validates the standalone `CALIBRATION_synth.json`
-//! probe verdict: structure plus the schema-v2 provenance pair
-//! (`schema_version` + `git_rev`), so the `--revs` / `--expect-rev`
-//! staleness gates below cover it exactly like the bench baseline.
-//!
 //! `--revs` takes a `git log` listing (one rev per line, short or full)
-//! and fails when each committed artifact's `git_rev` (`--baseline` when
-//! given, else `--bench`; plus `--calibration` when given) names no
-//! commit in it — a stale-baseline trap.
+//! and fails when the committed artifact's `git_rev` (`--baseline` when
+//! given, else `--bench`) names no commit in it — a stale-baseline trap.
 //!
 //! With `--baseline`, the `--bench` artifact is additionally compared
 //! against the given committed baseline with
@@ -249,7 +242,7 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
     }
 
     // schema v8: the wide-batching / response-table gates — these are
-    // absolute (no baseline needed): the calibrated wide default must
+    // absolute (no baseline needed): the fixed plane-kernel default must
     // win, the response memo must absorb steady-state presses, the
     // steady-state group must stay near allocation-free, and a full
     // artifact must clear the 8-stream throughput floor
@@ -257,21 +250,6 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
         let quick = root.get("quick").and_then(Value::as_bool);
         if quick.is_none() {
             c.fail("missing boolean key 'quick' (schema v8)".into());
-        }
-        match root.get("calibration") {
-            None => c.fail("missing 'calibration' object (schema v8)".into()),
-            Some(cal) => {
-                for key in ["chunk_rows", "ns_per_row_wide", "ns_per_row_narrow"] {
-                    if cal.get(key).and_then(Value::as_f64).is_none() {
-                        c.fail(format!("calibration missing numeric key '{key}'"));
-                    }
-                }
-                for key in ["wide_default", "probed"] {
-                    if cal.get(key).and_then(Value::as_bool).is_none() {
-                        c.fail(format!("calibration missing boolean key '{key}'"));
-                    }
-                }
-            }
         }
         match root.get("response_table_hit_rate").and_then(Value::as_f64) {
             None => c.fail("missing numeric key 'response_table_hit_rate' (schema v8)".into()),
@@ -413,33 +391,6 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
     c.errors
 }
 
-/// Validates the standalone `CALIBRATION_synth.json` probe verdict:
-/// structure plus the v2 provenance pair (`schema_version` + `git_rev`)
-/// the `--revs` / `--expect-rev` staleness gates key on. A committed
-/// calibration without provenance can silently pin a chunk width probed
-/// on a machine (and code) nobody remembers.
-fn check_calibration(file: &str, root: &Value) -> Vec<String> {
-    let mut c = Checker::new(file);
-    match root.get("schema_version").and_then(Value::as_f64) {
-        None => c.fail("missing numeric key 'schema_version' (calibration v2)".into()),
-        Some(v) if v < 2.0 => c.fail(format!(
-            "schema_version = {v} predates the provenance stamp — regenerate \
-             CALIBRATION_synth.json with bench_json"
-        )),
-        Some(_) => {}
-    }
-    c.string(root, "git_rev");
-    for key in ["chunk_rows", "ns_per_row_wide", "ns_per_row_narrow"] {
-        c.number(root, key, true);
-    }
-    for key in ["wide_default", "probed"] {
-        if root.get(key).and_then(Value::as_bool).is_none() {
-            c.fail(format!("missing boolean key '{key}'"));
-        }
-    }
-    c.errors
-}
-
 fn check_health(file: &str, root: &Value) -> Vec<String> {
     let mut c = Checker::new(file);
     c.number(root, "schema_version", true);
@@ -452,18 +403,16 @@ fn check_health(file: &str, root: &Value) -> Vec<String> {
         }
     }
 
-    // schema v3: response-table / wide-batching gauges (null when the
-    // relevant path never ran, but the keys must exist)
-    if root
+    // derived synthesis gauges (null when the relevant path never ran,
+    // but the keys must exist): the response memo's hit rate since
+    // schema v3, the plane-kernel row share since v5
+    let schema = root
         .get("schema_version")
         .and_then(Value::as_f64)
-        .unwrap_or(0.0)
-        >= 3.0
-    {
-        for key in ["response_table_hit_rate", "synth_chunk_rows"] {
-            if root.get(key).is_none() {
-                c.fail(format!("missing key '{key}' (health schema v3)"));
-            }
+        .unwrap_or(0.0);
+    for (key, since) in [("response_table_hit_rate", 3.0), ("plane_row_share", 5.0)] {
+        if schema >= since && root.get(key).is_none() {
+            c.fail(format!("missing key '{key}' (health schema v{since})"));
         }
     }
 
@@ -526,7 +475,6 @@ fn main() {
     let baseline = arg("--baseline");
     let trace = arg("--trace");
     let metrics = arg("--metrics");
-    let calibration = arg("--calibration");
     let revs = arg("--revs");
     let expect_rev = arg("--expect-rev");
 
@@ -557,16 +505,10 @@ fn main() {
         }
     }
 
-    if bench.is_none()
-        && health.is_none()
-        && trace.is_none()
-        && metrics.is_none()
-        && calibration.is_none()
-    {
+    if bench.is_none() && health.is_none() && trace.is_none() && metrics.is_none() {
         eprintln!(
             "usage: check_artifacts [--bench BENCH_pipeline.json] [--health health.json] \
              [--trace trace.json] [--metrics metrics.prom] \
-             [--calibration CALIBRATION_synth.json] \
              [--baseline BENCH_baseline.json] [--revs git-log.txt] \
              [--expect-rev SHA] | --diff A.json B.json"
         );
@@ -576,12 +518,12 @@ fn main() {
         eprintln!("--baseline requires --bench");
         std::process::exit(2);
     }
-    if revs.is_some() && baseline.is_none() && bench.is_none() && calibration.is_none() {
-        eprintln!("--revs requires --bench, --baseline, or --calibration");
+    if revs.is_some() && baseline.is_none() && bench.is_none() {
+        eprintln!("--revs requires --bench or --baseline");
         std::process::exit(2);
     }
-    if expect_rev.is_some() && bench.is_none() && calibration.is_none() {
-        eprintln!("--expect-rev requires --bench or --calibration");
+    if expect_rev.is_some() && bench.is_none() {
+        eprintln!("--expect-rev requires --bench");
         std::process::exit(2);
     }
 
@@ -591,9 +533,6 @@ fn main() {
     }
     if let Some(path) = &health {
         check_file(path, &mut errors, check_health);
-    }
-    if let Some(path) = &calibration {
-        check_file(path, &mut errors, check_calibration);
     }
     if let Some(path) = &trace {
         check_file(path, &mut errors, |file, root| {
@@ -621,41 +560,27 @@ fn main() {
     // regenerated it after landing perf-relevant changes. Applies to the
     // --baseline artifact when given (that is the committed one), else
     // to --bench.
-    if let Some(revs_path) = &revs {
-        // the committed bench baseline and the committed calibration
-        // verdict both go stale the same way; each provided artifact's
-        // git_rev must name a commit from the listing
-        let targets: Vec<&String> = baseline
-            .as_ref()
-            .or(bench.as_ref())
-            .into_iter()
-            .chain(calibration.as_ref())
-            .collect();
-        match std::fs::read_to_string(revs_path) {
-            Err(e) => errors.push(format!("{revs_path}: unreadable: {e}")),
-            Ok(revlist) => {
-                for target in targets {
-                    match load(target) {
-                        Err(e) => errors.push(e),
-                        Ok(doc) => match doc.get("git_rev").and_then(Value::as_str) {
-                            None | Some("") => errors
-                                .push(format!("{target}: missing 'git_rev' for the --revs check")),
-                            Some(rev) => {
-                                let known = revlist
-                                    .split_whitespace()
-                                    .any(|r| r.starts_with(rev) || rev.starts_with(r));
-                                if !known {
-                                    errors.push(format!(
-                                        "{target}: git_rev {rev:?} does not match any commit in \
-                                         {revs_path} — the committed artifact is stale; \
-                                         regenerate it with bench_json and commit the result"
-                                    ));
-                                }
-                            }
-                        },
+    if let (Some(revs_path), Some(target)) = (&revs, baseline.as_ref().or(bench.as_ref())) {
+        match (std::fs::read_to_string(revs_path), load(target)) {
+            (Err(e), _) => errors.push(format!("{revs_path}: unreadable: {e}")),
+            (_, Err(e)) => errors.push(e),
+            (Ok(revlist), Ok(doc)) => match doc.get("git_rev").and_then(Value::as_str) {
+                None | Some("") => {
+                    errors.push(format!("{target}: missing 'git_rev' for the --revs check"))
+                }
+                Some(rev) => {
+                    let known = revlist
+                        .split_whitespace()
+                        .any(|r| r.starts_with(rev) || rev.starts_with(r));
+                    if !known {
+                        errors.push(format!(
+                            "{target}: git_rev {rev:?} does not match any commit in \
+                             {revs_path} — the committed artifact is stale; \
+                             regenerate it with bench_json and commit the result"
+                        ));
                     }
                 }
-            }
+            },
         }
     }
 
@@ -663,26 +588,22 @@ fn main() {
     // stamped with the rev it was built from. CI passes the checkout SHA;
     // a mismatch means the bench binary was built before HEAD moved (the
     // stale-GIT_REV bug the build script's rerun-if-changed now prevents)
-    if let Some(want) = &expect_rev {
-        // a freshly generated calibration carries the same stamp as the
-        // bench artifact it was written alongside — check both
-        for fresh_path in bench.iter().chain(calibration.iter()) {
-            match load(fresh_path) {
-                Err(e) => errors.push(e),
-                Ok(doc) => match doc.get("git_rev").and_then(Value::as_str) {
-                    None | Some("") => {
-                        errors.push(format!("{fresh_path}: missing 'git_rev' for --expect-rev"))
+    if let (Some(want), Some(fresh_path)) = (&expect_rev, &bench) {
+        match load(fresh_path) {
+            Err(e) => errors.push(e),
+            Ok(doc) => match doc.get("git_rev").and_then(Value::as_str) {
+                None | Some("") => {
+                    errors.push(format!("{fresh_path}: missing 'git_rev' for --expect-rev"))
+                }
+                Some(rev) => {
+                    if !(rev.starts_with(want.as_str()) || want.starts_with(rev)) {
+                        errors.push(format!(
+                            "{fresh_path}: git_rev {rev:?} does not match the expected \
+                             build rev {want:?} — the bench binary carries a stale stamp"
+                        ));
                     }
-                    Some(rev) => {
-                        if !(rev.starts_with(want.as_str()) || want.starts_with(rev)) {
-                            errors.push(format!(
-                                "{fresh_path}: git_rev {rev:?} does not match the expected \
-                                 build rev {want:?} — the bench binary carries a stale stamp"
-                            ));
-                        }
-                    }
-                },
-            }
+                }
+            },
         }
     }
 
@@ -712,10 +633,7 @@ fn main() {
     }
 
     if errors.is_empty() {
-        for path in [bench, health, trace, metrics, calibration]
-            .into_iter()
-            .flatten()
-        {
+        for path in [bench, health, trace, metrics].into_iter().flatten() {
             println!("{path}: OK");
         }
     } else {

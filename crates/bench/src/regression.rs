@@ -81,10 +81,10 @@ pub const STAGE_SUM_MIN_RATIO: f64 = 0.35;
 pub const STAGE_SUM_MAX_RATIO: f64 = 2.5;
 
 /// Ceiling on `synth_wide.ns_per_group_on / ns_per_group_off` for v8
-/// artifacts: the calibrated default may only run the wide SoA path when
-/// it actually wins, so an artifact where wide costs more than the row
-/// path (beyond timing noise on one 50-iteration pair) means the
-/// chunk-width calibration is broken or being ignored.
+/// artifacts: time-domain synthesis always takes the plane kernel where
+/// the configuration allows it, so an artifact where the plane kernel
+/// costs more than the row calls it replaces (beyond timing noise) means
+/// that fixed choice has stopped paying.
 pub const MAX_WIDE_ON_OFF_RATIO: f64 = 1.05;
 
 /// Floor on the steady-state `response_table_hit_rate` for v8 artifacts:
@@ -285,8 +285,8 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Comparison {
         rows.push(Row::build(metric, baseline, fresh, false));
     }
 
-    // wide-path guard (schema v7+): the calibrated default must keep the
-    // SoA path at least as fast as the row path. Gated on the fresh
+    // wide-path guard (schema v7+): the fixed plane-kernel default must
+    // stay at least as fast as the row path. Gated on the fresh
     // artifact alone — the ratio needs no baseline — and reported as a
     // before/after row so a drift in either leg is visible.
     let wide = |doc: &Value, key: &str| {
@@ -317,8 +317,8 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Comparison {
         if off > 0.0 && on / off > MAX_WIDE_ON_OFF_RATIO {
             violations.push(format!(
                 "synth_wide.ns_per_group_on = {on:.0} is {:.2}× ns_per_group_off = {off:.0} \
-                 (limit {MAX_WIDE_ON_OFF_RATIO:.2}×) — the wide path is enabled but losing; \
-                 the chunk-width calibration should have fallen back to the row path",
+                 (limit {MAX_WIDE_ON_OFF_RATIO:.2}×) — the plane kernel the time-domain \
+                 path always takes is losing to the row path",
                 on / off
             ));
         }
@@ -445,12 +445,6 @@ pub fn is_timing_key(key: &str) -> bool {
         || key == "trace_events"
         || key == "trace_dropped"
         || key == "metrics_series"
-        // schema-v8 wide-batching fields: the chunk-width probe times the
-        // machine, so its verdict (and the chunk width it chose)
-        // legitimately differs between runs and hosts
-        || key == "calibration"
-        || key == "chunk_rows"
-        || key == "wide_default"
         // the response memo's counters are shared across synth workers
         // and a racing double-build counts as an extra miss, so the
         // cumulative rate differs by scheduling accident (the bench's

@@ -59,7 +59,7 @@
 use crate::calib::SensorModel;
 use crate::estimator::{EstimatorConfig, ForceEstimator, ForceReading};
 use crate::multisensor::ContinuumSurface;
-use crate::pipeline::{Simulation, Sounder, TagClock};
+use crate::pipeline::{Simulation, Sounder, TagClock, CHUNK_ROWS};
 use crate::tracking::{TrackedReading, Tracker, TrackerConfig};
 use crate::WiForceError;
 use rand::rngs::StdRng;
@@ -466,14 +466,15 @@ struct ReaderProducer {
     reference_groups: usize,
     groups_done: u64,
     truth: Vec<Complex>,
-    /// Wide synthesis resolved from the template (flag, else env, else
-    /// the startup calibration's verdict).
-    wide: bool,
+    /// Sounder normals per snapshot when groups go through the plane
+    /// kernel in blocks of [`CHUNK_ROWS`]: the template's
+    /// [`Simulation::synth_wide_enabled`], with no fault of this reader
+    /// drawing from the RNG mid-stream. `None` keeps the row path.
+    plane_normals: Option<usize>,
     /// Spectral-domain line synthesis resolved from the template
     /// ([`Simulation::synth_spectral_enabled`]) and this reader's
-    /// eligibility (static scene, no mid-stream fault draws, white
-    /// estimate noise, mean-subtracted-DFT extraction). Takes priority
-    /// over the wide path when engaged.
+    /// eligibility ([`Simulation::spectral_eligible_under`] its faults).
+    /// Takes priority over the plane path when engaged.
     spectral: bool,
     /// Per-snapshot, per-subcarrier estimate-noise sigma (per component)
     /// of the sounder — the unitarity input of the spectral path. 0 when
@@ -508,21 +509,18 @@ impl ReaderProducer {
             Arc::new(ChannelCache::build(&sim.scene, &freqs))
         };
         // spectral-domain line synthesis never materializes snapshots at
-        // all: it needs a sounder with a hashable prepared transform, a
-        // static scene (mover Doppler is channel-domain and
-        // time-varying), no mid-stream fault draws, white sounder
-        // estimate noise (for the unitarity argument) and the
-        // mean-subtracted-DFT extraction the line model reproduces. It
-        // is accuracy-gated, not bit-pinned, so it only engages on the
-        // explicit opt-in ([`Simulation::synth_spectral_enabled`]).
+        // all. It is accuracy-gated, not bit-pinned, so it only engages
+        // on the explicit opt-in ([`Simulation::synth_spectral_enabled`])
+        // inside its validity envelope under this reader's faults.
         let sigma_est = sim.sounder.estimate_noise_sigma(sim.frontend.noise_floor);
-        let spectral = sim.synth_spectral_enabled()
-            && sim.group.method == crate::harmonics::ExtractionMethod::MeanSubtractedDft
-            && sim.sounder.response_token().is_some()
-            && sigma_est.is_some()
-            && sim.scene.movers.is_empty()
+        let spectral = sim.synth_spectral_enabled() && sim.spectral_eligible_under(&spec.faults);
+        // the plane path pre-draws each snapshot's sequential scalars, so
+        // faults that draw from (or consult) the RNG mid-stream keep rows
+        let plane_normals = (sim.synth_wide_enabled()
             && spec.faults.snapshot_drop_prob == 0.0
-            && spec.faults.burst_prob == 0.0;
+            && spec.faults.burst_prob == 0.0)
+            .then(|| sim.sounder.seq_normals_per_estimate())
+            .flatten();
         // Slot tables are built once per distinct contact of this
         // reader's schedules. The reflection network depends only on the
         // tag's electrical parts (line, switches, splitter) — identical
@@ -584,7 +582,7 @@ impl ReaderProducer {
             reference_groups: cfg.reference_groups,
             groups_done: 0,
             truth,
-            wide: sim.synth_wide_enabled(),
+            plane_normals,
             spectral,
             sigma_est: sigma_est.unwrap_or(0.0),
             truth_plane: Vec::new(),
@@ -634,17 +632,7 @@ impl ReaderProducer {
         let t_int = self.t_int;
         let wander_ppm = self.wander_ppm;
         let reference_groups = self.reference_groups;
-        // faults that draw from (or consult) the RNG mid-stream keep the
-        // row path; otherwise snapshots can pre-draw their scalars and
-        // plane-synthesize in blocks — bit-identical by construction
-        let wide_normals = if self.wide
-            && self.injector.config().snapshot_drop_prob == 0.0
-            && self.injector.config().burst_prob == 0.0
-        {
-            self.sounder.seq_normals_per_estimate()
-        } else {
-            None
-        };
+        let plane_normals = self.plane_normals;
         let ReaderProducer {
             streams,
             scene,
@@ -666,17 +654,16 @@ impl ReaderProducer {
         for s in streams.iter_mut() {
             s.clock.step_group(wander_ppm, rng);
         }
-        if let Some(npr) = wide_normals {
-            // wide path: per block, evaluate the truth plane and pre-draw
+        if let Some(npr) = plane_normals {
+            // plane path: per block, evaluate the truth plane and pre-draw
             // each snapshot's scalars in exact row-path stream order
             // (2·n sounder normals, then the jitter normal iff the front
             // end jitters), then hand the whole block to the sounder's
             // plane kernel and apply the front end per row
-            const WIDE_ROWS: usize = 64;
             let noise_std = frontend.noise_floor;
             let mut done = 0;
             while done < n {
-                let rows = WIDE_ROWS.min(n - done);
+                let rows = CHUNK_ROWS.min(n - done);
                 truth_plane.clear();
                 truth_plane.resize(rows * width, Complex::ZERO);
                 normals.clear();
@@ -746,6 +733,10 @@ impl ReaderProducer {
         if wiforce_telemetry::enabled() {
             wiforce_telemetry::counter!("batch.groups_produced", 1);
             wiforce_telemetry::counter!("pipeline.snapshots_total", n as u64);
+            wiforce_telemetry::counter!(
+                "synth.plane_rows",
+                if plane_normals.is_some() { n as u64 } else { 0 }
+            );
             wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
             wiforce_telemetry::counter!("faults.snapshots_dropped", 0);
             wiforce_telemetry::counter!("faults.bursts_injected", 0);
@@ -1507,11 +1498,6 @@ pub fn run_batch_observed(
                 rhits as f64 / (rhits + rmisses) as f64,
             );
         }
-        metrics::gauge_set(
-            "pipeline.synth_chunk_rows",
-            &[],
-            crate::calibrate::synth_chunk_rows() as f64,
-        );
         for (flat, s) in streams.iter().enumerate() {
             let reader = s.reader.to_string();
             let labels = [("reader", reader.as_str()), ("stream", s.name.as_str())];
@@ -1577,10 +1563,10 @@ mod tests {
 
     #[test]
     fn wide_producer_matches_row_path_bitwise() {
-        // the wide block path pre-draws the same scalars the row path
+        // the plane block path pre-draws the same scalars the row path
         // draws, in the same stream order, so every reading must be
-        // bit-identical with the flag on or off — including with movers
-        // (the truth plane is per-row either way) and at any worker count
+        // bit-identical to the forced row path — with movers too (which
+        // route the producer to rows) — and at any worker count
         let (mut sim, model) = template();
         for movers in [false, true] {
             if movers {
@@ -1590,20 +1576,18 @@ mod tests {
             }
             let spec =
                 ReaderSpec::frequency_multiplexed(2, 2, 0xD1CE, &sim.group).expect("allocation");
-            let run = |wide: bool, workers: usize| {
-                let mut sim_w = sim.clone();
-                sim_w.synth_wide = Some(wide);
+            let run = |workers: usize| {
                 run_batch(
-                    &sim_w,
+                    &sim,
                     &model,
                     std::slice::from_ref(&spec),
                     &BatchConfig::wiforce(workers),
                 )
                 .expect("batch runs")
             };
-            let row = run(false, 1);
-            let wide1 = run(true, 1);
-            let wide8 = run(true, 8);
+            let row = crate::pipeline::with_row_path(|| run(1));
+            let wide1 = run(1);
+            let wide8 = run(8);
             assert!(
                 row.deterministic_eq(&wide1),
                 "wide producer diverged from row path (movers: {movers})"

@@ -1,247 +1,43 @@
-//! One-shot startup calibration of the SoA synthesis path.
+//! The synthesis dispatch as the repository benchmark's `machine` block
+//! reports it.
 //!
-//! The wide (structure-of-arrays) sounder path is faster than the row
-//! path on most machines, but not all: cache pressure, SIMD width, and
-//! FFT plan layout can flip the trade. Instead of hard-coding the
-//! answer, the first caller of [`calibration`] runs a short probe on a
-//! synthetic OFDM workload — the same `estimate_prepared_counter_*`
-//! entry points the pipeline and batch engine use — and picks both
-//! whether wide synthesis should default on and which chunk width to
-//! drive it at. Every candidate produces bit-identical output (counter
-//! noise is a pure function of `(key, group, snapshot, lane)`), so the
-//! calibration trades nothing but speed and never touches determinism.
-//!
-//! Overrides, in priority order:
-//! - `WIFORCE_SYNTH_CHUNK_ROWS=<n>` pins the chunk width (clamped to
-//!   `1..=`[`MAX_CHUNK_ROWS`]) and skips the width sweep.
-//! - `WIFORCE_SYNTH_WIDE=0|off` / explicit `Simulation::synth_wide`
-//!   still decide the on/off question ahead of the calibrated default
-//!   (see `Simulation::synth_wide_enabled`).
+//! Time-domain synthesis decides from the configuration alone: the plane
+//! kernel runs wherever [`crate::Simulation::synth_wide_enabled`] allows
+//! it, at [`crate::pipeline::CHUNK_ROWS`] rows per chunk. Nothing here is
+//! measured; the two functions below exist only for that benchmark
+//! block and its `synth.chunk_rows` ledger row, and go when the
+//! benchmark drops them.
 
-use std::sync::OnceLock;
-use std::time::Instant;
-use wiforce_dsp::rng::CounterRng;
-use wiforce_dsp::Complex;
-use wiforce_reader::sounder::PreparedChannel;
-use wiforce_reader::{ChannelSounder, OfdmSounder};
+use crate::pipeline::CHUNK_ROWS;
 
-/// Hard ceiling on the SoA chunk width. The wide entry points index
-/// rows with `u8` state/row tables, and per-chunk scratch lives on the
-/// stack at this size.
-pub const MAX_CHUNK_ROWS: usize = 256;
-
-/// Candidate chunk widths the probe sweeps.
-const WIDTHS: [usize; 5] = [16, 32, 64, 128, 256];
-/// Rows synthesized per timed pass (one full candidate sweep).
-const PROBE_ROWS: usize = 256;
-/// Timed repetitions per candidate; the minimum is kept.
-const PROBE_REPS: usize = 3;
-
-/// Outcome of the one-shot probe (or of the environment overrides).
+/// The synthesis dispatch as the benchmark's `machine` block reports it.
 #[derive(Debug, Clone, Copy)]
 pub struct Calibration {
-    /// Whether wide synthesis should default on (it lost to the row
-    /// path on this machine otherwise).
+    /// Whether the plane kernel is the default where eligible (always).
     pub wide_default: bool,
-    /// Chosen SoA chunk width, `1..=MAX_CHUNK_ROWS`.
+    /// SoA chunk width, [`CHUNK_ROWS`].
     pub chunk_rows: usize,
-    /// Best wide-path cost at `chunk_rows`, ns per snapshot row.
+    /// Unmeasured; 0.
     pub ns_per_row_wide: f64,
-    /// Row-path (width-1 cursor loop) cost, ns per snapshot row.
+    /// Unmeasured; 0.
     pub ns_per_row_narrow: f64,
-    /// False when `WIFORCE_SYNTH_CHUNK_ROWS` pinned the width and the
-    /// sweep was skipped (timings then cover only the pinned width).
+    /// Always false: nothing is probed.
     pub probed: bool,
 }
 
-/// Version of the standalone `CALIBRATION_synth.json` layout, bumped on
-/// breaking changes. v2 added the provenance pair (`schema_version` +
-/// `git_rev`) that `check_artifacts --calibration` validates against the
-/// repository history, so a stale committed probe verdict is caught the
-/// same way a stale bench baseline is.
-pub const CALIBRATION_SCHEMA_VERSION: u32 = 2;
-
-impl Calibration {
-    /// The calibration report as a small JSON object (schema used by
-    /// the bench `calibration` section).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"wide_default\": {},\n",
-                "  \"chunk_rows\": {},\n",
-                "  \"ns_per_row_wide\": {:.1},\n",
-                "  \"ns_per_row_narrow\": {:.1},\n",
-                "  \"probed\": {}\n",
-                "}}"
-            ),
-            self.wide_default,
-            self.chunk_rows,
-            self.ns_per_row_wide,
-            self.ns_per_row_narrow,
-            self.probed,
-        )
-    }
-
-    /// The standalone `CALIBRATION_synth.json` document: the probe
-    /// verdict of [`Self::to_json`] stamped with its schema version and
-    /// the git revision of the build that produced it.
-    pub fn to_json_stamped(&self, git_rev: &str) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema_version\": {},\n",
-                "  \"git_rev\": \"{}\",\n",
-                "  \"wide_default\": {},\n",
-                "  \"chunk_rows\": {},\n",
-                "  \"ns_per_row_wide\": {:.1},\n",
-                "  \"ns_per_row_narrow\": {:.1},\n",
-                "  \"probed\": {}\n",
-                "}}"
-            ),
-            CALIBRATION_SCHEMA_VERSION,
-            git_rev.replace(['"', '\\'], "_"),
-            self.wide_default,
-            self.chunk_rows,
-            self.ns_per_row_wide,
-            self.ns_per_row_narrow,
-            self.probed,
-        )
-    }
-}
-
-/// Builds the synthetic 4-state prepared table the probe drives: a
-/// deterministic multipath-looking channel per tag state, prepared
-/// through the real OFDM fast path.
-fn probe_prepared(sounder: &OfdmSounder) -> Vec<PreparedChannel> {
-    let n = sounder.frequency_offsets_hz().len();
-    (0..4u32)
-        .map(|state| {
-            let plane: Vec<Complex> = (0..n)
-                .map(|k| {
-                    let ph = 0.37 * k as f64 + 1.13 * state as f64;
-                    Complex::new(ph.cos(), ph.sin()) * (0.8 + 0.05 * state as f64)
-                })
-                .collect();
-            sounder.prepare(&plane)
-        })
-        .collect()
-}
-
-fn time_wide(sounder: &OfdmSounder, prepared: &[PreparedChannel], width: usize) -> f64 {
-    let n = sounder.frequency_offsets_hz().len();
-    let mut out = vec![Complex::ZERO; PROBE_ROWS * n];
-    let mut st = [0u8; MAX_CHUNK_ROWS];
-    let mut best = f64::INFINITY;
-    for rep in 0..PROBE_REPS {
-        let t0 = Instant::now();
-        let mut done = 0;
-        while done < PROBE_ROWS {
-            let rows = width.min(PROBE_ROWS - done);
-            for (r, slot) in st.iter_mut().enumerate().take(rows) {
-                *slot = ((done + r) % 4) as u8;
-            }
-            let base = &mut out[done * n..(done + rows) * n];
-            let lanes = sounder.estimate_prepared_counter_rows_into(
-                prepared,
-                &st[..rows],
-                0.01,
-                0x51D3_C0DE + rep as u64,
-                7,
-                done as u32,
-                base,
-            );
-            assert!(lanes.is_some(), "OFDM sounder must have a wide path");
-            done += rows;
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / PROBE_ROWS as f64);
-    }
-    best
-}
-
-fn time_narrow(sounder: &OfdmSounder, prepared: &[PreparedChannel]) -> f64 {
-    let n = sounder.frequency_offsets_hz().len();
-    let mut out = vec![Complex::ZERO; n];
-    let mut best = f64::INFINITY;
-    for rep in 0..PROBE_REPS {
-        let t0 = Instant::now();
-        for s in 0..PROBE_ROWS {
-            let mut cursor = CounterRng::for_snapshot(0x51D3_C0DE + rep as u64, 7, s as u32);
-            sounder.estimate_prepared_counter_into(&prepared[s % 4], 0.01, &mut cursor, &mut out);
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / PROBE_ROWS as f64);
-    }
-    best
-}
-
-fn run_probe() -> Calibration {
-    let pinned = std::env::var("WIFORCE_SYNTH_CHUNK_ROWS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|w| w.clamp(1, MAX_CHUNK_ROWS));
-    let sounder = OfdmSounder::wiforce();
-    let prepared = probe_prepared(&sounder);
-    // warm the FFT plan / scratch so the first timed candidate is not
-    // charged for one-time setup
-    let _ = time_wide(&sounder, &prepared, WIDTHS[0]);
-    let narrow = time_narrow(&sounder, &prepared);
-    let (chunk_rows, wide_ns, probed) = match pinned {
-        Some(w) => (w, time_wide(&sounder, &prepared, w), false),
-        None => {
-            let mut best = (WIDTHS[0], f64::INFINITY);
-            for &w in &WIDTHS {
-                let ns = time_wide(&sounder, &prepared, w);
-                if ns < best.1 {
-                    best = (w, ns);
-                }
-            }
-            (best.0, best.1, true)
-        }
-    };
-    Calibration {
-        wide_default: wide_ns <= narrow,
-        chunk_rows,
-        ns_per_row_wide: wide_ns,
-        ns_per_row_narrow: narrow,
-        probed,
-    }
-}
-
-/// The process-wide calibration, probed once on first use.
+/// The fixed dispatch, for the benchmark's `machine` block only.
 pub fn calibration() -> &'static Calibration {
-    static CAL: OnceLock<Calibration> = OnceLock::new();
-    CAL.get_or_init(run_probe)
+    static CAL: Calibration = Calibration {
+        wide_default: true,
+        chunk_rows: CHUNK_ROWS,
+        ns_per_row_wide: 0.0,
+        ns_per_row_narrow: 0.0,
+        probed: false,
+    };
+    &CAL
 }
 
-/// The SoA chunk width synthesis paths should drive
-/// (`WIFORCE_SYNTH_CHUNK_ROWS` else the probed optimum).
+/// [`CHUNK_ROWS`], for the benchmark's per-layer ledger only.
 pub fn synth_chunk_rows() -> usize {
-    calibration().chunk_rows
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn probe_picks_a_legal_width() {
-        let cal = calibration();
-        assert!((1..=MAX_CHUNK_ROWS).contains(&cal.chunk_rows));
-        assert!(cal.ns_per_row_wide.is_finite() && cal.ns_per_row_wide > 0.0);
-        assert!(cal.ns_per_row_narrow.is_finite() && cal.ns_per_row_narrow > 0.0);
-    }
-
-    #[test]
-    fn report_is_valid_json_shape() {
-        let cal = Calibration {
-            wide_default: true,
-            chunk_rows: 64,
-            ns_per_row_wide: 1000.0,
-            ns_per_row_narrow: 1500.0,
-            probed: true,
-        };
-        let s = cal.to_json();
-        assert!(s.contains("\"chunk_rows\": 64"));
-        assert!(s.contains("\"wide_default\": true"));
-    }
+    CHUNK_ROWS
 }

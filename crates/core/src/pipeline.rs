@@ -37,6 +37,29 @@ use wiforce_sensor::tag::ContactState;
 use wiforce_sensor::SensorTag;
 use wiforce_telemetry::trace;
 
+/// Snapshot rows per synthesis chunk: the unit of work handed to a
+/// synthesis worker and of one plane-kernel sounder call. Counter noise
+/// is addressed by `(key, group, snapshot, lane)`, so the width changes
+/// scheduling only, never the output bits.
+pub const CHUNK_ROWS: usize = 64;
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch that pins time-domain synthesis on this thread
+    /// to the row path, so the equivalence fixtures can compare the two.
+    static FORCE_ROW_PATH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with time-domain synthesis pinned to the row path on the
+/// calling thread (both dispatch decisions are made there).
+#[cfg(test)]
+pub(crate) fn with_row_path<T>(f: impl FnOnce() -> T) -> T {
+    FORCE_ROW_PATH.with(|c| c.set(true));
+    let out = f();
+    FORCE_ROW_PATH.with(|c| c.set(false));
+    out
+}
+
 /// Which mechanical contact model drives the simulation.
 #[derive(Debug, Clone)]
 pub enum Transducer {
@@ -261,15 +284,6 @@ pub struct Simulation {
     /// [`crate::parallel::default_workers`]); results are bit-identical
     /// at any setting.
     pub synth_workers: Option<usize>,
-    /// Structure-of-arrays wide synthesis: whole snapshot chunks go
-    /// through one plane-kernel sounder call instead of row-at-a-time
-    /// estimation. `None` defers to `WIFORCE_SYNTH_WIDE` (default on);
-    /// `Some(false)` pins the row path. The wide path is bitwise
-    /// identical to the row path — fixture-pinned — so this flag trades
-    /// nothing but speed. Falls back to rows automatically for sounders
-    /// without a wide entry (FMCW), moving scenes, and snapshot-drop
-    /// fault runs.
-    pub synth_wide: Option<bool>,
     /// Spectral-domain direct line synthesis: skip the time-domain
     /// snapshots entirely and generate the harmonic spectral lines at the
     /// consumed bins — the deterministic tag/scene contribution from a
@@ -279,7 +293,7 @@ pub struct Simulation {
     /// `WIFORCE_SYNTH_SPECTRAL` (default off). The spectral path is
     /// *not* bit-identical to the time-domain reference — it is
     /// distribution-equivalent and accuracy-gated by fixtures — so the
-    /// counter/wide paths above remain the bit-pinned reference. Falls
+    /// time-domain counter path remains the bit-pinned reference. Falls
     /// back to time-domain synthesis automatically for configurations
     /// outside its validity envelope (see `Simulation::spectral_eligible`).
     pub synth_spectral: Option<bool>,
@@ -320,35 +334,35 @@ impl Simulation {
             patch_edge_jitter_m: 0.25e-3,
             use_channel_cache: true,
             synth_workers: None,
-            synth_wide: None,
             synth_spectral: None,
             channel_cache: SharedChannelCache::new(),
         }
     }
 
-    /// Resolves the wide-synthesis flag: explicit field, else the
-    /// `WIFORCE_SYNTH_WIDE` environment toggle (read once), else the
-    /// one-shot startup calibration's verdict — wide defaults on only
-    /// when it actually beats the row path on this machine
-    /// ([`crate::calibrate::calibration`]). Either answer is
-    /// bit-identical; the flag trades nothing but speed.
+    /// Whether time-domain synthesis fills whole chunks of snapshot
+    /// rows with one plane-kernel sounder call instead of one call per
+    /// row. Decided by the configuration alone: the scene must be static
+    /// (the plane kernel consumes the per-state prepared soundings), no
+    /// snapshot may drop (a drop holds the previous row, serializing the
+    /// group), and the sounder must have a plane kernel (OFDM does, FMCW
+    /// does not). The plane path is bit-identical to the row path —
+    /// fixture-pinned — so this decides speed only; the row path stays
+    /// the reference and serves everything else.
     pub fn synth_wide_enabled(&self) -> bool {
-        static ENV: OnceLock<Option<bool>> = OnceLock::new();
-        self.synth_wide.unwrap_or_else(|| {
-            ENV.get_or_init(|| {
-                std::env::var("WIFORCE_SYNTH_WIDE")
-                    .ok()
-                    .map(|v| !(v == "0" || v.eq_ignore_ascii_case("off")))
-            })
-            .unwrap_or_else(|| crate::calibrate::calibration().wide_default)
-        })
+        #[cfg(test)]
+        if FORCE_ROW_PATH.with(|c| c.get()) {
+            return false;
+        }
+        self.scene.movers.is_empty()
+            && self.faults.snapshot_drop_prob == 0.0
+            && matches!(self.sounder, Sounder::Ofdm(_))
     }
 
     /// Resolves the spectral-synthesis flag: explicit field, else the
     /// `WIFORCE_SYNTH_SPECTRAL` environment toggle (read once), else off.
-    /// Unlike the wide flag this is an accuracy-class switch, not a pure
-    /// speed knob: the spectral path is distribution-equivalent (fixture
-    /// gated), not bit-identical, so it never defaults on.
+    /// Unlike the plane-kernel choice this is an accuracy-class switch,
+    /// not a pure speed knob: the spectral path is distribution-equivalent
+    /// (fixture gated), not bit-identical, so it never defaults on.
     pub fn synth_spectral_enabled(&self) -> bool {
         static ENV: OnceLock<bool> = OnceLock::new();
         self.synth_spectral.unwrap_or_else(|| {
@@ -370,10 +384,16 @@ impl Simulation {
     /// configuration for the per-bin response memo. Anything else falls
     /// back to the time-domain counter path.
     pub fn spectral_eligible(&self) -> bool {
+        self.spectral_eligible_under(&self.faults)
+    }
+
+    /// [`Self::spectral_eligible`] with `faults` in place of the
+    /// configuration's own (the batch engine injects per-reader faults).
+    pub(crate) fn spectral_eligible_under(&self, faults: &FaultConfig) -> bool {
         self.group.method == ExtractionMethod::MeanSubtractedDft
             && self.scene.movers.is_empty()
-            && self.faults.snapshot_drop_prob == 0.0
-            && self.faults.burst_prob == 0.0
+            && faults.snapshot_drop_prob == 0.0
+            && faults.burst_prob == 0.0
             && self.sounder.response_token().is_some()
             && self
                 .sounder
@@ -417,8 +437,8 @@ impl Simulation {
             .map(|p| ContactState::from_patch(&p, self.transducer.length_m()))
     }
 
-    /// Emits the channel cache's cumulative response-table hit rate and
-    /// the calibrated SoA chunk width as gauges, for health reports.
+    /// Emits the channel cache's cumulative response-table hit rate as a
+    /// gauge, for health reports.
     ///
     /// Deliberately *not* called from the per-press hot path: the memo's
     /// hit/miss counters are shared across workers and build races count
@@ -434,10 +454,6 @@ impl Simulation {
                 h as f64 / (h + m) as f64
             );
         }
-        wiforce_telemetry::gauge!(
-            "pipeline.synth_chunk_rows",
-            crate::calibrate::synth_chunk_rows() as f64
-        );
     }
 
     /// Absolute subcarrier frequencies, Hz.
@@ -712,14 +728,10 @@ impl Simulation {
         // enabled must synthesize in order as one chunk (the fallback for
         // a drop on a group's first snapshot is the noiseless truth — the
         // boundary is per group, which keeps groups independent)
-        // chunk width comes from the one-shot startup calibration
-        // (`WIFORCE_SYNTH_CHUNK_ROWS` overrides); any width produces the
-        // same bits because every draw is counter-addressed
-        let chunk_cap = crate::calibrate::synth_chunk_rows();
         let chunk_rows = if self.faults.snapshot_drop_prob > 0.0 {
             n
         } else {
-            chunk_cap.min(n)
+            CHUNK_ROWS.min(n)
         };
         let chunks_per_group = n.div_ceil(chunk_rows);
         let n_chunks = n_groups * chunks_per_group;
@@ -741,15 +753,11 @@ impl Simulation {
         let dropped = AtomicUsize::new(0);
         let bursts = AtomicUsize::new(0);
 
-        // wide (plane) synthesis eligibility: one sounder call fills a
-        // whole chunk of snapshot rows, so it needs the prepared
-        // static-scene fast path and drop-free rows (a drop holds the
-        // previous row, serializing the group). Wide chunks are at most
-        // CHUNK_ROWS, so the per-chunk state table lives on the stack —
-        // the wide path adds no per-chunk heap traffic.
-        let wide = self.synth_wide_enabled()
-            && prepared.is_some()
-            && self.faults.snapshot_drop_prob == 0.0;
+        // plane synthesis: one sounder call fills a whole chunk of rows.
+        // Plane chunks are at most CHUNK_ROWS, so the per-chunk state
+        // table lives on the stack — no per-chunk heap traffic.
+        let wide = self.synth_wide_enabled();
+        let plane_rows = AtomicU64::new(0);
 
         // Synthesizes rows [s0, s1) of group `g` straight into the output
         // region — one chunk of the work bag. Local tallies flush to the
@@ -771,21 +779,22 @@ impl Simulation {
             let (mut l_frontend_t, mut l_frontend_n) = (0_u64, 0_u64);
             let (mut l_dropped, mut l_bursts) = (0_usize, 0_usize);
             let mut l_exact = 0_u64;
-            let mut wide_done = false;
-            if wide && rows <= chunk_cap {
-                if let Some(states) = prepared.as_deref() {
-                    // the tag-state walk is the whole channel evaluation
-                    // on the prepared path: an O(1) table index per row
-                    let mut st = [0u8; crate::calibrate::MAX_CHUNK_ROWS];
-                    let mut runs = self.tag.clocks.runs(plan.t_tag0, plan.dt_eff, s0..s1);
-                    let mut filled = 0;
-                    for (state, len) in runs.by_ref() {
-                        st[filled..filled + len].fill(state as u8);
-                        filled += len;
-                    }
-                    l_exact += runs.exact_evals();
-                    let t1 = telem.then(fastclock::ticks);
-                    if let Some(lanes) = self.sounder.estimate_prepared_counter_rows_into(
+            if wide {
+                // the tag-state walk is the whole channel evaluation on
+                // the prepared path: an O(1) table index per row
+                let states = prepared.as_deref().expect("a static scene is prepared");
+                let mut st = [0u8; CHUNK_ROWS];
+                let mut runs = self.tag.clocks.runs(plan.t_tag0, plan.dt_eff, s0..s1);
+                let mut filled = 0;
+                for (state, len) in runs.by_ref() {
+                    st[filled..filled + len].fill(state as u8);
+                    filled += len;
+                }
+                l_exact += runs.exact_evals();
+                let t1 = telem.then(fastclock::ticks);
+                let lanes = self
+                    .sounder
+                    .estimate_prepared_counter_rows_into(
                         states,
                         &st[..rows],
                         self.frontend.noise_floor,
@@ -793,44 +802,42 @@ impl Simulation {
                         plan.group_id,
                         s0 as u32,
                         base,
-                    ) {
-                        l_eval_n += rows as u64;
-                        let t2 = telem.then(fastclock::ticks);
-                        if let (Some(a), Some(b)) = (t1, t2) {
-                            l_sounder_t += b.wrapping_sub(a);
-                            l_sounder_n += rows as u64;
-                        }
-                        for s in s0..s1 {
-                            let row_off = (s - s0) * n_cols;
-                            let row = &mut base[row_off..row_off + n_cols];
-                            // a fresh cursor skipped past the sounder's
-                            // lanes is state-identical to the cursor the
-                            // row path hands the fault/front-end stages,
-                            // so their draws stay bit-equal
-                            let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
-                            cursor.skip_normals(lanes as usize);
-                            if self.faults.apply_burst(&mut cursor, row, direct_amp) {
-                                l_bursts += 1;
-                            }
-                            self.frontend.process(&mut cursor, row, full_scale);
-                        }
-                        if let Some(b) = t2 {
-                            l_frontend_t += fastclock::ticks().wrapping_sub(b);
-                            l_frontend_n += rows as u64;
-                        }
-                        wide_done = true;
-                    }
+                    )
+                    .expect("an eligible sounder has a plane kernel");
+                l_eval_n += rows as u64;
+                let t2 = telem.then(fastclock::ticks);
+                if let (Some(a), Some(b)) = (t1, t2) {
+                    l_sounder_t += b.wrapping_sub(a);
+                    l_sounder_n += rows as u64;
                 }
+                for s in s0..s1 {
+                    let row_off = (s - s0) * n_cols;
+                    let row = &mut base[row_off..row_off + n_cols];
+                    // a fresh cursor skipped past the sounder's lanes is
+                    // state-identical to the cursor the row path hands
+                    // the fault/front-end stages, so their draws stay
+                    // bit-equal
+                    let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
+                    cursor.skip_normals(lanes as usize);
+                    if self.faults.apply_burst(&mut cursor, row, direct_amp) {
+                        l_bursts += 1;
+                    }
+                    self.frontend.process(&mut cursor, row, full_scale);
+                }
+                if let Some(b) = t2 {
+                    l_frontend_t += fastclock::ticks().wrapping_sub(b);
+                    l_frontend_n += rows as u64;
+                }
+                plane_rows.fetch_add(rows as u64, Ordering::Relaxed);
             }
-            let mut truth = if has_movers && !wide_done {
+            let mut truth = if has_movers {
                 vec![Complex::ZERO; n_cols]
             } else {
                 Vec::new()
             };
-            // row-at-a-time reference path (and the fallback for sounders
-            // without a wide entry): empty range when the plane call above
-            // already synthesized the chunk
-            let row_range = if wide_done { s0..s0 } else { s0..s1 };
+            // row-at-a-time reference path: empty range when the plane
+            // call above already synthesized the chunk
+            let row_range = if wide { s0..s0 } else { s0..s1 };
             let mut runs = self
                 .tag
                 .clocks
@@ -1017,6 +1024,7 @@ impl Simulation {
             );
             let total = (n_groups * n) as u64;
             wiforce_telemetry::counter!("pipeline.snapshots_total", total);
+            wiforce_telemetry::counter!("synth.plane_rows", plane_rows.into_inner());
             wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals.into_inner());
             let yielded = total.saturating_sub(total_dropped as u64);
             wiforce_telemetry::gauge!(
@@ -2073,18 +2081,17 @@ mod tests {
             ("movers", moving),
         ] {
             for workers in [1usize, 4, 8] {
-                let run = |wide: bool| {
+                let run = || {
                     let mut sim = base.clone();
                     sim.synth_workers = Some(workers);
-                    sim.synth_wide = Some(wide);
                     let mut rng = StdRng::seed_from_u64(21);
                     let mut clock = TagClock::new(&mut rng);
                     let mut noise = PressNoise::from_seed(0xD1CE_0000 + workers as u64);
                     let contact = sim.contact_for(3.0, 0.030);
                     sim.run_snapshots(contact.as_ref(), 3, &mut clock, &mut noise)
                 };
-                let w = run(true);
-                let r = run(false);
+                let w = run();
+                let r = with_row_path(run);
                 assert_eq!(w.n_rows(), r.n_rows());
                 for (i, (x, y)) in w.as_slice().iter().zip(r.as_slice()).enumerate() {
                     assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} w{workers} at {i}");
@@ -2100,23 +2107,62 @@ mod tests {
         // (the extracted lines are functions of the synthesized bits)
         let contact_sim = fast_sim(0.9e9);
         let contact = contact_sim.contact_for(4.0, 0.040);
-        let run = |wide: bool| {
+        let run = || {
             let mut sim = fast_sim(0.9e9);
             sim.synth_workers = Some(4);
-            sim.synth_wide = Some(wide);
             let mut rng = StdRng::seed_from_u64(23);
             let mut clock = TagClock::new(&mut rng);
             let mut noise = PressNoise::from_seed(0xBEEF);
             sim.run_groups(contact.as_ref(), 3, &mut clock, &mut noise)
         };
-        let w = run(true);
-        let r = run(false);
+        let w = run();
+        let r = with_row_path(run);
         assert_eq!(w.len(), r.len());
         for (a, b) in w.iter().zip(&r) {
             for (x, y) in a.p1.iter().chain(&a.p2).zip(b.p1.iter().chain(&b.p2)) {
                 assert_eq!(x.re.to_bits(), y.re.to_bits());
                 assert_eq!(x.im.to_bits(), y.im.to_bits());
             }
+        }
+    }
+
+    /// Serializes the tests that flip the process-wide telemetry gate, so
+    /// one test switching it off cannot blank another's recording.
+    static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn health_reports_which_time_domain_path_ran() {
+        // the plane kernel serves every row of a static, drop-free OFDM
+        // run; a mover, snapshot drops or the FMCW sounder put every row
+        // on the row path
+        let share = |sim: &Simulation| {
+            let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+            wiforce_telemetry::set_enabled(true);
+            wiforce_telemetry::reset();
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut clock = TagClock::new(&mut rng);
+            let mut noise = PressNoise::from_seed(0x5A4E);
+            let contact = sim.contact_for(3.0, 0.030);
+            sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut noise);
+            let snap = wiforce_telemetry::take();
+            wiforce_telemetry::set_enabled(false);
+            wiforce_telemetry::health::PipelineHealth::from_snapshot(&snap).plane_row_share
+        };
+        for carrier in [0.9e9, 2.4e9] {
+            let sim = Simulation::paper_default(carrier);
+            assert_eq!(share(&sim), Some(1.0), "paper default at {carrier} Hz");
+        }
+        let mut moving = Simulation::paper_default(0.9e9);
+        moving
+            .scene
+            .movers
+            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+        let mut dropping = Simulation::paper_default(0.9e9);
+        dropping.faults.snapshot_drop_prob = 0.05;
+        let fmcw = Simulation::paper_default(0.9e9).with_fmcw_sounder();
+        for (name, sim) in [("mover", moving), ("drops", dropping), ("fmcw", fmcw)] {
+            assert!(!sim.synth_wide_enabled(), "{name}");
+            assert_eq!(share(&sim), Some(0.0), "{name}");
         }
     }
 
@@ -2313,16 +2359,15 @@ mod tests {
     #[test]
     fn spectral_path_is_bit_deterministic_across_dispatch_knobs() {
         // the spectral walk runs on the calling thread and draws only
-        // from counter cursors, so worker count, wide mode, and the
-        // channel cache must not move a single bit — and the press must
-        // differ from the counter path's realization (proof the dispatch
-        // actually took the spectral arm)
+        // from counter cursors, so worker count and the channel cache
+        // must not move a single bit — and the press must differ from
+        // the counter path's realization (proof the dispatch actually
+        // took the spectral arm)
         let contact = fast_sim(0.9e9).contact_for(3.0, 0.030);
-        let run = |spectral: bool, workers: usize, wide: bool, cache: bool| {
+        let run = |spectral: bool, workers: usize, cache: bool| {
             let mut sim = fast_sim(0.9e9);
             sim.synth_spectral = Some(spectral);
             sim.synth_workers = Some(workers);
-            sim.synth_wide = Some(wide);
             sim.use_channel_cache = cache;
             let mut rng = StdRng::seed_from_u64(77);
             let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
@@ -2332,13 +2377,13 @@ mod tests {
                 w.line_power.to_bits(),
             )
         };
-        let base = run(true, 1, false, true);
-        assert_eq!(base, run(true, 1, false, true), "same-seed repeat");
-        assert_eq!(base, run(true, 4, true, true), "workers/wide knobs");
-        assert_eq!(base, run(true, 8, false, false), "uncached channel");
+        let base = run(true, 1, true);
+        assert_eq!(base, run(true, 1, true), "same-seed repeat");
+        assert_eq!(base, run(true, 4, true), "workers knob");
+        assert_eq!(base, run(true, 8, false), "uncached channel");
         assert_ne!(
             base,
-            run(false, 1, false, true),
+            run(false, 1, true),
             "spectral press must be a distinct realization from counter"
         );
     }
@@ -2398,6 +2443,7 @@ mod tests {
         let mut sim = Simulation::paper_default(0.9e9);
         sim.synth_spectral = Some(true);
         assert!(sim.spectral_eligible());
+        let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
         wiforce_telemetry::set_enabled(true);
         wiforce_telemetry::reset();
         let mut rng = StdRng::seed_from_u64(0xED6E);

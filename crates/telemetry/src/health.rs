@@ -15,13 +15,14 @@ use crate::{Histogram, TelemetrySnapshot};
 
 /// Current `PipelineHealth` JSON schema version. Bump when keys change.
 /// v3 added `response_table_hit_rate` (per-scene sounding-response memo
-/// hits over total lookups; null before any lookup) and
-/// `synth_chunk_rows` (the SoA chunk width the calibrated synthesis
-/// paths drive).
+/// hits over total lookups; null before any lookup) and a gauge of the
+/// SoA chunk width a startup probe chose.
 /// v4 removed the keys of two retired synthesis arms: the adaptive
 /// snapshot budget's yield (added in v2) and the superposition batch
 /// occupancy (added in v3).
-pub const HEALTH_SCHEMA_VERSION: u64 = 4;
+/// v5 replaced the chunk-width gauge (the width is now a constant) with
+/// `plane_row_share`.
+pub const HEALTH_SCHEMA_VERSION: u64 = 5;
 
 /// Latency statistics for one span path.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,9 +93,11 @@ pub struct PipelineHealth {
     /// Hit rate of the per-scene sounding-response memo (`None` before
     /// any lookup was recorded).
     pub response_table_hit_rate: Option<f64>,
-    /// SoA chunk width the synthesis paths ran at (`None` when no
-    /// synthesis reported it).
-    pub synth_chunk_rows: Option<f64>,
+    /// Share of sounded snapshots the time-domain plane kernel
+    /// synthesized (`synth.plane_rows` over `pipeline.snapshots_total`);
+    /// the rest took the row path or the spectral arm. `None` when no
+    /// time-domain synthesis ran.
+    pub plane_row_share: Option<f64>,
 }
 
 impl PipelineHealth {
@@ -135,7 +138,11 @@ impl PipelineHealth {
             .get("estimator.reference_locked")
             .map(|&v| v != 0.0);
         let response_table_hit_rate = snap.gauges.get("pipeline.response_table_hit_rate").copied();
-        let synth_chunk_rows = snap.gauges.get("pipeline.synth_chunk_rows").copied();
+        let plane_row_share = counter("synth.plane_rows").and_then(|plane| {
+            counter("pipeline.snapshots_total")
+                .filter(|&total| total > 0)
+                .map(|total| plane as f64 / total as f64)
+        });
 
         PipelineHealth {
             schema_version: HEALTH_SCHEMA_VERSION,
@@ -146,7 +153,7 @@ impl PipelineHealth {
             snapshot_yield,
             reference_locked,
             response_table_hit_rate,
-            synth_chunk_rows,
+            plane_row_share,
         }
     }
 
@@ -172,9 +179,9 @@ impl PipelineHealth {
             Some(r) => w.number("response_table_hit_rate", r),
             None => w.number("response_table_hit_rate", f64::NAN),
         };
-        match self.synth_chunk_rows {
-            Some(r) => w.number("synth_chunk_rows", r),
-            None => w.number("synth_chunk_rows", f64::NAN),
+        match self.plane_row_share {
+            Some(r) => w.number("plane_row_share", r),
+            None => w.number("plane_row_share", f64::NAN),
         };
         w.begin_array_key("stages");
         for s in &self.stages {
@@ -262,6 +269,7 @@ mod tests {
         snap.spans.insert("pipeline.measure_press".into(), h);
         snap.counters.insert("pipeline.snapshots_total".into(), 100);
         snap.counters.insert("faults.snapshots_dropped".into(), 4);
+        snap.counters.insert("synth.plane_rows".into(), 25);
         snap.gauges.insert("pipeline.line_to_floor_db".into(), 31.5);
         snap.gauges.insert("estimator.reference_locked".into(), 1.0);
         snap.gauges
@@ -279,6 +287,7 @@ mod tests {
         assert_eq!(health.schema_version, HEALTH_SCHEMA_VERSION);
         assert!((health.snapshot_yield.unwrap() - 0.96).abs() < 1e-12);
         assert_eq!(health.response_table_hit_rate, Some(0.44));
+        assert_eq!(health.plane_row_share, Some(0.25));
         assert_eq!(health.reference_locked, Some(true));
         let stage = health.stage("pipeline.measure_press").unwrap();
         assert_eq!(stage.count, 3);
@@ -293,12 +302,14 @@ mod tests {
         let health = PipelineHealth::from_snapshot(&TelemetrySnapshot::default());
         assert_eq!(health.snapshot_yield, None);
         assert_eq!(health.response_table_hit_rate, None);
+        assert_eq!(health.plane_row_share, None);
         assert_eq!(health.reference_locked, None);
         assert!(health.stages.is_empty());
         // and the JSON still parses with the required keys present
         let v = json::parse(&health.to_json()).unwrap();
         assert_eq!(v.get("snapshot_yield"), Some(&json::Value::Null));
         assert_eq!(v.get("response_table_hit_rate"), Some(&json::Value::Null));
+        assert_eq!(v.get("plane_row_share"), Some(&json::Value::Null));
         assert!(v.get("stages").unwrap().as_array().unwrap().is_empty());
     }
 

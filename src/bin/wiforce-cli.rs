@@ -114,9 +114,11 @@ impl Args {
     fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
         match self.get(name) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: '{v}' is not a number")),
+            Some(v) => match v.parse::<f64>() {
+                Err(_) => Err(format!("--{name}: '{v}' is not a number")),
+                Ok(x) if !x.is_finite() => Err(format!("--{name}: '{v}' is not a finite number")),
+                Ok(x) => Ok(x),
+            },
         }
     }
 
@@ -211,7 +213,7 @@ fn usage() -> &'static str {
      serve/trace/metrics: --streams N  --presses N  --readers N  --workers N  --queue N\n\
      \x20       --faults none|harsh|saturating  --overflow stall|drop-newest\n\
      \x20       --throttle-ms N  --watch 1  --carrier-ghz F  --seed N  --model F.wfm\n\
-     \x20       --synth-mode auto|spectral|wide|row  pin the synthesis arm\n\
+     \x20       --synth-mode auto|spectral|td  pin the synthesis arm\n\
      serve: --trace PATH  --metrics PATH    trace: --out PATH    metrics: --out PATH"
 }
 
@@ -606,25 +608,14 @@ fn cmd_health(args: &Args) -> Result<(), String> {
 /// runs. Returns the report plus the reader/worker counts for display.
 fn run_serve_workload(args: &Args) -> Result<(BatchReport, usize, usize), String> {
     let mut sim = sim_from(args)?;
-    // pin the synthesis arm regardless of WIFORCE_SYNTH_* env defaults;
-    // "auto" keeps env/heuristic selection. spectral falls back to the
+    // pin the synthesis arm regardless of WIFORCE_SYNTH_SPECTRAL;
+    // "auto" keeps the env selection. spectral falls back to the
     // time-domain arm per-reader when the scene is ineligible.
     match args.get("synth-mode").unwrap_or("auto") {
         "auto" => {}
         "spectral" => sim.synth_spectral = Some(true),
-        "wide" => {
-            sim.synth_spectral = Some(false);
-            sim.synth_wide = Some(true);
-        }
-        "row" => {
-            sim.synth_spectral = Some(false);
-            sim.synth_wide = Some(false);
-        }
-        other => {
-            return Err(format!(
-                "--synth-mode '{other}': expected auto|spectral|wide|row"
-            ))
-        }
+        "td" => sim.synth_spectral = Some(false),
+        other => return Err(format!("--synth-mode '{other}': expected auto|spectral|td")),
     }
     let streams = args.u64_or("streams", 4)?.max(1) as usize;
     let presses = args.u64_or("presses", 4)?.max(1) as usize;
@@ -868,5 +859,34 @@ mod tests {
         )
         .unwrap_or_else(|e| panic!("valid serve flags rejected: {e}"));
         assert_eq!(args.get("streams"), Some("8"));
+    }
+
+    #[test]
+    fn number_flags_reject_non_finite_values() {
+        for (flag, value) in [
+            ("force", "nan"),
+            ("location-mm", "inf"),
+            ("carrier-ghz", "nan"),
+        ] {
+            let args = parse("press", &[&format!("--{flag}"), value]).expect("flag parses");
+            assert_eq!(
+                args.f64_or(flag, 1.0),
+                Err(format!("--{flag}: '{value}' is not a finite number"))
+            );
+        }
+        let ok = parse("press", &["--carrier-ghz", "2.4"]).expect("flag parses");
+        assert_eq!(ok.f64_or("carrier-ghz", 0.9), Ok(2.4));
+    }
+
+    #[test]
+    fn serve_synth_mode_has_no_wide_or_row_arm() {
+        for mode in ["wide", "row"] {
+            let args = parse("serve", &["--synth-mode", mode]).expect("flag parses");
+            let err = run_serve_workload(&args).expect_err("retired arm rejected");
+            assert_eq!(
+                err,
+                format!("--synth-mode '{mode}': expected auto|spectral|td")
+            );
+        }
     }
 }

@@ -8,15 +8,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::harmonics::extract_lines;
 use wiforce::pipeline::{PressNoise, Simulation, TagClock};
+use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::Complex;
 use wiforce_reader::{ChannelSounder, OfdmSounder};
 
 fn bench_ofdm_estimate(c: &mut Criterion) {
     let s = OfdmSounder::wiforce();
     let truth = vec![Complex::ONE; 64];
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut out = vec![Complex::ZERO; 64];
+    let mut snapshot = 0u32;
     c.bench_function("ofdm_channel_estimate", |b| {
-        b.iter(|| s.estimate(black_box(&truth), 1e-4, &mut rng))
+        b.iter(|| {
+            snapshot = snapshot.wrapping_add(1);
+            let mut cursor = CounterRng::for_snapshot(1, 0, snapshot);
+            s.estimate_counter_into(black_box(&truth), 1e-4, &mut cursor, &mut out);
+        })
     });
 }
 

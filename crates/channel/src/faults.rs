@@ -60,18 +60,18 @@ impl FaultConfig {
         nominal_hz * (1.0 + self.tag_clock_ppm * 1e-6)
     }
 
-    /// Stateless drop decision: draws one uniform from `rng` iff
-    /// `snapshot_drop_prob > 0`. This is the pure predicate under
-    /// [`FaultInjector::drops_snapshot`], exposed so counter-addressed
-    /// synthesis can make the same decision from a snapshot-local cursor
-    /// (no injector state, no telemetry) and tally events in bulk.
+    /// Drop decision for one snapshot: draws one uniform from `rng` iff
+    /// `snapshot_drop_prob > 0`. Stateless, so counter-addressed
+    /// synthesis makes it from a snapshot-local cursor on any worker and
+    /// tallies the events in bulk.
     pub fn decide_drop<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.snapshot_drop_prob > 0.0 && uniform(rng, 0.0, 1.0) < self.snapshot_drop_prob
     }
 
-    /// Stateless burst decision + injection twin of
-    /// [`FaultInjector::maybe_burst`]: returns `true` when a burst was
-    /// applied to `estimates`.
+    /// Burst decision and injection for one snapshot: draws one uniform
+    /// from `rng` iff `burst_prob > 0`, then on a hit adds complex AWGN
+    /// at `burst_rel_amp · direct_amp` to every estimate. Returns `true`
+    /// when a burst was applied to `estimates`.
     pub fn apply_burst<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -90,119 +90,49 @@ impl FaultConfig {
     }
 }
 
-/// Stateful fault injector for one capture run.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    config: FaultConfig,
-    dropped: usize,
-    bursts: usize,
-}
-
-impl FaultInjector {
-    /// Creates an injector for a capture run.
-    pub fn new(config: FaultConfig) -> Self {
-        FaultInjector {
-            config,
-            dropped: 0,
-            bursts: 0,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Decides whether snapshot `_n` is dropped entirely.
-    pub fn drops_snapshot<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        if self.config.decide_drop(rng) {
-            self.dropped += 1;
-            wiforce_telemetry::counter!("faults.snapshots_dropped", 1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Possibly injects an interference burst into a snapshot's estimates.
-    pub fn maybe_burst<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        estimates: &mut [Complex],
-        direct_amp: f64,
-    ) {
-        if self.config.apply_burst(rng, estimates, direct_amp) {
-            self.bursts += 1;
-            wiforce_telemetry::counter!("faults.bursts_injected", 1);
-        }
-    }
-
-    /// Folds fault tallies made outside the injector (parallel synthesis
-    /// workers decide drops/bursts from counter cursors and report their
-    /// totals here) into the run's counts and the telemetry counters.
-    pub fn add_external(&mut self, dropped: usize, bursts: usize) {
-        self.dropped += dropped;
-        self.bursts += bursts;
-        wiforce_telemetry::counter!("faults.snapshots_dropped", dropped as u64);
-        wiforce_telemetry::counter!("faults.bursts_injected", bursts as u64);
-    }
-
-    /// Snapshots dropped so far.
-    pub fn dropped_count(&self) -> usize {
-        self.dropped
-    }
-
-    /// Bursts injected so far.
-    pub fn burst_count(&self) -> usize {
-        self.bursts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn none_never_faults() {
-        let mut inj = FaultInjector::new(FaultConfig::none());
+        let cfg = FaultConfig::none();
         let mut rng = StdRng::seed_from_u64(0);
         let mut est = vec![Complex::ONE; 4];
         for _ in 0..1000 {
-            assert!(!inj.drops_snapshot(&mut rng));
-            inj.maybe_burst(&mut rng, &mut est, 1.0);
+            assert!(!cfg.decide_drop(&mut rng));
+            assert!(!cfg.apply_burst(&mut rng, &mut est, 1.0));
         }
-        assert_eq!(inj.dropped_count(), 0);
-        assert_eq!(inj.burst_count(), 0);
         assert_eq!(est, vec![Complex::ONE; 4]);
+        // a fault-free profile draws nothing from the stream
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(0).next_u64());
     }
 
     #[test]
     fn drop_rate_approximates_probability() {
-        let mut inj = FaultInjector::new(FaultConfig {
+        let cfg = FaultConfig {
             snapshot_drop_prob: 0.1,
             ..FaultConfig::none()
-        });
+        };
         let mut rng = StdRng::seed_from_u64(1);
         let n = 50_000;
-        let dropped = (0..n).filter(|_| inj.drops_snapshot(&mut rng)).count();
+        let dropped = (0..n).filter(|_| cfg.decide_drop(&mut rng)).count();
         let rate = dropped as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "{rate}");
-        assert_eq!(inj.dropped_count(), dropped);
     }
 
     #[test]
     fn bursts_add_energy() {
-        let mut inj = FaultInjector::new(FaultConfig {
+        let cfg = FaultConfig {
             burst_prob: 1.0,
             burst_rel_amp: 0.5,
             ..FaultConfig::none()
-        });
+        };
         let mut rng = StdRng::seed_from_u64(2);
         let mut est = vec![Complex::ZERO; 1000];
-        inj.maybe_burst(&mut rng, &mut est, 1.0);
-        assert_eq!(inj.burst_count(), 1);
+        assert!(cfg.apply_burst(&mut rng, &mut est, 1.0));
         let p: f64 = est.iter().map(|z| z.norm_sqr()).sum::<f64>() / est.len() as f64;
         assert!((p - 0.25).abs() < 0.05, "{p}");
     }
@@ -215,90 +145,23 @@ mod tests {
             cfg.burst_rel_amp > 1.0,
             "bursts must exceed the direct path"
         );
-        let mut inj = FaultInjector::new(cfg);
         let mut rng = StdRng::seed_from_u64(3);
         let mut est = vec![Complex::ZERO; 64];
-        let mut dropped = 0;
+        let (mut dropped, mut bursts) = (0, 0);
         for _ in 0..2000 {
-            if inj.drops_snapshot(&mut rng) {
+            if cfg.decide_drop(&mut rng) {
                 dropped += 1;
-            } else {
-                inj.maybe_burst(&mut rng, &mut est, 1.0);
+            } else if cfg.apply_burst(&mut rng, &mut est, 1.0) {
+                bursts += 1;
             }
         }
-        assert_eq!(dropped, inj.dropped_count());
         let rate = dropped as f64 / 2000.0;
         assert!((rate - 0.10).abs() < 0.03, "drop rate {rate}");
-        assert!(inj.burst_count() > 0);
+        assert!(bursts > 0);
         // a burst at 10× the direct path lands far outside any sane
         // full-scale setting, i.e. the front end will clip it
         let peak = est.iter().map(|z| z.abs()).fold(0.0_f64, f64::max);
         assert!(peak > 1.0, "burst peak {peak}");
-    }
-
-    #[test]
-    fn fault_events_recorded_in_telemetry() {
-        // the drop/burst counts must reach the telemetry recorder, not
-        // just the injector's own fields
-        wiforce_telemetry::reset();
-        wiforce_telemetry::set_enabled(true);
-        let mut inj = FaultInjector::new(FaultConfig {
-            snapshot_drop_prob: 0.5,
-            burst_prob: 1.0,
-            burst_rel_amp: 0.1,
-            ..FaultConfig::none()
-        });
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut est = vec![Complex::ZERO; 4];
-        for _ in 0..100 {
-            let _ = inj.drops_snapshot(&mut rng);
-        }
-        inj.maybe_burst(&mut rng, &mut est, 1.0);
-        wiforce_telemetry::set_enabled(false);
-        let snap = wiforce_telemetry::take();
-        assert_eq!(
-            snap.counters.get("faults.snapshots_dropped").copied(),
-            Some(inj.dropped_count() as u64)
-        );
-        assert_eq!(
-            snap.counters.get("faults.bursts_injected").copied(),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn stateless_predicates_match_injector_stream() {
-        // decide_drop/apply_burst must consume the same draws and make
-        // the same decisions as the stateful injector methods — the
-        // counter-addressed synthesis path depends on this equivalence.
-        let cfg = FaultConfig::saturating();
-        let mut inj = FaultInjector::new(cfg);
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        let mut est_a = vec![Complex::ZERO; 8];
-        let mut est_b = vec![Complex::ZERO; 8];
-        let mut external = (0, 0);
-        for _ in 0..500 {
-            let da = inj.drops_snapshot(&mut a);
-            let db = cfg.decide_drop(&mut b);
-            assert_eq!(da, db);
-            if !da {
-                inj.maybe_burst(&mut a, &mut est_a, 1.0);
-                if cfg.apply_burst(&mut b, &mut est_b, 1.0) {
-                    external.1 += 1;
-                }
-            } else {
-                external.0 += 1;
-            }
-        }
-        assert_eq!(est_a, est_b);
-        assert_eq!(inj.dropped_count(), external.0);
-        assert_eq!(inj.burst_count(), external.1);
-        // and folding external tallies reproduces the injector's counts
-        let mut fold = FaultInjector::new(cfg);
-        fold.add_external(external.0, external.1);
-        assert_eq!(fold.dropped_count(), inj.dropped_count());
-        assert_eq!(fold.burst_count(), inj.burst_count());
     }
 
     #[test]

@@ -78,29 +78,6 @@ impl Frontend {
         no_noise.capture(rng, estimates, full_scale, 0.0);
     }
 
-    /// Like [`Self::process`], but with the jitter draw pre-supplied:
-    /// `g` is the standard normal the sequential path would have drawn
-    /// from its RNG at this point (ignored when `phase_jitter_rad == 0`,
-    /// where the sequential path draws nothing). Lets a wide producer
-    /// pre-draw a whole snapshot block's scalars in exact stream order
-    /// and then apply the front end per row without an RNG in hand —
-    /// bit-identical to `process` fed the same draw.
-    pub fn process_with_jitter_normal(&self, g: f64, estimates: &mut [Complex], full_scale: f64) {
-        let jitter = if self.phase_jitter_rad > 0.0 {
-            Complex::cis(self.phase_jitter_rad * g)
-        } else {
-            Complex::ONE
-        };
-        for h in estimates.iter_mut() {
-            *h *= jitter;
-        }
-        if self.adc_enob_bits > 0 && full_scale > 0.0 {
-            let levels = (1u64 << self.adc_enob_bits.min(62)) as f64;
-            let step = 2.0 * full_scale / levels;
-            wiforce_dsp::kernels::quantize_complex(estimates, full_scale, step);
-        }
-    }
-
     /// Processes one snapshot of per-subcarrier channel estimates.
     ///
     /// `full_scale` is the AGC reference amplitude (typically the strongest
@@ -235,37 +212,6 @@ mod tests {
         let p: f64 = est.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         let expect = (0.01f64 * 2.0).powi(2);
         assert!((p / expect - 1.0).abs() < 0.05, "{p} vs {expect}");
-    }
-
-    #[test]
-    fn pre_drawn_jitter_matches_process_bitwise() {
-        let fe = Frontend {
-            adc_enob_bits: 10,
-            noise_floor: 0.0,
-            phase_jitter_rad: 0.2f64.to_radians(),
-        };
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut a = vec![Complex::new(0.31, -0.12); 16];
-        let mut b = a.clone();
-        fe.process(&mut rng, &mut a, 1.0);
-        // replay: the same draw, pre-extracted as the wide producer does
-        let mut rng2 = StdRng::seed_from_u64(17);
-        let g = standard_normal(&mut rng2);
-        fe.process_with_jitter_normal(g, &mut b, 1.0);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-        // jitter off: no draw consumed, g is ignored
-        let quiet = Frontend {
-            phase_jitter_rad: 0.0,
-            ..fe
-        };
-        let mut c = vec![Complex::new(0.31, -0.12); 16];
-        let mut d = c.clone();
-        quiet.process(&mut rng, &mut c, 1.0);
-        quiet.process_with_jitter_normal(123.0, &mut d, 1.0);
-        assert_eq!(c, d);
     }
 
     #[test]

@@ -68,8 +68,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wiforce_channel::cache::ChannelCache;
-use wiforce_channel::faults::{FaultConfig, FaultInjector};
+use wiforce_channel::faults::FaultConfig;
 use wiforce_channel::{Frontend, Scene};
+use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::{Complex, SnapshotMatrix};
 use wiforce_reader::stream::{GroupItem, TagDemux};
 use wiforce_reader::ChannelSounder;
@@ -447,17 +448,19 @@ impl StreamSynth {
 
 /// The single logical producer of one reader: owns the RNG and all
 /// synthesis state, so the group sequence is deterministic no matter
-/// which worker thread runs it. The press-invariant channel state comes
-/// from the template simulation's [`wiforce_channel::SharedChannelCache`],
-/// so N readers on one scene evaluate the static response exactly once
-/// between them.
+/// which worker thread runs it. The RNG draws only the tag clocks and one
+/// press key per group; every noise lane is counter-addressed under that
+/// key. The press-invariant channel state comes from the template
+/// simulation's [`wiforce_channel::SharedChannelCache`], so N readers on
+/// one scene evaluate the static response exactly once between them.
 struct ReaderProducer {
     streams: Vec<StreamSynth>,
     scene: Scene,
     cache: Arc<ChannelCache>,
     sounder: Sounder,
     frontend: Frontend,
-    injector: FaultInjector,
+    /// This reader's fault regime.
+    faults: FaultConfig,
     rng: StdRng,
     n_snapshots: usize,
     t_snap: f64,
@@ -465,32 +468,29 @@ struct ReaderProducer {
     wander_ppm: f64,
     reference_groups: usize,
     groups_done: u64,
+    /// Fault tallies over the groups produced so far.
+    snapshots_dropped: u64,
+    bursts_injected: u64,
     truth: Vec<Complex>,
-    /// Sounder normals per snapshot when groups go through the plane
-    /// kernel in blocks of [`CHUNK_ROWS`]: the template's
-    /// [`Simulation::synth_wide_enabled`], with no fault of this reader
-    /// drawing from the RNG mid-stream. `None` keeps the row path.
-    plane_normals: Option<usize>,
+    /// Time-domain rows go through the sounder's truth-plane kernel in
+    /// blocks of [`CHUNK_ROWS`]: [`Simulation::synth_wide_enabled`] under
+    /// this reader's faults. `false` keeps the row path.
+    plane: bool,
     /// Spectral-domain line synthesis resolved from the template
     /// ([`Simulation::synth_spectral_enabled`]) and this reader's
     /// eligibility ([`Simulation::spectral_eligible_under`] its faults).
-    /// Takes priority over the plane path when engaged.
+    /// Takes priority over the time-domain rows when engaged.
     spectral: bool,
     /// Per-snapshot, per-subcarrier estimate-noise sigma (per component)
     /// of the sounder — the unitarity input of the spectral path. 0 when
     /// `spectral` is off.
     sigma_est: f64,
-    /// Wide-path scratch: row-major truth plane for one snapshot block.
+    /// Plane-path scratch: row-major truth plane for one snapshot block.
     truth_plane: Vec<Complex>,
-    /// Wide-path scratch: pre-drawn sounder normals, `rows ×
-    /// seq_normals_per_estimate`, drawn in exact row-path stream order.
+    /// Spectral scratch: one line's noise normals.
     normals: Vec<f64>,
-    /// Wide-path scratch: one pre-drawn jitter normal per snapshot
-    /// (only drawn when the front end actually jitters).
+    /// Spectral scratch: the group's common-mode jitter sequence.
     jitters: Vec<f64>,
-    /// Box–Muller uniform scratch for the pre-draw.
-    u1s: Vec<f64>,
-    u2s: Vec<f64>,
     /// Snapshot matrices previously handed out; any entry whose consumers
     /// have all dropped (strong count back to 1) is recycled, so steady
     /// state reuses the group-sized buffers instead of reallocating.
@@ -514,13 +514,7 @@ impl ReaderProducer {
         // inside its validity envelope under this reader's faults.
         let sigma_est = sim.sounder.estimate_noise_sigma(sim.frontend.noise_floor);
         let spectral = sim.synth_spectral_enabled() && sim.spectral_eligible_under(&spec.faults);
-        // the plane path pre-draws each snapshot's sequential scalars, so
-        // faults that draw from (or consult) the RNG mid-stream keep rows
-        let plane_normals = (sim.synth_wide_enabled()
-            && spec.faults.snapshot_drop_prob == 0.0
-            && spec.faults.burst_prob == 0.0)
-            .then(|| sim.sounder.seq_normals_per_estimate())
-            .flatten();
+        let plane = sim.synth_wide_enabled_under(&spec.faults);
         // Slot tables are built once per distinct contact of this
         // reader's schedules. The reflection network depends only on the
         // tag's electrical parts (line, switches, splitter) — identical
@@ -573,7 +567,7 @@ impl ReaderProducer {
             cache,
             sounder: sim.sounder,
             frontend: sim.frontend,
-            injector: FaultInjector::new(spec.faults),
+            faults: spec.faults,
             rng,
             n_snapshots: sim.group.n_snapshots,
             t_snap: sim.group.snapshot_period_s,
@@ -581,15 +575,15 @@ impl ReaderProducer {
             wander_ppm: sim.tag_clock_wander_ppm,
             reference_groups: cfg.reference_groups,
             groups_done: 0,
+            snapshots_dropped: 0,
+            bursts_injected: 0,
             truth,
-            plane_normals,
+            plane,
             spectral,
             sigma_est: sigma_est.unwrap_or(0.0),
             truth_plane: Vec::new(),
             normals: Vec::new(),
             jitters: Vec::new(),
-            u1s: Vec::new(),
-            u2s: Vec::new(),
             retired: Vec::new(),
         }
     }
@@ -611,147 +605,154 @@ impl ReaderProducer {
         SnapshotMatrix::new(width)
     }
 
-    /// Synthesises the next phase group of shared snapshots: one channel
-    /// sounding per snapshot serves every tag stream, with the same
-    /// drop/burst/front-end discipline as `Simulation::run_snapshots_into`.
-    /// Returns the group behind an [`Arc`] whose buffer is recycled once
-    /// every consumer has dropped it.
+    /// Synthesises the next phase group: the shared preamble (reclaim
+    /// the group matrix, step every stream's clock, draw the group's press
+    /// key — the one sequential draw per group, after which every noise
+    /// lane is a pure function of `(key, group, snapshot or bin, lane)`),
+    /// then one of two line sources — [`Self::spectral_lines`] or
+    /// [`Self::time_domain_rows`] — then the group's counters. Returns
+    /// the group behind an [`Arc`] whose buffer is recycled once every
+    /// consumer has dropped it.
     fn produce_group(&mut self) -> (u64, Arc<SnapshotMatrix>) {
-        if self.spectral {
-            return self.produce_group_spectral();
-        }
         let _span = wiforce_telemetry::span!("batch.produce_group");
         let seq = self.groups_done;
         self.groups_done += 1;
+        let mut out = self.reclaim_matrix(self.cache.statics.len());
+        for s in self.streams.iter_mut() {
+            s.clock.step_group(self.wander_ppm, &mut self.rng);
+        }
+        let key = self.rng.next_u64();
+        let (dropped, bursts) = if self.spectral {
+            self.spectral_lines(seq, key, &mut out);
+            (0, 0)
+        } else {
+            self.time_domain_rows(seq, key, &mut out)
+        };
+        self.snapshots_dropped += dropped;
+        self.bursts_injected += bursts;
+        let n = self.n_snapshots as u64;
+        let exact_evals: u64 = self
+            .streams
+            .iter_mut()
+            .map(|s| s.walk.take_exact_evals())
+            .sum();
+        if wiforce_telemetry::enabled() {
+            wiforce_telemetry::counter!("batch.groups_produced", 1);
+            if self.spectral {
+                wiforce_telemetry::counter!("batch.spectral_groups", 1);
+            } else {
+                wiforce_telemetry::counter!("synth.plane_rows", if self.plane { n } else { 0 });
+            }
+            wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
+            // a spectral group still stands in for n soundings of reader time
+            wiforce_telemetry::counter!("pipeline.snapshots_total", n);
+            wiforce_telemetry::counter!("faults.snapshots_dropped", dropped);
+            wiforce_telemetry::counter!("faults.bursts_injected", bursts);
+        }
+        let group = Arc::new(out);
+        self.retired.push(Arc::clone(&group));
+        (seq, group)
+    }
+
+    /// Time-domain line source: the group's `n` shared snapshot rows —
+    /// one channel sounding per snapshot serves every tag stream. Each
+    /// snapshot draws at [`CounterRng::for_snapshot`]`(key, group, s)` in
+    /// `Simulation::synth_counter`'s order: drop decision → sounder →
+    /// burst → front end. On the plane path [`CHUNK_ROWS`] rows share one
+    /// truth-plane sounder call, and each row's cursor then skips the
+    /// sounder's lanes before its burst and front-end draws, so the plane
+    /// path is bit-identical to the row path. Returns the group's
+    /// `(dropped, bursts)` tallies.
+    fn time_domain_rows(&mut self, seq: u64, key: u64, out: &mut SnapshotMatrix) -> (u64, u64) {
         let n = self.n_snapshots;
         let width = self.cache.statics.len();
-        let mut out = self.reclaim_matrix(width);
+        let group = seq as u32;
+        let (t_snap, t_int, reference_groups) = (self.t_snap, self.t_int, self.reference_groups);
+        let plane = self.plane;
         out.reserve_rows(n);
-        let drift_ppm = self.injector.config().tag_clock_ppm;
-        let t_snap = self.t_snap;
-        let t_int = self.t_int;
-        let wander_ppm = self.wander_ppm;
-        let reference_groups = self.reference_groups;
-        let plane_normals = self.plane_normals;
         let ReaderProducer {
             streams,
             scene,
             cache,
             sounder,
             frontend,
-            injector,
-            rng,
+            faults,
             truth,
             truth_plane,
-            normals,
-            jitters,
-            u1s,
-            u2s,
-            retired,
             ..
         } = self;
         let has_movers = !scene.movers.is_empty();
-        for s in streams.iter_mut() {
-            s.clock.step_group(wander_ppm, rng);
-        }
-        if let Some(npr) = plane_normals {
-            // plane path: per block, evaluate the truth plane and pre-draw
-            // each snapshot's scalars in exact row-path stream order
-            // (2·n sounder normals, then the jitter normal iff the front
-            // end jitters), then hand the whole block to the sounder's
-            // plane kernel and apply the front end per row
-            let noise_std = frontend.noise_floor;
-            let mut done = 0;
-            while done < n {
-                let rows = CHUNK_ROWS.min(n - done);
+        let mut eval = |row: &mut [Complex]| {
+            eval_shared_truth(
+                streams,
+                scene,
+                cache,
+                seq,
+                reference_groups,
+                t_snap,
+                t_int,
+                faults.tag_clock_ppm,
+                has_movers,
+                row,
+            )
+        };
+        let (mut dropped, mut bursts) = (0u64, 0u64);
+        if plane {
+            let mut s0 = 0;
+            while s0 < n {
+                let rows = CHUNK_ROWS.min(n - s0);
                 truth_plane.clear();
                 truth_plane.resize(rows * width, Complex::ZERO);
-                normals.clear();
-                normals.resize(rows * npr, 0.0);
-                jitters.clear();
-                jitters.resize(rows, 0.0);
-                for r in 0..rows {
-                    eval_shared_truth(
-                        streams,
-                        scene,
-                        cache,
-                        seq,
-                        reference_groups,
-                        t_snap,
-                        t_int,
-                        drift_ppm,
-                        has_movers,
-                        &mut truth_plane[r * width..(r + 1) * width],
-                    );
-                    wiforce_dsp::rng::draw_box_muller_uniforms(rng, npr, u1s, u2s);
-                    wiforce_dsp::fastmath::standard_normals_from_uniforms(
-                        u1s,
-                        u2s,
-                        &mut normals[r * npr..(r + 1) * npr],
-                    );
-                    if frontend.phase_jitter_rad > 0.0 {
-                        jitters[r] = wiforce_dsp::rng::standard_normal(rng);
-                    }
-                }
+                truth_plane.chunks_exact_mut(width).for_each(&mut eval);
                 let est = out.extend_rows(rows);
-                let ok = sounder.estimate_rows_prenoise_into(truth_plane, noise_std, normals, est);
-                assert!(ok, "seq_normals_per_estimate implies a wide rows path");
+                let lanes = sounder
+                    .estimate_counter_rows_into(
+                        truth_plane,
+                        frontend.noise_floor,
+                        key,
+                        group,
+                        s0 as u32,
+                        est,
+                    )
+                    .expect("an eligible sounder has a plane kernel");
                 for (r, row) in est.chunks_exact_mut(width).enumerate() {
-                    frontend.process_with_jitter_normal(jitters[r], row, cache.full_scale);
+                    let mut cursor = CounterRng::for_snapshot(key, group, (s0 + r) as u32);
+                    cursor.skip_normals(lanes as usize);
+                    bursts += u64::from(faults.apply_burst(&mut cursor, row, cache.direct_amp));
+                    frontend.process(&mut cursor, row, cache.full_scale);
                 }
-                done += rows;
+                s0 += rows;
             }
         } else {
-            for _snap in 0..n {
-                eval_shared_truth(
-                    streams,
-                    scene,
-                    cache,
-                    seq,
-                    reference_groups,
-                    t_snap,
-                    t_int,
-                    drift_ppm,
-                    has_movers,
-                    truth,
-                );
-                if injector.drops_snapshot(rng) {
+            for s in 0..n {
+                eval(truth);
+                let mut cursor = CounterRng::for_snapshot(key, group, s as u32);
+                if faults.decide_drop(&mut cursor) {
+                    // a drop holds the previous row; the group's first
+                    // snapshot falls back to its noiseless truth
+                    dropped += 1;
                     if out.n_rows() > 0 {
                         out.push_copy_of_last();
                     } else {
                         out.push_row(truth);
                     }
-                } else {
-                    let row = out.push_row_default();
-                    sounder.estimate_into(truth, frontend.noise_floor, rng, row);
-                    injector.maybe_burst(rng, row, cache.direct_amp);
-                    frontend.process(rng, row, cache.full_scale);
+                    continue;
                 }
+                let row = out.push_row_default();
+                sounder.estimate_counter_into(truth, frontend.noise_floor, &mut cursor, row);
+                bursts += u64::from(faults.apply_burst(&mut cursor, row, cache.direct_amp));
+                frontend.process(&mut cursor, row, cache.full_scale);
             }
         }
-        let exact_evals: u64 = streams.iter_mut().map(|s| s.walk.take_exact_evals()).sum();
-        if wiforce_telemetry::enabled() {
-            wiforce_telemetry::counter!("batch.groups_produced", 1);
-            wiforce_telemetry::counter!("pipeline.snapshots_total", n as u64);
-            wiforce_telemetry::counter!(
-                "synth.plane_rows",
-                if plane_normals.is_some() { n as u64 } else { 0 }
-            );
-            wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
-            wiforce_telemetry::counter!("faults.snapshots_dropped", 0);
-            wiforce_telemetry::counter!("faults.bursts_injected", 0);
-        }
-        let group = Arc::new(out);
-        retired.push(Arc::clone(&group));
-        (seq, group)
+        (dropped, bursts)
     }
 
-    /// Spectral-domain twin of [`Self::produce_group`]: produces each
-    /// stream's two consumed spectral lines *directly* — no time-domain
-    /// snapshots ever exist. The returned matrix has `2·n_streams` rows
-    /// (rows `2i`/`2i+1` are stream `i`'s `fs`/`4fs` lines across
-    /// subcarriers, phase-referenced to the group's reader start time),
-    /// which consumers feed straight to [`ForceEstimator::push_lines`].
+    /// Spectral line source: produces each stream's two consumed
+    /// spectral lines *directly* — no time-domain snapshots ever exist.
+    /// `out` gets `2·n_streams` rows (rows `2i`/`2i+1` are stream `i`'s
+    /// `fs`/`4fs` lines across subcarriers, phase-referenced to the
+    /// group's reader start time), which consumers feed straight to
+    /// [`ForceEstimator::push_lines`].
     ///
     /// Model per stream line `ω = 2π·f·T` (see
     /// `Simulation::synth_lines_spectral` for the derivation):
@@ -763,38 +764,24 @@ impl ReaderProducer {
     /// keyed `(key, group, bin)`; and the per-snapshot front-end phase
     /// jitter drawn once per group and projected onto every line, so the
     /// jitter correlation across streams and lines of the shared
-    /// time-domain rows is preserved. One sequential RNG draw per group
-    /// (the press key).
-    fn produce_group_spectral(&mut self) -> (u64, Arc<SnapshotMatrix>) {
-        let _span = wiforce_telemetry::span!("batch.produce_group");
-        let seq = self.groups_done;
-        self.groups_done += 1;
+    /// time-domain rows is preserved.
+    fn spectral_lines(&mut self, seq: u64, key: u64, out: &mut SnapshotMatrix) {
         let n = self.n_snapshots;
         let width = self.cache.statics.len();
-        let drift_ppm = self.injector.config().tag_clock_ppm;
+        let drift_ppm = self.faults.tag_clock_ppm;
         let t_snap = self.t_snap;
         let t_int = self.t_int;
-        let wander_ppm = self.wander_ppm;
         let reference_groups = self.reference_groups;
         let sigma_est = self.sigma_est;
-        let mut out = self.reclaim_matrix(width);
         out.reserve_rows(2 * self.streams.len());
         let ReaderProducer {
             streams,
             cache,
             frontend,
-            rng,
             normals,
             jitters,
-            retired,
             ..
         } = self;
-        for s in streams.iter_mut() {
-            s.clock.step_group(wander_ppm, rng);
-        }
-        // one sequential draw per group; every noise lane after it is a
-        // pure function of (key, group, bin, lane)
-        let key = rng.next_u64();
 
         // quantization folded in as additive uniform noise of variance
         // step²/12 (valid because the front-end jitter dithers ≳1 LSB)
@@ -890,19 +877,6 @@ impl ReaderProducer {
                 }
             }
         }
-        let exact_evals: u64 = streams.iter_mut().map(|s| s.walk.take_exact_evals()).sum();
-        if wiforce_telemetry::enabled() {
-            wiforce_telemetry::counter!("batch.groups_produced", 1);
-            wiforce_telemetry::counter!("batch.spectral_groups", 1);
-            wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
-            // the group still stands in for n soundings of reader time
-            wiforce_telemetry::counter!("pipeline.snapshots_total", n as u64);
-            wiforce_telemetry::counter!("faults.snapshots_dropped", 0);
-            wiforce_telemetry::counter!("faults.bursts_injected", 0);
-        }
-        let group = Arc::new(out);
-        retired.push(Arc::clone(&group));
-        (seq, group)
     }
 }
 
@@ -1397,8 +1371,8 @@ pub fn run_batch_observed(
     let groups_produced = sched.produced.iter().sum();
     let (mut snapshots_dropped, mut bursts_injected) = (0u64, 0u64);
     for p in sched.producers.iter().flatten() {
-        snapshots_dropped += p.injector.dropped_count() as u64;
-        bursts_injected += p.injector.burst_count() as u64;
+        snapshots_dropped += p.snapshots_dropped;
+        bursts_injected += p.bursts_injected;
     }
     let streams: Vec<StreamResult> = sched
         .consumers
@@ -1563,22 +1537,41 @@ mod tests {
 
     #[test]
     fn wide_producer_matches_row_path_bitwise() {
-        // the plane block path pre-draws the same scalars the row path
-        // draws, in the same stream order, so every reading must be
-        // bit-identical to the forced row path — with movers too (which
-        // route the producer to rows) — and at any worker count
-        let (mut sim, model) = template();
-        for movers in [false, true] {
-            if movers {
-                sim.scene
-                    .movers
-                    .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
-            }
-            let spec =
-                ReaderSpec::frequency_multiplexed(2, 2, 0xD1CE, &sim.group).expect("allocation");
+        // the plane block path draws every row's noise at the same
+        // counter coordinates as the row path, and the burst and
+        // front-end draws continue each row's cursor past the sounder's
+        // lanes, so every reading must be bit-identical to the forced row
+        // path — for a bursty reader too (which takes the plane path),
+        // with movers (which route the producer to rows), and at any
+        // worker count
+        let (sim, model) = template();
+        let mut moving = sim.clone();
+        moving
+            .scene
+            .movers
+            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+        let bursty = FaultConfig {
+            burst_prob: 0.02,
+            burst_rel_amp: 0.1,
+            ..FaultConfig::none()
+        };
+        for (name, sim, faults, plane) in [
+            ("clean", &sim, FaultConfig::none(), true),
+            ("bursts", &sim, bursty, true),
+            ("movers", &moving, FaultConfig::none(), false),
+        ] {
+            let spec = ReaderSpec::frequency_multiplexed(2, 2, 0xD1CE, &sim.group)
+                .expect("allocation")
+                .with_faults(faults);
+            let cfg = BatchConfig::wiforce(1);
+            assert_eq!(
+                ReaderProducer::build(sim, &spec, &cfg).plane,
+                plane,
+                "{name}"
+            );
             let run = |workers: usize| {
                 run_batch(
-                    &sim,
+                    sim,
                     &model,
                     std::slice::from_ref(&spec),
                     &BatchConfig::wiforce(workers),
@@ -1590,11 +1583,18 @@ mod tests {
             let wide8 = run(8);
             assert!(
                 row.deterministic_eq(&wide1),
-                "wide producer diverged from row path (movers: {movers})"
+                "wide producer diverged from row path ({name})"
             );
             assert!(
                 wide1.deterministic_eq(&wide8),
-                "wide producer lost worker invariance (movers: {movers})"
+                "wide producer lost worker invariance ({name})"
+            );
+            assert_eq!(row.bursts_injected, wide1.bursts_injected, "{name}");
+            assert_eq!(
+                row.bursts_injected > 0,
+                faults.burst_prob > 0.0,
+                "{name}: {} bursts",
+                row.bursts_injected
             );
             assert!(row.press_readings() > 0);
         }

@@ -295,6 +295,10 @@ impl SensorModel {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("bad force range"))?;
+        // `invert` clamps into this range, which aborts on NaN or min > max
+        if !(force_min_n.is_finite() && force_max_n.is_finite() && force_min_n <= force_max_n) {
+            return Err(bad("bad force range"));
+        }
         // the header's count is untrusted: reserve no more curves than
         // the file has lines left to hold them
         let mut curves = Vec::with_capacity(n.min(lines.clone().count()));
@@ -304,6 +308,7 @@ impl SensorModel {
             let loc: f64 = parts
                 .next()
                 .and_then(|v| v.trim().parse().ok())
+                .filter(|v: &f64| v.is_finite())
                 .ok_or_else(|| bad("bad location"))?;
             let parse_poly =
                 |chunk: Option<&str>| -> Result<wiforce_dsp::polyfit::Polynomial, Error> {
@@ -313,6 +318,9 @@ impl SensorModel {
                         .map(|v| v.parse::<f64>())
                         .collect();
                     let coeffs = coeffs.map_err(|_| bad("bad coefficient"))?;
+                    if coeffs.iter().any(|c| !c.is_finite()) {
+                        return Err(bad("bad coefficient"));
+                    }
                     if coeffs.is_empty() {
                         return Err(bad("empty coefficient set"));
                     }
@@ -394,6 +402,43 @@ mod persistence_tests {
         let path = tmp("garbage.wfm");
         std::fs::write(&path, "not a model\n1 2 3").unwrap();
         assert!(SensorModel::load(&path).is_err());
+    }
+
+    #[test]
+    fn load_rejects_non_finite_and_inverted_fields() {
+        // each of these used to load, then abort inversion in `f64::clamp`
+        let cases = [
+            (
+                "nan_location",
+                "WFM1 2 0 8\nnan | 0 1 | 0 1\n0.06 | 0 1 | 0 1\n",
+            ),
+            (
+                "inf_location",
+                "WFM1 2 0 8\n0.02 | 0 1 | 0 1\ninf | 0 1 | 0 1\n",
+            ),
+            (
+                "nan_bound",
+                "WFM1 2 nan 8\n0.02 | 0 1 | 0 1\n0.06 | 0 1 | 0 1\n",
+            ),
+            (
+                "inverted_range",
+                "WFM1 2 8 0\n0.02 | 0 1 | 0 1\n0.06 | 0 1 | 0 1\n",
+            ),
+            (
+                "nan_coefficient",
+                "WFM1 2 0 8\n0.02 | 0 nan | 0 1\n0.06 | 0 1 | 0 1\n",
+            ),
+        ];
+        for (name, text) in cases {
+            let path = tmp(&format!("hostile_{name}.wfm"));
+            std::fs::write(&path, text).unwrap();
+            let err = SensorModel::load(&path).expect_err(name);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+        }
+        // the same file with finite, ordered fields loads
+        let path = tmp("hostile_control.wfm");
+        std::fs::write(&path, "WFM1 2 0 8\n0.02 | 0 1 | 0 1\n0.06 | 0 1 | 0 1\n").unwrap();
+        assert!(SensorModel::load(&path).is_ok());
     }
 
     #[test]

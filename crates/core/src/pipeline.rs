@@ -24,7 +24,7 @@ use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use wiforce_channel::cache::{ChannelCache, SharedChannelCache};
-use wiforce_channel::faults::{FaultConfig, FaultInjector};
+use wiforce_channel::faults::FaultConfig;
 use wiforce_channel::{Frontend, Scene, StaticMultipath};
 use wiforce_dsp::rng::{standard_normal, CounterRng};
 use wiforce_dsp::{Complex, SnapshotMatrix, SnapshotView};
@@ -117,31 +117,6 @@ impl ChannelSounder for Sounder {
         }
     }
 
-    fn estimate(
-        &self,
-        true_channel: &[Complex],
-        noise_std: f64,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<Complex> {
-        match self {
-            Sounder::Ofdm(s) => s.estimate(true_channel, noise_std, rng),
-            Sounder::Fmcw(s) => s.estimate(true_channel, noise_std, rng),
-        }
-    }
-
-    fn estimate_into(
-        &self,
-        true_channel: &[Complex],
-        noise_std: f64,
-        rng: &mut dyn rand::RngCore,
-        out: &mut [Complex],
-    ) {
-        match self {
-            Sounder::Ofdm(s) => s.estimate_into(true_channel, noise_std, rng, out),
-            Sounder::Fmcw(s) => s.estimate_into(true_channel, noise_std, rng, out),
-        }
-    }
-
     fn prepare(&self, true_channel: &[Complex]) -> PreparedChannel {
         match self {
             Sounder::Ofdm(s) => s.prepare(true_channel),
@@ -195,6 +170,25 @@ impl ChannelSounder for Sounder {
         }
     }
 
+    fn estimate_counter_rows_into(
+        &self,
+        truths: &[Complex],
+        noise_std: f64,
+        key: u64,
+        group: u32,
+        snap0: u32,
+        out: &mut [Complex],
+    ) -> Option<u32> {
+        match self {
+            Sounder::Ofdm(s) => {
+                s.estimate_counter_rows_into(truths, noise_std, key, group, snap0, out)
+            }
+            Sounder::Fmcw(s) => {
+                s.estimate_counter_rows_into(truths, noise_std, key, group, snap0, out)
+            }
+        }
+    }
+
     fn response_token(&self) -> Option<u64> {
         match self {
             Sounder::Ofdm(s) => s.response_token(),
@@ -206,26 +200,6 @@ impl ChannelSounder for Sounder {
         match self {
             Sounder::Ofdm(s) => s.estimate_noise_sigma(noise_std),
             Sounder::Fmcw(s) => s.estimate_noise_sigma(noise_std),
-        }
-    }
-
-    fn seq_normals_per_estimate(&self) -> Option<usize> {
-        match self {
-            Sounder::Ofdm(s) => s.seq_normals_per_estimate(),
-            Sounder::Fmcw(s) => s.seq_normals_per_estimate(),
-        }
-    }
-
-    fn estimate_rows_prenoise_into(
-        &self,
-        truths: &[Complex],
-        noise_std: f64,
-        normals: &[f64],
-        out: &mut [Complex],
-    ) -> bool {
-        match self {
-            Sounder::Ofdm(s) => s.estimate_rows_prenoise_into(truths, noise_std, normals, out),
-            Sounder::Fmcw(s) => s.estimate_rows_prenoise_into(truths, noise_std, normals, out),
         }
     }
 }
@@ -349,12 +323,18 @@ impl Simulation {
     /// fixture-pinned — so this decides speed only; the row path stays
     /// the reference and serves everything else.
     pub fn synth_wide_enabled(&self) -> bool {
+        self.synth_wide_enabled_under(&self.faults)
+    }
+
+    /// [`Self::synth_wide_enabled`] with `faults` in place of the
+    /// configuration's own (the batch engine injects per-reader faults).
+    pub(crate) fn synth_wide_enabled_under(&self, faults: &FaultConfig) -> bool {
         #[cfg(test)]
         if FORCE_ROW_PATH.with(|c| c.get()) {
             return false;
         }
         self.scene.movers.is_empty()
-            && self.faults.snapshot_drop_prob == 0.0
+            && faults.snapshot_drop_prob == 0.0
             && matches!(self.sounder, Sounder::Ofdm(_))
     }
 
@@ -986,11 +966,11 @@ impl Simulation {
         };
         parallel::run_chunks(workers, n_chunks, &worker);
 
-        // fold fault tallies through an injector so the fault counters are
-        // declared even on clean runs (an add of 0 never double-counts)
+        // the fault counters are declared even on clean runs (an add of 0
+        // never double-counts)
         let total_dropped = dropped.into_inner();
-        let mut injector = FaultInjector::new(self.faults);
-        injector.add_external(total_dropped, bursts.into_inner());
+        wiforce_telemetry::counter!("faults.snapshots_dropped", total_dropped as u64);
+        wiforce_telemetry::counter!("faults.bursts_injected", bursts.into_inner() as u64);
 
         let lines: Vec<GroupLines> = if fused.is_some() {
             line_slots

@@ -8,14 +8,13 @@
 //! ~4 ulp of the correctly-rounded result — orders of magnitude below the
 //! simulated noise floor and invisible at the precision any experiment
 //! reports) for a formulation built purely from IEEE-exact `f64`
-//! arithmetic with branch-free selects, so the batched transform
-//! auto-vectorizes.
+//! arithmetic with branch-free selects, so the Philox noise kernels that
+//! apply [`box_muller`] per lane auto-vectorize.
 //!
 //! Determinism guarantees, verified by tests:
-//! * scalar [`ln_fast`]/[`cos_tau`] and the batched
-//!   [`standard_normals_from_uniforms`] produce bit-identical values for
-//!   the same inputs — the batch is the same arithmetic, evaluated
-//!   lane-parallel;
+//! * the bulk Philox fills in [`crate::kernels`] produce the same bits as
+//!   scalar [`box_muller`] on the same uniforms — the kernel is the same
+//!   arithmetic, evaluated lane-parallel;
 //! * the SIMD instantiations (dispatched via [`crate::kernels`]) are
 //!   semantics-preserving auto-vectorization of the scalar code (no FMA
 //!   contraction, no reassociation), so results do not depend on which
@@ -116,23 +115,6 @@ pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * ln_fast(u1)).sqrt() * cos_tau(u2)
 }
 
-/// Transforms pre-drawn Box–Muller uniform pairs into standard normals:
-/// `out[i] = √(−2 ln u1s[i]) · cos(2π u2s[i])`.
-///
-/// Every `u1s[i]` must be positive and normal (see
-/// [`crate::rng::draw_box_muller_uniforms`], which guarantees it).
-/// Delegates to the runtime-dispatched
-/// [`crate::kernels::box_muller_normals`] kernel; every backend produces
-/// the same bits as the scalar [`box_muller`].
-///
-/// # Panics
-/// Panics if the three slices differ in length.
-pub fn standard_normals_from_uniforms(u1s: &[f64], u2s: &[f64], out: &mut [f64]) {
-    assert_eq!(u1s.len(), out.len(), "one u1 per output normal");
-    assert_eq!(u2s.len(), out.len(), "one u2 per output normal");
-    crate::kernels::box_muller_normals(u1s, u2s, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,28 +163,5 @@ mod tests {
         ] {
             check(edge);
         }
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_scalar() {
-        // covers the AVX2 dispatch on machines that take it
-        let mut rng = StdRng::seed_from_u64(13);
-        let n = 1013; // deliberately not a multiple of any vector width
-        let u1s: Vec<f64> = (0..n)
-            .map(|_| rng.gen::<f64>().max(f64::MIN_POSITIVE))
-            .collect();
-        let u2s: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
-        let mut batched = vec![0.0; n];
-        standard_normals_from_uniforms(&u1s, &u2s, &mut batched);
-        for i in 0..n {
-            let scalar = box_muller(u1s[i], u2s[i]);
-            assert_eq!(batched[i].to_bits(), scalar.to_bits(), "element {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one u1 per output normal")]
-    fn batch_checks_lengths() {
-        standard_normals_from_uniforms(&[0.5], &[0.5, 0.5], &mut [0.0, 0.0]);
     }
 }

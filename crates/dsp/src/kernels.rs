@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD kernels for the pipeline's inner loops.
 //!
-//! Every hot per-sample loop in the simulator — Box–Muller noise fill,
+//! Every hot per-sample loop in the simulator — Philox noise fill,
 //! complex multiply-accumulate (Goertzel row passes, tag-response
 //! synthesis, preamble repeat averaging), phase wrapping, window
 //! application, ADC quantization — funnels through this module. Each
@@ -50,7 +50,6 @@ impl Backend {
 pub const KERNEL_NAMES: &[&str] = &[
     "philox_normals",
     "philox_normals_rows",
-    "box_muller_normals",
     "cmac_scaled",
     "cmac_sub_scaled",
     "synth_truth",
@@ -230,29 +229,6 @@ simd_kernel! {
     pub fn philox_normals_rows(key: [u32; 2], grp_dom: [u32; 2], snap0: u32, lanes: usize, out: &mut [f64])
         = philox_normals_rows_body / philox_normals_rows_avx2
         / philox_normals_rows_avx512 / philox_normals_rows_neon
-}
-
-// ---------------------------------------------------------------------
-// Box–Muller noise fill
-// ---------------------------------------------------------------------
-
-#[inline(always)]
-fn box_muller_normals_body(u1s: &[f64], u2s: &[f64], out: &mut [f64]) {
-    for ((o, &u1), &u2) in out.iter_mut().zip(u1s).zip(u2s) {
-        *o = crate::fastmath::box_muller(u1, u2);
-    }
-}
-
-simd_kernel! {
-    /// Transforms Box–Muller uniform pairs into standard normals:
-    /// `out[i] = √(−2 ln u1s[i]) · cos(2π u2s[i])`, bit-identical to the
-    /// scalar [`crate::fastmath::box_muller`] per element. Every `u1s[i]`
-    /// must be positive and normal (see
-    /// [`crate::rng::draw_box_muller_uniforms`]). Slices must share one
-    /// length (debug-asserted; the zip truncates in release).
-    pub fn box_muller_normals(u1s: &[f64], u2s: &[f64], out: &mut [f64])
-        = box_muller_normals_body / box_muller_normals_avx2
-        / box_muller_normals_avx512 / box_muller_normals_neon
 }
 
 // ---------------------------------------------------------------------
@@ -646,23 +622,6 @@ mod tests {
     // bit-identical, at lengths straddling the chunk width.
 
     #[test]
-    fn box_muller_kernel_matches_scalar_bitwise() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for n in [0, 1, 7, 8, 9, 64, 640, 1013] {
-            let u1s: Vec<f64> = (0..n)
-                .map(|_| rng.gen::<f64>().max(f64::MIN_POSITIVE))
-                .collect();
-            let u2s: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
-            let mut fast = vec![0.0; n];
-            box_muller_normals(&u1s, &u2s, &mut fast);
-            for i in 0..n {
-                let want = crate::fastmath::box_muller(u1s[i], u2s[i]);
-                assert_eq!(fast[i].to_bits(), want.to_bits(), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
     fn philox_kernel_matches_scalar_bitwise() {
         let key = [0xDEAD_BEEF, 0x0123_4567];
         let ctr_hi = [17, 3, 1];
@@ -918,74 +877,42 @@ mod tests {
     #[test]
     #[ignore = "manual micro-benchmark of the per-ISA instantiations"]
     fn timing_per_isa() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 640;
-        let u1s: Vec<f64> = (0..n)
-            .map(|_| rng.gen::<f64>().max(f64::MIN_POSITIVE))
-            .collect();
-        let u2s: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
-        let mut out = vec![0.0; n];
-        let iters = 20000;
-        type FillFn<'a> = &'a mut dyn FnMut(&[f64], &[f64], &mut [f64]);
+        // one 64-snapshot block of OFDM sounder noise: 128 lanes per row
+        let (rows, lanes) = (64usize, 128usize);
+        let key = [0x5EED, 0xB10C];
+        let mut out = vec![0.0; rows * lanes];
+        let iters = 2000;
+        type FillFn<'a> = &'a mut dyn FnMut(&mut [f64]);
         let mut time = |f: FillFn| {
             let t = std::time::Instant::now();
             for _ in 0..iters {
-                f(&u1s, &u2s, &mut out);
+                f(&mut out);
             }
             t.elapsed().as_secs_f64() / iters as f64 * 1e6
         };
-        println!("scalar body: {:.2} us", time(&mut box_muller_normals_body));
+        println!(
+            "scalar body: {:.2} us",
+            time(&mut |o| philox_normals_rows_body(key, [3, 0], 0, lanes, o))
+        );
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 println!(
                     "avx2: {:.2} us",
-                    time(&mut |a, b, o| unsafe { box_muller_normals_avx2(a, b, o) })
+                    // Safety: AVX2 support was just detected.
+                    time(&mut |o| unsafe { philox_normals_rows_avx2(key, [3, 0], 0, lanes, o) })
                 );
             }
-            if std::arch::is_x86_feature_detected!("avx512f") {
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+            {
                 println!(
                     "avx512: {:.2} us",
-                    time(&mut |a, b, o| unsafe { box_muller_normals_avx512(a, b, o) })
+                    // Safety: AVX-512 F+DQ+VL support was just detected.
+                    time(&mut |o| unsafe { philox_normals_rows_avx512(key, [3, 0], 0, lanes, o) })
                 );
             }
-        }
-    }
-
-    /// The per-ISA instantiations themselves (not just whatever backend
-    /// dispatch picked) must agree with the scalar body on machines that
-    /// have the features.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn isa_instantiations_match_scalar_bitwise() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let n = 1013;
-        let u1s: Vec<f64> = (0..n)
-            .map(|_| rng.gen::<f64>().max(f64::MIN_POSITIVE))
-            .collect();
-        let u2s: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
-        let mut scalar = vec![0.0; n];
-        box_muller_normals_body(&u1s, &u2s, &mut scalar);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut v = vec![0.0; n];
-            // Safety: AVX2 support was just detected.
-            unsafe { box_muller_normals_avx2(&u1s, &u2s, &mut v) };
-            assert_eq!(
-                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            );
-        }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-        {
-            let mut v = vec![0.0; n];
-            // Safety: AVX-512 F+DQ+VL support was just detected.
-            unsafe { box_muller_normals_avx512(&u1s, &u2s, &mut v) };
-            assert_eq!(
-                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            );
         }
     }
 

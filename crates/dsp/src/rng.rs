@@ -14,9 +14,8 @@ use rand::Rng;
 /// Draws one standard-normal sample via the Box–Muller transform.
 ///
 /// The transform runs on the polynomial kernels in [`crate::fastmath`]
-/// (within ~4 ulp of libm), so one sample drawn here is bit-identical to
-/// the same draw produced by the batched
-/// [`fastmath::standard_normals_from_uniforms`] path.
+/// (within ~4 ulp of libm), the same scalar [`fastmath::box_muller`] the
+/// Philox bulk kernels apply per lane.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Guard the log against u1 == 0.
     let u1: f64 = loop {
@@ -27,34 +26,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     };
     let u2: f64 = rng.gen();
     fastmath::box_muller(u1, u2)
-}
-
-/// Draws the uniform pairs for `n_normals` Box–Muller samples into `u1s`
-/// and `u2s` (cleared first), consuming the RNG stream exactly as
-/// `n_normals` sequential [`standard_normal`] calls would — including the
-/// guard that redraws a zero `u1`. Feed the pairs to
-/// [`fastmath::standard_normals_from_uniforms`] for the batched (and
-/// bit-identical) transform.
-pub fn draw_box_muller_uniforms<R: Rng + ?Sized>(
-    rng: &mut R,
-    n_normals: usize,
-    u1s: &mut Vec<f64>,
-    u2s: &mut Vec<f64>,
-) {
-    u1s.clear();
-    u2s.clear();
-    u1s.reserve(n_normals);
-    u2s.reserve(n_normals);
-    for _ in 0..n_normals {
-        let u1: f64 = loop {
-            let u: f64 = rng.gen();
-            if u > f64::MIN_POSITIVE {
-                break u;
-            }
-        };
-        u1s.push(u1);
-        u2s.push(rng.gen());
-    }
 }
 
 /// Draws a normal sample with the given mean and standard deviation.
@@ -300,23 +271,6 @@ mod tests {
         // total power ≈ variance
         let p: f64 = zs.iter().map(|z| z.norm_sqr()).sum::<f64>() / zs.len() as f64;
         assert!((p - 4.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn batched_draw_matches_sequential_normals_bitwise() {
-        let mut seq = StdRng::seed_from_u64(17);
-        let mut bat = StdRng::seed_from_u64(17);
-        let n = 513;
-        let sequential: Vec<f64> = (0..n).map(|_| standard_normal(&mut seq)).collect();
-        let (mut u1s, mut u2s) = (Vec::new(), Vec::new());
-        draw_box_muller_uniforms(&mut bat, n, &mut u1s, &mut u2s);
-        let mut batched = vec![0.0; n];
-        crate::fastmath::standard_normals_from_uniforms(&u1s, &u2s, &mut batched);
-        for (a, b) in sequential.iter().zip(&batched) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // both paths leave the RNG in the same state
-        assert_eq!(seq.next_u64(), bat.next_u64());
     }
 
     #[test]

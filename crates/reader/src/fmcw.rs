@@ -11,8 +11,7 @@
 //! the downstream algorithm cannot tell them apart — which is the claim.
 
 use crate::sounder::ChannelSounder;
-use rand::RngCore;
-use wiforce_dsp::rng::complex_gaussian;
+use wiforce_dsp::rng::{complex_gaussian, CounterRng};
 use wiforce_dsp::Complex;
 
 /// FMCW sounding configuration.
@@ -61,30 +60,15 @@ impl ChannelSounder for FmcwSounder {
         self.sweep_s
     }
 
-    fn estimate(
+    /// Dechirped FMCW measures `H` at each instantaneous frequency with
+    /// per-sample noise; the sweep integrates one beat sample per point,
+    /// so each point takes one complex Gaussian from the cursor, in sweep
+    /// order.
+    fn estimate_counter_into(
         &self,
         true_channel: &[Complex],
         noise_std: f64,
-        rng: &mut dyn RngCore,
-    ) -> Vec<Complex> {
-        assert_eq!(
-            true_channel.len(),
-            self.n_points,
-            "one channel sample per sweep point"
-        );
-        // dechirped FMCW measures H at each instantaneous frequency with
-        // per-sample noise; the sweep integrates one beat sample per point
-        true_channel
-            .iter()
-            .map(|&h| h + complex_gaussian(rng, noise_std * noise_std))
-            .collect()
-    }
-
-    fn estimate_into(
-        &self,
-        true_channel: &[Complex],
-        noise_std: f64,
-        rng: &mut dyn RngCore,
+        cursor: &mut CounterRng,
         out: &mut [Complex],
     ) {
         assert_eq!(
@@ -98,7 +82,7 @@ impl ChannelSounder for FmcwSounder {
             "output buffer must match the estimate grid"
         );
         for (o, &h) in out.iter_mut().zip(true_channel) {
-            *o = h + complex_gaussian(rng, noise_std * noise_std);
+            *o = h + complex_gaussian(cursor, noise_std * noise_std);
         }
     }
 }
@@ -106,8 +90,20 @@ impl ChannelSounder for FmcwSounder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// One sweep estimated with noise drawn at `(key, 0, snapshot)`.
+    fn estimate(
+        f: &FmcwSounder,
+        truth: &[Complex],
+        noise: f64,
+        key: u64,
+        snapshot: u32,
+    ) -> Vec<Complex> {
+        let mut cursor = CounterRng::for_snapshot(key, 0, snapshot);
+        let mut out = vec![Complex::ZERO; f.n_points];
+        f.estimate_counter_into(truth, noise, &mut cursor, &mut out);
+        out
+    }
 
     #[test]
     fn grid_matches_ofdm_span() {
@@ -130,18 +126,7 @@ mod tests {
     fn noiseless_estimate_exact() {
         let f = FmcwSounder::matched_to_ofdm();
         let truth: Vec<Complex> = (0..64).map(|i| Complex::cis(i as f64 * 0.1)).collect();
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(f.estimate(&truth, 0.0, &mut rng), truth);
-    }
-
-    #[test]
-    fn estimate_into_matches_estimate_bitwise() {
-        let f = FmcwSounder::matched_to_ofdm();
-        let truth: Vec<Complex> = (0..64).map(|i| Complex::cis(i as f64 * 0.3)).collect();
-        let expected = f.estimate(&truth, 0.2, &mut StdRng::seed_from_u64(7));
-        let mut out = vec![Complex::ZERO; 64];
-        f.estimate_into(&truth, 0.2, &mut StdRng::seed_from_u64(7), &mut out);
-        assert_eq!(out, expected);
+        assert_eq!(estimate(&f, &truth, 0.0, 0, 0), truth);
     }
 
     #[test]
@@ -149,7 +134,6 @@ mod tests {
         // Same pin for the counter-cursor path: prepared and full
         // variants at one coordinate must agree bitwise and consume the
         // same lanes.
-        use wiforce_dsp::rng::CounterRng;
         let f = FmcwSounder::matched_to_ofdm();
         let truth: Vec<Complex> = (0..64).map(|i| Complex::cis(i as f64 * 0.2)).collect();
         let prepared = f.prepare(&truth);
@@ -176,10 +160,9 @@ mod tests {
     fn noise_is_applied_per_point() {
         let f = FmcwSounder::matched_to_ofdm();
         let truth = vec![Complex::ZERO; 64];
-        let mut rng = StdRng::seed_from_u64(1);
         let mut p = 0.0;
-        for _ in 0..200 {
-            let est = f.estimate(&truth, 0.1, &mut rng);
+        for t in 0..200 {
+            let est = estimate(&f, &truth, 0.1, 1, t);
             p += est.iter().map(|z| z.norm_sqr()).sum::<f64>() / 64.0;
         }
         p /= 200.0;

@@ -13,16 +13,14 @@
 //! pass instead of five, same distribution, which the tests verify.
 
 use crate::sounder::{ChannelSounder, PreparedChannel};
-use rand::RngCore;
 use std::cell::RefCell;
-use wiforce_dsp::fastmath::standard_normals_from_uniforms;
 use wiforce_dsp::fft::{ifft, with_plan};
-use wiforce_dsp::rng::draw_box_muller_uniforms;
+use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::Complex;
 
 /// Per-thread scratch for the allocation-free OFDM estimation path:
 /// cached preamble symbols and their equalization reciprocals (keyed by
-/// configuration) and two reusable frame-sized buffers.
+/// configuration) and reusable frame- and plane-sized buffers.
 struct OfdmScratch {
     key: (usize, u64),
     symbols: Vec<Complex>,
@@ -31,11 +29,9 @@ struct OfdmScratch {
     eq: Vec<Complex>,
     rx_sym: Vec<Complex>,
     avg: Vec<Complex>,
-    u1s: Vec<f64>,
-    u2s: Vec<f64>,
     normals: Vec<f64>,
-    /// The four per-state payloads flattened state-major for the wide
-    /// (snapshot-plane) synthesis path.
+    /// Noiseless received symbols for the plane paths: the four
+    /// per-state payloads state-major, or one payload per truth row.
     payload_plane: Vec<Complex>,
 }
 
@@ -51,7 +47,85 @@ impl OfdmScratch {
             self.key = (n, sounder.preamble_seed);
         }
     }
+
+    /// The shared row tail: averages `signal` with the `2n` noise normals
+    /// at the cursor (per-component std `amp`), FFTs the frame, and
+    /// LS-equalizes it into `out` in ascending-offset order.
+    fn finish_row(
+        &mut self,
+        signal: &[Complex],
+        amp: f64,
+        cursor: &mut CounterRng,
+        out: &mut [Complex],
+    ) {
+        let n = signal.len();
+        let half = n / 2;
+        self.normals.clear();
+        self.normals.resize(2 * n, 0.0);
+        cursor.fill_normals(&mut self.normals);
+        self.avg.clear();
+        self.avg.resize(n, Complex::ZERO);
+        wiforce_dsp::kernels::accumulate_noisy(&mut self.avg, signal, &self.normals, amp);
+        with_plan(n, |plan| plan.forward_inplace(&mut self.avg));
+        for (i, slot) in out.iter_mut().enumerate() {
+            let bin = (i + n - half) % n;
+            *slot = self.avg[bin] * self.eq[bin];
+        }
+    }
+
+    /// The shared plane tail: the Philox plane kernel draws row `r`'s
+    /// `2n` lanes at `(key, group, snap0 + r)` — the lanes
+    /// [`Self::finish_row`] draws through a cursor there — then
+    /// `payload_plane[states[r]]` is averaged with them, every row is
+    /// FFT'd and the equalize/reorder kernel writes `out`. Each kernel
+    /// replays the row tail's per-element arithmetic, so each row is
+    /// bit-identical to it.
+    fn finish_plane(
+        &mut self,
+        states: &[u8],
+        amp: f64,
+        key: u64,
+        group: u32,
+        snap0: u32,
+        out: &mut [Complex],
+    ) {
+        let n = self.eq.len();
+        let rows = states.len();
+        let n_normals = 2 * n;
+        self.normals.clear();
+        self.normals.resize(rows * n_normals, 0.0);
+        wiforce_dsp::kernels::philox_normals_rows(
+            [key as u32, (key >> 32) as u32],
+            [group, wiforce_dsp::rng::DOMAIN_SNAPSHOT],
+            snap0,
+            n_normals,
+            &mut self.normals,
+        );
+        self.avg.clear();
+        self.avg.resize(rows * n, Complex::ZERO);
+        wiforce_dsp::kernels::accumulate_noisy_rows(
+            &mut self.avg,
+            &self.payload_plane,
+            states,
+            &self.normals,
+            amp,
+        );
+        with_plan(n, |plan| plan.forward_rows_inplace(&mut self.avg, rows));
+        wiforce_dsp::kernels::eq_reorder_rows(out, &self.avg, &self.eq);
+    }
 }
+
+/// `ROW_INDEX[r] == r`: the state lane of a plane whose rows each carry
+/// their own payload.
+const ROW_INDEX: [u8; 256] = {
+    let mut idx = [0u8; 256];
+    let mut r = 0;
+    while r < 256 {
+        idx[r] = r as u8;
+        r += 1;
+    }
+    idx
+};
 
 thread_local! {
     static OFDM_SCRATCH: RefCell<OfdmScratch> = const {
@@ -61,8 +135,6 @@ thread_local! {
             eq: Vec::new(),
             rx_sym: Vec::new(),
             avg: Vec::new(),
-            u1s: Vec::new(),
-            u2s: Vec::new(),
             normals: Vec::new(),
             payload_plane: Vec::new(),
         })
@@ -130,6 +202,13 @@ impl OfdmSounder {
             .collect()
     }
 
+    /// Per-component std of the averaged frame's noise: the mean of
+    /// `n_repeats` iid noisy copies carries complex AWGN of variance
+    /// `σ²/n_repeats`, drawn directly as one Gaussian per sample.
+    fn frame_amp(&self, noise_std: f64) -> f64 {
+        (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt()
+    }
+
     /// The full 320-sample preamble (repeated symbols).
     pub fn preamble_time(&self) -> Vec<Complex> {
         let sym = self.preamble_symbol_time();
@@ -160,27 +239,17 @@ impl ChannelSounder for OfdmSounder {
         (self.n_repeats * self.n_subcarriers) as f64 / self.bandwidth_hz
     }
 
-    fn estimate(
+    /// Synthesizes and equalizes the frame in per-thread scratch buffers
+    /// with planned in-place FFTs, writing the snapshot straight into
+    /// `out`. The averaged frame's `2n` noise normals come from the
+    /// SIMD-dispatched Philox bulk kernel at the cursor's coordinates
+    /// (one lane per normal), so the snapshot is a pure function of
+    /// `(press key, group, snapshot)`.
+    fn estimate_counter_into(
         &self,
         true_channel: &[Complex],
         noise_std: f64,
-        rng: &mut dyn RngCore,
-    ) -> Vec<Complex> {
-        let mut out = vec![Complex::ZERO; self.n_subcarriers];
-        self.estimate_into(true_channel, noise_std, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free estimation: synthesizes and equalizes the frame in
-    /// per-thread scratch buffers with planned in-place FFTs, writing the
-    /// snapshot straight into `out`. Draws the identical RNG sequence (and
-    /// performs the identical floating-point operations) as the paper-path
-    /// [`ChannelSounder::estimate`] above.
-    fn estimate_into(
-        &self,
-        true_channel: &[Complex],
-        noise_std: f64,
-        rng: &mut dyn RngCore,
+        cursor: &mut CounterRng,
         out: &mut [Complex],
     ) {
         let n = self.n_subcarriers;
@@ -195,48 +264,19 @@ impl ChannelSounder for OfdmSounder {
         OFDM_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.refresh_symbols(self);
-            let s = &scratch.symbols;
 
             // TX symbol → channel (freq-domain multiply, in bin order) →
             // time domain, all in the reusable rx_sym buffer
-            scratch.rx_sym.resize(n, Complex::ZERO);
+            let mut rx_sym = std::mem::take(&mut scratch.rx_sym);
+            rx_sym.resize(n, Complex::ZERO);
             for (i, &h) in true_channel.iter().enumerate() {
                 let bin = (i + n - half) % n;
-                scratch.rx_sym[bin] = s[bin] * h;
+                rx_sym[bin] = scratch.symbols[bin] * h;
             }
-            with_plan(n, |plan| plan.inverse_inplace(&mut scratch.rx_sym));
-            scratch.rx_sym.iter_mut().for_each(|z| *z = *z * scale);
-
-            // the averaged frame: the mean of n_repeats iid noisy copies is
-            // the payload plus one complex Gaussian of variance σ²/n_repeats
-            // per sample, so draw that directly (batched Box-Muller uniforms
-            // in stream order, then the vectorized transform)
-            let n_normals = 2 * n;
-            draw_box_muller_uniforms(rng, n_normals, &mut scratch.u1s, &mut scratch.u2s);
-            scratch.normals.clear();
-            scratch.normals.resize(n_normals, 0.0);
-            standard_normals_from_uniforms(&scratch.u1s, &scratch.u2s, &mut scratch.normals);
-            let amp = (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt();
-            scratch.avg.clear();
-            scratch.avg.resize(n, Complex::ZERO);
-            {
-                let OfdmScratch {
-                    avg,
-                    rx_sym,
-                    normals,
-                    ..
-                } = scratch;
-                wiforce_dsp::kernels::accumulate_noisy(avg, rx_sym, normals, amp);
-            }
-
-            // LS equalization: FFT, multiply by the precomputed per-bin
-            // reciprocals, and map bin order back to ascending offsets
-            // directly into `out`
-            with_plan(n, |plan| plan.forward_inplace(&mut scratch.avg));
-            for (i, slot) in out.iter_mut().enumerate() {
-                let bin = (i + n - half) % n;
-                *slot = scratch.avg[bin] * scratch.eq[bin];
-            }
+            with_plan(n, |plan| plan.inverse_inplace(&mut rx_sym));
+            rx_sym.iter_mut().for_each(|z| *z = *z * scale);
+            scratch.finish_row(&rx_sym, self.frame_amp(noise_std), cursor, out);
+            scratch.rx_sym = rx_sym;
         });
     }
 
@@ -271,73 +311,15 @@ impl ChannelSounder for OfdmSounder {
         }
     }
 
-    /// Counter-addressed estimation: like [`Self::estimate_into`], but
-    /// the `2n` noise normals come from the SIMD-dispatched Philox bulk
-    /// kernel at the cursor's coordinates (one lane per normal) instead
-    /// of the sequential Box–Muller uniform draw — so the snapshot is a
-    /// pure function of `(press key, group, snapshot)`.
-    fn estimate_counter_into(
-        &self,
-        true_channel: &[Complex],
-        noise_std: f64,
-        cursor: &mut wiforce_dsp::rng::CounterRng,
-        out: &mut [Complex],
-    ) {
-        let n = self.n_subcarriers;
-        assert_eq!(
-            true_channel.len(),
-            n,
-            "true_channel must have one entry per subcarrier"
-        );
-        assert_eq!(out.len(), n, "output buffer must match the estimate grid");
-        let half = n / 2;
-        let scale = (n as f64).sqrt();
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-            let s = &scratch.symbols;
-
-            scratch.rx_sym.resize(n, Complex::ZERO);
-            for (i, &h) in true_channel.iter().enumerate() {
-                let bin = (i + n - half) % n;
-                scratch.rx_sym[bin] = s[bin] * h;
-            }
-            with_plan(n, |plan| plan.inverse_inplace(&mut scratch.rx_sym));
-            scratch.rx_sym.iter_mut().for_each(|z| *z = *z * scale);
-
-            scratch.normals.clear();
-            scratch.normals.resize(2 * n, 0.0);
-            cursor.fill_normals(&mut scratch.normals);
-            let amp = (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt();
-            scratch.avg.clear();
-            scratch.avg.resize(n, Complex::ZERO);
-            {
-                let OfdmScratch {
-                    avg,
-                    rx_sym,
-                    normals,
-                    ..
-                } = scratch;
-                wiforce_dsp::kernels::accumulate_noisy(avg, rx_sym, normals, amp);
-            }
-
-            with_plan(n, |plan| plan.forward_inplace(&mut scratch.avg));
-            for (i, slot) in out.iter_mut().enumerate() {
-                let bin = (i + n - half) % n;
-                *slot = scratch.avg[bin] * scratch.eq[bin];
-            }
-        });
-    }
-
-    /// Counter-addressed prepared path: identical draws (the same `2n`
-    /// Philox lanes) and arithmetic as [`Self::estimate_counter_into`],
-    /// with the precomputed payload standing in for `rx_sym` — so the two
-    /// counter paths match bit-for-bit (pinned by a test).
+    /// Prepared path: identical draws (the same `2n` Philox lanes) and
+    /// arithmetic as [`Self::estimate_counter_into`], with the
+    /// precomputed payload standing in for `rx_sym` — so the two paths
+    /// match bit-for-bit (pinned by a test).
     fn estimate_prepared_counter_into(
         &self,
         prepared: &PreparedChannel,
         noise_std: f64,
-        cursor: &mut wiforce_dsp::rng::CounterRng,
+        cursor: &mut CounterRng,
         out: &mut [Complex],
     ) {
         let n = self.n_subcarriers;
@@ -347,39 +329,16 @@ impl ChannelSounder for OfdmSounder {
             "prepared payload must match the sounder configuration"
         );
         assert_eq!(out.len(), n, "output buffer must match the estimate grid");
-        let half = n / 2;
         OFDM_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.refresh_symbols(self);
-
-            scratch.normals.clear();
-            scratch.normals.resize(2 * n, 0.0);
-            cursor.fill_normals(&mut scratch.normals);
-            let amp = (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt();
-            scratch.avg.clear();
-            scratch.avg.resize(n, Complex::ZERO);
-            {
-                let OfdmScratch { avg, normals, .. } = scratch;
-                wiforce_dsp::kernels::accumulate_noisy(avg, &prepared.payload, normals, amp);
-            }
-
-            with_plan(n, |plan| plan.forward_inplace(&mut scratch.avg));
-            for (i, slot) in out.iter_mut().enumerate() {
-                let bin = (i + n - half) % n;
-                *slot = scratch.avg[bin] * scratch.eq[bin];
-            }
+            scratch.finish_row(&prepared.payload, self.frame_amp(noise_std), cursor, out);
         });
     }
 
-    /// Wide (structure-of-arrays) synthesis: fills a whole plane of
-    /// snapshot rows per call. The Philox plane kernel draws the same
-    /// `2n` lanes per row that [`Self::estimate_prepared_counter_into`]
-    /// draws through its cursor, the row-plane accumulate performs the
-    /// identical per-element arithmetic, the per-row forward FFTs reuse
-    /// the same cached plan, and the equalize/reorder kernel replicates
-    /// the scalar output loop — so each row is bit-identical to the
-    /// row-at-a-time path (pinned by a test). Returns `Some(2n)`: the
-    /// lanes each snapshot's cursor consumed.
+    /// Plane synthesis from the four per-state payloads: state-major
+    /// payload plane, then the shared plane tail. Returns `Some(2n)`:
+    /// the lanes each snapshot's cursor consumed.
     fn estimate_prepared_counter_rows_into(
         &self,
         prepared: &[PreparedChannel],
@@ -391,10 +350,9 @@ impl ChannelSounder for OfdmSounder {
         out: &mut [Complex],
     ) -> Option<u32> {
         let n = self.n_subcarriers;
-        let rows = states.len();
         assert_eq!(
             out.len(),
-            rows * n,
+            states.len() * n,
             "output plane must hold one estimate row per state"
         );
         for p in prepared {
@@ -407,47 +365,63 @@ impl ChannelSounder for OfdmSounder {
         OFDM_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.refresh_symbols(self);
-
             scratch.payload_plane.clear();
             for p in prepared {
                 scratch.payload_plane.extend_from_slice(&p.payload);
             }
+            let amp = self.frame_amp(noise_std);
+            scratch.finish_plane(states, amp, key, group, snap0, out);
+        });
+        Some(2 * n as u32)
+    }
 
-            let n_normals = 2 * n;
-            scratch.normals.clear();
-            scratch.normals.resize(rows * n_normals, 0.0);
-            let kf = [key as u32, (key >> 32) as u32];
-            wiforce_dsp::kernels::philox_normals_rows(
-                kf,
-                [group, wiforce_dsp::rng::DOMAIN_SNAPSHOT],
-                snap0,
-                n_normals,
-                &mut scratch.normals,
-            );
-            let amp = (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt();
-            scratch.avg.clear();
-            scratch.avg.resize(rows * n, Complex::ZERO);
+    /// Plane synthesis from per-snapshot truths: each row's symbol
+    /// multiply + planned IFFT + scale is element-for-element the
+    /// `rx_sym` build of [`Self::estimate_counter_into`], one payload per
+    /// row, then the shared plane tail. Returns `Some(2n)`.
+    fn estimate_counter_rows_into(
+        &self,
+        truths: &[Complex],
+        noise_std: f64,
+        key: u64,
+        group: u32,
+        snap0: u32,
+        out: &mut [Complex],
+    ) -> Option<u32> {
+        let n = self.n_subcarriers;
+        let rows = out.len() / n.max(1);
+        assert_eq!(out.len(), rows * n, "output plane must be whole rows");
+        assert_eq!(truths.len(), rows * n, "one truth row per estimate row");
+        assert!(
+            rows <= ROW_INDEX.len(),
+            "u8 row index: synthesize in blocks of ≤256"
+        );
+        let half = n / 2;
+        let scale = (n as f64).sqrt();
+        OFDM_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.refresh_symbols(self);
+            scratch.payload_plane.clear();
+            scratch.payload_plane.resize(rows * n, Complex::ZERO);
+            for (prow, trow) in scratch
+                .payload_plane
+                .chunks_exact_mut(n)
+                .zip(truths.chunks_exact(n))
             {
-                let OfdmScratch {
-                    avg,
-                    payload_plane,
-                    normals,
-                    ..
-                } = scratch;
-                wiforce_dsp::kernels::accumulate_noisy_rows(
-                    avg,
-                    payload_plane,
-                    states,
-                    normals,
-                    amp,
-                );
+                for (i, &h) in trow.iter().enumerate() {
+                    let bin = (i + n - half) % n;
+                    prow[bin] = scratch.symbols[bin] * h;
+                }
             }
-
-            with_plan(n, |plan| plan.forward_rows_inplace(&mut scratch.avg, rows));
-            {
-                let OfdmScratch { avg, eq, .. } = scratch;
-                wiforce_dsp::kernels::eq_reorder_rows(out, avg, eq);
-            }
+            with_plan(n, |plan| {
+                plan.inverse_rows_inplace(&mut scratch.payload_plane, rows)
+            });
+            scratch
+                .payload_plane
+                .iter_mut()
+                .for_each(|z| *z = *z * scale);
+            let amp = self.frame_amp(noise_std);
+            scratch.finish_plane(&ROW_INDEX[..rows], amp, key, group, snap0, out);
         });
         Some(2 * n as u32)
     }
@@ -473,10 +447,6 @@ impl ChannelSounder for OfdmSounder {
         Some(h)
     }
 
-    fn seq_normals_per_estimate(&self) -> Option<usize> {
-        Some(2 * self.n_subcarriers)
-    }
-
     /// OFDM estimate error is exactly white and uniform across
     /// subcarriers: the averaged frame carries complex AWGN of
     /// per-component std `amp = √(σ²/(2·n_repeats))`, the unnormalized
@@ -484,85 +454,7 @@ impl ChannelSounder for OfdmSounder {
     /// modulus `1/√n` for the unit-modulus QPSK preamble — the two cancel,
     /// leaving per-component std `amp` on every subcarrier.
     fn estimate_noise_sigma(&self, noise_std: f64) -> Option<f64> {
-        Some((noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt())
-    }
-
-    /// Sequential wide path: per-snapshot truths (the batch engine's
-    /// multi-stream blend makes every row distinct), noise pre-drawn by
-    /// the caller in stream order. The per-row symbol multiply + planned
-    /// IFFT + scale is element-for-element the `rx_sym` build in
-    /// [`Self::estimate_into`], and the noisy-average/FFT/equalize tail
-    /// reuses the same plane kernels as the counter wide path — so each
-    /// row is bit-identical to a row-at-a-time call (pinned by a test).
-    fn estimate_rows_prenoise_into(
-        &self,
-        truths: &[Complex],
-        noise_std: f64,
-        normals: &[f64],
-        out: &mut [Complex],
-    ) -> bool {
-        let n = self.n_subcarriers;
-        let rows = out.len() / n.max(1);
-        assert_eq!(out.len(), rows * n, "output plane must be whole rows");
-        assert_eq!(truths.len(), rows * n, "one truth row per estimate row");
-        assert_eq!(normals.len(), rows * 2 * n, "2n pre-drawn normals per row");
-        assert!(rows <= 256, "u8 row index: synthesize in blocks of ≤256");
-        let half = n / 2;
-        let scale = (n as f64).sqrt();
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-
-            // per-row payloads (rows are distinct channels here, so the
-            // payload plane is row-major instead of state-major)
-            scratch.payload_plane.clear();
-            scratch.payload_plane.resize(rows * n, Complex::ZERO);
-            for (prow, trow) in scratch
-                .payload_plane
-                .chunks_exact_mut(n)
-                .zip(truths.chunks_exact(n))
-            {
-                let s = &scratch.symbols;
-                for (i, &h) in trow.iter().enumerate() {
-                    let bin = (i + n - half) % n;
-                    prow[bin] = s[bin] * h;
-                }
-            }
-            with_plan(n, |plan| {
-                plan.inverse_rows_inplace(&mut scratch.payload_plane, rows)
-            });
-            scratch
-                .payload_plane
-                .iter_mut()
-                .for_each(|z| *z = *z * scale);
-
-            let amp = (noise_std * noise_std / (2.0 * self.n_repeats as f64)).sqrt();
-            scratch.avg.clear();
-            scratch.avg.resize(rows * n, Complex::ZERO);
-            let mut idx = [0u8; 256];
-            for (r, slot) in idx.iter_mut().enumerate().take(rows) {
-                *slot = r as u8;
-            }
-            {
-                let OfdmScratch {
-                    avg, payload_plane, ..
-                } = scratch;
-                wiforce_dsp::kernels::accumulate_noisy_rows(
-                    avg,
-                    payload_plane,
-                    &idx[..rows],
-                    normals,
-                    amp,
-                );
-            }
-
-            with_plan(n, |plan| plan.forward_rows_inplace(&mut scratch.avg, rows));
-            {
-                let OfdmScratch { avg, eq, .. } = scratch;
-                wiforce_dsp::kernels::eq_reorder_rows(out, avg, eq);
-            }
-        });
-        true
+        Some(self.frame_amp(noise_std))
     }
 }
 
@@ -594,8 +486,20 @@ pub fn bins_to_ascending(bins: &[Complex]) -> Vec<Complex> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// One snapshot estimated with noise drawn at `(key, 0, snapshot)`.
+    fn estimate(
+        s: &OfdmSounder,
+        truth: &[Complex],
+        noise: f64,
+        key: u64,
+        snapshot: u32,
+    ) -> Vec<Complex> {
+        let mut cursor = CounterRng::for_snapshot(key, 0, snapshot);
+        let mut out = vec![Complex::ZERO; s.n_subcarriers];
+        s.estimate_counter_into(truth, noise, &mut cursor, &mut out);
+        out
+    }
 
     #[test]
     fn paper_parameters() {
@@ -629,11 +533,10 @@ mod tests {
     #[test]
     fn noiseless_estimate_is_exact() {
         let s = OfdmSounder::wiforce();
-        let mut rng = StdRng::seed_from_u64(1);
         let truth: Vec<Complex> = (0..64)
             .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.05 * k as f64))
             .collect();
-        let est = s.estimate(&truth, 0.0, &mut rng);
+        let est = estimate(&s, &truth, 0.0, 1, 0);
         for (e, t) in est.iter().zip(&truth) {
             assert!((*e - *t).abs() < 1e-9, "{e:?} vs {t:?}");
         }
@@ -643,12 +546,11 @@ mod tests {
     fn estimate_error_scales_with_noise() {
         let s = OfdmSounder::wiforce();
         let truth = vec![Complex::ONE; 64];
-        let rms_err = |noise: f64, seed: u64| -> f64 {
-            let mut rng = StdRng::seed_from_u64(seed);
+        let rms_err = |noise: f64, key: u64| -> f64 {
             let mut acc = 0.0;
             let trials = 50;
-            for _ in 0..trials {
-                let est = s.estimate(&truth, noise, &mut rng);
+            for t in 0..trials {
+                let est = estimate(&s, &truth, noise, key, t);
                 acc += est
                     .iter()
                     .zip(&truth)
@@ -669,11 +571,10 @@ mod tests {
         one.n_repeats = 1;
         let five = OfdmSounder::wiforce();
         let truth = vec![Complex::ONE; 64];
-        let rms = |s: &OfdmSounder, seed: u64| -> f64 {
-            let mut rng = StdRng::seed_from_u64(seed);
+        let rms = |s: &OfdmSounder, key: u64| -> f64 {
             let mut acc = 0.0;
-            for _ in 0..80 {
-                let est = s.estimate(&truth, 0.05, &mut rng);
+            for t in 0..80 {
+                let est = estimate(s, &truth, 0.05, key, t);
                 acc += est
                     .iter()
                     .zip(&truth)
@@ -700,8 +601,7 @@ mod tests {
             .iter()
             .map(|&df| Complex::ONE + Complex::from_polar(0.5, -wiforce_dsp::TAU * df * 2e-7))
             .collect();
-        let mut rng = StdRng::seed_from_u64(6);
-        let est = s.estimate(&truth, 0.001, &mut rng);
+        let est = estimate(&s, &truth, 0.001, 6, 0);
         for (e, t) in est.iter().zip(&truth) {
             assert!((*e - *t).abs() < 0.01);
         }
@@ -709,7 +609,6 @@ mod tests {
 
     #[test]
     fn counter_prepared_path_is_bit_identical() {
-        use wiforce_dsp::rng::CounterRng;
         let s = OfdmSounder::wiforce();
         let truth: Vec<Complex> = (0..64)
             .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.05 * k as f64))
@@ -737,7 +636,6 @@ mod tests {
         // Snapshots estimated at distinct coordinates don't interact:
         // evaluating 41 after 40 or on its own gives the same bits — this
         // is the property that lets the pipeline parallelize synthesis.
-        use wiforce_dsp::rng::CounterRng;
         let s = OfdmSounder::wiforce();
         let truth = vec![Complex::ONE; 64];
         let est = |snapshot: u32| {
@@ -758,44 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_noise_matches_sequential_in_rms() {
-        // The counter path swaps the noise source, not the noise model:
-        // RMS estimation error over many snapshots must agree with the
-        // sequential path at the same σ.
-        use wiforce_dsp::rng::CounterRng;
-        let s = OfdmSounder::wiforce();
-        let truth = vec![Complex::ONE; 64];
-        let trials = 120;
-        let mut seq_rng = StdRng::seed_from_u64(8);
-        let mut acc_seq = 0.0;
-        let mut acc_ctr = 0.0;
-        let mut out = [Complex::ZERO; 64];
-        for t in 0..trials {
-            s.estimate_into(&truth, 0.05, &mut seq_rng, &mut out);
-            acc_seq += out
-                .iter()
-                .map(|e| (*e - Complex::ONE).norm_sqr())
-                .sum::<f64>()
-                / 64.0;
-            let mut c = CounterRng::for_snapshot(13, 0, t);
-            s.estimate_counter_into(&truth, 0.05, &mut c, &mut out);
-            acc_ctr += out
-                .iter()
-                .map(|e| (*e - Complex::ONE).norm_sqr())
-                .sum::<f64>()
-                / 64.0;
-        }
-        let rms_seq = (acc_seq / trials as f64).sqrt();
-        let rms_ctr = (acc_ctr / trials as f64).sqrt();
-        assert!(
-            (rms_ctr / rms_seq - 1.0).abs() < 0.1,
-            "counter {rms_ctr} vs sequential {rms_seq}"
-        );
-    }
-
-    #[test]
     fn wide_rows_path_is_bit_identical_to_row_path() {
-        use wiforce_dsp::rng::CounterRng;
         let s = OfdmSounder::wiforce();
         // four distinct "switch state" channels, as the pipeline prepares
         let prepared: Vec<PreparedChannel> = (0..4)
@@ -850,11 +711,10 @@ mod tests {
         let sigma = s.estimate_noise_sigma(noise).expect("OFDM error is white");
         assert!((sigma - (noise * noise / 10.0).sqrt()).abs() < 1e-15);
         let truth = vec![Complex::ONE; 64];
-        let mut rng = StdRng::seed_from_u64(21);
         let trials = 200;
         let mut acc = 0.0;
-        for _ in 0..trials {
-            let est = s.estimate(&truth, noise, &mut rng);
+        for t in 0..trials {
+            let est = estimate(&s, &truth, noise, 21, t);
             acc += est
                 .iter()
                 .zip(&truth)
@@ -862,7 +722,7 @@ mod tests {
                 .sum::<f64>();
         }
         // norm_sqr sums both components: E|e|² = 2σ²
-        let per_component = (acc / (trials * 64 * 2) as f64).sqrt();
+        let per_component = (acc / (trials as usize * 64 * 2) as f64).sqrt();
         assert!(
             (per_component / sigma - 1.0).abs() < 0.05,
             "empirical {per_component} vs advertised {sigma}"
@@ -882,39 +742,37 @@ mod tests {
     }
 
     #[test]
-    fn seq_wide_path_is_bit_identical_to_row_path() {
-        // the batch producer's wide path: per-snapshot truths, noise
-        // pre-drawn from one sequential RNG in stream order
+    fn wide_truth_rows_path_is_bit_identical_to_row_path() {
+        // the batch producer's plane path: per-snapshot truths, noise at
+        // (key, group, snap0 + r) — each row must match a row-at-a-time
+        // estimate at that coordinate, and the returned lane count must
+        // be where that row's cursor stopped
         let s = OfdmSounder::wiforce();
-        let npr = s.seq_normals_per_estimate().expect("OFDM advertises one");
-        assert_eq!(npr, 128);
-        let rows = 23usize;
-        let truths: Vec<Complex> = (0..rows * 64)
-            .map(|i| Complex::from_polar(1.0 + 1e-3 * (i % 97) as f64, 0.02 * (i % 61) as f64))
-            .collect();
-        for noise in [0.0, 0.05] {
-            // pre-draw, exactly as the producer does
-            let mut rng = StdRng::seed_from_u64(77);
-            let (mut u1s, mut u2s) = (Vec::new(), Vec::new());
-            let mut normals = vec![0.0; rows * npr];
-            for r in 0..rows {
-                wiforce_dsp::rng::draw_box_muller_uniforms(&mut rng, npr, &mut u1s, &mut u2s);
-                wiforce_dsp::fastmath::standard_normals_from_uniforms(
-                    &u1s,
-                    &u2s,
-                    &mut normals[r * npr..(r + 1) * npr],
-                );
-            }
-            let mut plane = vec![Complex::ZERO; rows * 64];
-            assert!(s.estimate_rows_prenoise_into(&truths, noise, &normals, &mut plane));
-
-            let mut row_rng = StdRng::seed_from_u64(77);
-            let mut row = [Complex::ZERO; 64];
-            for r in 0..rows {
-                s.estimate_into(&truths[r * 64..(r + 1) * 64], noise, &mut row_rng, &mut row);
-                for (w, x) in plane[r * 64..(r + 1) * 64].iter().zip(&row) {
-                    assert_eq!(w.re.to_bits(), x.re.to_bits(), "row {r}");
-                    assert_eq!(w.im.to_bits(), x.im.to_bits(), "row {r}");
+        let (key, group, snap0) = (0x7EA5_u64 << 33 | 0x77, 5u32, 130u32);
+        for rows in [1usize, 23, 64] {
+            let truths: Vec<Complex> = (0..rows * 64)
+                .map(|i| Complex::from_polar(1.0 + 1e-3 * (i % 97) as f64, 0.02 * (i % 61) as f64))
+                .collect();
+            for noise in [0.0, 0.05] {
+                let mut plane = vec![Complex::ZERO; rows * 64];
+                let lanes = s
+                    .estimate_counter_rows_into(&truths, noise, key, group, snap0, &mut plane)
+                    .expect("OFDM has a truth-plane path");
+                assert_eq!(lanes, 128);
+                let mut row = [Complex::ZERO; 64];
+                for r in 0..rows {
+                    let mut cursor = CounterRng::for_snapshot(key, group, snap0 + r as u32);
+                    s.estimate_counter_into(
+                        &truths[r * 64..(r + 1) * 64],
+                        noise,
+                        &mut cursor,
+                        &mut row,
+                    );
+                    for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
+                        assert_eq!(w.re.to_bits(), x.re.to_bits(), "rows={rows} r={r} i={i}");
+                        assert_eq!(w.im.to_bits(), x.im.to_bits(), "rows={rows} r={r} i={i}");
+                    }
+                    assert_eq!(cursor.lane(), lanes);
                 }
             }
         }
@@ -924,7 +782,6 @@ mod tests {
     #[should_panic(expected = "one entry per subcarrier")]
     fn estimate_checks_length() {
         let s = OfdmSounder::wiforce();
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = s.estimate(&[Complex::ONE; 3], 0.0, &mut rng);
+        let _ = estimate(&s, &[Complex::ONE; 3], 0.0, 0, 0);
     }
 }

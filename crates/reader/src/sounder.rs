@@ -6,7 +6,6 @@
 //! would work equally well) provide it; the sensing algorithm in
 //! `wiforce` is written against this trait.
 
-use rand::RngCore;
 use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::Complex;
 
@@ -54,46 +53,31 @@ pub trait ChannelSounder {
         self.snapshot_period_s()
     }
 
-    /// Produces one channel-estimate snapshot given the true channel at
-    /// each grid frequency and a per-sample receiver noise level
-    /// (std-dev of complex AWGN relative to unit TX amplitude).
+    /// Produces one channel-estimate snapshot into `out`, given the true
+    /// channel at each grid frequency and a per-sample receiver noise
+    /// level (std-dev of complex AWGN relative to unit TX amplitude).
     ///
     /// Implementations synthesize their actual waveform, push it through
     /// the (frequency-domain) channel, add noise and run their estimator —
-    /// so estimation gain/loss is real, not assumed.
-    fn estimate(
-        &self,
-        true_channel: &[Complex],
-        noise_std: f64,
-        rng: &mut dyn RngCore,
-    ) -> Vec<Complex>;
-
-    /// Like [`Self::estimate`], but writes the snapshot into a
-    /// caller-provided buffer instead of allocating — the hot path for
-    /// streaming simulation, where the buffer is a row of a
-    /// `wiforce_dsp::snapshots::SnapshotMatrix`.
-    ///
-    /// The default implementation just copies the allocating path;
-    /// performance-sensitive sounders override it with a buffer-reusing
-    /// implementation that draws the *same* RNG sequence.
+    /// so estimation gain/loss is real, not assumed. Noise comes from a
+    /// counter-addressed cursor pinned to one simulation coordinate
+    /// (press key, group, snapshot), so the estimate is a pure function
+    /// of that coordinate — snapshots can be synthesized out of order and
+    /// across threads with bit-identical results. Implementations may
+    /// consume the cursor's lanes in any fixed pattern; callers that
+    /// draw after the sounder (burst faults, front-end jitter) continue
+    /// on the same cursor.
     ///
     /// # Panics
-    /// Panics if `out.len()` differs from the estimate grid size.
-    fn estimate_into(
+    /// Panics if `true_channel` or `out` differs from the estimate grid
+    /// size.
+    fn estimate_counter_into(
         &self,
         true_channel: &[Complex],
         noise_std: f64,
-        rng: &mut dyn RngCore,
+        cursor: &mut CounterRng,
         out: &mut [Complex],
-    ) {
-        let est = self.estimate(true_channel, noise_std, rng);
-        assert_eq!(
-            out.len(),
-            est.len(),
-            "output buffer must match the estimate grid"
-        );
-        out.copy_from_slice(&est);
-    }
+    );
 
     /// Folds the channel-dependent, noise-independent part of the
     /// estimation forward model into a [`PreparedChannel`] for repeated
@@ -108,29 +92,6 @@ pub trait ChannelSounder {
             truth: true_channel.to_vec(),
             payload: Vec::new(),
         }
-    }
-
-    /// Like [`Self::estimate_into`], but drawing noise from a
-    /// counter-addressed cursor instead of a sequential stream. The
-    /// cursor is pinned to one simulation coordinate (press key, group,
-    /// snapshot), so the produced estimate is a pure function of that
-    /// coordinate — snapshots can be synthesized out of order and across
-    /// threads with bit-identical results.
-    ///
-    /// The default drives the sequential path with the cursor's
-    /// [`RngCore`] view, which is already order-independent across
-    /// snapshots; sounders with a bulk noise fill override this to hit
-    /// the SIMD counter kernel directly. Implementations may consume the
-    /// cursor's lanes in a different pattern than the sequential path —
-    /// only self-consistency at a fixed coordinate is promised.
-    fn estimate_counter_into(
-        &self,
-        true_channel: &[Complex],
-        noise_std: f64,
-        cursor: &mut CounterRng,
-        out: &mut [Complex],
-    ) {
-        self.estimate_into(true_channel, noise_std, cursor, out);
     }
 
     /// Like [`Self::estimate_counter_into`], but starting from a
@@ -182,41 +143,30 @@ pub trait ChannelSounder {
         None
     }
 
-    /// Number of standard normals one sequential [`Self::estimate_into`]
-    /// call consumes — drawn via
-    /// [`wiforce_dsp::rng::draw_box_muller_uniforms`] followed by
-    /// [`wiforce_dsp::fastmath::standard_normals_from_uniforms`], in
-    /// stream order — when that count is fixed per estimate.
+    /// Truth-plane twin of [`Self::estimate_prepared_counter_rows_into`]
+    /// under the same lane contract, for callers whose every snapshot
+    /// sees a distinct channel (the batch engine's multi-stream blend):
+    /// `truths` is a row-major plane of per-snapshot true channels
+    /// (`rows × grid`) and `out` the matching estimate plane, with noise
+    /// drawn at `(key, group, snap0 + r, lane)`.
     ///
-    /// `Some(count)` is a contract: a producer may pre-draw `count`
-    /// normals per snapshot with those exact functions (interleaved with
-    /// its own scalar draws in stream order) and hand the plane to
-    /// [`Self::estimate_rows_prenoise_into`], which must then be
-    /// implemented and bit-identical to row-at-a-time `estimate_into`
-    /// calls fed the same RNG stream. `None` (the default) means no
-    /// sequential wide path — fall back to rows.
-    fn seq_normals_per_estimate(&self) -> Option<usize> {
-        None
-    }
-
-    /// Sequential-stream wide path: synthesizes one estimate row per
-    /// truth row from pre-drawn noise. `truths` is a row-major plane of
-    /// per-snapshot true channels (`rows × grid`), `normals` holds
-    /// [`Self::seq_normals_per_estimate`] pre-drawn standard normals per
-    /// row, and `out` is the matching estimate plane. Returns `false`
-    /// (the default) when the sounder has no wide path; when it returns
-    /// `true`, each row must be bit-identical to
-    /// `estimate_into(truth_row, noise_std, rng, row)` with the RNG
-    /// positioned as the pre-draw was.
-    fn estimate_rows_prenoise_into(
+    /// Returns `Some(lanes)` when the sounder has a plane fast path; each
+    /// row of `out` must then be bit-identical to an
+    /// [`Self::estimate_counter_into`] call on that truth row with a fresh
+    /// cursor at `(key, group, snap0 + r)`, which leaves the cursor at
+    /// lane `lanes`. Returns `None` (the default) when no plane path
+    /// exists, telling the caller to synthesize row at a time.
+    fn estimate_counter_rows_into(
         &self,
         truths: &[Complex],
         noise_std: f64,
-        normals: &[f64],
+        key: u64,
+        group: u32,
+        snap0: u32,
         out: &mut [Complex],
-    ) -> bool {
-        let _ = (truths, noise_std, normals, out);
-        false
+    ) -> Option<u32> {
+        let _ = (truths, noise_std, key, group, snap0, out);
+        None
     }
 
     /// Press-invariant identity of this sounder's configuration, for
@@ -263,10 +213,8 @@ pub trait ChannelSounder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    /// A trivial sounder used to test the trait's provided method.
+    /// A trivial sounder used to test the trait's provided methods.
     struct Dummy;
 
     impl ChannelSounder for Dummy {
@@ -276,13 +224,16 @@ mod tests {
         fn snapshot_period_s(&self) -> f64 {
             57.6e-6
         }
-        fn estimate(
+        fn estimate_counter_into(
             &self,
             true_channel: &[Complex],
-            _noise_std: f64,
-            _rng: &mut dyn RngCore,
-        ) -> Vec<Complex> {
-            true_channel.to_vec()
+            noise_std: f64,
+            cursor: &mut CounterRng,
+            out: &mut [Complex],
+        ) {
+            for (o, &h) in out.iter_mut().zip(true_channel) {
+                *o = h + wiforce_dsp::rng::complex_gaussian(cursor, noise_std * noise_std);
+            }
         }
     }
 
@@ -298,25 +249,23 @@ mod tests {
     #[test]
     fn trait_object_usable() {
         let d: Box<dyn ChannelSounder> = Box::new(Dummy);
-        let mut rng = StdRng::seed_from_u64(0);
-        let est = d.estimate(&[Complex::ONE], 0.0, &mut rng);
-        assert_eq!(est, vec![Complex::ONE]);
-    }
-
-    #[test]
-    fn default_estimate_into_matches_estimate() {
-        let d = Dummy;
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut out = [Complex::ZERO; 1];
-        d.estimate_into(&[Complex::I], 0.0, &mut rng, &mut out);
-        assert_eq!(out[0], Complex::I);
+        let mut cursor = CounterRng::for_snapshot(0, 0, 0);
+        let mut est = [Complex::ZERO; 1];
+        d.estimate_counter_into(&[Complex::ONE], 0.0, &mut cursor, &mut est);
+        assert_eq!(est, [Complex::ONE]);
+        // no plane fast path unless a sounder provides one
+        let mut plane = [Complex::ZERO; 1];
+        assert_eq!(
+            d.estimate_counter_rows_into(&[Complex::ONE], 0.0, 0, 0, 0, &mut plane),
+            None
+        );
     }
 
     #[test]
     fn default_counter_paths_agree() {
-        // For a sounder with no override, the counter methods delegate
-        // through the sequential path with the cursor as its RNG — the
-        // full and prepared variants must agree bitwise at one coordinate.
+        // For a sounder with no override, the prepared method delegates
+        // to the truth path — the full and prepared variants must agree
+        // bitwise at one coordinate.
         let d = Dummy;
         let truth = [Complex::new(0.3, -1.2)];
         let mut a = CounterRng::for_snapshot(9, 0, 4);
@@ -329,14 +278,5 @@ mod tests {
         assert_eq!(out_full[0].re.to_bits(), out_prep[0].re.to_bits());
         assert_eq!(out_full[0].im.to_bits(), out_prep[0].im.to_bits());
         assert_eq!(a.lane(), b.lane());
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer")]
-    fn default_estimate_into_checks_length() {
-        let d = Dummy;
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut out = [Complex::ZERO; 3];
-        d.estimate_into(&[Complex::ONE], 0.0, &mut rng, &mut out);
     }
 }

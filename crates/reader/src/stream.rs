@@ -496,7 +496,9 @@ mod tests {
         let rx = simulate_rx_stream(&s, std::slice::from_ref(&truth), 0.0, 0, &mut rng);
         let result = StreamReceiver::new(s).process(&rx).expect("sync");
         let stream_est = result.estimates.row(0);
-        let direct_est = s.estimate(&truth, 0.0, &mut rng);
+        let mut cursor = wiforce_dsp::rng::CounterRng::for_snapshot(4, 0, 0);
+        let mut direct_est = vec![Complex::ZERO; 64];
+        s.estimate_counter_into(&truth, 0.0, &mut cursor, &mut direct_est);
         for (a, b) in stream_est.iter().zip(&direct_est) {
             assert!((*a - *b).abs() < 1e-9);
         }

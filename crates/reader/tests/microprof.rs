@@ -1,9 +1,6 @@
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
-use wiforce_dsp::fastmath::standard_normals_from_uniforms;
 use wiforce_dsp::fft::with_plan;
-use wiforce_dsp::rng::draw_box_muller_uniforms;
+use wiforce_dsp::rng::{CounterRng, DOMAIN_SNAPSHOT};
 use wiforce_dsp::Complex;
 use wiforce_reader::ofdm::OfdmSounder;
 use wiforce_reader::sounder::ChannelSounder;
@@ -15,37 +12,33 @@ fn microprof() {
     let truth: Vec<Complex> = (0..64)
         .map(|k| Complex::from_polar(1.0, 0.05 * k as f64))
         .collect();
-    let mut rng = StdRng::seed_from_u64(1);
     let mut out = vec![Complex::ZERO; 64];
     let iters = 20000;
     let t = Instant::now();
-    for _ in 0..iters {
-        s.estimate_into(&truth, 6e-6, &mut rng, &mut out);
+    for i in 0..iters {
+        let mut cursor = CounterRng::for_snapshot(1, 0, i);
+        s.estimate_counter_into(&truth, 6e-6, &mut cursor, &mut out);
     }
     println!(
-        "estimate_into: {:.2} us",
+        "estimate_counter_into: {:.2} us",
         t.elapsed().as_secs_f64() / iters as f64 * 1e6
     );
 
-    // the folded-average hot path draws 2·64 normals per snapshot
-    let mut u1 = Vec::new();
-    let mut u2 = Vec::new();
+    // the plane path draws 2·64 normals per snapshot, 64 snapshots a call
+    let rows = 64;
+    let mut normals = vec![0.0; rows * 128];
     let t = Instant::now();
-    for _ in 0..iters {
-        draw_box_muller_uniforms(&mut rng, 128, &mut u1, &mut u2);
+    for i in 0..iters / rows as u32 {
+        wiforce_dsp::kernels::philox_normals_rows(
+            [1, 0],
+            [0, DOMAIN_SNAPSHOT],
+            i * rows as u32,
+            128,
+            &mut normals,
+        );
     }
     println!(
-        "draw_uniforms(128): {:.2} us",
-        t.elapsed().as_secs_f64() / iters as f64 * 1e6
-    );
-
-    let mut normals = vec![0.0; 128];
-    let t = Instant::now();
-    for _ in 0..iters {
-        standard_normals_from_uniforms(&u1, &u2, &mut normals);
-    }
-    println!(
-        "bm_transform(128): {:.2} us",
+        "philox_normals_rows(128) per row: {:.2} us",
         t.elapsed().as_secs_f64() / iters as f64 * 1e6
     );
 

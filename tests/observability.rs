@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use wiforce::batch::{run_batch, run_batch_observed, BatchConfig, BatchReport, ReaderSpec};
 use wiforce::pipeline::Simulation;
 use wiforce::SensorModel;
+use wiforce_channel::faults::FaultConfig;
 use wiforce_telemetry::json::{parse, Value};
 use wiforce_telemetry::{metrics, trace, AggregatorConfig, StreamWindow};
 
@@ -244,4 +245,59 @@ fn health_windows_stream_during_the_run() {
             .sum();
         assert_eq!(windowed, h.samples, "{} windows lost samples", h.stream);
     }
+}
+
+#[test]
+fn batch_telemetry_says_which_time_domain_path_ran() {
+    // a clean reader puts every time-domain row on the plane kernel; a
+    // reader with snapshot drops puts none there. Either way the
+    // per-group fault counters add up to the report's totals.
+    let (mut sim, model) = template();
+    sim.synth_spectral = Some(false);
+    let counters = |faults: FaultConfig| {
+        let spec = ReaderSpec::frequency_multiplexed(2, 2, 0x0B5E, &sim.group)
+            .expect("allocation")
+            .with_faults(faults);
+        let report = with_gates(|| {
+            wiforce_telemetry::set_enabled(true);
+            let report = run_batch_observed(
+                &sim,
+                &model,
+                std::slice::from_ref(&spec),
+                &BatchConfig::wiforce(2),
+                Some(AggregatorConfig::default()),
+                None,
+            )
+            .expect("batch runs");
+            wiforce_telemetry::set_enabled(false);
+            wiforce_telemetry::reset();
+            report
+        });
+        let get = |name: &str| {
+            report
+                .telemetry
+                .counters
+                .get(name)
+                .copied()
+                .unwrap_or_else(|| panic!("counter {name} missing"))
+        };
+        assert_eq!(get("faults.snapshots_dropped"), report.snapshots_dropped);
+        assert_eq!(get("faults.bursts_injected"), report.bursts_injected);
+        let total = get("pipeline.snapshots_total");
+        assert_eq!(total, report.groups_produced * sim.group.n_snapshots as u64);
+        (get("synth.plane_rows"), total, report)
+    };
+
+    let (plane_rows, total, clean) = counters(FaultConfig::none());
+    assert_eq!(plane_rows, total);
+    assert_eq!((clean.snapshots_dropped, clean.bursts_injected), (0, 0));
+
+    let (plane_rows, _, faulted) = counters(FaultConfig {
+        snapshot_drop_prob: 0.05,
+        burst_prob: 0.02,
+        burst_rel_amp: 0.1,
+        ..FaultConfig::none()
+    });
+    assert_eq!(plane_rows, 0);
+    assert!(faulted.snapshots_dropped > 0 && faulted.bursts_injected > 0);
 }

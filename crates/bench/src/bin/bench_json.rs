@@ -25,9 +25,10 @@
 //!   scale superlinearly in wall-clock terms (≥ 2.5× at 8 streams vs 1) —
 //!   `check_artifacts` gates on this;
 //! - `observability` — trace-ring totals from the telemetry-on loop
-//!   (events captured, ring-overflow drops, configured ring capacity)
-//!   plus the metrics-registry series count; the on-blocks run with the
-//!   ring and registry enabled, so the overhead gate covers them;
+//!   (events captured, ring-overflow drops, ring capacity; the on-blocks
+//!   run with the recorder and the ring enabled, so the overhead gate
+//!   covers both) plus the series count of the Prometheus view
+//!   (`BatchReport::metrics`) of an observed 8-stream batch run;
 //! - `stage_breakdown` — per-stage ns-per-press from the telemetry-on
 //!   loop's spans (synth = snapshot synthesis incl. sounding + frontend,
 //!   spectrum = harmonic extraction, estimator = model inversion,
@@ -242,7 +243,6 @@ fn main() {
 
     wiforce_telemetry::reset();
     wiforce_telemetry::trace::reset();
-    wiforce_telemetry::metrics::reset();
     let mut ns_per_press = f64::INFINITY;
     let mut ns_per_press_on = f64::INFINITY;
     let mut ratios = Vec::with_capacity(blocks);
@@ -251,15 +251,13 @@ fn main() {
     for _ in 0..blocks {
         let off = time_presses(&sim, &model, &mut rng, block_iters);
         // the "on" cost covers the whole observability stack: recorder
-        // spans/counters, SPSC trace-ring events, and metrics-registry
-        // updates — the ≤12% gate holds with everything enabled
+        // spans/counters and SPSC trace-ring events — the ≤12% gate
+        // holds with both enabled
         wiforce_telemetry::set_enabled(true);
         wiforce_telemetry::trace::set_trace_enabled(true);
-        wiforce_telemetry::metrics::set_metrics_enabled(true);
         let on = time_presses(&sim, &model, &mut rng, block_iters);
         wiforce_telemetry::set_enabled(false);
         wiforce_telemetry::trace::set_trace_enabled(false);
-        wiforce_telemetry::metrics::set_metrics_enabled(false);
         // drain the rings between blocks so a long bench can't overflow
         // them; the drop counter is cumulative, so keep the latest
         let ring = wiforce_telemetry::trace::collect();
@@ -430,33 +428,22 @@ fn main() {
     let (spectral_batch_pps, spectral_batch_p95) = spectral_best;
 
     // untimed observed re-run at the top stream count: the timed loops
-    // keep telemetry off, so the metrics registry's per-stream series,
-    // whose count the artifact reports, are harvested from one extra
-    // instrumented run
+    // keep telemetry off, so the Prometheus view whose series count the
+    // artifact reports comes from one extra recorded run
     wiforce_telemetry::reset();
-    wiforce_telemetry::metrics::reset();
-    wiforce_telemetry::metrics::set_metrics_enabled(true);
     wiforce_telemetry::set_enabled(true);
     let spec = ReaderSpec::frequency_multiplexed(8, batch_presses, 17, &sim.group)
         .expect("frequency allocation");
     let cfg = BatchConfig::wiforce(8);
-    wiforce::batch::run_batch_observed(
-        &sim,
-        &batch_model,
-        std::slice::from_ref(&spec),
-        &cfg,
-        None,
-        None,
-    )
-    .expect("observed batch run");
+    let report = run_batch(&sim, &batch_model, std::slice::from_ref(&spec), &cfg)
+        .expect("observed batch run");
     wiforce_telemetry::set_enabled(false);
-    wiforce_telemetry::metrics::set_metrics_enabled(false);
-    let _ = wiforce_telemetry::take();
-    // the engine folds its per-stream counters into the registry at run
-    // completion, so the series count reflects real batch observability
-    // (one-plus series per stream), not the single-stream press loop
+    wiforce_telemetry::reset();
+    // the view carries each stream's `{reader, stream}` series, so the
+    // count reflects real batch observability (one-plus series per
+    // stream), not the single-stream press loop
     let metrics_streams = 8u64;
-    let metrics_series = wiforce_telemetry::metrics::snapshot().series_count() as u64;
+    let metrics_series = report.metrics(&report.telemetry).series_count() as u64;
 
     let mut w = JsonWriter::new();
     w.begin_object();

@@ -12,13 +12,13 @@
 //! Any input flag may be omitted; at least one is required. Exits
 //! non-zero with a list of violations when a file fails validation.
 //!
-//! `--trace` validates a Chrome trace-event export (`wiforce-cli
-//! trace`): structure, span balance, flow binding, and the
+//! `--trace` validates a Chrome trace-event export (`wiforce-cli serve
+//! --trace`): structure, span balance, flow binding, and the
 //! ring-overflow gate (`otherData.dropped_events` must be 0).
-//! `--metrics` validates Prometheus text exposition (`wiforce-cli
-//! metrics`): grammar, `# TYPE` coverage, summary completeness, and the
-//! presence of per-stream series. Both are backed by
-//! [`wiforce_bench::observability`].
+//! `--metrics` validates Prometheus text exposition (`wiforce-cli serve
+//! --metrics`): grammar, `# TYPE` coverage (each family announced
+//! once), summary completeness, and the presence of per-stream series.
+//! Both are backed by [`wiforce_bench::observability`].
 //!
 //! `--revs` takes a `git log` listing (one rev per line, short or full)
 //! and fails when the committed artifact's `git_rev` (`--baseline` when
@@ -190,9 +190,10 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
     }
 
     // schema v6: the observability section — the telemetry-on blocks run
-    // with the trace ring and metrics registry live, so events must have
+    // with the recorder and the trace ring live, so events must have
     // been recorded, nothing may have been dropped (the per-block drain
-    // keeps the rings far from full), and the registry must export series
+    // keeps the rings far from full), and the Prometheus view of the
+    // observed batch run must export series
     if schema >= 6.0 {
         match root.get("observability") {
             None => c.fail("missing 'observability' object (schema v6)".into()),
@@ -361,7 +362,7 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
             }
             (Some(series), Some(streams)) if series < streams => c.fail(format!(
                 "observability.metrics_series = {series:.0} below the stream count \
-                 {streams:.0} — the registry harvest missed the batch run's \
+                 {streams:.0} — the Prometheus view missed the batch run's \
                  per-stream series (the pre-v9 bug this field now gates)"
             )),
             _ => {}

@@ -1,6 +1,6 @@
 //! Structural validators for the observability artifacts CI produces:
-//! Chrome trace-event JSON (`wiforce-cli trace`) and Prometheus text
-//! exposition (`wiforce-cli metrics`).
+//! Chrome trace-event JSON (`wiforce-cli serve --trace`) and Prometheus
+//! text exposition (`wiforce-cli serve --metrics`).
 //!
 //! Both validators are plain functions from parsed input to a list of
 //! human-readable violations (empty = valid), mirroring
@@ -207,7 +207,8 @@ fn parse_sample(line: &str) -> Option<Sample<'_>> {
 ///   grammar-legal metric name and a float (or `NaN`/`±Inf`) value;
 /// - every sample's family (name with `_sum`/`_count` stripped) was
 ///   announced by a preceding `# TYPE family counter|gauge|summary`
-///   line;
+///   line, and no family is announced twice (as it would be if a
+///   counter and a gauge shared a name);
 /// - summaries carry `quantile` series plus `_sum`/`_count`;
 /// - at least one sample is labelled `stream="…"` (the per-stream
 ///   series the batch engine is contracted to export).
@@ -235,6 +236,9 @@ pub fn validate_prometheus(text: &str) -> Vec<String> {
                         && ["counter", "gauge", "summary", "histogram", "untyped"]
                             .contains(&ty) =>
                 {
+                    if families.iter().any(|(f, _)| f == fam) {
+                        v.push(format!("metrics: line {n}: family {fam} announced twice"));
+                    }
                     families.push((fam.to_string(), ty.to_string()));
                 }
                 _ => v.push(format!("metrics: line {n}: malformed TYPE line {line:?}")),
@@ -405,6 +409,14 @@ wiforce_batch_group_latency_ns_count{stream=\"s0\"} 3
     fn prometheus_missing_type_line_flagged() {
         let v = validate_prometheus("wiforce_x{stream=\"s0\"} 1\n");
         assert!(v.iter().any(|e| e.contains("no preceding TYPE")), "{v:?}");
+    }
+
+    #[test]
+    fn prometheus_family_announced_twice_flagged() {
+        let text = "# TYPE wiforce_x counter\nwiforce_x{stream=\"s0\"} 1\n\
+                    # TYPE wiforce_x gauge\nwiforce_x{stream=\"s1\"} 2\n";
+        let v = validate_prometheus(text);
+        assert!(v.iter().any(|e| e.contains("announced twice")), "{v:?}");
     }
 
     #[test]

@@ -48,10 +48,13 @@
 //! ## Observability
 //!
 //! All instrumentation is gated and free when off: recorder telemetry
-//! behind [`wiforce_telemetry::enabled`], trace events (spans, flow
+//! behind [`wiforce_telemetry::enabled`], and trace events (spans, flow
 //! arrows produce→consume, queue-depth counter tracks) behind
-//! [`wiforce_telemetry::trace::trace_enabled`], and the process-wide
-//! metrics registry behind [`wiforce_telemetry::metrics::metrics_enabled`].
+//! [`wiforce_telemetry::trace::trace_enabled`]. The per-stream
+//! accounting (consumed, dropped, served, failed, queue peak, latency)
+//! lives on each [`StreamResult`] whether or not either gate is on;
+//! [`BatchReport::metrics`] renders it, `{reader, stream}`-labelled,
+//! together with a recorder snapshot as one Prometheus view.
 //! [`run_batch_observed`] additionally folds per-group samples into a
 //! [`HealthAggregator`], emitting completed [`StreamWindow`]s to an
 //! optional observer callback while the batch runs.
@@ -78,7 +81,7 @@ use wiforce_sensor::clock::WindowWalker;
 use wiforce_sensor::multi::allocate_frequencies_on_grid;
 use wiforce_sensor::tag::ContactState;
 use wiforce_sensor::SensorTag;
-use wiforce_telemetry::metrics;
+use wiforce_telemetry::metrics::{MetricsSnapshot, SeriesKey};
 use wiforce_telemetry::trace;
 use wiforce_telemetry::{
     AggregatorConfig, HealthAggregator, Histogram, StreamHealth, StreamWindow, TelemetrySnapshot,
@@ -295,6 +298,9 @@ pub struct StreamResult {
     /// [`StreamResult::deterministic_eq`]; the per-stream accounting
     /// `produced == consumed + dropped` holds at any worker count.
     pub groups_dropped: u64,
+    /// Deepest this stream's queue got, in groups (at most the queue
+    /// capacity). Scheduling-dependent, like `groups_dropped`.
+    pub queue_peak: usize,
 }
 
 fn bits_eq(a: f64, b: f64) -> bool {
@@ -411,6 +417,44 @@ impl BatchReport {
                 .iter()
                 .zip(&other.streams)
                 .all(|(a, b)| a.deterministic_eq(b))
+    }
+
+    /// The run as metric series: `snap` (a recorder snapshot, e.g.
+    /// [`Self::telemetry`] or everything the caller recorded around the
+    /// run) as unlabelled series, plus per stream, labelled
+    /// `{reader, stream}`: `batch.groups_consumed`,
+    /// `batch.groups_dropped`, `batch.presses_served`,
+    /// `batch.estimate_failures`, the `batch.queue_peak` gauge and a
+    /// `batch.group_latency_ns` summary. The per-stream series come from
+    /// [`Self::streams`], so they are present with the recorder off.
+    pub fn metrics(&self, snap: &TelemetrySnapshot) -> MetricsSnapshot {
+        let mut m = MetricsSnapshot::from_telemetry(snap);
+        for s in &self.streams {
+            let reader = s.reader.to_string();
+            let key = |name: &str| {
+                SeriesKey::new(
+                    name,
+                    &[("reader", reader.as_str()), ("stream", s.name.as_str())],
+                )
+            };
+            let presses = s.readings.iter().filter(|r| r.press.is_some()).count();
+            for (name, n) in [
+                ("batch.groups_consumed", s.latencies_ns.len() as u64),
+                ("batch.groups_dropped", s.groups_dropped),
+                ("batch.presses_served", presses as u64),
+                ("batch.estimate_failures", s.failures),
+            ] {
+                m.counters.insert(key(name), n);
+            }
+            m.gauges
+                .insert(key("batch.queue_peak"), s.queue_peak as f64);
+            let mut latency = Histogram::default();
+            for &ns in &s.latencies_ns {
+                latency.record(ns as f64);
+            }
+            m.histograms.insert(key("batch.group_latency_ns"), latency);
+        }
+        m
     }
 }
 
@@ -994,22 +1038,6 @@ impl StreamConsumer {
             self.latencies_ns
                 .push(item.produced.elapsed().as_nanos() as u64);
         }
-        if wiforce_telemetry::enabled() {
-            wiforce_telemetry::counter_owned(
-                format!("batch.stream.{}.groups", self.name),
-                items.len() as u64,
-            );
-            if let Some(last) = self.readings.last() {
-                wiforce_telemetry::gauge_owned(
-                    format!("batch.stream.{}.last_force_n", self.name),
-                    last.reading.force_n,
-                );
-            }
-            wiforce_telemetry::gauge_owned(
-                format!("batch.stream.{}.readings", self.name),
-                self.readings.len() as f64,
-            );
-        }
     }
 
     fn into_result(self) -> StreamResult {
@@ -1021,6 +1049,7 @@ impl StreamConsumer {
             failures: self.failures,
             latencies_ns: self.latencies_ns,
             groups_dropped: 0,
+            queue_peak: 0,
         }
     }
 }
@@ -1042,8 +1071,6 @@ struct Sched {
     overflow: OverflowPolicy,
     /// Per flat stream: groups lost to a full queue (DropNewest only).
     dropped: Vec<u64>,
-    /// Per flat stream: groups drained into the consumer.
-    consumed: Vec<u64>,
     depth_hist: Histogram,
     occupancy_hist: Histogram,
     /// Rolling health windows, fed as consumers drain (present only on
@@ -1137,7 +1164,6 @@ fn worker_loop(shared: &Shared, observer: Option<&(dyn Fn(&StreamWindow) + Sync)
             if let Some(snap) = snap {
                 guard.cons_telem[flat].push((items[0].seq, snap));
             }
-            guard.consumed[flat] += items.len() as u64;
             let mut windows = Vec::new();
             if let Some(agg) = guard.health.as_mut() {
                 // key by reader as well: stream names are only unique
@@ -1346,7 +1372,6 @@ pub fn run_batch_observed(
             backpressure_events: 0,
             overflow: cfg.overflow,
             dropped: vec![0; n_streams],
-            consumed: vec![0; n_streams],
             depth_hist: Histogram::default(),
             occupancy_hist: Histogram::default(),
             health: health.map(HealthAggregator::new),
@@ -1381,6 +1406,7 @@ pub fn run_batch_observed(
         .map(|(flat, c)| {
             let mut result = c.take().expect("consumer parked at shutdown").into_result();
             result.groups_dropped = sched.dropped[flat];
+            result.queue_peak = sched.queue_peak[flat];
             result
         })
         .collect();
@@ -1444,48 +1470,7 @@ pub fn run_batch_observed(
         .gauges
         .insert("batch.streams".into(), n_streams as f64);
     merged.gauges.insert("batch.workers".into(), workers as f64);
-    for (flat, s) in streams.iter().enumerate() {
-        // reader-scoped: same-named streams on different readers must
-        // not overwrite each other's peaks
-        merged.gauges.insert(
-            format!("batch.stream.r{}.{}.queue_peak", s.reader, s.name),
-            sched.queue_peak[flat] as f64,
-        );
-    }
     wiforce_telemetry::absorb(&merged);
-
-    // feed the process-wide metrics registry from the already-merged
-    // per-stream accounting (deterministic order, no worker-side cost)
-    if metrics::metrics_enabled() {
-        metrics::counter_add("batch.runs", &[], 1);
-        metrics::counter_add("batch.backpressure_stalls", &[], sched.backpressure_events);
-        metrics::gauge_set("batch.workers", &[], workers as f64);
-        metrics::gauge_set("batch.streams", &[], n_streams as f64);
-        let (hits, misses) = sim.channel_cache.stats();
-        metrics::counter_add("channel_cache.hits", &[], hits);
-        metrics::counter_add("channel_cache.misses", &[], misses);
-        let (rhits, rmisses) = sim.channel_cache.response_stats();
-        if rhits + rmisses > 0 {
-            metrics::gauge_set(
-                "response_table.hit_rate",
-                &[],
-                rhits as f64 / (rhits + rmisses) as f64,
-            );
-        }
-        for (flat, s) in streams.iter().enumerate() {
-            let reader = s.reader.to_string();
-            let labels = [("reader", reader.as_str()), ("stream", s.name.as_str())];
-            metrics::counter_add("batch.groups_consumed", &labels, sched.consumed[flat]);
-            metrics::counter_add("batch.groups_dropped", &labels, sched.dropped[flat]);
-            let presses = s.readings.iter().filter(|r| r.press.is_some()).count();
-            metrics::counter_add("batch.presses_served", &labels, presses as u64);
-            metrics::counter_add("batch.estimate_failures", &labels, s.failures);
-            metrics::gauge_set("batch.queue_peak", &labels, sched.queue_peak[flat] as f64);
-            for &ns in &s.latencies_ns {
-                metrics::observe("batch.group_latency_ns", &labels, ns as f64);
-            }
-        }
-    }
 
     Ok(BatchReport {
         streams,
@@ -1860,13 +1845,7 @@ mod tests {
         let report =
             run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs");
         for s in &report.streams {
-            let peak = report
-                .telemetry
-                .gauges
-                .get(&format!("batch.stream.r{}.{}.queue_peak", s.reader, s.name))
-                .copied()
-                .expect("queue peak gauge");
-            assert!(peak <= 1.0, "stream {} peak {}", s.name, peak);
+            assert!(s.queue_peak <= 1, "stream {} peak {}", s.name, s.queue_peak);
             assert_eq!(s.latencies_ns.len(), 4, "all groups consumed");
         }
         assert_eq!(report.groups_produced, 4);

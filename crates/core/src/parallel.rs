@@ -73,32 +73,17 @@ impl Job {
     fn work(&self) -> bool {
         // Safety: see the field invariant on `f`.
         let f = unsafe { &*self.f };
-        let mut claimed = 0u64;
-        let panicked = loop {
+        loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.n_chunks {
                 break false;
             }
-            claimed += 1;
             let _chunk = wiforce_telemetry::trace::span_arg("synth.chunk", i as u64);
             if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() {
                 self.panicked.store(true, Ordering::Release);
                 break true;
             }
-        };
-        // dynamic stealing makes per-worker claim counts the pool's own
-        // load-balance signal; the claim counter itself stays untouched
-        // when metrics are off
-        if claimed > 0 && wiforce_telemetry::metrics::metrics_enabled() {
-            let current = std::thread::current();
-            let worker = current.name().unwrap_or("caller");
-            wiforce_telemetry::metrics::counter_add(
-                "synth.chunks_claimed",
-                &[("worker", worker)],
-                claimed,
-            );
         }
-        panicked
     }
 }
 
@@ -172,13 +157,6 @@ pub(crate) fn run_chunks(workers: usize, n_chunks: usize, f: &(dyn Fn(usize) + S
         for i in 0..n_chunks {
             let _chunk = wiforce_telemetry::trace::span_arg("synth.chunk", i as u64);
             f(i);
-        }
-        if wiforce_telemetry::metrics::metrics_enabled() {
-            wiforce_telemetry::metrics::counter_add(
-                "synth.chunks_claimed",
-                &[("worker", "caller")],
-                n_chunks as u64,
-            );
         }
         return;
     }

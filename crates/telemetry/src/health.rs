@@ -243,16 +243,6 @@ impl PipelineHealth {
     pub fn observation(&self, name: &str) -> Option<&ObservationStats> {
         self.observations.iter().find(|o| o.name == name)
     }
-
-    /// Gauges whose name starts with `prefix` — the per-stream view of a
-    /// batch run (`batch.stream.<name>.*`), in sorted-name order.
-    pub fn gauges_with_prefix(&self, prefix: &str) -> Vec<(&str, f64)> {
-        self.gauges
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -24,11 +24,13 @@
 //! writer ([`json`]), and a matching minimal parser is provided for
 //! artifact validation in tests and CI.
 //!
-//! Three continuous-observability layers build on the recorder, each
-//! behind its own gate (all off by default, all RNG-free):
-//! [`trace`] — per-thread lock-free event rings flushed to Chrome
-//! trace-event JSON; [`metrics`] — a process-wide labelled registry with
-//! Prometheus text exposition; [`aggregate`] — rolling per-stream window
+//! Two process-wide gates exist: the recorder's ([`enabled`]) and the
+//! trace ring's ([`trace::trace_enabled`]); both are off by default and
+//! RNG-free. Three views build on them: [`trace`] flushes per-thread
+//! lock-free event rings to Chrome trace-event JSON; [`metrics`] renders
+//! a recorder snapshot (plus a batch run's per-stream series) as
+//! Prometheus text exposition, holding no store of its own;
+//! [`aggregate`] folds per-group samples into rolling per-stream window
 //! health with SLO degradation flags.
 
 use std::cell::RefCell;
@@ -315,7 +317,7 @@ impl TelemetrySnapshot {
 }
 
 /// The thread-local metric store. Instrumentation macros write here;
-/// [`take`] and [`snapshot`] read it.
+/// [`take`] drains it.
 #[derive(Debug, Default)]
 pub struct Recorder {
     data: TelemetrySnapshot,
@@ -334,11 +336,6 @@ pub fn take() -> TelemetrySnapshot {
         let rec = &mut *r.borrow_mut();
         std::mem::take(&mut rec.data)
     })
-}
-
-/// Clones this thread's recorder contents without draining.
-pub fn snapshot() -> TelemetrySnapshot {
-    RECORDER.with(|r| r.borrow().data.clone())
 }
 
 /// Clears this thread's recorder.
@@ -398,47 +395,6 @@ pub fn observe(name: &'static str, v: f64) {
             .data
             .observations
             .entry(name.into())
-            .or_default()
-            .record(v);
-    });
-}
-
-/// Like [`counter`], but with a runtime-built name — for per-stream or
-/// per-shard metrics (`batch.stream.<name>.presses_ok`) whose identity is
-/// only known at run time. No-op while disabled; the `String` is only
-/// built by callers when [`enabled`] says recording is on.
-#[inline]
-pub fn counter_owned(name: String, n: u64) {
-    if !enabled() {
-        return;
-    }
-    RECORDER.with(|r| {
-        *r.borrow_mut().data.counters.entry(name).or_insert(0) += n;
-    });
-}
-
-/// Like [`gauge`], but with a runtime-built name. No-op while disabled.
-#[inline]
-pub fn gauge_owned(name: String, v: f64) {
-    if !enabled() {
-        return;
-    }
-    RECORDER.with(|r| {
-        r.borrow_mut().data.gauges.insert(name, v);
-    });
-}
-
-/// Like [`observe`], but with a runtime-built name. No-op while disabled.
-#[inline]
-pub fn observe_owned(name: String, v: f64) {
-    if !enabled() {
-        return;
-    }
-    RECORDER.with(|r| {
-        r.borrow_mut()
-            .data
-            .observations
-            .entry(name)
             .or_default()
             .record(v);
     });
@@ -652,31 +608,6 @@ mod tests {
         assert_eq!(h.min, 0.25);
         assert_eq!(h.max, 4.0);
         assert!((h.sum - 4.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn owned_names_record_like_static_ones() {
-        let snap = with_enabled(|| {
-            counter_owned(format!("batch.stream.{}.presses", 3), 2);
-            counter("batch.stream.3.presses", 1);
-            gauge_owned("batch.stream.3.ok".to_string(), 1.0);
-            observe_owned("batch.queue_depth".to_string(), 2.0);
-            take()
-        });
-        assert_eq!(snap.counters["batch.stream.3.presses"], 3);
-        assert_eq!(snap.gauges["batch.stream.3.ok"], 1.0);
-        assert_eq!(snap.observations["batch.queue_depth"].count, 1);
-    }
-
-    #[test]
-    fn owned_names_noop_while_disabled() {
-        let _g = GATE.lock().unwrap();
-        reset();
-        set_enabled(false);
-        counter_owned("c".into(), 1);
-        gauge_owned("g".into(), 1.0);
-        observe_owned("o".into(), 1.0);
-        assert!(take().is_empty());
     }
 
     #[test]

@@ -1,27 +1,16 @@
-//! Process-wide metrics registry with Prometheus text exposition.
+//! Prometheus text exposition of a run's telemetry.
 //!
-//! The thread-local recorder ([`crate::Recorder`]) is built for
-//! deterministic per-run artifacts: each worker records privately and
-//! the engine merges snapshots in index order. A *serving* process needs
-//! the opposite shape — one live registry any thread can write and any
-//! scraper can read at any moment. This module provides that: named
-//! counters, gauges and histograms keyed by `(name, labels)` (labels
-//! carry the per-stream / per-worker dimensions), a [`snapshot`] API for
-//! the future daemon's `/metrics` endpoint, and a text renderer in
-//! Prometheus exposition format ([`MetricsSnapshot::prometheus`]).
-//!
-//! Writes go through one `Mutex` — metric updates happen at group /
-//! press / job granularity (milliseconds), not per sample, so contention
-//! is negligible; hot loops keep using the lock-free trace ring and the
-//! thread-local recorder. Like the other observability layers the whole
-//! module sits behind its own `AtomicBool` gate and is off by default;
-//! every entry point is a relaxed load + early return while disabled,
-//! and recording touches no RNG or numeric pipeline state.
+//! There is no metrics store of its own: a [`MetricsSnapshot`] is a
+//! plain value built from data a run already holds. The recorder
+//! snapshot that `--health-json` reads maps onto unlabelled series
+//! ([`MetricsSnapshot::from_telemetry`]); a batch run adds its
+//! `{reader, stream}`-labelled per-stream series from its report
+//! (`wiforce::batch::BatchReport::metrics`). [`MetricsSnapshot::prometheus`]
+//! renders the result in Prometheus text exposition format, so one
+//! recording feeds the health report and the exposition alike.
 
-use crate::Histogram;
+use crate::{Histogram, TelemetrySnapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// One metric series identity: a family name plus its sorted label set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -34,7 +23,8 @@ pub struct SeriesKey {
 }
 
 impl SeriesKey {
-    fn new(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
+    /// A series identity; label order does not matter.
+    pub fn new(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|&(k, v)| (k.to_string(), v.to_string()))
@@ -45,119 +35,19 @@ impl SeriesKey {
             labels,
         }
     }
-
-    /// `true` when this series carries the given label pair.
-    pub fn has_label(&self, key: &str, value: &str) -> bool {
-        self.labels.iter().any(|(k, v)| k == key && v == value)
-    }
 }
 
-#[derive(Debug, Default)]
-struct Registry {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, f64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
-}
-
-static METRICS: AtomicBool = AtomicBool::new(false);
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-        counters: BTreeMap::new(),
-        gauges: BTreeMap::new(),
-        histograms: BTreeMap::new(),
-    });
-    &REGISTRY
-}
-
-/// `true` when the registry is accepting updates.
-#[inline(always)]
-pub fn metrics_enabled() -> bool {
-    METRICS.load(Ordering::Relaxed)
-}
-
-/// Turns the registry on or off (process-wide).
-pub fn set_metrics_enabled(on: bool) {
-    METRICS.store(on, Ordering::Relaxed);
-}
-
-/// Adds `n` to a labelled monotonic counter. No-op while disabled.
-pub fn counter_add(name: &str, labels: &[(&str, &str)], n: u64) {
-    if !metrics_enabled() {
-        return;
-    }
-    let key = SeriesKey::new(name, labels);
-    let mut reg = registry().lock().expect("metrics registry");
-    *reg.counters.entry(key).or_insert(0) += n;
-}
-
-/// Sets a labelled gauge (last writer wins). No-op while disabled.
-pub fn gauge_set(name: &str, labels: &[(&str, &str)], v: f64) {
-    if !metrics_enabled() {
-        return;
-    }
-    let key = SeriesKey::new(name, labels);
-    let mut reg = registry().lock().expect("metrics registry");
-    reg.gauges.insert(key, v);
-}
-
-/// Records one value into a labelled histogram. No-op while disabled.
-pub fn observe(name: &str, labels: &[(&str, &str)], v: f64) {
-    if !metrics_enabled() {
-        return;
-    }
-    let key = SeriesKey::new(name, labels);
-    let mut reg = registry().lock().expect("metrics registry");
-    reg.histograms.entry(key).or_default().record(v);
-}
-
-/// Merges a pre-aggregated histogram into a labelled series — for
-/// folding an engine's per-run histogram (queue depth, latency) into
-/// the live registry in one call. No-op while disabled.
-pub fn merge_histogram(name: &str, labels: &[(&str, &str)], h: &Histogram) {
-    if !metrics_enabled() || h.count == 0 {
-        return;
-    }
-    let key = SeriesKey::new(name, labels);
-    let mut reg = registry().lock().expect("metrics registry");
-    reg.histograms.entry(key).or_default().merge_from(h);
-}
-
-/// Clears every series (the gate state is untouched).
-pub fn reset() {
-    let mut reg = registry().lock().expect("metrics registry");
-    *reg = Registry::default();
-}
-
-/// A point-in-time copy of the registry.
+/// A set of metric series ready for exposition. Keys are sorted, so the
+/// rendered text is deterministic and every family's series are
+/// adjacent.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Counter series, sorted by key.
-    pub counters: Vec<(SeriesKey, u64)>,
-    /// Gauge series, sorted by key.
-    pub gauges: Vec<(SeriesKey, f64)>,
-    /// Histogram series, sorted by key.
-    pub histograms: Vec<(SeriesKey, Histogram)>,
-}
-
-/// Copies the registry (works whether or not recording is enabled, so a
-/// scraper can read after the workload disabled updates).
-pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry().lock().expect("metrics registry");
-    MetricsSnapshot {
-        counters: reg.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        gauges: reg.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        histograms: reg
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), h.clone()))
-            .collect(),
-    }
-}
-
-/// Renders the current registry in Prometheus text exposition format.
-pub fn prometheus() -> String {
-    snapshot().prometheus()
+    /// Counter series.
+    pub counters: BTreeMap<SeriesKey, u64>,
+    /// Gauge series.
+    pub gauges: BTreeMap<SeriesKey, f64>,
+    /// Histogram series, rendered as summaries.
+    pub histograms: BTreeMap<SeriesKey, Histogram>,
 }
 
 /// Maps a dotted WiForce metric name onto the Prometheus grammar:
@@ -220,24 +110,40 @@ fn render_f64(v: f64) -> String {
 }
 
 impl MetricsSnapshot {
+    /// Maps a recorder snapshot onto unlabelled series: every counter,
+    /// gauge and observation under its own name, and every span path
+    /// `p` as a summary `span.p_ns` of its durations in nanoseconds.
+    pub fn from_telemetry(snap: &TelemetrySnapshot) -> MetricsSnapshot {
+        let key = |name: &str| SeriesKey::new(name, &[]);
+        MetricsSnapshot {
+            counters: snap.counters.iter().map(|(k, &v)| (key(k), v)).collect(),
+            gauges: snap.gauges.iter().map(|(k, &v)| (key(k), v)).collect(),
+            histograms: snap
+                .observations
+                .iter()
+                .map(|(k, h)| (key(k), h.clone()))
+                .chain(
+                    snap.spans
+                        .iter()
+                        .map(|(path, h)| (key(&format!("span.{path}_ns")), h.clone())),
+                )
+                .collect(),
+        }
+    }
+
     /// Total number of exported series (histograms count once each).
     pub fn series_count(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
-    /// Looks up a counter by name and exact label subset.
+    /// Looks up a counter by name and exact label set.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let key = SeriesKey::new(name, labels);
-        self.counters
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
+        self.counters.get(&SeriesKey::new(name, labels)).copied()
     }
 
     /// Looks up a gauge by name and exact label set.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let key = SeriesKey::new(name, labels);
-        self.gauges.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+        self.gauges.get(&SeriesKey::new(name, labels)).copied()
     }
 
     /// Renders Prometheus text exposition: counters and gauges as-is,
@@ -306,77 +212,54 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    /// Serializes access to the global registry across tests.
-    fn with_metrics<T>(f: impl FnOnce() -> T) -> T {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_metrics_enabled(true);
-        let out = f();
-        set_metrics_enabled(false);
-        reset();
-        out
-    }
-
     #[test]
-    fn disabled_records_nothing() {
-        let snap = with_metrics(|| {
-            set_metrics_enabled(false);
-            counter_add("c", &[], 1);
-            gauge_set("g", &[], 1.0);
-            observe("o", &[], 1.0);
-            set_metrics_enabled(true);
-            snapshot()
-        });
-        assert_eq!(snap.series_count(), 0);
-    }
-
-    #[test]
-    fn labelled_series_accumulate_independently() {
-        let snap = with_metrics(|| {
-            counter_add("batch.presses_served", &[("stream", "s0")], 2);
-            counter_add("batch.presses_served", &[("stream", "s0")], 3);
-            counter_add("batch.presses_served", &[("stream", "s1")], 1);
-            gauge_set("batch.queue_peak", &[("stream", "s0")], 4.0);
-            observe("batch.latency_ns", &[("stream", "s0")], 1000.0);
-            observe("batch.latency_ns", &[("stream", "s0")], 3000.0);
-            snapshot()
-        });
-        assert_eq!(
-            snap.counter("batch.presses_served", &[("stream", "s0")]),
-            Some(5)
+    fn from_telemetry_maps_every_family() {
+        let mut t = TelemetrySnapshot::default();
+        t.counters.insert("faults.snapshots_dropped".into(), 3);
+        t.gauges.insert("batch.workers".into(), 4.0);
+        let mut h = Histogram::default();
+        h.record(10.0);
+        t.observations.insert("batch.queue_depth".into(), h.clone());
+        t.spans
+            .insert("batch.consume/pipeline.model_invert".into(), h);
+        let snap = MetricsSnapshot::from_telemetry(&t);
+        assert_eq!(snap.series_count(), 4);
+        assert_eq!(snap.counter("faults.snapshots_dropped", &[]), Some(3));
+        assert_eq!(snap.gauge("batch.workers", &[]), Some(4.0));
+        assert!(snap
+            .histograms
+            .contains_key(&SeriesKey::new("batch.queue_depth", &[])));
+        let text = snap.prometheus();
+        assert!(
+            text.contains("# TYPE wiforce_span_batch_consume_pipeline_model_invert_ns summary"),
+            "{text}"
         );
-        assert_eq!(
-            snap.counter("batch.presses_served", &[("stream", "s1")]),
-            Some(1)
-        );
-        assert_eq!(
-            snap.gauge("batch.queue_peak", &[("stream", "s0")]),
-            Some(4.0)
-        );
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].1.count, 2);
     }
 
     #[test]
     fn label_order_does_not_split_series() {
-        let snap = with_metrics(|| {
-            counter_add("x", &[("a", "1"), ("b", "2")], 1);
-            counter_add("x", &[("b", "2"), ("a", "1")], 1);
-            snapshot()
-        });
+        let mut snap = MetricsSnapshot::default();
+        snap.counters
+            .insert(SeriesKey::new("x", &[("a", "1"), ("b", "2")]), 1);
+        snap.counters
+            .insert(SeriesKey::new("x", &[("b", "2"), ("a", "1")]), 2);
         assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.counters[0].1, 2);
+        assert_eq!(snap.counter("x", &[("b", "2"), ("a", "1")]), Some(2));
     }
 
     #[test]
     fn prometheus_exposition_shape() {
-        let text = with_metrics(|| {
-            counter_add("batch.presses_served", &[("stream", "s0")], 7);
-            gauge_set("estimator.locked", &[("stream", "s0")], 1.0);
-            observe("batch.group_latency_ns", &[("stream", "s0")], 2048.0);
-            prometheus()
-        });
+        let mut snap = MetricsSnapshot::default();
+        let s0 = [("stream", "s0")];
+        snap.counters
+            .insert(SeriesKey::new("batch.presses_served", &s0), 7);
+        snap.gauges
+            .insert(SeriesKey::new("estimator.locked", &s0), 1.0);
+        let mut h = Histogram::default();
+        h.record(2048.0);
+        snap.histograms
+            .insert(SeriesKey::new("batch.group_latency_ns", &s0), h);
+        let text = snap.prometheus();
         assert!(
             text.contains("# TYPE wiforce_batch_presses_served counter"),
             "{text}"
@@ -396,22 +279,6 @@ mod tests {
                 "bad value {value}"
             );
         }
-    }
-
-    #[test]
-    fn merge_histogram_folds_engine_runs() {
-        let snap = with_metrics(|| {
-            let mut h = Histogram::default();
-            h.record(10.0);
-            h.record(20.0);
-            merge_histogram("batch.queue_depth", &[], &h);
-            merge_histogram("batch.queue_depth", &[], &h);
-            merge_histogram("empty", &[], &Histogram::default());
-            snapshot()
-        });
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].1.count, 4);
-        assert!((snap.histograms[0].1.sum - 60.0).abs() < 1e-12);
     }
 
     #[test]

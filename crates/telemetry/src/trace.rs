@@ -17,9 +17,10 @@
 //! Recording never blocks and never allocates after a thread's first
 //! event: each thread owns a single-producer ring ([`ring_capacity`]
 //! slots); the only consumer is the collector. A full ring *drops* the
-//! new event and bumps a relaxed drop counter ([`drop_count`]) — the
-//! pipeline never stalls on its own observability. When tracing is
-//! disabled (the default) every entry point is one relaxed atomic load.
+//! new event and bumps a relaxed drop counter, which [`collect`] reports
+//! as [`TraceSnapshot::dropped`] — the pipeline never stalls on its own
+//! observability. When tracing is disabled (the default) every entry
+//! point is one relaxed atomic load.
 //!
 //! Tracing touches no RNG or numeric state, so pipeline outputs are
 //! bit-identical with tracing on or off (pinned in
@@ -35,21 +36,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Sentinel for "no argument attached" on an event.
 pub const NO_ARG: u64 = u64::MAX;
 
-/// Default per-thread ring capacity in events (power of two). Override
-/// with `WIFORCE_TRACE_CAPACITY` (rounded up to a power of two).
+/// Per-thread ring capacity in events (power of two).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
-/// Per-thread ring capacity for this process (read once; see
-/// [`DEFAULT_RING_CAPACITY`]).
+/// Per-thread ring capacity: [`DEFAULT_RING_CAPACITY`].
 pub fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("WIFORCE_TRACE_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(16, 1 << 22).next_power_of_two())
-            .unwrap_or(DEFAULT_RING_CAPACITY)
-    })
+    DEFAULT_RING_CAPACITY
 }
 
 /// What a [`TraceEvent`] records.
@@ -473,14 +465,6 @@ pub fn collect() -> TraceSnapshot {
     }
 }
 
-/// Total events dropped by full rings since the last [`reset`].
-pub fn drop_count() -> u64 {
-    let reg = registry().lock().expect("trace registry");
-    reg.iter()
-        .map(|l| l.ring.dropped.load(Ordering::Relaxed))
-        .sum()
-}
-
 /// Discards all captured events and retires every lane. Threads
 /// re-register (fresh rings, fresh lane ids) on their next event.
 pub fn reset() {
@@ -608,7 +592,7 @@ mod tests {
             let snap = collect();
             assert_eq!(snap.total_events(), 1);
             assert_eq!(snap.lanes[0].events[0].name, "b");
-            assert_eq!(drop_count(), 0);
+            assert_eq!(snap.dropped, 0);
         });
     }
 }

@@ -13,8 +13,7 @@
 //!                      [--queue 4] [--faults none|harsh|saturating] [--seed 5]
 //!                      [--overflow stall|drop-newest] [--throttle-ms N]
 //!                      [--watch 1] [--trace t.json] [--metrics m.prom]
-//! wiforce-cli trace    --out trace.json [serve flags]
-//! wiforce-cli metrics  [--out metrics.prom] [serve flags]
+//!                      [--health-json health.json]
 //! ```
 //!
 //! `serve` drives the multi-stream batch engine (`wiforce::batch`): it
@@ -28,14 +27,17 @@
 //! during the run; `--watch 1` streams each completed window to stderr
 //! as single-line JSON while the batch is still running.
 //!
-//! `trace` runs the same workload with the per-worker trace rings
+//! `serve --trace PATH` runs the workload with the per-worker trace rings
 //! enabled and writes a Chrome trace-event JSON (loadable in Perfetto /
 //! `chrome://tracing`) with one lane per worker thread, span events for
 //! every instrumented stage, flow arrows for produce→consume and fused
-//! synth→extract handoffs, and queue-depth counter tracks. `metrics`
-//! runs it with the metrics registry enabled and emits Prometheus text
-//! exposition (per-stream and per-worker series) to `--out` or stdout.
-//! The same exports ride along with `serve` via `--trace`/`--metrics`.
+//! synth→extract handoffs, and queue-depth counter tracks.
+//! `serve --metrics PATH` turns the telemetry recorder on, as
+//! `--health-json` does, and writes Prometheus text exposition: every
+//! recorded counter, gauge, observation and span, plus the
+//! `{reader, stream}`-labelled per-stream series of the batch report.
+//! With both flags, the health report and the exposition are rendered
+//! from one recorder snapshot.
 //!
 //! `press` and `replay` accept `--model model.wfm` to reuse a saved
 //! calibration instead of re-deriving it.
@@ -65,7 +67,7 @@ use wiforce::record::Recording;
 use wiforce::spectrum::{discover_tags, DopplerSpectrum};
 use wiforce::tracking::{Tracker, TrackerConfig};
 use wiforce_channel::faults::FaultConfig;
-use wiforce_telemetry::{metrics, trace, AggregatorConfig, PipelineHealth, StreamWindow};
+use wiforce_telemetry::{trace, AggregatorConfig, PipelineHealth, StreamWindow, TelemetrySnapshot};
 
 /// Minimal `--key value` argument map.
 struct Args {
@@ -140,7 +142,7 @@ impl Args {
 
 /// The flags each command reads, or `None` for an unknown command.
 fn accepted_flags(cmd: &str) -> Option<Vec<&'static str>> {
-    // read by `run_serve_workload`, shared by serve, trace and metrics
+    // read by `run_serve_workload`
     const SERVE_WORKLOAD: [&str; 13] = [
         "carrier-ghz",
         "model",
@@ -178,18 +180,17 @@ fn accepted_flags(cmd: &str) -> Option<Vec<&'static str>> {
         "spectrum" => &["in", "snr-db", "waterfall"],
         "calibrate" => &["carrier-ghz", "out"],
         "serve" => &["health-json", "trace", "metrics"],
-        "trace" | "metrics" => &["out"],
         _ => return None,
     };
     let workload: &[&'static str] = match cmd {
-        "serve" | "trace" | "metrics" => &SERVE_WORKLOAD,
+        "serve" => &SERVE_WORKLOAD,
         _ => &[],
     };
     Some(own.iter().chain(workload).copied().collect())
 }
 
 fn usage() -> &'static str {
-    "usage: wiforce-cli <press|sweep|record|replay|spectrum|calibrate|health|serve|trace|metrics> [--key value ...]\n\
+    "usage: wiforce-cli <press|sweep|record|replay|spectrum|calibrate|health|serve> [--key value ...]\n\
      \n\
      press    simulate one calibrated press and print the estimate\n\
      sweep    run a small Monte-Carlo press sweep and print error medians\n\
@@ -199,8 +200,6 @@ fn usage() -> &'static str {
      calibrate derive the sensor model and save it to a .wfm file\n\
      health   run the full stack with telemetry on and emit a health report\n\
      serve    run N frequency-multiplexed streams through the batch engine\n\
-     trace    run the serve workload with trace rings on; write Chrome trace JSON\n\
-     metrics  run the serve workload with the metrics registry on; emit Prometheus text\n\
      \n\
      flags (a command rejects any flag it does not read):\n\
      press/health: --carrier-ghz F  --force N  --location-mm MM  --seed N  --model F.wfm\n\
@@ -210,38 +209,47 @@ fn usage() -> &'static str {
      spectrum:  --in F.wifs  --snr-db DB  --waterfall 1\n\
      calibrate: --out F.wfm  --carrier-ghz F\n\
      press/sweep/replay/health/serve: --health-json PATH  write a PipelineHealth report\n\
-     serve/trace/metrics: --streams N  --presses N  --readers N  --workers N  --queue N\n\
+     serve:     --streams N  --presses N  --readers N  --workers N  --queue N\n\
      \x20       --faults none|harsh|saturating  --overflow stall|drop-newest\n\
      \x20       --throttle-ms N  --watch 1  --carrier-ghz F  --seed N  --model F.wfm\n\
      \x20       --synth-mode auto|spectral|td  pin the synthesis arm\n\
-     serve: --trace PATH  --metrics PATH    trace: --out PATH    metrics: --out PATH"
+     \x20       --trace PATH  write Chrome trace JSON\n\
+     \x20       --metrics PATH  write Prometheus text (recorder + per-stream series)"
 }
 
-/// `--health-json` handling: when the flag is present, [`enable`]
-/// switches the telemetry recorder on for the run and [`finish`] writes
-/// the aggregated report; without the flag both are no-ops.
+/// `--health-json` / `serve --metrics` handling: when either flag is
+/// present, [`enable`] switches the telemetry recorder on for the run and
+/// [`finish`] takes its snapshot, writes the aggregated health report
+/// from it when asked, and returns it; without either flag both are
+/// no-ops and the snapshot is empty.
 struct HealthSink {
     out: Option<PathBuf>,
+    recording: bool,
 }
 
 impl HealthSink {
     fn enable(args: &Args) -> HealthSink {
         let out = args.get("health-json").map(PathBuf::from);
-        if out.is_some() {
+        let recording = out.is_some() || args.get("metrics").is_some();
+        if recording {
             wiforce_telemetry::reset();
             wiforce_telemetry::set_enabled(true);
         }
-        HealthSink { out }
+        HealthSink { out, recording }
     }
 
-    fn finish(self) -> Result<(), String> {
-        let Some(path) = self.out else { return Ok(()) };
+    fn finish(self) -> Result<TelemetrySnapshot, String> {
+        if !self.recording {
+            return Ok(TelemetrySnapshot::default());
+        }
         wiforce_telemetry::set_enabled(false);
-        let health = PipelineHealth::collect();
-        std::fs::write(&path, health.to_json())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("wrote health report to {}", path.display());
-        Ok(())
+        let snap = wiforce_telemetry::take();
+        if let Some(path) = self.out {
+            std::fs::write(&path, PipelineHealth::from_snapshot(&snap).to_json())
+                .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            println!("wrote health report to {}", path.display());
+        }
+        Ok(snap)
     }
 }
 
@@ -267,8 +275,6 @@ fn main() -> ExitCode {
         "calibrate" => cmd_calibrate(&args),
         "health" => cmd_health(&args),
         "serve" => cmd_serve(&args),
-        "trace" => cmd_trace(&args),
-        "metrics" => cmd_metrics(&args),
         other => Err(format!("unknown command '{other}'\n\n{}", usage())),
     };
     match result {
@@ -334,7 +340,8 @@ fn cmd_press(args: &Args) -> Result<(), String> {
         r.dphi2_rad.to_degrees(),
         r.residual_rad.to_degrees()
     );
-    health.finish()
+    health.finish()?;
+    Ok(())
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
@@ -367,7 +374,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         "median location error: {:.2} mm",
         wiforce_dsp::stats::median(&l_errs)
     );
-    health.finish()
+    health.finish()?;
+    Ok(())
 }
 
 fn cmd_record(args: &Args) -> Result<(), String> {
@@ -453,7 +461,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         }
     }
     println!("{n_readings} readings from {} snapshots", rec.len());
-    health.finish()
+    health.finish()?;
+    Ok(())
 }
 
 fn cmd_spectrum(args: &Args) -> Result<(), String> {
@@ -668,6 +677,8 @@ fn run_serve_workload(args: &Args) -> Result<(BatchReport, usize, usize), String
         observer,
     )
     .map_err(|e| e.to_string())?;
+    // end-of-run only, as in `health` (a no-op with the recorder off)
+    sim.emit_cache_gauges();
     Ok((report, readers, workers))
 }
 
@@ -737,65 +748,24 @@ fn export_trace(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes (or prints) the metrics registry as Prometheus text.
-fn export_metrics(path: Option<&str>) -> Result<(), String> {
-    metrics::set_metrics_enabled(false);
-    let text = metrics::snapshot().prometheus();
-    match path {
-        Some(path) => {
-            std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote metrics exposition to {path}");
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
-}
-
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let health = HealthSink::enable(args);
-    let tracing = args.get("trace").is_some();
-    if tracing {
+    if args.get("trace").is_some() {
         trace::reset();
         trace::set_trace_enabled(true);
-    }
-    if args.get("metrics").is_some() {
-        metrics::reset();
-        metrics::set_metrics_enabled(true);
     }
     let (report, readers, workers) = run_serve_workload(args)?;
     print_serve_report(&report, readers, workers);
     if let Some(path) = args.get("trace") {
         export_trace(path)?;
     }
+    let snap = health.finish()?;
     if let Some(path) = args.get("metrics") {
-        export_metrics(Some(path))?;
+        std::fs::write(path, report.metrics(&snap).prometheus())
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        println!("wrote metrics exposition to {path}");
     }
-    health.finish()
-}
-
-fn cmd_trace(args: &Args) -> Result<(), String> {
-    let out = args.path("out")?;
-    trace::reset();
-    trace::set_trace_enabled(true);
-    let (report, readers, workers) = run_serve_workload(args)?;
-    print_serve_report(&report, readers, workers);
-    export_trace(&out.display().to_string())
-}
-
-fn cmd_metrics(args: &Args) -> Result<(), String> {
-    metrics::reset();
-    metrics::set_metrics_enabled(true);
-    let (report, readers, workers) = run_serve_workload(args)?;
-    // summary to stderr so a piped stdout stays pure Prometheus text
-    eprintln!(
-        "{} streams, {} reader(s), {} workers: {} groups in {:.2} s",
-        report.streams.len(),
-        readers,
-        workers,
-        report.groups_produced,
-        report.elapsed.as_secs_f64()
-    );
-    export_metrics(args.get("out"))
+    Ok(())
 }
 
 #[cfg(test)]

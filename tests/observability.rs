@@ -1,20 +1,20 @@
 //! Cross-crate observability contract: pipeline outputs are bit-identical
-//! with the trace ring and metrics registry on or off, the Chrome trace
-//! export is structurally valid, the Prometheus exposition carries the
-//! per-stream series the batch engine is contracted to export, and
-//! health windows stream out incrementally during a run.
+//! with the recorder and trace ring on or off, health windows stream out
+//! incrementally during a run, and the batch telemetry says which
+//! time-domain path ran. The exported artifacts (Chrome trace,
+//! Prometheus text) are validated in `crates/bench/tests/observability.rs`.
 //!
-//! The trace/metrics gates are process globals, so every test that flips
-//! them runs under one shared lock and restores the default (off) state
-//! before releasing it.
+//! The recorder and trace gates are process globals, so every test that
+//! flips them runs under one shared lock and restores the default (off)
+//! state before releasing it.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use wiforce::batch::{run_batch, run_batch_observed, BatchConfig, BatchReport, ReaderSpec};
 use wiforce::pipeline::Simulation;
 use wiforce::SensorModel;
 use wiforce_channel::faults::FaultConfig;
-use wiforce_telemetry::json::{parse, Value};
-use wiforce_telemetry::{metrics, trace, AggregatorConfig, StreamWindow};
+use wiforce_telemetry::json::parse;
+use wiforce_telemetry::{trace, AggregatorConfig, StreamWindow};
 
 fn gate_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -25,15 +25,15 @@ fn gate_lock() -> &'static Mutex<()> {
 /// on entry and restored to off on exit.
 fn with_gates<T>(f: impl FnOnce() -> T) -> T {
     let _guard = gate_lock().lock().unwrap_or_else(|e| e.into_inner());
-    trace::set_trace_enabled(false);
-    metrics::set_metrics_enabled(false);
-    trace::reset();
-    metrics::reset();
+    let all_off = || {
+        trace::set_trace_enabled(false);
+        wiforce_telemetry::set_enabled(false);
+        trace::reset();
+        wiforce_telemetry::reset();
+    };
+    all_off();
     let out = f();
-    trace::set_trace_enabled(false);
-    metrics::set_metrics_enabled(false);
-    trace::reset();
-    metrics::reset();
+    all_off();
     out
 }
 
@@ -63,7 +63,7 @@ fn outputs_bit_identical_with_observability_on_and_off() {
     let (off, on) = with_gates(|| {
         let off = run(&sim, &model, &specs);
         trace::set_trace_enabled(true);
-        metrics::set_metrics_enabled(true);
+        wiforce_telemetry::set_enabled(true);
         let on = run(&sim, &model, &specs);
         (off, on)
     });
@@ -72,131 +72,12 @@ fn outputs_bit_identical_with_observability_on_and_off() {
     for (a, b) in off.streams.iter().zip(&on.streams) {
         assert!(
             a.deterministic_eq(b),
-            "stream {} diverged when tracing/metrics were enabled",
+            "stream {} diverged when the recorder and trace ring were enabled",
             a.name
         );
     }
     assert_eq!(off.groups_produced, on.groups_produced);
     assert_eq!(off.snapshots_dropped, on.snapshots_dropped);
-}
-
-#[test]
-fn chrome_trace_export_is_structurally_valid() {
-    let (sim, model) = template();
-    let specs = readers(&sim, 2);
-
-    let (text, dropped) = with_gates(|| {
-        trace::set_trace_enabled(true);
-        run(&sim, &model, &specs);
-        trace::set_trace_enabled(false);
-        let snap = trace::collect();
-        (snap.chrome_trace(), snap.dropped)
-    });
-
-    assert_eq!(dropped, 0, "trace ring overflowed during a small batch");
-    let doc = parse(&text).expect("chrome trace parses as JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .expect("traceEvents array");
-    assert!(!events.is_empty());
-
-    // every event has the Chrome trace-event shape; B/E balance per lane
-    let mut depth: Vec<(u64, i64)> = Vec::new();
-    let mut flows_started = 0usize;
-    let mut flows_ended = 0usize;
-    for ev in events {
-        let ph = ev.get("ph").and_then(Value::as_str).expect("ph");
-        assert!(
-            ["M", "B", "E", "i", "s", "f", "C"].contains(&ph),
-            "unknown phase {ph:?}"
-        );
-        let tid = ev.get("tid").and_then(Value::as_f64).expect("tid") as u64;
-        if ph == "M" {
-            continue;
-        }
-        assert!(
-            ev.get("ts").and_then(Value::as_f64).is_some(),
-            "timeline event without ts"
-        );
-        match ph {
-            "B" | "E" => {
-                let d = match depth.iter_mut().find(|(l, _)| *l == tid) {
-                    Some((_, d)) => d,
-                    None => {
-                        depth.push((tid, 0));
-                        &mut depth.last_mut().unwrap().1
-                    }
-                };
-                *d += if ph == "B" { 1 } else { -1 };
-                assert!(*d >= 0, "lane {tid} closed more spans than it opened");
-            }
-            "s" => flows_started += 1,
-            "f" => flows_ended += 1,
-            _ => {}
-        }
-    }
-    for (lane, d) in &depth {
-        assert_eq!(*d, 0, "lane {lane} left {d} span(s) open");
-    }
-    // the producer→consumer handoff arrows made it into the export, and
-    // every consumed group's arrow binds to a produced one
-    assert!(flows_started > 0, "no flow starts recorded");
-    assert!(flows_ended > 0, "no flow ends recorded");
-    assert!(flows_ended <= flows_started);
-
-    let other = doc.get("otherData").expect("otherData");
-    assert_eq!(
-        other.get("dropped_events").and_then(Value::as_f64),
-        Some(0.0)
-    );
-    assert!(other.get("ns_per_tick").and_then(Value::as_f64).unwrap() > 0.0);
-    assert!(other.get("lanes").and_then(Value::as_f64).unwrap() >= 1.0);
-}
-
-#[test]
-fn metrics_export_carries_per_stream_series() {
-    let (sim, model) = template();
-    let specs = readers(&sim, 2);
-
-    let (snap, report) = with_gates(|| {
-        metrics::set_metrics_enabled(true);
-        let report = run(&sim, &model, &specs);
-        metrics::set_metrics_enabled(false);
-        (metrics::snapshot(), report)
-    });
-
-    // one groups_consumed counter per stream — reader-labelled, so two
-    // readers' identically-named streams stay distinct series
-    for s in &report.streams {
-        let reader = s.reader.to_string();
-        let labels = [("reader", reader.as_str()), ("stream", s.name.as_str())];
-        let consumed = snap
-            .counter("batch.groups_consumed", &labels)
-            .unwrap_or_else(|| panic!("no batch.groups_consumed series for r{reader}/{}", s.name));
-        assert_eq!(consumed, s.latencies_ns.len() as u64, "{}", s.name);
-    }
-    assert_eq!(snap.counter("batch.runs", &[]), Some(1));
-
-    let text = snap.prometheus();
-    assert!(text.contains("# TYPE wiforce_batch_groups_consumed counter"));
-    assert!(text.contains("stream=\""), "no per-stream labels:\n{text}");
-    assert!(
-        text.contains("# TYPE wiforce_batch_group_latency_ns summary"),
-        "latency histogram missing:\n{text}"
-    );
-    assert!(text.contains("quantile=\"0.99\""));
-    // every sample line is `name[{labels}] value` with a float value
-    for line in text
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-    {
-        let (_, value) = line.rsplit_once(' ').expect("sample line");
-        assert!(
-            value.parse::<f64>().is_ok() || ["NaN", "+Inf", "-Inf"].contains(&value),
-            "bad value in line {line:?}"
-        );
-    }
 }
 
 #[test]
@@ -260,7 +141,7 @@ fn batch_telemetry_says_which_time_domain_path_ran() {
             .with_faults(faults);
         let report = with_gates(|| {
             wiforce_telemetry::set_enabled(true);
-            let report = run_batch_observed(
+            run_batch_observed(
                 &sim,
                 &model,
                 std::slice::from_ref(&spec),
@@ -268,10 +149,7 @@ fn batch_telemetry_says_which_time_domain_path_ran() {
                 Some(AggregatorConfig::default()),
                 None,
             )
-            .expect("batch runs");
-            wiforce_telemetry::set_enabled(false);
-            wiforce_telemetry::reset();
-            report
+            .expect("batch runs")
         });
         let get = |name: &str| {
             report

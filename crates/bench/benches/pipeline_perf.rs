@@ -46,6 +46,19 @@ fn bench_model_invert(c: &mut Criterion) {
     });
 }
 
+/// A press just past the 8 N calibration bound: the answer pins at 8 N, so
+/// the inverter's active-set path (force pinned, location solved alone)
+/// is timed too.
+fn bench_model_invert_at_bound(c: &mut Criterion) {
+    let sim = Simulation::paper_default(2.4e9);
+    let model = sim.vna_calibration().unwrap();
+    let (p1, p2) = sim.vna_phases(8.5, 0.040);
+    assert_eq!(model.invert(p1, p2, 0.35).unwrap().force_n, 8.0);
+    c.bench_function("model_invert_at_bound", |b| {
+        b.iter(|| model.invert(black_box(p1), black_box(p2), 0.35).unwrap())
+    });
+}
+
 fn bench_measure_press(c: &mut Criterion) {
     let mut sim = Simulation::paper_default(2.4e9);
     sim.reference_groups = 1;
@@ -63,6 +76,7 @@ fn bench_measure_press(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_ofdm_estimate, bench_group_extraction, bench_model_invert, bench_measure_press
+    targets = bench_ofdm_estimate, bench_group_extraction, bench_model_invert,
+        bench_model_invert_at_bound, bench_measure_press
 }
 criterion_main!(benches);

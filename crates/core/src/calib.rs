@@ -10,7 +10,9 @@
 //! at the held-out 55 mm point, Table 1). Model inversion lives in
 //! [`crate::model`].
 
+use crate::model::PhaseSurface;
 use crate::WiForceError;
+use std::sync::Arc;
 use wiforce_dsp::interp::catmull_rom;
 use wiforce_dsp::polyfit::Polynomial;
 
@@ -46,14 +48,45 @@ pub struct LocationCurve {
 }
 
 /// The calibrated WiForce sensor model.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the curves and the force range; the inverter's
+/// phase surface is derived from them.
+#[derive(Debug, Clone)]
 pub struct SensorModel {
     curves: Vec<LocationCurve>,
     force_min_n: f64,
     force_max_n: f64,
+    /// Predicted phases on the inverter's seed lattice, built once here
+    /// and shared by every clone (each batch stream clones the model).
+    surface: Arc<PhaseSurface>,
+}
+
+impl PartialEq for SensorModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.curves == other.curves
+            && self.force_min_n == other.force_min_n
+            && self.force_max_n == other.force_max_n
+    }
 }
 
 impl SensorModel {
+    /// Assembles a validated model (≥ 2 strictly increasing locations, a
+    /// finite ordered force range) and builds its phase surface.
+    fn from_curves(curves: Vec<LocationCurve>, force_min_n: f64, force_max_n: f64) -> Self {
+        let surface = Arc::new(PhaseSurface::build(&curves, force_min_n, force_max_n));
+        SensorModel {
+            curves,
+            force_min_n,
+            force_max_n,
+            surface,
+        }
+    }
+
+    /// The inverter's precomputed phase surface.
+    pub(crate) fn surface(&self) -> &PhaseSurface {
+        &self.surface
+    }
+
     /// Fits cubic (or `degree`) polynomials per location.
     ///
     /// Requirements: at least two locations with strictly increasing
@@ -107,11 +140,7 @@ impl SensorModel {
                 poly2,
             });
         }
-        Ok(SensorModel {
-            curves,
-            force_min_n: force_min,
-            force_max_n: force_max,
-        })
+        Ok(Self::from_curves(curves, force_min, force_max))
     }
 
     /// Calibration locations, ascending, m.
@@ -295,7 +324,8 @@ impl SensorModel {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("bad force range"))?;
-        // `invert` clamps into this range, which aborts on NaN or min > max
+        // `invert` searches the box this range spans: it must be finite and
+        // ordered
         if !(force_min_n.is_finite() && force_max_n.is_finite() && force_min_n <= force_max_n) {
             return Err(bad("bad force range"));
         }
@@ -341,11 +371,7 @@ impl SensorModel {
         {
             return Err(bad("model needs ≥2 strictly increasing locations"));
         }
-        Ok(SensorModel {
-            curves,
-            force_min_n,
-            force_max_n,
-        })
+        Ok(Self::from_curves(curves, force_min_n, force_max_n))
     }
 }
 

@@ -2443,6 +2443,24 @@ mod tests {
         );
     }
 
+    #[test]
+    fn inversion_counts_readings_pinned_to_the_box() {
+        // a press past the 8 N calibration bound reads as saturated; one
+        // inside the box does not
+        let sim = Simulation::paper_default(2.4e9);
+        let model = sim.vna_calibration().unwrap();
+        let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        wiforce_telemetry::set_enabled(true);
+        wiforce_telemetry::reset();
+        for (force, location) in [(8.5, 0.040), (4.0, 0.040), (3.0, 0.031)] {
+            let (p1, p2) = sim.vna_phases(force, location);
+            model.invert(p1, p2, 0.35).unwrap();
+        }
+        let snap = wiforce_telemetry::take();
+        wiforce_telemetry::set_enabled(false);
+        assert_eq!(snap.counters.get("invert.at_bound"), Some(&1));
+    }
+
     /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf
     /// approximation (|ε| < 1.5e-7 — far below the KS tolerance).
     fn std_normal_cdf(x: f64) -> f64 {

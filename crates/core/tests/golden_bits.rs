@@ -8,6 +8,14 @@
 //! before the press measurement was folded into one driver. Those changes
 //! are exact rewrites, so the readings must not move by one bit; any
 //! change to these constants is a change in what the system reports.
+//!
+//! Beside every reading pin sits a companion hash over only what the
+//! inverter does not produce: the differential phases, the touch flag,
+//! error strings, group indices and failure counts. The companions were
+//! recorded while the inverter was still a grid search; the reading pins
+//! and the inversion lattice were re-recorded when seeded, box-constrained
+//! Gauss–Newton replaced it, and the unchanged companions prove that
+//! change moved only `force_n`, `location_m` and `residual_rad`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,6 +49,31 @@ impl Fnv {
         }
         self.word(r.touched as u64);
     }
+}
+
+/// A reading pin and its inversion-free companion, fed in lockstep.
+struct Pins {
+    all: Fnv,
+    phases: Fnv,
+}
+
+impl Pins {
+    fn new() -> Self {
+        Pins {
+            all: Fnv::new(),
+            phases: Fnv::new(),
+        }
+    }
+    fn word(&mut self, w: u64) {
+        self.all.word(w);
+        self.phases.word(w);
+    }
+    fn reading(&mut self, r: &ForceReading) {
+        self.all.reading(r);
+        self.phases.f64(r.dphi1_rad);
+        self.phases.f64(r.dphi2_rad);
+        self.phases.word(r.touched as u64);
+    }
     fn result(&mut self, r: &Result<ForceReading, WiForceError>) {
         match r {
             Ok(r) => {
@@ -55,6 +88,9 @@ impl Fnv {
             }
         }
     }
+    fn finish(&self) -> (u64, u64) {
+        (self.all.0, self.phases.0)
+    }
 }
 
 fn setup(spectral: bool) -> (Simulation, SensorModel) {
@@ -64,10 +100,10 @@ fn setup(spectral: bool) -> (Simulation, SensorModel) {
     (sim, model)
 }
 
-/// Seeded presses over the calibrated domain, hashed in order, with the
-/// number that produced a reading.
-fn presses_hash(sim: &Simulation, model: &SensorModel, presses: u64) -> (u64, u64) {
-    let mut h = Fnv::new();
+/// Seeded presses over the calibrated domain, hashed in order (reading pin
+/// and companion), with the number that produced a reading.
+fn presses_hash(sim: &Simulation, model: &SensorModel, presses: u64) -> ((u64, u64), u64) {
+    let mut h = Pins::new();
     let mut ok = 0;
     for i in 0..presses {
         let force = 0.5 + 7.5 * ((i * 7) % presses) as f64 / presses as f64;
@@ -77,10 +113,10 @@ fn presses_hash(sim: &Simulation, model: &SensorModel, presses: u64) -> (u64, u6
         ok += r.is_ok() as u64;
         h.result(&r);
     }
-    (h.0, ok)
+    (h.finish(), ok)
 }
 
-fn press_hash(spectral: bool, presses: u64) -> u64 {
+fn press_hash(spectral: bool, presses: u64) -> (u64, u64) {
     let (sim, model) = setup(spectral);
     let (hash, ok) = presses_hash(&sim, &model, presses);
     assert!(ok * 4 >= presses * 3, "{ok} of {presses} presses read");
@@ -89,12 +125,18 @@ fn press_hash(spectral: bool, presses: u64) -> u64 {
 
 #[test]
 fn spectral_press_readings_match_golden_bits() {
-    assert_eq!(press_hash(true, 16), 0xd34b_e798_14d1_0ca2);
+    assert_eq!(
+        press_hash(true, 16),
+        (0x54cb_7ad6_df4b_5f34, 0xedf1_46f7_08b0_2073)
+    );
 }
 
 #[test]
 fn time_domain_press_readings_match_golden_bits() {
-    assert_eq!(press_hash(false, 4), 0x3bc8_5837_6e9b_405c);
+    assert_eq!(
+        press_hash(false, 4),
+        (0x2735_473c_865d_cc5b, 0xa58c_eb92_d1d8_ef43)
+    );
 }
 
 /// Presses through the driver branches the default configuration skips:
@@ -102,7 +144,11 @@ fn time_domain_press_readings_match_golden_bits() {
 /// and burst faults, and the FMCW reader. Configurations outside the
 /// spectral envelope fall back to the time-domain arm, so their spectral
 /// run must hash the same.
-fn branch_hash(spectral: bool, configure: impl Fn(&mut Simulation), presses: u64) -> (u64, u64) {
+fn branch_hash(
+    spectral: bool,
+    configure: impl Fn(&mut Simulation),
+    presses: u64,
+) -> ((u64, u64), u64) {
     let (mut sim, model) = setup(spectral);
     configure(&mut sim);
     presses_hash(&sim, &model, presses)
@@ -132,11 +178,11 @@ fn fmcw(sim: &mut Simulation) {
 fn tracked_clock_press_readings_match_golden_bits() {
     assert_eq!(
         branch_hash(false, tracked_clock, 2),
-        (0xcb46_3e13_a112_4fb0, 2)
+        ((0xed1e_b92d_a144_8b1b, 0xca70_38c4_d9ad_9f80), 2)
     );
     assert_eq!(
         branch_hash(true, tracked_clock, 4),
-        (0xce27_855d_acc5_1bc9, 4)
+        ((0xe093_9e89_6cb0_1011, 0xbc14_414b_60e1_1217), 4)
     );
 }
 
@@ -144,25 +190,25 @@ fn tracked_clock_press_readings_match_golden_bits() {
 fn undetected_tag_errors_match_golden_bits() {
     assert_eq!(
         branch_hash(false, phantom_without_plate, 2),
-        (0x311f_0e07_71b3_99cd, 0)
+        ((0x311f_0e07_71b3_99cd, 0x311f_0e07_71b3_99cd), 0)
     );
     assert_eq!(
         branch_hash(true, phantom_without_plate, 2),
-        (0xe4d1_b381_b59b_50e0, 0)
+        ((0xe4d1_b381_b59b_50e0, 0xe4d1_b381_b59b_50e0), 0)
     );
 }
 
 #[test]
 fn faulted_time_domain_press_readings_match_golden_bits() {
     let td = branch_hash(false, dropped_and_burst, 2);
-    assert_eq!(td, (0xd16c_5e1b_d325_22da, 2));
+    assert_eq!(td, ((0x751a_eb21_5757_d180, 0x9d7b_403f_d7c7_55ee), 2));
     assert_eq!(branch_hash(true, dropped_and_burst, 2), td);
 }
 
 #[test]
 fn fmcw_press_readings_match_golden_bits() {
     let td = branch_hash(false, fmcw, 2);
-    assert_eq!(td, (0x7661_7266_c56e_403a, 2));
+    assert_eq!(td, ((0x8042_4057_95e6_5798, 0x2204_c682_7db8_56e1), 2));
     assert_eq!(branch_hash(true, fmcw, 2), td);
 }
 
@@ -206,12 +252,12 @@ fn invert_lattice_matches_golden_bits() {
             }
         }
     }
-    assert_eq!(h.0, 0x4301_1d57_1819_8736);
+    assert_eq!(h.0, 0xfadf_620f_8f24_16eb);
 }
 
 /// A two-stream batch with three presses per stream, hashed in stream
 /// order.
-fn batch_hash(spectral: bool) -> u64 {
+fn batch_hash(spectral: bool) -> (u64, u64) {
     let (sim, model) = setup(spectral);
     let model = std::sync::Arc::new(model);
     let presses = |k: usize| -> Vec<PressSpec> {
@@ -232,7 +278,7 @@ fn batch_hash(spectral: bool) -> u64 {
         &BatchConfig::wiforce(2),
     )
     .expect("a valid two-stream reader");
-    let mut h = Fnv::new();
+    let mut h = Pins::new();
     for s in &report.streams {
         h.word(s.failures);
         for r in &s.readings {
@@ -240,17 +286,23 @@ fn batch_hash(spectral: bool) -> u64 {
             h.reading(&r.reading);
         }
     }
-    h.0
+    h.finish()
 }
 
 #[test]
 fn spectral_batch_readings_match_golden_bits() {
-    assert_eq!(batch_hash(true), 0x43a9_0777_dbe9_42e4);
+    assert_eq!(
+        batch_hash(true),
+        (0x0064_a1c5_adb1_1588, 0xcd37_cbc9_95c3_f2d6)
+    );
 }
 
 #[test]
 fn time_domain_batch_readings_match_golden_bits() {
-    assert_eq!(batch_hash(false), 0xd5d0_7c7a_90f6_ce7a);
+    assert_eq!(
+        batch_hash(false),
+        (0xcb87_bc8e_190c_a19f, 0xb2e0_0f59_18cb_1de0)
+    );
 }
 
 /// The 8-stream spectral batch on the 800–2000 Hz frequency-multiplexed
@@ -269,7 +321,7 @@ fn multiplexed_spectral_batch_readings_match_golden_bits() {
     )
     .expect("a valid 8-stream reader");
     assert!(report.streams.iter().all(|s| s.readings.len() >= 3));
-    let mut h = Fnv::new();
+    let mut h = Pins::new();
     for s in &report.streams {
         h.word(s.failures);
         h.word(s.readings.len() as u64);
@@ -278,5 +330,5 @@ fn multiplexed_spectral_batch_readings_match_golden_bits() {
             h.reading(&r.reading);
         }
     }
-    assert_eq!(h.0, 0xb76d_1360_8bda_29da);
+    assert_eq!(h.finish(), (0xd4c8_9e1c_5ce9_c354, 0xfa86_4f0f_76d6_2950));
 }

@@ -101,18 +101,25 @@ pub fn catmull_rom(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, InterpError> {
 ///
 /// Catmull-Rom interpolation is linear in the sample values: for a fixed
 /// grid `xs` and query `x`, the result is a dot product of at most four
-/// weights with `ys[base..]`. Callers that evaluate many different value
-/// rows at the same abscissae (e.g. the sensor-model inversion's grid
-/// scan, which sweeps force rows under fixed location columns) build the
-/// stencil once per abscissa and pay four multiply-adds per evaluation
-/// instead of a full bracket + tangent computation.
+/// weights with `ys[base..]`, and so are its slope and curvature.
+/// Callers that evaluate many different value rows at the same abscissa
+/// (e.g. the sensor model's phase surface, built from force rows under
+/// fixed location columns) build the stencil once per abscissa and pay
+/// four multiply-adds per evaluation instead of a full bracket + tangent
+/// computation; callers that need the interpolant's derivatives (the
+/// inverter's Jacobian and Hessian) read them off the derivative weights.
 #[derive(Debug, Clone, Copy)]
 pub struct CatmullStencil {
     /// First sample index the taps apply to.
     base: usize,
-    /// Tap weights for `ys[base..base + 4]`; trailing taps that fall off
-    /// the grid carry zero weight.
+    /// Number of taps that fall on the grid (at most four).
+    len: usize,
+    /// Tap weights for `ys[base..base + len]`.
     w: [f64; 4],
+    /// Weights of the interpolant's derivative `d/dx` on the same taps.
+    dw: [f64; 4],
+    /// Weights of its second derivative `d²/dx²`.
+    d2w: [f64; 4],
 }
 
 impl CatmullStencil {
@@ -121,16 +128,29 @@ impl CatmullStencil {
     #[inline]
     pub fn eval(&self, ys: &[f64]) -> f64 {
         let mut acc = 0.0;
-        for (w, y) in self.w.iter().zip(&ys[self.base..]) {
+        for (w, y) in self.w[..self.len].iter().zip(&ys[self.base..]) {
             acc += w * y;
         }
         acc
+    }
+
+    /// The taps as `(sample index, [weight, d/dx weight, d²/dx² weight])`:
+    /// the interpolant at the stencil's abscissa is `Σ weight·ys[index]`,
+    /// and likewise its first and second derivatives.
+    #[inline]
+    pub fn taps(&self) -> impl Iterator<Item = (usize, [f64; 3])> + '_ {
+        (0..self.len).map(move |k| (self.base + k, [self.w[k], self.dw[k], self.d2w[k]]))
     }
 }
 
 /// Builds the [`CatmullStencil`] for query point `x` on grid `xs`,
 /// matching [`catmull_rom`]'s piecewise definition (including the linear
-/// clamp beyond the grid ends) up to floating-point reassociation.
+/// clamp beyond the grid ends) up to floating-point reassociation. The
+/// derivative weights are the exact derivatives of that piecewise
+/// definition: the cubic's inside the grid, the end segment's beyond it.
+/// The slope is continuous across the grid ends (their tangents are
+/// one-sided differences); the curvature, as for any C¹ spline, jumps at
+/// the knots.
 pub fn catmull_stencil(xs: &[f64], x: f64) -> Result<CatmullStencil, InterpError> {
     if xs.len() < 2 {
         return Err(InterpError::TooFewPoints);
@@ -140,50 +160,75 @@ pub fn catmull_stencil(xs: &[f64], x: f64) -> Result<CatmullStencil, InterpError
     }
     let n = xs.len();
     let i = bracket(xs, x);
-    if x <= xs[0] || x >= xs[n - 1] || n < 3 {
-        let t = (x - xs[i]) / (xs[i + 1] - xs[i]);
-        return Ok(CatmullStencil {
-            base: i,
-            w: [1.0 - t, t, 0.0, 0.0],
-        });
-    }
     let h = xs[i + 1] - xs[i];
     let t = (x - xs[i]) / h;
+    if x <= xs[0] || x >= xs[n - 1] || n < 3 {
+        return Ok(CatmullStencil {
+            base: i,
+            len: 2,
+            w: [1.0 - t, t, 0.0, 0.0],
+            dw: [-1.0 / h, 1.0 / h, 0.0, 0.0],
+            d2w: [0.0; 4],
+        });
+    }
     let t2 = t * t;
     let t3 = t2 * t;
-    let b0 = 2.0 * t3 - 3.0 * t2 + 1.0;
-    let b1 = t3 - 2.0 * t2 + t;
-    let b2 = -2.0 * t3 + 3.0 * t2;
-    let b3 = t3 - t2;
-    // accumulate per-sample weights of b0·ys[i] + b1·h·tangent(i) +
-    // b2·ys[i+1] + b3·h·tangent(i+1), where each tangent is a finite
+    // Hermite basis b0·ys[i] + b1·h·tangent(i) + b2·ys[i+1] +
+    // b3·h·tangent(i+1) and its x-derivatives (d/dt scaled by 1/h)
+    let b = [
+        2.0 * t3 - 3.0 * t2 + 1.0,
+        t3 - 2.0 * t2 + t,
+        -2.0 * t3 + 3.0 * t2,
+        t3 - t2,
+    ];
+    let db = [
+        (6.0 * t2 - 6.0 * t) / h,
+        (3.0 * t2 - 4.0 * t + 1.0) / h,
+        (-6.0 * t2 + 6.0 * t) / h,
+        (3.0 * t2 - 2.0 * t) / h,
+    ];
+    let h2 = h * h;
+    let d2b = [
+        (12.0 * t - 6.0) / h2,
+        (6.0 * t - 4.0) / h2,
+        (-12.0 * t + 6.0) / h2,
+        (6.0 * t - 2.0) / h2,
+    ];
+    // spread a basis onto per-sample weights: each tangent is a finite
     // difference of two samples
     let base = if i == 0 { 0 } else { i - 1 };
-    let mut w = [0.0f64; 4];
-    {
+    let spread = |b: [f64; 4]| -> [f64; 4] {
+        let mut w = [0.0f64; 4];
         let mut add = |idx: usize, v: f64| w[idx - base] += v;
-        add(i, b0);
-        add(i + 1, b2);
+        add(i, b[0]);
+        add(i + 1, b[2]);
         if i == 0 {
-            let c = b1 * h / (xs[1] - xs[0]);
+            let c = b[1] * h / (xs[1] - xs[0]);
             add(1, c);
             add(0, -c);
         } else {
-            let c = b1 * h / (xs[i + 1] - xs[i - 1]);
+            let c = b[1] * h / (xs[i + 1] - xs[i - 1]);
             add(i + 1, c);
             add(i - 1, -c);
         }
         if i + 1 == n - 1 {
-            let c = b3 * h / (xs[n - 1] - xs[n - 2]);
+            let c = b[3] * h / (xs[n - 1] - xs[n - 2]);
             add(n - 1, c);
             add(n - 2, -c);
         } else {
-            let c = b3 * h / (xs[i + 2] - xs[i]);
+            let c = b[3] * h / (xs[i + 2] - xs[i]);
             add(i + 2, c);
             add(i, -c);
         }
-    }
-    Ok(CatmullStencil { base, w })
+        w
+    };
+    Ok(CatmullStencil {
+        base,
+        len: 4.min(n - base),
+        w: spread(b),
+        dw: spread(db),
+        d2w: spread(d2b),
+    })
 }
 
 /// Bilinear interpolation on a rectangular grid.
@@ -258,6 +303,50 @@ mod tests {
             let st = catmull_stencil(&xs, x).unwrap();
             let direct = catmull_rom(&xs, &ys, x).unwrap();
             assert!((st.eval(&ys) - direct).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn stencil_derivatives_match_central_differences() {
+        // analytic derivative weights against central differences of the
+        // interpolant (and of its analytic slope), inside every interval
+        // and on the linear clamp
+        let xs = [0.0, 0.7, 1.5, 3.1, 4.0];
+        let ys = [1.0, -2.0, 0.5, 3.0, -1.0];
+        let deriv = |x: f64, order: usize| -> f64 {
+            let st = catmull_stencil(&xs, x).unwrap();
+            st.taps().map(|(k, w)| w[order] * ys[k]).sum()
+        };
+        let h = 1e-6;
+        for q in 0..200 {
+            let x = -0.5 + 5.0 * q as f64 / 199.0;
+            if xs.iter().any(|&k| (x - k).abs() < 2.0 * h) {
+                continue;
+            }
+            let fd = (catmull_rom(&xs, &ys, x + h).unwrap()
+                - catmull_rom(&xs, &ys, x - h).unwrap())
+                / (2.0 * h);
+            assert!(
+                (deriv(x, 1) - fd).abs() < 1e-6,
+                "x={x}: {} vs {fd}",
+                deriv(x, 1)
+            );
+            let fd2 = (deriv(x + h, 1) - deriv(x - h, 1)) / (2.0 * h);
+            assert!(
+                (deriv(x, 2) - fd2).abs() < 1e-5,
+                "x={x}: {} vs {fd2}",
+                deriv(x, 2)
+            );
+        }
+        // the taps reproduce `eval`, and the slope is continuous across
+        // the grid ends (one-sided tangents there)
+        for &x in &[0.0, 0.3, 2.0, 4.0] {
+            let st = catmull_stencil(&xs, x).unwrap();
+            let via: f64 = st.taps().map(|(k, w)| w[0] * ys[k]).sum();
+            assert!((via - st.eval(&ys)).abs() < 1e-12);
+        }
+        for &(a, b) in &[(0.0, 1e-9), (4.0 - 1e-9, 4.0)] {
+            assert!((deriv(a, 1) - deriv(b, 1)).abs() < 1e-6);
         }
     }
 

@@ -1,5 +1,6 @@
 //! Criterion benches for the mechanics substrate: the FD contact solve
-//! (calibration cost) vs the analytic model (Monte-Carlo cost).
+//! (calibration cost) vs the analytic model (Monte-Carlo cost), and the
+//! load-spreading width both of them solve on every press.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wiforce_mech::contact::{ContactSolver, SensorMech};
@@ -28,9 +29,23 @@ fn bench_analytic(c: &mut Criterion) {
     });
 }
 
+fn bench_load_half_width(c: &mut Criterion) {
+    let mech = SensorMech::wiforce_prototype();
+    let indenter = Indenter::actuator_tip();
+    let mut g = c.benchmark_group("load_half_width");
+    // quadratic branch of the stress law at 1 N and 8 N; a saturated
+    // strain at 1e4 N
+    for force_n in [1.0, 8.0, 1e4] {
+        g.bench_function(format!("{force_n}_n"), |b| {
+            b.iter(|| mech.load_half_width_m(black_box(&indenter), black_box(force_n)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_fd_solver, bench_analytic
+    targets = bench_fd_solver, bench_analytic, bench_load_half_width
 }
 criterion_main!(benches);

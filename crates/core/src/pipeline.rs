@@ -1720,24 +1720,26 @@ mod tests {
     fn tag_tables_match_golden_bits() {
         // FNV bit-hashes of the untouched table and three contact tables
         // at both carriers, recorded before the tables came from the
-        // precomputed EM plan: the plan must not move a single bit
+        // precomputed EM plan: the plan must not move a single bit. The
+        // contact tables were re-recorded when the load-spreading width
+        // became the exact fixed point (a ≤ 3.3e-10 m move)
         let golden: [(f64, [u64; 4]); 2] = [
             (
                 0.9e9,
                 [
                     0xfe31_a4ee_846e_478d,
-                    0x845e_adc5_0798_3abc,
-                    0x1f4e_591c_5901_4480,
-                    0xbf46_6c29_5c80_145c,
+                    0x0775_69d0_7c69_1097,
+                    0x2ac1_d776_005a_a354,
+                    0xb46f_83d3_7277_076f,
                 ],
             ),
             (
                 2.4e9,
                 [
                     0xc023_063d_c947_7c49,
-                    0xd17c_f70f_9536_e131,
-                    0x6474_6a4e_e7c7_5fe1,
-                    0xe917_0b04_6824_c1fe,
+                    0xaeed_ba6c_b679_a95e,
+                    0x47ce_50bf_9a54_6a5d,
+                    0xdc53_ad6d_ab95_229d,
                 ],
             ),
         ];

@@ -16,6 +16,14 @@
 //! and the inversion lattice were re-recorded when seeded, box-constrained
 //! Gauss–Newton replaced it, and the unchanged companions prove that
 //! change moved only `force_n`, `location_m` and `residual_rad`.
+//!
+//! Every reading pin, the spectral companions and the inversion lattice
+//! were re-recorded again when the load-spreading width became the exact
+//! root of its fixed-point equation (it had stopped up to 3.3e-10 m
+//! short): the contacts, and through the VNA calibration the model, moved
+//! by that much. The time-domain companions held, since the quantizing
+//! front end absorbs a change that small; the spectral arm has no
+//! quantizer.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,7 +135,7 @@ fn press_hash(spectral: bool, presses: u64) -> (u64, u64) {
 fn spectral_press_readings_match_golden_bits() {
     assert_eq!(
         press_hash(true, 16),
-        (0x54cb_7ad6_df4b_5f34, 0xedf1_46f7_08b0_2073)
+        (0xcefd_b0e1_5a38_f500, 0xf694_6ea8_fa02_1c88)
     );
 }
 
@@ -135,7 +143,7 @@ fn spectral_press_readings_match_golden_bits() {
 fn time_domain_press_readings_match_golden_bits() {
     assert_eq!(
         press_hash(false, 4),
-        (0x2735_473c_865d_cc5b, 0xa58c_eb92_d1d8_ef43)
+        (0x6b70_d250_0e94_044e, 0xa58c_eb92_d1d8_ef43)
     );
 }
 
@@ -178,11 +186,11 @@ fn fmcw(sim: &mut Simulation) {
 fn tracked_clock_press_readings_match_golden_bits() {
     assert_eq!(
         branch_hash(false, tracked_clock, 2),
-        ((0xed1e_b92d_a144_8b1b, 0xca70_38c4_d9ad_9f80), 2)
+        ((0x9033_e283_18f6_fbae, 0xca70_38c4_d9ad_9f80), 2)
     );
     assert_eq!(
         branch_hash(true, tracked_clock, 4),
-        ((0xe093_9e89_6cb0_1011, 0xbc14_414b_60e1_1217), 4)
+        ((0xc657_1579_aafa_f822, 0x6cdd_1e11_a8b4_64c4), 4)
     );
 }
 
@@ -201,14 +209,14 @@ fn undetected_tag_errors_match_golden_bits() {
 #[test]
 fn faulted_time_domain_press_readings_match_golden_bits() {
     let td = branch_hash(false, dropped_and_burst, 2);
-    assert_eq!(td, ((0x751a_eb21_5757_d180, 0x9d7b_403f_d7c7_55ee), 2));
+    assert_eq!(td, ((0x4ee4_db74_faae_3de7, 0x9d7b_403f_d7c7_55ee), 2));
     assert_eq!(branch_hash(true, dropped_and_burst, 2), td);
 }
 
 #[test]
 fn fmcw_press_readings_match_golden_bits() {
     let td = branch_hash(false, fmcw, 2);
-    assert_eq!(td, ((0x8042_4057_95e6_5798, 0x2204_c682_7db8_56e1), 2));
+    assert_eq!(td, ((0x24b9_ccf5_1151_01a6, 0x2204_c682_7db8_56e1), 2));
     assert_eq!(branch_hash(true, fmcw, 2), td);
 }
 
@@ -252,7 +260,7 @@ fn invert_lattice_matches_golden_bits() {
             }
         }
     }
-    assert_eq!(h.0, 0xfadf_620f_8f24_16eb);
+    assert_eq!(h.0, 0x3885_3488_3411_85f6);
 }
 
 /// A two-stream batch with three presses per stream, hashed in stream
@@ -293,7 +301,7 @@ fn batch_hash(spectral: bool) -> (u64, u64) {
 fn spectral_batch_readings_match_golden_bits() {
     assert_eq!(
         batch_hash(true),
-        (0x0064_a1c5_adb1_1588, 0xcd37_cbc9_95c3_f2d6)
+        (0xf237_46b3_b967_9087, 0x96a8_cbf3_64ab_ef51)
     );
 }
 
@@ -301,7 +309,7 @@ fn spectral_batch_readings_match_golden_bits() {
 fn time_domain_batch_readings_match_golden_bits() {
     assert_eq!(
         batch_hash(false),
-        (0xcb87_bc8e_190c_a19f, 0xb2e0_0f59_18cb_1de0)
+        (0xd888_e40d_e2d5_973c, 0xb2e0_0f59_18cb_1de0)
     );
 }
 
@@ -330,5 +338,5 @@ fn multiplexed_spectral_batch_readings_match_golden_bits() {
             h.reading(&r.reading);
         }
     }
-    assert_eq!(h.finish(), (0xd4c8_9e1c_5ce9_c354, 0xfa86_4f0f_76d6_2950));
+    assert_eq!(h.finish(), (0xbee3_3d07_bac4_1297, 0xe7d0_a56a_ed3c_f487));
 }

@@ -14,8 +14,10 @@
 //!   moves: the paper's "the longer length collapses onto the bottom trace,
 //!   leading to an almost stationary shorting point".
 //!
-//! The model runs ~10³× faster than the FD solver, which matters for the
-//! Monte-Carlo CDF experiments (Figs. 13/14) that take thousands of presses.
+//! The model runs ~5×10³× faster than the default 401-node FD solver
+//! (`mech_perf` bench on a 2-vCPU Xeon: ~0.55 µs against 2.9–3.7 ms per
+//! press), which matters for the Monte-Carlo CDF experiments (Figs. 13/14)
+//! that take thousands of presses.
 //! Integration tests cross-validate it against the FD solver.
 
 use crate::contact::SensorMech;

@@ -18,6 +18,7 @@
 
 use crate::beam::BeamGeometry;
 use crate::indenter::Indenter;
+use crate::material::MAX_STRAIN;
 use crate::patch::ContactPatch;
 use crate::ForceTransducer;
 use wiforce_dsp::linalg::solve_banded;
@@ -83,51 +84,73 @@ impl SensorMech {
     /// Effective half-width (m) of the load distribution entering the beam
     /// for a press of `force_n` through the given indenter.
     ///
-    /// Fixed-point iteration balancing mean contact pressure against the
-    /// elastomer's (stiffening) stress-strain law: deeper penetration ⇒
-    /// wider spread ⇒ lower pressure.
+    /// The load spreads over the indenter footprint plus the elastomer
+    /// thickness, and further with the penetration depth, which in turn
+    /// follows from the mean contact pressure through the elastomer's
+    /// stiffening stress law: deeper penetration ⇒ wider spread ⇒ lower
+    /// pressure. The half-width `h` is the root of the one scalar equation
+    ///
+    /// `r(h) = h − max(base + k·ε(F/(2hb)), 1e-5) = 0`,
+    ///
+    /// with `base` the footprint-plus-thickness spread, `k` the depth
+    /// spreading per unit strain, `b` the beam width and `ε(p)` the exact
+    /// inverse of the stress law. `r` increases with `h`, so the root is
+    /// unique and lies in `[base′, base′ + k·0.999]` (`base′ = max(base,
+    /// 1e-5)`); Newton steps with the analytic slope find it, and a step
+    /// that would leave the bracket bisects instead. NaN and non-positive
+    /// forces return `base′`; an infinite force the saturated width.
     pub fn load_half_width_m(&self, indenter: &Indenter, force_n: f64) -> f64 {
         let t = self.beam.thickness_m;
         let base = indenter.half_width_m() + self.spread_per_thickness * t * 0.5;
-        if force_n <= 0.0 || self.spread_per_depth == 0.0 {
-            return base.max(1e-5);
+        let floor = base.max(MIN_HALF_WIDTH_M);
+        let k = self.spread_per_depth * t;
+        if force_n.is_nan() || force_n <= 0.0 || k == 0.0 {
+            return floor;
         }
-        let b = self.beam.width_m;
-        let mut half = base.max(1e-5);
-        for _ in 0..60 {
-            let pressure = force_n / (2.0 * half * b);
-            let eps = invert_stress(&self.beam.elastomer, pressure);
-            let depth = eps * t;
-            let new_half = (base + self.spread_per_depth * depth).max(1e-5);
-            if (new_half - half).abs() < 1e-9 {
-                half = new_half;
+        let mat = &self.beam.elastomer;
+        let line_force = force_n / (2.0 * self.beam.width_m);
+        let (mut lo, mut hi) = (floor, (base + k * MAX_STRAIN).max(MIN_HALF_WIDTH_M));
+        let mut h = lo;
+        for _ in 0..MAX_NEWTON_STEPS {
+            let p = line_force / h;
+            let (eps, deps_dp) = mat.strain_at_stress(p);
+            let spread = base + k * eps;
+            let r = h - spread.max(MIN_HALF_WIDTH_M);
+            if r < 0.0 {
+                lo = h;
+            } else {
+                hi = h;
+            }
+            // dr/dh = 1 + k·(dε/dp)·p/h, since dp/dh = −p/h; the floor
+            // (and a saturated strain) leave the slope at 1
+            let slope = if spread > MIN_HALF_WIDTH_M && deps_dp > 0.0 {
+                1.0 + k * deps_dp * p / h
+            } else {
+                1.0
+            };
+            let newton = h - r / slope;
+            let next = if (lo..=hi).contains(&newton) {
+                newton
+            } else {
+                0.5 * (lo + hi)
+            };
+            let step = (next - h).abs();
+            h = next;
+            if step <= 4.0 * f64::EPSILON * h {
                 break;
             }
-            half = 0.5 * (half + new_half);
         }
-        half
+        h
     }
 }
 
-/// Inverts the elastomer stress law: strain at which `stress_pa(eps) == p`.
-fn invert_stress(mat: &crate::material::Elastomer, p: f64) -> f64 {
-    if p <= 0.0 {
-        return 0.0;
-    }
-    let (mut lo, mut hi) = (0.0_f64, 0.999_f64);
-    if mat.stress_pa(hi) < p {
-        return hi;
-    }
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if mat.stress_pa(mid) < p {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
+/// Floor on the load half-width, m.
+const MIN_HALF_WIDTH_M: f64 = 1e-5;
+
+/// Cap on the safeguarded Newton iteration for the load half-width. Newton
+/// converges in a handful of steps; the cap only bounds a pathological
+/// bisection run, which halves the bracket each step.
+const MAX_NEWTON_STEPS: usize = 64;
 
 /// Finite-difference unilateral-contact solver.
 ///
@@ -363,6 +386,7 @@ impl ForceTransducer for ContactSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn prototype_solver() -> ContactSolver {
         ContactSolver::with_nodes(
@@ -520,6 +544,183 @@ mod tests {
         let t1 = thin.load_half_width_m(&ind, 1.0);
         let t8 = thin.load_half_width_m(&ind, 8.0);
         assert!((t8 - t1).abs() < 1e-12);
+    }
+
+    /// The damped fixed-point loop over a 60-step bisection of the stress
+    /// law that [`SensorMech::load_half_width_m`] replaced, kept as its
+    /// reference. It stops within 1e-9 m of the fixed point.
+    fn reference_half_width_m(mech: &SensorMech, indenter: &Indenter, force_n: f64) -> f64 {
+        let t = mech.beam.thickness_m;
+        let base = base_half_width_m(mech, indenter);
+        if force_n <= 0.0 || mech.spread_per_depth == 0.0 {
+            return base.max(1e-5);
+        }
+        let b = mech.beam.width_m;
+        let mut half = base.max(1e-5);
+        for _ in 0..60 {
+            let pressure = force_n / (2.0 * half * b);
+            let eps = reference_invert_stress(&mech.beam.elastomer, pressure);
+            let new_half = (base + mech.spread_per_depth * eps * t).max(1e-5);
+            if (new_half - half).abs() < 1e-9 {
+                half = new_half;
+                break;
+            }
+            half = 0.5 * (half + new_half);
+        }
+        half
+    }
+
+    /// 60-step bisection of the stress law for the strain at stress `p`.
+    fn reference_invert_stress(mat: &crate::material::Elastomer, p: f64) -> f64 {
+        if p <= 0.0 {
+            return 0.0;
+        }
+        let (mut lo, mut hi) = (0.0_f64, 0.999_f64);
+        if mat.stress_pa(hi) < p {
+            return hi;
+        }
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if mat.stress_pa(mid) < p {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// The prototype, thin-trace, Ecoflex 00-50 and PDMS stacks.
+    fn stacks() -> [SensorMech; 4] {
+        let with = |elastomer| {
+            let mut m = SensorMech::wiforce_prototype();
+            m.beam.elastomer = elastomer;
+            m
+        };
+        [
+            SensorMech::wiforce_prototype(),
+            SensorMech::thin_trace(),
+            with(crate::material::Elastomer::ECOFLEX_0050),
+            with(crate::material::Elastomer::PDMS),
+        ]
+    }
+
+    const INDENTERS: [Indenter; 3] = [
+        Indenter::Point,
+        Indenter::Flat { width_m: 2e-3 },
+        Indenter::Fingertip { width_m: 10e-3 },
+    ];
+
+    /// Footprint-plus-thickness spread, the width before any depth.
+    fn base_half_width_m(mech: &SensorMech, indenter: &Indenter) -> f64 {
+        indenter.half_width_m() + mech.spread_per_thickness * mech.beam.thickness_m * 0.5
+    }
+
+    /// `max(base + k·ε(F/(2hb)), 1e-5)` at strain `eps`: the right side of
+    /// the fixed-point equation the half-width solves.
+    fn spread_m(mech: &SensorMech, indenter: &Indenter, eps: f64) -> f64 {
+        let k = mech.spread_per_depth * mech.beam.thickness_m;
+        (base_half_width_m(mech, indenter) + k * eps).max(MIN_HALF_WIDTH_M)
+    }
+
+    /// Sweeps `samples` forces over 0–12 N on every stack and indenter:
+    /// the closed-form width stays within 1e-9 m of the reference loop and
+    /// satisfies its fixed-point equation to 1e-14 relative.
+    fn check_against_reference(samples: usize) {
+        for mech in stacks() {
+            for ind in INDENTERS {
+                for i in 0..=samples {
+                    let f = 12.0 * i as f64 / samples as f64;
+                    let new = mech.load_half_width_m(&ind, f);
+                    let old = reference_half_width_m(&mech, &ind, f);
+                    assert!(
+                        (new - old).abs() <= 1e-9,
+                        "{ind:?} at {f} N: {new} vs reference {old}"
+                    );
+                    let p = f / (2.0 * new * mech.beam.width_m);
+                    let fixed = spread_m(&mech, &ind, mech.beam.elastomer.strain_at_stress(p).0);
+                    assert!(
+                        (new - fixed).abs() <= 1e-14 * new,
+                        "{ind:?} at {f} N: {new} misses its fixed point {fixed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn load_half_width_matches_reference_loop() {
+        check_against_reference(400);
+    }
+
+    /// Full-size sweep; run with `--include-ignored` in release.
+    #[test]
+    #[ignore]
+    fn load_half_width_matches_reference_loop_full_size() {
+        check_against_reference(20_000);
+    }
+
+    #[test]
+    fn load_half_width_keeps_its_edge_values() {
+        let mech = SensorMech::wiforce_prototype();
+        let ind = Indenter::actuator_tip();
+        let base = spread_m(&mech, &ind, 0.0);
+        for f in [0.0, -0.0, -1.0, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(mech.load_half_width_m(&ind, f), base, "force {f}");
+        }
+        let saturated = spread_m(&mech, &ind, MAX_STRAIN);
+        assert_eq!(mech.load_half_width_m(&ind, f64::INFINITY), saturated);
+        assert!((saturated - 4.446e-2).abs() < 1e-5, "saturated {saturated}");
+    }
+
+    /// Any f64: a handful of special values, else an arbitrary bit pattern.
+    fn any_force(k: usize, bits: u64) -> f64 {
+        let special = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            -1.0,
+            0.0,
+        ];
+        special.get(k).copied().unwrap_or(f64::from_bits(bits))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Every f64 force yields a finite width inside the bracket.
+        #[test]
+        fn load_half_width_stays_in_its_bracket(
+            (k, bits, s, i) in (0usize..16, 0u64..u64::MAX, 0usize..4, 0usize..3),
+        ) {
+            let (mech, ind) = (stacks()[s], INDENTERS[i]);
+            let (lo, hi) = (spread_m(&mech, &ind, 0.0), spread_m(&mech, &ind, MAX_STRAIN));
+            let f = any_force(k, bits);
+            let w = mech.load_half_width_m(&ind, f);
+            prop_assert!(w.is_finite() && lo <= w && w <= hi, "{f} N → {w}");
+        }
+
+        /// The width never decreases as the force grows, beyond the few
+        /// ulps of rounding in the converged iterate (neighbouring forces
+        /// can land a last-place digit apart either way).
+        #[test]
+        fn load_half_width_is_monotone_in_force(
+            (log_f, ratio, s, i) in (-6.0f64..5.0, 1.0f64..1.5, 0usize..4, 0usize..3),
+        ) {
+            let (mech, ind) = (stacks()[s], INDENTERS[i]);
+            let f = 10f64.powf(log_f);
+            let w = mech.load_half_width_m(&ind, f);
+            for g in [f * ratio, f * (1.0 + 1e-9), f.next_up()] {
+                let wg = mech.load_half_width_m(&ind, g);
+                prop_assert!(
+                    wg >= w * (1.0 - 4.0 * f64::EPSILON),
+                    "{f} N → {w}, {g} N → {wg}"
+                );
+            }
+        }
     }
 
     #[test]

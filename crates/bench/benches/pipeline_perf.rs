@@ -1,13 +1,13 @@
 //! Criterion benches for the end-to-end pipeline: channel sounding,
-//! phase-group extraction and model inversion — the pieces that set the
-//! reader's real-time budget (one phase group every 36 ms must be
-//! processed in well under 36 ms).
+//! phase-group extraction, the spectral arm's state sums and model
+//! inversion — the pieces that set the reader's real-time budget (one
+//! phase group every 36 ms must be processed in well under 36 ms).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::harmonics::extract_lines;
-use wiforce::pipeline::{PressNoise, Simulation, TagClock};
+use wiforce::pipeline::{state_sums, PrefixPhasors, PressNoise, Simulation, TagClock};
 use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::Complex;
 use wiforce_reader::{ChannelSounder, OfdmSounder};
@@ -59,6 +59,23 @@ fn bench_model_invert_at_bound(c: &mut Criterion) {
     });
 }
 
+/// The spectral arm's per-group state walk: each switch's on-intervals
+/// on the paper grid, summed over the two tag lines' prefix tables.
+fn bench_spectral_state_sums(c: &mut Criterion) {
+    let sim = Simulation::paper_default(2.4e9);
+    let (n, t_snap) = (sim.group.n_snapshots, sim.group.snapshot_period_s);
+    let tables = [sim.group.line1_hz, sim.group.line2_hz].map(|f| PrefixPhasors::new(f, t_snap, n));
+    let lines = [&tables[0], &tables[1]];
+    let mut g = 0u32;
+    c.bench_function("spectral_state_sums", |b| {
+        b.iter(|| {
+            g = (g + 1) % 1000;
+            let t0 = 0.5e-3 + f64::from(g) * n as f64 * t_snap;
+            state_sums(&sim.tag.clocks, black_box(t0), t_snap, &lines)
+        })
+    });
+}
+
 fn bench_measure_press(c: &mut Criterion) {
     let mut sim = Simulation::paper_default(2.4e9);
     sim.reference_groups = 1;
@@ -77,6 +94,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_ofdm_estimate, bench_group_extraction, bench_model_invert,
-        bench_model_invert_at_bound, bench_measure_press
+        bench_model_invert_at_bound, bench_spectral_state_sums, bench_measure_press
 }
 criterion_main!(benches);

@@ -1,11 +1,12 @@
 //! Manual micro-benchmark decomposing the per-snapshot cost of
-//! `run_snapshots_into` (run with `--ignored --nocapture`). Companion to
+//! `run_snapshots_into` and the spectral arm's per-group state walk (run
+//! with `--ignored --nocapture`). Companion to
 //! `crates/reader/tests/microprof.rs`, which decomposes the sounder.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use wiforce::pipeline::{PressNoise, Simulation, TagClock};
+use wiforce::pipeline::{state_sums, PrefixPhasors, PressNoise, Simulation, TagClock};
 use wiforce_dsp::SnapshotMatrix;
 
 #[test]
@@ -31,11 +32,14 @@ fn microprof_pipeline() {
         per_group * 1e6 / sim.group.n_snapshots as f64
     );
 
-    // the tag-state walk alone: the edge-driven runs synthesis takes
-    // over whole phase groups
-    let walked = 400;
+    // the tag-state walk alone over whole phase groups: the merged
+    // state runs the time-domain arm takes, the per-switch on-intervals
+    // the spectral arm takes, and the spectral arm's whole per-state sum
+    // over the two tag lines' prefix tables
+    let walked = 4000;
     let n = sim.group.n_snapshots;
     let t_snap = sim.group.snapshot_period_s;
+    let per_group = |t: Instant| t.elapsed().as_secs_f64() / walked as f64 * 1e6;
     let mut acc = 0usize;
     let t = Instant::now();
     for g in 0..walked {
@@ -44,9 +48,30 @@ fn microprof_pipeline() {
             acc += state * len;
         }
     }
+    println!("state walk, runs: {:.3} us/group (acc {acc})", per_group(t));
+    let mut acc = 0usize;
+    let t = Instant::now();
+    for g in 0..walked {
+        let t0 = 0.5e-3 + (g * n) as f64 * t_snap;
+        for switch in sim.tag.clocks.on_intervals(t0, t_snap, 0..n) {
+            acc += switch.map(|r| r.len()).sum::<usize>();
+        }
+    }
     println!(
-        "state walk: {:.4} us/snapshot (acc {acc})",
-        t.elapsed().as_secs_f64() / (walked * n) as f64 * 1e6
+        "state walk, on-intervals: {:.3} us/group (acc {acc})",
+        per_group(t)
+    );
+    let tables = [sim.group.line1_hz, sim.group.line2_hz].map(|f| PrefixPhasors::new(f, t_snap, n));
+    let lines = [&tables[0], &tables[1]];
+    let mut acc = 0u64;
+    let t = Instant::now();
+    for g in 0..walked {
+        let t0 = 0.5e-3 + (g * n) as f64 * t_snap;
+        acc += state_sums(&sim.tag.clocks, t0, t_snap, &lines).counts[1];
+    }
+    println!(
+        "state sums, 2 lines: {:.3} us/group (acc {acc})",
+        per_group(t)
     );
 
     // frontend alone

@@ -531,8 +531,8 @@ struct ReaderProducer {
     sigma_est: f64,
     /// Plane-path scratch: row-major truth plane for one snapshot block.
     truth_plane: Vec<Complex>,
-    /// Spectral scratch: one line's noise normals.
-    normals: Vec<f64>,
+    /// Spectral scratch: one line's complex noise normals.
+    normals: Vec<Complex>,
     /// Spectral scratch: the group's common-mode jitter sequence.
     jitters: Vec<f64>,
     /// Snapshot matrices previously handed out; any entry whose consumers
@@ -804,8 +804,9 @@ impl ReaderProducer {
     /// O(N) walk of the integration-window state weights (statics cancel
     /// exactly under mean subtraction); noise by DFT unitarity as
     /// circular Gaussian of per-component std
-    /// `√((σ_est² + step²/12)·(1−|D̄|²)/N)` drawn from a Philox cursor
-    /// keyed `(key, group, bin)`; and the per-snapshot front-end phase
+    /// `√((σ_est² + step²/12)·(1−|D̄|²)/N)`, one complex normal per
+    /// subcarrier (one Philox block, both Box–Muller components) from a
+    /// cursor keyed `(key, group, bin)`; and the per-snapshot front-end phase
     /// jitter drawn once per group and projected onto every line, so the
     /// jitter correlation across streams and lines of the shared
     /// time-domain rows is preserved.
@@ -897,13 +898,13 @@ impl ReaderProducer {
                 let jline = j[li].scale(inv_n) - dbar.scale(tacc * inv_n);
                 let reference = Complex::cis(-wiforce_dsp::TAU * line_hz[li] * start_s);
                 normals.clear();
-                normals.resize(2 * width, 0.0);
+                normals.resize(width, Complex::ZERO);
                 let mut cursor = wiforce_dsp::rng::CounterRng::for_spectral(
                     key,
                     seq as u32,
                     wiforce_dsp::rng::spectral_bin_id(line_hz[li]),
                 );
-                cursor.fill_normals(normals);
+                cursor.fill_complex_normals(normals);
                 let row = out.push_row_default();
                 for (k, slot) in row.iter_mut().enumerate() {
                     let t = &table[k];
@@ -915,8 +916,7 @@ impl ReaderProducer {
                                 + t[1].scale(counts[1] * inv_n)
                                 + t[2].scale(counts[2] * inv_n)
                                 + t[3].scale(counts[3] * inv_n));
-                    let noise_k =
-                        Complex::new(normals[2 * k], normals[2 * k + 1]).scale(sigma_line);
+                    let noise_k = normals[k].scale(sigma_line);
                     *slot = reference * (det + noise_k + Complex::I * mean_p * jline);
                 }
             }
@@ -1623,6 +1623,60 @@ mod tests {
         )
         .expect("batch runs");
         assert!(!base.deterministic_eq(&legacy));
+    }
+
+    #[test]
+    fn spectral_batch_line_noise_matches_model() {
+        // the batch source's line noise must meet the same model as the
+        // press arm's (`pipeline::tests::spectral_line_noise_moments_and_ks_match_model`):
+        // each produced line minus its noiseless twin — a producer built
+        // from the same spec, so the same clocks, group keys and press
+        // schedule — is circular white Gaussian noise of the modeled
+        // per-component σ, over the air and through the Fig. 16 phantom
+        let mut phantom = Simulation::paper_default(0.9e9);
+        phantom.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 50.0);
+        for (label, mut sim) in [
+            ("over the air", Simulation::paper_default(2.4e9)),
+            ("tissue phantom", phantom),
+        ] {
+            sim.synth_spectral = Some(true);
+            sim.frontend.phase_jitter_rad = 0.0; // isolate additive noise
+            sim.frontend.adc_enob_bits = 0; // no quantization term
+            let spec =
+                ReaderSpec::frequency_multiplexed(2, 1, 0x5EED, &sim.group).expect("allocation");
+            let cfg = BatchConfig::wiforce(1);
+            let mut quiet = sim.clone();
+            quiet.frontend.noise_floor = 0.0;
+            let mut noisy = ReaderProducer::build(&sim, &spec, &cfg);
+            let mut twin = ReaderProducer::build(&quiet, &spec, &cfg);
+            assert!(noisy.spectral && twin.spectral, "{label}");
+            let sigma_est = noisy.sigma_est;
+            let sigmas: Vec<f64> = spec
+                .streams
+                .iter()
+                .flat_map(|s| [s.fs_hz, 4.0 * s.fs_hz])
+                .map(|f| {
+                    crate::line_noise_check::modeled_sigma(
+                        sigma_est * sigma_est,
+                        f,
+                        sim.group.snapshot_period_s,
+                        sim.group.n_snapshots,
+                    )
+                })
+                .collect();
+            let width = noisy.cache.statics.len();
+            let mut residuals = vec![vec![Vec::new(); width]; sigmas.len()];
+            for _ in 0..64 {
+                let (_, got) = noisy.produce_group();
+                let (_, want) = twin.produce_group();
+                for (li, bins) in residuals.iter_mut().enumerate() {
+                    for (k, samples) in bins.iter_mut().enumerate() {
+                        samples.push(got.row(li)[k] - want.row(li)[k]);
+                    }
+                }
+            }
+            crate::line_noise_check::check_circular_white_noise(label, &residuals, &sigmas);
+        }
     }
 
     #[test]

@@ -60,6 +60,8 @@ pub mod diffphase;
 pub mod estimator;
 pub mod gestures;
 pub mod harmonics;
+#[cfg(test)]
+mod line_noise_check;
 pub mod model;
 pub mod multisensor;
 pub mod parallel;

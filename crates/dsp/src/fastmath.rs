@@ -70,6 +70,15 @@ pub fn ln_fast(x: f64) -> f64 {
 /// batched form vectorizes.
 #[inline]
 pub fn cos_tau(u: f64) -> f64 {
+    sincos_tau(u).0
+}
+
+/// `(cos 2πu, sin 2πu)` for `u` in turns from one reduction: the
+/// [`cos_tau`] reduction and kernels, with the quadrant selects of each.
+/// The cosine is [`cos_tau`] bit for bit; the sine is within ~4 ulp of
+/// libm on `[0, 1)` as well.
+#[inline(always)]
+pub(crate) fn sincos_tau(u: f64) -> (f64, f64) {
     let k = (4.0 * u).round();
     let r = u - 0.25 * k;
     let theta = TAU * r;
@@ -93,19 +102,19 @@ pub fn cos_tau(u: f64) -> f64 {
                             + z * (-1.0 / 39_916_800.0
                                 + z * (1.0 / 6_227_020_800.0
                                     + z * (-1.0 / 1_307_674_368_000.0))))))));
-    // cos(kπ/2 + θ): k odd → ±sin kernel, (k+1) mod 4 ≥ 2 → negate.
+    // cos(kπ/2 + θ): k odd → ±sin kernel, (k+1) mod 4 ≥ 2 → negate;
+    // sin(kπ/2 + θ): k odd → ±cos kernel, k mod 4 ≥ 2 → negate.
     // Predicates are computed in float space (exact for k ∈ {0…4}) so the
     // vectorizer can turn them into lane masks.
     let half_k = 0.5 * k;
-    let use_sin = half_k - half_k.floor() == 0.5;
-    let q = 0.25 * (k + 1.0);
-    let neg = q - q.floor() >= 0.5;
-    let v = if use_sin { sin_p } else { cos_p };
-    if neg {
-        -v
-    } else {
-        v
-    }
+    let odd = half_k - half_k.floor() == 0.5;
+    let q_cos = 0.25 * (k + 1.0);
+    let neg_cos = q_cos - q_cos.floor() >= 0.5;
+    let q_sin = 0.25 * k;
+    let neg_sin = q_sin - q_sin.floor() >= 0.5;
+    let c = if odd { sin_p } else { cos_p };
+    let s = if odd { cos_p } else { sin_p };
+    (if neg_cos { -c } else { c }, if neg_sin { -s } else { s })
 }
 
 /// One Box–Muller standard normal from a uniform pair:
@@ -113,6 +122,19 @@ pub fn cos_tau(u: f64) -> f64 {
 #[inline]
 pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * ln_fast(u1)).sqrt() * cos_tau(u2)
+}
+
+/// Both Box–Muller standard normals from one uniform pair:
+/// `r·(cos 2πu2, sin 2πu2)` with `r = √(−2 ln u1)`, independent of each
+/// other. The first is [`box_muller`] bit for bit. The sine is
+/// `cos 2π(u2 − ¼)` taken from the same exact turn-space reduction
+/// ([`sincos_tau`]), so it costs a few selects, not a second polynomial,
+/// and carries no more rounding than the cosine.
+#[inline(always)]
+pub(crate) fn box_muller_pair(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * ln_fast(u1)).sqrt();
+    let (c, s) = sincos_tau(u2);
+    (r * c, r * s)
 }
 
 #[cfg(test)]
@@ -162,6 +184,32 @@ mod tests {
             1.0 - 1e-16,
         ] {
             check(edge);
+        }
+    }
+
+    #[test]
+    fn box_muller_pair_is_cosine_and_sine() {
+        // u2 on the 2⁻⁵³ grid, as the Philox kernels draw it: the sine
+        // arm reduces u2 − ¼ ∈ [−¼, ¾) with the same turn-space kernel
+        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+        let mut rng = StdRng::seed_from_u64(13);
+        let check = |u1: f64, u2: f64| {
+            let (c, s) = box_muller_pair(u1, u2);
+            assert_eq!(c.to_bits(), box_muller(u1, u2).to_bits(), "u2 = {u2}");
+            let r = (-2.0 * u1.ln()).sqrt();
+            let err = (s - r * (TAU * u2).sin()).abs();
+            assert!(err <= 2e-15 * r.max(1.0), "sin arm at u2 = {u2}: err {err}");
+        };
+        for _ in 0..200_000 {
+            let u1 = ((rng.gen::<u64>() >> 11) + 1) as f64 * SCALE;
+            let u2 = (rng.gen::<u64>() >> 11) as f64 * SCALE;
+            check(u1, u2);
+        }
+        for k in 0..=16u64 {
+            let u2 = (k * (1 << 49)).min((1 << 53) - 1) as f64 * SCALE;
+            check(0.5, u2);
+            check(0.5, u2 + SCALE);
+            check(0.5, (u2 - SCALE).max(0.0));
         }
     }
 }

@@ -49,6 +49,7 @@ impl Backend {
 /// Names of every dispatched kernel, for health-report introspection.
 pub const KERNEL_NAMES: &[&str] = &[
     "philox_normals",
+    "philox_complex_normals",
     "philox_normals_rows",
     "cmac_scaled",
     "cmac_sub_scaled",
@@ -165,16 +166,9 @@ macro_rules! simd_kernel {
 
 #[inline(always)]
 fn philox_normals_body(key: [u32; 2], ctr_hi: [u32; 3], lane0: u32, out: &mut [f64]) {
-    const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
     for (i, o) in out.iter_mut().enumerate() {
         let lane = lane0.wrapping_add(i as u32);
-        let b = crate::rng::philox4x32([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
-        let a = (u64::from(b[1]) << 32) | u64::from(b[0]);
-        let c = (u64::from(b[3]) << 32) | u64::from(b[2]);
-        // u1 ∈ (0, 1] (strictly positive without a redraw loop, so the
-        // body stays branch-free and vectorizable); u2 ∈ [0, 1).
-        let u1 = ((a >> 11) + 1) as f64 * SCALE;
-        let u2 = (c >> 11) as f64 * SCALE;
+        let (u1, u2) = crate::rng::philox_uniforms([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
         *o = crate::fastmath::box_muller(u1, u2);
     }
 }
@@ -192,6 +186,29 @@ simd_kernel! {
 }
 
 #[inline(always)]
+fn philox_complex_normals_body(key: [u32; 2], ctr_hi: [u32; 3], lane0: u32, out: &mut [Complex]) {
+    for (i, o) in out.iter_mut().enumerate() {
+        let lane = lane0.wrapping_add(i as u32);
+        let (u1, u2) = crate::rng::philox_uniforms([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
+        let (re, im) = crate::fastmath::box_muller_pair(u1, u2);
+        *o = Complex::new(re, im);
+    }
+}
+
+simd_kernel! {
+    /// Fills `out` with standard complex normals (each component N(0, 1),
+    /// independent) from the Philox 4x32-10 counter stream at
+    /// `(key, ctr_hi, lane0 + i)`: one counter block per value, whose two
+    /// uniforms give both Box–Muller components (cosine and sine). Half
+    /// the blocks, logarithms and square roots of two [`philox_normals`]
+    /// lanes per value. Bit-identical to the scalar
+    /// [`crate::rng::philox_complex_normal_at`] per element.
+    pub fn philox_complex_normals(key: [u32; 2], ctr_hi: [u32; 3], lane0: u32, out: &mut [Complex])
+        = philox_complex_normals_body / philox_complex_normals_avx2
+        / philox_complex_normals_avx512 / philox_complex_normals_neon
+}
+
+#[inline(always)]
 fn philox_normals_rows_body(
     key: [u32; 2],
     grp_dom: [u32; 2],
@@ -199,18 +216,14 @@ fn philox_normals_rows_body(
     lanes: usize,
     out: &mut [f64],
 ) {
-    const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
     if lanes == 0 {
         return;
     }
     for (r, row) in out.chunks_exact_mut(lanes).enumerate() {
         let snap = snap0.wrapping_add(r as u32);
         for (i, o) in row.iter_mut().enumerate() {
-            let b = crate::rng::philox4x32([i as u32, snap, grp_dom[0], grp_dom[1]], key);
-            let a = (u64::from(b[1]) << 32) | u64::from(b[0]);
-            let c = (u64::from(b[3]) << 32) | u64::from(b[2]);
-            let u1 = ((a >> 11) + 1) as f64 * SCALE;
-            let u2 = (c >> 11) as f64 * SCALE;
+            let (u1, u2) =
+                crate::rng::philox_uniforms([i as u32, snap, grp_dom[0], grp_dom[1]], key);
             *o = crate::fastmath::box_muller(u1, u2);
         }
     }
@@ -639,6 +652,27 @@ mod tests {
     }
 
     #[test]
+    fn philox_complex_kernel_matches_scalar_bitwise() {
+        let key = [0xDEAD_BEEF, 0x0123_4567];
+        let ctr_hi = [17, 3, 2];
+        for n in [0, 1, 7, 8, 9, 64, 65, 1013] {
+            let mut fast = vec![Complex::ZERO; n];
+            philox_complex_normals(key, ctr_hi, 5, &mut fast);
+            let mut want = vec![Complex::ZERO; n];
+            philox_complex_normals_body(key, ctr_hi, 5, &mut want);
+            assert_bits_eq(&fast, &want);
+            for (i, z) in fast.iter().enumerate() {
+                let lane = 5u32.wrapping_add(i as u32);
+                let scalar = crate::rng::philox_complex_normal_at(key, ctr_hi, lane);
+                assert_bits_eq(&[*z], &[scalar]);
+                // the cosine half is the real kernel's normal at that lane
+                let real = crate::rng::philox_normal_at(key, ctr_hi, lane);
+                assert_eq!(z.re.to_bits(), real.to_bits(), "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
     fn philox_kernel_is_offset_invariant() {
         // Drawing lanes [0, 64) in one call or two must agree bitwise:
         // each element depends only on its own counter coordinates.
@@ -946,6 +980,32 @@ mod tests {
                 v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             );
+        }
+    }
+
+    /// Per-ISA check for the complex-normal kernel, like the real one's.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn philox_complex_isa_instantiations_match_scalar_bitwise() {
+        let key = [0x9E37_79B9, 0x7F4A_7C15];
+        let ctr_hi = [611, 2, 2];
+        let n = 1013;
+        let mut scalar = vec![Complex::ZERO; n];
+        philox_complex_normals_body(key, ctr_hi, 0, &mut scalar);
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut v = vec![Complex::ZERO; n];
+            // Safety: AVX2 support was just detected.
+            unsafe { philox_complex_normals_avx2(key, ctr_hi, 0, &mut v) };
+            assert_bits_eq(&v, &scalar);
+        }
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+        {
+            let mut v = vec![Complex::ZERO; n];
+            // Safety: AVX-512 F+DQ+VL support was just detected.
+            unsafe { philox_complex_normals_avx512(key, ctr_hi, 0, &mut v) };
+            assert_bits_eq(&v, &scalar);
         }
     }
 }

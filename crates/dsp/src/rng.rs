@@ -86,19 +86,38 @@ pub fn philox4x32(mut ctr: [u32; 4], key: [u32; 2]) -> [u32; 4] {
     ctr
 }
 
-/// The scalar reference for [`crate::kernels::philox_normals`]: the
-/// standard normal at counter `[lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]]`.
-/// One block provides both Box–Muller uniforms: `u1 ∈ (0, 1]` from the
-/// low 64 bits (offset by one ulp so the log never sees zero without a
-/// data-dependent redraw), `u2 ∈ [0, 1)` from the high 64 bits.
-pub fn philox_normal_at(key: [u32; 2], ctr_hi: [u32; 3], lane: u32) -> f64 {
+/// The two Box–Muller uniforms of the Philox block at `ctr`, both on the
+/// 2⁻⁵³ grid: `u1 ∈ (0, 1]` from the low 64 bits (offset by one ulp so
+/// the log never sees zero without a data-dependent redraw, which keeps
+/// the bulk kernels branch-free and vectorizable), `u2 ∈ [0, 1)` from the
+/// high 64 bits.
+#[inline(always)]
+pub(crate) fn philox_uniforms(ctr: [u32; 4], key: [u32; 2]) -> (f64, f64) {
     const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-    let b = philox4x32([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
+    let b = philox4x32(ctr, key);
     let a = (u64::from(b[1]) << 32) | u64::from(b[0]);
     let c = (u64::from(b[3]) << 32) | u64::from(b[2]);
-    let u1 = ((a >> 11) + 1) as f64 * SCALE;
-    let u2 = (c >> 11) as f64 * SCALE;
+    (((a >> 11) + 1) as f64 * SCALE, (c >> 11) as f64 * SCALE)
+}
+
+/// The scalar reference for [`crate::kernels::philox_normals`]: the
+/// standard normal at counter `[lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]]`,
+/// from the block's two uniforms ([`philox_uniforms`]).
+pub fn philox_normal_at(key: [u32; 2], ctr_hi: [u32; 3], lane: u32) -> f64 {
+    let (u1, u2) = philox_uniforms([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
     fastmath::box_muller(u1, u2)
+}
+
+/// The scalar reference for [`crate::kernels::philox_complex_normals`]:
+/// the standard complex normal (each component N(0, 1)) at counter
+/// `[lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]]`. The block's uniforms are
+/// those of [`philox_normal_at`], and both Box–Muller components are kept
+/// ([`fastmath::box_muller_pair`]), so the real part is
+/// [`philox_normal_at`] at the same lane.
+pub fn philox_complex_normal_at(key: [u32; 2], ctr_hi: [u32; 3], lane: u32) -> Complex {
+    let (u1, u2) = philox_uniforms([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
+    let (re, im) = fastmath::box_muller_pair(u1, u2);
+    Complex::new(re, im)
 }
 
 /// Counter domain for per-snapshot draws (sounder noise, fault
@@ -124,8 +143,11 @@ pub const DOMAIN_SPECTRAL: u32 = 2;
 /// different coordinates never share state, so snapshots can be
 /// synthesized independently on any worker in any order and still
 /// reproduce bit-for-bit. Bulk normal fills bypass the u64 stream and go
-/// straight to the SIMD-dispatched [`crate::kernels::philox_normals`]
-/// kernel, one lane per sample.
+/// straight to the SIMD-dispatched kernels: [`Self::fill_normals`] takes
+/// one lane per real sample ([`crate::kernels::philox_normals`]),
+/// [`Self::fill_complex_normals`] one lane per complex sample
+/// ([`crate::kernels::philox_complex_normals`], both Box–Muller
+/// components of the block).
 #[derive(Debug, Clone)]
 pub struct CounterRng {
     key: [u32; 2],
@@ -186,6 +208,16 @@ impl CounterRng {
     pub fn fill_normals(&mut self, out: &mut [f64]) {
         self.spare = None;
         crate::kernels::philox_normals(self.key, self.ctr_hi, self.lane, out);
+        self.lane = self.lane.wrapping_add(out.len() as u32);
+    }
+
+    /// Fills `out` with standard complex normals (each component N(0, 1))
+    /// through the dispatched bulk kernel, consuming one lane per value.
+    /// Any buffered spare word is discarded first, as in
+    /// [`Self::fill_normals`].
+    pub fn fill_complex_normals(&mut self, out: &mut [Complex]) {
+        self.spare = None;
+        crate::kernels::philox_complex_normals(self.key, self.ctr_hi, self.lane, out);
         self.lane = self.lane.wrapping_add(out.len() as u32);
     }
 
@@ -447,6 +479,44 @@ mod tests {
         let seq: Vec<f64> = (0..50_000).map(|_| standard_normal(&mut c)).collect();
         assert!(mean(&seq).abs() < 0.02, "mean {}", mean(&seq));
         assert!((std_dev(&seq) - 1.0).abs() < 0.02, "std {}", std_dev(&seq));
+    }
+
+    #[test]
+    fn complex_fill_is_chunking_invariant_and_standard() {
+        // one lane per complex value, whichever way the fill is split,
+        // each equal to the scalar reference; components are N(0, 1) and
+        // uncorrelated with each other
+        let key = 0xC0FF_EE00_u64;
+        let mut whole = CounterRng::for_spectral(key, 4, 240_000);
+        let mut zs = vec![Complex::ZERO; 50_000];
+        whole.fill_complex_normals(&mut zs);
+        assert_eq!(whole.lane(), 50_000);
+        let mut split = CounterRng::for_spectral(key, 4, 240_000);
+        let mut lo = vec![Complex::ZERO; 77];
+        let mut hi = vec![Complex::ZERO; 51];
+        split.fill_complex_normals(&mut lo);
+        split.fill_complex_normals(&mut hi);
+        for (i, z) in zs.iter().take(128).enumerate() {
+            let part = if i < 77 { lo[i] } else { hi[i - 77] };
+            let scalar = philox_complex_normal_at(
+                [key as u32, (key >> 32) as u32],
+                [240_000, 4, DOMAIN_SPECTRAL],
+                i as u32,
+            );
+            for w in [part, scalar] {
+                assert_eq!(z.re.to_bits(), w.re.to_bits(), "lane {i}");
+                assert_eq!(z.im.to_bits(), w.im.to_bits(), "lane {i}");
+            }
+        }
+        let re: Vec<f64> = zs.iter().map(|z| z.re).collect();
+        let im: Vec<f64> = zs.iter().map(|z| z.im).collect();
+        for xs in [&re, &im] {
+            assert!(mean(xs).abs() < 0.02, "mean {}", mean(xs));
+            assert!((std_dev(xs) - 1.0).abs() < 0.02, "std {}", std_dev(xs));
+        }
+        // sample correlation of 50k independent pairs: σ ≈ 0.0045
+        let corr = re.iter().zip(&im).map(|(a, b)| a * b).sum::<f64>() / zs.len() as f64;
+        assert!(corr.abs() < 0.02, "re/im correlation {corr}");
     }
 
     #[test]

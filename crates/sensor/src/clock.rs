@@ -19,10 +19,11 @@
 //!
 //! It is also the one place that knows where the drive state changes.
 //! Synthesis walks the state over a snapshot grid with
-//! [`ClockPair::runs`] and over a sequence of integration windows with
-//! [`WindowWalker`]; both follow the clock edges instead of evaluating
-//! the clocks at every snapshot, and both are bit-identical to the
-//! per-instant reference ([`ClockPair::state_at`],
+//! [`ClockPair::runs`] (merged states) or [`ClockPair::on_intervals`]
+//! (each switch's on-intervals), and over a sequence of integration
+//! windows with [`WindowWalker`]; all three follow the clock edges
+//! instead of evaluating the clocks at every snapshot, and all three are
+//! bit-identical to the per-instant reference ([`ClockPair::state_at`],
 //! [`ClockPair::state_weights_into`]).
 
 use std::ops::Range;
@@ -265,6 +266,38 @@ impl ClockPair {
         }
     }
 
+    /// The snapshots of the grid `t0 + s·dt`, `s` in `range`, at which
+    /// each switch is on: `[switch 1, switch 2]`, each an ascending
+    /// sequence of maximal half-open intervals `[a, b)`.
+    ///
+    /// The same edge walk as [`Self::runs`], one clock per switch instead
+    /// of the two merged into states, under the same contract: the on-sets
+    /// are exactly those of [`Self::state_at`] at every instant, and the
+    /// instants near a predicted edge, before a clock's first rise
+    /// (`q < 0`), at or beyond 2²⁰ periods, or on an unbounded grid take
+    /// the exact evaluation inside the walk. Each switch counts its own
+    /// ([`SwitchIntervals::exact_evals`]); the two counts sum to what
+    /// [`StateRuns::exact_evals`] reports over the same grid.
+    /// Allocation-free.
+    pub fn on_intervals(&self, t0: f64, dt: f64, range: Range<usize>) -> [SwitchIntervals; 2] {
+        let range = range.start..range.end.max(range.start);
+        let walk = |clock: DutyClock, on_level: bool| SwitchIntervals {
+            clock,
+            on_level,
+            t0,
+            dt,
+            pos: range.start,
+            end: range.end,
+            track: EdgeTrack::new(&clock, t0, dt, range.clone()),
+            span: (range.start, Level::Exact),
+            exact_evals: 0,
+        };
+        [
+            walk(self.clock1, true),
+            walk(self.clock2, !self.switch2_active_low),
+        ]
+    }
+
     /// `true` if the scheme guarantees the two switches are never
     /// simultaneously on (checked analytically for the WiForce scheme).
     pub fn is_exclusive(&self) -> bool {
@@ -352,6 +385,11 @@ enum Level {
 /// Snapshots within `WALK_GUARD/dq` of `x` are evaluated exactly; those
 /// between two such windows have the level of the stretch between the
 /// two edges.
+///
+/// Grid positions are kept relative to `base` as signed integers. An
+/// edge's window bounds come from its position alone, clamped to
+/// constant bounds, and only then to the walk's current snapshot: the
+/// float work of successive edges does not wait on the previous span.
 #[derive(Debug, Clone)]
 struct EdgeTrack {
     duty: f64,
@@ -361,17 +399,19 @@ struct EdgeTrack {
     /// window in snapshots.
     per_q: f64,
     half: f64,
-    /// Next unclassified snapshot, and the end of the range.
-    cur: usize,
-    end: usize,
+    /// Next unclassified snapshot and the end of the range, relative to
+    /// `base`, with the end also as `f64`.
+    cur: i64,
+    end: i64,
+    end_f: f64,
     /// The next edge: the rise at quotient `k`, or the fall at
     /// `k + duty`.
     k: f64,
     at_fall: bool,
     /// Level of the snapshots before the next edge's window.
     before: Level,
-    /// End of the last edge's exact window.
-    window_end: usize,
+    /// End of the last edge's exact window, relative to `base`.
+    window_end: i64,
 }
 
 impl EdgeTrack {
@@ -396,40 +436,27 @@ impl EdgeTrack {
             // never skipped (the truncation is exact: 0 ≤ q0 < 2²¹)
             ((q0 as u64) as f64 - 1.0, Level::Low)
         };
+        let end = (range.end - range.start) as i64;
         EdgeTrack {
             duty: clock.duty,
             base: range.start,
             q0,
             per_q,
             half: WALK_GUARD * per_q,
-            cur: range.start,
-            end: range.end,
+            cur: 0,
+            end,
+            end_f: end as f64,
             k,
             at_fall: false,
             before,
-            window_end: range.start,
+            window_end: 0,
         }
     }
 
-    /// The first snapshot at or after grid position `base + x`, clamped
-    /// to `[cur, end]`. Clamping to these integer bounds first leaves a
-    /// non-negative value whose `as usize` truncation is its floor, so no
-    /// libm rounding call is needed.
-    fn first_at_or_after(&self, x: f64) -> usize {
-        let v = x
-            .max((self.cur - self.base) as f64)
-            .min((self.end - self.base) as f64);
-        let i = v as usize;
-        self.base + i + ((i as f64) < v) as usize
-    }
-
-    /// The first snapshot strictly after grid position `base + x`,
-    /// clamped to `[cur, end]`.
-    fn first_after(&self, x: f64) -> usize {
-        let v = x
-            .max((self.cur - self.base) as f64 - 1.0)
-            .min((self.end - self.base) as f64);
-        (self.base + (v + 1.0) as usize).min(self.end)
+    /// Moves to relative snapshot `to` and returns its absolute index.
+    fn advance(&mut self, to: i64) -> usize {
+        self.cur = to;
+        self.base + to as usize
     }
 
     /// The next span of snapshots, `[cur, end of span)`, and the clock's
@@ -437,12 +464,10 @@ impl EdgeTrack {
     fn next_span(&mut self) -> (usize, Level) {
         loop {
             if self.window_end > self.cur {
-                self.cur = self.window_end;
-                return (self.cur, Level::Exact);
+                return (self.advance(self.window_end), Level::Exact);
             }
             if self.k >= WALK_Q_MAX {
-                self.cur = self.end;
-                return (self.end, Level::Exact);
+                return (self.advance(self.end), Level::Exact);
             }
             let edge = if self.at_fall {
                 self.k + self.duty
@@ -450,8 +475,16 @@ impl EdgeTrack {
                 self.k
             };
             let x = (edge - self.q0) * self.per_q;
-            let lo = self.first_at_or_after(x - self.half);
-            self.window_end = self.first_after(x + self.half);
+            // the first snapshot at or after x − half and the first
+            // strictly after x + half, clamped to [cur, end]; clamping to
+            // [0, end] first leaves a non-negative value whose truncation
+            // is its floor, so no libm rounding call is needed (x is
+            // finite or infinite, never NaN, on a walkable grid)
+            let v = (x - self.half).max(0.0).min(self.end_f);
+            let i = v as i64;
+            let lo = (i + ((i as f64) < v) as i64).max(self.cur);
+            let w = (x + self.half).max(-1.0).min(self.end_f);
+            self.window_end = ((w + 1.0) as i64).clamp(self.cur, self.end);
             let before = self.before;
             if self.at_fall {
                 self.k += 1.0;
@@ -461,8 +494,7 @@ impl EdgeTrack {
             }
             self.at_fall = !self.at_fall;
             if lo > self.cur {
-                self.cur = lo;
-                return (lo, before);
+                return (self.advance(lo), before);
             }
         }
     }
@@ -529,6 +561,65 @@ impl Iterator for StateRuns<'_> {
         let on2 = high2 != self.pair.switch2_active_low;
         self.cur += len;
         Some((on1 as usize | (on2 as usize) << 1, len))
+    }
+}
+
+/// One switch's on-intervals over a snapshot grid; see
+/// [`ClockPair::on_intervals`].
+#[derive(Debug, Clone)]
+pub struct SwitchIntervals {
+    clock: DutyClock,
+    /// The clock level at which the switch is on.
+    on_level: bool,
+    t0: f64,
+    dt: f64,
+    /// Next unclassified snapshot, and the end of the range.
+    pos: usize,
+    end: usize,
+    track: EdgeTrack,
+    /// The clock's current span: its end and the level on it.
+    span: (usize, Level),
+    exact_evals: u64,
+}
+
+impl SwitchIntervals {
+    /// Clock evaluations so far that took the exact per-instant path.
+    pub fn exact_evals(&self) -> u64 {
+        self.exact_evals
+    }
+}
+
+impl Iterator for SwitchIntervals {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        let mut start = None;
+        while self.pos < self.end {
+            if self.span.0 <= self.pos {
+                self.span = self.track.next_span();
+            }
+            let (span_end, level) = self.span;
+            if level == Level::Exact {
+                let t = self.t0 + self.pos as f64 * self.dt;
+                self.exact_evals += 1;
+                let on = self.clock.is_high(t) == self.on_level;
+                self.pos += 1;
+                if on {
+                    start.get_or_insert(self.pos - 1);
+                } else if let Some(a) = start {
+                    return Some(a..self.pos - 1);
+                }
+            } else {
+                let stop = self.pos;
+                self.pos = span_end;
+                if (level == Level::High) == self.on_level {
+                    start.get_or_insert(stop);
+                } else if let Some(a) = start {
+                    return Some(a..stop);
+                }
+            }
+        }
+        start.map(|a| a..self.pos)
     }
 }
 
@@ -924,19 +1015,54 @@ mod tests {
         (states, runs.exact_evals())
     }
 
-    /// Checks the runs against [`ClockPair::state_at`] at every instant
-    /// `t0 + s·dt`, returning the exact evaluations the walk made.
+    /// Expands [`ClockPair::on_intervals`] to one state per snapshot,
+    /// checking that each switch's intervals are non-empty, ascending and
+    /// never touch.
+    fn expand_intervals(
+        pair: &ClockPair,
+        t0: f64,
+        dt: f64,
+        range: Range<usize>,
+    ) -> (Vec<usize>, u64) {
+        let mut states = vec![0; range.end.saturating_sub(range.start)];
+        let mut exact = 0;
+        for (sw, mut intervals) in pair
+            .on_intervals(t0, dt, range.clone())
+            .into_iter()
+            .enumerate()
+        {
+            let mut last_end = range.start;
+            for (i, r) in intervals.by_ref().enumerate() {
+                assert!(r.start < r.end && (i == 0 || r.start > last_end), "{r:?}");
+                last_end = r.end;
+                for s in r {
+                    states[s - range.start] |= 1 << sw;
+                }
+            }
+            exact += intervals.exact_evals();
+        }
+        (states, exact)
+    }
+
+    /// Checks the runs and the per-switch intervals against
+    /// [`ClockPair::state_at`] at every instant `t0 + s·dt`, returning
+    /// the exact evaluations the walk made (the same for both).
     fn check_runs(pair: &ClockPair, t0: f64, dt: f64, range: Range<usize>) -> u64 {
         let reference: Vec<usize> = range
             .clone()
             .map(|s| pair.state_at(t0 + s as f64 * dt))
             .collect();
         let (states, exact) = expand_runs(pair, t0, dt, range.clone());
-        assert_eq!(
-            states,
-            reference,
+        let context = format!(
             "{pair:?} t0 = {t0:e} ({:#x}) dt = {dt:e} range {range:?}",
             t0.to_bits()
+        );
+        assert_eq!(states, reference, "{context}");
+        let (switched, switched_exact) = expand_intervals(pair, t0, dt, range.clone());
+        assert_eq!(switched, reference, "intervals: {context}");
+        assert_eq!(
+            switched_exact, exact,
+            "interval exact evaluations: {context}"
         );
         exact
     }

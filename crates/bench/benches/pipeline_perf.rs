@@ -59,8 +59,8 @@ fn bench_model_invert_at_bound(c: &mut Criterion) {
     });
 }
 
-/// The spectral arm's per-group state walk: each switch's on-intervals
-/// on the paper grid, summed over the two tag lines' prefix tables.
+/// The spectral arm's per-group state walk: the state runs of the paper
+/// grid, summed over the two tag lines' prefix tables.
 fn bench_spectral_state_sums(c: &mut Criterion) {
     let sim = Simulation::paper_default(2.4e9);
     let (n, t_snap) = (sim.group.n_snapshots, sim.group.snapshot_period_s);

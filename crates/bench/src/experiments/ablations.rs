@@ -31,6 +31,37 @@ fn phase_std_deg(sim: &Simulation, reads: usize, seed: u64) -> f64 {
     circular_std(&phases).to_degrees()
 }
 
+/// The coherent-to-single std ratio Ablation 1 measures at its
+/// operating point: 0.27 on both synthesis arms over 20k–200k reads,
+/// rounded up.
+const AVERAGING_STD_RATIO: f64 = 0.28;
+
+/// Ablation 1's gate: coherent std below this share of the
+/// single-subcarrier std.
+const AVERAGING_GATE: f64 = 0.5;
+
+/// Reads per combiner for Ablation 1, sized so sampling spread alone
+/// fails its gate with a one-sided chance of about 1e-5 (z = 4.26) under
+/// a normal approximation; the measured tail is somewhat heavier.
+///
+/// The log of a circular std over `n` reads spreads by about
+/// `1/√(2(n−1))`, so the log of the ratio of two spreads by
+/// `1/√(n−1)`. The gate holds while that stays `z` spreads inside the
+/// margin `ln(gate/ratio)`: `n − 1 ≥ (z / ln(gate/ratio))²`.
+fn averaging_reads() -> usize {
+    const Z: f64 = 4.26;
+    let margin = (AVERAGING_GATE / AVERAGING_STD_RATIO).ln();
+    (Z / margin).powi(2).ceil() as usize + 1
+}
+
+/// Ablation 1's low-SNR operating point under one combiner.
+fn averaging_sim(avg: Averaging) -> Simulation {
+    let mut sim = Simulation::paper_default(0.9e9);
+    sim.frontend.noise_floor = 3e-3; // ~40 dB above the bench floor
+    sim.averaging = avg;
+    sim
+}
+
 /// Median force error of a small sweep under a given sim + its own
 /// calibration; failed presses (undetected / out of model range) count as
 /// a full-scale 8 N error so broken configurations cannot look good by
@@ -57,8 +88,10 @@ pub fn run(quick: bool) -> Report {
 
     // 1. subcarrier averaging — the gain shows where per-subcarrier SNR
     // is low (weak links like the phantom/distance cases), so raise the
-    // receiver noise floor to that regime
+    // receiver noise floor to that regime (sized reads in quick runs
+    // too: on fewer, the gate fails by chance)
     println!("== Ablation: subcarrier averaging (low-SNR regime) ==\n");
+    let averaging_reads = averaging_reads();
     let mut table = TextTable::new(["combiner", "phase std (°)"]);
     let mut stds = Vec::new();
     for (name, avg) in [
@@ -66,10 +99,7 @@ pub fn run(quick: bool) -> Report {
         ("phase mean (64 subcarriers)", Averaging::PhaseMean),
         ("single subcarrier", Averaging::SingleSubcarrier),
     ] {
-        let mut sim = Simulation::paper_default(0.9e9);
-        sim.frontend.noise_floor = 3e-3; // ~40 dB above the bench floor
-        sim.averaging = avg;
-        let s = phase_std_deg(&sim, reads, 0xAB1);
+        let s = phase_std_deg(&averaging_sim(avg), averaging_reads, 0xAB1);
         table.row([name.to_string(), fmt(s, 3)]);
         stds.push(s);
     }
@@ -79,7 +109,7 @@ pub fn run(quick: bool) -> Report {
         "subcarrier averaging gain",
         "averaging improves phase robustness (§3.3)",
         format!("coherent {:.3}° vs single {:.3}°", stds[0], stds[2]),
-        stds[0] < 0.5 * stds[2],
+        stds[0] < AVERAGING_GATE * stds[2],
         "coherent std < 0.5× single-subcarrier std at low SNR",
     ));
 
@@ -251,4 +281,48 @@ pub fn run(quick: bool) -> Report {
 
     println!("{}", rep.to_console());
     rep
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Ablation 1's read count against its gate over 200 independent
+    /// seeds on the spectral arm: no seed fails it, and the gate sits at
+    /// least 4 spreads of the log std ratio above its mean (the sizing
+    /// aims at 4.26), measured on the ratios themselves.
+    #[test]
+    #[ignore = "seed sweep of Ablation 1's gate; run in release"]
+    fn averaging_reads_hold_the_gate_over_seeds() {
+        let reads = averaging_reads();
+        let [coherent, single] = [Averaging::Coherent, Averaging::SingleSubcarrier].map(|avg| {
+            let mut sim = averaging_sim(avg);
+            sim.synth_spectral = Some(true);
+            sim
+        });
+        let seeds = 200;
+        let mut log_ratios = Vec::with_capacity(seeds);
+        for j in 0..seeds as u64 {
+            let seed = 0x5EED_0000_0000 + j * 10_000_019;
+            let (c, s) = (
+                phase_std_deg(&coherent, reads, seed),
+                phase_std_deg(&single, reads, seed),
+            );
+            assert!(
+                c < AVERAGING_GATE * s,
+                "seed {j}: coherent {c}° vs single {s}°"
+            );
+            log_ratios.push((c / s).ln());
+        }
+        let mean = log_ratios.iter().sum::<f64>() / seeds as f64;
+        let spread = (log_ratios.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
+            / (seeds - 1) as f64)
+            .sqrt();
+        let z = (AVERAGING_GATE.ln() - mean) / spread;
+        println!(
+            "{reads} reads: ratio {:.4}, log spread {spread:.4}, gate {z:.2} spreads away",
+            mean.exp()
+        );
+        assert!(z >= 4.0, "gate only {z} spreads above the mean log ratio");
+    }
 }

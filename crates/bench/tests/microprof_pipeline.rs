@@ -32,10 +32,9 @@ fn microprof_pipeline() {
         per_group * 1e6 / sim.group.n_snapshots as f64
     );
 
-    // the tag-state walk alone over whole phase groups: the merged
-    // state runs the time-domain arm takes, the per-switch on-intervals
-    // the spectral arm takes, and the spectral arm's whole per-state sum
-    // over the two tag lines' prefix tables
+    // the tag-state walk alone over whole phase groups, and the spectral
+    // arm's per-state sum on top of it over the two tag lines' prefix
+    // tables
     let walked = 4000;
     let n = sim.group.n_snapshots;
     let t_snap = sim.group.snapshot_period_s;
@@ -49,18 +48,6 @@ fn microprof_pipeline() {
         }
     }
     println!("state walk, runs: {:.3} us/group (acc {acc})", per_group(t));
-    let mut acc = 0usize;
-    let t = Instant::now();
-    for g in 0..walked {
-        let t0 = 0.5e-3 + (g * n) as f64 * t_snap;
-        for switch in sim.tag.clocks.on_intervals(t0, t_snap, 0..n) {
-            acc += switch.map(|r| r.len()).sum::<usize>();
-        }
-    }
-    println!(
-        "state walk, on-intervals: {:.3} us/group (acc {acc})",
-        per_group(t)
-    );
     let tables = [sim.group.line1_hz, sim.group.line2_hz].map(|f| PrefixPhasors::new(f, t_snap, n));
     let lines = [&tables[0], &tables[1]];
     let mut acc = 0u64;

@@ -1157,9 +1157,9 @@ impl Simulation {
     ///   backscatter spectrum (memoized on the channel cache's response
     ///   memo) and `W_σ(ω) = (E_σ(ω) − n_σ·D̄(ω))/N`, with `D̄ = P[N]/N`.
     ///   The per-state sums `E_σ` and counts `n_σ` come from
-    ///   [`state_sums`]: each switch's on-intervals on the exact group
-    ///   plan (wander, drift, fractional start phase) the time-domain
-    ///   path uses, summed as `P[b] − P[a]` over a memoized prefix table
+    ///   [`state_sums`]: the state runs of the exact group plan (wander,
+    ///   drift, fractional start phase) the time-domain path uses, each
+    ///   summed as `P[b] − P[a]` over a memoized prefix table
     ///   `P[s] = Σ_{j<s} e^{-jωj}` ([`PrefixPhasors`]) — O(edges), not
     ///   O(N). Statics cancel exactly under mean subtraction.
     /// - a **noise** term: by DFT unitarity, white per-snapshot estimate
@@ -1627,72 +1627,28 @@ pub struct StateSums {
 /// The per-state sums `E_σ(ω)` and counts `n_σ` of the group whose
 /// snapshot `s` samples the drive at `t0 + s·dt`, for up to four lines
 /// given by their prefix tables (all over the same `N`), in O(edges):
-///
-/// - `H₁`, `H₂` and `H₁₂` are sums of `P[b] − P[a]` over switch 1's
-///   on-intervals ([`ClockPair::on_intervals`]), switch 2's, and their
-///   intersections;
-/// - `E₃ = H₁₂`, `E₁ = H₁ − H₁₂`, `E₂ = H₂ − H₁₂` and
-///   `E₀ = P[N] − H₁ − H₂ + H₁₂`; the counts likewise, exactly.
+/// each state run `[a, b)` of [`ClockPair::runs`] adds `P[b] − P[a]` to
+/// its state's sum and `b − a` to its count.
 pub fn state_sums(clocks: &ClockPair, t0: f64, dt: f64, lines: &[&PrefixPhasors]) -> StateSums {
     assert!((1..=4).contains(&lines.len()), "one to four lines per walk");
     let n = lines[0].snapshots();
     debug_assert!(lines.iter().all(|p| p.snapshots() == n), "one N per walk");
-    let [mut on1, mut on2] = clocks.on_intervals(t0, dt, 0..n);
-    // h[line] = [H₁, H₂, H₁₂], covered = [|on₁|, |on₂|, |on₁ ∩ on₂|]
-    let mut h = [[Complex::ZERO; 3]; 4];
-    let mut covered = [0usize; 3];
-    let mut add = |which: usize, r: &std::ops::Range<usize>| {
-        covered[which] += r.len();
-        for (hl, p) in h.iter_mut().zip(lines) {
-            hl[which] += p.over(r);
-        }
-    };
-    let mut a = on1.next();
-    let mut b = on2.next();
-    if let Some(r) = &a {
-        add(0, r);
-    }
-    if let Some(r) = &b {
-        add(1, r);
-    }
-    // both interval lists ascend: step whichever ends first
-    while let (Some(ra), Some(rb)) = (&a, &b) {
-        let both = ra.start.max(rb.start)..ra.end.min(rb.end);
-        if !both.is_empty() {
-            add(2, &both);
-        }
-        if ra.end <= rb.end {
-            a = on1.next();
-            if let Some(r) = &a {
-                add(0, r);
-            }
-        } else {
-            b = on2.next();
-            if let Some(r) = &b {
-                add(1, r);
-            }
-        }
-    }
-    for r in on1.by_ref() {
-        add(0, &r);
-    }
-    for r in on2.by_ref() {
-        add(1, &r);
-    }
-    let [c1, c2, c12] = covered;
+    let mut runs = clocks.runs(t0, dt, 0..n);
     let mut e = [[Complex::ZERO; 4]; 4];
-    for ((el, [h1, h2, h12]), p) in e.iter_mut().zip(h).zip(lines) {
-        *el = [p.total() - h1 - h2 + h12, h1 - h12, h2 - h12, h12];
+    let mut counts = [0u64; 4];
+    let mut start = 0;
+    for (state, len) in runs.by_ref() {
+        let r = start..start + len;
+        counts[state] += len as u64;
+        for (el, p) in e.iter_mut().zip(lines) {
+            el[state] += p.over(&r);
+        }
+        start = r.end;
     }
     StateSums {
         e,
-        counts: [
-            (n + c12 - c1 - c2) as u64,
-            (c1 - c12) as u64,
-            (c2 - c12) as u64,
-            c12 as u64,
-        ],
-        exact_evals: on1.exact_evals() + on2.exact_evals(),
+        counts,
+        exact_evals: runs.exact_evals(),
     }
 }
 
@@ -2593,7 +2549,7 @@ mod tests {
 
     /// [`state_sums`] against the recurrence on `groups` random phase
     /// groups of the paper grid: both clock schemes (the strawman's
-    /// switches overlap, so `H₁₂` is exercised), the press arm's four
+    /// switches overlap, so state 3 is exercised), the press arm's four
     /// lines, wandering tag clocks, and a quarter of the groups starting
     /// before a clock's first rise. Counts and exact evaluations must
     /// agree exactly, the sums within 1e-12.

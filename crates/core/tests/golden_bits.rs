@@ -28,7 +28,7 @@
 //! The pins that reach a spectral line source (spectral press, tracked
 //! clock, undetected tag, spectral and multiplexed spectral batch) were
 //! re-recorded once more when the spectral arm moved to prefix-table
-//! interval sums (reassociated `E_σ`) and to complex line-noise draws
+//! run sums (reassociated `E_σ`) and to complex line-noise draws
 //! (one Philox block per value): the statistical fixtures are their
 //! gate. Every time-domain, FMCW, faulted, snapshot-stream and
 //! inversion-lattice pin held.
@@ -143,7 +143,7 @@ fn press_hash(spectral: bool, presses: u64) -> (u64, u64) {
 fn spectral_press_readings_match_golden_bits() {
     assert_eq!(
         press_hash(true, 16),
-        (0x337e_f9d7_79b9_997d, 0xcc60_466a_9f3f_3103)
+        (0x4010_2608_86ca_7c3e, 0xaa57_1d50_559c_e80d)
     );
 }
 
@@ -198,7 +198,7 @@ fn tracked_clock_press_readings_match_golden_bits() {
     );
     assert_eq!(
         branch_hash(true, tracked_clock, 4),
-        ((0xdbb3_10eb_b658_df2e, 0x8b7c_1463_213f_242c), 4)
+        ((0x9ecf_421c_2754_2393, 0xb3fc_3f3c_798f_1b46), 4)
     );
 }
 

@@ -19,11 +19,10 @@
 //!
 //! It is also the one place that knows where the drive state changes.
 //! Synthesis walks the state over a snapshot grid with
-//! [`ClockPair::runs`] (merged states) or [`ClockPair::on_intervals`]
-//! (each switch's on-intervals), and over a sequence of integration
-//! windows with [`WindowWalker`]; all three follow the clock edges
-//! instead of evaluating the clocks at every snapshot, and all three are
-//! bit-identical to the per-instant reference ([`ClockPair::state_at`],
+//! [`ClockPair::runs`] and over a sequence of integration windows with
+//! [`WindowWalker`]; both follow the clock edges instead of evaluating
+//! the clocks at every snapshot, and both are bit-identical to the
+//! per-instant reference ([`ClockPair::state_at`],
 //! [`ClockPair::state_weights_into`]).
 
 use std::ops::Range;
@@ -264,38 +263,6 @@ impl ClockPair {
             spans: [(range.start, Level::Exact); 2],
             exact_evals: 0,
         }
-    }
-
-    /// The snapshots of the grid `t0 + s·dt`, `s` in `range`, at which
-    /// each switch is on: `[switch 1, switch 2]`, each an ascending
-    /// sequence of maximal half-open intervals `[a, b)`.
-    ///
-    /// The same edge walk as [`Self::runs`], one clock per switch instead
-    /// of the two merged into states, under the same contract: the on-sets
-    /// are exactly those of [`Self::state_at`] at every instant, and the
-    /// instants near a predicted edge, before a clock's first rise
-    /// (`q < 0`), at or beyond 2²⁰ periods, or on an unbounded grid take
-    /// the exact evaluation inside the walk. Each switch counts its own
-    /// ([`SwitchIntervals::exact_evals`]); the two counts sum to what
-    /// [`StateRuns::exact_evals`] reports over the same grid.
-    /// Allocation-free.
-    pub fn on_intervals(&self, t0: f64, dt: f64, range: Range<usize>) -> [SwitchIntervals; 2] {
-        let range = range.start..range.end.max(range.start);
-        let walk = |clock: DutyClock, on_level: bool| SwitchIntervals {
-            clock,
-            on_level,
-            t0,
-            dt,
-            pos: range.start,
-            end: range.end,
-            track: EdgeTrack::new(&clock, t0, dt, range.clone()),
-            span: (range.start, Level::Exact),
-            exact_evals: 0,
-        };
-        [
-            walk(self.clock1, true),
-            walk(self.clock2, !self.switch2_active_low),
-        ]
     }
 
     /// `true` if the scheme guarantees the two switches are never
@@ -561,65 +528,6 @@ impl Iterator for StateRuns<'_> {
         let on2 = high2 != self.pair.switch2_active_low;
         self.cur += len;
         Some((on1 as usize | (on2 as usize) << 1, len))
-    }
-}
-
-/// One switch's on-intervals over a snapshot grid; see
-/// [`ClockPair::on_intervals`].
-#[derive(Debug, Clone)]
-pub struct SwitchIntervals {
-    clock: DutyClock,
-    /// The clock level at which the switch is on.
-    on_level: bool,
-    t0: f64,
-    dt: f64,
-    /// Next unclassified snapshot, and the end of the range.
-    pos: usize,
-    end: usize,
-    track: EdgeTrack,
-    /// The clock's current span: its end and the level on it.
-    span: (usize, Level),
-    exact_evals: u64,
-}
-
-impl SwitchIntervals {
-    /// Clock evaluations so far that took the exact per-instant path.
-    pub fn exact_evals(&self) -> u64 {
-        self.exact_evals
-    }
-}
-
-impl Iterator for SwitchIntervals {
-    type Item = Range<usize>;
-
-    fn next(&mut self) -> Option<Range<usize>> {
-        let mut start = None;
-        while self.pos < self.end {
-            if self.span.0 <= self.pos {
-                self.span = self.track.next_span();
-            }
-            let (span_end, level) = self.span;
-            if level == Level::Exact {
-                let t = self.t0 + self.pos as f64 * self.dt;
-                self.exact_evals += 1;
-                let on = self.clock.is_high(t) == self.on_level;
-                self.pos += 1;
-                if on {
-                    start.get_or_insert(self.pos - 1);
-                } else if let Some(a) = start {
-                    return Some(a..self.pos - 1);
-                }
-            } else {
-                let stop = self.pos;
-                self.pos = span_end;
-                if (level == Level::High) == self.on_level {
-                    start.get_or_insert(stop);
-                } else if let Some(a) = start {
-                    return Some(a..stop);
-                }
-            }
-        }
-        start.map(|a| a..self.pos)
     }
 }
 
@@ -1015,54 +923,19 @@ mod tests {
         (states, runs.exact_evals())
     }
 
-    /// Expands [`ClockPair::on_intervals`] to one state per snapshot,
-    /// checking that each switch's intervals are non-empty, ascending and
-    /// never touch.
-    fn expand_intervals(
-        pair: &ClockPair,
-        t0: f64,
-        dt: f64,
-        range: Range<usize>,
-    ) -> (Vec<usize>, u64) {
-        let mut states = vec![0; range.end.saturating_sub(range.start)];
-        let mut exact = 0;
-        for (sw, mut intervals) in pair
-            .on_intervals(t0, dt, range.clone())
-            .into_iter()
-            .enumerate()
-        {
-            let mut last_end = range.start;
-            for (i, r) in intervals.by_ref().enumerate() {
-                assert!(r.start < r.end && (i == 0 || r.start > last_end), "{r:?}");
-                last_end = r.end;
-                for s in r {
-                    states[s - range.start] |= 1 << sw;
-                }
-            }
-            exact += intervals.exact_evals();
-        }
-        (states, exact)
-    }
-
-    /// Checks the runs and the per-switch intervals against
-    /// [`ClockPair::state_at`] at every instant `t0 + s·dt`, returning
-    /// the exact evaluations the walk made (the same for both).
+    /// Checks the runs against [`ClockPair::state_at`] at every instant
+    /// `t0 + s·dt`, returning the exact evaluations the walk made.
     fn check_runs(pair: &ClockPair, t0: f64, dt: f64, range: Range<usize>) -> u64 {
         let reference: Vec<usize> = range
             .clone()
             .map(|s| pair.state_at(t0 + s as f64 * dt))
             .collect();
         let (states, exact) = expand_runs(pair, t0, dt, range.clone());
-        let context = format!(
+        assert_eq!(
+            states,
+            reference,
             "{pair:?} t0 = {t0:e} ({:#x}) dt = {dt:e} range {range:?}",
             t0.to_bits()
-        );
-        assert_eq!(states, reference, "{context}");
-        let (switched, switched_exact) = expand_intervals(pair, t0, dt, range.clone());
-        assert_eq!(switched, reference, "intervals: {context}");
-        assert_eq!(
-            switched_exact, exact,
-            "interval exact evaluations: {context}"
         );
         exact
     }

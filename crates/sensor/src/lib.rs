@@ -35,7 +35,7 @@ pub mod splitter;
 pub mod switch;
 pub mod tag;
 
-pub use clock::{ClockPair, DutyClock, SwitchIntervals};
+pub use clock::{ClockPair, DutyClock};
 pub use splitter::Splitter;
 pub use switch::RfSwitch;
 pub use tag::{ResponsePlan, SensorTag};

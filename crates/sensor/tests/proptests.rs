@@ -48,160 +48,3 @@ proptest! {
         prop_assert!((g1 - g2).abs() > 1e-4, "shorts {a} vs {} indistinguishable", a + delta);
     }
 }
-
-/// What a snapshot-grid walk says about each switch: the on-set of switch
-/// 1 and of switch 2, one flag per snapshot of the range, the per-state
-/// counts (indexed `on1 | on2 << 1`), and the exact clock evaluations.
-#[derive(Debug, PartialEq)]
-struct GridWalk {
-    on: [Vec<bool>; 2],
-    counts: [usize; 4],
-    exact_evals: u64,
-}
-
-/// The grid walk as [`ClockPair::runs`] reports it.
-fn walk_runs(pair: &ClockPair, t0: f64, dt: f64, range: std::ops::Range<usize>) -> GridWalk {
-    let mut runs = pair.runs(t0, dt, range);
-    let mut walk = GridWalk {
-        on: [Vec::new(), Vec::new()],
-        counts: [0; 4],
-        exact_evals: 0,
-    };
-    for (state, len) in runs.by_ref() {
-        walk.counts[state] += len;
-        walk.on[0].extend(std::iter::repeat_n(state & 1 != 0, len));
-        walk.on[1].extend(std::iter::repeat_n(state & 2 != 0, len));
-    }
-    walk.exact_evals = runs.exact_evals();
-    walk
-}
-
-/// The grid walk as [`ClockPair::on_intervals`] reports it, checking that
-/// each switch's intervals are non-empty, ascending, maximal (never
-/// touching) and inside the range.
-fn walk_intervals(pair: &ClockPair, t0: f64, dt: f64, range: std::ops::Range<usize>) -> GridWalk {
-    let len = range.end.saturating_sub(range.start);
-    let mut on = [vec![false; len], vec![false; len]];
-    let mut exact_evals = 0;
-    for (sw, mut intervals) in pair
-        .on_intervals(t0, dt, range.clone())
-        .into_iter()
-        .enumerate()
-    {
-        let mut last_end = None;
-        for r in intervals.by_ref() {
-            assert!(r.start < r.end, "switch {sw}: empty interval {r:?}");
-            assert!(
-                r.start >= range.start && r.end <= range.end,
-                "switch {sw}: {r:?} outside {range:?}"
-            );
-            if let Some(e) = last_end {
-                assert!(r.start > e, "switch {sw}: {r:?} touches or precedes {e}");
-            }
-            last_end = Some(r.end);
-            for s in r {
-                on[sw][s - range.start] = true;
-            }
-        }
-        exact_evals += intervals.exact_evals();
-    }
-    let mut counts = [0; 4];
-    for (a, b) in on[0].iter().zip(&on[1]) {
-        counts[*a as usize | (*b as usize) << 1] += 1;
-    }
-    GridWalk {
-        on,
-        counts,
-        exact_evals,
-    }
-}
-
-/// A clock pair: the WiForce scheme or the overlapping strawman, at any
-/// base frequency.
-fn clock_pair(naive: u32, fs: f64) -> ClockPair {
-    if naive == 1 {
-        ClockPair::naive(fs)
-    } else {
-        ClockPair::wiforce(fs)
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
-
-    /// The per-switch interval walk agrees with the merged state runs on
-    /// every snapshot, per state, and in how many instants it evaluated
-    /// exactly — on arbitrary grids, grids that start before a clock's
-    /// first rise, and grids that run past 2²⁰ periods.
-    #[test]
-    fn on_intervals_match_runs_on_arbitrary_grids(
-        (naive, fs) in (0u32..2, 100.0f64..10_000.0),
-        (t0_periods, dt_periods) in (-8.0f64..64.0, 1e-3f64..0.6),
-        (n, start) in (0usize..700, 0usize..700),
-        far in 0u32..4,
-    ) {
-        let pair = clock_pair(naive, fs);
-        let t1 = 1.0 / fs;
-        // a quarter of the cases sit just below or past 2²⁰ periods
-        let t0 = if far == 0 {
-            (1_048_576.0 + t0_periods * 8.0) * t1
-        } else {
-            t0_periods * t1
-        };
-        let dt = dt_periods * t1;
-        let range = start.min(n)..n;
-        prop_assert_eq!(
-            walk_intervals(&pair, t0, dt, range.clone()),
-            walk_runs(&pair, t0, dt, range.clone()),
-            "{:?} t0 = {:e} dt = {:e} {:?}", pair, t0, dt, range
-        );
-    }
-
-    /// The same agreement where a snapshot lands within the walk guard
-    /// (1e-7 periods) of a clock edge, on either side of it.
-    #[test]
-    fn on_intervals_match_runs_near_edges(
-        (naive, fs) in (0u32..2, 100.0f64..10_000.0),
-        (edge_k, edge_frac, offset) in (0u32..40, 0u32..4, -2.5e-7f64..2.5e-7),
-        (s_on, dt_periods) in (0usize..625, 0.01f64..0.3),
-    ) {
-        let pair = clock_pair(naive, fs);
-        let t1 = 1.0 / fs;
-        // the edges of both clocks: rises and falls of the fs clock at
-        // quarter and half duty, of the 2fs clock at its own duty
-        let phase = [0.0, 0.25, 0.375, 0.5][edge_frac as usize];
-        let edge = (edge_k as f64 * 0.5 + phase + offset) * t1;
-        let dt = dt_periods * t1;
-        let t0 = edge - s_on as f64 * dt;
-        prop_assert_eq!(
-            walk_intervals(&pair, t0, dt, 0..625),
-            walk_runs(&pair, t0, dt, 0..625),
-            "{:?} t0 = {:e} dt = {:e}", pair, t0, dt
-        );
-    }
-
-    /// And on grids the walk cannot bound: a non-positive or non-finite
-    /// step, or a non-finite start, where every instant is evaluated
-    /// exactly.
-    #[test]
-    fn on_intervals_match_runs_on_unbounded_grids(
-        (naive, fs) in (0u32..2, 100.0f64..10_000.0),
-        (kind, t0_periods, dt_periods) in (0u32..7, -4.0f64..40.0, 0.01f64..0.5),
-        n in 0usize..200,
-    ) {
-        let pair = clock_pair(naive, fs);
-        let t1 = 1.0 / fs;
-        let (t0, dt) = match kind {
-            0 => (t0_periods * t1, 0.0),
-            1 => (t0_periods * t1, -dt_periods * t1),
-            2 => (t0_periods * t1, f64::NAN),
-            3 => (t0_periods * t1, f64::INFINITY),
-            4 => (f64::NAN, dt_periods * t1),
-            5 => (f64::INFINITY, dt_periods * t1),
-            _ => (f64::NEG_INFINITY, dt_periods * t1),
-        };
-        let walk = walk_intervals(&pair, t0, dt, 0..n);
-        prop_assert_eq!(&walk, &walk_runs(&pair, t0, dt, 0..n), "t0 = {:e} dt = {:e}", t0, dt);
-        prop_assert_eq!(walk.exact_evals, 2 * n as u64);
-    }
-}

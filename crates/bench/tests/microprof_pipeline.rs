@@ -1,6 +1,7 @@
 //! Manual micro-benchmark decomposing the per-snapshot cost of
-//! `run_snapshots_into` and the spectral arm's per-group state walk (run
-//! with `--ignored --nocapture`). Companion to
+//! `run_snapshots_into`, the spectral press's per-group state walk and
+//! the batch producer's per-group window-weight walk (run with
+//! `--ignored --nocapture`). Companion to
 //! `crates/reader/tests/microprof.rs`, which decomposes the sounder.
 
 use rand::rngs::StdRng;
@@ -8,6 +9,10 @@ use rand::SeedableRng;
 use std::time::Instant;
 use wiforce::pipeline::{state_sums, PrefixPhasors, PressNoise, Simulation, TagClock};
 use wiforce_dsp::SnapshotMatrix;
+use wiforce_reader::ChannelSounder;
+use wiforce_sensor::clock::WindowWalker;
+use wiforce_sensor::multi::allocate_frequencies_on_grid;
+use wiforce_sensor::ClockPair;
 
 #[test]
 #[ignore = "manual micro-benchmark of the snapshot hot loop"]
@@ -59,6 +64,38 @@ fn microprof_pipeline() {
     println!(
         "state sums, 2 lines: {:.3} us/group (acc {acc})",
         per_group(t)
+    );
+
+    // the batch producer's window-weight walk, which both of its line
+    // sources take: one 8-stream group at the batch8 clock plan, each
+    // stream's integration windows at a running-sum tag clock
+    let grid_hz = 1.0 / (n as f64 * t_snap);
+    let pairs: Vec<ClockPair> = allocate_frequencies_on_grid(8, 800.0, 2000.0, grid_hz)
+        .expect("8 clocks fit the 800-2000 Hz band")
+        .into_iter()
+        .map(ClockPair::wiforce)
+        .collect();
+    let t_int = sim.sounder.integration_window_s();
+    let mut walkers = vec![WindowWalker::default(); pairs.len()];
+    let mut t_tag: Vec<f64> = (0..pairs.len()).map(|i| 0.1e-3 * i as f64).collect();
+    let batch_groups = 400;
+    let mut acc = 0.0;
+    let t = Instant::now();
+    for _ in 0..batch_groups {
+        for ((pair, walker), t) in pairs.iter().zip(&mut walkers).zip(&mut t_tag) {
+            for _ in 0..n {
+                acc += walker.weights(pair, *t, t_int)[1];
+                *t += t_snap;
+            }
+        }
+    }
+    let us = t.elapsed().as_secs_f64() / batch_groups as f64 * 1e6;
+    let exact: u64 = walkers.iter_mut().map(WindowWalker::take_exact_evals).sum();
+    let windows = (batch_groups * pairs.len() * n) as f64;
+    println!(
+        "window walk, {} streams: {us:.1} us/group, exact-split share {:.3} (acc {acc:.0})",
+        pairs.len(),
+        exact as f64 / windows
     );
 
     // frontend alone

@@ -62,7 +62,9 @@
 use crate::calib::SensorModel;
 use crate::estimator::{EstimatorConfig, ForceEstimator, ForceReading};
 use crate::multisensor::ContinuumSurface;
-use crate::pipeline::{Simulation, Sounder, TagClock, CHUNK_ROWS};
+use crate::pipeline::{
+    fill_state_spectra, spectral_row_var, Simulation, Sounder, SpectralLines, TagClock, CHUNK_ROWS,
+};
 use crate::tracking::{TrackedReading, Tracker, TrackerConfig};
 use crate::WiForceError;
 use rand::rngs::StdRng;
@@ -531,10 +533,11 @@ struct ReaderProducer {
     sigma_est: f64,
     /// Plane-path scratch: row-major truth plane for one snapshot block.
     truth_plane: Vec<Complex>,
-    /// Spectral scratch: one line's complex noise normals.
+    /// Spectral scratch: one line's complex normals, the subcarriers'
+    /// noise and the line's common-mode jitter.
     normals: Vec<Complex>,
-    /// Spectral scratch: the group's common-mode jitter sequence.
-    jitters: Vec<f64>,
+    /// Spectral scratch: one stream's per-state backscatter spectra.
+    spectra: Vec<Complex>,
     /// Snapshot matrices previously handed out; any entry whose consumers
     /// have all dropped (strong count back to 1) is recycled, so steady
     /// state reuses the group-sized buffers instead of reallocating.
@@ -627,7 +630,7 @@ impl ReaderProducer {
             sigma_est: sigma_est.unwrap_or(0.0),
             truth_plane: Vec::new(),
             normals: Vec::new(),
-            jitters: Vec::new(),
+            spectra: Vec::new(),
             retired: Vec::new(),
         }
     }
@@ -650,7 +653,8 @@ impl ReaderProducer {
     }
 
     /// Synthesises the next phase group: the shared preamble (reclaim
-    /// the group matrix, step every stream's clock, draw the group's press
+    /// the group matrix, step and rebase every stream's clock
+    /// ([`TagClock::rebase`]), draw the group's press
     /// key — the one sequential draw per group, after which every noise
     /// lane is a pure function of `(key, group, snapshot or bin, lane)`),
     /// then one of two line sources — [`Self::spectral_lines`] or
@@ -664,6 +668,8 @@ impl ReaderProducer {
         let mut out = self.reclaim_matrix(self.cache.statics.len());
         for s in self.streams.iter_mut() {
             s.clock.step_group(self.wander_ppm, &mut self.rng);
+            // both drive clocks repeat on the base period 1/fs
+            s.clock.rebase(1.0 / s.fs_hz);
         }
         let key = self.rng.next_u64();
         let (dropped, bursts) = if self.spectral {
@@ -798,74 +804,35 @@ impl ReaderProducer {
     /// group's reader start time), which consumers feed straight to
     /// [`ForceEstimator::push_lines`].
     ///
-    /// Model per stream line `ω = 2π·f·T` (see
-    /// `Simulation::synth_lines_spectral` for the derivation):
-    /// deterministic term `Σ_σ gains[k]·table[k][σ]·W_σ(ω)` from one
-    /// O(N) walk of the integration-window state weights (statics cancel
-    /// exactly under mean subtraction); noise by DFT unitarity as
-    /// circular Gaussian of per-component std
-    /// `√((σ_est² + step²/12)·(1−|D̄|²)/N)`, one complex normal per
-    /// subcarrier (one Philox block, both Box–Muller components) from a
-    /// cursor keyed `(key, group, bin)`; and the per-snapshot front-end phase
-    /// jitter drawn once per group and projected onto every line, so the
-    /// jitter correlation across streams and lines of the shared
-    /// time-domain rows is preserved.
+    /// Per stream, one walk of the group's integration windows
+    /// ([`WindowWalker`], the weights the time-domain rows use) sums each
+    /// state's window-weighted line phasors `E_σ` and fractional counts
+    /// `n_σ`; the press arm's finisher ([`SpectralLines`]) turns them into
+    /// lines with `D̄ = (Σ_σ E_σ)/N`.
     fn spectral_lines(&mut self, seq: u64, key: u64, out: &mut SnapshotMatrix) {
         let n = self.n_snapshots;
-        let width = self.cache.statics.len();
         let drift_ppm = self.faults.tag_clock_ppm;
         let t_snap = self.t_snap;
         let t_int = self.t_int;
         let reference_groups = self.reference_groups;
-        let sigma_est = self.sigma_est;
+        let var_row = spectral_row_var(self.sigma_est, &self.frontend, self.cache.full_scale);
         out.reserve_rows(2 * self.streams.len());
         let ReaderProducer {
             streams,
             cache,
             frontend,
             normals,
-            jitters,
+            spectra,
             ..
         } = self;
-
-        // quantization folded in as additive uniform noise of variance
-        // step²/12 (valid because the front-end jitter dithers ≳1 LSB)
-        let step = if frontend.adc_enob_bits > 0 && cache.full_scale > 0.0 {
-            2.0 * cache.full_scale / (1u64 << frontend.adc_enob_bits.min(62)) as f64
-        } else {
-            0.0
-        };
-        let var_row = sigma_est * sigma_est + step * step / 12.0;
-
-        // the common-mode jitter sequence θ_s rotates every subcarrier
-        // of a snapshot identically in the time domain, so it is drawn
-        // once per group and projected onto each consumed line
-        let jitter_rad = frontend.phase_jitter_rad;
-        jitters.clear();
-        jitters.resize(n, 0.0);
-        if jitter_rad > 0.0 {
-            let mut cursor =
-                wiforce_dsp::rng::CounterRng::for_spectral(key, seq as u32, SPECTRAL_JITTER_BIN);
-            cursor.fill_normals(jitters);
-            for t in jitters.iter_mut() {
-                *t *= jitter_rad;
-            }
-        }
-        let tacc: f64 = jitters.iter().sum();
-
         let inv_n = 1.0 / n as f64;
-        let start_s = seq as f64 * n as f64 * t_snap;
         for s in streams.iter_mut() {
             let line_hz = [s.fs_hz, 4.0 * s.fs_hz];
-            let rot = [
-                Complex::cis(-wiforce_dsp::TAU * line_hz[0] * t_snap),
-                Complex::cis(-wiforce_dsp::TAU * line_hz[1] * t_snap),
-            ];
+            let rot = line_hz.map(|f| Complex::cis(-wiforce_dsp::TAU * f * t_snap));
             let mut ph = [Complex::ONE; 2];
             let mut e = [[Complex::ZERO; 4]; 2];
-            let mut j = [Complex::ZERO; 2];
             let mut counts = [0.0f64; 4];
-            for &th in jitters.iter().take(n) {
+            for _ in 0..n {
                 let t_tag = s.clock.advance(t_snap, drift_ppm);
                 let w = s.walk.weights(&s.tag.clocks, t_tag, t_int);
                 for q in 0..4 {
@@ -875,60 +842,32 @@ impl ReaderProducer {
                         counts[q] += w[q];
                     }
                 }
-                if jitter_rad > 0.0 {
-                    j[0] += ph[0].scale(th);
-                    j[1] += ph[1].scale(th);
-                }
                 ph[0] *= rot[0];
                 ph[1] *= rot[1];
             }
-            let table = s.table_for_group(seq, reference_groups);
-            for li in 0..2 {
+            fill_state_spectra(
+                &cache.gains,
+                s.table_for_group(seq, reference_groups),
+                spectra,
+            );
+            let lines_of = SpectralLines {
+                statics: &cache.statics,
+                spectra,
+                var_row,
+                jitter_rad: frontend.phase_jitter_rad,
+                n,
+                start_s: seq as f64 * n as f64 * t_snap,
+                key,
+                group_id: seq as u32,
+            };
+            for (f_hz, e) in line_hz.into_iter().zip(&e) {
                 // D̄ = (Σ_σ E_σ)/N exactly (≈0 on the integer line bins)
-                let dbar = (e[li][0] + e[li][1] + e[li][2] + e[li][3]).scale(inv_n);
-                let wc = [
-                    (e[li][0] - dbar.scale(counts[0])).scale(inv_n),
-                    (e[li][1] - dbar.scale(counts[1])).scale(inv_n),
-                    (e[li][2] - dbar.scale(counts[2])).scale(inv_n),
-                    (e[li][3] - dbar.scale(counts[3])).scale(inv_n),
-                ];
-                let shrink = (1.0 - dbar.norm_sqr()).max(0.0);
-                let sigma_line = (var_row * shrink * inv_n).sqrt();
-                // mean-subtracted jitter projection J = Σθ·e/N − θ̄·D̄
-                let jline = j[li].scale(inv_n) - dbar.scale(tacc * inv_n);
-                let reference = Complex::cis(-wiforce_dsp::TAU * line_hz[li] * start_s);
-                normals.clear();
-                normals.resize(width, Complex::ZERO);
-                let mut cursor = wiforce_dsp::rng::CounterRng::for_spectral(
-                    key,
-                    seq as u32,
-                    wiforce_dsp::rng::spectral_bin_id(line_hz[li]),
-                );
-                cursor.fill_complex_normals(normals);
-                let row = out.push_row_default();
-                for (k, slot) in row.iter_mut().enumerate() {
-                    let t = &table[k];
-                    let det = cache.gains[k]
-                        * (t[0] * wc[0] + t[1] * wc[1] + t[2] * wc[2] + t[3] * wc[3]);
-                    let mean_p = cache.statics[k]
-                        + cache.gains[k]
-                            * (t[0].scale(counts[0] * inv_n)
-                                + t[1].scale(counts[1] * inv_n)
-                                + t[2].scale(counts[2] * inv_n)
-                                + t[3].scale(counts[3] * inv_n));
-                    let noise_k = normals[k].scale(sigma_line);
-                    *slot = reference * (det + noise_k + Complex::I * mean_p * jline);
-                }
+                let dbar = (e[0] + e[1] + e[2] + e[3]).scale(inv_n);
+                lines_of.finish(f_hz, e, &counts, dbar, normals, out.push_row_default());
             }
         }
     }
 }
-
-/// Philox "bin" coordinate of the per-group common-mode jitter draw on
-/// the spectral path — far outside the centi-hertz ids of any real line
-/// ([`wiforce_dsp::rng::spectral_bin_id`] of tag clocks stays under
-/// ~1 MHz·100), so the jitter lanes can never collide with line noise.
-const SPECTRAL_JITTER_BIN: u32 = u32::MAX;
 
 /// Evaluates the next snapshot's true shared channel into `row`: advance
 /// every stream's tag clock, accumulate each tag's state-weighted
@@ -1676,6 +1615,186 @@ mod tests {
                 }
             }
             crate::line_noise_check::check_circular_white_noise(label, &residuals, &sigmas);
+        }
+    }
+
+    #[test]
+    fn spectral_batch_jitter_covariance_matches_model() {
+        // the batch source draws its jitter as the press arm does, one J
+        // per line: each line minus its noiseless, jitter-free twin must
+        // have the cross-subcarrier covariance
+        // 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·σ_θ²(1−|D̄|²)/N over the air
+        // and at the Fig. 16 phantom's SNR. One stream, so a time-domain
+        // producer on the same spec gives each group's mean row
+        let mut phantom = Simulation::paper_default(0.9e9);
+        phantom.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 50.0);
+        for (label, mut sim) in [
+            ("over the air", Simulation::paper_default(2.4e9)),
+            ("tissue phantom", phantom),
+        ] {
+            sim.synth_spectral = Some(true);
+            sim.frontend.adc_enob_bits = 0; // no quantization term
+            let spec =
+                ReaderSpec::frequency_multiplexed(1, 1, 0xC0F, &sim.group).expect("allocation");
+            let cfg = BatchConfig::wiforce(1);
+            let mut quiet = sim.clone();
+            quiet.frontend.noise_floor = 0.0;
+            quiet.frontend.phase_jitter_rad = 0.0;
+            let mut quiet_td = quiet.clone();
+            quiet_td.synth_spectral = Some(false);
+            let mut noisy = ReaderProducer::build(&sim, &spec, &cfg);
+            let mut twin = ReaderProducer::build(&quiet, &spec, &cfg);
+            let mut rows = ReaderProducer::build(&quiet_td, &spec, &cfg);
+            assert!(noisy.spectral && twin.spectral && !rows.spectral, "{label}");
+            let (n, t_snap) = (sim.group.n_snapshots, sim.group.snapshot_period_s);
+            let width = noisy.cache.statics.len();
+            let draws = 256;
+            let mut residuals = vec![vec![Vec::with_capacity(draws); width]; 2];
+            let mut mean_p = Vec::with_capacity(draws);
+            for _ in 0..draws {
+                let (_, got) = noisy.produce_group();
+                let (_, want) = twin.produce_group();
+                let (_, td) = rows.produce_group();
+                for (li, bins) in residuals.iter_mut().enumerate() {
+                    for (k, samples) in bins.iter_mut().enumerate() {
+                        samples.push(got.row(li)[k] - want.row(li)[k]);
+                    }
+                }
+                let mut mean = vec![Complex::ZERO; width];
+                for row in td.rows() {
+                    for (m, &x) in mean.iter_mut().zip(row) {
+                        *m += x.scale(1.0 / n as f64);
+                    }
+                }
+                mean_p.push(mean);
+            }
+            let fs = spec.streams[0].fs_hz;
+            for (li, f_hz) in [fs, 4.0 * fs].into_iter().enumerate() {
+                use crate::line_noise_check as lnc;
+                let sigma_line = lnc::modeled_sigma(noisy.sigma_est.powi(2), f_hz, t_snap, n);
+                let jitter = sim.frontend.phase_jitter_rad;
+                let var_j = jitter * jitter * lnc::shrink(f_hz, t_snap, n) / n as f64;
+                let power = lnc::check_jitter_covariance(
+                    &format!("{label} line {li}"),
+                    &residuals[li],
+                    &mean_p,
+                    sigma_line,
+                    var_j,
+                );
+                println!("{label} line {li}: off-diagonal jitter covariance up to {power:.1} σ");
+                assert!(label != "over the air" || power > 10.0, "{label}: {power}");
+            }
+        }
+    }
+
+    #[test]
+    fn spectral_and_time_domain_batch_keep_long_clocks_on_the_edge_walk() {
+        // a batch stream's tag clock is a running sum from the start of
+        // the run; the producer folds it back by whole base periods, so a
+        // stream already past 2²⁰ periods of its 2fs drive clock (where
+        // the edge walks stop and every window would take the exact
+        // split) walks the edges as a fresh stream does, on both line
+        // sources. Windows that straddle an edge take the exact split on
+        // any clock (~10% at the paper grid), so the long stream is held
+        // to the fresh stream's share plus 1% of its windows
+        let sim = Simulation::paper_default(0.9e9);
+        let spec = ReaderSpec::frequency_multiplexed(1, 0, 0x10C, &sim.group).expect("allocation");
+        let fs = spec.streams[0].fs_hz;
+        let groups = 8;
+        let windows = (groups * sim.group.n_snapshots) as u64;
+        let _gate = crate::TELEMETRY_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for spectral in [true, false] {
+            let mut sim = sim.clone();
+            sim.synth_spectral = Some(spectral);
+            let exact_from = |start_s: f64| {
+                let mut producer = ReaderProducer::build(&sim, &spec, &BatchConfig::wiforce(1));
+                assert_eq!(producer.spectral, spectral);
+                producer.streams[0].clock.t_tag += start_s;
+                wiforce_telemetry::set_enabled(true);
+                wiforce_telemetry::reset();
+                for _ in 0..groups {
+                    producer.produce_group();
+                }
+                let snap = wiforce_telemetry::take();
+                wiforce_telemetry::set_enabled(false);
+                snap.counters["clock.walk_exact_evals"]
+            };
+            let fresh = exact_from(0.0);
+            let long = exact_from(1.5 * 1_048_576.0 / (2.0 * fs));
+            println!(
+                "spectral {spectral}: {fresh} (fresh), {long} (long) of {windows} windows exact"
+            );
+            assert!(
+                fresh * 5 <= windows && long * 100 <= fresh * 100 + windows,
+                "spectral {spectral}: {fresh} (fresh), {long} (long) of {windows} windows exact"
+            );
+        }
+    }
+
+    /// The worst relative distance, per stream, of the spectral
+    /// producer's lines from the mean-subtracted DFT of the time-domain
+    /// producer's rows at the same bins, over every group of `spec`'s
+    /// schedule, both producers built from `sim` (noise, jitter and ADC
+    /// off) and the same spec.
+    fn spectral_vs_time_domain_dft(sim: &Simulation, spec: &ReaderSpec) -> Vec<f64> {
+        let cfg = BatchConfig::wiforce(1);
+        let build = |spectral: bool| {
+            let mut sim = sim.clone();
+            sim.synth_spectral = Some(spectral);
+            ReaderProducer::build(&sim, spec, &cfg)
+        };
+        let (mut lines, mut rows) = (build(true), build(false));
+        assert!(lines.spectral && !rows.spectral);
+        let group_s = sim.group.n_snapshots as f64 * sim.group.snapshot_period_s;
+        let mut worst = vec![0.0f64; spec.streams.len()];
+        for _ in 0..cfg.reference_groups + spec.max_presses() {
+            let (seq, got) = lines.produce_group();
+            let (_, td) = rows.produce_group();
+            for (i, st) in spec.streams.iter().enumerate() {
+                let group = crate::harmonics::PhaseGroupConfig {
+                    line1_hz: st.fs_hz,
+                    line2_hz: 4.0 * st.fs_hz,
+                    ..sim.group
+                };
+                let want =
+                    crate::harmonics::extract_lines_quiet(&group, td.view(), seq as f64 * group_s);
+                for (li, want) in [&want.p1, &want.p2].into_iter().enumerate() {
+                    let err = crate::line_noise_check::line_rel_err(got.row(2 * i + li), want);
+                    worst[i] = worst[i].max(err);
+                }
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn spectral_batch_lines_match_time_domain_dft() {
+        // the deterministic half of the batch spectral model: noiseless,
+        // each stream's lines must equal the mean-subtracted DFT of the
+        // time-domain rows the same spec produces — the same window
+        // weights, clocks and press schedule. One stream alone is exact
+        // to rounding; beside a second tag, the rows also carry that
+        // tag's modulation, whose window-averaged harmonics leak into the
+        // first tag's bins, which the per-stream lines leave out
+        let mut sim = Simulation::paper_default(0.9e9);
+        sim.frontend.noise_floor = 0.0;
+        sim.frontend.phase_jitter_rad = 0.0;
+        sim.frontend.adc_enob_bits = 0;
+        let alone = spectral_vs_time_domain_dft(
+            &sim,
+            &ReaderSpec::frequency_multiplexed(1, 2, 0xD7F, &sim.group).unwrap(),
+        );
+        let shared = spectral_vs_time_domain_dft(
+            &sim,
+            &ReaderSpec::frequency_multiplexed(2, 2, 0xD7F, &sim.group).unwrap(),
+        );
+        println!("one stream: {alone:?}; two streams: {shared:?}");
+        assert!(alone[0] < 1e-9, "one stream: relative error {:e}", alone[0]);
+        // measured: 3.2e-5 and 6.3e-4 of the line
+        for (i, err) in shared.iter().enumerate() {
+            assert!(*err < 2e-3, "two streams, stream {i}: leakage {err:e}");
         }
     }
 

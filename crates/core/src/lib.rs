@@ -62,6 +62,10 @@ pub mod gestures;
 pub mod harmonics;
 #[cfg(test)]
 mod line_noise_check;
+/// Serializes the tests that flip the process-wide telemetry gate, so
+/// one test switching it off cannot blank another's recording.
+#[cfg(test)]
+static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 pub mod model;
 pub mod multisensor;
 pub mod parallel;

@@ -10,8 +10,11 @@
 //! normalized components against N(0, 1), and beyond the marginals the
 //! cross terms a real-valued or correlated draw would leave: re/im
 //! correlation within a bin, and every re/im product between adjacent
-//! subcarriers. Each correlation is bounded by its sampling σ.
+//! subcarriers. Each correlation is bounded by its sampling σ. With
+//! phase jitter on, [`check_jitter_covariance`] checks the whole
+//! cross-subcarrier covariance the common-mode jitter term adds.
 
+use crate::pipeline::PrefixPhasors;
 use wiforce_dsp::Complex;
 
 /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf
@@ -28,21 +31,33 @@ fn std_normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf)
 }
 
+/// The mean-subtraction shrink `1 − |D̄|²` of the line at `f_hz` over a
+/// group of `n` snapshots `t_snap` apart, where `D̄ = P[N]/N` is the mean
+/// line phasor ([`PrefixPhasors::total`]).
+pub(crate) fn shrink(f_hz: f64, t_snap: f64, n: usize) -> f64 {
+    let dbar = PrefixPhasors::new(f_hz, t_snap, n)
+        .total()
+        .scale(1.0 / n as f64);
+    (1.0 - dbar.norm_sqr()).max(0.0)
+}
+
 /// The modeled per-component σ of the line at `f_hz` of a group of `n`
 /// snapshots `t_snap` apart, for per-snapshot estimate noise of variance
-/// `var_row` per component: `√(var_row·(1−|D̄|²)/N)`, where `D̄` is the
-/// mean line phasor (the mean-subtraction shrink), summed here one
-/// snapshot at a time.
+/// `var_row` per component: `√(var_row·(1−|D̄|²)/N)`.
 pub(crate) fn modeled_sigma(var_row: f64, f_hz: f64, t_snap: f64, n: usize) -> f64 {
-    let rot = Complex::cis(-wiforce_dsp::TAU * f_hz * t_snap);
-    let mut acc = Complex::ZERO;
-    let mut ph = Complex::ONE;
-    for _ in 0..n {
-        acc += ph;
-        ph *= rot;
-    }
-    let dbar = acc.scale(1.0 / n as f64);
-    (var_row * (1.0 - dbar.norm_sqr()).max(0.0) / n as f64).sqrt()
+    (var_row * shrink(f_hz, t_snap, n) / n as f64).sqrt()
+}
+
+/// Worst relative distance of `got` from `want` over a line's
+/// subcarriers, against the line's largest magnitude.
+pub(crate) fn line_rel_err(got: &[Complex], want: &[Complex]) -> f64 {
+    assert_eq!(got.len(), want.len());
+    let scale = want.iter().map(|z| z.abs()).fold(0.0, f64::max);
+    assert!(scale > 0.0, "an all-zero reference line");
+    got.iter()
+        .zip(want)
+        .map(|(&g, &w)| (g - w).abs() / scale)
+        .fold(0.0, f64::max)
 }
 
 /// Checks that `residuals[line][bin]` — one complex sample per
@@ -155,4 +170,69 @@ pub(crate) fn check_circular_white_noise(
         d_max < 2.0 / m.sqrt(),
         "{label}: KS statistic {d_max} over {m} samples"
     );
+}
+
+/// Checks the cross-subcarrier covariance of one line's residuals
+/// against its noiseless, jitter-free twin: `residuals[bin][draw]`, with
+/// `mean_p[draw]` the draw's mean row. Per draw, the model is white line
+/// noise of per-component std `sigma_line` plus the common-mode jitter
+/// term `i·meanP[k]·J` with `E|J|² = var_j = σ_θ²(1−|D̄|²)/N`:
+///
+/// `E[r_k·r_k′*] = 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·var_j`.
+///
+/// Every entry `k ≤ k′` of the sample covariance, real and imaginary part
+/// apart, must lie within 5 sampling σ of the model averaged over the
+/// draws. For circular Gaussian residuals of covariance `C`, one draw's
+/// product `r_k·r_k′*` has `Var(Re) = (C_kk·C_k′k′ + Re C_kk′²)/2` and
+/// `Var(Im) = (C_kk·C_k′k′ − Re C_kk′²)/2`. Returns the largest
+/// off-diagonal `|model|/σ`: how far a missing jitter term would land
+/// from the bound.
+pub(crate) fn check_jitter_covariance(
+    label: &str,
+    residuals: &[Vec<Complex>],
+    mean_p: &[Vec<Complex>],
+    sigma_line: f64,
+    var_j: f64,
+) -> f64 {
+    let k_sub = residuals.len();
+    let draws = mean_p.len();
+    assert!(residuals.iter().all(|b| b.len() == draws), "{label}");
+    let white = 2.0 * sigma_line * sigma_line;
+    let model = |m: usize, k: usize, kp: usize| {
+        let c = mean_p[m][k] * mean_p[m][kp].conj();
+        let c = c.scale(var_j);
+        if k == kp {
+            c + Complex::from_re(white)
+        } else {
+            c
+        }
+    };
+    let inv_m = 1.0 / draws as f64;
+    let mut power = 0.0f64;
+    for k in 0..k_sub {
+        for kp in k..k_sub {
+            let mut est = Complex::ZERO;
+            let mut want = Complex::ZERO;
+            let (mut var_re, mut var_im) = (0.0, 0.0);
+            for (m, (&a, &b)) in residuals[k].iter().zip(&residuals[kp]).enumerate() {
+                est += a * b.conj();
+                let c = model(m, k, kp);
+                want += c;
+                let diag = model(m, k, k).re * model(m, kp, kp).re;
+                let c2 = (c * c).re;
+                var_re += 0.5 * (diag + c2);
+                var_im += 0.5 * (diag - c2).max(0.0);
+            }
+            let (est, want) = (est.scale(inv_m), want.scale(inv_m));
+            let (sd_re, sd_im) = (var_re.sqrt() * inv_m, var_im.sqrt() * inv_m);
+            assert!(
+                (est.re - want.re).abs() <= 5.0 * sd_re && (est.im - want.im).abs() <= 5.0 * sd_im,
+                "{label} bins {k},{kp}: covariance {est:?} vs model {want:?} (σ {sd_re:e}, {sd_im:e})"
+            );
+            if k != kp {
+                power = power.max(want.abs() / sd_re.hypot(sd_im));
+            }
+        }
+    }
+    power
 }

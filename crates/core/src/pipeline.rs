@@ -1149,31 +1149,11 @@ impl Simulation {
     /// Generates the spectral lines of `n_groups` phase groups directly
     /// at the consumed bins, without synthesizing time-domain snapshots.
     ///
-    /// Model (per group, per consumed line `ω = 2π·f·T`): the
-    /// mean-subtracted DFT is linear, so the line splits into
-    ///
-    /// - a **deterministic** term `ref(ω)·Σ_σ W_σ(ω)·B_σ[k]`, where
-    ///   `B_σ[k] = gains[k]·table[k][σ]` is the press-invariant per-state
-    ///   backscatter spectrum (memoized on the channel cache's response
-    ///   memo) and `W_σ(ω) = (E_σ(ω) − n_σ·D̄(ω))/N`, with `D̄ = P[N]/N`.
-    ///   The per-state sums `E_σ` and counts `n_σ` come from
-    ///   [`state_sums`]: the state runs of the exact group plan (wander,
-    ///   drift, fractional start phase) the time-domain path uses, each
-    ///   summed as `P[b] − P[a]` over a memoized prefix table
-    ///   `P[s] = Σ_{j<s} e^{-jωj}` ([`PrefixPhasors`]) — O(edges), not
-    ///   O(N). Statics cancel exactly under mean subtraction.
-    /// - a **noise** term: by DFT unitarity, white per-snapshot estimate
-    ///   noise of per-component std `σ_est` (plus quantization treated as
-    ///   additive uniform noise of variance `step²/12`, valid when the
-    ///   front-end jitter dithers ≳1 LSB) lands on the mean-subtracted
-    ///   line as circular Gaussian with per-component std
-    ///   `√((σ_est² + step²/12)·(1−|D̄|²)/N)`, one complex normal per
-    ///   subcarrier from a Philox cursor keyed `(press key, group, bin)`
-    ///   (one counter block per value, both Box–Muller components).
-    /// - a **common-mode jitter** term: per-snapshot phase jitter `θ_s`
-    ///   contributes `i·meanP[k]·J(ω)` with one shared
-    ///   `J ~ CN(0, σ_θ²·(1−|D̄|²)/N)` per (group, line) — preserving the
-    ///   cross-subcarrier correlation the time path produces.
+    /// Per group, [`state_sums`] sums the state runs of the exact group
+    /// plan the time-domain path uses (wander, drift, fractional start
+    /// phase) over memoized prefix tables in O(edges), and the shared
+    /// finisher [`SpectralLines`] turns the sums into each consumed line,
+    /// with `D̄ = P[N]/N`.
     ///
     /// All draws are pure functions of `(press key, group, bin, lane)`
     /// and the walk runs on the calling thread, so the output is
@@ -1195,30 +1175,18 @@ impl Simulation {
         let k_sub = cache.statics.len();
         let n = self.group.n_snapshots;
         let t_snap = self.group.snapshot_period_s;
-        let key = noise.key;
         let sigma_est = self
             .sounder
             .estimate_noise_sigma(self.frontend.noise_floor)
             .expect("spectral path gated on white estimate noise");
-        // quantization folded in as additive uniform noise
-        let step = if self.frontend.adc_enob_bits > 0 && cache.full_scale > 0.0 {
-            2.0 * cache.full_scale / (1u64 << self.frontend.adc_enob_bits.min(62)) as f64
-        } else {
-            0.0
-        };
-        let var_row = sigma_est * sigma_est + step * step / 12.0;
 
         // per-state backscatter spectra: the untouched ones are
         // press-invariant and memoized beside the EM plan (salted key,
         // distinct value type); a contact's are built inline
         let build_spectra = || {
-            let mut rows = vec![Complex::ZERO; 4 * k_sub];
-            for state in 0..4 {
-                for k in 0..k_sub {
-                    rows[state * k_sub + k] = cache.gains[k] * table[k][state];
-                }
-            }
-            SpectralStateSpectra { rows }
+            let mut rows = Vec::new();
+            fill_state_spectra(&cache.gains, &table, &mut rows);
+            rows
         };
         let spectra = if contact.is_none() {
             cache.response_tables(self.tag_token(), SPECTRAL_TABLE_SALT, build_spectra)
@@ -1240,6 +1208,16 @@ impl Simulation {
             .map(|fc| [prefix(fc.line1_hz), prefix(fc.line2_hz)]);
 
         let group_s = n as f64 * t_snap;
+        let mut lines_of = SpectralLines {
+            statics: &cache.statics,
+            spectra: &spectra,
+            var_row: spectral_row_var(sigma_est, &self.frontend, cache.full_scale),
+            jitter_rad: self.frontend.phase_jitter_rad,
+            n,
+            start_s: 0.0,
+            key: noise.key,
+            group_id: 0,
+        };
         let mut groups = Vec::with_capacity(n_groups);
         let mut floor_out: Option<GroupLines> = None;
         let mut normals = Vec::new();
@@ -1266,80 +1244,33 @@ impl Simulation {
                 Some([f1, f2]) if with_floor => [p1, p2, f1, f2],
                 _ => [p1, p2, p1, p2],
             };
-            let StateSums {
-                e: e_acc,
-                counts,
-                exact_evals: evals,
-            } = state_sums(&self.tag.clocks, plan.t_tag0, plan.dt_eff, &tables[..nf]);
-            exact_evals += evals;
-            let inv_n = 1.0 / n as f64;
-            let cbar = [
-                counts[0] as f64 * inv_n,
-                counts[1] as f64 * inv_n,
-                counts[2] as f64 * inv_n,
-                counts[3] as f64 * inv_n,
-            ];
-
-            // the line-invariant mean row, written into each line's
-            // output and turned into that line in place
-            let mut mean_p: Vec<Complex> = (0..k_sub)
-                .map(|k| {
-                    let b = |state: usize| spectra.rows[state * k_sub + k];
-                    cache.statics[k]
-                        + b(0).scale(cbar[0])
-                        + b(1).scale(cbar[1])
-                        + b(2).scale(cbar[2])
-                        + b(3).scale(cbar[3])
-                })
-                .collect();
-            let start_s = spec.first_start + g as f64 * group_s;
-            let mut line_out = |fi: usize, mut out: Vec<Complex>| -> Vec<Complex> {
-                let f_hz = line_hz[fi];
-                // D̄ = P[N]/N, the sum over every state (0 at nonzero
-                // integer bins)
-                let dbar = tables[fi].total().scale(inv_n);
-                let w = [
-                    (e_acc[fi][0] - dbar.scale(counts[0] as f64)).scale(inv_n),
-                    (e_acc[fi][1] - dbar.scale(counts[1] as f64)).scale(inv_n),
-                    (e_acc[fi][2] - dbar.scale(counts[2] as f64)).scale(inv_n),
-                    (e_acc[fi][3] - dbar.scale(counts[3] as f64)).scale(inv_n),
-                ];
-                let shrink = (1.0 - dbar.norm_sqr()).max(0.0);
-                let sigma_line = (var_row * shrink * inv_n).sqrt();
-                let sigma_jit = self.frontend.phase_jitter_rad * (shrink * inv_n * 0.5).sqrt();
-                let reference = Complex::cis(-wiforce_dsp::TAU * f_hz * start_s);
-                let mut cursor = CounterRng::for_spectral(
-                    key,
-                    plan.group_id,
-                    wiforce_dsp::rng::spectral_bin_id(f_hz),
+            let sums = state_sums(&self.tag.clocks, plan.t_tag0, plan.dt_eff, &tables[..nf]);
+            exact_evals += sums.exact_evals;
+            lines_of.start_s = spec.first_start + g as f64 * group_s;
+            lines_of.group_id = plan.group_id;
+            // integer counts convert to f64 exactly
+            let counts = sums.counts.map(|c| c as f64);
+            let mut line = |fi: usize| {
+                let mut out = vec![Complex::ZERO; k_sub];
+                let dbar = tables[fi].total().scale(1.0 / n as f64);
+                lines_of.finish(
+                    line_hz[fi],
+                    &sums.e[fi],
+                    &counts,
+                    dbar,
+                    &mut normals,
+                    &mut out,
                 );
-                normals.clear();
-                normals.resize(k_sub + 1, Complex::ZERO);
-                cursor.fill_complex_normals(&mut normals);
-                let jc = normals[k_sub].scale(sigma_jit);
-                for (k, slot) in out.iter_mut().enumerate() {
-                    let b = |state: usize| spectra.rows[state * k_sub + k];
-                    let det = b(0) * w[0] + b(1) * w[1] + b(2) * w[2] + b(3) * w[3];
-                    let noise_k = normals[k].scale(sigma_line);
-                    *slot = reference * (det + noise_k + Complex::I * *slot * jc);
-                }
                 out
             };
             let lines = GroupLines {
-                p1: line_out(0, mean_p.clone()),
-                p2: line_out(
-                    1,
-                    if with_floor {
-                        mean_p.clone()
-                    } else {
-                        std::mem::take(&mut mean_p)
-                    },
-                ),
+                p1: line(0),
+                p2: line(1),
             };
             if with_floor {
                 floor_out = Some(GroupLines {
-                    p1: line_out(2, mean_p.clone()),
-                    p2: line_out(3, mean_p),
+                    p1: line(2),
+                    p2: line(3),
                 });
             }
             wiforce_telemetry::counter!("pipeline.spectral_groups", 1);
@@ -1652,13 +1583,123 @@ pub fn state_sums(clocks: &ClockPair, t0: f64, dt: f64, lines: &[&PrefixPhasors]
     }
 }
 
-/// Per-state backscatter line spectra for the spectral synthesis
-/// path: `rows[state * k_sub + k] = gains[k] * table[k][state]`, i.e. the
-/// subcarrier response the sounder would estimate if the tag sat in
-/// `state` for the whole snapshot (statics excluded — those cancel in the
-/// mean-subtracted DFT and only enter through the jitter coupling term).
-struct SpectralStateSpectra {
-    rows: Vec<Complex>,
+/// Fills `rows` with the per-state backscatter spectra `B_σ[k]` at
+/// `σ·k_sub + k`: `gains[k]·table[k][σ]`, the estimate of a tag held in
+/// state σ for a whole snapshot, statics excluded.
+pub(crate) fn fill_state_spectra(
+    gains: &[Complex],
+    table: &[[Complex; 4]],
+    rows: &mut Vec<Complex>,
+) {
+    rows.clear();
+    for state in 0..4 {
+        rows.extend(gains.iter().zip(table).map(|(g, t)| *g * t[state]));
+    }
+}
+
+/// The per-snapshot, per-component variance a spectral line source
+/// projects onto its lines: the sounder's estimate noise `σ_est²` plus
+/// ADC quantization as additive uniform noise of variance `step²/12`,
+/// valid when the front-end jitter dithers ≳1 LSB.
+pub(crate) fn spectral_row_var(sigma_est: f64, frontend: &Frontend, full_scale: f64) -> f64 {
+    let step = if frontend.adc_enob_bits > 0 && full_scale > 0.0 {
+        2.0 * full_scale / (1u64 << frontend.adc_enob_bits.min(62)) as f64
+    } else {
+        0.0
+    };
+    sigma_est * sigma_est + step * step / 12.0
+}
+
+/// The line finisher both spectral line sources share: one phase group
+/// of one tag. The press arm and the batch producer differ only in where
+/// the sums `E_σ` and counts `n_σ` come from: the press samples the drive
+/// state at each snapshot instant ([`state_sums`]), the batch weights
+/// each state by its share of the sounder's integration window.
+pub(crate) struct SpectralLines<'a> {
+    /// Static channel per subcarrier.
+    pub statics: &'a [Complex],
+    /// Per-state backscatter spectra `B_σ[k]` ([`fill_state_spectra`]).
+    pub spectra: &'a [Complex],
+    /// Per-snapshot estimate-noise variance per component
+    /// ([`spectral_row_var`]).
+    pub var_row: f64,
+    /// Per-snapshot common-mode phase jitter σ_θ, rad RMS.
+    pub jitter_rad: f64,
+    /// Snapshots in the group, `N`.
+    pub n: usize,
+    /// Reader time of the group's first snapshot, s: the lines' phase
+    /// reference.
+    pub start_s: f64,
+    /// Philox address of the group's draws: each line's cursor is
+    /// `(key, group_id, spectral_bin_id(line))`.
+    pub key: u64,
+    pub group_id: u32,
+}
+
+impl SpectralLines<'_> {
+    /// Writes into `out` the consumed line at `f_hz` (`ω = 2π·f·T`),
+    /// given its per-state sums `e[σ] = E_σ(ω)`, the state counts `n_σ`
+    /// and the mean line phasor `D̄(ω) = (Σ_s e^{-jωs})/N`. The
+    /// mean-subtracted DFT is linear, so the line splits into
+    ///
+    /// - a **deterministic** term `Σ_σ B_σ[k]·W_σ(ω)` with
+    ///   `W_σ = (E_σ − n_σ·D̄)/N` (statics cancel exactly under mean
+    ///   subtraction);
+    /// - a **noise** term: by DFT unitarity, white per-snapshot noise of
+    ///   per-component variance `var_row` lands on the mean-subtracted
+    ///   line as circular Gaussian with per-component std
+    ///   `√(var_row·(1−|D̄|²)/N)`, one complex normal per subcarrier from
+    ///   the line's Philox cursor (one counter block per value, both
+    ///   Box–Muller components);
+    /// - a **common-mode jitter** term: per-snapshot phase jitter `θ_s`
+    ///   contributes `i·meanP[k]·J(ω)`, with the group's mean row
+    ///   `meanP[k] = statics[k] + Σ_σ B_σ[k]·n_σ/N` and one shared
+    ///   `J ~ CN(0, σ_θ²·(1−|D̄|²)/N)` per line — the cursor's
+    ///   `k_sub`-th complex normal — preserving the cross-subcarrier
+    ///   correlation the time path produces. At integer bins below N/2
+    ///   (`D̄ = 0`) the DFTs of white real θ are independent circular
+    ///   Gaussians of exactly that variance, so one draw per bin has the
+    ///   time path's joint law.
+    ///
+    /// The whole line is rotated by the reference `e^{-j2πf·start_s}`.
+    pub(crate) fn finish(
+        &self,
+        f_hz: f64,
+        e: &[Complex; 4],
+        counts: &[f64; 4],
+        dbar: Complex,
+        normals: &mut Vec<Complex>,
+        out: &mut [Complex],
+    ) {
+        let k_sub = self.statics.len();
+        let inv_n = 1.0 / self.n as f64;
+        let w: [Complex; 4] = std::array::from_fn(|q| (e[q] - dbar.scale(counts[q])).scale(inv_n));
+        let shrink = (1.0 - dbar.norm_sqr()).max(0.0);
+        let sigma_line = (self.var_row * shrink * inv_n).sqrt();
+        let sigma_jit = self.jitter_rad * (shrink * inv_n * 0.5).sqrt();
+        let reference = Complex::cis(-wiforce_dsp::TAU * f_hz * self.start_s);
+        let mut cursor = CounterRng::for_spectral(
+            self.key,
+            self.group_id,
+            wiforce_dsp::rng::spectral_bin_id(f_hz),
+        );
+        normals.clear();
+        normals.resize(k_sub + 1, Complex::ZERO);
+        cursor.fill_complex_normals(normals);
+        let jc = normals[k_sub].scale(sigma_jit);
+        let cbar = counts.map(|c| c * inv_n);
+        for (k, slot) in out.iter_mut().enumerate() {
+            let b = |state: usize| self.spectra[state * k_sub + k];
+            let mean_p = self.statics[k]
+                + b(0).scale(cbar[0])
+                + b(1).scale(cbar[1])
+                + b(2).scale(cbar[2])
+                + b(3).scale(cbar[3]);
+            let det = b(0) * w[0] + b(1) * w[1] + b(2) * w[2] + b(3) * w[3];
+            let noise_k = normals[k].scale(sigma_line);
+            *slot = reference * (det + noise_k + Complex::I * mean_p * jc);
+        }
+    }
 }
 
 /// Closed-form per-group clock handed to synthesis workers: snapshot `s`
@@ -1681,12 +1722,16 @@ struct FusedExtraction<'a> {
     first_start: f64,
 }
 
+/// Base periods after which [`TagClock::rebase`] folds the tag time
+/// back: 2¹⁶, well inside the edge walks' 2²⁰ periods of a `2fs` clock.
+const TAG_REBASE_PERIODS: f64 = 65_536.0;
+
 /// The tag's free-running clock: tracks accumulated time including drift
 /// and wander, so modulation edges stay phase-continuous across groups.
 #[derive(Debug, Clone)]
 pub struct TagClock {
     /// Accumulated tag-clock time, s.
-    t_tag: f64,
+    pub(crate) t_tag: f64,
     /// Accumulated reader-clock time, s (advances exactly one snapshot
     /// period per snapshot; used as the phase reference for extraction).
     t_reader: f64,
@@ -1721,6 +1766,15 @@ impl TagClock {
         self.t_tag += t_snap * (1.0 + (self.wander_ppm + drift_ppm) * 1e-6);
         self.t_reader += t_snap;
         t
+    }
+
+    /// Takes whole periods of `period_s`, on which the drive repeats, off
+    /// the tag time once it passes [`TAG_REBASE_PERIODS`] of them, so a
+    /// long batch stream stays inside the edge walks' domain.
+    pub(crate) fn rebase(&mut self, period_s: f64) {
+        if self.t_tag >= TAG_REBASE_PERIODS * period_s {
+            self.t_tag = self.t_tag.rem_euclid(period_s);
+        }
     }
 
     /// Reader-clock time of the next snapshot, s.
@@ -2184,17 +2238,15 @@ mod tests {
         }
     }
 
-    /// Serializes the tests that flip the process-wide telemetry gate, so
-    /// one test switching it off cannot blank another's recording.
-    static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn health_reports_which_time_domain_path_ran() {
         // the plane kernel serves every row of a static, drop-free OFDM
         // run; a mover, snapshot drops or the FMCW sounder put every row
         // on the row path
         let share = |sim: &Simulation| {
-            let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+            let _gate = crate::TELEMETRY_GATE
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             wiforce_telemetry::set_enabled(true);
             wiforce_telemetry::reset();
             let mut rng = StdRng::seed_from_u64(5);
@@ -2501,7 +2553,9 @@ mod tests {
         let mut sim = Simulation::paper_default(0.9e9);
         sim.synth_spectral = Some(true);
         assert!(sim.spectral_eligible());
-        let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let _gate = crate::TELEMETRY_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         wiforce_telemetry::set_enabled(true);
         wiforce_telemetry::reset();
         let mut rng = StdRng::seed_from_u64(0xED6E);
@@ -2620,7 +2674,9 @@ mod tests {
         // inside the box does not
         let sim = Simulation::paper_default(2.4e9);
         let model = sim.vna_calibration().unwrap();
-        let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let _gate = crate::TELEMETRY_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         wiforce_telemetry::set_enabled(true);
         wiforce_telemetry::reset();
         for (force, location) in [(8.5, 0.040), (4.0, 0.040), (3.0, 0.031)] {
@@ -2630,6 +2686,104 @@ mod tests {
         let snap = wiforce_telemetry::take();
         wiforce_telemetry::set_enabled(false);
         assert_eq!(snap.counters.get("invert.at_bound"), Some(&1));
+    }
+
+    /// One spectral phase group of an untouched press under key `seed`,
+    /// its tag clock always started from the same draw, so with wander
+    /// off every key walks the same states.
+    fn spectral_group(sim: &Simulation, seed: u64) -> GroupLines {
+        let mut clock = TagClock::new(&mut StdRng::seed_from_u64(42));
+        let mut noise = PressNoise::from_seed(seed);
+        let spec = FusedExtraction {
+            cfg: &sim.group,
+            floor_cfg: None,
+            first_start: clock.reader_time_s(),
+        };
+        let freqs = sim.subcarrier_freqs_hz();
+        let (mut groups, floor) =
+            sim.synth_lines_spectral(&freqs, None, 1, &mut clock, &mut noise, &spec);
+        assert!(floor.is_none());
+        groups.pop().expect("one group")
+    }
+
+    #[test]
+    fn spectral_press_jitter_covariance_matches_model() {
+        // with phase jitter on, each line minus its noiseless, jitter-free
+        // twin carries the common-mode term i·meanP[k]·J on every
+        // subcarrier at once: its covariance across subcarrier pairs must
+        // be 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·σ_θ²(1−|D̄|²)/N, the
+        // cross-subcarrier structure Ablation 1's combiners consume — over
+        // the air at 2.4 GHz and at the Fig. 16 phantom's SNR
+        let mut phantom = Simulation::paper_default(0.9e9);
+        phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
+        for (label, mut sim) in [
+            ("over the air", Simulation::paper_default(2.4e9)),
+            ("tissue phantom", phantom),
+        ] {
+            sim.synth_spectral = Some(true);
+            sim.frontend.adc_enob_bits = 0; // no quantization term
+            sim.tag_clock_wander_ppm = 0.0; // same state walk for every key
+            assert!(sim.spectral_eligible(), "{label}");
+            assert!(sim.frontend.phase_jitter_rad > 0.0, "{label}");
+            let mut quiet = sim.clone();
+            quiet.frontend.noise_floor = 0.0;
+            quiet.frontend.phase_jitter_rad = 0.0;
+            let det = spectral_group(&quiet, 0);
+            // the group's mean row, from the noiseless time-domain rows of
+            // the same plan
+            let rows = quiet.run_snapshots(
+                None,
+                1,
+                &mut TagClock::new(&mut StdRng::seed_from_u64(42)),
+                &mut PressNoise::from_seed(0),
+            );
+            let n = sim.group.n_snapshots;
+            let mut mean_p = vec![Complex::ZERO; rows.n_cols()];
+            for row in rows.rows() {
+                for (m, &x) in mean_p.iter_mut().zip(row) {
+                    *m += x.scale(1.0 / n as f64);
+                }
+            }
+            let draws = 400;
+            let k_sub = mean_p.len();
+            let mut residuals = vec![vec![Vec::with_capacity(draws); k_sub]; 2];
+            for seed in 0..draws as u64 {
+                let lines = spectral_group(&sim, 1000 + seed);
+                for (li, (got, want)) in [(&lines.p1, &det.p1), (&lines.p2, &det.p2)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    for k in 0..k_sub {
+                        residuals[li][k].push(got[k] - want[k]);
+                    }
+                }
+            }
+            let sigma_est = sim
+                .sounder
+                .estimate_noise_sigma(sim.frontend.noise_floor)
+                .expect("white estimate noise");
+            let t_snap = sim.group.snapshot_period_s;
+            for (li, f_hz) in [sim.group.line1_hz, sim.group.line2_hz]
+                .into_iter()
+                .enumerate()
+            {
+                use crate::line_noise_check as lnc;
+                let sigma_line = lnc::modeled_sigma(sigma_est * sigma_est, f_hz, t_snap, n);
+                let jitter = sim.frontend.phase_jitter_rad;
+                let var_j = jitter * jitter * lnc::shrink(f_hz, t_snap, n) / n as f64;
+                let power = lnc::check_jitter_covariance(
+                    &format!("{label} line {li}"),
+                    &residuals[li],
+                    &vec![mean_p.clone(); draws],
+                    sigma_line,
+                    var_j,
+                );
+                println!("{label} line {li}: off-diagonal jitter covariance up to {power:.1} σ");
+                // over the air the jitter term dominates the line noise, so
+                // a missing or decorrelated one could not pass
+                assert!(label != "over the air" || power > 10.0, "{label}: {power}");
+            }
+        }
     }
 
     #[test]
@@ -2667,31 +2821,16 @@ mod tests {
                 )
             });
 
-            let synth = |sim: &Simulation, seed: u64| -> GroupLines {
-                let mut clock_rng = StdRng::seed_from_u64(42);
-                let mut clock = TagClock::new(&mut clock_rng);
-                let mut noise = PressNoise::from_seed(seed);
-                let spec = FusedExtraction {
-                    cfg: &sim.group,
-                    floor_cfg: None,
-                    first_start: clock.reader_time_s(),
-                };
-                let (mut groups, floor) =
-                    sim.synth_lines_spectral(&freqs, None, 1, &mut clock, &mut noise, &spec);
-                assert!(floor.is_none());
-                groups.pop().expect("one group")
-            };
-
             // the noiseless twin pins the deterministic part exactly, so
             // the residuals need no empirical-mean estimate (and the
             // first-moment check is a real one)
             let mut quiet = sim.clone();
             quiet.frontend.noise_floor = 0.0;
-            let det = synth(&quiet, 0);
+            let det = spectral_group(&quiet, 0);
             let k_sub = freqs.len();
             let mut residuals = vec![vec![Vec::new(); k_sub]; 2];
             for seed in 0..64 {
-                let lines = synth(&sim, 1000 + seed);
+                let lines = spectral_group(&sim, 1000 + seed);
                 for (li, (got, want)) in [(&lines.p1, &det.p1), (&lines.p2, &det.p2)]
                     .into_iter()
                     .enumerate()
@@ -2710,6 +2849,73 @@ mod tests {
             println!("{label}: port-1 line {snr_db:.1} dB over its noise");
             crate::line_noise_check::check_circular_white_noise(label, &residuals, &sigmas);
         }
+    }
+
+    #[test]
+    fn spectral_press_lines_match_time_domain_dft() {
+        // the deterministic half of the spectral model: with no noise
+        // floor, no phase jitter and no ADC both arms are noiseless, and
+        // the spectral lines (state sums + shared finisher) must equal
+        // the mean-subtracted DFT the fused time-domain extraction takes
+        // of the same group plan — tag lines and floor-probe bins, with
+        // and without a contact, wander on
+        let mut worst = 0.0f64;
+        for carrier in [0.9e9, 2.4e9] {
+            let mut sim = Simulation::paper_default(carrier);
+            sim.frontend.noise_floor = 0.0;
+            sim.frontend.phase_jitter_rad = 0.0;
+            sim.frontend.adc_enob_bits = 0;
+            assert!(sim.spectral_eligible());
+            let freqs = sim.subcarrier_freqs_hz();
+            let off_cfg = PhaseGroupConfig {
+                line1_hz: sim.group.line1_hz * 1.37,
+                line2_hz: sim.group.line1_hz * 2.61,
+                ..sim.group
+            };
+            for contact in [None, sim.contact_for(4.0, 0.040)] {
+                let mut rng = StdRng::seed_from_u64(0xDF7);
+                let clock = TagClock::new(&mut rng);
+                let noise = PressNoise::from_rng(&mut rng);
+                let spec = FusedExtraction {
+                    cfg: &sim.group,
+                    floor_cfg: Some(&off_cfg),
+                    first_start: clock.reader_time_s(),
+                };
+                let (lines, floor) = sim.synth_lines_spectral(
+                    &freqs,
+                    contact.as_ref(),
+                    3,
+                    &mut clock.clone(),
+                    &mut noise.clone(),
+                    &spec,
+                );
+                let (td_lines, td_floor) = sim.synth_counter(
+                    &freqs,
+                    contact.as_ref(),
+                    3,
+                    &mut clock.clone(),
+                    &mut noise.clone(),
+                    &mut SnapshotMatrix::default(),
+                    Some(&spec),
+                );
+                let pairs = lines.iter().zip(&td_lines).chain(std::iter::once((
+                    floor.as_ref().unwrap(),
+                    td_floor.as_ref().unwrap(),
+                )));
+                for (g, (got, want)) in pairs.enumerate() {
+                    for (got, want) in [(&got.p1, &want.p1), (&got.p2, &want.p2)] {
+                        let err = crate::line_noise_check::line_rel_err(got, want);
+                        worst = worst.max(err);
+                        assert!(
+                            err < 1e-9,
+                            "{carrier:e} Hz, contact {}: group {g} error {err:e}",
+                            contact.is_some()
+                        );
+                    }
+                }
+            }
+        }
+        println!("spectral press vs time-domain DFT: worst relative error {worst:e}");
     }
 
     #[test]

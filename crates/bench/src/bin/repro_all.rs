@@ -4,26 +4,40 @@
 //! merged [`wiforce_telemetry::PipelineHealth`] report of the whole
 //! reproduction (sweep workers' telemetry is folded back in press-index
 //! order, so the report is identical for any thread count).
+//!
+//! `--out <file>` rewrites the sections of `<file>` instead of the
+//! checkout's EXPERIMENTS.md (whose path is fixed when the binary is
+//! compiled). Text outside the sections is kept, so a copy of
+//! EXPERIMENTS.md regenerated this way can be diffed against the
+//! committed file:
+//!
+//! ```text
+//! cp EXPERIMENTS.md /tmp/exp.md
+//! cargo run --release -p wiforce-bench --bin repro_all -- --out /tmp/exp.md
+//! diff EXPERIMENTS.md /tmp/exp.md
+//! ```
 
 use wiforce_bench::experiments as exp;
 use wiforce_bench::Report;
 
-/// Value of `--health-json <path>`, if present.
-fn health_json_arg() -> Option<String> {
+/// Value of `<flag> <path>`, if present.
+fn path_arg(flag: &str) -> Option<String> {
     let argv: Vec<String> = std::env::args().collect();
     argv.iter()
-        .position(|a| a == "--health-json")
+        .position(|a| a == flag)
         .and_then(|i| argv.get(i + 1).cloned())
 }
 
 fn main() {
     let quick = wiforce_bench::montecarlo::quick_mode();
-    let health_out = health_json_arg();
+    let health_out = path_arg("--health-json");
     if health_out.is_some() {
         wiforce_telemetry::reset();
         wiforce_telemetry::set_enabled(true);
     }
-    let path = exp::repo_root().join("EXPERIMENTS.md");
+    let path = path_arg("--out")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| exp::repo_root().join("EXPERIMENTS.md"));
     println!("writing results to {}\n", path.display());
 
     let mut all_ok = true;
@@ -31,7 +45,7 @@ fn main() {
         all_ok &= report.all_ok();
         report
             .write_section(&path, section)
-            .expect("write EXPERIMENTS.md");
+            .expect("write the results file");
     };
 
     write(

@@ -109,5 +109,6 @@ pub fn run(_quick: bool) -> Report {
         soft_sw > 1.5 * soft_sw9,
         "2.4 GHz swing > 1.5× 900 MHz swing",
     ));
+    println!("{}", rep.to_console());
     rep
 }

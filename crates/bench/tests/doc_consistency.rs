@@ -2,10 +2,11 @@
 //! run, the experiment-module wiring, and the section headers `repro_all`
 //! maintains in EXPERIMENTS.md must all match what's actually in the
 //! tree. These rotted silently before (a renamed fig bin left stale
-//! commands in DESIGN.md), so CI checks them.
+//! commands in DESIGN.md), so CI checks them. The same goes for the
+//! public modules themselves: each must be reached by code that runs.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use wiforce_bench::experiments::repo_root;
 
 /// Every `--bin <name>` token in the text.
@@ -201,4 +202,176 @@ fn repro_all_sections_match_experiments_md() {
             );
         }
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read_dir {}: {e}", dir.display()))
+    {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The non-test code of a source file: comments dropped, and everything
+/// from the first `#[cfg(test)]` module on cut off. In a crate root the
+/// `pub use` re-exports are dropped too; they name a module without
+/// reaching it.
+fn non_test_code(text: &str, crate_root: bool) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = String::new();
+    let mut in_reexport = false;
+    for (i, line) in lines.iter().enumerate() {
+        let t = line.trim_start();
+        let opens_test_module = t.starts_with("#[cfg(test)]")
+            && lines[i + 1..]
+                .iter()
+                .map(|l| l.trim())
+                .find(|l| !l.starts_with("#["))
+                .is_some_and(|l| l.starts_with("mod ") && l.ends_with('{'));
+        if opens_test_module {
+            break;
+        }
+        if crate_root && t.starts_with("pub use ") {
+            in_reexport = true;
+        }
+        if in_reexport {
+            in_reexport = !t.trim_end().ends_with(';');
+            continue;
+        }
+        if t.starts_with("//") {
+            continue;
+        }
+        let code = match line.find("//") {
+            Some(j) if line[..j].matches('"').count() % 2 == 0 => &line[..j],
+            _ => line,
+        };
+        out.push_str(code);
+        out.push('\n');
+    }
+    out
+}
+
+/// Whether `code` holds `needle` with no identifier or `::` glued to its
+/// left, and (when it ends in an identifier) no identifier glued to its
+/// right.
+fn names(code: &str, needle: &str) -> bool {
+    let open_right = needle.ends_with(is_ident);
+    code.match_indices(needle).any(|(i, _)| {
+        let before = code[..i].chars().next_back();
+        let after = code[i + needle.len()..].chars().next();
+        let glued_left = before.is_some_and(|c| is_ident(c) || c == ':');
+        let glued_right = open_right && after.is_some_and(is_ident);
+        !(glued_left || glued_right)
+    })
+}
+
+/// `(module, item)` for every item a crate root re-exports from one of its
+/// modules (`pub use m::Item;`, `pub use m::{A, B};`).
+fn reexports(lib: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut rest = lib;
+    while let Some(start) = rest.find("pub use ") {
+        let tail = &rest[start + "pub use ".len()..];
+        let end = tail.find(';').expect("re-export ends with ';'");
+        if let Some((module, items)) = tail[..end].split_once("::") {
+            for item in items.split([',', '{', '}']) {
+                // `A as B` is named as `B`
+                let item = item.split_whitespace().last().unwrap_or_default();
+                if !item.is_empty() {
+                    out.push((module.trim().to_string(), item.to_string()));
+                }
+            }
+        }
+        rest = &tail[end..];
+    }
+    out
+}
+
+/// No public module exists only for its own tests: non-test code outside
+/// the module's own file must name every `pub mod m` of every library
+/// crate, either by path (`crate_name::m`, `crate::m`, `super::m`,
+/// `m::`) or through an item the crate root re-exports from `m`. The code
+/// that counts is every `src/` of the workspace (library code, the
+/// `wiforce-cli` tool, the experiment binaries) and the `perfbench`
+/// benchmark; tests, benches and examples do not count. DESIGN.md
+/// ("Modeling decisions") states the rule this enforces.
+#[test]
+fn pub_modules_have_callers() {
+    let root = repo_root();
+    let mut crates = vec![("wiforce_repro".to_string(), root.join("src"))];
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let dir = entry.expect("dir entry").path();
+        let manifest = read(&dir.join("Cargo.toml"));
+        let name = manifest
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("name = \""))
+            .and_then(|l| l.strip_suffix('"'))
+            .unwrap_or_else(|| panic!("{} has no package name", dir.display()));
+        crates.push((name.replace('-', "_"), dir.join("src")));
+    }
+
+    let mut files = Vec::new();
+    for (_, src) in &crates {
+        rs_files(src, &mut files);
+    }
+    rs_files(&root.join("perfbench/src"), &mut files);
+    let roots: BTreeSet<PathBuf> = crates.iter().map(|(_, src)| src.join("lib.rs")).collect();
+    let code: Vec<(PathBuf, String)> = files
+        .into_iter()
+        .map(|f| {
+            let text = non_test_code(&read(&f), roots.contains(&f));
+            (f, text)
+        })
+        .collect();
+
+    let mut unreached = Vec::new();
+    let mut checked = 0;
+    for (krate, src) in &crates {
+        let lib = read(&src.join("lib.rs"));
+        let items = reexports(&lib);
+        let modules = lib.lines().filter_map(|l| {
+            let rest = l.trim().strip_prefix("pub mod ")?;
+            Some(rest.trim_end_matches([';', '{', ' ']).to_string())
+        });
+        for m in modules {
+            checked += 1;
+            let own_file = src.join(format!("{m}.rs"));
+            let own_dir = src.join(&m);
+            let mut needles = vec![
+                format!("{krate}::{m}"),
+                format!("crate::{m}"),
+                format!("super::{m}"),
+                format!("{m}::"),
+            ];
+            needles.extend(
+                items
+                    .iter()
+                    .filter(|(from, _)| *from == m)
+                    .map(|(_, i)| i.clone()),
+            );
+            let reached = code
+                .iter()
+                .filter(|(f, _)| *f != own_file && !f.starts_with(&own_dir))
+                .any(|(_, text)| needles.iter().any(|n| names(text, n)));
+            if !reached {
+                unreached.push(format!("{krate}::{m}"));
+            }
+        }
+    }
+    assert!(checked > 50, "found only {checked} public modules");
+    assert!(
+        unreached.is_empty(),
+        "public modules that no non-test code outside their own file names \
+         (tests, benches and examples do not count): {unreached:?}"
+    );
 }

@@ -44,6 +44,3 @@ pub use cache::{ChannelCache, SharedChannelCache};
 pub use frontend::Frontend;
 pub use multipath::StaticMultipath;
 pub use scene::Scene;
-
-/// Boltzmann constant, J/K.
-pub const K_BOLTZMANN: f64 = 1.380_649e-23;

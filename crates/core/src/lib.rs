@@ -33,8 +33,6 @@
 //!    unknown tags by their `fs`/`4fs` line-pair signature).
 //! 9. [`record`] — capture/replay of channel-estimate streams (`.wifs`
 //!    files), for reproducible offline analysis.
-//! 10. [`gestures`] — taps / force-level holds / continuum swipes on top
-//!     of the reading stream (the paper's HCI motivation).
 //!
 //! ## Quick start
 //!
@@ -58,7 +56,6 @@ pub mod calib;
 pub mod calibrate;
 pub mod diffphase;
 pub mod estimator;
-pub mod gestures;
 pub mod harmonics;
 #[cfg(test)]
 mod line_noise_check;

@@ -22,13 +22,9 @@
 //!   coefficients given a contact patch and the far-end termination.
 //! * [`vna`] — a two-port vector-network-analyzer simulator (Fig. 10,
 //!   Table 1 wired baselines).
-//! * [`calkit`] — one-port error model + Short-Open-Load calibration
-//!   (why the wired ground truth can be trusted to sub-degree phase).
 //! * [`hfss`] — a parametric solver stand-in for the Appendix's HFSS study
 //!   of trace-ratio vs ground-width (Fig. 19).
 
-pub mod antenna;
-pub mod calkit;
 pub mod hfss;
 pub mod materials;
 pub mod microstrip;

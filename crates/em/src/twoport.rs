@@ -4,7 +4,6 @@
 //! simulator reports S-parameters. Standard microwave network theory
 //! (Pozar/Steer conventions), reference impedance 50 Ω unless stated.
 
-use crate::Z_REF;
 use wiforce_dsp::Complex;
 
 /// An ABCD (chain) matrix `[A B; C D]` with complex entries.
@@ -133,11 +132,6 @@ pub struct SParams {
 }
 
 impl SParams {
-    /// Return loss at port 1, dB (positive number = good match).
-    pub fn return_loss_db(&self) -> f64 {
-        -20.0 * self.s11.abs().log10()
-    }
-
     /// Insertion loss, dB (positive number = loss).
     pub fn insertion_loss_db(&self) -> f64 {
         -20.0 * self.s21.abs().log10()
@@ -152,12 +146,6 @@ impl SParams {
     pub fn s21_db(&self) -> f64 {
         20.0 * self.s21.abs().log10()
     }
-}
-
-/// Converts a real impedance to the reflection coefficient in `Z_REF`.
-pub fn reflection_of(z: Complex) -> Complex {
-    let zr = Complex::from_re(Z_REF);
-    (z - zr) / (z + zr)
 }
 
 #[cfg(test)]

@@ -127,12 +127,6 @@ impl Vna {
         }
     }
 
-    /// Measures a 1-port reflection at a single frequency.
-    pub fn measure_reflection(&self, gamma: Complex) -> Complex {
-        let mut noise = TraceNoise::new(self.seed);
-        self.corrupt(gamma, &mut noise)
-    }
-
     fn corrupt(&self, z: Complex, noise: &mut TraceNoise) -> Complex {
         if self.mag_noise == 0.0 && self.phase_noise_rad == 0.0 {
             return z;

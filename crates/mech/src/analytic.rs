@@ -25,53 +25,34 @@ use crate::indenter::Indenter;
 use crate::patch::ContactPatch;
 use crate::ForceTransducer;
 
+// Tuning matched to the FD solver on the prototype geometry.
+
+/// Peel margin: minimum distance an edge keeps from its support, m.
+const PEEL_MARGIN_M: f64 = 6e-3;
+/// Fraction of the spread load half-width that turns into contact.
+const CONTACT_FRACTION: f64 = 0.65;
+/// Sag floor slope: metres of pre-collapsed edge distance per metre of
+/// side span beyond [`SAG_ONSET_SPAN_M`].
+const SAG_SLOPE: f64 = 0.35;
+/// Side span at which self-weight sag starts pre-collapsing the side, m.
+const SAG_ONSET_SPAN_M: f64 = 0.040;
+/// Relative growth of the sag floor per newton: the collapsed side's peel
+/// edge creeps outward slowly with load (the FD solver shows ≈3 %/N),
+/// which keeps the far port *weakly* force-sensitive and breaks the
+/// force/location ambiguity an exactly-stationary edge would create.
+const SAG_GROWTH_PER_N: f64 = 0.025;
+
 /// Closed-form contact model; see module docs.
 #[derive(Debug, Clone, Copy)]
 pub struct AnalyticContactModel {
     mech: SensorMech,
     indenter: Indenter,
-    /// Peel margin: minimum distance an edge keeps from its support, m.
-    peel_margin_m: f64,
-    /// Fraction of the spread load half-width that turns into contact.
-    contact_fraction: f64,
-    /// Sag floor slope: metres of pre-collapsed edge distance per metre of
-    /// side span beyond [`Self::sag_onset_span_m`].
-    sag_slope: f64,
-    /// Side span at which self-weight sag starts pre-collapsing the side, m.
-    sag_onset_span_m: f64,
-    /// Relative growth of the sag floor per newton: the collapsed side's
-    /// peel edge creeps outward slowly with load (the FD solver shows
-    /// ≈3 %/N), which keeps the far port *weakly* force-sensitive and
-    /// breaks the force/location ambiguity an exactly-stationary edge
-    /// would create.
-    sag_growth_per_n: f64,
 }
 
 impl AnalyticContactModel {
-    /// Builds the model for a sensor/indenter pair with tuning matched to
-    /// the FD solver on the prototype geometry.
+    /// Builds the model for a sensor/indenter pair.
     pub fn new(mech: SensorMech, indenter: Indenter) -> Self {
-        AnalyticContactModel {
-            mech,
-            indenter,
-            peel_margin_m: 6e-3,
-            contact_fraction: 0.65,
-            sag_slope: 0.35,
-            sag_onset_span_m: 0.040,
-            sag_growth_per_n: 0.025,
-        }
-    }
-
-    /// Overrides the peel margin (distance edges keep from supports).
-    pub fn with_peel_margin(mut self, margin_m: f64) -> Self {
-        self.peel_margin_m = margin_m;
-        self
-    }
-
-    /// Overrides the contact fraction tuning constant.
-    pub fn with_contact_fraction(mut self, frac: f64) -> Self {
-        self.contact_fraction = frac;
-        self
+        AnalyticContactModel { mech, indenter }
     }
 
     /// The underlying mechanical description.
@@ -94,18 +75,18 @@ impl AnalyticContactModel {
     /// for spread load half-width `load_half` and force `df_n` above the
     /// touch threshold.
     fn edge_distance(&self, span_m: f64, load_half: f64, df_n: f64) -> f64 {
-        let avail = (span_m - self.peel_margin_m).max(1e-4);
+        let avail = (span_m - PEEL_MARGIN_M).max(1e-4);
         // saturating load-driven advance
-        let drive = self.contact_fraction * load_half;
+        let drive = CONTACT_FRACTION * load_half;
         let adv = avail * (1.0 - (-drive / avail).exp());
         // self-weight sag floor for long sides, scaled by how close the
         // beam is to its rest-contact weight, creeping slowly outward with
         // load
         let q_ref = 0.55; // prototype self-weight, N/m
-        let sag = self.sag_slope
-            * (span_m - self.sag_onset_span_m).max(0.0)
+        let sag = SAG_SLOPE
+            * (span_m - SAG_ONSET_SPAN_M).max(0.0)
             * (self.mech.self_weight_n_per_m / q_ref).min(2.0)
-            * (1.0 + self.sag_growth_per_n * df_n);
+            * (1.0 + SAG_GROWTH_PER_N * df_n);
         adv.max(sag).min(avail)
     }
 }

@@ -32,7 +32,6 @@
 pub mod analytic;
 pub mod beam;
 pub mod contact;
-pub mod dynamics;
 pub mod hysteresis;
 pub mod indenter;
 pub mod material;

@@ -122,12 +122,6 @@ impl Conductor {
         young_modulus_pa: 110e9,
         conductivity_s_per_m: 5.8e7,
     };
-
-    /// Conductive silver ink/epoxy trace (flexible-PCB future-work variant).
-    pub const SILVER_INK: Conductor = Conductor {
-        young_modulus_pa: 10e9,
-        conductivity_s_per_m: 1.0e6,
-    };
 }
 
 #[cfg(test)]

@@ -22,15 +22,12 @@
 //! * [`stream`] — the sample-level TX/RX chain: continuous frame stream,
 //!   preamble acquisition, per-frame channel estimation.
 //! * [`sync`] — preamble detection by cross-correlation (frame timing).
-//! * [`usrp`] — SDR front-end description and rate/Nyquist bookkeeping.
 
 pub mod fmcw;
 pub mod ofdm;
 pub mod sounder;
 pub mod stream;
 pub mod sync;
-pub mod usrp;
 
 pub use ofdm::OfdmSounder;
 pub use sounder::ChannelSounder;
-pub use usrp::UsrpConfig;

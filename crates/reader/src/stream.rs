@@ -268,11 +268,6 @@ impl TagDemux {
         self.capacity
     }
 
-    /// Registered base clock of stream `i`, Hz.
-    pub fn stream_fs_hz(&self, i: usize) -> f64 {
-        self.fs_hz[i]
-    }
-
     /// Current queue depth of stream `i`.
     pub fn depth(&self, i: usize) -> usize {
         self.queues[i].len()

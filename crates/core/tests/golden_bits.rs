@@ -38,6 +38,11 @@
 //! jitter draw per line (it had projected a per-snapshot jitter sequence
 //! onto every line): a new noise realization of the same distribution at
 //! the on-grid lines these runs use. Every press pin held bit for bit.
+//!
+//! The mover press and the faulted, mover and FMCW batch pins were
+//! recorded while each engine still kept a row-at-a-time loop beside its
+//! plane-kernel loop for movers, snapshot drops and the FMCW reader,
+//! before those loops were folded into the sounder's block API.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,13 +192,23 @@ fn phantom_without_plate(sim: &mut Simulation) {
 }
 
 fn dropped_and_burst(sim: &mut Simulation) {
-    sim.faults.snapshot_drop_prob = 0.05;
-    sim.faults.burst_prob = 0.05;
-    sim.faults.burst_rel_amp = 0.1;
+    dropped_and_burst_faults(&mut sim.faults);
+}
+
+fn dropped_and_burst_faults(faults: &mut wiforce_channel::faults::FaultConfig) {
+    faults.snapshot_drop_prob = 0.05;
+    faults.burst_prob = 0.05;
+    faults.burst_rel_amp = 0.1;
 }
 
 fn fmcw(sim: &mut Simulation) {
     *sim = sim.clone().with_fmcw_sounder();
+}
+
+fn walker(sim: &mut Simulation) {
+    sim.scene
+        .movers
+        .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
 }
 
 #[test]
@@ -232,6 +247,13 @@ fn fmcw_press_readings_match_golden_bits() {
     let td = branch_hash(false, fmcw, 2);
     assert_eq!(td, ((0x24b9_ccf5_1151_01a6, 0x2204_c682_7db8_56e1), 2));
     assert_eq!(branch_hash(true, fmcw, 2), td);
+}
+
+#[test]
+fn mover_press_readings_match_golden_bits() {
+    let td = branch_hash(false, walker, 2);
+    assert_eq!(td, ((0x5ad0_adc0_0d42_d554, 0x9c0e_e696_3eff_d69e), 2));
+    assert_eq!(branch_hash(true, walker, 2), td);
 }
 
 /// A quiet group then a pressed group appended to one matrix through the
@@ -280,7 +302,23 @@ fn invert_lattice_matches_golden_bits() {
 /// A two-stream batch with three presses per stream, hashed in stream
 /// order.
 fn batch_hash(spectral: bool) -> (u64, u64) {
-    let (sim, model) = setup(spectral);
+    branch_batch_hash(
+        spectral,
+        |_| {},
+        wiforce_channel::faults::FaultConfig::none(),
+    )
+    .0
+}
+
+/// [`batch_hash`] on a reconfigured simulation under reader `faults`,
+/// with the run's `(snapshots dropped, bursts injected)` tallies.
+fn branch_batch_hash(
+    spectral: bool,
+    configure: impl Fn(&mut Simulation),
+    faults: wiforce_channel::faults::FaultConfig,
+) -> ((u64, u64), (u64, u64)) {
+    let (mut sim, model) = setup(spectral);
+    configure(&mut sim);
     let model = std::sync::Arc::new(model);
     let presses = |k: usize| -> Vec<PressSpec> {
         (0..3)
@@ -292,7 +330,8 @@ fn batch_hash(spectral: bool) -> (u64, u64) {
     };
     let spec = ReaderSpec::new(0xBA7C_4001)
         .stream("a", 1000.0, presses(0))
-        .stream("b", 1250.0, presses(1));
+        .stream("b", 1250.0, presses(1))
+        .with_faults(faults);
     let report = run_batch(
         &sim,
         &model,
@@ -308,7 +347,10 @@ fn batch_hash(spectral: bool) -> (u64, u64) {
             h.reading(&r.reading);
         }
     }
-    h.finish()
+    (
+        h.finish(),
+        (report.snapshots_dropped, report.bursts_injected),
+    )
 }
 
 #[test]
@@ -324,6 +366,35 @@ fn time_domain_batch_readings_match_golden_bits() {
     assert_eq!(
         batch_hash(false),
         (0xd888_e40d_e2d5_973c, 0xb2e0_0f59_18cb_1de0)
+    );
+}
+
+/// Batches through the producer branches the default configuration
+/// skips: snapshot-drop and burst faults, a moving scatterer, and the
+/// FMCW reader.
+#[test]
+fn faulted_time_domain_batch_readings_match_golden_bits() {
+    let mut faults = wiforce_channel::faults::FaultConfig::none();
+    dropped_and_burst_faults(&mut faults);
+    assert_eq!(
+        branch_batch_hash(false, |_| {}, faults),
+        ((0xf9ed_21d6_6808_3c58, 0xf56b_ae3d_6f00_cd83), (150, 139))
+    );
+}
+
+#[test]
+fn mover_batch_readings_match_golden_bits() {
+    assert_eq!(
+        branch_batch_hash(false, walker, wiforce_channel::faults::FaultConfig::none()).0,
+        (0x00f7_6662_5ec3_2f2d, 0xfa08_5110_b9ca_aa20)
+    );
+}
+
+#[test]
+fn fmcw_batch_readings_match_golden_bits() {
+    assert_eq!(
+        branch_batch_hash(false, fmcw, wiforce_channel::faults::FaultConfig::none()).0,
+        (0xf8e6_01bb_e7cc_2863, 0x2685_6ce8_4f5b_0f6f)
     );
 }
 

@@ -165,10 +165,9 @@ fn stage_ns_per_press(
 }
 
 /// Best-of-`reps` cost of sounding one `rows`-snapshot group, ns, over a
-/// synthetic 4-state prepared table: through the plane kernel at
-/// [`CHUNK_ROWS`] rows per call (`plane`), else one row call per
-/// snapshot. These are the only entries in which the two time-domain
-/// paths differ.
+/// synthetic 4-state prepared table: through the OFDM block method (its
+/// plane kernel) at [`CHUNK_ROWS`] rows per call (`plane`), else through
+/// the per-row reference primitive, one call per snapshot.
 fn time_sounding_group(rows: usize, reps: usize, plane: bool) -> f64 {
     let sounder = OfdmSounder::wiforce();
     let n = sounder.n_subcarriers;
@@ -193,11 +192,15 @@ fn time_sounding_group(rows: usize, reps: usize, plane: bool) -> f64 {
                 for (r, state) in states.iter_mut().enumerate() {
                     *state = ((s0 + r) % 4) as u8;
                 }
-                sounder
-                    .estimate_prepared_counter_rows_into(
-                        &prepared, states, 0.01, key, 7, s0 as u32, block,
-                    )
-                    .expect("the OFDM sounder has a plane kernel");
+                let mut cursors: [CounterRng; CHUNK_ROWS] =
+                    std::array::from_fn(|r| CounterRng::for_snapshot(key, 7, (s0 + r) as u32));
+                sounder.estimate_prepared_counter_rows_into(
+                    &prepared,
+                    states,
+                    0.01,
+                    &mut cursors[..states.len()],
+                    block,
+                );
             }
         } else {
             for (s, row) in out.chunks_exact_mut(n).enumerate() {

@@ -405,15 +405,19 @@ fn check_health(file: &str, root: &Value) -> Vec<String> {
     }
 
     // derived synthesis gauges (null when the relevant path never ran,
-    // but the keys must exist): the response memo's hit rate since
-    // schema v3, the plane-kernel row share since v5
+    // but the keys must exist) over the schema versions that carry them:
+    // the response memo's hit rate since v3, the plane-kernel row share
+    // in v5 only (v6 has one time-domain path)
     let schema = root
         .get("schema_version")
         .and_then(Value::as_f64)
         .unwrap_or(0.0);
-    for (key, since) in [("response_table_hit_rate", 3.0), ("plane_row_share", 5.0)] {
-        if schema >= since && root.get(key).is_none() {
-            c.fail(format!("missing key '{key}' (health schema v{since})"));
+    for (key, since, until) in [
+        ("response_table_hit_rate", 3.0, f64::INFINITY),
+        ("plane_row_share", 5.0, 5.0),
+    ] {
+        if (since..=until).contains(&schema) && root.get(key).is_none() {
+            c.fail(format!("missing key '{key}' (health schema v{schema})"));
         }
     }
 
@@ -642,5 +646,38 @@ fn main() {
             eprintln!("FAIL {e}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal health report at `schema`, with `plane_row_share` when
+    /// `share`.
+    fn health(schema: u64, share: bool) -> Value {
+        let share = if share {
+            r#""plane_row_share": 1.0,"#
+        } else {
+            ""
+        };
+        parse(&format!(
+            r#"{{"schema_version": {schema}, "snapshot_yield": 1.0,
+                "estimator_reference_locked": true, "response_table_hit_rate": null, {share}
+                "stages": [{{"name": "s", "count": 1, "p50_ns": 1, "p95_ns": 1,
+                             "max_ns": 1, "total_ns": 1}}],
+                "counters": {{}}, "gauges": {{}}, "observations": []}}"#
+        ))
+        .expect("valid JSON")
+    }
+
+    #[test]
+    fn health_requires_plane_row_share_only_in_v5() {
+        assert!(check_health("h", &health(5, true)).is_empty());
+        let missing = check_health("h", &health(5, false));
+        assert_eq!(missing.len(), 1, "{missing:?}");
+        assert!(missing[0].contains("plane_row_share"), "{missing:?}");
+        assert!(check_health("h", &health(4, false)).is_empty());
+        assert!(check_health("h", &health(6, false)).is_empty());
     }
 }

@@ -517,11 +517,6 @@ struct ReaderProducer {
     /// Fault tallies over the groups produced so far.
     snapshots_dropped: u64,
     bursts_injected: u64,
-    truth: Vec<Complex>,
-    /// Time-domain rows go through the sounder's truth-plane kernel in
-    /// blocks of [`CHUNK_ROWS`]: [`Simulation::synth_wide_enabled`] under
-    /// this reader's faults. `false` keeps the row path.
-    plane: bool,
     /// Spectral-domain line synthesis resolved from the template
     /// ([`Simulation::synth_spectral_enabled`]) and this reader's
     /// eligibility ([`Simulation::spectral_eligible_under`] its faults).
@@ -531,7 +526,7 @@ struct ReaderProducer {
     /// of the sounder — the unitarity input of the spectral path. 0 when
     /// `spectral` is off.
     sigma_est: f64,
-    /// Plane-path scratch: row-major truth plane for one snapshot block.
+    /// Time-domain scratch: row-major truth plane for one snapshot block.
     truth_plane: Vec<Complex>,
     /// Spectral scratch: one line's complex normals, the subcarriers'
     /// noise and the line's common-mode jitter.
@@ -561,7 +556,6 @@ impl ReaderProducer {
         // inside its validity envelope under this reader's faults.
         let sigma_est = sim.sounder.estimate_noise_sigma(sim.frontend.noise_floor);
         let spectral = sim.synth_spectral_enabled() && sim.spectral_eligible_under(&spec.faults);
-        let plane = sim.synth_wide_enabled_under(&spec.faults);
         // Slot tables are built once per distinct contact of this
         // reader's schedules. The reflection network depends only on the
         // tag's electrical parts (line, switches, splitter) — identical
@@ -607,7 +601,6 @@ impl ReaderProducer {
                 }
             })
             .collect();
-        let truth = vec![Complex::ZERO; cache.statics.len()];
         ReaderProducer {
             streams,
             scene: sim.scene.clone(),
@@ -624,8 +617,6 @@ impl ReaderProducer {
             groups_done: 0,
             snapshots_dropped: 0,
             bursts_injected: 0,
-            truth,
-            plane,
             spectral,
             sigma_est: sigma_est.unwrap_or(0.0),
             truth_plane: Vec::new(),
@@ -690,8 +681,6 @@ impl ReaderProducer {
             wiforce_telemetry::counter!("batch.groups_produced", 1);
             if self.spectral {
                 wiforce_telemetry::counter!("batch.spectral_groups", 1);
-            } else {
-                wiforce_telemetry::counter!("synth.plane_rows", if self.plane { n } else { 0 });
             }
             wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
             // a spectral group still stands in for n soundings of reader time
@@ -708,17 +697,15 @@ impl ReaderProducer {
     /// one channel sounding per snapshot serves every tag stream. Each
     /// snapshot draws at [`CounterRng::for_snapshot`]`(key, group, s)` in
     /// `Simulation::synth_counter`'s order: drop decision → sounder →
-    /// burst → front end. On the plane path [`CHUNK_ROWS`] rows share one
-    /// truth-plane sounder call, and each row's cursor then skips the
-    /// sounder's lanes before its burst and front-end draws, so the plane
-    /// path is bit-identical to the row path. Returns the group's
+    /// burst → front end. Blocks of [`CHUNK_ROWS`] rows share one
+    /// truth-plane sounder call, which hands every row's cursor back
+    /// positioned for its burst and front-end draws. Returns the group's
     /// `(dropped, bursts)` tallies.
     fn time_domain_rows(&mut self, seq: u64, key: u64, out: &mut SnapshotMatrix) -> (u64, u64) {
         let n = self.n_snapshots;
         let width = self.cache.statics.len();
         let group = seq as u32;
         let (t_snap, t_int, reference_groups) = (self.t_snap, self.t_int, self.reference_groups);
-        let plane = self.plane;
         out.reserve_rows(n);
         let ReaderProducer {
             streams,
@@ -727,7 +714,6 @@ impl ReaderProducer {
             sounder,
             frontend,
             faults,
-            truth,
             truth_plane,
             ..
         } = self;
@@ -747,52 +733,40 @@ impl ReaderProducer {
             )
         };
         let (mut dropped, mut bursts) = (0u64, 0u64);
-        if plane {
-            let mut s0 = 0;
-            while s0 < n {
-                let rows = CHUNK_ROWS.min(n - s0);
-                truth_plane.clear();
-                truth_plane.resize(rows * width, Complex::ZERO);
-                truth_plane.chunks_exact_mut(width).for_each(&mut eval);
-                let est = out.extend_rows(rows);
-                let lanes = sounder
-                    .estimate_counter_rows_into(
-                        truth_plane,
-                        frontend.noise_floor,
-                        key,
-                        group,
-                        s0 as u32,
-                        est,
-                    )
-                    .expect("an eligible sounder has a plane kernel");
-                for (r, row) in est.chunks_exact_mut(width).enumerate() {
-                    let mut cursor = CounterRng::for_snapshot(key, group, (s0 + r) as u32);
-                    cursor.skip_normals(lanes as usize);
-                    bursts += u64::from(faults.apply_burst(&mut cursor, row, cache.direct_amp));
-                    frontend.process(&mut cursor, row, cache.full_scale);
-                }
-                s0 += rows;
+        let region = out.extend_rows(n);
+        let mut s0 = 0;
+        while s0 < n {
+            let rows = CHUNK_ROWS.min(n - s0);
+            let mut cursors: [CounterRng; CHUNK_ROWS] =
+                std::array::from_fn(|r| CounterRng::for_snapshot(key, group, (s0 + r) as u32));
+            let cursors = &mut cursors[..rows];
+            let mut drops = [false; CHUNK_ROWS];
+            for (drop, cursor) in drops.iter_mut().zip(cursors.iter_mut()) {
+                *drop = faults.decide_drop(cursor);
             }
-        } else {
-            for s in 0..n {
-                eval(truth);
-                let mut cursor = CounterRng::for_snapshot(key, group, s as u32);
-                if faults.decide_drop(&mut cursor) {
+            truth_plane.clear();
+            truth_plane.resize(rows * width, Complex::ZERO);
+            truth_plane.chunks_exact_mut(width).for_each(&mut eval);
+            let block = &mut region[s0 * width..(s0 + rows) * width];
+            sounder.estimate_counter_rows_into(truth_plane, frontend.noise_floor, cursors, block);
+            for (r, cursor) in cursors.iter_mut().enumerate() {
+                let at = (s0 + r) * width;
+                if drops[r] {
                     // a drop holds the previous row; the group's first
                     // snapshot falls back to its noiseless truth
                     dropped += 1;
-                    if out.n_rows() > 0 {
-                        out.push_copy_of_last();
+                    if at > 0 {
+                        region.copy_within(at - width..at, at);
                     } else {
-                        out.push_row(truth);
+                        region[..width].copy_from_slice(&truth_plane[..width]);
                     }
                     continue;
                 }
-                let row = out.push_row_default();
-                sounder.estimate_counter_into(truth, frontend.noise_floor, &mut cursor, row);
-                bursts += u64::from(faults.apply_burst(&mut cursor, row, cache.direct_amp));
-                frontend.process(&mut cursor, row, cache.full_scale);
+                let row = &mut region[at..at + width];
+                bursts += u64::from(faults.apply_burst(cursor, row, cache.direct_amp));
+                frontend.process(cursor, row, cache.full_scale);
             }
+            s0 += rows;
         }
         (dropped, bursts)
     }
@@ -871,9 +845,8 @@ impl ReaderProducer {
 
 /// Evaluates the next snapshot's true shared channel into `row`: advance
 /// every stream's tag clock, accumulate each tag's state-weighted
-/// response onto the static channel, then add any mover Doppler. This is
-/// the one truth writer both producer paths use, so the wide block path
-/// is arithmetically identical to the row path.
+/// response onto the static channel, then add any mover Doppler — the
+/// truth rows [`ReaderProducer::time_domain_rows`] hands the sounder.
 #[allow(clippy::too_many_arguments)]
 fn eval_shared_truth(
     streams: &mut [StreamSynth],
@@ -1460,71 +1433,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_producer_matches_row_path_bitwise() {
-        // the plane block path draws every row's noise at the same
-        // counter coordinates as the row path, and the burst and
-        // front-end draws continue each row's cursor past the sounder's
-        // lanes, so every reading must be bit-identical to the forced row
-        // path — for a bursty reader too (which takes the plane path),
-        // with movers (which route the producer to rows), and at any
-        // worker count
-        let (sim, model) = template();
-        let mut moving = sim.clone();
-        moving
-            .scene
-            .movers
-            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
-        let bursty = FaultConfig {
-            burst_prob: 0.02,
-            burst_rel_amp: 0.1,
-            ..FaultConfig::none()
-        };
-        for (name, sim, faults, plane) in [
-            ("clean", &sim, FaultConfig::none(), true),
-            ("bursts", &sim, bursty, true),
-            ("movers", &moving, FaultConfig::none(), false),
-        ] {
-            let spec = ReaderSpec::frequency_multiplexed(2, 2, 0xD1CE, &sim.group)
-                .expect("allocation")
-                .with_faults(faults);
-            let cfg = BatchConfig::wiforce(1);
-            assert_eq!(
-                ReaderProducer::build(sim, &spec, &cfg).plane,
-                plane,
-                "{name}"
-            );
-            let run = |workers: usize| {
-                run_batch(
-                    sim,
-                    &model,
-                    std::slice::from_ref(&spec),
-                    &BatchConfig::wiforce(workers),
-                )
-                .expect("batch runs")
-            };
-            let row = crate::pipeline::with_row_path(|| run(1));
-            let wide1 = run(1);
-            let wide8 = run(8);
-            assert!(
-                row.deterministic_eq(&wide1),
-                "wide producer diverged from row path ({name})"
-            );
-            assert!(
-                wide1.deterministic_eq(&wide8),
-                "wide producer lost worker invariance ({name})"
-            );
-            assert_eq!(row.bursts_injected, wide1.bursts_injected, "{name}");
-            assert_eq!(
-                row.bursts_injected > 0,
-                faults.burst_prob > 0.0,
-                "{name}: {} bursts",
-                row.bursts_injected
-            );
-            assert!(row.press_readings() > 0);
-        }
-    }
-
-    #[test]
     fn spectral_batch_is_worker_invariant() {
         // the spectral producer draws one press key per group and keys
         // every noise lane by (key, group, bin, lane), so readings must
@@ -1551,7 +1459,7 @@ mod tests {
         }
         assert_eq!(base.press_readings(), 8);
         // and it is a genuinely different noise realization than the
-        // time-domain row path — not accidentally routed through it
+        // time-domain producer — not accidentally routed through it
         let mut sim_td = sim.clone();
         sim_td.synth_spectral = Some(false);
         let legacy = run_batch(

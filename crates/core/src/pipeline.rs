@@ -43,23 +43,6 @@ use wiforce_telemetry::trace;
 /// scheduling only, never the output bits.
 pub const CHUNK_ROWS: usize = 64;
 
-#[cfg(test)]
-thread_local! {
-    /// Test-only switch that pins time-domain synthesis on this thread
-    /// to the row path, so the equivalence fixtures can compare the two.
-    static FORCE_ROW_PATH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Runs `f` with time-domain synthesis pinned to the row path on the
-/// calling thread (both dispatch decisions are made there).
-#[cfg(test)]
-pub(crate) fn with_row_path<T>(f: impl FnOnce() -> T) -> T {
-    FORCE_ROW_PATH.with(|c| c.set(true));
-    let out = f();
-    FORCE_ROW_PATH.with(|c| c.set(false));
-    out
-}
-
 /// Which mechanical contact model drives the simulation.
 #[derive(Debug, Clone)]
 pub enum Transducer {
@@ -155,18 +138,16 @@ impl ChannelSounder for Sounder {
         prepared: &[PreparedChannel],
         states: &[u8],
         noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
+        cursors: &mut [CounterRng],
         out: &mut [Complex],
-    ) -> Option<u32> {
+    ) {
         match self {
-            Sounder::Ofdm(s) => s.estimate_prepared_counter_rows_into(
-                prepared, states, noise_std, key, group, snap0, out,
-            ),
-            Sounder::Fmcw(s) => s.estimate_prepared_counter_rows_into(
-                prepared, states, noise_std, key, group, snap0, out,
-            ),
+            Sounder::Ofdm(s) => {
+                s.estimate_prepared_counter_rows_into(prepared, states, noise_std, cursors, out)
+            }
+            Sounder::Fmcw(s) => {
+                s.estimate_prepared_counter_rows_into(prepared, states, noise_std, cursors, out)
+            }
         }
     }
 
@@ -174,18 +155,12 @@ impl ChannelSounder for Sounder {
         &self,
         truths: &[Complex],
         noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
+        cursors: &mut [CounterRng],
         out: &mut [Complex],
-    ) -> Option<u32> {
+    ) {
         match self {
-            Sounder::Ofdm(s) => {
-                s.estimate_counter_rows_into(truths, noise_std, key, group, snap0, out)
-            }
-            Sounder::Fmcw(s) => {
-                s.estimate_counter_rows_into(truths, noise_std, key, group, snap0, out)
-            }
+            Sounder::Ofdm(s) => s.estimate_counter_rows_into(truths, noise_std, cursors, out),
+            Sounder::Fmcw(s) => s.estimate_counter_rows_into(truths, noise_std, cursors, out),
         }
     }
 
@@ -313,29 +288,12 @@ impl Simulation {
         }
     }
 
-    /// Whether time-domain synthesis fills whole chunks of snapshot
-    /// rows with one plane-kernel sounder call instead of one call per
-    /// row. Decided by the configuration alone: the scene must be static
-    /// (the plane kernel consumes the per-state prepared soundings), no
-    /// snapshot may drop (a drop holds the previous row, serializing the
-    /// group), and the sounder must have a plane kernel (OFDM does, FMCW
-    /// does not). The plane path is bit-identical to the row path —
-    /// fixture-pinned — so this decides speed only; the row path stays
-    /// the reference and serves everything else.
+    /// Whether the sounder has a native plane kernel for its block
+    /// methods (OFDM does; FMCW loops its row primitive). Every
+    /// time-domain snapshot goes through the block methods either way,
+    /// bit for bit, so this reports speed only.
     pub fn synth_wide_enabled(&self) -> bool {
-        self.synth_wide_enabled_under(&self.faults)
-    }
-
-    /// [`Self::synth_wide_enabled`] with `faults` in place of the
-    /// configuration's own (the batch engine injects per-reader faults).
-    pub(crate) fn synth_wide_enabled_under(&self, faults: &FaultConfig) -> bool {
-        #[cfg(test)]
-        if FORCE_ROW_PATH.with(|c| c.get()) {
-            return false;
-        }
-        self.scene.movers.is_empty()
-            && faults.snapshot_drop_prob == 0.0
-            && matches!(self.sounder, Sounder::Ofdm(_))
+        matches!(self.sounder, Sounder::Ofdm(_))
     }
 
     /// Resolves the spectral-synthesis flag: explicit field, else the
@@ -733,25 +691,22 @@ impl Simulation {
         let dropped = AtomicUsize::new(0);
         let bursts = AtomicUsize::new(0);
 
-        // plane synthesis: one sounder call fills a whole chunk of rows.
-        // Plane chunks are at most CHUNK_ROWS, so the per-chunk state
-        // table lives on the stack — no per-chunk heap traffic.
-        let wide = self.synth_wide_enabled();
-        let plane_rows = AtomicU64::new(0);
-
         // Synthesizes rows [s0, s1) of group `g` straight into the output
-        // region — one chunk of the work bag. Local tallies flush to the
-        // shared atomics per call.
+        // region — one chunk of the work bag — in blocks of at most
+        // CHUNK_ROWS rows: drop decisions, the block's tag states (or its
+        // truth plane when movers make every snapshot's channel
+        // distinct), one sounder block call, then each row's drop copy or
+        // burst and front end in order. Per-block tables live on the
+        // stack; local tallies flush to the shared atomics per call.
         let synth_rows = |g: usize, s0: usize, s1: usize| {
             let plan = &plans[g];
-            let rows = s1 - s0;
             // Safety: callers hand each invocation a row range no other
             // in-flight invocation overlaps — chunk ranges are disjoint by
             // construction — and the region outlives the run_chunks call.
             let base = unsafe {
                 std::slice::from_raw_parts_mut(
                     (region_ptr as *mut Complex).add((g * n + s0) * n_cols),
-                    rows * n_cols,
+                    (s1 - s0) * n_cols,
                 )
             };
             let (mut l_eval_t, mut l_eval_n) = (0_u64, 0_u64);
@@ -759,135 +714,96 @@ impl Simulation {
             let (mut l_frontend_t, mut l_frontend_n) = (0_u64, 0_u64);
             let (mut l_dropped, mut l_bursts) = (0_usize, 0_usize);
             let mut l_exact = 0_u64;
-            if wide {
-                // the tag-state walk is the whole channel evaluation on
-                // the prepared path: an O(1) table index per row
-                let states = prepared.as_deref().expect("a static scene is prepared");
+            let mut truths = Vec::new();
+            let mut b0 = s0;
+            while b0 < s1 {
+                let b1 = (b0 + CHUNK_ROWS).min(s1);
+                let rows = b1 - b0;
+                let mut cursors: [CounterRng; CHUNK_ROWS] = std::array::from_fn(|r| {
+                    CounterRng::for_snapshot(key, plan.group_id, (b0 + r) as u32)
+                });
+                let cursors = &mut cursors[..rows];
+                let mut drops = [false; CHUNK_ROWS];
+                for (drop, cursor) in drops.iter_mut().zip(cursors.iter_mut()) {
+                    *drop = self.faults.decide_drop(cursor);
+                }
                 let mut st = [0u8; CHUNK_ROWS];
-                let mut runs = self.tag.clocks.runs(plan.t_tag0, plan.dt_eff, s0..s1);
+                let mut runs = self.tag.clocks.runs(plan.t_tag0, plan.dt_eff, b0..b1);
                 let mut filled = 0;
                 for (state, len) in runs.by_ref() {
                     st[filled..filled + len].fill(state as u8);
                     filled += len;
                 }
                 l_exact += runs.exact_evals();
-                let t1 = telem.then(fastclock::ticks);
-                let lanes = self
-                    .sounder
-                    .estimate_prepared_counter_rows_into(
-                        states,
-                        &st[..rows],
-                        self.frontend.noise_floor,
-                        key,
-                        plan.group_id,
-                        s0 as u32,
-                        base,
-                    )
-                    .expect("an eligible sounder has a plane kernel");
+                let st = &st[..rows];
+                if prepared.is_none() {
+                    let t0 = telem.then(fastclock::ticks);
+                    truths.resize(rows * n_cols, Complex::ZERO);
+                    for (r, truth) in truths.chunks_exact_mut(n_cols).enumerate() {
+                        let t_reader = plan.t_reader0 + (b0 + r) as f64 * t_snap;
+                        for (k, h) in truth.iter_mut().enumerate() {
+                            *h = statics[k]
+                                + gains[k] * table[k][usize::from(st[r])]
+                                + self.scene.dynamic_response(freqs[k], t_reader);
+                        }
+                    }
+                    if let Some(t) = t0 {
+                        l_eval_t += fastclock::ticks().wrapping_sub(t);
+                    }
+                }
                 l_eval_n += rows as u64;
+                let block = &mut base[(b0 - s0) * n_cols..(b1 - s0) * n_cols];
+                let t1 = telem.then(fastclock::ticks);
+                match prepared.as_deref() {
+                    Some(states) => self.sounder.estimate_prepared_counter_rows_into(
+                        states,
+                        st,
+                        self.frontend.noise_floor,
+                        cursors,
+                        block,
+                    ),
+                    None => self.sounder.estimate_counter_rows_into(
+                        &truths,
+                        self.frontend.noise_floor,
+                        cursors,
+                        block,
+                    ),
+                }
                 let t2 = telem.then(fastclock::ticks);
                 if let (Some(a), Some(b)) = (t1, t2) {
                     l_sounder_t += b.wrapping_sub(a);
                     l_sounder_n += rows as u64;
                 }
-                for s in s0..s1 {
-                    let row_off = (s - s0) * n_cols;
+                for (r, cursor) in cursors.iter_mut().enumerate() {
+                    let row_off = (b0 + r - s0) * n_cols;
+                    if drops[r] {
+                        // a drop holds the previous row; the group's
+                        // first snapshot (a drop group is one chunk)
+                        // falls back to its noiseless truth
+                        l_dropped += 1;
+                        if b0 + r > s0 {
+                            base.copy_within((row_off - n_cols)..row_off, row_off);
+                        } else {
+                            let truth_row = match prepared.as_deref() {
+                                Some(states) => &states[usize::from(st[r])].truth,
+                                None => &truths[..n_cols],
+                            };
+                            base[row_off..row_off + n_cols].copy_from_slice(truth_row);
+                        }
+                        continue;
+                    }
                     let row = &mut base[row_off..row_off + n_cols];
-                    // a fresh cursor skipped past the sounder's lanes is
-                    // state-identical to the cursor the row path hands
-                    // the fault/front-end stages, so their draws stay
-                    // bit-equal
-                    let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
-                    cursor.skip_normals(lanes as usize);
-                    if self.faults.apply_burst(&mut cursor, row, direct_amp) {
+                    if self.faults.apply_burst(cursor, row, direct_amp) {
                         l_bursts += 1;
                     }
-                    self.frontend.process(&mut cursor, row, full_scale);
-                }
-                if let Some(b) = t2 {
-                    l_frontend_t += fastclock::ticks().wrapping_sub(b);
-                    l_frontend_n += rows as u64;
-                }
-                plane_rows.fetch_add(rows as u64, Ordering::Relaxed);
-            }
-            let mut truth = if has_movers {
-                vec![Complex::ZERO; n_cols]
-            } else {
-                Vec::new()
-            };
-            // row-at-a-time reference path: empty range when the plane
-            // call above already synthesized the chunk
-            let row_range = if wide { s0..s0 } else { s0..s1 };
-            let mut runs = self
-                .tag
-                .clocks
-                .runs(plan.t_tag0, plan.dt_eff, row_range.clone());
-            let states = runs
-                .by_ref()
-                .flat_map(|(state, len)| std::iter::repeat_n(state, len));
-            for (s, state_idx) in row_range.zip(states) {
-                let row_off = (s - s0) * n_cols;
-                let t_reader = plan.t_reader0 + s as f64 * t_snap;
-                let mut cursor = CounterRng::for_snapshot(key, plan.group_id, s as u32);
-                match &prepared {
-                    Some(_) => l_eval_n += 1,
-                    None => {
-                        let t0 = telem.then(fastclock::ticks);
-                        for (k, h) in truth.iter_mut().enumerate() {
-                            *h = statics[k]
-                                + gains[k] * table[k][state_idx]
-                                + self.scene.dynamic_response(freqs[k], t_reader);
-                        }
-                        if let Some(t) = t0 {
-                            l_eval_t += fastclock::ticks().wrapping_sub(t);
-                            l_eval_n += 1;
-                        }
-                    }
-                }
-                if self.faults.decide_drop(&mut cursor) {
-                    l_dropped += 1;
-                    if s > s0 {
-                        base.copy_within((row_off - n_cols)..row_off, row_off);
-                    } else {
-                        let truth_row: &[Complex] = match &prepared {
-                            Some(states) => &states[state_idx].truth,
-                            None => &truth,
-                        };
-                        base[row_off..row_off + n_cols].copy_from_slice(truth_row);
-                    }
-                    continue;
-                }
-                let row = &mut base[row_off..row_off + n_cols];
-                let t1 = telem.then(fastclock::ticks);
-                match &prepared {
-                    Some(states) => self.sounder.estimate_prepared_counter_into(
-                        &states[state_idx],
-                        self.frontend.noise_floor,
-                        &mut cursor,
-                        row,
-                    ),
-                    None => self.sounder.estimate_counter_into(
-                        &truth,
-                        self.frontend.noise_floor,
-                        &mut cursor,
-                        row,
-                    ),
-                }
-                let t2 = telem.then(fastclock::ticks);
-                if let (Some(a), Some(b)) = (t1, t2) {
-                    l_sounder_t += b.wrapping_sub(a);
-                    l_sounder_n += 1;
-                }
-                if self.faults.apply_burst(&mut cursor, row, direct_amp) {
-                    l_bursts += 1;
-                }
-                self.frontend.process(&mut cursor, row, full_scale);
-                if let Some(b) = t2 {
-                    l_frontend_t += fastclock::ticks().wrapping_sub(b);
+                    self.frontend.process(cursor, row, full_scale);
                     l_frontend_n += 1;
                 }
+                if let Some(b) = t2 {
+                    l_frontend_t += fastclock::ticks().wrapping_sub(b);
+                }
+                b0 = b1;
             }
-            l_exact += runs.exact_evals();
             exact_evals.fetch_add(l_exact, Ordering::Relaxed);
             eval_ticks.fetch_add(l_eval_t, Ordering::Relaxed);
             eval_n.fetch_add(l_eval_n, Ordering::Relaxed);
@@ -1004,7 +920,6 @@ impl Simulation {
             );
             let total = (n_groups * n) as u64;
             wiforce_telemetry::counter!("pipeline.snapshots_total", total);
-            wiforce_telemetry::counter!("synth.plane_rows", plane_rows.into_inner());
             wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals.into_inner());
             let yielded = total.saturating_sub(total_dropped as u64);
             wiforce_telemetry::gauge!(
@@ -2164,115 +2079,6 @@ mod tests {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn wide_synthesis_matches_row_path_bitwise() {
-        // the tentpole fixture: exact-mode wide (plane-kernel) synthesis
-        // must be bitwise identical to the row-at-a-time path — clean,
-        // under burst faults (cursor repositioning after the plane fill),
-        // with snapshot drops (wide falls back to rows), and with movers
-        // (no prepared states, row path throughout) — at 1/4/8 workers.
-        let mut bursty = fast_sim(0.9e9);
-        bursty.faults = wiforce_channel::faults::FaultConfig {
-            burst_prob: 0.2,
-            ..wiforce_channel::faults::FaultConfig::none()
-        };
-        let mut faulty = fast_sim(0.9e9);
-        faulty.faults = wiforce_channel::faults::FaultConfig::saturating();
-        let mut moving = fast_sim(0.9e9);
-        moving
-            .scene
-            .movers
-            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
-        for (name, base) in [
-            ("clean", fast_sim(0.9e9)),
-            ("bursty", bursty),
-            ("faulty", faulty),
-            ("movers", moving),
-        ] {
-            for workers in [1usize, 4, 8] {
-                let run = || {
-                    let mut sim = base.clone();
-                    sim.synth_workers = Some(workers);
-                    let mut rng = StdRng::seed_from_u64(21);
-                    let mut clock = TagClock::new(&mut rng);
-                    let mut noise = PressNoise::from_seed(0xD1CE_0000 + workers as u64);
-                    let contact = sim.contact_for(3.0, 0.030);
-                    sim.run_snapshots(contact.as_ref(), 3, &mut clock, &mut noise)
-                };
-                let w = run();
-                let r = with_row_path(run);
-                assert_eq!(w.n_rows(), r.n_rows());
-                for (i, (x, y)) in w.as_slice().iter().zip(r.as_slice()).enumerate() {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} w{workers} at {i}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "{name} w{workers} at {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_fused_lines_match_row_path_bitwise() {
-        // the fused synth→spectrum stream must be wide/row agnostic too
-        // (the extracted lines are functions of the synthesized bits)
-        let contact_sim = fast_sim(0.9e9);
-        let contact = contact_sim.contact_for(4.0, 0.040);
-        let run = || {
-            let mut sim = fast_sim(0.9e9);
-            sim.synth_workers = Some(4);
-            let mut rng = StdRng::seed_from_u64(23);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_seed(0xBEEF);
-            sim.run_groups(contact.as_ref(), 3, &mut clock, &mut noise)
-        };
-        let w = run();
-        let r = with_row_path(run);
-        assert_eq!(w.len(), r.len());
-        for (a, b) in w.iter().zip(&r) {
-            for (x, y) in a.p1.iter().chain(&a.p2).zip(b.p1.iter().chain(&b.p2)) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn health_reports_which_time_domain_path_ran() {
-        // the plane kernel serves every row of a static, drop-free OFDM
-        // run; a mover, snapshot drops or the FMCW sounder put every row
-        // on the row path
-        let share = |sim: &Simulation| {
-            let _gate = crate::TELEMETRY_GATE
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            wiforce_telemetry::set_enabled(true);
-            wiforce_telemetry::reset();
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_seed(0x5A4E);
-            let contact = sim.contact_for(3.0, 0.030);
-            sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut noise);
-            let snap = wiforce_telemetry::take();
-            wiforce_telemetry::set_enabled(false);
-            wiforce_telemetry::health::PipelineHealth::from_snapshot(&snap).plane_row_share
-        };
-        for carrier in [0.9e9, 2.4e9] {
-            let sim = Simulation::paper_default(carrier);
-            assert_eq!(share(&sim), Some(1.0), "paper default at {carrier} Hz");
-        }
-        let mut moving = Simulation::paper_default(0.9e9);
-        moving
-            .scene
-            .movers
-            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
-        let mut dropping = Simulation::paper_default(0.9e9);
-        dropping.faults.snapshot_drop_prob = 0.05;
-        let fmcw = Simulation::paper_default(0.9e9).with_fmcw_sounder();
-        for (name, sim) in [("mover", moving), ("drops", dropping), ("fmcw", fmcw)] {
-            assert!(!sim.synth_wide_enabled(), "{name}");
-            assert_eq!(share(&sim), Some(0.0), "{name}");
         }
     }
 

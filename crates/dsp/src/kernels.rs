@@ -213,6 +213,7 @@ fn philox_normals_rows_body(
     key: [u32; 2],
     grp_dom: [u32; 2],
     snap0: u32,
+    lane0: u32,
     lanes: usize,
     out: &mut [f64],
 ) {
@@ -222,8 +223,8 @@ fn philox_normals_rows_body(
     for (r, row) in out.chunks_exact_mut(lanes).enumerate() {
         let snap = snap0.wrapping_add(r as u32);
         for (i, o) in row.iter_mut().enumerate() {
-            let (u1, u2) =
-                crate::rng::philox_uniforms([i as u32, snap, grp_dom[0], grp_dom[1]], key);
+            let lane = lane0.wrapping_add(i as u32);
+            let (u1, u2) = crate::rng::philox_uniforms([lane, snap, grp_dom[0], grp_dom[1]], key);
             *o = crate::fastmath::box_muller(u1, u2);
         }
     }
@@ -234,12 +235,12 @@ simd_kernel! {
     /// `out.len() / lanes` rows with `lanes` lanes each; row `r` holds
     /// the normals at counter coordinates
     /// `(key, [lane, snap0 + r, grp_dom[0], grp_dom[1]])` for lanes
-    /// `0..lanes` — bit-identical per row to a [`philox_normals`] call
-    /// with `ctr_hi = [snap0 + r, grp_dom[0], grp_dom[1]]` and
-    /// `lane0 = 0`, but filled in one kernel invocation so the vector
+    /// `lane0..lane0 + lanes` — bit-identical per row to a
+    /// [`philox_normals`] call with `ctr_hi = [snap0 + r, grp_dom[0],
+    /// grp_dom[1]]` at the same `lane0`, but filled in one kernel invocation so the vector
     /// unit stays busy across whole snapshot blocks. A trailing partial
     /// row (`out.len() % lanes != 0`) is left untouched.
-    pub fn philox_normals_rows(key: [u32; 2], grp_dom: [u32; 2], snap0: u32, lanes: usize, out: &mut [f64])
+    pub fn philox_normals_rows(key: [u32; 2], grp_dom: [u32; 2], snap0: u32, lane0: u32, lanes: usize, out: &mut [f64])
         = philox_normals_rows_body / philox_normals_rows_avx2
         / philox_normals_rows_avx512 / philox_normals_rows_neon
 }
@@ -763,21 +764,29 @@ mod tests {
         // and the scalar per-element draw — same counter coordinates.
         let key = [0x5EED_CAFE, 0x89AB_CDEF];
         let grp_dom = [7, 0];
-        for (rows, lanes) in [(0usize, 8usize), (1, 1), (3, 7), (4, 128), (9, 33)] {
+        for (rows, lanes, lane0) in [
+            (0usize, 8usize, 0u32),
+            (1, 1, 0),
+            (3, 7, 1),
+            (4, 128, 0),
+            (4, 128, 1),
+            (9, 33, 5),
+        ] {
             let mut plane = vec![0.0; rows * lanes];
-            philox_normals_rows(key, grp_dom, 11, lanes, &mut plane);
+            philox_normals_rows(key, grp_dom, 11, lane0, lanes, &mut plane);
             let mut want_plane = vec![0.0; rows * lanes];
-            philox_normals_rows_body(key, grp_dom, 11, lanes, &mut want_plane);
+            philox_normals_rows_body(key, grp_dom, 11, lane0, lanes, &mut want_plane);
             for r in 0..rows {
                 let snap = 11u32.wrapping_add(r as u32);
                 let ctr_hi = [snap, grp_dom[0], grp_dom[1]];
                 let mut row = vec![0.0; lanes];
-                philox_normals(key, ctr_hi, 0, &mut row);
+                philox_normals(key, ctr_hi, lane0, &mut row);
                 for i in 0..lanes {
                     let got = plane[r * lanes + i];
                     assert_eq!(got.to_bits(), want_plane[r * lanes + i].to_bits());
                     assert_eq!(got.to_bits(), row[i].to_bits(), "rows={rows} r={r} i={i}");
-                    let scalar = crate::rng::philox_normal_at(key, ctr_hi, i as u32);
+                    let lane = lane0 + i as u32;
+                    let scalar = crate::rng::philox_normal_at(key, ctr_hi, lane);
                     assert_eq!(got.to_bits(), scalar.to_bits(), "r={r} i={i} vs scalar");
                 }
             }
@@ -788,7 +797,7 @@ mod tests {
     fn philox_rows_kernel_ignores_partial_tail() {
         let key = [1, 2];
         let mut plane = vec![f64::NAN; 2 * 8 + 3];
-        philox_normals_rows(key, [0, 0], 0, 8, &mut plane);
+        philox_normals_rows(key, [0, 0], 0, 0, 8, &mut plane);
         assert!(plane[..16].iter().all(|v| v.is_finite()));
         assert!(plane[16..].iter().all(|v| v.is_nan()));
     }
@@ -854,11 +863,11 @@ mod tests {
         let key = [3, 4];
         let (rows, lanes) = (5usize, 67usize);
         let mut scalar = vec![0.0; rows * lanes];
-        philox_normals_rows_body(key, [2, 1], 6, lanes, &mut scalar);
+        philox_normals_rows_body(key, [2, 1], 6, 1, lanes, &mut scalar);
         if std::arch::is_x86_feature_detected!("avx2") {
             let mut v = vec![0.0; rows * lanes];
             // Safety: AVX2 support was just detected.
-            unsafe { philox_normals_rows_avx2(key, [2, 1], 6, lanes, &mut v) };
+            unsafe { philox_normals_rows_avx2(key, [2, 1], 6, 1, lanes, &mut v) };
             for (a, b) in v.iter().zip(&scalar) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -869,7 +878,7 @@ mod tests {
         {
             let mut v = vec![0.0; rows * lanes];
             // Safety: AVX-512 F+DQ+VL support was just detected.
-            unsafe { philox_normals_rows_avx512(key, [2, 1], 6, lanes, &mut v) };
+            unsafe { philox_normals_rows_avx512(key, [2, 1], 6, 1, lanes, &mut v) };
             for (a, b) in v.iter().zip(&scalar) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -926,7 +935,7 @@ mod tests {
         };
         println!(
             "scalar body: {:.2} us",
-            time(&mut |o| philox_normals_rows_body(key, [3, 0], 0, lanes, o))
+            time(&mut |o| philox_normals_rows_body(key, [3, 0], 0, 0, lanes, o))
         );
         #[cfg(target_arch = "x86_64")]
         {
@@ -934,7 +943,7 @@ mod tests {
                 println!(
                     "avx2: {:.2} us",
                     // Safety: AVX2 support was just detected.
-                    time(&mut |o| unsafe { philox_normals_rows_avx2(key, [3, 0], 0, lanes, o) })
+                    time(&mut |o| unsafe { philox_normals_rows_avx2(key, [3, 0], 0, 0, lanes, o) })
                 );
             }
             if std::arch::is_x86_feature_detected!("avx512f")
@@ -944,7 +953,9 @@ mod tests {
                 println!(
                     "avx512: {:.2} us",
                     // Safety: AVX-512 F+DQ+VL support was just detected.
-                    time(&mut |o| unsafe { philox_normals_rows_avx512(key, [3, 0], 0, lanes, o) })
+                    time(&mut |o| unsafe {
+                        philox_normals_rows_avx512(key, [3, 0], 0, 0, lanes, o)
+                    })
                 );
             }
         }

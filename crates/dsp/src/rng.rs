@@ -192,6 +192,13 @@ impl CounterRng {
         self.lane
     }
 
+    /// The cursor's counter coordinates: key words, high counter words
+    /// `[snapshot, group, domain]` and next lane — what a plane kernel
+    /// needs to draw a block of consecutive snapshots' lanes at once.
+    pub fn position(&self) -> ([u32; 2], [u32; 3], u32) {
+        (self.key, self.ctr_hi, self.lane)
+    }
+
     #[inline(always)]
     fn next_block(&mut self) -> [u32; 4] {
         let b = philox4x32(
@@ -225,9 +232,9 @@ impl CounterRng {
     /// materializing them: discards any buffered spare word and advances
     /// `n` lanes. After `skip_normals(n)` the cursor state is identical
     /// to the state after a [`Self::fill_normals`] of an `n`-sample
-    /// buffer — this is what lets a plane-at-a-time (wide) noise fill
-    /// hand correctly positioned per-snapshot cursors to the remaining
-    /// scalar draw sites (burst faults, front-end jitter).
+    /// buffer — this is what lets a plane-at-a-time noise fill hand its
+    /// per-snapshot cursors back positioned for the remaining scalar
+    /// draw sites (burst faults, front-end jitter).
     pub fn skip_normals(&mut self, n: usize) {
         self.spare = None;
         self.lane = self.lane.wrapping_add(n as u32);

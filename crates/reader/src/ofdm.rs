@@ -74,33 +74,35 @@ impl OfdmScratch {
     }
 
     /// The shared plane tail: the Philox plane kernel draws row `r`'s
-    /// `2n` lanes at `(key, group, snap0 + r)` — the lanes
-    /// [`Self::finish_row`] draws through a cursor there — then
+    /// `2n` lanes where `cursors[r]` stands — the lanes
+    /// [`Self::finish_row`] draws through that cursor — then
     /// `payload_plane[states[r]]` is averaged with them, every row is
     /// FFT'd and the equalize/reorder kernel writes `out`. Each kernel
     /// replays the row tail's per-element arithmetic, so each row is
-    /// bit-identical to it.
+    /// bit-identical to it, and each cursor is left where the row tail
+    /// leaves it.
     fn finish_plane(
         &mut self,
         states: &[u8],
         amp: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
+        cursors: &mut [CounterRng],
         out: &mut [Complex],
     ) {
         let n = self.eq.len();
         let rows = states.len();
         let n_normals = 2 * n;
+        let (key, grp_dom, snap0, lane0) = plane_origin(cursors);
         self.normals.clear();
         self.normals.resize(rows * n_normals, 0.0);
         wiforce_dsp::kernels::philox_normals_rows(
-            [key as u32, (key >> 32) as u32],
-            [group, wiforce_dsp::rng::DOMAIN_SNAPSHOT],
+            key,
+            grp_dom,
             snap0,
+            lane0,
             n_normals,
             &mut self.normals,
         );
+        cursors.iter_mut().for_each(|c| c.skip_normals(n_normals));
         self.avg.clear();
         self.avg.resize(rows * n, Complex::ZERO);
         wiforce_dsp::kernels::accumulate_noisy_rows(
@@ -113,6 +115,26 @@ impl OfdmScratch {
         with_plan(n, |plan| plan.forward_rows_inplace(&mut self.avg, rows));
         wiforce_dsp::kernels::eq_reorder_rows(out, &self.avg, &self.eq);
     }
+}
+
+/// The plane coordinates `(key, [group, domain], snap0, lane0)` of a
+/// block's cursors, which the plane kernel needs at consecutive
+/// snapshots of one `(key, domain, group)` at one common lane — as both
+/// synthesis engines position them (lane 1 when a drop decision drew
+/// first, else 0).
+///
+/// # Panics
+/// Panics if `cursors` is empty or not laid out that way.
+fn plane_origin(cursors: &[CounterRng]) -> ([u32; 2], [u32; 2], u32, u32) {
+    let (key, hi, lane) = cursors[0].position();
+    for (r, c) in cursors.iter().enumerate() {
+        let want = (key, [hi[0].wrapping_add(r as u32), hi[1], hi[2]], lane);
+        assert!(
+            c.position() == want,
+            "plane rows need cursors at consecutive snapshots and one lane"
+        );
+    }
+    (key, [hi[1], hi[2]], hi[0], lane)
 }
 
 /// `ROW_INDEX[r] == r`: the state lane of a plane whose rows each carry
@@ -337,30 +359,31 @@ impl ChannelSounder for OfdmSounder {
     }
 
     /// Plane synthesis from the four per-state payloads: state-major
-    /// payload plane, then the shared plane tail. Returns `Some(2n)`:
-    /// the lanes each snapshot's cursor consumed.
+    /// payload plane, then the shared plane tail.
     fn estimate_prepared_counter_rows_into(
         &self,
         prepared: &[PreparedChannel],
         states: &[u8],
         noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
+        cursors: &mut [CounterRng],
         out: &mut [Complex],
-    ) -> Option<u32> {
+    ) {
         let n = self.n_subcarriers;
         assert_eq!(
             out.len(),
             states.len() * n,
             "output plane must hold one estimate row per state"
         );
+        assert_eq!(cursors.len(), states.len(), "one cursor per row");
         for p in prepared {
             assert_eq!(
                 p.payload.len(),
                 n,
                 "prepared payload must match the sounder configuration"
             );
+        }
+        if states.is_empty() {
+            return;
         }
         OFDM_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
@@ -370,32 +393,32 @@ impl ChannelSounder for OfdmSounder {
                 scratch.payload_plane.extend_from_slice(&p.payload);
             }
             let amp = self.frame_amp(noise_std);
-            scratch.finish_plane(states, amp, key, group, snap0, out);
+            scratch.finish_plane(states, amp, cursors, out);
         });
-        Some(2 * n as u32)
     }
 
     /// Plane synthesis from per-snapshot truths: each row's symbol
     /// multiply + planned IFFT + scale is element-for-element the
     /// `rx_sym` build of [`Self::estimate_counter_into`], one payload per
-    /// row, then the shared plane tail. Returns `Some(2n)`.
+    /// row, then the shared plane tail.
     fn estimate_counter_rows_into(
         &self,
         truths: &[Complex],
         noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
+        cursors: &mut [CounterRng],
         out: &mut [Complex],
-    ) -> Option<u32> {
+    ) {
         let n = self.n_subcarriers;
-        let rows = out.len() / n.max(1);
-        assert_eq!(out.len(), rows * n, "output plane must be whole rows");
+        let rows = cursors.len();
+        assert_eq!(out.len(), rows * n, "one estimate row per cursor");
         assert_eq!(truths.len(), rows * n, "one truth row per estimate row");
         assert!(
             rows <= ROW_INDEX.len(),
             "u8 row index: synthesize in blocks of ≤256"
         );
+        if rows == 0 {
+            return;
+        }
         let half = n / 2;
         let scale = (n as f64).sqrt();
         OFDM_SCRATCH.with(|scratch| {
@@ -421,9 +444,8 @@ impl ChannelSounder for OfdmSounder {
                 .iter_mut()
                 .for_each(|z| *z = *z * scale);
             let amp = self.frame_amp(noise_std);
-            scratch.finish_plane(&ROW_INDEX[..rows], amp, key, group, snap0, out);
+            scratch.finish_plane(&ROW_INDEX[..rows], amp, cursors, out);
         });
-        Some(2 * n as u32)
     }
 
     /// The five configuration fields fully determine the preamble
@@ -655,6 +677,27 @@ mod tests {
         assert!(alone.iter().zip(est(40).iter()).any(|(a, b)| a != b));
     }
 
+    /// The cursors a synthesis engine hands a block: consecutive
+    /// snapshots from `snap0`, each past one drawn drop decision when
+    /// `drop_drawn`.
+    fn block_cursors(
+        key: u64,
+        group: u32,
+        snap0: u32,
+        rows: usize,
+        drop_drawn: bool,
+    ) -> Vec<CounterRng> {
+        (0..rows as u32)
+            .map(|r| {
+                let mut c = CounterRng::for_snapshot(key, group, snap0 + r);
+                if drop_drawn {
+                    let _ = rand::RngCore::next_u64(&mut c);
+                }
+                c
+            })
+            .collect()
+    }
+
     #[test]
     fn wide_rows_path_is_bit_identical_to_row_path() {
         let s = OfdmSounder::wiforce();
@@ -672,32 +715,37 @@ mod tests {
         let snap0 = 11u32;
         let states: Vec<u8> = (0..37u8).map(|r| (r.wrapping_mul(7) >> 1) % 4).collect();
         let rows = states.len();
-        for noise in [0.0, 0.05] {
+        // a drop decision drawn first moves every row's lanes up by one
+        for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
             let mut plane = vec![Complex::ZERO; rows * 64];
-            let lanes = s
-                .estimate_prepared_counter_rows_into(
-                    &prepared, &states, noise, key, group, snap0, &mut plane,
-                )
-                .expect("OFDM has a wide path");
-            assert_eq!(lanes, 128);
-            for (r, &st) in states.iter().enumerate() {
-                let mut cursor = CounterRng::for_snapshot(key, group, snap0 + r as u32);
+            let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+            s.estimate_prepared_counter_rows_into(
+                &prepared,
+                &states,
+                noise,
+                &mut cursors,
+                &mut plane,
+            );
+            let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+            for ((r, &st), cursor) in states.iter().enumerate().zip(&mut rows_cursors) {
                 let mut row = [Complex::ZERO; 64];
                 s.estimate_prepared_counter_into(
                     &prepared[usize::from(st)],
                     noise,
-                    &mut cursor,
+                    cursor,
                     &mut row,
                 );
                 for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
                     assert_eq!(w.re.to_bits(), x.re.to_bits(), "r={r} i={i}");
                     assert_eq!(w.im.to_bits(), x.im.to_bits(), "r={r} i={i}");
                 }
-                // a fresh cursor skipped by the returned lane count lands in
-                // the same state as the one the row path consumed
-                let mut skipped = CounterRng::for_snapshot(key, group, snap0 + r as u32);
-                skipped.skip_normals(lanes as usize);
-                assert_eq!(cursor.lane(), skipped.lane());
+                // the block hands its cursor back where the row call
+                // leaves it, ready for the burst and front-end draws
+                assert_eq!(cursors[r].lane(), cursor.lane());
+                assert_eq!(
+                    rand::RngCore::next_u64(&mut cursors[r]),
+                    rand::RngCore::next_u64(cursor)
+                );
             }
         }
     }
@@ -743,39 +791,40 @@ mod tests {
 
     #[test]
     fn wide_truth_rows_path_is_bit_identical_to_row_path() {
-        // the batch producer's plane path: per-snapshot truths, noise at
-        // (key, group, snap0 + r) — each row must match a row-at-a-time
-        // estimate at that coordinate, and the returned lane count must
-        // be where that row's cursor stopped
+        // the truth-plane path (movers, the batch producer): each row must
+        // match a row-at-a-time estimate on its cursor, and leave that
+        // cursor where the row call stops
         let s = OfdmSounder::wiforce();
         let (key, group, snap0) = (0x7EA5_u64 << 33 | 0x77, 5u32, 130u32);
         for rows in [1usize, 23, 64] {
             let truths: Vec<Complex> = (0..rows * 64)
                 .map(|i| Complex::from_polar(1.0 + 1e-3 * (i % 97) as f64, 0.02 * (i % 61) as f64))
                 .collect();
-            for noise in [0.0, 0.05] {
+            for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
                 let mut plane = vec![Complex::ZERO; rows * 64];
-                let lanes = s
-                    .estimate_counter_rows_into(&truths, noise, key, group, snap0, &mut plane)
-                    .expect("OFDM has a truth-plane path");
-                assert_eq!(lanes, 128);
+                let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+                s.estimate_counter_rows_into(&truths, noise, &mut cursors, &mut plane);
                 let mut row = [Complex::ZERO; 64];
-                for r in 0..rows {
-                    let mut cursor = CounterRng::for_snapshot(key, group, snap0 + r as u32);
-                    s.estimate_counter_into(
-                        &truths[r * 64..(r + 1) * 64],
-                        noise,
-                        &mut cursor,
-                        &mut row,
-                    );
+                let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+                for (r, cursor) in rows_cursors.iter_mut().enumerate() {
+                    s.estimate_counter_into(&truths[r * 64..(r + 1) * 64], noise, cursor, &mut row);
                     for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
                         assert_eq!(w.re.to_bits(), x.re.to_bits(), "rows={rows} r={r} i={i}");
                         assert_eq!(w.im.to_bits(), x.im.to_bits(), "rows={rows} r={r} i={i}");
                     }
-                    assert_eq!(cursor.lane(), lanes);
+                    assert_eq!(cursors[r].lane(), cursor.lane());
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "consecutive snapshots and one lane")]
+    fn plane_rows_reject_scattered_cursors() {
+        let s = OfdmSounder::wiforce();
+        let mut cursors = [0, 2].map(|snap| CounterRng::for_snapshot(1, 0, snap));
+        let mut plane = vec![Complex::ZERO; 2 * 64];
+        s.estimate_counter_rows_into(&vec![Complex::ONE; 2 * 64], 0.0, &mut cursors, &mut plane);
     }
 
     #[test]

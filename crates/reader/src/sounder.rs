@@ -109,64 +109,63 @@ pub trait ChannelSounder {
         self.estimate_counter_into(&prepared.truth, noise_std, cursor, out);
     }
 
-    /// Wide (structure-of-arrays) twin of
-    /// [`Self::estimate_prepared_counter_into`]: synthesizes a whole
-    /// block of snapshots in one call. `prepared` holds one
+    /// Block twin of [`Self::estimate_prepared_counter_into`]: estimates
+    /// a block of snapshots in one call. `prepared` holds one
     /// [`PreparedChannel`] per tag switch state (index = state),
-    /// `states[r]` selects the state of snapshot `snap0 + r`, and `out`
-    /// is a snapshot-major plane of `states.len()` rows of grid-size
-    /// estimates. Noise is drawn straight from the counter kernel at
-    /// coordinates `(key, group, snap0 + r, lane)`.
+    /// `states[r]` selects row `r`'s state, `cursors[r]` is row `r`'s
+    /// noise cursor as the caller positioned it (its snapshot's
+    /// coordinates, past any draw made before the sounder), and `out` is
+    /// a snapshot-major plane of `states.len()` rows of grid-size
+    /// estimates.
     ///
-    /// Returns `Some(lanes)` — the number of cursor lanes each row
-    /// consumed — when the sounder has a wide fast path; the caller then
-    /// positions per-snapshot cursors with
-    /// [`CounterRng::skip_normals`]`(lanes)` before any remaining scalar
-    /// draw sites (burst faults, front-end jitter). Returns `None` when
-    /// no wide path exists (the default), telling the caller to fall
-    /// back to row-at-a-time synthesis. When it returns `Some`, each row
-    /// of `out` must be bit-identical to an
-    /// `estimate_prepared_counter_into(&prepared[states[r]], …)` call
-    /// with a fresh cursor at `(key, group, snap0 + r)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Each row must be bit-identical to
+    /// `estimate_prepared_counter_into(&prepared[states[r]], …)` on
+    /// `cursors[r]`, and must leave `cursors[r]` where that call would,
+    /// so the draws after the sounder (burst faults, front-end jitter)
+    /// continue on it. The default is that row loop; sounders with a
+    /// plane kernel override it.
     fn estimate_prepared_counter_rows_into(
         &self,
         prepared: &[PreparedChannel],
         states: &[u8],
         noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
+        cursors: &mut [CounterRng],
         out: &mut [Complex],
-    ) -> Option<u32> {
-        let _ = (prepared, states, noise_std, key, group, snap0, out);
-        None
+    ) {
+        let n = out.len() / states.len().max(1);
+        for ((&state, cursor), row) in states.iter().zip(cursors).zip(out.chunks_exact_mut(n)) {
+            self.estimate_prepared_counter_into(
+                &prepared[usize::from(state)],
+                noise_std,
+                cursor,
+                row,
+            );
+        }
     }
 
     /// Truth-plane twin of [`Self::estimate_prepared_counter_rows_into`]
-    /// under the same lane contract, for callers whose every snapshot
-    /// sees a distinct channel (the batch engine's multi-stream blend):
-    /// `truths` is a row-major plane of per-snapshot true channels
-    /// (`rows × grid`) and `out` the matching estimate plane, with noise
-    /// drawn at `(key, group, snap0 + r, lane)`.
-    ///
-    /// Returns `Some(lanes)` when the sounder has a plane fast path; each
-    /// row of `out` must then be bit-identical to an
-    /// [`Self::estimate_counter_into`] call on that truth row with a fresh
-    /// cursor at `(key, group, snap0 + r)`, which leaves the cursor at
-    /// lane `lanes`. Returns `None` (the default) when no plane path
-    /// exists, telling the caller to synthesize row at a time.
+    /// under the same cursor contract, for callers whose every snapshot
+    /// sees a distinct channel (moving scatterers, the batch engine's
+    /// multi-stream blend): `truths` is a row-major plane of
+    /// per-snapshot true channels (`cursors.len() × grid`) and `out` the
+    /// matching estimate plane. Each row must be bit-identical to an
+    /// [`Self::estimate_counter_into`] call on that truth row with
+    /// `cursors[r]`; the default is that row loop.
     fn estimate_counter_rows_into(
         &self,
         truths: &[Complex],
         noise_std: f64,
-        key: u64,
-        group: u32,
-        snap0: u32,
+        cursors: &mut [CounterRng],
         out: &mut [Complex],
-    ) -> Option<u32> {
-        let _ = (truths, noise_std, key, group, snap0, out);
-        None
+    ) {
+        let n = out.len() / cursors.len().max(1);
+        for ((truth, cursor), row) in truths
+            .chunks_exact(n)
+            .zip(cursors)
+            .zip(out.chunks_exact_mut(n))
+        {
+            self.estimate_counter_into(truth, noise_std, cursor, row);
+        }
     }
 
     /// Press-invariant identity of this sounder's configuration, for
@@ -253,12 +252,11 @@ mod tests {
         let mut est = [Complex::ZERO; 1];
         d.estimate_counter_into(&[Complex::ONE], 0.0, &mut cursor, &mut est);
         assert_eq!(est, [Complex::ONE]);
-        // no plane fast path unless a sounder provides one
-        let mut plane = [Complex::ZERO; 1];
-        assert_eq!(
-            d.estimate_counter_rows_into(&[Complex::ONE], 0.0, 0, 0, 0, &mut plane),
-            None
-        );
+        // without a plane kernel the block methods loop the row primitive
+        let mut plane = [Complex::ZERO; 2];
+        let mut cursors = [0, 1].map(|s| CounterRng::for_snapshot(0, 0, s));
+        d.estimate_counter_rows_into(&[Complex::ONE, Complex::I], 0.0, &mut cursors, &mut plane);
+        assert_eq!(plane, [Complex::ONE, Complex::I]);
     }
 
     #[test]
@@ -278,5 +276,24 @@ mod tests {
         assert_eq!(out_full[0].re.to_bits(), out_prep[0].re.to_bits());
         assert_eq!(out_full[0].im.to_bits(), out_prep[0].im.to_bits());
         assert_eq!(a.lane(), b.lane());
+        // and the default block loop hands each row its own cursor: a
+        // lone row at a cursor past one drawn lane matches the row call
+        // on an equally positioned cursor, and ends where it would
+        let mut row_cursor = CounterRng::for_snapshot(9, 0, 5);
+        let _ = rand::RngCore::next_u64(&mut row_cursor);
+        let mut block_cursors = [row_cursor.clone()];
+        let mut out_row = [Complex::ZERO; 1];
+        d.estimate_prepared_counter_into(&prepared, 0.1, &mut row_cursor, &mut out_row);
+        let mut out_block = [Complex::ZERO; 1];
+        d.estimate_prepared_counter_rows_into(
+            std::slice::from_ref(&prepared),
+            &[0],
+            0.1,
+            &mut block_cursors,
+            &mut out_block,
+        );
+        assert_eq!(out_row[0].re.to_bits(), out_block[0].re.to_bits());
+        assert_eq!(out_row[0].im.to_bits(), out_block[0].im.to_bits());
+        assert_eq!(row_cursor.lane(), block_cursors[0].lane());
     }
 }

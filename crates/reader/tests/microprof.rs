@@ -33,6 +33,7 @@ fn microprof() {
             [1, 0],
             [0, DOMAIN_SNAPSHOT],
             i * rows as u32,
+            0,
             128,
             &mut normals,
         );

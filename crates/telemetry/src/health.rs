@@ -22,7 +22,9 @@ use crate::{Histogram, TelemetrySnapshot};
 /// occupancy (added in v3).
 /// v5 replaced the chunk-width gauge (the width is now a constant) with
 /// `plane_row_share`.
-pub const HEALTH_SCHEMA_VERSION: u64 = 5;
+/// v6 removed `plane_row_share`: every time-domain snapshot goes through
+/// the sounder's block methods, so there is no second path to report.
+pub const HEALTH_SCHEMA_VERSION: u64 = 6;
 
 /// Latency statistics for one span path.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,11 +95,6 @@ pub struct PipelineHealth {
     /// Hit rate of the per-scene sounding-response memo (`None` before
     /// any lookup was recorded).
     pub response_table_hit_rate: Option<f64>,
-    /// Share of sounded snapshots the time-domain plane kernel
-    /// synthesized (`synth.plane_rows` over `pipeline.snapshots_total`);
-    /// the rest took the row path or the spectral arm. `None` when no
-    /// time-domain synthesis ran.
-    pub plane_row_share: Option<f64>,
 }
 
 impl PipelineHealth {
@@ -138,11 +135,6 @@ impl PipelineHealth {
             .get("estimator.reference_locked")
             .map(|&v| v != 0.0);
         let response_table_hit_rate = snap.gauges.get("pipeline.response_table_hit_rate").copied();
-        let plane_row_share = counter("synth.plane_rows").and_then(|plane| {
-            counter("pipeline.snapshots_total")
-                .filter(|&total| total > 0)
-                .map(|total| plane as f64 / total as f64)
-        });
 
         PipelineHealth {
             schema_version: HEALTH_SCHEMA_VERSION,
@@ -153,7 +145,6 @@ impl PipelineHealth {
             snapshot_yield,
             reference_locked,
             response_table_hit_rate,
-            plane_row_share,
         }
     }
 
@@ -178,10 +169,6 @@ impl PipelineHealth {
         match self.response_table_hit_rate {
             Some(r) => w.number("response_table_hit_rate", r),
             None => w.number("response_table_hit_rate", f64::NAN),
-        };
-        match self.plane_row_share {
-            Some(r) => w.number("plane_row_share", r),
-            None => w.number("plane_row_share", f64::NAN),
         };
         w.begin_array_key("stages");
         for s in &self.stages {
@@ -259,7 +246,6 @@ mod tests {
         snap.spans.insert("pipeline.measure_press".into(), h);
         snap.counters.insert("pipeline.snapshots_total".into(), 100);
         snap.counters.insert("faults.snapshots_dropped".into(), 4);
-        snap.counters.insert("synth.plane_rows".into(), 25);
         snap.gauges.insert("pipeline.line_to_floor_db".into(), 31.5);
         snap.gauges.insert("estimator.reference_locked".into(), 1.0);
         snap.gauges
@@ -277,7 +263,6 @@ mod tests {
         assert_eq!(health.schema_version, HEALTH_SCHEMA_VERSION);
         assert!((health.snapshot_yield.unwrap() - 0.96).abs() < 1e-12);
         assert_eq!(health.response_table_hit_rate, Some(0.44));
-        assert_eq!(health.plane_row_share, Some(0.25));
         assert_eq!(health.reference_locked, Some(true));
         let stage = health.stage("pipeline.measure_press").unwrap();
         assert_eq!(stage.count, 3);
@@ -292,14 +277,12 @@ mod tests {
         let health = PipelineHealth::from_snapshot(&TelemetrySnapshot::default());
         assert_eq!(health.snapshot_yield, None);
         assert_eq!(health.response_table_hit_rate, None);
-        assert_eq!(health.plane_row_share, None);
         assert_eq!(health.reference_locked, None);
         assert!(health.stages.is_empty());
         // and the JSON still parses with the required keys present
         let v = json::parse(&health.to_json()).unwrap();
         assert_eq!(v.get("snapshot_yield"), Some(&json::Value::Null));
         assert_eq!(v.get("response_table_hit_rate"), Some(&json::Value::Null));
-        assert_eq!(v.get("plane_row_share"), Some(&json::Value::Null));
         assert!(v.get("stages").unwrap().as_array().unwrap().is_empty());
     }
 

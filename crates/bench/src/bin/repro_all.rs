@@ -7,7 +7,8 @@
 //!
 //! `--out <file>` rewrites the sections of `<file>` instead of the
 //! checkout's EXPERIMENTS.md (whose path is fixed when the binary is
-//! compiled). Text outside the sections is kept, so a copy of
+//! compiled); `--out` or `--health-json` without a path is an error, not
+//! a fall-back to that file. Text outside the sections is kept, so a copy of
 //! EXPERIMENTS.md regenerated this way can be diffed against the
 //! committed file:
 //!
@@ -20,22 +21,35 @@
 use wiforce_bench::experiments as exp;
 use wiforce_bench::Report;
 
-/// Value of `<flag> <path>`, if present.
-fn path_arg(flag: &str) -> Option<String> {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == flag)
-        .and_then(|i| argv.get(i + 1).cloned())
+/// Value of `<flag> <path>` in `argv`: `None` when the flag is absent,
+/// an error when it is the last argument or followed by another flag —
+/// falling back to the default path there would rewrite the checkout's
+/// EXPERIMENTS.md the caller meant to leave alone.
+fn path_arg(argv: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = argv.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match argv.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{flag} needs a path")),
+    }
 }
 
 fn main() {
+    let argv: Vec<String> = std::env::args().collect();
+    let (health_out, out) = match (path_arg(&argv, "--health-json"), path_arg(&argv, "--out")) {
+        (Ok(health), Ok(out)) => (health, out),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
     let quick = wiforce_bench::montecarlo::quick_mode();
-    let health_out = path_arg("--health-json");
     if health_out.is_some() {
         wiforce_telemetry::reset();
         wiforce_telemetry::set_enabled(true);
     }
-    let path = path_arg("--out")
+    let path = out
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| exp::repo_root().join("EXPERIMENTS.md"));
     println!("writing results to {}\n", path.display());

@@ -1409,27 +1409,52 @@ mod tests {
 
     #[test]
     fn results_are_worker_count_invariant() {
+        // clean, under burst faults, and with a mover (per-snapshot
+        // truths through the sounder's truth-plane block method)
         let (sim, model) = template();
-        let spec = ReaderSpec::frequency_multiplexed(2, 2, 0xBEEF, &sim.group).expect("allocation");
-        let run = |workers: usize| {
-            let cfg = BatchConfig {
-                workers,
-                ..BatchConfig::wiforce(workers)
-            };
-            run_batch(&sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
+        let mut moving = sim.clone();
+        moving
+            .scene
+            .movers
+            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+        let bursty = FaultConfig {
+            burst_prob: 0.02,
+            burst_rel_amp: 0.1,
+            ..FaultConfig::none()
         };
-        let single = run(1);
-        let pooled = run(8);
-        assert!(
-            single.deterministic_eq(&pooled),
-            "1-worker and 8-worker runs disagree"
-        );
-        // every stream measured both presses
-        for s in &single.streams {
-            let presses: Vec<usize> = s.readings.iter().filter_map(|r| r.press).collect();
-            assert_eq!(presses, vec![0, 1], "stream {} schedule", s.name);
+        for (name, sim, faults) in [
+            ("clean", &sim, FaultConfig::none()),
+            ("bursts", &sim, bursty),
+            ("movers", &moving, FaultConfig::none()),
+        ] {
+            let spec = ReaderSpec::frequency_multiplexed(2, 2, 0xBEEF, &sim.group)
+                .expect("allocation")
+                .with_faults(faults);
+            let run = |workers: usize| {
+                let cfg = BatchConfig {
+                    workers,
+                    ..BatchConfig::wiforce(workers)
+                };
+                run_batch(sim, &model, std::slice::from_ref(&spec), &cfg).expect("batch runs")
+            };
+            let single = run(1);
+            let pooled = run(8);
+            assert!(
+                single.deterministic_eq(&pooled),
+                "1-worker and 8-worker runs disagree ({name})"
+            );
+            assert_eq!(
+                single.bursts_injected > 0,
+                faults.burst_prob > 0.0,
+                "{name}"
+            );
+            // every stream measured both presses
+            for s in &single.streams {
+                let presses: Vec<usize> = s.readings.iter().filter_map(|r| r.press).collect();
+                assert_eq!(presses, vec![0, 1], "{name}: stream {} schedule", s.name);
+            }
+            assert_eq!(single.press_readings(), 4, "{name}");
         }
-        assert_eq!(single.press_readings(), 4);
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl Simulation {
 
     /// Resolves the spectral-synthesis flag: explicit field, else the
     /// `WIFORCE_SYNTH_SPECTRAL` environment toggle (read once), else off.
-    /// Unlike the plane-kernel choice this is an accuracy-class switch,
+    /// Unlike the sounder's plane kernel this is an accuracy-class switch,
     /// not a pure speed knob: the spectral path is distribution-equivalent
     /// (fixture gated), not bit-identical, so it never defaults on.
     pub fn synth_spectral_enabled(&self) -> bool {

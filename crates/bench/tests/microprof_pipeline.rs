@@ -1,14 +1,15 @@
 //! Manual micro-benchmark decomposing the per-snapshot cost of
-//! `run_snapshots_into`, the spectral press's per-group state walk and
-//! the batch producer's per-group window-weight walk (run with
-//! `--ignored --nocapture`). Companion to
+//! `run_snapshots_into`, the spectral press's per-group state walk, sums
+//! and per-line draws and finisher, and the batch producer's per-group
+//! window-weight walk (run with `--ignored --nocapture`). Companion to
 //! `crates/reader/tests/microprof.rs`, which decomposes the sounder.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use wiforce::pipeline::{state_sums, PrefixPhasors, PressNoise, Simulation, TagClock};
-use wiforce_dsp::SnapshotMatrix;
+use wiforce_dsp::kernels::{philox_complex_normals, spectral_line, LineTerms};
+use wiforce_dsp::{Complex, SnapshotMatrix};
 use wiforce_reader::ChannelSounder;
 use wiforce_sensor::clock::WindowWalker;
 use wiforce_sensor::multi::allocate_frequencies_on_grid;
@@ -64,6 +65,49 @@ fn microprof_pipeline() {
     println!(
         "state sums, 2 lines: {:.3} us/group (acc {acc})",
         per_group(t)
+    );
+
+    // the line finisher, per consumed line on the press grid: the line's
+    // k_sub + 1 complex normals (the last one the common-mode jitter),
+    // then the per-subcarrier finisher kernel
+    let k_sub = sim.subcarrier_freqs_hz().len();
+    let finished = 20_000;
+    let per_line = |t: Instant| t.elapsed().as_secs_f64() / finished as f64 * 1e6;
+    let mut normals = vec![Complex::ZERO; k_sub + 1];
+    let t = Instant::now();
+    for i in 0..finished {
+        philox_complex_normals([7, 11], [i as u32, 0, 0], 0, &mut normals);
+        std::hint::black_box(&mut normals);
+    }
+    println!(
+        "line draws, {} normals: {:.3} us/line",
+        k_sub + 1,
+        per_line(t)
+    );
+    let phasors = |n: usize, amp: f64| -> Vec<Complex> {
+        (0..n)
+            .map(|k| Complex::from_polar(amp, 0.37 * k as f64))
+            .collect()
+    };
+    let statics = phasors(k_sub, 1e-3);
+    let spectra = phasors(4 * k_sub, 1e-5);
+    let rows: [&[Complex]; 4] = std::array::from_fn(|q| &spectra[q * k_sub..(q + 1) * k_sub]);
+    let terms = LineTerms {
+        cbar: [0.25; 4],
+        w: [Complex::new(0.1, -0.2); 4],
+        sigma_line: 1e-6,
+        jitter: Complex::new(1e-4, 2e-4),
+        reference: Complex::cis(0.3),
+    };
+    let mut out = vec![Complex::ZERO; k_sub];
+    let t = Instant::now();
+    for _ in 0..finished {
+        spectral_line(&mut out, &statics, rows, &normals, &terms);
+        std::hint::black_box(&mut out);
+    }
+    println!(
+        "line finisher, {k_sub} subcarriers: {:.3} us/line",
+        per_line(t)
     );
 
     // the batch producer's window-weight walk, which both of its line

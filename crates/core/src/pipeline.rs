@@ -26,6 +26,7 @@ use std::sync::{Arc, OnceLock};
 use wiforce_channel::cache::{config_token, ChannelCache, SharedChannelCache};
 use wiforce_channel::faults::FaultConfig;
 use wiforce_channel::{Frontend, Scene, StaticMultipath};
+use wiforce_dsp::kernels::LineTerms;
 use wiforce_dsp::rng::{standard_normal, CounterRng};
 use wiforce_dsp::{Complex, SnapshotMatrix, SnapshotView};
 use wiforce_mech::contact::ContactSolver;
@@ -33,7 +34,7 @@ use wiforce_mech::{AnalyticContactModel, ContactPatch, ForceTransducer, Indenter
 use wiforce_reader::fmcw::FmcwSounder;
 use wiforce_reader::sounder::PreparedChannel;
 use wiforce_reader::{ChannelSounder, OfdmSounder};
-use wiforce_sensor::tag::ContactState;
+use wiforce_sensor::tag::{ContactState, ResponsePlan};
 use wiforce_sensor::{ClockPair, SensorTag};
 use wiforce_telemetry::trace;
 
@@ -425,17 +426,21 @@ impl Simulation {
         cache: &ChannelCache,
         contact: Option<&ContactState>,
     ) -> Arc<Vec<[Complex; 4]>> {
-        cache
-            .response_tables(self.tag_token(), EM_PLAN_SALT, || {
-                self.tag.response_plan(&cache.freqs_hz)
-            })
-            .table(contact)
+        self.em_plan(cache, self.tag_token()).table(contact)
+    }
+
+    /// The tag's [`ResponsePlan`] on `cache`'s grid, memoized on the cache
+    /// entry under the tag token `token` ([`Self::tag_token`]).
+    fn em_plan(&self, cache: &ChannelCache, token: u64) -> Arc<ResponsePlan> {
+        cache.response_tables(token, EM_PLAN_SALT, || {
+            self.tag.response_plan(&cache.freqs_hz)
+        })
     }
 
     /// Builds the four per-tag-state prepared channels for a static scene.
     ///
     /// The untouched table (`untouched`) is press-invariant, so its
-    /// prepared states are memoized under [`Self::tag_token`]: for
+    /// prepared states are memoized under the tag token: for
     /// sounders whose preparation is a pure function of hashable
     /// configuration ([`ChannelSounder::response_token`] returns `Some`)
     /// the whole `Vec<PreparedChannel>` sits in the channel-cache entry's
@@ -447,10 +452,11 @@ impl Simulation {
     /// is deterministic — which the cache-equivalence fixtures pin.
     fn prepare_states(
         &self,
-        cache: &ChannelCache,
+        tables: &PressTables,
         table: &[[Complex; 4]],
         untouched: bool,
     ) -> Arc<Vec<PreparedChannel>> {
+        let cache = &tables.cache;
         let _s = wiforce_telemetry::span!("pipeline.prepare_states");
         let n_cols = cache.statics.len();
         let planes = || {
@@ -477,7 +483,7 @@ impl Simulation {
         if !untouched {
             return Arc::new(prepare(&planes()));
         }
-        let token = self.tag_token();
+        let token = tables.token;
         match self.sounder.response_token() {
             Some(cfg_token) => cache.response_tables(token, cfg_token, || prepare(&planes())),
             None => Arc::new(prepare(&cache.state_planes(token, 4, planes).planes)),
@@ -520,7 +526,16 @@ impl Simulation {
         out: &mut SnapshotMatrix,
     ) {
         let freqs = self.subcarrier_freqs_hz();
-        self.synth_counter(&freqs, contact, n_groups, clock_state, noise, out, None);
+        self.synth_counter(
+            &mut None,
+            &freqs,
+            contact,
+            n_groups,
+            clock_state,
+            noise,
+            out,
+            None,
+        );
     }
 
     /// Simulates `n_groups` phase groups for a fixed contact state,
@@ -542,6 +557,7 @@ impl Simulation {
         };
         let mut scratch = SnapshotMatrix::default();
         self.synth_counter(
+            &mut None,
             &freqs,
             contact,
             n_groups,
@@ -553,14 +569,10 @@ impl Simulation {
         .0
     }
 
-    /// Channel set-up and EM transduction shared by both line sources:
-    /// the scene's press-invariant channel-cache entry on the grid
-    /// `freqs`, and the tag's per-state reflection table for `contact`.
-    fn channel_and_table(
-        &self,
-        freqs: &[f64],
-        contact: Option<&ContactState>,
-    ) -> (Arc<ChannelCache>, Arc<Vec<[Complex; 4]>>) {
+    /// Fetches the press-invariant state of [`PressTables`]: the scene's
+    /// channel-cache entry on the grid `freqs` (`pipeline.channel_setup`),
+    /// then the tag token and EM plan (`pipeline.em_transduction`).
+    fn press_tables(&self, freqs: &[f64]) -> PressTables {
         let cache = {
             let _s = wiforce_telemetry::span!("pipeline.channel_setup");
             if self.use_channel_cache {
@@ -569,11 +581,18 @@ impl Simulation {
                 Arc::new(ChannelCache::build(&self.scene, freqs))
             }
         };
-        let table = {
-            let _s = wiforce_telemetry::span!("pipeline.em_transduction");
-            self.tag_response_table(&cache, contact)
-        };
-        (cache, table)
+        let _s = wiforce_telemetry::span!("pipeline.em_transduction");
+        let token = self.tag_token();
+        let plan = self.em_plan(&cache, token);
+        PressTables {
+            cache,
+            token,
+            plan,
+            untouched_spectra: None,
+            tag_prefix: None,
+            floor_prefix: None,
+            normals: Vec::new(),
+        }
     }
 
     /// Walks the tag clock through `n_groups` phase groups, drawing each
@@ -629,9 +648,13 @@ impl Simulation {
     /// telemetry from worker threads); the floor probe rides on group 0.
     /// All telemetry is re-emitted deterministically on the calling
     /// thread after the join.
+    ///
+    /// `tables` is the press's [`PressTables`] slot: fetched here when
+    /// empty, reused as is otherwise.
     #[allow(clippy::too_many_arguments)]
     fn synth_counter(
         &self,
+        tables: &mut Option<PressTables>,
         freqs: &[f64],
         contact: Option<&ContactState>,
         n_groups: usize,
@@ -643,7 +666,9 @@ impl Simulation {
         let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
         let telem = wiforce_telemetry::enabled();
         use wiforce_telemetry::fastclock;
-        let (cache, table) = self.channel_and_table(freqs, contact);
+        let tables = tables.get_or_insert_with(|| self.press_tables(freqs));
+        let table = tables.contact_table(contact);
+        let cache = &tables.cache;
         let statics = &cache.statics;
         let gains = &cache.gains;
         let direct_amp = cache.direct_amp;
@@ -655,7 +680,7 @@ impl Simulation {
         let key = noise.key;
 
         let prepared: Option<Arc<Vec<PreparedChannel>>> =
-            (!has_movers).then(|| self.prepare_states(&cache, &table, contact.is_none()));
+            (!has_movers).then(|| self.prepare_states(tables, &table, contact.is_none()));
         let plans = self.plan_groups(n_groups, clock_state, noise);
 
         out.set_width(n_cols);
@@ -974,6 +999,8 @@ impl Simulation {
         let freqs = self.subcarrier_freqs_hz();
         let spectral = self.synth_spectral_enabled() && self.spectral_eligible();
         let mut scratch = SnapshotMatrix::default();
+        // fetched by the reference call, reused by the measurement call
+        let mut tables: Option<PressTables> = None;
         let mut synth_groups =
             |contact: Option<&ContactState>,
              n_groups: usize,
@@ -985,11 +1012,18 @@ impl Simulation {
                 };
                 if spectral {
                     self.synth_lines_spectral(
-                        &freqs, contact, n_groups, &mut clock, &mut noise, &spec,
+                        &mut tables,
+                        &freqs,
+                        contact,
+                        n_groups,
+                        &mut clock,
+                        &mut noise,
+                        &spec,
                     )
                 } else {
                     scratch.clear();
                     self.synth_counter(
+                        &mut tables,
                         &freqs,
                         contact,
                         n_groups,
@@ -1076,8 +1110,14 @@ impl Simulation {
     /// The result is distribution-equivalent — not bit-identical — to
     /// time-domain synthesis + extraction, and is gated by statistical
     /// and end-to-end accuracy fixtures.
+    ///
+    /// `tables` is the press's [`PressTables`] slot, filled here as on
+    /// [`Self::synth_counter`]; every call sharing it takes the same
+    /// `spec.cfg` (its tag-line prefix tables are fetched once).
+    #[allow(clippy::too_many_arguments)]
     fn synth_lines_spectral(
         &self,
+        tables: &mut Option<PressTables>,
         freqs: &[f64],
         contact: Option<&ContactState>,
         n_groups: usize,
@@ -1086,7 +1126,17 @@ impl Simulation {
         spec: &FusedExtraction<'_>,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.spectral_lines");
-        let (cache, table) = self.channel_and_table(freqs, contact);
+        let tables = tables.get_or_insert_with(|| self.press_tables(freqs));
+        let table = tables.contact_table(contact);
+        let PressTables {
+            cache,
+            token,
+            untouched_spectra,
+            tag_prefix: tag_slot,
+            floor_prefix: floor_slot,
+            normals,
+            ..
+        } = tables;
         let k_sub = cache.statics.len();
         let n = self.group.n_snapshots;
         let t_snap = self.group.snapshot_period_s;
@@ -1104,7 +1154,9 @@ impl Simulation {
             rows
         };
         let spectra = if contact.is_none() {
-            cache.response_tables(self.tag_token(), SPECTRAL_TABLE_SALT, build_spectra)
+            Arc::clone(untouched_spectra.get_or_insert_with(|| {
+                cache.response_tables(*token, SPECTRAL_TABLE_SALT, build_spectra)
+            }))
         } else {
             Arc::new(build_spectra())
         };
@@ -1117,10 +1169,11 @@ impl Simulation {
                 PrefixPhasors::new(f_hz, t_snap, n)
             })
         };
-        let tag_prefix = [prefix(spec.cfg.line1_hz), prefix(spec.cfg.line2_hz)];
-        let floor_prefix = spec
-            .floor_cfg
-            .map(|fc| [prefix(fc.line1_hz), prefix(fc.line2_hz)]);
+        let tag_prefix = &*tag_slot
+            .get_or_insert_with(|| [prefix(spec.cfg.line1_hz), prefix(spec.cfg.line2_hz)]);
+        let floor_prefix = spec.floor_cfg.map(|fc| {
+            &*floor_slot.get_or_insert_with(|| [prefix(fc.line1_hz), prefix(fc.line2_hz)])
+        });
 
         let group_s = n as f64 * t_snap;
         let mut lines_of = SpectralLines {
@@ -1135,7 +1188,6 @@ impl Simulation {
         };
         let mut groups = Vec::with_capacity(n_groups);
         let mut floor_out: Option<GroupLines> = None;
-        let mut normals = Vec::new();
         let mut exact_evals = 0;
         for (g, plan) in self
             .plan_groups(n_groups, clock_state, noise)
@@ -1154,8 +1206,8 @@ impl Simulation {
                 nf = 4;
             }
 
-            let [p1, p2] = &tag_prefix;
-            let tables: [&PrefixPhasors; 4] = match &floor_prefix {
+            let [p1, p2] = tag_prefix;
+            let tables: [&PrefixPhasors; 4] = match floor_prefix {
                 Some([f1, f2]) if with_floor => [p1, p2, f1, f2],
                 _ => [p1, p2, p1, p2],
             };
@@ -1168,14 +1220,7 @@ impl Simulation {
             let mut line = |fi: usize| {
                 let mut out = vec![Complex::ZERO; k_sub];
                 let dbar = tables[fi].total().scale(1.0 / n as f64);
-                lines_of.finish(
-                    line_hz[fi],
-                    &sums.e[fi],
-                    &counts,
-                    dbar,
-                    &mut normals,
-                    &mut out,
-                );
+                lines_of.finish(line_hz[fi], &sums.e[fi], &counts, dbar, normals, &mut out);
                 out
             };
             let lines = GroupLines {
@@ -1577,6 +1622,9 @@ impl SpectralLines<'_> {
     ///   time path's joint law.
     ///
     /// The whole line is rotated by the reference `e^{-j2πf·start_s}`.
+    /// This computes the per-line scalars and the draws; the
+    /// per-subcarrier loop is the dispatched
+    /// [`wiforce_dsp::kernels::spectral_line`].
     pub(crate) fn finish(
         &self,
         f_hz: f64,
@@ -1601,19 +1649,15 @@ impl SpectralLines<'_> {
         normals.clear();
         normals.resize(k_sub + 1, Complex::ZERO);
         cursor.fill_complex_normals(normals);
-        let jc = normals[k_sub].scale(sigma_jit);
-        let cbar = counts.map(|c| c * inv_n);
-        for (k, slot) in out.iter_mut().enumerate() {
-            let b = |state: usize| self.spectra[state * k_sub + k];
-            let mean_p = self.statics[k]
-                + b(0).scale(cbar[0])
-                + b(1).scale(cbar[1])
-                + b(2).scale(cbar[2])
-                + b(3).scale(cbar[3]);
-            let det = b(0) * w[0] + b(1) * w[1] + b(2) * w[2] + b(3) * w[3];
-            let noise_k = normals[k].scale(sigma_line);
-            *slot = reference * (det + noise_k + Complex::I * mean_p * jc);
-        }
+        let terms = LineTerms {
+            cbar: counts.map(|c| c * inv_n),
+            w,
+            sigma_line,
+            jitter: normals[k_sub].scale(sigma_jit),
+            reference,
+        };
+        let spectra = std::array::from_fn(|state| &self.spectra[state * k_sub..][..k_sub]);
+        wiforce_dsp::kernels::spectral_line(out, self.statics, spectra, normals, &terms);
     }
 }
 
@@ -1635,6 +1679,36 @@ struct FusedExtraction<'a> {
     floor_cfg: Option<&'a PhaseGroupConfig>,
     /// Reader time of the first synthesized snapshot.
     first_start: f64,
+}
+
+/// The press-invariant state both synthesis calls of a press share. The
+/// press's first call fetches it, inside its synthesis span, so the
+/// channel-setup and EM spans stay nested in synthesis; the second call
+/// reuses it. The spectral arm's entries are fetched on first use.
+struct PressTables {
+    /// The scene's channel-cache entry on the subcarrier grid.
+    cache: Arc<ChannelCache>,
+    /// [`Simulation::tag_token`].
+    token: u64,
+    /// The tag's EM response plan on the cache's grid.
+    plan: Arc<ResponsePlan>,
+    /// The untouched per-state backscatter spectra.
+    untouched_spectra: Option<Arc<Vec<Complex>>>,
+    /// Prefix tables of the two tag lines.
+    tag_prefix: Option<[Arc<PrefixPhasors>; 2]>,
+    /// Prefix tables of the two floor-probe bins.
+    floor_prefix: Option<[Arc<PrefixPhasors>; 2]>,
+    /// The line finisher's normals scratch.
+    normals: Vec<Complex>,
+}
+
+impl PressTables {
+    /// The tag's per-state reflection table for `contact`, from the EM
+    /// plan.
+    fn contact_table(&self, contact: Option<&ContactState>) -> Arc<Vec<[Complex; 4]>> {
+        let _s = wiforce_telemetry::span!("pipeline.em_transduction");
+        self.plan.table(contact)
+    }
 }
 
 /// Base periods after which [`TagClock::rebase`] folds the tag time
@@ -2507,7 +2581,7 @@ mod tests {
         };
         let freqs = sim.subcarrier_freqs_hz();
         let (mut groups, floor) =
-            sim.synth_lines_spectral(&freqs, None, 1, &mut clock, &mut noise, &spec);
+            sim.synth_lines_spectral(&mut None, &freqs, None, 1, &mut clock, &mut noise, &spec);
         assert!(floor.is_none());
         groups.pop().expect("one group")
     }
@@ -2688,6 +2762,7 @@ mod tests {
                     first_start: clock.reader_time_s(),
                 };
                 let (lines, floor) = sim.synth_lines_spectral(
+                    &mut None,
                     &freqs,
                     contact.as_ref(),
                     3,
@@ -2696,6 +2771,7 @@ mod tests {
                     &spec,
                 );
                 let (td_lines, td_floor) = sim.synth_counter(
+                    &mut None,
                     &freqs,
                     contact.as_ref(),
                     3,

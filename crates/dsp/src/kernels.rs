@@ -2,8 +2,9 @@
 //!
 //! Every hot per-sample loop in the simulator — Philox noise fill,
 //! complex multiply-accumulate (Goertzel row passes, tag-response
-//! synthesis, preamble repeat averaging), phase wrapping, window
-//! application, ADC quantization — funnels through this module. Each
+//! synthesis, preamble repeat averaging), the spectral line finisher,
+//! phase wrapping, window application, ADC quantization — funnels
+//! through this module. Each
 //! kernel is written once as an explicitly chunked, autovectorization-
 //! friendly scalar body; `#[target_feature]` wrappers re-instantiate the
 //! *same Rust code* with AVX2 / AVX-512F (x86-64) or NEON (aarch64)
@@ -60,6 +61,7 @@ pub const KERNEL_NAMES: &[&str] = &[
     "accumulate_noisy_rows",
     "eq_reorder_rows",
     "fft_pow2_rows",
+    "spectral_line",
     "wrap_phases",
     "apply_window",
     "quantize_complex",
@@ -533,6 +535,61 @@ simd_kernel! {
 }
 
 // ---------------------------------------------------------------------
+// Spectral line finisher
+// ---------------------------------------------------------------------
+
+/// The per-line scalars of one [`spectral_line`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineTerms {
+    /// State shares `n_σ/N` of the group's mean row.
+    pub cbar: [f64; 4],
+    /// Deterministic state weights `W_σ`.
+    pub w: [Complex; 4],
+    /// Per-component standard deviation of the line noise.
+    pub sigma_line: f64,
+    /// The line's common-mode jitter draw `J`, shared by every subcarrier.
+    pub jitter: Complex,
+    /// Reference rotation applied to the whole line.
+    pub reference: Complex,
+}
+
+#[inline(always)]
+fn spectral_line_body(
+    out: &mut [Complex],
+    statics: &[Complex],
+    spectra: [&[Complex]; 4],
+    normals: &[Complex],
+    t: &LineTerms,
+) {
+    // equal-length reslices let the loop index without bounds checks
+    let n = out.len();
+    let (statics, normals) = (&statics[..n], &normals[..n]);
+    let [b0, b1, b2, b3] = spectra.map(|b| &b[..n]);
+    for k in 0..n {
+        let mean_p = statics[k]
+            + b0[k].scale(t.cbar[0])
+            + b1[k].scale(t.cbar[1])
+            + b2[k].scale(t.cbar[2])
+            + b3[k].scale(t.cbar[3]);
+        let det = b0[k] * t.w[0] + b1[k] * t.w[1] + b2[k] * t.w[2] + b3[k] * t.w[3];
+        let noise_k = normals[k].scale(t.sigma_line);
+        out[k] = t.reference * (det + noise_k + Complex::I * mean_p * t.jitter);
+    }
+}
+
+simd_kernel! {
+    /// One spectral line across subcarriers, from the per-state
+    /// backscatter spectra `B_σ = spectra[σ]` and one complex normal per
+    /// subcarrier:
+    /// `out[k] = ref·(Σ_σ B_σ[k]·W_σ + σ_line·normals[k] + i·meanP[k]·J)`
+    /// with the mean row `meanP[k] = statics[k] + Σ_σ B_σ[k]·cbar_σ`, each
+    /// sum taken in state order. Every slice holds at least `out.len()`
+    /// entries; extra entries are ignored.
+    pub fn spectral_line(out: &mut [Complex], statics: &[Complex], spectra: [&[Complex]; 4], normals: &[Complex], t: &LineTerms)
+        = spectral_line_body / spectral_line_avx2 / spectral_line_avx512 / spectral_line_neon
+}
+
+// ---------------------------------------------------------------------
 // Phase wrap, window application, quantization
 // ---------------------------------------------------------------------
 
@@ -743,6 +800,62 @@ mod tests {
         }
     }
 
+    /// Random inputs of one [`spectral_line`] call over `n` subcarriers:
+    /// statics, four state-major spectra rows, `n + 1` normals (the
+    /// finisher draws one extra, the jitter) and the per-line terms.
+    fn spectral_line_inputs(
+        rng: &mut StdRng,
+        n: usize,
+    ) -> (Vec<Complex>, Vec<Complex>, Vec<Complex>, LineTerms) {
+        let statics = complexes(rng, n);
+        let spectra = complexes(rng, 4 * n);
+        let normals = complexes(rng, n + 1);
+        let terms = LineTerms {
+            cbar: [0.25, 0.375, 0.125, 0.25],
+            w: std::array::from_fn(|_| {
+                Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
+            }),
+            sigma_line: 0.013,
+            jitter: Complex::new(rng.gen::<f64>() * 1e-3, rng.gen::<f64>() * 1e-3),
+            reference: Complex::cis(rng.gen::<f64>() * 6.0),
+        };
+        (statics, spectra, normals, terms)
+    }
+
+    fn spectra_rows(spectra: &[Complex], n: usize) -> [&[Complex]; 4] {
+        std::array::from_fn(|q| &spectra[q * n..(q + 1) * n])
+    }
+
+    #[test]
+    fn spectral_line_matches_scalar_bitwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in [0, 1, 7, 8, 9, 64, 67] {
+            let (statics, spectra, normals, terms) = spectral_line_inputs(&mut rng, n);
+            let rows = spectra_rows(&spectra, n);
+            let mut got = vec![Complex::ZERO; n];
+            spectral_line(&mut got, &statics, rows, &normals, &terms);
+            let mut want = vec![Complex::ZERO; n];
+            spectral_line_body(&mut want, &statics, rows, &normals, &terms);
+            assert_bits_eq(&got, &want);
+            // the element expression, written out in state order
+            for k in 0..n {
+                let b = |q: usize| rows[q][k];
+                let mean_p = statics[k]
+                    + b(0).scale(terms.cbar[0])
+                    + b(1).scale(terms.cbar[1])
+                    + b(2).scale(terms.cbar[2])
+                    + b(3).scale(terms.cbar[3]);
+                let det =
+                    b(0) * terms.w[0] + b(1) * terms.w[1] + b(2) * terms.w[2] + b(3) * terms.w[3];
+                let line = terms.reference
+                    * (det
+                        + normals[k].scale(terms.sigma_line)
+                        + Complex::I * mean_p * terms.jitter);
+                assert_bits_eq(&got[k..k + 1], &[line]);
+            }
+        }
+    }
+
     #[test]
     fn accumulate_noisy_matches_scalar_bitwise() {
         let mut rng = StdRng::seed_from_u64(4);
@@ -881,6 +994,30 @@ mod tests {
             unsafe { philox_normals_rows_avx512(key, [2, 1], 6, 1, lanes, &mut v) };
             for (a, b) in v.iter().zip(&scalar) {
                 assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+
+        // the spectral line finisher at a full and a ragged subcarrier count
+        let mut rng = StdRng::seed_from_u64(10);
+        for n in [64usize, 67] {
+            let (statics, spectra, normals, terms) = spectral_line_inputs(&mut rng, n);
+            let rows = spectra_rows(&spectra, n);
+            let mut scalar = vec![Complex::ZERO; n];
+            spectral_line_body(&mut scalar, &statics, rows, &normals, &terms);
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut v = vec![Complex::ZERO; n];
+                // Safety: AVX2 support was just detected.
+                unsafe { spectral_line_avx2(&mut v, &statics, rows, &normals, &terms) };
+                assert_bits_eq(&v, &scalar);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+            {
+                let mut v = vec![Complex::ZERO; n];
+                // Safety: AVX-512 F+DQ+VL support was just detected.
+                unsafe { spectral_line_avx512(&mut v, &statics, rows, &normals, &terms) };
+                assert_bits_eq(&v, &scalar);
             }
         }
     }

@@ -160,17 +160,6 @@ impl SnapshotMatrix {
         &mut self.data[start..]
     }
 
-    /// Appends a copy of the last row (used to hold the previous estimate
-    /// across a dropped snapshot).
-    ///
-    /// # Panics
-    /// Panics if the matrix is empty.
-    pub fn push_copy_of_last(&mut self) {
-        assert!(!self.is_empty(), "no previous snapshot to copy");
-        let start = self.data.len() - self.n_cols;
-        self.data.extend_from_within(start..);
-    }
-
     /// Snapshot `n` as a slice.
     #[inline]
     pub fn row(&self, n: usize) -> &[Complex] {
@@ -353,14 +342,6 @@ mod tests {
         assert_eq!(m.data.capacity(), cap);
         // width survives a clear — the next group reuses the same layout
         assert_eq!(m.n_cols(), 4);
-    }
-
-    #[test]
-    fn push_copy_of_last_duplicates() {
-        let mut m = SnapshotMatrix::new(2);
-        m.push_row(&[c(1.0), c(2.0)]);
-        m.push_copy_of_last();
-        assert_eq!(m.row(1), m.row(0));
     }
 
     #[test]

@@ -167,7 +167,8 @@ fn stage_ns_per_press(
 /// Best-of-`reps` cost of sounding one `rows`-snapshot group, ns, over a
 /// synthetic 4-state prepared table: through the OFDM block method (its
 /// plane kernel) at [`CHUNK_ROWS`] rows per call (`plane`), else through
-/// the per-row reference primitive, one call per snapshot.
+/// the per-row reference primitive on each state's truth, one call per
+/// snapshot.
 fn time_sounding_group(rows: usize, reps: usize, plane: bool) -> f64 {
     let sounder = OfdmSounder::wiforce();
     let n = sounder.n_subcarriers;
@@ -205,7 +206,7 @@ fn time_sounding_group(rows: usize, reps: usize, plane: bool) -> f64 {
         } else {
             for (s, row) in out.chunks_exact_mut(n).enumerate() {
                 let mut cursor = CounterRng::for_snapshot(key, 7, s as u32);
-                sounder.estimate_prepared_counter_into(&prepared[s % 4], 0.01, &mut cursor, row);
+                sounder.estimate_counter_into(&prepared[s % 4].truth, 0.01, &mut cursor, row);
             }
         }
         best = best.min(t0.elapsed().as_nanos() as f64);
@@ -324,9 +325,9 @@ fn main() {
     let allocs_per_group = allocs as f64 / group_iters as f64;
 
     // --- plane vs row sounding -----------------------------------------
-    // one group's soundings through the plane kernel vs one row call per
-    // snapshot: bitwise-identical output, so the delta is purely what
-    // the plane kernel buys the default time-domain path
+    // one group's soundings through the plane kernel vs one truth-path
+    // row call per snapshot: bitwise-identical output, so the delta is
+    // what the prepared plane path buys the default time-domain path
     let group_rows = sim.group.n_snapshots;
     // the first pass warms the FFT plan and scratch
     time_sounding_group(group_rows, 1, true);

@@ -11,6 +11,7 @@ use crate::diffphase::{differential, Averaging};
 use crate::harmonics::{extract_lines, GroupLines, PhaseGroupConfig};
 use crate::pipeline::average_lines;
 use crate::WiForceError;
+use wiforce_dsp::phase::wrap_to_pi;
 use wiforce_dsp::{Complex, SnapshotMatrix};
 
 /// Configuration for the streaming estimator.
@@ -67,6 +68,24 @@ pub struct ForceEstimator {
     reference_accum: Vec<GroupLines>,
     reference: Option<GroupLines>,
     groups_seen: usize,
+    /// The smallest phase magnitude a calibrated press produces
+    /// ([`lightest_press_rad`]).
+    lightest_press_rad: f64,
+}
+
+/// `max(|φ₁|, |φ₂|)` of the lightest calibrated force, minimized over
+/// the calibration locations: no press the model was calibrated on reads
+/// smaller.
+fn lightest_press_rad(model: &SensorModel) -> f64 {
+    let (f_lo, _) = model.force_range_n();
+    model
+        .curves()
+        .iter()
+        .map(|c| {
+            let p1 = wrap_to_pi(c.poly1.eval(f_lo)).abs();
+            p1.max(wrap_to_pi(c.poly2.eval(f_lo)).abs())
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 impl ForceEstimator {
@@ -75,6 +94,7 @@ impl ForceEstimator {
         wiforce_telemetry::gauge!("estimator.reference_locked", 0.0);
         ForceEstimator {
             cfg,
+            lightest_press_rad: lightest_press_rad(&model),
             model,
             buffer: SnapshotMatrix::default(),
             reference_accum: Vec::new(),
@@ -207,21 +227,36 @@ impl ForceEstimator {
         let d = differential(reference, &lines, self.cfg.averaging);
         let magnitude = d.dphi1_rad.abs().max(d.dphi2_rad.abs());
         wiforce_telemetry::observe!("estimator.group_phase_mag_rad", magnitude);
-        if magnitude < self.cfg.touch_threshold_rad {
+        let untouched = || {
             wiforce_telemetry::counter!("estimator.readings_untouched", 1);
-            return Ok(Some(ForceReading {
+            Ok(Some(ForceReading {
                 force_n: 0.0,
                 location_m: f64::NAN,
                 dphi1_rad: d.dphi1_rad,
                 dphi2_rad: d.dphi2_rad,
                 residual_rad: 0.0,
                 touched: false,
-            }));
+            }))
+        };
+        if magnitude < self.cfg.touch_threshold_rad {
+            return untouched();
         }
-        let est = self
+        let est = match self
             .model
             .invert(d.dphi1_rad, d.dphi2_rad, self.cfg.max_residual_rad)
-            .inspect_err(|_| wiforce_telemetry::counter!("estimator.inversion_failures", 1))?;
+        {
+            Ok(est) => est,
+            // phases the model cannot explain and smaller than any
+            // calibrated press: an untouched group's noise that crossed
+            // the touch threshold, not a press
+            Err(WiForceError::OutOfModelRange { .. }) if magnitude < self.lightest_press_rad => {
+                return untouched();
+            }
+            Err(e) => {
+                wiforce_telemetry::counter!("estimator.inversion_failures", 1);
+                return Err(e);
+            }
+        };
         wiforce_telemetry::counter!("estimator.readings_touched", 1);
         Ok(Some(ForceReading {
             force_n: est.force_n,
@@ -320,6 +355,47 @@ mod tests {
         assert!(!r.touched);
         assert_eq!(r.force_n, 0.0);
         assert!(r.location_m.is_nan());
+    }
+
+    #[test]
+    fn sub_press_phases_the_model_rejects_read_untouched() {
+        // an untouched group's noise can cross the 1.2° touch threshold;
+        // phases that small are no calibrated press, so the model rejects
+        // them, and the estimator must read the group as untouched — while
+        // a rejected group as large as a real press stays an error
+        let m = model();
+        let cfg = EstimatorConfig {
+            reference_groups: 1,
+            ..EstimatorConfig::wiforce(1000.0)
+        };
+        let small = (0.4f64.to_radians(), 2.0f64.to_radians());
+        let large = (150f64.to_radians(), -150f64.to_radians());
+        for (p1, p2) in [small, large] {
+            assert!(matches!(
+                m.invert(p1, p2, cfg.max_residual_rad),
+                Err(WiForceError::OutOfModelRange { .. })
+            ));
+        }
+        assert!(lightest_press_rad(&m) > 20f64.to_radians());
+        let read = |(p1, p2): (f64, f64)| {
+            let mut est = ForceEstimator::new(cfg, m.clone());
+            for s in synthetic_snapshots(&cfg.group, 1, 0.0, 0.0) {
+                est.push_snapshot(&s).unwrap();
+            }
+            let mut out = Ok(None);
+            for s in synthetic_snapshots(&cfg.group, 1, p1, p2) {
+                out = est.push_snapshot(&s);
+            }
+            out
+        };
+        let r = read(small).unwrap().expect("one reading");
+        assert!(!r.touched);
+        assert_eq!(r.force_n, 0.0);
+        assert!(r.dphi2_rad > cfg.touch_threshold_rad);
+        assert!(matches!(
+            read(large),
+            Err(WiForceError::OutOfModelRange { .. })
+        ));
     }
 
     #[test]

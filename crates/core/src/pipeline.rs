@@ -121,19 +121,6 @@ impl ChannelSounder for Sounder {
         }
     }
 
-    fn estimate_prepared_counter_into(
-        &self,
-        prepared: &PreparedChannel,
-        noise_std: f64,
-        cursor: &mut CounterRng,
-        out: &mut [Complex],
-    ) {
-        match self {
-            Sounder::Ofdm(s) => s.estimate_prepared_counter_into(prepared, noise_std, cursor, out),
-            Sounder::Fmcw(s) => s.estimate_prepared_counter_into(prepared, noise_std, cursor, out),
-        }
-    }
-
     fn estimate_prepared_counter_rows_into(
         &self,
         prepared: &[PreparedChannel],
@@ -601,34 +588,33 @@ impl Simulation {
     /// `t_tag0 + s·dt_eff`, where `dt_eff` folds the group's wander and
     /// the constant drift fault. The walk is inherently sequential but
     /// cheap (one wander draw per group), so it runs on the calling
-    /// thread before any group is synthesized.
-    fn plan_groups(
-        &self,
+    /// thread: the time-domain engine collects the plans before any group
+    /// is synthesized, the spectral arm walks them as it goes.
+    fn plan_groups<'a>(
+        &'a self,
         n_groups: usize,
-        clock_state: &mut TagClock,
-        noise: &mut PressNoise,
-    ) -> Vec<GroupPlan> {
+        clock_state: &'a mut TagClock,
+        noise: &'a mut PressNoise,
+    ) -> impl Iterator<Item = GroupPlan> + 'a {
         let n = self.group.n_snapshots as f64;
         let t_snap = self.group.snapshot_period_s;
-        (0..n_groups)
-            .map(|_| {
-                let group_id = noise.next_group;
-                noise.next_group = noise.next_group.wrapping_add(1);
-                let mut group_rng = CounterRng::for_group(noise.key, group_id);
-                clock_state.step_group(self.tag_clock_wander_ppm, &mut group_rng);
-                let dt_eff =
-                    t_snap * (1.0 + (clock_state.wander_ppm + self.faults.tag_clock_ppm) * 1e-6);
-                let plan = GroupPlan {
-                    group_id,
-                    t_tag0: clock_state.t_tag,
-                    t_reader0: clock_state.t_reader,
-                    dt_eff,
-                };
-                clock_state.t_tag += n * dt_eff;
-                clock_state.t_reader += n * t_snap;
-                plan
-            })
-            .collect()
+        (0..n_groups).map(move |_| {
+            let group_id = noise.next_group;
+            noise.next_group = noise.next_group.wrapping_add(1);
+            let mut group_rng = CounterRng::for_group(noise.key, group_id);
+            clock_state.step_group(self.tag_clock_wander_ppm, &mut group_rng);
+            let dt_eff =
+                t_snap * (1.0 + (clock_state.wander_ppm + self.faults.tag_clock_ppm) * 1e-6);
+            let plan = GroupPlan {
+                group_id,
+                t_tag0: clock_state.t_tag,
+                t_reader0: clock_state.t_reader,
+                dt_eff,
+            };
+            clock_state.t_tag += n * dt_eff;
+            clock_state.t_reader += n * t_snap;
+            plan
+        })
     }
 
     /// The parallel counter-addressed synthesis engine behind
@@ -681,7 +667,7 @@ impl Simulation {
 
         let prepared: Option<Arc<Vec<PreparedChannel>>> =
             (!has_movers).then(|| self.prepare_states(tables, &table, contact.is_none()));
-        let plans = self.plan_groups(n_groups, clock_state, noise);
+        let plans: Vec<GroupPlan> = self.plan_groups(n_groups, clock_state, noise).collect();
 
         out.set_width(n_cols);
         if n_groups == 0 || n == 0 {
@@ -1001,39 +987,41 @@ impl Simulation {
         let mut scratch = SnapshotMatrix::default();
         // fetched by the reference call, reused by the measurement call
         let mut tables: Option<PressTables> = None;
-        let mut synth_groups =
-            |contact: Option<&ContactState>,
-             n_groups: usize,
-             floor_cfg: Option<&PhaseGroupConfig>| {
-                let spec = FusedExtraction {
-                    cfg: &self.group,
-                    floor_cfg,
-                    first_start: clock.reader_time_s(),
-                };
-                if spectral {
-                    self.synth_lines_spectral(
-                        &mut tables,
-                        &freqs,
-                        contact,
-                        n_groups,
-                        &mut clock,
-                        &mut noise,
-                        &spec,
-                    )
-                } else {
-                    scratch.clear();
-                    self.synth_counter(
-                        &mut tables,
-                        &freqs,
-                        contact,
-                        n_groups,
-                        &mut clock,
-                        &mut noise,
-                        &mut scratch,
-                        Some(&spec),
-                    )
-                }
+        // `spent`: groups whose buffers the spectral arm may reuse
+        let mut synth_groups = |contact: Option<&ContactState>,
+                                n_groups: usize,
+                                floor_cfg: Option<&PhaseGroupConfig>,
+                                spent: Vec<GroupLines>| {
+            let spec = FusedExtraction {
+                cfg: &self.group,
+                floor_cfg,
+                first_start: clock.reader_time_s(),
             };
+            if spectral {
+                self.synth_lines_spectral(
+                    &mut tables,
+                    &freqs,
+                    contact,
+                    n_groups,
+                    &mut clock,
+                    &mut noise,
+                    &spec,
+                    spent,
+                )
+            } else {
+                scratch.clear();
+                self.synth_counter(
+                    &mut tables,
+                    &freqs,
+                    contact,
+                    n_groups,
+                    &mut clock,
+                    &mut noise,
+                    &mut scratch,
+                    Some(&spec),
+                )
+            }
+        };
 
         // tag-detection floor: off-line bins (1.37·fs and 2.61·fs) of the
         // first reference group, probed alongside its lines
@@ -1042,7 +1030,8 @@ impl Simulation {
             line2_hz: self.group.line1_hz * 2.61,
             ..self.group
         };
-        let (mut refs, floor_lines) = synth_groups(None, self.reference_groups, Some(&off_cfg));
+        let (mut refs, floor_lines) =
+            synth_groups(None, self.reference_groups, Some(&off_cfg), Vec::new());
         let floor = floor_lines
             .expect("floor probe rides on the first reference group")
             .mean_power();
@@ -1075,7 +1064,9 @@ impl Simulation {
             });
         }
 
-        let (mut meass, _) = synth_groups(contact, self.measure_groups, None);
+        // the averaged reference is all that is left of `refs`: the
+        // measurement groups take over its buffers
+        let (mut meass, _) = synth_groups(contact, self.measure_groups, None, refs);
         derotate_groups(&mut meass, self.reference_groups);
         // average the differential phases across measurement groups
         // (coherently, via the summed conj products)
@@ -1113,7 +1104,10 @@ impl Simulation {
     ///
     /// `tables` is the press's [`PressTables`] slot, filled here as on
     /// [`Self::synth_counter`]; every call sharing it takes the same
-    /// `spec.cfg` (its tag-line prefix tables are fetched once).
+    /// `spec.cfg` (its tag-line prefix tables are fetched once). The
+    /// returned groups are written into `spent`'s Vec and line buffers
+    /// (a press's measurement call takes its reference call's groups),
+    /// so only groups and lines beyond those allocate.
     #[allow(clippy::too_many_arguments)]
     fn synth_lines_spectral(
         &self,
@@ -1124,6 +1118,7 @@ impl Simulation {
         clock_state: &mut TagClock,
         noise: &mut PressNoise,
         spec: &FusedExtraction<'_>,
+        spent: Vec<GroupLines>,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.spectral_lines");
         let tables = tables.get_or_insert_with(|| self.press_tables(freqs));
@@ -1186,14 +1181,12 @@ impl Simulation {
             key: noise.key,
             group_id: 0,
         };
-        let mut groups = Vec::with_capacity(n_groups);
+        let mut groups = spent;
+        groups.truncate(n_groups);
+        groups.reserve(n_groups - groups.len());
         let mut floor_out: Option<GroupLines> = None;
         let mut exact_evals = 0;
-        for (g, plan) in self
-            .plan_groups(n_groups, clock_state, noise)
-            .iter()
-            .enumerate()
-        {
+        for (g, plan) in self.plan_groups(n_groups, clock_state, noise).enumerate() {
             // consumed lines this group: the two tag lines, plus the two
             // floor-probe bins on group 0 when requested
             let with_floor = g == 0 && spec.floor_cfg.is_some();
@@ -1217,25 +1210,31 @@ impl Simulation {
             lines_of.group_id = plan.group_id;
             // integer counts convert to f64 exactly
             let counts = sums.counts.map(|c| c as f64);
-            let mut line = |fi: usize| {
-                let mut out = vec![Complex::ZERO; k_sub];
+            let mut line = |fi: usize, out: &mut Vec<Complex>| {
+                out.resize(k_sub, Complex::ZERO);
                 let dbar = tables[fi].total().scale(1.0 / n as f64);
-                lines_of.finish(line_hz[fi], &sums.e[fi], &counts, dbar, normals, &mut out);
-                out
+                lines_of.finish(line_hz[fi], &sums.e[fi], &counts, dbar, normals, out);
             };
-            let lines = GroupLines {
-                p1: line(0),
-                p2: line(1),
-            };
-            if with_floor {
-                floor_out = Some(GroupLines {
-                    p1: line(2),
-                    p2: line(3),
+            if g == groups.len() {
+                groups.push(GroupLines {
+                    p1: Vec::new(),
+                    p2: Vec::new(),
                 });
             }
+            let lines = &mut groups[g];
+            line(0, &mut lines.p1);
+            line(1, &mut lines.p2);
+            if with_floor {
+                let mut floor = GroupLines {
+                    p1: Vec::new(),
+                    p2: Vec::new(),
+                };
+                line(2, &mut floor.p1);
+                line(3, &mut floor.p2);
+                floor_out = Some(floor);
+            }
             wiforce_telemetry::counter!("pipeline.spectral_groups", 1);
-            emit_extraction_telemetry(spec.cfg, &lines);
-            groups.push(lines);
+            emit_extraction_telemetry(spec.cfg, &groups[g]);
         }
         wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals);
         (groups, floor_out)
@@ -2568,6 +2567,62 @@ mod tests {
         assert_eq!(snap.counters.get("invert.at_bound"), Some(&1));
     }
 
+    #[test]
+    fn spectral_lines_reuse_spent_buffers_bitwise() {
+        // writing into a spent Vec — fewer, as many or more groups than
+        // asked for, lines of any length — gives the same bits as fresh
+        // buffers, floor probe included
+        let sim = Simulation::paper_default(2.4e9);
+        let freqs = sim.subcarrier_freqs_hz();
+        let off_cfg = PhaseGroupConfig {
+            line1_hz: sim.group.line1_hz * 1.37,
+            ..sim.group
+        };
+        let contact = sim.contact_for(4.0, 0.040);
+        let run = |spent: Vec<GroupLines>| {
+            let mut rng = StdRng::seed_from_u64(0x5BE7);
+            let mut clock = TagClock::new(&mut rng);
+            let mut noise = PressNoise::from_rng(&mut rng);
+            let spec = FusedExtraction {
+                cfg: &sim.group,
+                floor_cfg: Some(&off_cfg),
+                first_start: clock.reader_time_s(),
+            };
+            let (lines, floor) = sim.synth_lines_spectral(
+                &mut None,
+                &freqs,
+                contact.as_ref(),
+                3,
+                &mut clock,
+                &mut noise,
+                &spec,
+                spent,
+            );
+            let floor = floor.expect("floor probe on group 0");
+            let bits = |v: &[Complex]| v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
+            let mut all: Vec<(u64, u64)> = bits(&floor.p1);
+            all.extend(bits(&floor.p2));
+            for l in &lines {
+                all.extend(bits(&l.p1));
+                all.extend(bits(&l.p2));
+            }
+            (lines.len(), all)
+        };
+        let stale = |groups: usize, len: usize| {
+            (0..groups)
+                .map(|_| GroupLines {
+                    p1: vec![Complex::new(f64::NAN, 1.0); len],
+                    p2: vec![Complex::I; len + 3],
+                })
+                .collect::<Vec<_>>()
+        };
+        let fresh = run(Vec::new());
+        assert_eq!(fresh.0, 3);
+        for spent in [stale(2, 64), stale(3, 5), stale(5, 70)] {
+            assert_eq!(run(spent), fresh);
+        }
+    }
+
     /// One spectral phase group of an untouched press under key `seed`,
     /// its tag clock always started from the same draw, so with wander
     /// off every key walks the same states.
@@ -2580,8 +2635,16 @@ mod tests {
             first_start: clock.reader_time_s(),
         };
         let freqs = sim.subcarrier_freqs_hz();
-        let (mut groups, floor) =
-            sim.synth_lines_spectral(&mut None, &freqs, None, 1, &mut clock, &mut noise, &spec);
+        let (mut groups, floor) = sim.synth_lines_spectral(
+            &mut None,
+            &freqs,
+            None,
+            1,
+            &mut clock,
+            &mut noise,
+            &spec,
+            Vec::new(),
+        );
         assert!(floor.is_none());
         groups.pop().expect("one group")
     }
@@ -2769,6 +2832,7 @@ mod tests {
                     &mut clock.clone(),
                     &mut noise.clone(),
                     &spec,
+                    Vec::new(),
                 );
                 let (td_lines, td_floor) = sim.synth_counter(
                     &mut None,

@@ -1,7 +1,8 @@
 //! Polynomial `ln` and `cos` kernels for bulk noise synthesis.
 //!
 //! The simulator's dominant cost is Box–Muller AWGN: every OFDM snapshot
-//! draws hundreds of standard normals, each needing one `ln` and one `cos`.
+//! draws one complex normal per subcarrier, each needing one `ln` and one
+//! sine/cosine pair.
 //! System libm evaluates those one value at a time (~25 ns per normal of
 //! pure transcendentals), which bounds the whole press pipeline. The
 //! kernels here trade the last ulp of libm accuracy (both stay within
@@ -9,12 +10,12 @@
 //! simulated noise floor and invisible at the precision any experiment
 //! reports) for a formulation built purely from IEEE-exact `f64`
 //! arithmetic with branch-free selects, so the Philox noise kernels that
-//! apply [`box_muller`] per lane auto-vectorize.
+//! apply [`box_muller_pair`] per lane auto-vectorize.
 //!
 //! Determinism guarantees, verified by tests:
 //! * the bulk Philox fills in [`crate::kernels`] produce the same bits as
-//!   scalar [`box_muller`] on the same uniforms — the kernel is the same
-//!   arithmetic, evaluated lane-parallel;
+//!   scalar [`box_muller_pair`] on the same uniforms — the kernel is the
+//!   same arithmetic, evaluated lane-parallel;
 //! * the SIMD instantiations (dispatched via [`crate::kernels`]) are
 //!   semantics-preserving auto-vectorization of the scalar code (no FMA
 //!   contraction, no reassociation), so results do not depend on which

@@ -100,20 +100,11 @@ pub(crate) fn philox_uniforms(ctr: [u32; 4], key: [u32; 2]) -> (f64, f64) {
     (((a >> 11) + 1) as f64 * SCALE, (c >> 11) as f64 * SCALE)
 }
 
-/// The scalar reference for [`crate::kernels::philox_normals`]: the
-/// standard normal at counter `[lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]]`,
-/// from the block's two uniforms ([`philox_uniforms`]).
-pub fn philox_normal_at(key: [u32; 2], ctr_hi: [u32; 3], lane: u32) -> f64 {
-    let (u1, u2) = philox_uniforms([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
-    fastmath::box_muller(u1, u2)
-}
-
 /// The scalar reference for [`crate::kernels::philox_complex_normals`]:
 /// the standard complex normal (each component N(0, 1)) at counter
-/// `[lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]]`. The block's uniforms are
-/// those of [`philox_normal_at`], and both Box–Muller components are kept
-/// ([`fastmath::box_muller_pair`]), so the real part is
-/// [`philox_normal_at`] at the same lane.
+/// `[lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]]`: both Box–Muller components
+/// ([`fastmath::box_muller_pair`]) of the block's two uniforms
+/// ([`philox_uniforms`]).
 pub fn philox_complex_normal_at(key: [u32; 2], ctr_hi: [u32; 3], lane: u32) -> Complex {
     let (u1, u2) = philox_uniforms([lane, ctr_hi[0], ctr_hi[1], ctr_hi[2]], key);
     let (re, im) = fastmath::box_muller_pair(u1, u2);
@@ -143,9 +134,8 @@ pub const DOMAIN_SPECTRAL: u32 = 2;
 /// different coordinates never share state, so snapshots can be
 /// synthesized independently on any worker in any order and still
 /// reproduce bit-for-bit. Bulk normal fills bypass the u64 stream and go
-/// straight to the SIMD-dispatched kernels: [`Self::fill_normals`] takes
-/// one lane per real sample ([`crate::kernels::philox_normals`]),
-/// [`Self::fill_complex_normals`] one lane per complex sample
+/// straight to the SIMD-dispatched kernel: [`Self::fill_complex_normals`]
+/// takes one lane per complex sample
 /// ([`crate::kernels::philox_complex_normals`], both Box–Muller
 /// components of the block).
 #[derive(Debug, Clone)]
@@ -209,30 +199,21 @@ impl CounterRng {
         b
     }
 
-    /// Fills `out` with standard normals through the dispatched bulk
-    /// kernel, consuming one lane per sample. Any buffered spare word is
-    /// discarded first so the fill starts on a whole-lane boundary.
-    pub fn fill_normals(&mut self, out: &mut [f64]) {
-        self.spare = None;
-        crate::kernels::philox_normals(self.key, self.ctr_hi, self.lane, out);
-        self.lane = self.lane.wrapping_add(out.len() as u32);
-    }
-
     /// Fills `out` with standard complex normals (each component N(0, 1))
     /// through the dispatched bulk kernel, consuming one lane per value.
-    /// Any buffered spare word is discarded first, as in
-    /// [`Self::fill_normals`].
+    /// Any buffered spare word is discarded first so the fill starts on a
+    /// whole-lane boundary.
     pub fn fill_complex_normals(&mut self, out: &mut [Complex]) {
         self.spare = None;
         crate::kernels::philox_complex_normals(self.key, self.ctr_hi, self.lane, out);
         self.lane = self.lane.wrapping_add(out.len() as u32);
     }
 
-    /// Repositions the cursor as if `n` normals had been filled without
-    /// materializing them: discards any buffered spare word and advances
-    /// `n` lanes. After `skip_normals(n)` the cursor state is identical
-    /// to the state after a [`Self::fill_normals`] of an `n`-sample
-    /// buffer — this is what lets a plane-at-a-time noise fill hand its
+    /// Repositions the cursor as if `n` complex normals had been filled
+    /// without materializing them: discards any buffered spare word and
+    /// advances `n` lanes. After `skip_normals(n)` the cursor state is
+    /// identical to the state after a [`Self::fill_complex_normals`] of an
+    /// `n`-value buffer — this is what lets a plane-at-a-time noise fill hand its
     /// per-snapshot cursors back positioned for the remaining scalar
     /// draw sites (burst faults, front-end jitter).
     pub fn skip_normals(&mut self, n: usize) {
@@ -390,15 +371,16 @@ mod tests {
         assert_ne!(base, first(CounterRng::for_group(key, 3)));
         // bulk fills agree with the scalar reference at the same coords
         let mut c = CounterRng::for_spectral(key, 3, 137_000);
-        let mut buf = vec![0.0; 16];
-        c.fill_normals(&mut buf);
+        let mut buf = vec![Complex::ZERO; 16];
+        c.fill_complex_normals(&mut buf);
         for (i, w) in buf.iter().enumerate() {
-            let scalar = philox_normal_at(
+            let scalar = philox_complex_normal_at(
                 [key as u32, (key >> 32) as u32],
                 [137_000, 3, DOMAIN_SPECTRAL],
                 i as u32,
             );
-            assert_eq!(w.to_bits(), scalar.to_bits(), "lane {i}");
+            assert_eq!(w.re.to_bits(), scalar.re.to_bits(), "lane {i}");
+            assert_eq!(w.im.to_bits(), scalar.im.to_bits(), "lane {i}");
         }
     }
 
@@ -425,22 +407,27 @@ mod tests {
     #[test]
     fn counter_rng_bulk_fill_is_chunking_invariant() {
         let key = 42u64;
+        // the snapshot-domain cursor the sounders draw from: one lane
+        // per complex value however the fill is split, each equal to the
+        // scalar reference
         let mut whole = CounterRng::for_snapshot(key, 1, 2);
-        let mut buf = vec![0.0; 128];
-        whole.fill_normals(&mut buf);
+        let mut buf = vec![Complex::ZERO; 128];
+        whole.fill_complex_normals(&mut buf);
         assert_eq!(whole.lane(), 128);
 
         let mut split = CounterRng::for_snapshot(key, 1, 2);
-        let mut lo = vec![0.0; 31];
-        let mut hi = vec![0.0; 97];
-        split.fill_normals(&mut lo);
-        split.fill_normals(&mut hi);
+        let mut lo = vec![Complex::ZERO; 31];
+        let mut hi = vec![Complex::ZERO; 97];
+        split.fill_complex_normals(&mut lo);
+        split.fill_complex_normals(&mut hi);
         for (i, w) in buf.iter().enumerate() {
             let part = if i < 31 { lo[i] } else { hi[i - 31] };
-            assert_eq!(w.to_bits(), part.to_bits(), "lane {i}");
-            // and both agree with the scalar reference
-            let scalar = philox_normal_at([42, 0], [2, 1, super::DOMAIN_SNAPSHOT], i as u32);
-            assert_eq!(w.to_bits(), scalar.to_bits(), "lane {i} vs scalar");
+            let scalar =
+                philox_complex_normal_at([42, 0], [2, 1, super::DOMAIN_SNAPSHOT], i as u32);
+            for z in [part, scalar] {
+                assert_eq!(w.re.to_bits(), z.re.to_bits(), "lane {i}");
+                assert_eq!(w.im.to_bits(), z.im.to_bits(), "lane {i}");
+            }
         }
     }
 
@@ -451,8 +438,8 @@ mod tests {
         let key = 0xBEEF_u64;
         for n in [0, 1, 31, 128] {
             let mut filled = CounterRng::for_snapshot(key, 2, 9);
-            let mut buf = vec![0.0; n];
-            filled.fill_normals(&mut buf);
+            let mut buf = vec![Complex::ZERO; n];
+            filled.fill_complex_normals(&mut buf);
             let mut skipped = CounterRng::for_snapshot(key, 2, 9);
             skipped.skip_normals(n);
             assert_eq!(filled.lane(), skipped.lane(), "n={n}");
@@ -464,24 +451,17 @@ mod tests {
         let mut filled = CounterRng::for_snapshot(3, 0, 0);
         let mut skipped = CounterRng::for_snapshot(3, 0, 0);
         assert_eq!(filled.next_u64(), skipped.next_u64());
-        let mut buf = vec![0.0; 16];
-        filled.fill_normals(&mut buf);
+        let mut buf = vec![Complex::ZERO; 16];
+        filled.fill_complex_normals(&mut buf);
         skipped.skip_normals(16);
         assert_eq!(filled.next_u64(), skipped.next_u64());
     }
 
     #[test]
     fn counter_rng_normal_moments() {
-        // The bulk kernel's (0,1]×[0,1) mapping must still be exact in
-        // distribution: standard normal mean/σ within Monte-Carlo error.
-        let mut xs = vec![0.0; 50_000];
-        let mut c = CounterRng::for_snapshot(7, 0, 0);
-        c.fill_normals(&mut xs);
-        assert!(mean(&xs).abs() < 0.02, "mean {}", mean(&xs));
-        assert!((std_dev(&xs) - 1.0).abs() < 0.02, "std {}", std_dev(&xs));
-
-        // … and the RngCore stream view feeds the existing samplers with
-        // well-formed uniforms.
+        // The RngCore stream view feeds the existing samplers with
+        // well-formed uniforms: standard normal mean/σ within Monte-Carlo
+        // error (the bulk fill's moments are checked with its chunking).
         let mut c = CounterRng::for_snapshot(11, 0, 0);
         let seq: Vec<f64> = (0..50_000).map(|_| standard_normal(&mut c)).collect();
         assert!(mean(&seq).abs() < 0.02, "mean {}", mean(&seq));

@@ -131,23 +131,23 @@ mod tests {
 
     #[test]
     fn counter_prepared_path_is_bit_identical() {
-        // Same pin for the counter-cursor path: prepared and full
-        // variants at one coordinate must agree bitwise and consume the
-        // same lanes.
+        // Same pin for the counter-cursor path: one row through the
+        // prepared block path and the full variant at one coordinate
+        // must agree bitwise and consume the same lanes.
         let f = FmcwSounder::matched_to_ofdm();
         let truth: Vec<Complex> = (0..64).map(|i| Complex::cis(i as f64 * 0.2)).collect();
-        let prepared = f.prepare(&truth);
+        let prepared = [f.prepare(&truth)];
         let mut a = CounterRng::for_snapshot(0x51CA, 1, 7);
-        let mut b = CounterRng::for_snapshot(0x51CA, 1, 7);
+        let mut b = [CounterRng::for_snapshot(0x51CA, 1, 7)];
         let mut direct = vec![Complex::ZERO; 64];
         let mut fast = vec![Complex::ZERO; 64];
         f.estimate_counter_into(&truth, 0.2, &mut a, &mut direct);
-        f.estimate_prepared_counter_into(&prepared, 0.2, &mut b, &mut fast);
+        f.estimate_prepared_counter_rows_into(&prepared, &[0], 0.2, &mut b, &mut fast);
         for (d, g) in direct.iter().zip(&fast) {
             assert_eq!(d.re.to_bits(), g.re.to_bits());
             assert_eq!(d.im.to_bits(), g.im.to_bits());
         }
-        assert_eq!(a.lane(), b.lane());
+        assert_eq!(a.lane(), b[0].lane());
         // counter draws are snapshot-local: a different snapshot gives
         // different noise, the same snapshot reproduces
         let mut c = CounterRng::for_snapshot(0x51CA, 1, 8);

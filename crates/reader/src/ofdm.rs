@@ -29,7 +29,9 @@ struct OfdmScratch {
     eq: Vec<Complex>,
     rx_sym: Vec<Complex>,
     avg: Vec<Complex>,
-    normals: Vec<f64>,
+    /// The averaged frame's complex noise: one standard complex normal
+    /// (one Philox lane) per sample, or a plane of such rows.
+    normals: Vec<Complex>,
     /// Noiseless received symbols for the plane paths: the four
     /// per-state payloads state-major, or one payload per truth row.
     payload_plane: Vec<Complex>,
@@ -48,34 +50,10 @@ impl OfdmScratch {
         }
     }
 
-    /// The shared row tail: averages `signal` with the `2n` noise normals
-    /// at the cursor (per-component std `amp`), FFTs the frame, and
-    /// LS-equalizes it into `out` in ascending-offset order.
-    fn finish_row(
-        &mut self,
-        signal: &[Complex],
-        amp: f64,
-        cursor: &mut CounterRng,
-        out: &mut [Complex],
-    ) {
-        let n = signal.len();
-        let half = n / 2;
-        self.normals.clear();
-        self.normals.resize(2 * n, 0.0);
-        cursor.fill_normals(&mut self.normals);
-        self.avg.clear();
-        self.avg.resize(n, Complex::ZERO);
-        wiforce_dsp::kernels::accumulate_noisy(&mut self.avg, signal, &self.normals, amp);
-        with_plan(n, |plan| plan.forward_inplace(&mut self.avg));
-        for (i, slot) in out.iter_mut().enumerate() {
-            let bin = (i + n - half) % n;
-            *slot = self.avg[bin] * self.eq[bin];
-        }
-    }
-
     /// The shared plane tail: the Philox plane kernel draws row `r`'s
-    /// `2n` lanes where `cursors[r]` stands — the lanes
-    /// [`Self::finish_row`] draws through that cursor — then
+    /// `n` complex lanes where `cursors[r]` stands — the lanes
+    /// [`OfdmSounder::estimate_counter_into`] draws through that cursor —
+    /// then
     /// `payload_plane[states[r]]` is averaged with them, every row is
     /// FFT'd and the equalize/reorder kernel writes `out`. Each kernel
     /// replays the row tail's per-element arithmetic, so each row is
@@ -90,19 +68,18 @@ impl OfdmScratch {
     ) {
         let n = self.eq.len();
         let rows = states.len();
-        let n_normals = 2 * n;
         let (key, grp_dom, snap0, lane0) = plane_origin(cursors);
         self.normals.clear();
-        self.normals.resize(rows * n_normals, 0.0);
-        wiforce_dsp::kernels::philox_normals_rows(
+        self.normals.resize(rows * n, Complex::ZERO);
+        wiforce_dsp::kernels::philox_complex_normals_rows(
             key,
             grp_dom,
             snap0,
             lane0,
-            n_normals,
+            n,
             &mut self.normals,
         );
-        cursors.iter_mut().for_each(|c| c.skip_normals(n_normals));
+        cursors.iter_mut().for_each(|c| c.skip_normals(n));
         self.avg.clear();
         self.avg.resize(rows * n, Complex::ZERO);
         wiforce_dsp::kernels::accumulate_noisy_rows(
@@ -263,10 +240,10 @@ impl ChannelSounder for OfdmSounder {
 
     /// Synthesizes and equalizes the frame in per-thread scratch buffers
     /// with planned in-place FFTs, writing the snapshot straight into
-    /// `out`. The averaged frame's `2n` noise normals come from the
-    /// SIMD-dispatched Philox bulk kernel at the cursor's coordinates
-    /// (one lane per normal), so the snapshot is a pure function of
-    /// `(press key, group, snapshot)`.
+    /// `out`. The averaged frame's `n` complex noise normals come from
+    /// the SIMD-dispatched Philox bulk kernel at the cursor's coordinates
+    /// (one lane per sample, both Box–Muller components of its block), so
+    /// the snapshot is a pure function of `(press key, group, snapshot)`.
     fn estimate_counter_into(
         &self,
         true_channel: &[Complex],
@@ -289,21 +266,35 @@ impl ChannelSounder for OfdmSounder {
 
             // TX symbol → channel (freq-domain multiply, in bin order) →
             // time domain, all in the reusable rx_sym buffer
-            let mut rx_sym = std::mem::take(&mut scratch.rx_sym);
+            let rx_sym = &mut scratch.rx_sym;
             rx_sym.resize(n, Complex::ZERO);
             for (i, &h) in true_channel.iter().enumerate() {
                 let bin = (i + n - half) % n;
                 rx_sym[bin] = scratch.symbols[bin] * h;
             }
-            with_plan(n, |plan| plan.inverse_inplace(&mut rx_sym));
+            with_plan(n, |plan| plan.inverse_inplace(rx_sym));
             rx_sym.iter_mut().for_each(|z| *z = *z * scale);
-            scratch.finish_row(&rx_sym, self.frame_amp(noise_std), cursor, out);
-            scratch.rx_sym = rx_sym;
+
+            // averaged frame: one complex noise normal per sample at the
+            // cursor (per-component std `amp`), FFT, LS equalization into
+            // ascending-offset order
+            scratch.normals.clear();
+            scratch.normals.resize(n, Complex::ZERO);
+            cursor.fill_complex_normals(&mut scratch.normals);
+            scratch.avg.clear();
+            scratch.avg.resize(n, Complex::ZERO);
+            let amp = self.frame_amp(noise_std);
+            wiforce_dsp::kernels::accumulate_noisy(&mut scratch.avg, rx_sym, &scratch.normals, amp);
+            with_plan(n, |plan| plan.forward_inplace(&mut scratch.avg));
+            for (i, slot) in out.iter_mut().enumerate() {
+                let bin = (i + n - half) % n;
+                *slot = scratch.avg[bin] * scratch.eq[bin];
+            }
         });
     }
 
     /// Precomputes the noiseless received preamble symbol (symbol
-    /// multiply, IFFT, power scaling) so prepared estimates skip straight
+    /// multiply, IFFT, power scaling) so the block path skips straight
     /// to the noisy-repeat averaging. A phase-group
     /// revisits only the tag's four switch states, so four of these
     /// replace hundreds of per-snapshot IFFTs.
@@ -333,33 +324,10 @@ impl ChannelSounder for OfdmSounder {
         }
     }
 
-    /// Prepared path: identical draws (the same `2n` Philox lanes) and
-    /// arithmetic as [`Self::estimate_counter_into`], with the
-    /// precomputed payload standing in for `rx_sym` — so the two paths
-    /// match bit-for-bit (pinned by a test).
-    fn estimate_prepared_counter_into(
-        &self,
-        prepared: &PreparedChannel,
-        noise_std: f64,
-        cursor: &mut CounterRng,
-        out: &mut [Complex],
-    ) {
-        let n = self.n_subcarriers;
-        assert_eq!(
-            prepared.payload.len(),
-            n,
-            "prepared payload must match the sounder configuration"
-        );
-        assert_eq!(out.len(), n, "output buffer must match the estimate grid");
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-            scratch.finish_row(&prepared.payload, self.frame_amp(noise_std), cursor, out);
-        });
-    }
-
     /// Plane synthesis from the four per-state payloads: state-major
-    /// payload plane, then the shared plane tail.
+    /// payload plane, then the shared plane tail. Each payload is the
+    /// `rx_sym` [`Self::estimate_counter_into`] builds from that state's
+    /// truth, so each row is bit-identical to it.
     fn estimate_prepared_counter_rows_into(
         &self,
         prepared: &[PreparedChannel],
@@ -631,25 +599,26 @@ mod tests {
 
     #[test]
     fn counter_prepared_path_is_bit_identical() {
+        // one row through the prepared block path matches the truth path
+        // at the same coordinate, and both consume one lane per subcarrier
         let s = OfdmSounder::wiforce();
         let truth: Vec<Complex> = (0..64)
             .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.05 * k as f64))
             .collect();
-        let prepared = s.prepare(&truth);
+        let prepared = [s.prepare(&truth)];
         for noise in [0.0, 0.05] {
             let mut a = CounterRng::for_snapshot(0xABCD, 2, 41);
-            let mut b = CounterRng::for_snapshot(0xABCD, 2, 41);
+            let mut b = [CounterRng::for_snapshot(0xABCD, 2, 41)];
             let mut direct = [Complex::ZERO; 64];
             let mut fast = [Complex::ZERO; 64];
             s.estimate_counter_into(&truth, noise, &mut a, &mut direct);
-            s.estimate_prepared_counter_into(&prepared, noise, &mut b, &mut fast);
+            s.estimate_prepared_counter_rows_into(&prepared, &[0], noise, &mut b, &mut fast);
             for (d, f) in direct.iter().zip(&fast) {
                 assert_eq!(d.re.to_bits(), f.re.to_bits());
                 assert_eq!(d.im.to_bits(), f.im.to_bits());
             }
-            // both paths consumed the same 2n lanes
-            assert_eq!(a.lane(), 128);
-            assert_eq!(b.lane(), 128);
+            assert_eq!(a.lane(), 64);
+            assert_eq!(b[0].lane(), 64);
         }
     }
 
@@ -729,12 +698,7 @@ mod tests {
             let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
             for ((r, &st), cursor) in states.iter().enumerate().zip(&mut rows_cursors) {
                 let mut row = [Complex::ZERO; 64];
-                s.estimate_prepared_counter_into(
-                    &prepared[usize::from(st)],
-                    noise,
-                    cursor,
-                    &mut row,
-                );
+                s.estimate_counter_into(&prepared[usize::from(st)].truth, noise, cursor, &mut row);
                 for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
                     assert_eq!(w.re.to_bits(), x.re.to_bits(), "r={r} i={i}");
                     assert_eq!(w.im.to_bits(), x.im.to_bits(), "r={r} i={i}");
@@ -775,6 +739,93 @@ mod tests {
             (per_component / sigma - 1.0).abs() < 0.05,
             "empirical {per_component} vs advertised {sigma}"
         );
+    }
+
+    /// The per-subcarrier error statistics of `snapshots` estimate rows
+    /// (`errs`, snapshot-major, `n` subcarriers each) checked against
+    /// circular white complex Gaussian error of per-component std
+    /// `sigma`, each within 5 sampling σ of its null value on every
+    /// subcarrier: the component stds, `corr(re, im)`, the correlation
+    /// with the next subcarrier, and the circularity ratio
+    /// `|E[e²]| / E[|e|²]`.
+    fn assert_circular_white(errs: &[Complex], n: usize, sigma: f64, path: &str) {
+        let t = (errs.len() / n) as f64;
+        let col = |k: usize| errs.iter().skip(k).step_by(n).copied();
+        for k in 0..n {
+            let (mut re2, mut im2, mut reim, mut sq) = (0.0, 0.0, 0.0, Complex::ZERO);
+            let mut next = Complex::ZERO;
+            for (e, f) in col(k).zip(col((k + 1) % n)) {
+                re2 += e.re * e.re;
+                im2 += e.im * e.im;
+                reim += e.re * e.im;
+                sq += e * e;
+                next += e * f.conj();
+            }
+            let power = re2 + im2;
+            let next_power: f64 = col((k + 1) % n).map(|f| f.norm_sqr()).sum();
+            // sample std of t normals: sd ≈ σ/√(2t)
+            for (name, ss) in [("re", re2), ("im", im2)] {
+                let ratio = (ss / t).sqrt() / sigma;
+                assert!(
+                    (ratio - 1.0).abs() < 5.0 / (2.0 * t).sqrt(),
+                    "{path}: subcarrier {k} {name} std is {ratio}·sigma"
+                );
+            }
+            let checks = [
+                ("corr(re, im)", reim / (re2 * im2).sqrt(), 1.0 / t.sqrt()),
+                (
+                    "|corr(e_k, e_k+1)|",
+                    next.abs() / (power * next_power).sqrt(),
+                    1.0 / t.sqrt(),
+                ),
+                ("|E[e²]|/E[|e|²]", sq.abs() / power, (2.0 / t).sqrt()),
+            ];
+            for (name, value, sd) in checks {
+                assert!(
+                    value.abs() < 5.0 * sd,
+                    "{path}: subcarrier {k} {name} = {value} (sampling σ {sd})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ofdm_estimate_noise_is_circular_and_white() {
+        // 2048 snapshots of one frequency-selective truth through the
+        // per-row path and the plane path (64-row blocks, each row past a
+        // drawn drop decision): the estimate error must be circular white
+        // complex Gaussian of the advertised per-component std
+        let s = OfdmSounder::wiforce();
+        let n = s.n_subcarriers;
+        let noise = 0.05;
+        let sigma = s.estimate_noise_sigma(noise).expect("OFDM error is white");
+        let truth: Vec<Complex> = s
+            .frequency_offsets_hz()
+            .iter()
+            .map(|&df| Complex::ONE + Complex::from_polar(0.5, -wiforce_dsp::TAU * df * 2e-7))
+            .collect();
+        let snapshots = 2048u32;
+        let errors = |est: &[Complex]| -> Vec<Complex> {
+            est.chunks_exact(n)
+                .flat_map(|row| row.iter().zip(&truth).map(|(e, t)| *e - *t))
+                .collect()
+        };
+
+        let mut rows = vec![Complex::ZERO; snapshots as usize * n];
+        for (snap, row) in rows.chunks_exact_mut(n).enumerate() {
+            let mut cursor = CounterRng::for_snapshot(0x0C1C, 3, snap as u32);
+            s.estimate_counter_into(&truth, noise, &mut cursor, row);
+        }
+        assert_circular_white(&errors(&rows), n, sigma, "per-row path");
+
+        let prepared = [s.prepare(&truth)];
+        let block = 64;
+        let mut plane = vec![Complex::ZERO; snapshots as usize * n];
+        for (b, out) in plane.chunks_exact_mut(block * n).enumerate() {
+            let mut cursors = block_cursors(0x0C1D, 3, (b * block) as u32, block, true);
+            s.estimate_prepared_counter_rows_into(&prepared, &[0; 64], noise, &mut cursors, out);
+        }
+        assert_circular_white(&errors(&plane), n, sigma, "plane path");
     }
 
     #[test]

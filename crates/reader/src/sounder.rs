@@ -17,7 +17,7 @@ use wiforce_dsp::Complex;
 /// channel-dependent, noise-independent part of the estimation forward
 /// model — for OFDM, the symbol multiply and the IFFT to the time domain —
 /// into this struct once, and
-/// [`ChannelSounder::estimate_prepared_counter_into`] reuses it per
+/// [`ChannelSounder::estimate_prepared_counter_rows_into`] reuses it per
 /// snapshot.
 #[derive(Debug, Clone)]
 pub struct PreparedChannel {
@@ -81,10 +81,10 @@ pub trait ChannelSounder {
 
     /// Folds the channel-dependent, noise-independent part of the
     /// estimation forward model into a [`PreparedChannel`] for repeated
-    /// use with [`Self::estimate_prepared_counter_into`].
+    /// use with [`Self::estimate_prepared_counter_rows_into`].
     ///
     /// The default keeps only the truth (no precomputation), which the
-    /// default `estimate_prepared_counter_into` feeds back through
+    /// default `estimate_prepared_counter_rows_into` feeds back through
     /// [`Self::estimate_counter_into`] — correct for every sounder, fast
     /// for none.
     fn prepare(&self, true_channel: &[Complex]) -> PreparedChannel {
@@ -94,24 +94,10 @@ pub trait ChannelSounder {
         }
     }
 
-    /// Like [`Self::estimate_counter_into`], but starting from a
-    /// [`PreparedChannel`] built by [`Self::prepare`] on the same sounder
-    /// configuration. Must be bit-identical to
-    /// `estimate_counter_into(&prepared.truth, …)` with a cursor at the
-    /// same coordinates.
-    fn estimate_prepared_counter_into(
-        &self,
-        prepared: &PreparedChannel,
-        noise_std: f64,
-        cursor: &mut CounterRng,
-        out: &mut [Complex],
-    ) {
-        self.estimate_counter_into(&prepared.truth, noise_std, cursor, out);
-    }
-
-    /// Block twin of [`Self::estimate_prepared_counter_into`]: estimates
-    /// a block of snapshots in one call. `prepared` holds one
-    /// [`PreparedChannel`] per tag switch state (index = state),
+    /// Block twin of [`Self::estimate_counter_into`] over prepared
+    /// channels: estimates a block of snapshots in one call. `prepared`
+    /// holds one [`PreparedChannel`] per tag switch state (index = state),
+    /// each built by [`Self::prepare`] on the same sounder configuration,
     /// `states[r]` selects row `r`'s state, `cursors[r]` is row `r`'s
     /// noise cursor as the caller positioned it (its snapshot's
     /// coordinates, past any draw made before the sounder), and `out` is
@@ -119,7 +105,7 @@ pub trait ChannelSounder {
     /// estimates.
     ///
     /// Each row must be bit-identical to
-    /// `estimate_prepared_counter_into(&prepared[states[r]], …)` on
+    /// `estimate_counter_into(&prepared[states[r]].truth, …)` on
     /// `cursors[r]`, and must leave `cursors[r]` where that call would,
     /// so the draws after the sounder (burst faults, front-end jitter)
     /// continue on it. The default is that row loop; sounders with a
@@ -134,12 +120,7 @@ pub trait ChannelSounder {
     ) {
         let n = out.len() / states.len().max(1);
         for ((&state, cursor), row) in states.iter().zip(cursors).zip(out.chunks_exact_mut(n)) {
-            self.estimate_prepared_counter_into(
-                &prepared[usize::from(state)],
-                noise_std,
-                cursor,
-                row,
-            );
+            self.estimate_counter_into(&prepared[usize::from(state)].truth, noise_std, cursor, row);
         }
     }
 
@@ -261,29 +242,19 @@ mod tests {
 
     #[test]
     fn default_counter_paths_agree() {
-        // For a sounder with no override, the prepared method delegates
-        // to the truth path — the full and prepared variants must agree
-        // bitwise at one coordinate.
+        // For a sounder with no override, the default block loop feeds
+        // each row's prepared truth through the row primitive on that
+        // row's cursor: a lone row at a cursor past one drawn lane
+        // matches the row call on an equally positioned cursor, bit for
+        // bit, and ends where it would.
         let d = Dummy;
         let truth = [Complex::new(0.3, -1.2)];
-        let mut a = CounterRng::for_snapshot(9, 0, 4);
-        let mut out_full = [Complex::ZERO; 1];
-        d.estimate_counter_into(&truth, 0.1, &mut a, &mut out_full);
         let prepared = d.prepare(&truth);
-        let mut b = CounterRng::for_snapshot(9, 0, 4);
-        let mut out_prep = [Complex::ZERO; 1];
-        d.estimate_prepared_counter_into(&prepared, 0.1, &mut b, &mut out_prep);
-        assert_eq!(out_full[0].re.to_bits(), out_prep[0].re.to_bits());
-        assert_eq!(out_full[0].im.to_bits(), out_prep[0].im.to_bits());
-        assert_eq!(a.lane(), b.lane());
-        // and the default block loop hands each row its own cursor: a
-        // lone row at a cursor past one drawn lane matches the row call
-        // on an equally positioned cursor, and ends where it would
         let mut row_cursor = CounterRng::for_snapshot(9, 0, 5);
         let _ = rand::RngCore::next_u64(&mut row_cursor);
         let mut block_cursors = [row_cursor.clone()];
         let mut out_row = [Complex::ZERO; 1];
-        d.estimate_prepared_counter_into(&prepared, 0.1, &mut row_cursor, &mut out_row);
+        d.estimate_counter_into(&truth, 0.1, &mut row_cursor, &mut out_row);
         let mut out_block = [Complex::ZERO; 1];
         d.estimate_prepared_counter_rows_into(
             std::slice::from_ref(&prepared),

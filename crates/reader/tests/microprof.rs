@@ -24,22 +24,23 @@ fn microprof() {
         t.elapsed().as_secs_f64() / iters as f64 * 1e6
     );
 
-    // the plane path draws 2·64 normals per snapshot, 64 snapshots a call
+    // the plane path draws one complex normal per subcarrier, 64
+    // snapshots a call
     let rows = 64;
-    let mut normals = vec![0.0; rows * 128];
+    let mut normals = vec![Complex::ZERO; rows * 64];
     let t = Instant::now();
     for i in 0..iters / rows as u32 {
-        wiforce_dsp::kernels::philox_normals_rows(
+        wiforce_dsp::kernels::philox_complex_normals_rows(
             [1, 0],
             [0, DOMAIN_SNAPSHOT],
             i * rows as u32,
             0,
-            128,
+            64,
             &mut normals,
         );
     }
     println!(
-        "philox_normals_rows(128) per row: {:.2} us",
+        "philox_complex_normals_rows(64) per row: {:.2} us",
         t.elapsed().as_secs_f64() / iters as f64 * 1e6
     );
 
@@ -61,11 +62,7 @@ fn microprof() {
     let t = Instant::now();
     for _ in 0..iters {
         avg.iter_mut().for_each(|z| *z = Complex::ZERO);
-        let mut pair = normals.chunks_exact(2);
-        for (a, &x) in avg.iter_mut().zip(&rx) {
-            let g = pair.next().unwrap();
-            *a += x + Complex::new(3e-6 * g[0], 3e-6 * g[1]);
-        }
+        wiforce_dsp::kernels::accumulate_noisy(&mut avg, &rx, &normals[..64], 3e-6);
     }
     println!(
         "accumulate(64): {:.2} us",

@@ -343,9 +343,7 @@ fn accumulate_noisy_rows_body(
         .zip(noise.chunks_exact(n))
     {
         let signal = &payloads[usize::from(st) * n..usize::from(st) * n + n];
-        for ((a, &x), &g) in row.iter_mut().zip(signal).zip(noise_row) {
-            *a += x + g.scale(amp);
-        }
+        accumulate_noisy_body(row, signal, noise_row, amp);
     }
 }
 

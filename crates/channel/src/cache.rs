@@ -40,58 +40,8 @@ pub struct ChannelCache {
     pub direct_amp: f64,
     /// AGC full-scale amplitude: strongest static magnitude × 1.5.
     pub full_scale: f64,
-    /// Memoized per-tag-state response planes ([`Self::state_planes`]).
-    planes_memo: PlaneMemo,
     /// Memoized sounding-response tables ([`Self::response_tables`]).
     response_memo: ResponseMemo,
-}
-
-/// Per-scene tag-state response planes: the full received channel
-/// (`statics + gains·table[state]`) for each tag switch state, flattened
-/// state-major — the wide synthesis path's subcarrier tables. Built once
-/// per `(scene, tag table)` pair and shared read-only.
-#[derive(Debug)]
-pub struct StatePlanes {
-    /// Token identifying the tag-state table these were built from.
-    pub token: u64,
-    /// Number of states (plane rows).
-    pub n_states: usize,
-    /// State-major planes: `n_states` rows of grid-size responses.
-    pub planes: Vec<Complex>,
-}
-
-impl StatePlanes {
-    /// The response plane for one tag state.
-    pub fn state(&self, state: usize) -> &[Complex] {
-        let n = self.planes.len() / self.n_states;
-        &self.planes[state * n..(state + 1) * n]
-    }
-}
-
-/// One-entry token-keyed slot for [`StatePlanes`]; shared (and thread-safe)
-/// across everyone holding the same `Arc<ChannelCache>`.
-#[derive(Debug, Default)]
-struct PlaneMemo {
-    slot: Mutex<Option<Arc<StatePlanes>>>,
-}
-
-impl Clone for PlaneMemo {
-    fn clone(&self) -> Self {
-        PlaneMemo {
-            slot: Mutex::new(self.slot.lock().expect("state-plane memo poisoned").clone()),
-        }
-    }
-}
-
-/// FNV-1a token over the raw bits of a tag-state table — the identity
-/// under which a [`StatePlanes`] entry is valid.
-pub fn plane_token<'a>(values: impl IntoIterator<Item = &'a Complex>) -> u64 {
-    let mut h = Fnv::new();
-    for v in values {
-        h.f64(v.re);
-        h.f64(v.im);
-    }
-    h.finish()
 }
 
 /// FNV-1a token over a sequence of raw `u64` words — how sounders derive
@@ -178,46 +128,8 @@ impl ChannelCache {
             gains,
             direct_amp,
             full_scale,
-            planes_memo: PlaneMemo::default(),
             response_memo: ResponseMemo::default(),
         }
-    }
-
-    /// Returns the memoized per-state response planes for the tag-state
-    /// table identified by `token` (e.g. [`plane_token`] over its
-    /// entries), calling `build` only when the slot is empty or was built
-    /// from a different table. A scene mutation never serves stale planes: the
-    /// fingerprint check in [`SharedChannelCache::get_or_build`] replaces
-    /// the whole entry, memo included, before this is ever consulted.
-    pub fn state_planes(
-        &self,
-        token: u64,
-        n_states: usize,
-        build: impl FnOnce() -> Vec<Complex>,
-    ) -> Arc<StatePlanes> {
-        let mut slot = self
-            .planes_memo
-            .slot
-            .lock()
-            .expect("state-plane memo poisoned");
-        if let Some(entry) = slot.as_ref() {
-            if entry.token == token && entry.n_states == n_states {
-                return Arc::clone(entry);
-            }
-        }
-        let planes = build();
-        assert_eq!(
-            planes.len(),
-            n_states * self.statics.len(),
-            "state planes must be n_states rows of the grid width"
-        );
-        let built = Arc::new(StatePlanes {
-            token,
-            n_states,
-            planes,
-        });
-        *slot = Some(Arc::clone(&built));
-        built
     }
 
     /// Returns the memoized sounding-response tables for the
@@ -226,10 +138,10 @@ impl ChannelCache {
     /// the sounder gathers from at estimate time (e.g. a
     /// `Vec<PreparedChannel>` of per-state payloads); it is stored
     /// type-erased and downcast on every hit. Stale entries are
-    /// impossible for the same reason as [`Self::state_planes`]: a scene
-    /// mutation changes the fingerprint and replaces the whole cache
-    /// entry, memo included, and a tag-table or sounder-config change
-    /// changes the key.
+    /// impossible: a scene mutation changes the fingerprint, and
+    /// [`SharedChannelCache::get_or_build`] replaces the whole cache entry,
+    /// memo included, before this is ever consulted; a tag-table or
+    /// sounder-config change changes the key.
     pub fn response_tables<T: Any + Send + Sync>(
         &self,
         token: u64,
@@ -498,33 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn state_plane_memo_is_token_keyed() {
-        let scene = Scene::fig12(0.9e9);
-        let f = freqs();
-        let cache = ChannelCache::build(&scene, &f);
-        let n = f.len();
-        let table_a: Vec<Complex> = (0..4 * n).map(|i| Complex::new(i as f64, -1.0)).collect();
-        let table_b: Vec<Complex> = (0..4 * n).map(|i| Complex::new(i as f64, 1.0)).collect();
-        let tok_a = plane_token(table_a.iter());
-        let tok_b = plane_token(table_b.iter());
-        assert_ne!(tok_a, tok_b, "token tracks the table bits");
-
-        let a = cache.state_planes(tok_a, 4, || table_a.clone());
-        let a2 = cache.state_planes(tok_a, 4, || panic!("must not rebuild on a token hit"));
-        assert!(Arc::ptr_eq(&a, &a2));
-        assert_eq!(a.state(2), &table_a[2 * n..3 * n]);
-
-        // a different table (tag config edit) replaces the entry…
-        let b = cache.state_planes(tok_b, 4, || table_b.clone());
-        assert!(!Arc::ptr_eq(&a, &b));
-        // …and clones of the cache carry the memoized entry along
-        let c = cache
-            .clone()
-            .state_planes(tok_b, 4, || panic!("clone shares the entry"));
-        assert_eq!(c.token, tok_b);
-    }
-
-    #[test]
     fn response_memo_is_keyed_and_counted() {
         let cache = ChannelCache::build(&Scene::fig12(0.9e9), &freqs());
         let cfg_a = config_token([64, 5, 0x0FD3]);
@@ -570,13 +455,6 @@ mod tests {
         // rebuilds — bounded memory, never a stale or wrong entry
         let v = cache.response_tables(0, 0, || 123_u64);
         assert_eq!(*v, 123);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid width")]
-    fn state_plane_memo_rejects_misshapen_planes() {
-        let cache = ChannelCache::build(&Scene::fig12(0.9e9), &freqs());
-        cache.state_planes(1, 4, || vec![Complex::ZERO; 3]);
     }
 
     #[test]

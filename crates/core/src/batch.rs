@@ -63,7 +63,8 @@ use crate::calib::SensorModel;
 use crate::estimator::{EstimatorConfig, ForceEstimator, ForceReading};
 use crate::multisensor::ContinuumSurface;
 use crate::pipeline::{
-    fill_state_spectra, spectral_row_var, Simulation, Sounder, SpectralLines, TagClock, CHUNK_ROWS,
+    fill_state_spectra, spectral_row_var, BlockTally, BlockTruth, Simulation, Sounder,
+    SoundingStep, SpectralLines, TagClock, CHUNK_ROWS,
 };
 use crate::tracking::{TrackedReading, Tracker, TrackerConfig};
 use crate::WiForceError;
@@ -75,7 +76,6 @@ use std::time::{Duration, Instant};
 use wiforce_channel::cache::ChannelCache;
 use wiforce_channel::faults::FaultConfig;
 use wiforce_channel::{Frontend, Scene};
-use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::{Complex, SnapshotMatrix};
 use wiforce_reader::stream::{GroupItem, TagDemux};
 use wiforce_reader::ChannelSounder;
@@ -545,11 +545,7 @@ impl ReaderProducer {
         // the subcarrier grid depends only on the sounder and scene, both
         // shared across streams — compute it once for every table below
         let freqs = sim.subcarrier_freqs_hz();
-        let cache = if sim.use_channel_cache {
-            sim.channel_cache.get_or_build(&sim.scene, &freqs)
-        } else {
-            Arc::new(ChannelCache::build(&sim.scene, &freqs))
-        };
+        let cache = sim.channel_cache.get_or_build(&sim.scene, &freqs);
         // spectral-domain line synthesis never materializes snapshots at
         // all. It is accuracy-gated, not bit-pinned, so it only engages
         // on the explicit opt-in ([`Simulation::synth_spectral_enabled`])
@@ -695,16 +691,13 @@ impl ReaderProducer {
 
     /// Time-domain line source: the group's `n` shared snapshot rows —
     /// one channel sounding per snapshot serves every tag stream. Each
-    /// snapshot draws at [`CounterRng::for_snapshot`]`(key, group, s)` in
-    /// `Simulation::synth_counter`'s order: drop decision → sounder →
-    /// burst → front end. Blocks of [`CHUNK_ROWS`] rows share one
-    /// truth-plane sounder call, which hands every row's cursor back
-    /// positioned for its burst and front-end draws. Returns the group's
-    /// `(dropped, bursts)` tallies.
+    /// block of [`CHUNK_ROWS`] rows evaluates its truth plane
+    /// ([`eval_shared_truth`]) and goes through
+    /// [`SoundingStep::sound_block`], the press engine's draw order.
+    /// Returns the group's `(dropped, bursts)` tallies.
     fn time_domain_rows(&mut self, seq: u64, key: u64, out: &mut SnapshotMatrix) -> (u64, u64) {
         let n = self.n_snapshots;
         let width = self.cache.statics.len();
-        let group = seq as u32;
         let (t_snap, t_int, reference_groups) = (self.t_snap, self.t_int, self.reference_groups);
         out.reserve_rows(n);
         let ReaderProducer {
@@ -732,43 +725,30 @@ impl ReaderProducer {
                 row,
             )
         };
-        let (mut dropped, mut bursts) = (0u64, 0u64);
+        let step = SoundingStep {
+            sounder,
+            frontend,
+            faults,
+            cache,
+        };
+        let mut tally = BlockTally::default();
         let region = out.extend_rows(n);
         let mut s0 = 0;
         while s0 < n {
             let rows = CHUNK_ROWS.min(n - s0);
-            let mut cursors: [CounterRng; CHUNK_ROWS] =
-                std::array::from_fn(|r| CounterRng::for_snapshot(key, group, (s0 + r) as u32));
-            let cursors = &mut cursors[..rows];
-            let mut drops = [false; CHUNK_ROWS];
-            for (drop, cursor) in drops.iter_mut().zip(cursors.iter_mut()) {
-                *drop = faults.decide_drop(cursor);
-            }
             truth_plane.clear();
             truth_plane.resize(rows * width, Complex::ZERO);
             truth_plane.chunks_exact_mut(width).for_each(&mut eval);
-            let block = &mut region[s0 * width..(s0 + rows) * width];
-            sounder.estimate_counter_rows_into(truth_plane, frontend.noise_floor, cursors, block);
-            for (r, cursor) in cursors.iter_mut().enumerate() {
-                let at = (s0 + r) * width;
-                if drops[r] {
-                    // a drop holds the previous row; the group's first
-                    // snapshot falls back to its noiseless truth
-                    dropped += 1;
-                    if at > 0 {
-                        region.copy_within(at - width..at, at);
-                    } else {
-                        region[..width].copy_from_slice(&truth_plane[..width]);
-                    }
-                    continue;
-                }
-                let row = &mut region[at..at + width];
-                bursts += u64::from(faults.apply_burst(cursor, row, cache.direct_amp));
-                frontend.process(cursor, row, cache.full_scale);
-            }
+            step.sound_block(
+                (key, seq as u32, 0),
+                s0..s0 + rows,
+                BlockTruth::Plane(truth_plane),
+                region,
+                &mut tally,
+            );
             s0 += rows;
         }
-        (dropped, bursts)
+        (tally.dropped, tally.bursts)
     }
 
     /// Spectral line source: produces each stream's two consumed

@@ -152,7 +152,7 @@ impl ChannelSounder for Sounder {
         }
     }
 
-    fn response_token(&self) -> Option<u64> {
+    fn response_token(&self) -> u64 {
         match self {
             Sounder::Ofdm(s) => s.response_token(),
             Sounder::Fmcw(s) => s.response_token(),
@@ -211,11 +211,6 @@ pub struct Simulation {
     /// measurement clouds); this component perturbs the patch width and
     /// therefore the force estimate.
     pub patch_edge_jitter_m: f64,
-    /// Reuse the press-invariant channel state across `run_snapshots`
-    /// calls via [`SharedChannelCache`] (on by default). Turning it off
-    /// re-evaluates the scene every call — bit-identical output, used by
-    /// the cache-equivalence fixture tests.
-    pub use_channel_cache: bool,
     /// Worker threads for counter synthesis. `None` defers to
     /// `WIFORCE_SYNTH_WORKERS` / the machine's parallelism (see
     /// [`crate::parallel::default_workers`]); results are bit-identical
@@ -269,7 +264,6 @@ impl Simulation {
             track_tag_clock: false,
             patch_position_jitter_m: 1.0e-3,
             patch_edge_jitter_m: 0.25e-3,
-            use_channel_cache: true,
             synth_workers: None,
             synth_spectral: None,
             channel_cache: SharedChannelCache::new(),
@@ -305,9 +299,8 @@ impl Simulation {
     /// DFT extraction (the model *is* that transform), a static scene
     /// (movers make the per-snapshot truth time-varying), no
     /// snapshot-drop or burst faults (both act on whole time-domain
-    /// rows), a sounder with white uniform estimate noise
-    /// ([`ChannelSounder::estimate_noise_sigma`]), and a hashable sounder
-    /// configuration for the per-bin response memo. Anything else falls
+    /// rows), and a sounder with white uniform estimate noise
+    /// ([`ChannelSounder::estimate_noise_sigma`]). Anything else falls
     /// back to the time-domain counter path.
     pub fn spectral_eligible(&self) -> bool {
         self.spectral_eligible_under(&self.faults)
@@ -320,7 +313,6 @@ impl Simulation {
             && self.scene.movers.is_empty()
             && faults.snapshot_drop_prob == 0.0
             && faults.burst_prob == 0.0
-            && self.sounder.response_token().is_some()
             && self
                 .sounder
                 .estimate_noise_sigma(self.frontend.noise_floor)
@@ -427,16 +419,13 @@ impl Simulation {
     /// Builds the four per-tag-state prepared channels for a static scene.
     ///
     /// The untouched table (`untouched`) is press-invariant, so its
-    /// prepared states are memoized under the tag token: for
-    /// sounders whose preparation is a pure function of hashable
-    /// configuration ([`ChannelSounder::response_token`] returns `Some`)
-    /// the whole `Vec<PreparedChannel>` sits in the channel-cache entry's
-    /// response memo, so every reference press skips both the truth-plane
-    /// evaluation and the per-state `prepare` (symbol multiply + IFFT);
-    /// other sounders keep their truth planes on the one-entry plane
-    /// memo. A contact table's states are built inline and never
-    /// memoized. Cached and rebuilt states are bit-identical — `prepare`
-    /// is deterministic — which the cache-equivalence fixtures pin.
+    /// prepared states sit in the channel-cache entry's response memo
+    /// under `(tag token, `[`ChannelSounder::response_token`]`)`: every
+    /// reference press skips both the truth-plane evaluation and the
+    /// per-state `prepare` (for OFDM, symbol multiply + IFFT). A contact
+    /// table's states are built inline and never memoized. Cached and
+    /// rebuilt states are bit-identical — `prepare` is deterministic —
+    /// which the cache-equivalence fixtures pin.
     fn prepare_states(
         &self,
         tables: &PressTables,
@@ -446,34 +435,25 @@ impl Simulation {
         let cache = &tables.cache;
         let _s = wiforce_telemetry::span!("pipeline.prepare_states");
         let n_cols = cache.statics.len();
-        let planes = || {
-            let mut planes = vec![Complex::ZERO; 4 * n_cols];
-            for state in 0..4 {
-                wiforce_dsp::kernels::synth_truth(
-                    &mut planes[state * n_cols..(state + 1) * n_cols],
-                    &cache.statics,
-                    &cache.gains,
-                    table,
-                    state,
-                );
-            }
-            planes
-        };
-        let prepare = |planes: &[Complex]| -> Vec<PreparedChannel> {
+        let prepare = || -> Vec<PreparedChannel> {
+            let mut plane = vec![Complex::ZERO; n_cols];
             (0..4)
                 .map(|state| {
-                    self.sounder
-                        .prepare(&planes[state * n_cols..(state + 1) * n_cols])
+                    wiforce_dsp::kernels::synth_truth(
+                        &mut plane,
+                        &cache.statics,
+                        &cache.gains,
+                        table,
+                        state,
+                    );
+                    self.sounder.prepare(&plane)
                 })
                 .collect()
         };
-        if !untouched {
-            return Arc::new(prepare(&planes()));
-        }
-        let token = tables.token;
-        match self.sounder.response_token() {
-            Some(cfg_token) => cache.response_tables(token, cfg_token, || prepare(&planes())),
-            None => Arc::new(prepare(&cache.state_planes(token, 4, planes).planes)),
+        if untouched {
+            cache.response_tables(tables.token, self.sounder.response_token(), prepare)
+        } else {
+            Arc::new(prepare())
         }
     }
 
@@ -529,7 +509,8 @@ impl Simulation {
     /// returning the extracted line values per group. Each snapshot group
     /// is handed to line extraction by whichever worker finishes it,
     /// while other groups are still synthesizing.
-    pub fn run_groups(
+    #[cfg(test)]
+    fn run_groups(
         &self,
         contact: Option<&ContactState>,
         n_groups: usize,
@@ -562,11 +543,7 @@ impl Simulation {
     fn press_tables(&self, freqs: &[f64]) -> PressTables {
         let cache = {
             let _s = wiforce_telemetry::span!("pipeline.channel_setup");
-            if self.use_channel_cache {
-                self.channel_cache.get_or_build(&self.scene, freqs)
-            } else {
-                Arc::new(ChannelCache::build(&self.scene, freqs))
-            }
+            self.channel_cache.get_or_build(&self.scene, freqs)
         };
         let _s = wiforce_telemetry::span!("pipeline.em_transduction");
         let token = self.tag_token();
@@ -623,11 +600,10 @@ impl Simulation {
     /// The calling thread lays out per-group plans ([`Self::plan_groups`]),
     /// then the press becomes a bag of disjoint row-range chunks over the
     /// preallocated region of `out`, executed by [`parallel::run_chunks`].
-    /// Each snapshot draws its noise from
-    /// [`CounterRng::for_snapshot`]`(key, group, snapshot)` in a fixed
-    /// order (drop decision → sounder noise → burst → front end), so the
-    /// result is a pure function of the press key regardless of worker
-    /// count or chunk interleaving.
+    /// Each block of a chunk goes through [`SoundingStep::sound_block`],
+    /// which owns the per-snapshot draw order, so the result is a pure
+    /// function of the press key regardless of worker count or chunk
+    /// interleaving.
     ///
     /// With `fused`, the worker that completes a group's last chunk runs
     /// line extraction on it immediately ([`extract_lines_quiet`] — no
@@ -657,8 +633,6 @@ impl Simulation {
         let cache = &tables.cache;
         let statics = &cache.statics;
         let gains = &cache.gains;
-        let direct_amp = cache.direct_amp;
-        let full_scale = cache.full_scale;
         let n_cols = statics.len();
         let n = self.group.n_snapshots;
         let t_snap = self.group.snapshot_period_s;
@@ -694,21 +668,26 @@ impl Simulation {
         let chunks_left: Vec<AtomicUsize> = (0..n_groups)
             .map(|_| AtomicUsize::new(chunks_per_group))
             .collect();
-        let (eval_ticks, eval_n) = (AtomicU64::new(0), AtomicU64::new(0));
-        let (sounder_ticks, sounder_n) = (AtomicU64::new(0), AtomicU64::new(0));
-        let (frontend_ticks, frontend_n) = (AtomicU64::new(0), AtomicU64::new(0));
+        let eval_ticks = AtomicU64::new(0);
+        let sounder_ticks = AtomicU64::new(0);
+        let frontend_ticks = AtomicU64::new(0);
         let (extract_ticks, extract_n) = (AtomicU64::new(0), AtomicU64::new(0));
         let exact_evals = AtomicU64::new(0);
-        let dropped = AtomicUsize::new(0);
-        let bursts = AtomicUsize::new(0);
+        let dropped = AtomicU64::new(0);
+        let bursts = AtomicU64::new(0);
+        let step = SoundingStep {
+            sounder: &self.sounder,
+            frontend: &self.frontend,
+            faults: &self.faults,
+            cache,
+        };
 
         // Synthesizes rows [s0, s1) of group `g` straight into the output
         // region — one chunk of the work bag — in blocks of at most
-        // CHUNK_ROWS rows: drop decisions, the block's tag states (or its
-        // truth plane when movers make every snapshot's channel
-        // distinct), one sounder block call, then each row's drop copy or
-        // burst and front end in order. Per-block tables live on the
-        // stack; local tallies flush to the shared atomics per call.
+        // CHUNK_ROWS rows: the block's tag states (or its truth plane
+        // when movers make every snapshot's channel distinct), then one
+        // sound_block call. Per-block tables live on the stack; local
+        // tallies flush to the shared atomics per call.
         let synth_rows = |g: usize, s0: usize, s1: usize| {
             let plan = &plans[g];
             // Safety: callers hand each invocation a row range no other
@@ -720,24 +699,13 @@ impl Simulation {
                     (s1 - s0) * n_cols,
                 )
             };
-            let (mut l_eval_t, mut l_eval_n) = (0_u64, 0_u64);
-            let (mut l_sounder_t, mut l_sounder_n) = (0_u64, 0_u64);
-            let (mut l_frontend_t, mut l_frontend_n) = (0_u64, 0_u64);
-            let (mut l_dropped, mut l_bursts) = (0_usize, 0_usize);
-            let mut l_exact = 0_u64;
+            let mut tally = BlockTally::default();
+            let (mut l_eval_t, mut l_exact) = (0_u64, 0_u64);
             let mut truths = Vec::new();
             let mut b0 = s0;
             while b0 < s1 {
                 let b1 = (b0 + CHUNK_ROWS).min(s1);
                 let rows = b1 - b0;
-                let mut cursors: [CounterRng; CHUNK_ROWS] = std::array::from_fn(|r| {
-                    CounterRng::for_snapshot(key, plan.group_id, (b0 + r) as u32)
-                });
-                let cursors = &mut cursors[..rows];
-                let mut drops = [false; CHUNK_ROWS];
-                for (drop, cursor) in drops.iter_mut().zip(cursors.iter_mut()) {
-                    *drop = self.faults.decide_drop(cursor);
-                }
                 let mut st = [0u8; CHUNK_ROWS];
                 let mut runs = self.tag.clocks.runs(plan.t_tag0, plan.dt_eff, b0..b1);
                 let mut filled = 0;
@@ -747,86 +715,43 @@ impl Simulation {
                 }
                 l_exact += runs.exact_evals();
                 let st = &st[..rows];
-                if prepared.is_none() {
-                    let t0 = telem.then(fastclock::ticks);
-                    truths.resize(rows * n_cols, Complex::ZERO);
-                    for (r, truth) in truths.chunks_exact_mut(n_cols).enumerate() {
-                        let t_reader = plan.t_reader0 + (b0 + r) as f64 * t_snap;
-                        for (k, h) in truth.iter_mut().enumerate() {
-                            *h = statics[k]
-                                + gains[k] * table[k][usize::from(st[r])]
-                                + self.scene.dynamic_response(freqs[k], t_reader);
+                let truth = match prepared.as_deref() {
+                    Some(states) => BlockTruth::States(states, st),
+                    None => {
+                        let t0 = telem.then(fastclock::ticks);
+                        truths.resize(rows * n_cols, Complex::ZERO);
+                        for (r, truth) in truths.chunks_exact_mut(n_cols).enumerate() {
+                            let t_reader = plan.t_reader0 + (b0 + r) as f64 * t_snap;
+                            for (k, h) in truth.iter_mut().enumerate() {
+                                *h = statics[k]
+                                    + gains[k] * table[k][usize::from(st[r])]
+                                    + self.scene.dynamic_response(freqs[k], t_reader);
+                            }
                         }
-                    }
-                    if let Some(t) = t0 {
-                        l_eval_t += fastclock::ticks().wrapping_sub(t);
-                    }
-                }
-                l_eval_n += rows as u64;
-                let block = &mut base[(b0 - s0) * n_cols..(b1 - s0) * n_cols];
-                let t1 = telem.then(fastclock::ticks);
-                match prepared.as_deref() {
-                    Some(states) => self.sounder.estimate_prepared_counter_rows_into(
-                        states,
-                        st,
-                        self.frontend.noise_floor,
-                        cursors,
-                        block,
-                    ),
-                    None => self.sounder.estimate_counter_rows_into(
-                        &truths,
-                        self.frontend.noise_floor,
-                        cursors,
-                        block,
-                    ),
-                }
-                let t2 = telem.then(fastclock::ticks);
-                if let (Some(a), Some(b)) = (t1, t2) {
-                    l_sounder_t += b.wrapping_sub(a);
-                    l_sounder_n += rows as u64;
-                }
-                for (r, cursor) in cursors.iter_mut().enumerate() {
-                    let row_off = (b0 + r - s0) * n_cols;
-                    if drops[r] {
-                        // a drop holds the previous row; the group's
-                        // first snapshot (a drop group is one chunk)
-                        // falls back to its noiseless truth
-                        l_dropped += 1;
-                        if b0 + r > s0 {
-                            base.copy_within((row_off - n_cols)..row_off, row_off);
-                        } else {
-                            let truth_row = match prepared.as_deref() {
-                                Some(states) => &states[usize::from(st[r])].truth,
-                                None => &truths[..n_cols],
-                            };
-                            base[row_off..row_off + n_cols].copy_from_slice(truth_row);
+                        if let Some(t) = t0 {
+                            l_eval_t += fastclock::ticks().wrapping_sub(t);
                         }
-                        continue;
+                        BlockTruth::Plane(&truths)
                     }
-                    let row = &mut base[row_off..row_off + n_cols];
-                    if self.faults.apply_burst(cursor, row, direct_amp) {
-                        l_bursts += 1;
-                    }
-                    self.frontend.process(cursor, row, full_scale);
-                    l_frontend_n += 1;
-                }
-                if let Some(b) = t2 {
-                    l_frontend_t += fastclock::ticks().wrapping_sub(b);
-                }
+                };
+                step.sound_block(
+                    (key, plan.group_id, s0),
+                    (b0 - s0)..(b1 - s0),
+                    truth,
+                    base,
+                    &mut tally,
+                );
                 b0 = b1;
             }
             exact_evals.fetch_add(l_exact, Ordering::Relaxed);
             eval_ticks.fetch_add(l_eval_t, Ordering::Relaxed);
-            eval_n.fetch_add(l_eval_n, Ordering::Relaxed);
-            sounder_ticks.fetch_add(l_sounder_t, Ordering::Relaxed);
-            sounder_n.fetch_add(l_sounder_n, Ordering::Relaxed);
-            frontend_ticks.fetch_add(l_frontend_t, Ordering::Relaxed);
-            frontend_n.fetch_add(l_frontend_n, Ordering::Relaxed);
-            if l_dropped > 0 {
-                dropped.fetch_add(l_dropped, Ordering::Relaxed);
+            sounder_ticks.fetch_add(tally.sounder_ticks, Ordering::Relaxed);
+            frontend_ticks.fetch_add(tally.frontend_ticks, Ordering::Relaxed);
+            if tally.dropped > 0 {
+                dropped.fetch_add(tally.dropped, Ordering::Relaxed);
             }
-            if l_bursts > 0 {
-                bursts.fetch_add(l_bursts, Ordering::Relaxed);
+            if tally.bursts > 0 {
+                bursts.fetch_add(tally.bursts, Ordering::Relaxed);
             }
         };
 
@@ -896,8 +821,8 @@ impl Simulation {
         // the fault counters are declared even on clean runs (an add of 0
         // never double-counts)
         let total_dropped = dropped.into_inner();
-        wiforce_telemetry::counter!("faults.snapshots_dropped", total_dropped as u64);
-        wiforce_telemetry::counter!("faults.bursts_injected", bursts.into_inner() as u64);
+        wiforce_telemetry::counter!("faults.snapshots_dropped", total_dropped);
+        wiforce_telemetry::counter!("faults.bursts_injected", bursts.into_inner());
 
         let lines: Vec<GroupLines> = if fused.is_some() {
             line_slots
@@ -913,26 +838,28 @@ impl Simulation {
         let floor = floor_slot.into_inner();
 
         if telem {
+            // every row is evaluated and sounded; the dropped ones skip
+            // the front end
+            let total = (n_groups * n) as u64;
             let ns_per_tick = fastclock::ns_per_tick();
             wiforce_telemetry::span_bulk(
                 "pipeline.channel_eval",
-                eval_n.into_inner(),
+                total,
                 eval_ticks.into_inner() as f64 * ns_per_tick,
             );
             wiforce_telemetry::span_bulk(
                 "pipeline.sounder",
-                sounder_n.into_inner(),
+                total,
                 sounder_ticks.into_inner() as f64 * ns_per_tick,
             );
             wiforce_telemetry::span_bulk(
                 "pipeline.frontend",
-                frontend_n.into_inner(),
+                total - total_dropped,
                 frontend_ticks.into_inner() as f64 * ns_per_tick,
             );
-            let total = (n_groups * n) as u64;
             wiforce_telemetry::counter!("pipeline.snapshots_total", total);
             wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals.into_inner());
-            let yielded = total.saturating_sub(total_dropped as u64);
+            let yielded = total.saturating_sub(total_dropped);
             wiforce_telemetry::gauge!(
                 "pipeline.snapshot_yield",
                 if total == 0 {
@@ -1670,6 +1597,111 @@ struct GroupPlan {
     dt_eff: f64,
 }
 
+/// Where one block's noiseless channel comes from.
+#[derive(Clone, Copy)]
+pub(crate) enum BlockTruth<'a> {
+    /// A static scene: the prepared per-state channels, and each row's
+    /// tag state.
+    States(&'a [PreparedChannel], &'a [u8]),
+    /// One true channel per row, row-major: movers, or the batch
+    /// producer's multi-stream blend.
+    Plane(&'a [Complex]),
+}
+
+impl BlockTruth<'_> {
+    /// Row `r`'s noiseless channel.
+    fn row(&self, r: usize, width: usize) -> &[Complex] {
+        match *self {
+            BlockTruth::States(states, st) => &states[usize::from(st[r])].truth,
+            BlockTruth::Plane(plane) => &plane[r * width..(r + 1) * width],
+        }
+    }
+}
+
+/// Running tallies of [`SoundingStep::sound_block`] calls.
+#[derive(Default)]
+pub(crate) struct BlockTally {
+    /// Rows held by a snapshot drop.
+    pub(crate) dropped: u64,
+    /// Rows hit by a burst fault.
+    pub(crate) bursts: u64,
+    /// Fast-clock ticks in the sounder block calls.
+    pub(crate) sounder_ticks: u64,
+    /// Fast-clock ticks in the per-row drop holds, bursts and front end.
+    pub(crate) frontend_ticks: u64,
+}
+
+/// What a time-domain sounding needs besides its truth: the sounder, the
+/// receiver, the fault regime and the scene's channel-cache entry (grid
+/// width, burst scale, AGC full scale).
+pub(crate) struct SoundingStep<'a> {
+    pub(crate) sounder: &'a Sounder,
+    pub(crate) frontend: &'a Frontend,
+    pub(crate) faults: &'a FaultConfig,
+    pub(crate) cache: &'a ChannelCache,
+}
+
+impl SoundingStep<'_> {
+    /// Sounds rows `block` of `region` — at most [`CHUNK_ROWS`] — whose
+    /// row 0 is snapshot `snap0` of group `group` under press key `key`.
+    /// This is the one place the time-domain draw order lives, for press
+    /// and batch alike: cursors at [`CounterRng::for_snapshot`]`(key,
+    /// group, snapshot)`, the drop decisions, one sounder block call on
+    /// `truth` (which hands each cursor back positioned for its later
+    /// draws), then per row either the drop hold — the previous row of
+    /// `region`, or the row's truth on `region`'s first row — or the
+    /// burst fault and the front end.
+    pub(crate) fn sound_block(
+        &self,
+        (key, group, snap0): (u64, u32, usize),
+        block: std::ops::Range<usize>,
+        truth: BlockTruth<'_>,
+        region: &mut [Complex],
+        tally: &mut BlockTally,
+    ) {
+        use wiforce_telemetry::fastclock;
+        let width = self.cache.statics.len();
+        let rows = block.len();
+        let mut cursors: [CounterRng; CHUNK_ROWS] = std::array::from_fn(|r| {
+            CounterRng::for_snapshot(key, group, (snap0 + block.start + r) as u32)
+        });
+        let cursors = &mut cursors[..rows];
+        let mut drops = [false; CHUNK_ROWS];
+        for (drop, cursor) in drops.iter_mut().zip(cursors.iter_mut()) {
+            *drop = self.faults.decide_drop(cursor);
+        }
+        let noise = self.frontend.noise_floor;
+        let out = &mut region[block.start * width..block.end * width];
+        let t0 = fastclock::ticks();
+        match truth {
+            BlockTruth::States(states, st) => self
+                .sounder
+                .estimate_prepared_counter_rows_into(states, st, noise, cursors, out),
+            BlockTruth::Plane(plane) => self
+                .sounder
+                .estimate_counter_rows_into(plane, noise, cursors, out),
+        }
+        let t1 = fastclock::ticks();
+        for (r, cursor) in cursors.iter_mut().enumerate() {
+            let at = (block.start + r) * width;
+            if drops[r] {
+                tally.dropped += 1;
+                if at > 0 {
+                    region.copy_within(at - width..at, at);
+                } else {
+                    region[..width].copy_from_slice(truth.row(r, width));
+                }
+                continue;
+            }
+            let row = &mut region[at..at + width];
+            tally.bursts += u64::from(self.faults.apply_burst(cursor, row, self.cache.direct_amp));
+            self.frontend.process(cursor, row, self.cache.full_scale);
+        }
+        tally.sounder_ticks += t1.wrapping_sub(t0);
+        tally.frontend_ticks += fastclock::ticks().wrapping_sub(t1);
+    }
+}
+
 /// Streaming-extraction request for [`Simulation::synth_counter`].
 struct FusedExtraction<'a> {
     cfg: &'a PhaseGroupConfig,
@@ -1872,7 +1904,12 @@ mod tests {
             ];
             for (c, want) in contacts.iter().zip(hashes) {
                 let table = sim.tag_response_table(&cache, c.as_ref());
-                let got = wiforce_channel::cache::plane_token(table.iter().flatten());
+                let got = config_token(
+                    table
+                        .iter()
+                        .flatten()
+                        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+                );
                 assert_eq!(got, want, "carrier {carrier}, contact {c:?}");
             }
         }
@@ -1902,60 +1939,77 @@ mod tests {
 
     #[test]
     fn channel_cache_on_off_is_bit_identical() {
-        // the tentpole equivalence fixture: cached and uncached snapshot
-        // synthesis must agree bit-for-bit, before and after a scene
+        // the cache-equivalence fixture: synthesis through a warm channel
+        // cache must match a cold `ChannelCache::build` (the reference's
+        // slot is invalidated before every run) bit for bit, for both
+        // sounders, untouched and pressed, before and after a scene
         // mutation (fingerprint invalidation), with and without movers
-        // (prepared-state vs full evaluation path)
-        let run = |sim: &Simulation, seed: u64| {
+        // (prepared-state vs truth-plane path)
+        let run = |sim: &Simulation, seed: u64, contact: Option<&ContactState>| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut clock = TagClock::new(&mut rng);
             let mut noise = PressNoise::from_rng(&mut rng);
-            let contact = sim.contact_for(3.0, 0.030);
-            sim.run_snapshots(contact.as_ref(), 2, &mut clock, &mut noise)
+            sim.run_snapshots(contact, 2, &mut clock, &mut noise)
         };
-        let mut cached = fast_sim(0.9e9);
-        let mut uncached = fast_sim(0.9e9);
-        uncached.use_channel_cache = false;
-        assert!(cached.use_channel_cache, "cache defaults on");
+        let cold = |sim: &Simulation, seed: u64, contact: Option<&ContactState>| {
+            sim.channel_cache.invalidate();
+            run(sim, seed, contact)
+        };
+        let assert_bits_eq = |a: &SnapshotMatrix, b: &SnapshotMatrix, what: &str| {
+            assert_eq!(a.n_rows(), b.n_rows(), "{what}");
+            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}");
+                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}");
+            }
+        };
+        for (name, mut cached, mut reference) in [
+            ("ofdm", fast_sim(0.9e9), fast_sim(0.9e9)),
+            (
+                "fmcw",
+                fast_sim(0.9e9).with_fmcw_sounder(),
+                fast_sim(0.9e9).with_fmcw_sounder(),
+            ),
+        ] {
+            let contact = cached.contact_for(3.0, 0.030);
+            let untouched = run(&cached, 41, None);
+            assert_bits_eq(&untouched, &cold(&reference, 41, None), name);
+            // the second untouched run takes its prepared states from the
+            // response memo: two hits (the EM plan and the states), no miss
+            let (h0, m0) = cached.channel_cache.response_stats();
+            assert_bits_eq(&untouched, &run(&cached, 41, None), name);
+            let (h1, m1) = cached.channel_cache.response_stats();
+            assert_eq!((h1 - h0, m1), (2, m0), "{name}: untouched states memo hit");
 
-        let a = run(&cached, 42);
-        let b = run(&uncached, 42);
-        assert_eq!(a.n_rows(), b.n_rows());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
+            let a = run(&cached, 42, contact.as_ref());
+            assert_bits_eq(&a, &cold(&reference, 42, contact.as_ref()), name);
 
-        // mutate the scene: the cached run must rebuild, not serve stale
-        // statics — and with movers present the prepared path disables
-        for sim in [&mut cached, &mut uncached] {
-            sim.scene.direct_blockage_db = 7.0;
-            sim.scene
-                .movers
-                .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+            // mutate the scene: the cached run must rebuild, not serve stale
+            // statics — and with movers present the prepared path disables
+            for sim in [&mut cached, &mut reference] {
+                sim.scene.direct_blockage_db = 7.0;
+                sim.scene
+                    .movers
+                    .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+            }
+            let a2 = run(&cached, 43, contact.as_ref());
+            assert_bits_eq(&a2, &cold(&reference, 43, contact.as_ref()), name);
+            // and the mutation actually changed the channel
+            assert_ne!(
+                a.as_slice()[0].re.to_bits(),
+                a2.as_slice()[0].re.to_bits(),
+                "{name}: scene mutation should alter the synthesized snapshots"
+            );
         }
-        let a2 = run(&cached, 43);
-        let b2 = run(&uncached, 43);
-        assert_eq!(a2.n_rows(), b2.n_rows());
-        for (x, y) in a2.as_slice().iter().zip(b2.as_slice()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-        // and the mutation actually changed the channel
-        assert_ne!(
-            a.as_slice()[0].re.to_bits(),
-            a2.as_slice()[0].re.to_bits(),
-            "scene mutation should alter the synthesized snapshots"
-        );
     }
 
     #[test]
     fn randomized_scene_mutations_never_serve_stale_tables() {
         // Proptest-style stress on the invalidation story: an RNG-driven
         // chain of scene mutations (geometry, power, blockage, clutter,
-        // movers, tissue excess) applied identically to a cached and an
-        // uncached simulation. After every mutation the cached run must
-        // match the uncached run bit-for-bit — neither the channel-cache
+        // movers, tissue excess) applied identically to a cached
+        // simulation and a reference whose slot is invalidated before
+        // every run (a cold `ChannelCache::build`). After every mutation
+        // the cached run must match the cold run bit-for-bit — neither the channel-cache
         // fingerprint nor the response-table memo may serve anything
         // built under a previous scene — and each mutation must actually
         // change the synthesized snapshots (same press seed throughout,
@@ -1975,17 +2029,15 @@ mod tests {
                     x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
                 })
         };
+        let cold = |sim: &Simulation| {
+            sim.channel_cache.invalidate();
+            run(sim)
+        };
         let mut cached = fast_sim(0.9e9);
-        let mut uncached = fast_sim(0.9e9);
-        uncached.use_channel_cache = false;
-        assert!(
-            cached.sounder.response_token().is_some(),
-            "paper-default sounder must expose a response token so this \
-             exercise actually goes through the response-table memo"
-        );
+        let mut reference = fast_sim(0.9e9);
 
         let mut prev = run(&cached);
-        assert!(bits_eq(&prev, &run(&uncached)), "warm pass diverged");
+        assert!(bits_eq(&prev, &cold(&reference)), "warm pass diverged");
 
         let mut mutator = StdRng::seed_from_u64(0x5CEE_4E11);
         for round in 0..8u32 {
@@ -1993,7 +2045,7 @@ mod tests {
             // never a no-op: deltas live in [0.5, 1.5)
             let delta = 0.5 + mutator.gen::<f64>();
             let clutter_seed: u64 = mutator.gen();
-            for sim in [&mut cached, &mut uncached] {
+            for sim in [&mut cached, &mut reference] {
                 let scene = &mut sim.scene;
                 match choice {
                     0 => scene.tag_pos_m[1] += 0.01 * delta,
@@ -2014,10 +2066,10 @@ mod tests {
 
             let (_, rebuilds_before) = cached.channel_cache.stats();
             let a = run(&cached);
-            let b = run(&uncached);
+            let b = cold(&reference);
             assert!(
                 bits_eq(&a, &b),
-                "round {round} (mutation {choice}): cached run diverged from uncached"
+                "round {round} (mutation {choice}): cached run diverged from cold"
             );
             assert_ne!(
                 a.as_slice()[0].re.to_bits(),
@@ -2351,13 +2403,17 @@ mod tests {
         // from counter cursors, so worker count and the channel cache
         // must not move a single bit — and the press must differ from
         // the counter path's realization (proof the dispatch actually
-        // took the spectral arm)
-        let contact = fast_sim(0.9e9).contact_for(3.0, 0.030);
+        // took the spectral arm). Warm runs share one cache slot; a cold
+        // run starts from an invalidated one.
+        let warm = fast_sim(0.9e9);
+        let contact = warm.contact_for(3.0, 0.030);
         let run = |spectral: bool, workers: usize, cache: bool| {
-            let mut sim = fast_sim(0.9e9);
+            let mut sim = warm.clone();
             sim.synth_spectral = Some(spectral);
             sim.synth_workers = Some(workers);
-            sim.use_channel_cache = cache;
+            if !cache {
+                sim.channel_cache = SharedChannelCache::new();
+            }
             let mut rng = StdRng::seed_from_u64(77);
             let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
             (

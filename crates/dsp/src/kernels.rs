@@ -3,7 +3,7 @@
 //! Every hot per-sample loop in the simulator — Philox noise fill,
 //! complex multiply-accumulate (Goertzel row passes, tag-response
 //! synthesis, preamble repeat averaging), the spectral line finisher,
-//! phase wrapping, window application, ADC quantization — funnels
+//! window application, ADC quantization — funnels
 //! through this module. Each
 //! kernel is written once as an explicitly chunked, autovectorization-
 //! friendly scalar body; `#[target_feature]` wrappers re-instantiate the
@@ -61,7 +61,6 @@ pub const KERNEL_NAMES: &[&str] = &[
     "eq_reorder_rows",
     "fft_pow2_rows",
     "spectral_line",
-    "wrap_phases",
     "apply_window",
     "quantize_complex",
 ];
@@ -562,22 +561,8 @@ simd_kernel! {
 }
 
 // ---------------------------------------------------------------------
-// Phase wrap, window application, quantization
+// Window application, quantization
 // ---------------------------------------------------------------------
-
-#[inline(always)]
-fn wrap_phases_body(vals: &mut [f64]) {
-    for v in vals.iter_mut() {
-        *v = crate::phase::wrap_to_pi(*v);
-    }
-}
-
-simd_kernel! {
-    /// Wraps every element to `(−π, π]` in place (elementwise
-    /// [`crate::phase::wrap_to_pi`]).
-    pub fn wrap_phases(vals: &mut [f64])
-        = wrap_phases_body / wrap_phases_avx2 / wrap_phases_avx512 / wrap_phases_neon
-}
 
 #[inline(always)]
 fn apply_window_body(frame: &mut [Complex], window: &[f64]) {
@@ -973,18 +958,9 @@ mod tests {
     }
 
     #[test]
-    fn wrap_window_quantize_match_scalar_bitwise() {
+    fn window_quantize_match_scalar_bitwise() {
         let mut rng = StdRng::seed_from_u64(5);
         for n in [1, 8, 64, 99] {
-            let phases: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 50.0 - 25.0).collect();
-            let mut got = phases.clone();
-            wrap_phases(&mut got);
-            let mut want = phases.clone();
-            wrap_phases_body(&mut want);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits());
-            }
-
             let frame = complexes(&mut rng, n);
             let win: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
             let mut got = frame.clone();

@@ -10,7 +10,7 @@
 //! per-sweep estimate is assembled. The grid matches the OFDM sounder's so
 //! the downstream algorithm cannot tell them apart — which is the claim.
 
-use crate::sounder::ChannelSounder;
+use crate::sounder::{fnv_token, ChannelSounder};
 use wiforce_dsp::rng::{complex_gaussian, CounterRng};
 use wiforce_dsp::Complex;
 
@@ -58,6 +58,18 @@ impl ChannelSounder for FmcwSounder {
 
     fn integration_window_s(&self) -> f64 {
         self.sweep_s
+    }
+
+    /// The four configuration fields fix the sweep grid and timing, and
+    /// [`Self::prepare`] (the default: the truth alone) reads nothing
+    /// else, so their raw bits are the response-table identity.
+    fn response_token(&self) -> u64 {
+        fnv_token([
+            self.n_points as u64,
+            self.bandwidth_hz.to_bits(),
+            self.sweep_s.to_bits(),
+            self.idle_s.to_bits(),
+        ])
     }
 
     /// Dechirped FMCW measures `H` at each instantaneous frequency with
@@ -154,6 +166,31 @@ mod tests {
         let mut other = vec![Complex::ZERO; 64];
         f.estimate_counter_into(&truth, 0.2, &mut c, &mut other);
         assert!(direct.iter().zip(&other).any(|(x, y)| x != y));
+    }
+
+    #[test]
+    fn response_token_tracks_configuration() {
+        let a = FmcwSounder::matched_to_ofdm();
+        assert_eq!(
+            a.response_token(),
+            FmcwSounder::matched_to_ofdm().response_token()
+        );
+        let edits: [fn(&mut FmcwSounder); 4] = [
+            |f| f.n_points += 1,
+            |f| f.bandwidth_hz *= 2.0,
+            |f| f.sweep_s += 1e-6,
+            |f| f.idle_s += 1e-6,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut b = a;
+            edit(&mut b);
+            assert_ne!(a.response_token(), b.response_token(), "field {i}");
+        }
+        assert_ne!(
+            a.response_token(),
+            crate::OfdmSounder::wiforce().response_token(),
+            "FMCW and OFDM share the response memo"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! σ²/5, the simulation samples that averaged frame directly — one noise
 //! pass instead of five, same distribution, which the tests verify.
 
-use crate::sounder::{ChannelSounder, PreparedChannel};
+use crate::sounder::{fnv_token, ChannelSounder, PreparedChannel};
 use std::cell::RefCell;
 use wiforce_dsp::fft::{ifft, with_plan};
 use wiforce_dsp::rng::CounterRng;
@@ -420,21 +420,14 @@ impl ChannelSounder for OfdmSounder {
     /// symbols, the IFFT plan and the scaling — i.e. everything
     /// [`Self::prepare`] does — so their raw bits are the response-table
     /// identity.
-    fn response_token(&self) -> Option<u64> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in [
+    fn response_token(&self) -> u64 {
+        fnv_token([
             self.n_subcarriers as u64,
             self.bandwidth_hz.to_bits(),
             self.n_repeats as u64,
             self.zero_pad as u64,
             self.preamble_seed,
-        ] {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        Some(h)
+        ])
     }
 
     /// OFDM estimate error is exactly white and uniform across

@@ -153,15 +153,12 @@ pub trait ChannelSounder {
     /// response-table caching: two sounders with equal tokens must
     /// [`Self::prepare`] identically (bit-for-bit) from the same truth.
     ///
-    /// `Some(token)` lets callers key cached `Vec<PreparedChannel>`
-    /// tables by `(tag-table token, config token)` in a per-scene memo
+    /// Callers key cached `Vec<PreparedChannel>` tables by
+    /// `(tag-table token, config token)` in a per-scene memo
     /// (`wiforce_channel::ChannelCache::response_tables`) and gather
-    /// from them instead of re-preparing every press. `None` (the
-    /// default) disables that caching for sounders whose preparation is
-    /// not a pure function of hashable configuration.
-    fn response_token(&self) -> Option<u64> {
-        None
-    }
+    /// from them instead of re-preparing every press. Implementations
+    /// FNV-hash the raw bits of the configuration fields `prepare` reads.
+    fn response_token(&self) -> u64;
 
     /// Maximum unambiguous modulation ("artificial Doppler") frequency,
     /// Hz: `1/(2T)` (the paper's Nyquist argument in §4.4).
@@ -190,6 +187,19 @@ pub trait ChannelSounder {
     }
 }
 
+/// FNV-1a over the little-endian bytes of `words` — how sounders turn
+/// their configuration fields into a [`ChannelSounder::response_token`].
+pub(crate) fn fnv_token(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,6 +213,9 @@ mod tests {
         }
         fn snapshot_period_s(&self) -> f64 {
             57.6e-6
+        }
+        fn response_token(&self) -> u64 {
+            0
         }
         fn estimate_counter_into(
             &self,

@@ -16,8 +16,8 @@
 //! - `synth_wide` — one group's soundings through the plane kernel the
 //!   time-domain path always takes vs one row call per snapshot, gated
 //!   at ≤ 1.05× by `check_artifacts`;
-//! - `synth_workers` — the worker count the press loop ran with
-//!   (`WIFORCE_SYNTH_WORKERS` or the machine's parallelism);
+//! - `synth_workers` — the worker count the press loop ran with (the
+//!   machine's parallelism, capped at 8);
 //! - `throughput` — the multi-stream batch engine (`wiforce::batch`) at
 //!   1/4/8 frequency-multiplexed streams: aggregate `presses_per_sec`
 //!   and `p95_stream_latency_ns` per point. Because every stream of a
@@ -76,7 +76,7 @@ use wiforce_telemetry::json::JsonWriter;
 /// the batch press count is 8 per stream in full mode (2 quick) so the
 /// steady state dominates the fixed per-run cost;
 /// v9 the spectral-synthesis fields: the `synth_spectral` object times
-/// the direct line-synthesis path (`WIFORCE_SYNTH_SPECTRAL`) that never
+/// the direct line-synthesis path (`Simulation::synth_spectral`) that never
 /// materializes time-domain snapshots — `ns_per_press` /
 /// `presses_per_sec` from a sequential press loop (gated < 1 ms/press on
 /// full artifacts) and `presses_per_sec_8_streams` /
@@ -298,8 +298,7 @@ fn main() {
     // --- steady-state snapshot groups ---------------------------------
     // one group at a time through the counter-addressed stream on a
     // single worker: a worker pool adds a job handle per call, and the
-    // allocation count must not depend on the pool size (the determinism
-    // diff compares it across worker counts)
+    // allocation count must not depend on the machine's core count
     let synth_workers = wiforce::parallel::default_workers();
     let sim = Simulation::paper_default(2.4e9);
     let single = Simulation {

@@ -30,13 +30,6 @@
 //! beyond the limit or a missing/flat batch `throughput` section fails
 //! the run. The before/after table is printed to stdout and, when
 //! `$GITHUB_STEP_SUMMARY` is set, appended to the CI job summary.
-//!
-//! The separate `--diff A.json B.json` mode backs the CI determinism
-//! job: it compares two artifacts field-by-field with
-//! [`wiforce_bench::regression::diff_ignoring_timing`], ignoring only
-//! timing-derived keys, and exits non-zero on any other difference —
-//! counter-based synthesis must produce identical results at any
-//! `WIFORCE_SYNTH_WORKERS` setting.
 
 use wiforce_bench::{observability, regression};
 use wiforce_telemetry::json::{parse, Value};
@@ -483,39 +476,12 @@ fn main() {
     let revs = arg("--revs");
     let expect_rev = arg("--expect-rev");
 
-    // determinism mode: `--diff A B` compares two artifacts produced by
-    // the same build under different worker counts / SIMD backends and
-    // fails on any difference outside timing-derived keys
-    if let Some(i) = argv.iter().position(|a| a == "--diff") {
-        let (Some(a_path), Some(b_path)) = (argv.get(i + 1), argv.get(i + 2)) else {
-            eprintln!("--diff requires two file arguments");
-            std::process::exit(2);
-        };
-        match (load(a_path), load(b_path)) {
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("FAIL {e}");
-                std::process::exit(1);
-            }
-            (Ok(a), Ok(b)) => {
-                let diffs = regression::diff_ignoring_timing(&a, &b);
-                if diffs.is_empty() {
-                    println!("{a_path} vs {b_path}: identical modulo timing keys");
-                    std::process::exit(0);
-                }
-                for d in &diffs {
-                    eprintln!("FAIL {a_path} vs {b_path}: {d}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
-
     if bench.is_none() && health.is_none() && trace.is_none() && metrics.is_none() {
         eprintln!(
             "usage: check_artifacts [--bench BENCH_pipeline.json] [--health health.json] \
              [--trace trace.json] [--metrics metrics.prom] \
              [--baseline BENCH_baseline.json] [--revs git-log.txt] \
-             [--expect-rev SHA] | --diff A.json B.json"
+             [--expect-rev SHA]"
         );
         std::process::exit(2);
     }

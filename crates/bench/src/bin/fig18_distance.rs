@@ -1,8 +1,10 @@
 //! Regenerates the paper's fig18 experiment. Pass `--quick` for a fast
 //! smoke run with fewer trials.
 
+use wiforce_bench::experiments::{self, SynthArm};
+
 fn main() {
     let quick = wiforce_bench::montecarlo::quick_mode();
-    let report = wiforce_bench::experiments::fig18::run(quick);
+    let report = experiments::fig18::run(quick, SynthArm::default());
     std::process::exit(if report.all_ok() { 0 } else { 1 });
 }

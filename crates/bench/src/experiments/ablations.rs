@@ -7,6 +7,7 @@
 //! 5. Waveform: OFDM vs FMCW sounding (the waveform-agnostic claim).
 //! 6. Mechanics: analytic model vs finite-difference contact solver.
 
+use super::SynthArm;
 use crate::montecarlo::{force_errors, run_sweep, Sweep};
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
@@ -55,8 +56,8 @@ fn averaging_reads() -> usize {
 }
 
 /// Ablation 1's low-SNR operating point under one combiner.
-fn averaging_sim(avg: Averaging) -> Simulation {
-    let mut sim = Simulation::paper_default(0.9e9);
+fn averaging_sim(avg: Averaging, arm: SynthArm) -> Simulation {
+    let mut sim = arm.paper_default(0.9e9);
     sim.frontend.noise_floor = 3e-3; // ~40 dB above the bench floor
     sim.averaging = avg;
     sim
@@ -81,7 +82,7 @@ fn median_force_error(sim: &Simulation, trials: usize, seed: u64) -> f64 {
 }
 
 /// Runs all ablations.
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool, arm: SynthArm) -> Report {
     let reads = if quick { 4 } else { 8 };
     let trials = if quick { 1 } else { 3 };
     let mut rep = Report::new();
@@ -99,7 +100,7 @@ pub fn run(quick: bool) -> Report {
         ("phase mean (64 subcarriers)", Averaging::PhaseMean),
         ("single subcarrier", Averaging::SingleSubcarrier),
     ] {
-        let s = phase_std_deg(&averaging_sim(avg), averaging_reads, 0xAB1);
+        let s = phase_std_deg(&averaging_sim(avg, arm), averaging_reads, 0xAB1);
         table.row([name.to_string(), fmt(s, 3)]);
         stds.push(s);
     }
@@ -120,13 +121,13 @@ pub fn run(quick: bool) -> Report {
     // two diverge, quantifying exactly the leakage LS removes.
     println!("== Ablation: phase-group length and extraction ==\n");
     let extraction_gap = |n: usize| -> f64 {
-        let contact_sim = Simulation::paper_default(0.9e9);
+        let contact_sim = arm.paper_default(0.9e9);
         let contact = contact_sim.contact_for(4.0, 0.040);
         let mut acc = 0.0;
         let mut count = 0usize;
         for i in 0..reads {
             let dphi = |method: ExtractionMethod| -> Option<f64> {
-                let mut sim = Simulation::paper_default(0.9e9);
+                let mut sim = arm.paper_default(0.9e9);
                 sim.group.n_snapshots = n;
                 sim.group.method = method;
                 // both extractors on the time-domain arm: the spectral arm
@@ -169,9 +170,9 @@ pub fn run(quick: bool) -> Report {
 
     // 3. clocking scheme end-to-end
     println!("== Ablation: WiForce clocking vs naive 50/50 ==\n");
-    let base = Simulation::paper_default(0.9e9);
+    let base = arm.paper_default(0.9e9);
     let err_wf = median_force_error(&base, trials, 0xAB3);
-    let mut naive = Simulation::paper_default(0.9e9);
+    let mut naive = arm.paper_default(0.9e9);
     naive.tag = naive.tag.with_naive_clocks();
     naive.group.line2_hz = 2.0 * 1000.0; // naive port-2 line sits at 2fs
     let err_naive = median_force_error(&naive, trials, 0xAB4);
@@ -190,7 +191,7 @@ pub fn run(quick: bool) -> Report {
     let mut table = TextTable::new(["|Γ_off-branch|", "median force err (N)"]);
     let mut errs = Vec::new();
     for b in [0.0, 0.01, 0.05, 0.15, 0.30] {
-        let mut sim = Simulation::paper_default(0.9e9);
+        let mut sim = arm.paper_default(0.9e9);
         sim.tag.switch1.off_branch_mag = b;
         sim.tag.switch2.off_branch_mag = b;
         let e = median_force_error(&sim, trials, 0xAB5);
@@ -210,7 +211,7 @@ pub fn run(quick: bool) -> Report {
     // 5. waveform agnosticism
     println!("== Ablation: OFDM vs FMCW sounding ==\n");
     let err_ofdm = err_wf;
-    let fmcw = Simulation::paper_default(0.9e9).with_fmcw_sounder();
+    let fmcw = arm.paper_default(0.9e9).with_fmcw_sounder();
     let err_fmcw = median_force_error(&fmcw, trials, 0xAB6);
     println!("median force error: OFDM {err_ofdm:.2} N, FMCW {err_fmcw:.2} N\n");
     rep.push(ExperimentRecord::new(
@@ -224,7 +225,7 @@ pub fn run(quick: bool) -> Report {
 
     // 6. mechanics model
     println!("== Ablation: analytic vs finite-difference mechanics ==\n");
-    let fd = Simulation::paper_default(0.9e9).with_fd_mechanics();
+    let fd = arm.paper_default(0.9e9).with_fd_mechanics();
     let err_fd = median_force_error(&fd, if quick { 1 } else { 2 }, 0xAB7);
     println!("median force error: analytic {err_wf:.2} N, FD solver {err_fd:.2} N\n");
     rep.push(ExperimentRecord::new(
@@ -238,7 +239,7 @@ pub fn run(quick: bool) -> Report {
 
     // 7. calibration source: VNA vs over-the-air self-calibration
     println!("== Ablation: VNA vs wireless calibration ==\n");
-    let sim = Simulation::paper_default(2.4e9);
+    let sim = arm.paper_default(2.4e9);
     let err_vna = {
         let model = sim.vna_calibration().expect("calibration");
         let sweep = Sweep {
@@ -295,11 +296,8 @@ mod tests {
     #[ignore = "seed sweep of Ablation 1's gate; run in release"]
     fn averaging_reads_hold_the_gate_over_seeds() {
         let reads = averaging_reads();
-        let [coherent, single] = [Averaging::Coherent, Averaging::SingleSubcarrier].map(|avg| {
-            let mut sim = averaging_sim(avg);
-            sim.synth_spectral = Some(true);
-            sim
-        });
+        let [coherent, single] = [Averaging::Coherent, Averaging::SingleSubcarrier]
+            .map(|avg| averaging_sim(avg, SynthArm::Spectral));
         let seeds = 200;
         let mut log_ratios = Vec::with_capacity(seeds);
         for j in 0..seeds as u64 {

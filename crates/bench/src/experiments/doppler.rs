@@ -10,19 +10,19 @@
 //! measure the port-1 phase error: rejection everywhere except at the
 //! (implausible) line-equivalent speed.
 
+use super::SynthArm;
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wiforce::pipeline::Simulation;
 use wiforce_channel::movers::MovingScatterer;
 use wiforce_dsp::phase::wrap_to_pi;
 use wiforce_dsp::Complex;
 
 /// Port-1 phase error (deg, vs VNA) with one mover of the given
 /// path-length rate in the scene.
-fn phase_error_with_mover(speed_m_per_s: f64, reads: usize) -> f64 {
-    let mut sim = Simulation::paper_default(0.9e9);
+fn phase_error_with_mover(arm: SynthArm, speed_m_per_s: f64, reads: usize) -> f64 {
+    let mut sim = arm.paper_default(0.9e9);
     let direct = sim.scene.direct_response(0.9e9).abs();
     sim.scene.movers = vec![MovingScatterer {
         distance0_m: 3.0,
@@ -47,7 +47,7 @@ fn phase_error_with_mover(speed_m_per_s: f64, reads: usize) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool, arm: SynthArm) -> Report {
     println!("== §3.3: Doppler separation — movers vs the tag lines (900 MHz) ==\n");
     let reads = if quick { 3 } else { 6 };
     let v_alias = MovingScatterer::speed_for_line(0.9e9, 1000.0);
@@ -58,7 +58,7 @@ pub fn run(quick: bool) -> Report {
     let speeds = [0.0, 1.0, 5.0, 30.0, -v_alias];
     let mut errs = Vec::new();
     for &v in &speeds {
-        let e = phase_error_with_mover(v, reads);
+        let e = phase_error_with_mover(arm, v, reads);
         table.row([
             fmt(v.abs(), 1),
             fmt(-v * 0.9e9 / wiforce_dsp::C0, 1),

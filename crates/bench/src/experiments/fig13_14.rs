@@ -7,10 +7,10 @@
 //! small fraction of the 8 N / 80 mm ranges, 2.4 GHz beating 900 MHz, and
 //! per-location performance uniform along the sensor.
 
+use super::SynthArm;
 use crate::montecarlo::{force_errors, location_errors_mm, run_sweep, PressResult, Sweep};
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
-use wiforce::pipeline::Simulation;
 use wiforce_dsp::stats::Ecdf;
 
 /// Results for one carrier.
@@ -22,12 +22,12 @@ pub struct CarrierRun {
 }
 
 /// Runs the paper evaluation sweep at both carriers.
-pub fn run_both_carriers(quick: bool) -> Vec<CarrierRun> {
+pub fn run_both_carriers(quick: bool, arm: SynthArm) -> Vec<CarrierRun> {
     let trials = if quick { 2 } else { 6 };
     [0.9e9, 2.4e9]
         .into_iter()
         .map(|carrier| {
-            let sim = Simulation::paper_default(carrier);
+            let sim = arm.paper_default(carrier);
             let model = sim.vna_calibration().expect("calibration");
             let sweep = Sweep::paper_eval(trials);
             let results = run_sweep(&sim, &model, &sweep);
@@ -48,8 +48,8 @@ fn print_cdf(label: &str, ecdf: &Ecdf, unit: &str) {
 }
 
 /// Shared runner: computes both figures' statistics from one sweep pair.
-pub fn run_figs(quick: bool) -> (Report, Report) {
-    let runs = run_both_carriers(quick);
+pub fn run_figs(quick: bool, arm: SynthArm) -> (Report, Report) {
+    let runs = run_both_carriers(quick, arm);
     let mut rep13 = Report::new();
     let mut rep14 = Report::new();
 

@@ -7,23 +7,23 @@
 //! higher median force error (0.62 N vs 0.56 N over the air); without it,
 //! the tag is undecodable. Presses at 60 mm, as in the paper.
 
+use super::SynthArm;
 use crate::montecarlo::{force_errors, run_sweep, Sweep};
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wiforce::pipeline::Simulation;
 use wiforce::WiForceError;
 use wiforce_channel::Scene;
 use wiforce_dsp::stats::Ecdf;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool, arm: SynthArm) -> Report {
     println!("== Fig. 16: tissue phantom at 900 MHz, presses at 60 mm ==\n");
     let trials = if quick { 2 } else { 6 };
 
     // over-the-air baseline at the same location
-    let ota = Simulation::paper_default(0.9e9);
+    let ota = arm.paper_default(0.9e9);
     let model = ota.vna_calibration().expect("calibration");
     let sweep = Sweep {
         locations_m: vec![0.060],
@@ -36,7 +36,7 @@ pub fn run(quick: bool) -> Report {
 
     // phantom with the metal plate (≈50 dB of direct-path knockdown, and
     // a longer integration — the weak through-tissue line needs it)
-    let mut phantom = Simulation::paper_default(0.9e9);
+    let mut phantom = arm.paper_default(0.9e9);
     phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
     phantom.reference_groups = 4;
     phantom.measure_groups = 4;
@@ -62,7 +62,7 @@ pub fn run(quick: bool) -> Report {
     println!("{}", table.render());
 
     // phantom WITHOUT the plate: detection must fail (dynamic range)
-    let mut no_plate = Simulation::paper_default(0.9e9);
+    let mut no_plate = arm.paper_default(0.9e9);
     no_plate.scene = Scene::tissue_phantom(0.9e9, 0.0);
     let mut rng = StdRng::seed_from_u64(0xDEAD);
     let contact = no_plate.contact_for(4.0, 0.060);

@@ -6,20 +6,23 @@
 //! "more than just binary touch sensing". We drive the streaming estimator
 //! with a synthetic fingertip staircase (first-order settling + tremor).
 
+use super::SynthArm;
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::estimator::{EstimatorConfig, ForceEstimator};
-use wiforce::pipeline::{PressNoise, Simulation, TagClock};
+use wiforce::pipeline::{PressNoise, TagClock};
 use wiforce_dsp::stats::mean;
 use wiforce_mech::profile::{FingertipStaircase, PressProfile};
 use wiforce_mech::Indenter;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool, arm: SynthArm) -> Report {
     println!("== Fig. 17: fingertip staircase at 60 mm (2.4 GHz) ==\n");
-    let sim = Simulation::paper_default(2.4e9).with_indenter(Indenter::fingertip());
+    let sim = arm
+        .paper_default(2.4e9)
+        .with_indenter(Indenter::fingertip());
     let model = sim.vna_calibration().expect("calibration");
 
     let mut profile = FingertipStaircase::user_study();

@@ -6,6 +6,7 @@
 //! budget). We measure the repeatability (std) of the port-1 differential
 //! phase for a fixed 4 N press across independent reads.
 
+use super::SynthArm;
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
 use rand::rngs::StdRng;
@@ -29,7 +30,7 @@ fn phase_std_deg(sim: &Simulation, reads: usize, seed: u64) -> Option<f64> {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool, arm: SynthArm) -> Report {
     println!("== Fig. 18: phase stability over a 4 m TX–RX line (900 MHz, 10 dBm) ==\n");
     let reads = if quick { 12 } else { 24 };
     let positions = [1.0, 1.5, 2.0, 2.5, 3.0];
@@ -37,7 +38,7 @@ pub fn run(quick: bool) -> Report {
     let mut table = TextTable::new(["tag at (m from TX)", "TX–tag / tag–RX", "phase std (°)"]);
     let mut stds = Vec::new();
     for &d in &positions {
-        let mut sim = Simulation::paper_default(0.9e9);
+        let mut sim = arm.paper_default(0.9e9);
         sim.scene = Scene::fig18(0.9e9, d);
         // common random numbers across positions isolate the geometry effect
         let s = phase_std_deg(&sim, reads, 0xF18);

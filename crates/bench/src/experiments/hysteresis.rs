@@ -7,11 +7,11 @@
 //! effect the paper's measurement clouds hint at, using the
 //! `wiforce_mech::hysteresis` wrapper end to end.
 
+use super::SynthArm;
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wiforce::pipeline::Simulation;
 use wiforce_dsp::stats::mean;
 use wiforce_mech::contact::SensorMech;
 use wiforce_mech::hysteresis::Hysteretic;
@@ -19,11 +19,11 @@ use wiforce_mech::{AnalyticContactModel, Indenter};
 use wiforce_sensor::tag::ContactState;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool, arm: SynthArm) -> Report {
     println!("== Extension: force hysteresis loop at 40 mm (2.4 GHz) ==\n");
     // this experiment isolates the *mechanical* loop, so the RF chain is
     // idealized (no front-end noise, no tag-clock wander, no press jitter)
-    let mut sim = Simulation::paper_default(2.4e9);
+    let mut sim = arm.paper_default(2.4e9);
     sim.patch_position_jitter_m = 0.0;
     sim.patch_edge_jitter_m = 0.0;
     sim.frontend = wiforce_channel::Frontend::ideal();

@@ -5,20 +5,20 @@
 //! and the wirelessly measured curve should overlay. We print all three
 //! per location and score the overlay RMS.
 
+use super::SynthArm;
 use crate::report::{ExperimentRecord, Report};
 use crate::table::{fmt, TextTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wiforce::pipeline::Simulation;
 use wiforce_dsp::phase::wrap_to_pi;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Report {
+pub fn run(quick: bool, arm: SynthArm) -> Report {
     let mut rep = Report::new();
     for carrier in [0.9e9, 2.4e9] {
         let ghz = carrier / 1e9;
         println!("== Table 1 @ {ghz} GHz: VNA vs model vs wireless ==\n");
-        let sim = Simulation::paper_default(carrier);
+        let sim = arm.paper_default(carrier);
         let model = sim.vna_calibration().expect("calibration");
         let forces: Vec<f64> = if quick {
             vec![1.0, 3.0, 5.0, 7.0]

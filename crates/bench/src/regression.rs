@@ -426,9 +426,8 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Comparison {
 /// durations, latencies, throughput rates, overhead ratios, and the
 /// worker-count knobs themselves. Everything else — counts, counters,
 /// gauges, observation histograms, yields — is expected to be
-/// bit-deterministic for a fixed seed regardless of
-/// `WIFORCE_SYNTH_WORKERS`, which is what [`diff_ignoring_timing`]
-/// checks.
+/// bit-deterministic for a fixed seed at any worker count, which is what
+/// [`diff_ignoring_timing`] checks.
 pub fn is_timing_key(key: &str) -> bool {
     key.ends_with("_ns")
         || key.starts_with("ns_per")
@@ -513,9 +512,9 @@ fn diff_walk(path: &str, a: &Value, b: &Value, out: &mut Vec<String>) {
 
 /// Structurally compares two JSON artifacts while skipping keys that
 /// [`is_timing_key`] classifies as run-dependent. Returns the list of
-/// differences (empty = deterministically equal). CI runs this over
-/// health and bench artifacts produced at `WIFORCE_SYNTH_WORKERS=1`
-/// vs `=8` to pin the counter path's worker-count invariance end to end.
+/// differences (empty = deterministically equal). The `health_workers`
+/// test runs this over health reports produced at 1 and 8 synthesis
+/// workers to pin the worker-count invariance end to end.
 pub fn diff_ignoring_timing(a: &Value, b: &Value) -> Vec<String> {
     let mut out = Vec::new();
     diff_walk("$", a, b, &mut out);

@@ -375,3 +375,53 @@ fn pub_modules_have_callers() {
          (tests, benches and examples do not count): {unreached:?}"
     );
 }
+
+/// The program's results depend only on its code and the flags it is run
+/// with: non-test code under `crates/*/src`, `crates/*/build.rs` and
+/// `src/` calls `std::env::var` / `var_os` only for the build's revision
+/// stamp and the CI job summary. A setting belongs on a struct or a flag.
+#[test]
+fn env_reads_are_allow_listed() {
+    const ALLOWED: [&str; 2] = ["GIT_REV", "GITHUB_STEP_SUMMARY"];
+    let root = repo_root();
+    let mut files = Vec::new();
+    rs_files(&root.join("src"), &mut files);
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let dir = entry.expect("dir entry").path();
+        rs_files(&dir.join("src"), &mut files);
+        let build = dir.join("build.rs");
+        if build.exists() {
+            files.push(build);
+        }
+    }
+    let mut allowed = BTreeSet::new();
+    let mut stray = Vec::new();
+    for f in &files {
+        let code = non_test_code(&read(f), false);
+        for needle in ["env::var(", "env::var_os("] {
+            for (i, _) in code.match_indices(needle) {
+                let arg = code[i + needle.len()..].trim_start();
+                let name = arg.strip_prefix('"').and_then(|a| a.split('"').next());
+                match ALLOWED.iter().find(|&&a| name == Some(a)) {
+                    Some(a) => {
+                        allowed.insert(*a);
+                    }
+                    None => stray.push(format!(
+                        "{}: {needle}{}",
+                        f.display(),
+                        arg.chars().take(40).collect::<String>()
+                    )),
+                }
+            }
+        }
+    }
+    assert_eq!(
+        allowed.len(),
+        ALLOWED.len(),
+        "the scan missed an allowed read: found {allowed:?}"
+    );
+    assert!(
+        stray.is_empty(),
+        "environment reads outside the allow-list {ALLOWED:?}: {stray:#?}"
+    );
+}

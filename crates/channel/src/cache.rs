@@ -22,6 +22,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use wiforce_dsp::hash::Fnv;
 use wiforce_dsp::Complex;
 
 /// The press-invariant part of the channel for one `(scene, grid)` pair.
@@ -48,11 +49,7 @@ pub struct ChannelCache {
 /// the `config_token` half of a [`ChannelCache::response_tables`] key
 /// from their press-invariant configuration fields.
 pub fn config_token(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = Fnv::new();
-    for w in words {
-        h.u64(w);
-    }
-    h.finish()
+    wiforce_dsp::hash::fnv_words(words)
 }
 
 /// Type-erased, bounded map of press-invariant sounding-response tables,
@@ -210,13 +207,13 @@ pub fn scene_fingerprint(scene: &Scene, freqs_hz: &[f64]) -> u64 {
     }
     h.f64(scene.tx_power_dbm);
     h.f64(scene.antenna_gain_dbi);
-    h.u64(scene.multipath.len() as u64);
+    h.word(scene.multipath.len() as u64);
     for path in scene.multipath.paths() {
         h.f64(path.distance_m);
         h.f64(path.gain.re);
         h.f64(path.gain.im);
     }
-    h.u64(scene.movers.len() as u64);
+    h.word(scene.movers.len() as u64);
     for m in &scene.movers {
         h.f64(m.distance0_m);
         h.f64(m.speed_m_per_s);
@@ -224,9 +221,9 @@ pub fn scene_fingerprint(scene: &Scene, freqs_hz: &[f64]) -> u64 {
         h.f64(m.gain.im);
     }
     match &scene.tissue {
-        None => h.u64(0),
+        None => h.word(0),
         Some(layers) => {
-            h.u64(1 + layers.len() as u64);
+            h.word(1 + layers.len() as u64);
             for l in layers {
                 h.f64(l.dielectric.rel_permittivity);
                 h.f64(l.dielectric.loss_tangent);
@@ -237,31 +234,11 @@ pub fn scene_fingerprint(scene: &Scene, freqs_hz: &[f64]) -> u64 {
     }
     h.f64(scene.direct_blockage_db);
     h.f64(scene.tissue_excess_db_per_pass);
-    h.u64(freqs_hz.len() as u64);
+    h.word(freqs_hz.len() as u64);
     for &f in freqs_hz {
         h.f64(f);
     }
     h.finish()
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// A process-shareable slot holding the current [`ChannelCache`] entry.

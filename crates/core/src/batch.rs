@@ -1388,6 +1388,39 @@ mod tests {
     }
 
     #[test]
+    fn scalar_hold_reaches_batch_workers() {
+        // a health window closes on every consumed group and is handed
+        // to the observer on the batch worker that consumed it
+        use wiforce_dsp::kernels::{backend, hold_scalar, Backend};
+        let (sim, model) = template();
+        let spec = ReaderSpec::frequency_multiplexed(2, 1, 0x5CA1, &sim.group).expect("allocation");
+        let seen = Mutex::new(Vec::new());
+        let _scalar = hold_scalar();
+        run_batch_observed(
+            &sim,
+            &model,
+            std::slice::from_ref(&spec),
+            &BatchConfig::wiforce(2),
+            Some(AggregatorConfig {
+                window: 1,
+                ..AggregatorConfig::default()
+            }),
+            Some(&|_: &StreamWindow| {
+                let on = (std::thread::current().id(), backend());
+                seen.lock().expect("observer log").push(on);
+            }),
+        )
+        .expect("batch runs");
+        let seen = seen.into_inner().expect("observer log");
+        let caller = std::thread::current().id();
+        assert!(
+            seen.iter().any(|&(t, _)| t != caller),
+            "no window on a worker"
+        );
+        assert!(seen.iter().all(|&(_, b)| b == Backend::Scalar), "{seen:?}");
+    }
+
+    #[test]
     fn results_are_worker_count_invariant() {
         // clean, under burst faults, and with a mover (per-snapshot
         // truths through the sounder's truth-plane block method)
@@ -1439,211 +1472,223 @@ mod tests {
 
     #[test]
     fn spectral_batch_is_worker_invariant() {
-        // the spectral producer draws one press key per group and keys
-        // every noise lane by (key, group, bin, lane), so readings must
-        // be bit-identical at any worker count
-        let (mut sim, model) = template();
-        sim.synth_spectral = Some(true);
-        let spec = ReaderSpec::frequency_multiplexed(4, 2, 0x5BEC, &sim.group).expect("allocation");
-        let run = |workers: usize| {
-            run_batch(
-                &sim,
+        crate::each_backend(|| {
+            // the spectral producer draws one press key per group and keys
+            // every noise lane by (key, group, bin, lane), so readings must
+            // be bit-identical at any worker count
+            let (mut sim, model) = template();
+            sim.synth_spectral = Some(true);
+            let spec =
+                ReaderSpec::frequency_multiplexed(4, 2, 0x5BEC, &sim.group).expect("allocation");
+            let run = |workers: usize| {
+                run_batch(
+                    &sim,
+                    &model,
+                    std::slice::from_ref(&spec),
+                    &BatchConfig::wiforce(workers),
+                )
+                .expect("batch runs")
+            };
+            let base = run(1);
+            for workers in [2, 8] {
+                let other = run(workers);
+                assert!(
+                    base.deterministic_eq(&other),
+                    "spectral batch diverged at workers {workers}"
+                );
+            }
+            assert_eq!(base.press_readings(), 8);
+            // and it is a genuinely different noise realization than the
+            // time-domain producer — not accidentally routed through it
+            let mut sim_td = sim.clone();
+            sim_td.synth_spectral = Some(false);
+            let legacy = run_batch(
+                &sim_td,
                 &model,
                 std::slice::from_ref(&spec),
-                &BatchConfig::wiforce(workers),
+                &BatchConfig::wiforce(1),
             )
-            .expect("batch runs")
-        };
-        let base = run(1);
-        for workers in [2, 8] {
-            let other = run(workers);
-            assert!(
-                base.deterministic_eq(&other),
-                "spectral batch diverged at workers {workers}"
-            );
-        }
-        assert_eq!(base.press_readings(), 8);
-        // and it is a genuinely different noise realization than the
-        // time-domain producer — not accidentally routed through it
-        let mut sim_td = sim.clone();
-        sim_td.synth_spectral = Some(false);
-        let legacy = run_batch(
-            &sim_td,
-            &model,
-            std::slice::from_ref(&spec),
-            &BatchConfig::wiforce(1),
-        )
-        .expect("batch runs");
-        assert!(!base.deterministic_eq(&legacy));
+            .expect("batch runs");
+            assert!(!base.deterministic_eq(&legacy));
+        });
     }
 
     #[test]
     fn spectral_batch_line_noise_matches_model() {
-        // the batch source's line noise must meet the same model as the
-        // press arm's (`pipeline::tests::spectral_line_noise_moments_and_ks_match_model`):
-        // each produced line minus its noiseless twin — a producer built
-        // from the same spec, so the same clocks, group keys and press
-        // schedule — is circular white Gaussian noise of the modeled
-        // per-component σ, over the air and through the Fig. 16 phantom
-        let mut phantom = Simulation::paper_default(0.9e9);
-        phantom.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 50.0);
-        for (label, mut sim) in [
-            ("over the air", Simulation::paper_default(2.4e9)),
-            ("tissue phantom", phantom),
-        ] {
-            sim.synth_spectral = Some(true);
-            sim.frontend.phase_jitter_rad = 0.0; // isolate additive noise
-            sim.frontend.adc_enob_bits = 0; // no quantization term
-            let spec =
-                ReaderSpec::frequency_multiplexed(2, 1, 0x5EED, &sim.group).expect("allocation");
-            let cfg = BatchConfig::wiforce(1);
-            let mut quiet = sim.clone();
-            quiet.frontend.noise_floor = 0.0;
-            let mut noisy = ReaderProducer::build(&sim, &spec, &cfg);
-            let mut twin = ReaderProducer::build(&quiet, &spec, &cfg);
-            assert!(noisy.spectral && twin.spectral, "{label}");
-            let sigma_est = noisy.sigma_est;
-            let sigmas: Vec<f64> = spec
-                .streams
-                .iter()
-                .flat_map(|s| [s.fs_hz, 4.0 * s.fs_hz])
-                .map(|f| {
-                    crate::line_noise_check::modeled_sigma(
-                        sigma_est * sigma_est,
-                        f,
-                        sim.group.snapshot_period_s,
-                        sim.group.n_snapshots,
-                    )
-                })
-                .collect();
-            let width = noisy.cache.statics.len();
-            let mut residuals = vec![vec![Vec::new(); width]; sigmas.len()];
-            for _ in 0..64 {
-                let (_, got) = noisy.produce_group();
-                let (_, want) = twin.produce_group();
-                for (li, bins) in residuals.iter_mut().enumerate() {
-                    for (k, samples) in bins.iter_mut().enumerate() {
-                        samples.push(got.row(li)[k] - want.row(li)[k]);
+        crate::each_backend(|| {
+            // the batch source's line noise must meet the same model as the
+            // press arm's (`pipeline::tests::spectral_line_noise_moments_and_ks_match_model`):
+            // each produced line minus its noiseless twin — a producer built
+            // from the same spec, so the same clocks, group keys and press
+            // schedule — is circular white Gaussian noise of the modeled
+            // per-component σ, over the air and through the Fig. 16 phantom
+            let mut phantom = Simulation::paper_default(0.9e9);
+            phantom.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 50.0);
+            for (label, mut sim) in [
+                ("over the air", Simulation::paper_default(2.4e9)),
+                ("tissue phantom", phantom),
+            ] {
+                sim.synth_spectral = Some(true);
+                sim.frontend.phase_jitter_rad = 0.0; // isolate additive noise
+                sim.frontend.adc_enob_bits = 0; // no quantization term
+                let spec = ReaderSpec::frequency_multiplexed(2, 1, 0x5EED, &sim.group)
+                    .expect("allocation");
+                let cfg = BatchConfig::wiforce(1);
+                let mut quiet = sim.clone();
+                quiet.frontend.noise_floor = 0.0;
+                let mut noisy = ReaderProducer::build(&sim, &spec, &cfg);
+                let mut twin = ReaderProducer::build(&quiet, &spec, &cfg);
+                assert!(noisy.spectral && twin.spectral, "{label}");
+                let sigma_est = noisy.sigma_est;
+                let sigmas: Vec<f64> = spec
+                    .streams
+                    .iter()
+                    .flat_map(|s| [s.fs_hz, 4.0 * s.fs_hz])
+                    .map(|f| {
+                        crate::line_noise_check::modeled_sigma(
+                            sigma_est * sigma_est,
+                            f,
+                            sim.group.snapshot_period_s,
+                            sim.group.n_snapshots,
+                        )
+                    })
+                    .collect();
+                let width = noisy.cache.statics.len();
+                let mut residuals = vec![vec![Vec::new(); width]; sigmas.len()];
+                for _ in 0..64 {
+                    let (_, got) = noisy.produce_group();
+                    let (_, want) = twin.produce_group();
+                    for (li, bins) in residuals.iter_mut().enumerate() {
+                        for (k, samples) in bins.iter_mut().enumerate() {
+                            samples.push(got.row(li)[k] - want.row(li)[k]);
+                        }
                     }
                 }
+                crate::line_noise_check::check_circular_white_noise(label, &residuals, &sigmas);
             }
-            crate::line_noise_check::check_circular_white_noise(label, &residuals, &sigmas);
-        }
+        });
     }
 
     #[test]
     fn spectral_batch_jitter_covariance_matches_model() {
-        // the batch source draws its jitter as the press arm does, one J
-        // per line: each line minus its noiseless, jitter-free twin must
-        // have the cross-subcarrier covariance
-        // 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·σ_θ²(1−|D̄|²)/N over the air
-        // and at the Fig. 16 phantom's SNR. One stream, so a time-domain
-        // producer on the same spec gives each group's mean row
-        let mut phantom = Simulation::paper_default(0.9e9);
-        phantom.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 50.0);
-        for (label, mut sim) in [
-            ("over the air", Simulation::paper_default(2.4e9)),
-            ("tissue phantom", phantom),
-        ] {
-            sim.synth_spectral = Some(true);
-            sim.frontend.adc_enob_bits = 0; // no quantization term
-            let spec =
-                ReaderSpec::frequency_multiplexed(1, 1, 0xC0F, &sim.group).expect("allocation");
-            let cfg = BatchConfig::wiforce(1);
-            let mut quiet = sim.clone();
-            quiet.frontend.noise_floor = 0.0;
-            quiet.frontend.phase_jitter_rad = 0.0;
-            let mut quiet_td = quiet.clone();
-            quiet_td.synth_spectral = Some(false);
-            let mut noisy = ReaderProducer::build(&sim, &spec, &cfg);
-            let mut twin = ReaderProducer::build(&quiet, &spec, &cfg);
-            let mut rows = ReaderProducer::build(&quiet_td, &spec, &cfg);
-            assert!(noisy.spectral && twin.spectral && !rows.spectral, "{label}");
-            let (n, t_snap) = (sim.group.n_snapshots, sim.group.snapshot_period_s);
-            let width = noisy.cache.statics.len();
-            let draws = 256;
-            let mut residuals = vec![vec![Vec::with_capacity(draws); width]; 2];
-            let mut mean_p = Vec::with_capacity(draws);
-            for _ in 0..draws {
-                let (_, got) = noisy.produce_group();
-                let (_, want) = twin.produce_group();
-                let (_, td) = rows.produce_group();
-                for (li, bins) in residuals.iter_mut().enumerate() {
-                    for (k, samples) in bins.iter_mut().enumerate() {
-                        samples.push(got.row(li)[k] - want.row(li)[k]);
+        crate::each_backend(|| {
+            // the batch source draws its jitter as the press arm does, one J
+            // per line: each line minus its noiseless, jitter-free twin must
+            // have the cross-subcarrier covariance
+            // 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·σ_θ²(1−|D̄|²)/N over the air
+            // and at the Fig. 16 phantom's SNR. One stream, so a time-domain
+            // producer on the same spec gives each group's mean row
+            let mut phantom = Simulation::paper_default(0.9e9);
+            phantom.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 50.0);
+            for (label, mut sim) in [
+                ("over the air", Simulation::paper_default(2.4e9)),
+                ("tissue phantom", phantom),
+            ] {
+                sim.synth_spectral = Some(true);
+                sim.frontend.adc_enob_bits = 0; // no quantization term
+                let spec =
+                    ReaderSpec::frequency_multiplexed(1, 1, 0xC0F, &sim.group).expect("allocation");
+                let cfg = BatchConfig::wiforce(1);
+                let mut quiet = sim.clone();
+                quiet.frontend.noise_floor = 0.0;
+                quiet.frontend.phase_jitter_rad = 0.0;
+                let mut quiet_td = quiet.clone();
+                quiet_td.synth_spectral = Some(false);
+                let mut noisy = ReaderProducer::build(&sim, &spec, &cfg);
+                let mut twin = ReaderProducer::build(&quiet, &spec, &cfg);
+                let mut rows = ReaderProducer::build(&quiet_td, &spec, &cfg);
+                assert!(noisy.spectral && twin.spectral && !rows.spectral, "{label}");
+                let (n, t_snap) = (sim.group.n_snapshots, sim.group.snapshot_period_s);
+                let width = noisy.cache.statics.len();
+                let draws = 256;
+                let mut residuals = vec![vec![Vec::with_capacity(draws); width]; 2];
+                let mut mean_p = Vec::with_capacity(draws);
+                for _ in 0..draws {
+                    let (_, got) = noisy.produce_group();
+                    let (_, want) = twin.produce_group();
+                    let (_, td) = rows.produce_group();
+                    for (li, bins) in residuals.iter_mut().enumerate() {
+                        for (k, samples) in bins.iter_mut().enumerate() {
+                            samples.push(got.row(li)[k] - want.row(li)[k]);
+                        }
                     }
-                }
-                let mut mean = vec![Complex::ZERO; width];
-                for row in td.rows() {
-                    for (m, &x) in mean.iter_mut().zip(row) {
-                        *m += x.scale(1.0 / n as f64);
+                    let mut mean = vec![Complex::ZERO; width];
+                    for row in td.rows() {
+                        for (m, &x) in mean.iter_mut().zip(row) {
+                            *m += x.scale(1.0 / n as f64);
+                        }
                     }
+                    mean_p.push(mean);
                 }
-                mean_p.push(mean);
+                let fs = spec.streams[0].fs_hz;
+                for (li, f_hz) in [fs, 4.0 * fs].into_iter().enumerate() {
+                    use crate::line_noise_check as lnc;
+                    let sigma_line = lnc::modeled_sigma(noisy.sigma_est.powi(2), f_hz, t_snap, n);
+                    let jitter = sim.frontend.phase_jitter_rad;
+                    let var_j = jitter * jitter * lnc::shrink(f_hz, t_snap, n) / n as f64;
+                    let power = lnc::check_jitter_covariance(
+                        &format!("{label} line {li}"),
+                        &residuals[li],
+                        &mean_p,
+                        sigma_line,
+                        var_j,
+                    );
+                    println!(
+                        "{label} line {li}: off-diagonal jitter covariance up to {power:.1} σ"
+                    );
+                    assert!(label != "over the air" || power > 10.0, "{label}: {power}");
+                }
             }
-            let fs = spec.streams[0].fs_hz;
-            for (li, f_hz) in [fs, 4.0 * fs].into_iter().enumerate() {
-                use crate::line_noise_check as lnc;
-                let sigma_line = lnc::modeled_sigma(noisy.sigma_est.powi(2), f_hz, t_snap, n);
-                let jitter = sim.frontend.phase_jitter_rad;
-                let var_j = jitter * jitter * lnc::shrink(f_hz, t_snap, n) / n as f64;
-                let power = lnc::check_jitter_covariance(
-                    &format!("{label} line {li}"),
-                    &residuals[li],
-                    &mean_p,
-                    sigma_line,
-                    var_j,
-                );
-                println!("{label} line {li}: off-diagonal jitter covariance up to {power:.1} σ");
-                assert!(label != "over the air" || power > 10.0, "{label}: {power}");
-            }
-        }
+        });
     }
 
     #[test]
     fn spectral_and_time_domain_batch_keep_long_clocks_on_the_edge_walk() {
-        // a batch stream's tag clock is a running sum from the start of
-        // the run; the producer folds it back by whole base periods, so a
-        // stream already past 2²⁰ periods of its 2fs drive clock (where
-        // the edge walks stop and every window would take the exact
-        // split) walks the edges as a fresh stream does, on both line
-        // sources. Windows that straddle an edge take the exact split on
-        // any clock (~10% at the paper grid), so the long stream is held
-        // to the fresh stream's share plus 1% of its windows
-        let sim = Simulation::paper_default(0.9e9);
-        let spec = ReaderSpec::frequency_multiplexed(1, 0, 0x10C, &sim.group).expect("allocation");
-        let fs = spec.streams[0].fs_hz;
-        let groups = 8;
-        let windows = (groups * sim.group.n_snapshots) as u64;
-        let _gate = crate::TELEMETRY_GATE
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        for spectral in [true, false] {
-            let mut sim = sim.clone();
-            sim.synth_spectral = Some(spectral);
-            let exact_from = |start_s: f64| {
-                let mut producer = ReaderProducer::build(&sim, &spec, &BatchConfig::wiforce(1));
-                assert_eq!(producer.spectral, spectral);
-                producer.streams[0].clock.t_tag += start_s;
-                wiforce_telemetry::set_enabled(true);
-                wiforce_telemetry::reset();
-                for _ in 0..groups {
-                    producer.produce_group();
-                }
-                let snap = wiforce_telemetry::take();
-                wiforce_telemetry::set_enabled(false);
-                snap.counters["clock.walk_exact_evals"]
-            };
-            let fresh = exact_from(0.0);
-            let long = exact_from(1.5 * 1_048_576.0 / (2.0 * fs));
-            println!(
-                "spectral {spectral}: {fresh} (fresh), {long} (long) of {windows} windows exact"
-            );
-            assert!(
-                fresh * 5 <= windows && long * 100 <= fresh * 100 + windows,
-                "spectral {spectral}: {fresh} (fresh), {long} (long) of {windows} windows exact"
-            );
-        }
+        crate::each_backend(|| {
+            // a batch stream's tag clock is a running sum from the start of
+            // the run; the producer folds it back by whole base periods, so a
+            // stream already past 2²⁰ periods of its 2fs drive clock (where
+            // the edge walks stop and every window would take the exact
+            // split) walks the edges as a fresh stream does, on both line
+            // sources. Windows that straddle an edge take the exact split on
+            // any clock (~10% at the paper grid), so the long stream is held
+            // to the fresh stream's share plus 1% of its windows
+            let sim = Simulation::paper_default(0.9e9);
+            let spec =
+                ReaderSpec::frequency_multiplexed(1, 0, 0x10C, &sim.group).expect("allocation");
+            let fs = spec.streams[0].fs_hz;
+            let groups = 8;
+            let windows = (groups * sim.group.n_snapshots) as u64;
+            let _gate = crate::TELEMETRY_GATE
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            for spectral in [true, false] {
+                let mut sim = sim.clone();
+                sim.synth_spectral = Some(spectral);
+                let exact_from = |start_s: f64| {
+                    let mut producer = ReaderProducer::build(&sim, &spec, &BatchConfig::wiforce(1));
+                    assert_eq!(producer.spectral, spectral);
+                    producer.streams[0].clock.t_tag += start_s;
+                    wiforce_telemetry::set_enabled(true);
+                    wiforce_telemetry::reset();
+                    for _ in 0..groups {
+                        producer.produce_group();
+                    }
+                    let snap = wiforce_telemetry::take();
+                    wiforce_telemetry::set_enabled(false);
+                    snap.counters["clock.walk_exact_evals"]
+                };
+                let fresh = exact_from(0.0);
+                let long = exact_from(1.5 * 1_048_576.0 / (2.0 * fs));
+                println!(
+                    "spectral {spectral}: {fresh} (fresh), {long} (long) of {windows} windows exact"
+                );
+                assert!(
+                    fresh * 5 <= windows && long * 100 <= fresh * 100 + windows,
+                    "spectral {spectral}: {fresh} (fresh), {long} (long) of {windows} windows exact"
+                );
+            }
+        });
     }
 
     /// The worst relative distance, per stream, of the spectral
@@ -1684,123 +1729,130 @@ mod tests {
 
     #[test]
     fn spectral_batch_lines_match_time_domain_dft() {
-        // the deterministic half of the batch spectral model: noiseless,
-        // each stream's lines must equal the mean-subtracted DFT of the
-        // time-domain rows the same spec produces — the same window
-        // weights, clocks and press schedule. One stream alone is exact
-        // to rounding; beside a second tag, the rows also carry that
-        // tag's modulation, whose window-averaged harmonics leak into the
-        // first tag's bins, which the per-stream lines leave out
-        let mut sim = Simulation::paper_default(0.9e9);
-        sim.frontend.noise_floor = 0.0;
-        sim.frontend.phase_jitter_rad = 0.0;
-        sim.frontend.adc_enob_bits = 0;
-        let alone = spectral_vs_time_domain_dft(
-            &sim,
-            &ReaderSpec::frequency_multiplexed(1, 2, 0xD7F, &sim.group).unwrap(),
-        );
-        let shared = spectral_vs_time_domain_dft(
-            &sim,
-            &ReaderSpec::frequency_multiplexed(2, 2, 0xD7F, &sim.group).unwrap(),
-        );
-        println!("one stream: {alone:?}; two streams: {shared:?}");
-        assert!(alone[0] < 1e-9, "one stream: relative error {:e}", alone[0]);
-        // measured: 3.2e-5 and 6.3e-4 of the line
-        for (i, err) in shared.iter().enumerate() {
-            assert!(*err < 2e-3, "two streams, stream {i}: leakage {err:e}");
-        }
+        crate::each_backend(|| {
+            // the deterministic half of the batch spectral model: noiseless,
+            // each stream's lines must equal the mean-subtracted DFT of the
+            // time-domain rows the same spec produces — the same window
+            // weights, clocks and press schedule. One stream alone is exact
+            // to rounding; beside a second tag, the rows also carry that
+            // tag's modulation, whose window-averaged harmonics leak into the
+            // first tag's bins, which the per-stream lines leave out
+            let mut sim = Simulation::paper_default(0.9e9);
+            sim.frontend.noise_floor = 0.0;
+            sim.frontend.phase_jitter_rad = 0.0;
+            sim.frontend.adc_enob_bits = 0;
+            let alone = spectral_vs_time_domain_dft(
+                &sim,
+                &ReaderSpec::frequency_multiplexed(1, 2, 0xD7F, &sim.group).unwrap(),
+            );
+            let shared = spectral_vs_time_domain_dft(
+                &sim,
+                &ReaderSpec::frequency_multiplexed(2, 2, 0xD7F, &sim.group).unwrap(),
+            );
+            println!("one stream: {alone:?}; two streams: {shared:?}");
+            assert!(alone[0] < 1e-9, "one stream: relative error {:e}", alone[0]);
+            // measured: 3.2e-5 and 6.3e-4 of the line
+            for (i, err) in shared.iter().enumerate() {
+                assert!(*err < 2e-3, "two streams, stream {i}: leakage {err:e}");
+            }
+        });
     }
 
     #[test]
     fn spectral_batch_falls_back_when_ineligible() {
-        // movers break the static-scene premise of the spectral model;
-        // with the flag forced on the producer must silently take the
-        // time-domain arm and reproduce it bit for bit
-        let (mut sim, model) = template();
-        sim.scene
-            .movers
-            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
-        let spec = ReaderSpec::frequency_multiplexed(2, 2, 0xFA11, &sim.group).expect("allocation");
-        let run = |spectral: bool| {
-            let mut sim_s = sim.clone();
-            sim_s.synth_spectral = Some(spectral);
-            run_batch(
-                &sim_s,
-                &model,
-                std::slice::from_ref(&spec),
-                &BatchConfig::wiforce(1),
-            )
-            .expect("batch runs")
-        };
-        let off = run(false);
-        let on = run(true);
-        assert!(
-            off.deterministic_eq(&on),
-            "ineligible spectral request must fall back to the time-domain arm"
-        );
-        assert!(off.press_readings() > 0);
+        crate::each_dispatch(|workers| {
+            // movers break the static-scene premise of the spectral model;
+            // with the flag forced on the producer must silently take the
+            // time-domain arm and reproduce it bit for bit
+            let (mut sim, model) = template();
+            sim.scene
+                .movers
+                .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+            let spec =
+                ReaderSpec::frequency_multiplexed(2, 2, 0xFA11, &sim.group).expect("allocation");
+            let run = |spectral: bool| {
+                let mut sim_s = sim.clone();
+                sim_s.synth_spectral = Some(spectral);
+                run_batch(
+                    &sim_s,
+                    &model,
+                    std::slice::from_ref(&spec),
+                    &BatchConfig::wiforce(workers),
+                )
+                .expect("batch runs")
+            };
+            let off = run(false);
+            let on = run(true);
+            assert!(
+                off.deterministic_eq(&on),
+                "ineligible spectral request must fall back to the time-domain arm"
+            );
+            assert!(off.press_readings() > 0);
+        });
     }
 
     #[test]
     fn spectral_batch_estimates_stay_accurate() {
-        // direct line synthesis changes the noise realization, not the
-        // physics: per-stream force/location estimates must land inside
-        // press-separating tolerances (2.4 GHz, where the inversion is
-        // well-conditioned; the 900 MHz inversion's skew would fold
-        // noise-realization differences into N-scale force spread — see
-        // pressed_streams_report_their_own_forces)
-        let mut sim = Simulation::paper_default(2.4e9);
-        sim.synth_spectral = Some(true);
-        let model = Arc::new(sim.vna_calibration().expect("calibration"));
-        let grid = 1.0 / (sim.group.n_snapshots as f64 * sim.group.snapshot_period_s);
-        let clocks = allocate_frequencies_on_grid(2, 800.0, 2000.0, grid).unwrap();
-        let spec = ReaderSpec::new(0x57EC)
-            .stream(
-                "hard",
-                clocks[0],
-                vec![PressSpec {
-                    force_n: 5.0,
-                    location_m: 0.030,
-                }],
+        crate::each_dispatch(|workers| {
+            // direct line synthesis changes the noise realization, not the
+            // physics: per-stream force/location estimates must land inside
+            // press-separating tolerances (2.4 GHz, where the inversion is
+            // well-conditioned; the 900 MHz inversion's skew would fold
+            // noise-realization differences into N-scale force spread — see
+            // pressed_streams_report_their_own_forces)
+            let mut sim = Simulation::paper_default(2.4e9);
+            sim.synth_spectral = Some(true);
+            let model = Arc::new(sim.vna_calibration().expect("calibration"));
+            let grid = 1.0 / (sim.group.n_snapshots as f64 * sim.group.snapshot_period_s);
+            let clocks = allocate_frequencies_on_grid(2, 800.0, 2000.0, grid).unwrap();
+            let spec = ReaderSpec::new(0x57EC)
+                .stream(
+                    "hard",
+                    clocks[0],
+                    vec![PressSpec {
+                        force_n: 5.0,
+                        location_m: 0.030,
+                    }],
+                )
+                .stream(
+                    "soft",
+                    clocks[1],
+                    vec![PressSpec {
+                        force_n: 2.0,
+                        location_m: 0.050,
+                    }],
+                );
+            let report = run_batch(
+                &sim,
+                &model,
+                std::slice::from_ref(&spec),
+                &BatchConfig::wiforce(workers),
             )
-            .stream(
-                "soft",
-                clocks[1],
-                vec![PressSpec {
-                    force_n: 2.0,
-                    location_m: 0.050,
-                }],
+            .expect("batch runs");
+            let hard = &report.streams[0].readings[0];
+            let soft = &report.streams[1].readings[0];
+            assert!(hard.reading.touched && soft.reading.touched);
+            assert!(
+                (hard.reading.force_n - 5.0).abs() < 2.2,
+                "hard force {}",
+                hard.reading.force_n
             );
-        let report = run_batch(
-            &sim,
-            &model,
-            std::slice::from_ref(&spec),
-            &BatchConfig::wiforce(2),
-        )
-        .expect("batch runs");
-        let hard = &report.streams[0].readings[0];
-        let soft = &report.streams[1].readings[0];
-        assert!(hard.reading.touched && soft.reading.touched);
-        assert!(
-            (hard.reading.force_n - 5.0).abs() < 2.2,
-            "hard force {}",
-            hard.reading.force_n
-        );
-        assert!(
-            (soft.reading.force_n - 2.0).abs() < 1.0,
-            "soft force {}",
-            soft.reading.force_n
-        );
-        assert!(
-            (hard.reading.location_m - 0.030).abs() < 5e-3,
-            "hard location {}",
-            hard.reading.location_m
-        );
-        assert!(
-            (soft.reading.location_m - 0.050).abs() < 5e-3,
-            "soft location {}",
-            soft.reading.location_m
-        );
+            assert!(
+                (soft.reading.force_n - 2.0).abs() < 1.0,
+                "soft force {}",
+                soft.reading.force_n
+            );
+            assert!(
+                (hard.reading.location_m - 0.030).abs() < 5e-3,
+                "hard location {}",
+                hard.reading.location_m
+            );
+            assert!(
+                (soft.reading.location_m - 0.050).abs() < 5e-3,
+                "soft location {}",
+                soft.reading.location_m
+            );
+        });
     }
 
     #[test]
@@ -1907,16 +1959,25 @@ mod tests {
 
     #[test]
     fn channel_cache_shares_one_entry_across_readers() {
-        let (sim, model) = template();
-        let spec_a = ReaderSpec::frequency_multiplexed(2, 1, 0xA, &sim.group).expect("allocation");
-        let spec_b = ReaderSpec::frequency_multiplexed(2, 1, 0xB, &sim.group).expect("allocation");
-        sim.channel_cache.reset_stats();
-        let report = run_batch(&sim, &model, &[spec_a, spec_b], &BatchConfig::wiforce(2))
+        crate::each_dispatch(|workers| {
+            let (sim, model) = template();
+            let spec_a =
+                ReaderSpec::frequency_multiplexed(2, 1, 0xA, &sim.group).expect("allocation");
+            let spec_b =
+                ReaderSpec::frequency_multiplexed(2, 1, 0xB, &sim.group).expect("allocation");
+            sim.channel_cache.reset_stats();
+            let report = run_batch(
+                &sim,
+                &model,
+                &[spec_a, spec_b],
+                &BatchConfig::wiforce(workers),
+            )
             .expect("batch runs");
-        assert!(report.press_readings() > 0);
-        let (hits, misses) = sim.channel_cache.stats();
-        assert!(misses <= 1, "one scene, at most one build: {misses}");
-        assert!(hits >= 1, "second reader should hit the shared entry");
+            assert!(report.press_readings() > 0);
+            let (hits, misses) = sim.channel_cache.stats();
+            assert!(misses <= 1, "one scene, at most one build: {misses}");
+            assert!(hits >= 1, "second reader should hit the shared entry");
+        });
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //! reader produces them; the estimator groups them, locks a no-touch
 //! reference, and emits a `(force, location)` reading per phase group.
 //! This is what a real WiForce reader would run online, and what the
-//! fingertip/UI experiments (§5.3) drive.
+//! fingertip/UI experiments (§5.3) drive. [`health_run`] drives it,
+//! with a press and the sample-level receiver, for the health report.
 
 use crate::calib::SensorModel;
 use crate::diffphase::{differential, Averaging};
 use crate::harmonics::{extract_lines, GroupLines, PhaseGroupConfig};
-use crate::pipeline::average_lines;
+use crate::pipeline::{average_lines, PressNoise, Simulation, TagClock};
+use crate::tracking::{Tracker, TrackerConfig};
 use crate::WiForceError;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use wiforce_dsp::phase::wrap_to_pi;
 use wiforce_dsp::{Complex, SnapshotMatrix};
+use wiforce_telemetry::PipelineHealth;
 
 /// Configuration for the streaming estimator.
 #[derive(Debug, Clone, Copy)]
@@ -267,6 +272,74 @@ impl ForceEstimator {
             touched: true,
         }))
     }
+}
+
+/// The `wiforce-cli health` workload with the telemetry recorder on, as
+/// a [`PipelineHealth`] report: one calibrated press of `force_n` at
+/// `location_m` through `sim` (mechanics, EM transduction, channel,
+/// sounder, fault injection, harmonic extraction, model inversion), the
+/// streaming estimator with Kalman tracking over a quiet-then-pressed
+/// stream, and the sample-level stream receiver's preamble sync and
+/// frame decode. The recorder is reset first and switched off once the
+/// report is taken; `seed` fixes every draw.
+pub fn health_run(
+    sim: &Simulation,
+    model: SensorModel,
+    force_n: f64,
+    location_m: f64,
+    seed: u64,
+) -> Result<PipelineHealth, WiForceError> {
+    wiforce_telemetry::reset();
+    wiforce_telemetry::set_enabled(true);
+    let mut rng = StdRng::seed_from_u64(seed);
+
+    // 1. one calibrated press through the batch pipeline
+    sim.measure_press(&model, force_n, location_m, &mut rng)?;
+
+    // 2. streaming estimator + tracker over a quiet-then-pressed stream
+    let cfg = EstimatorConfig {
+        group: sim.group,
+        reference_groups: 1,
+        ..EstimatorConfig::wiforce(1000.0)
+    };
+    let mut est = ForceEstimator::new(cfg, model);
+    let mut tracker = Tracker::new(TrackerConfig::wiforce());
+    let mut clock = TagClock::new(&mut rng);
+    let mut noise = PressNoise::from_rng(&mut rng);
+    let quiet = sim.run_snapshots(None, 1, &mut clock, &mut noise);
+    for s in quiet.rows() {
+        est.push_snapshot(s)?;
+    }
+    let contact = sim.jittered_contact(force_n, location_m, &mut rng);
+    let pressed = sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut noise);
+    for s in pressed.rows() {
+        if let Some(r) = est.push_snapshot(s)? {
+            tracker.update(&r);
+        }
+    }
+
+    // 3. sample-level receiver: preamble sync + per-frame channel decode
+    let sounder = wiforce_reader::ofdm::OfdmSounder::wiforce();
+    let chans: Vec<Vec<Complex>> = (0..4)
+        .map(|f| {
+            (0..sounder.n_subcarriers)
+                .map(|k| Complex::from_polar(0.5, 0.02 * k as f64 + 0.05 * f as f64))
+                .collect()
+        })
+        .collect();
+    let rx = wiforce_reader::stream::simulate_rx_stream(&sounder, &chans, 1e-4, 64, &mut rng);
+    let receiver = wiforce_reader::stream::StreamReceiver::new(sounder);
+    if receiver.process(&rx).is_none() {
+        return Err(WiForceError::Config(
+            "stream receiver failed to sync".into(),
+        ));
+    }
+
+    // cache gauges are end-of-run only (mid-run readings of the shared
+    // memo counters are scheduling-dependent)
+    sim.emit_cache_gauges();
+    wiforce_telemetry::set_enabled(false);
+    Ok(PipelineHealth::collect())
 }
 
 #[cfg(test)]

@@ -63,6 +63,25 @@ mod line_noise_check;
 /// one test switching it off cannot blank another's recording.
 #[cfg(test)]
 static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Runs `check` under the detected SIMD dispatch, then again with it held
+/// to the scalar bodies: every backend must give the same bits.
+#[cfg(test)]
+fn each_backend(mut check: impl FnMut()) {
+    check();
+    let _scalar = wiforce_dsp::kernels::hold_scalar();
+    check();
+}
+
+/// [`each_backend`] at 1 and 8 workers, the argument `check` sets on the
+/// simulations or batches it runs.
+#[cfg(test)]
+fn each_dispatch(mut check: impl FnMut(usize)) {
+    each_backend(|| {
+        check(1);
+        check(8);
+    });
+}
 pub mod model;
 pub mod multisensor;
 pub mod parallel;

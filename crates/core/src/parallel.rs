@@ -14,8 +14,8 @@
 //!
 //! Results never depend on how many workers ran or how chunks were
 //! interleaved — workers write disjoint row ranges and draw from
-//! counter-addressed streams — so `WIFORCE_SYNTH_WORKERS=1` and `=8`
-//! produce bit-identical matrices. The pool therefore needs no
+//! counter-addressed streams — so one worker and eight produce
+//! bit-identical matrices. The pool therefore needs no
 //! determinism machinery of its own; it only promises completion and
 //! panic propagation.
 
@@ -26,18 +26,12 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// Hard ceiling on pool threads, matching the batch engine's cap.
 const MAX_WORKERS: usize = 16;
 
-/// Resolves the default synthesis worker count: `WIFORCE_SYNTH_WORKERS`
-/// when set (clamped to `1..=16`), otherwise the machine's available
-/// parallelism capped at 8. A `Simulation` can override this per
-/// instance via its `synth_workers` field.
+/// The default synthesis worker count: the machine's available
+/// parallelism, capped at 8. A `Simulation` sets its own through its
+/// `synth_workers` field.
 pub fn default_workers() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        if let Some(v) = std::env::var_os("WIFORCE_SYNTH_WORKERS") {
-            if let Ok(n) = v.to_string_lossy().parse::<usize>() {
-                return n.clamp(1, MAX_WORKERS);
-            }
-        }
         std::thread::available_parallelism()
             .map(|n| n.get().min(8))
             .unwrap_or(1)
@@ -229,7 +223,7 @@ mod tests {
     #[test]
     fn default_workers_is_positive_and_capped() {
         let n = default_workers();
-        assert!((1..=MAX_WORKERS).contains(&n));
+        assert!((1..=8).contains(&n));
     }
 
     #[test]
@@ -257,6 +251,29 @@ mod tests {
         let want = (1..=64u64).map(|i| i * i).sum::<u64>();
         assert_eq!(total(1), want);
         assert_eq!(total(8), want);
+    }
+
+    #[test]
+    fn scalar_hold_reaches_pool_threads() {
+        // two chunks that wait for each other: while the caller sits in
+        // one, a pool thread must run the other
+        use std::sync::{Barrier, Mutex};
+        use wiforce_dsp::kernels::{backend, hold_scalar, Backend};
+        let barrier = Barrier::new(2);
+        let seen = Mutex::new(Vec::new());
+        let _scalar = hold_scalar();
+        run_chunks(2, 2, &|_| {
+            barrier.wait();
+            let on = (std::thread::current().id(), backend());
+            seen.lock().expect("chunk log").push(on);
+        });
+        let seen = seen.into_inner().expect("chunk log");
+        let caller = std::thread::current().id();
+        assert!(
+            seen.iter().any(|&(t, _)| t != caller),
+            "no chunk on a pool thread"
+        );
+        assert!(seen.iter().all(|&(_, b)| b == Backend::Scalar), "{seen:?}");
     }
 
     #[test]

@@ -211,18 +211,17 @@ pub struct Simulation {
     /// measurement clouds); this component perturbs the patch width and
     /// therefore the force estimate.
     pub patch_edge_jitter_m: f64,
-    /// Worker threads for counter synthesis. `None` defers to
-    /// `WIFORCE_SYNTH_WORKERS` / the machine's parallelism (see
-    /// [`crate::parallel::default_workers`]); results are bit-identical
-    /// at any setting.
+    /// Worker threads for counter synthesis. `None` takes the machine's
+    /// parallelism (see [`crate::parallel::default_workers`]); results
+    /// are bit-identical at any setting.
     pub synth_workers: Option<usize>,
     /// Spectral-domain direct line synthesis: skip the time-domain
     /// snapshots entirely and generate the harmonic spectral lines at the
     /// consumed bins — the deterministic tag/scene contribution from a
     /// closed-form state walk, the noise from Philox draws keyed
     /// `(press key, group, bin)` (DFT unitarity: white time-domain
-    /// estimate noise is white at every line). `None` defers to
-    /// `WIFORCE_SYNTH_SPECTRAL` (default off). The spectral path is
+    /// estimate noise is white at every line). `None` means the
+    /// time-domain arm, as does `Some(false)`. The spectral path is
     /// *not* bit-identical to the time-domain reference — it is
     /// distribution-equivalent and accuracy-gated by fixtures — so the
     /// time-domain counter path remains the bit-pinned reference. Falls
@@ -278,20 +277,12 @@ impl Simulation {
         matches!(self.sounder, Sounder::Ofdm(_))
     }
 
-    /// Resolves the spectral-synthesis flag: explicit field, else the
-    /// `WIFORCE_SYNTH_SPECTRAL` environment toggle (read once), else off.
+    /// Resolves the spectral-synthesis flag: the explicit field, else off.
     /// Unlike the sounder's plane kernel this is an accuracy-class switch,
     /// not a pure speed knob: the spectral path is distribution-equivalent
     /// (fixture gated), not bit-identical, so it never defaults on.
     pub fn synth_spectral_enabled(&self) -> bool {
-        static ENV: OnceLock<bool> = OnceLock::new();
-        self.synth_spectral.unwrap_or_else(|| {
-            *ENV.get_or_init(|| {
-                std::env::var("WIFORCE_SYNTH_SPECTRAL")
-                    .map(|v| !(v == "0" || v.eq_ignore_ascii_case("off")))
-                    .unwrap_or(false)
-            })
-        })
+        self.synth_spectral.unwrap_or(false)
     }
 
     /// Whether this configuration is inside the spectral path's validity
@@ -466,8 +457,8 @@ impl Simulation {
     /// `noise` the counter-addressed noise stream: every draw comes from
     /// the splittable Philox stream keyed by the press key, so snapshot
     /// groups synthesize in parallel on the worker pool and the output is
-    /// bit-identical at any worker count (and under
-    /// `WIFORCE_FORCE_SCALAR`). Successive calls on one `noise` continue
+    /// bit-identical at any worker count and SIMD dispatch. Successive
+    /// calls on one `noise` continue
     /// its group index, so a stream built call by call never repeats a
     /// noise realization.
     pub fn run_snapshots(
@@ -1939,67 +1930,71 @@ mod tests {
 
     #[test]
     fn channel_cache_on_off_is_bit_identical() {
-        // the cache-equivalence fixture: synthesis through a warm channel
-        // cache must match a cold `ChannelCache::build` (the reference's
-        // slot is invalidated before every run) bit for bit, for both
-        // sounders, untouched and pressed, before and after a scene
-        // mutation (fingerprint invalidation), with and without movers
-        // (prepared-state vs truth-plane path)
-        let run = |sim: &Simulation, seed: u64, contact: Option<&ContactState>| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_rng(&mut rng);
-            sim.run_snapshots(contact, 2, &mut clock, &mut noise)
-        };
-        let cold = |sim: &Simulation, seed: u64, contact: Option<&ContactState>| {
-            sim.channel_cache.invalidate();
-            run(sim, seed, contact)
-        };
-        let assert_bits_eq = |a: &SnapshotMatrix, b: &SnapshotMatrix, what: &str| {
-            assert_eq!(a.n_rows(), b.n_rows(), "{what}");
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}");
-            }
-        };
-        for (name, mut cached, mut reference) in [
-            ("ofdm", fast_sim(0.9e9), fast_sim(0.9e9)),
-            (
-                "fmcw",
-                fast_sim(0.9e9).with_fmcw_sounder(),
-                fast_sim(0.9e9).with_fmcw_sounder(),
-            ),
-        ] {
-            let contact = cached.contact_for(3.0, 0.030);
-            let untouched = run(&cached, 41, None);
-            assert_bits_eq(&untouched, &cold(&reference, 41, None), name);
-            // the second untouched run takes its prepared states from the
-            // response memo: two hits (the EM plan and the states), no miss
-            let (h0, m0) = cached.channel_cache.response_stats();
-            assert_bits_eq(&untouched, &run(&cached, 41, None), name);
-            let (h1, m1) = cached.channel_cache.response_stats();
-            assert_eq!((h1 - h0, m1), (2, m0), "{name}: untouched states memo hit");
+        crate::each_dispatch(|workers| {
+            // the cache-equivalence fixture: synthesis through a warm channel
+            // cache must match a cold `ChannelCache::build` (the reference's
+            // slot is invalidated before every run) bit for bit, for both
+            // sounders, untouched and pressed, before and after a scene
+            // mutation (fingerprint invalidation), with and without movers
+            // (prepared-state vs truth-plane path)
+            let run = |sim: &Simulation, seed: u64, contact: Option<&ContactState>| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut clock = TagClock::new(&mut rng);
+                let mut noise = PressNoise::from_rng(&mut rng);
+                sim.run_snapshots(contact, 2, &mut clock, &mut noise)
+            };
+            let cold = |sim: &Simulation, seed: u64, contact: Option<&ContactState>| {
+                sim.channel_cache.invalidate();
+                run(sim, seed, contact)
+            };
+            let assert_bits_eq = |a: &SnapshotMatrix, b: &SnapshotMatrix, what: &str| {
+                assert_eq!(a.n_rows(), b.n_rows(), "{what}");
+                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}");
+                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}");
+                }
+            };
+            for (name, mut cached, mut reference) in [
+                ("ofdm", fast_sim(0.9e9), fast_sim(0.9e9)),
+                (
+                    "fmcw",
+                    fast_sim(0.9e9).with_fmcw_sounder(),
+                    fast_sim(0.9e9).with_fmcw_sounder(),
+                ),
+            ] {
+                cached.synth_workers = Some(workers);
+                reference.synth_workers = Some(workers);
+                let contact = cached.contact_for(3.0, 0.030);
+                let untouched = run(&cached, 41, None);
+                assert_bits_eq(&untouched, &cold(&reference, 41, None), name);
+                // the second untouched run takes its prepared states from the
+                // response memo: two hits (the EM plan and the states), no miss
+                let (h0, m0) = cached.channel_cache.response_stats();
+                assert_bits_eq(&untouched, &run(&cached, 41, None), name);
+                let (h1, m1) = cached.channel_cache.response_stats();
+                assert_eq!((h1 - h0, m1), (2, m0), "{name}: untouched states memo hit");
 
-            let a = run(&cached, 42, contact.as_ref());
-            assert_bits_eq(&a, &cold(&reference, 42, contact.as_ref()), name);
+                let a = run(&cached, 42, contact.as_ref());
+                assert_bits_eq(&a, &cold(&reference, 42, contact.as_ref()), name);
 
-            // mutate the scene: the cached run must rebuild, not serve stale
-            // statics — and with movers present the prepared path disables
-            for sim in [&mut cached, &mut reference] {
-                sim.scene.direct_blockage_db = 7.0;
-                sim.scene
-                    .movers
-                    .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+                // mutate the scene: the cached run must rebuild, not serve stale
+                // statics — and with movers present the prepared path disables
+                for sim in [&mut cached, &mut reference] {
+                    sim.scene.direct_blockage_db = 7.0;
+                    sim.scene
+                        .movers
+                        .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+                }
+                let a2 = run(&cached, 43, contact.as_ref());
+                assert_bits_eq(&a2, &cold(&reference, 43, contact.as_ref()), name);
+                // and the mutation actually changed the channel
+                assert_ne!(
+                    a.as_slice()[0].re.to_bits(),
+                    a2.as_slice()[0].re.to_bits(),
+                    "{name}: scene mutation should alter the synthesized snapshots"
+                );
             }
-            let a2 = run(&cached, 43, contact.as_ref());
-            assert_bits_eq(&a2, &cold(&reference, 43, contact.as_ref()), name);
-            // and the mutation actually changed the channel
-            assert_ne!(
-                a.as_slice()[0].re.to_bits(),
-                a2.as_slice()[0].re.to_bits(),
-                "{name}: scene mutation should alter the synthesized snapshots"
-            );
-        }
+        });
     }
 
     #[test]
@@ -2135,37 +2130,38 @@ mod tests {
                 let m = sim.run_snapshots(contact.as_ref(), 3, &mut clock, &mut noise);
                 (m, clock.t_tag.to_bits(), clock.t_reader.to_bits())
             };
-            let (m1, t1, r1) = run(1);
-            let (m4, t4, r4) = run(4);
-            let (m8, t8, r8) = run(8);
-            assert_eq!(m1.n_rows(), m4.n_rows());
-            for (x, y) in m1.as_slice().iter().zip(m4.as_slice()) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} 1 vs 4");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{name} 1 vs 4");
-            }
-            for (x, y) in m1.as_slice().iter().zip(m8.as_slice()) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} 1 vs 8");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{name} 1 vs 8");
-            }
-            assert_eq!((t1, r1), (t4, r4), "{name} clock state");
-            assert_eq!((t1, r1), (t8, r8), "{name} clock state");
+            // four workers on the detected dispatch, against one and
+            // eight under each dispatch
+            let (want, t, r) = run(4);
+            crate::each_dispatch(|workers| {
+                let (m, tw, rw) = run(workers);
+                assert_eq!(m.n_rows(), want.n_rows());
+                for (x, y) in m.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "{name} {workers} vs 4");
+                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "{name} {workers} vs 4");
+                }
+                assert_eq!((tw, rw), (t, r), "{name} clock state");
+            });
         }
     }
 
     #[test]
     fn snapshot_stream_is_a_pure_function_of_the_key() {
-        let sim = fast_sim(0.9e9);
-        let run = |key: u64| {
-            let mut rng = StdRng::seed_from_u64(2);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_seed(key);
-            sim.run_snapshots(None, 1, &mut clock, &mut noise)
-        };
-        let a = run(7);
-        let b = run(7);
-        let c = run(8);
-        assert_eq!(a.as_slice(), b.as_slice());
-        assert!(a.as_slice().iter().zip(c.as_slice()).any(|(x, y)| x != y));
+        crate::each_dispatch(|workers| {
+            let mut sim = fast_sim(0.9e9);
+            sim.synth_workers = Some(workers);
+            let run = |key: u64| {
+                let mut rng = StdRng::seed_from_u64(2);
+                let mut clock = TagClock::new(&mut rng);
+                let mut noise = PressNoise::from_seed(key);
+                sim.run_snapshots(None, 1, &mut clock, &mut noise)
+            };
+            let a = run(7);
+            let b = run(7);
+            let c = run(8);
+            assert_eq!(a.as_slice(), b.as_slice());
+            assert!(a.as_slice().iter().zip(c.as_slice()).any(|(x, y)| x != y));
+        });
     }
 
     #[test]
@@ -2378,30 +2374,33 @@ mod tests {
 
     #[test]
     fn spectral_phases_track_vna() {
-        // accuracy smoke test for the spectral arm: generating the lines
-        // directly — no time-domain snapshots — must still land on the
-        // wired VNA ground truth within the same tolerance the
-        // time-domain paths are held to
-        let mut sim = fast_sim(0.9e9);
-        sim.synth_spectral = Some(true);
-        assert!(
-            sim.spectral_eligible(),
-            "paper default must be spectral-eligible"
-        );
-        let (v1, v2) = sim.vna_phases(4.0, 0.040);
-        let contact = sim.contact_for(4.0, 0.040);
-        let mut rng = StdRng::seed_from_u64(11);
-        let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
-        let tol = 3.0f64.to_radians();
-        assert!((w.dphi1_rad - v1).abs() < tol, "{} vs {v1}", w.dphi1_rad);
-        assert!((w.dphi2_rad - v2).abs() < tol, "{} vs {v2}", w.dphi2_rad);
+        crate::each_dispatch(|workers| {
+            // accuracy smoke test for the spectral arm: generating the lines
+            // directly — no time-domain snapshots — must still land on the
+            // wired VNA ground truth within the same tolerance the
+            // time-domain paths are held to
+            let mut sim = fast_sim(0.9e9);
+            sim.synth_spectral = Some(true);
+            sim.synth_workers = Some(workers);
+            assert!(
+                sim.spectral_eligible(),
+                "paper default must be spectral-eligible"
+            );
+            let (v1, v2) = sim.vna_phases(4.0, 0.040);
+            let contact = sim.contact_for(4.0, 0.040);
+            let mut rng = StdRng::seed_from_u64(11);
+            let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
+            let tol = 3.0f64.to_radians();
+            assert!((w.dphi1_rad - v1).abs() < tol, "{} vs {v1}", w.dphi1_rad);
+            assert!((w.dphi2_rad - v2).abs() < tol, "{} vs {v2}", w.dphi2_rad);
+        });
     }
 
     #[test]
     fn spectral_path_is_bit_deterministic_across_dispatch_knobs() {
         // the spectral walk runs on the calling thread and draws only
-        // from counter cursors, so worker count and the channel cache
-        // must not move a single bit — and the press must differ from
+        // from counter cursors, so worker count, SIMD dispatch and the
+        // channel cache must not move a single bit — and the press must differ from
         // the counter path's realization (proof the dispatch actually
         // took the spectral arm). Warm runs share one cache slot; a cold
         // run starts from an invalidated one.
@@ -2422,10 +2421,15 @@ mod tests {
                 w.line_power.to_bits(),
             )
         };
-        let base = run(true, 1, true);
-        assert_eq!(base, run(true, 1, true), "same-seed repeat");
-        assert_eq!(base, run(true, 4, true), "workers knob");
-        assert_eq!(base, run(true, 8, false), "uncached channel");
+        let base = run(true, 4, true);
+        crate::each_dispatch(|workers| {
+            assert_eq!(base, run(true, workers, true), "workers {workers}");
+            assert_eq!(
+                base,
+                run(true, workers, false),
+                "uncached, workers {workers}"
+            );
+        });
         assert_ne!(
             base,
             run(false, 1, true),
@@ -2435,79 +2439,87 @@ mod tests {
 
     #[test]
     fn spectral_dispatch_falls_back_when_ineligible() {
-        // movers and faults disqualify the spectral model; the dispatch
-        // must silently take the bit-pinned counter path so enabling
-        // WIFORCE_SYNTH_SPECTRAL is always safe
-        let mut moving = fast_sim(0.9e9);
-        moving
-            .scene
-            .movers
-            .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
-        let mut bursty = fast_sim(0.9e9);
-        bursty.faults = wiforce_channel::faults::FaultConfig {
-            burst_prob: 0.2,
-            ..wiforce_channel::faults::FaultConfig::none()
-        };
-        for (name, base) in [("movers", moving), ("bursty", bursty)] {
-            let run = |spectral: bool| {
-                let mut sim = base.clone();
-                sim.synth_spectral = Some(spectral);
-                assert!(!sim.spectral_eligible(), "{name} must be ineligible");
-                let mut rng = StdRng::seed_from_u64(13);
-                let contact = sim.contact_for(3.0, 0.030);
-                let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
-                (w.dphi1_rad.to_bits(), w.dphi2_rad.to_bits())
+        crate::each_dispatch(|workers| {
+            // movers and faults disqualify the spectral model; the dispatch
+            // must silently take the bit-pinned counter path so selecting
+            // the spectral arm is always safe
+            let mut moving = fast_sim(0.9e9);
+            moving
+                .scene
+                .movers
+                .push(wiforce_channel::movers::MovingScatterer::walker(0.15));
+            let mut bursty = fast_sim(0.9e9);
+            bursty.faults = wiforce_channel::faults::FaultConfig {
+                burst_prob: 0.2,
+                ..wiforce_channel::faults::FaultConfig::none()
             };
-            assert_eq!(run(true), run(false), "{name}: fallback diverged");
-        }
+            for (name, base) in [("movers", moving), ("bursty", bursty)] {
+                let run = |spectral: bool| {
+                    let mut sim = base.clone();
+                    sim.synth_spectral = Some(spectral);
+                    sim.synth_workers = Some(workers);
+                    assert!(!sim.spectral_eligible(), "{name} must be ineligible");
+                    let mut rng = StdRng::seed_from_u64(13);
+                    let contact = sim.contact_for(3.0, 0.030);
+                    let w = sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
+                    (w.dphi1_rad.to_bits(), w.dphi2_rad.to_bits())
+                };
+                assert_eq!(run(true), run(false), "{name}: fallback diverged");
+            }
+        });
     }
 
     #[test]
     fn spectral_floor_probe_detects_missing_tag() {
-        // §5.2 detection failure must survive the spectral floor probe:
-        // without the metal plate the line-to-floor margin collapses even
-        // when both the line and the floor are synthesized spectrally
-        let mut sim = fast_sim(0.9e9);
-        sim.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 0.0);
-        sim.synth_spectral = Some(true);
-        assert!(sim.spectral_eligible());
-        let mut rng = StdRng::seed_from_u64(9);
-        let res = sim.measure_phases(None, &mut rng);
-        assert!(
-            matches!(res, Err(WiForceError::TagNotDetected { .. })),
-            "expected detection failure, got {res:?}"
-        );
+        crate::each_dispatch(|workers| {
+            // §5.2 detection failure must survive the spectral floor probe:
+            // without the metal plate the line-to-floor margin collapses even
+            // when both the line and the floor are synthesized spectrally
+            let mut sim = fast_sim(0.9e9);
+            sim.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 0.0);
+            sim.synth_spectral = Some(true);
+            sim.synth_workers = Some(workers);
+            assert!(sim.spectral_eligible());
+            let mut rng = StdRng::seed_from_u64(9);
+            let res = sim.measure_phases(None, &mut rng);
+            assert!(
+                matches!(res, Err(WiForceError::TagNotDetected { .. })),
+                "expected detection failure, got {res:?}"
+            );
+        });
     }
 
     #[test]
     fn spectral_press_takes_the_edge_walk() {
-        // the paper-default spectral press evaluates the clocks one
-        // snapshot at a time only before clock 2's first edge and where
-        // an edge nearly meets a snapshot; a group that fell back to a
-        // per-snapshot walk would put all of its snapshots on the counter
-        let mut sim = Simulation::paper_default(0.9e9);
-        sim.synth_spectral = Some(true);
-        assert!(sim.spectral_eligible());
-        let _gate = crate::TELEMETRY_GATE
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        wiforce_telemetry::set_enabled(true);
-        wiforce_telemetry::reset();
-        let mut rng = StdRng::seed_from_u64(0xED6E);
-        for i in 0..16 {
-            let contact = sim.jittered_contact(1.0 + 0.4 * i as f64, 0.030, &mut rng);
-            sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
-        }
-        let snap = wiforce_telemetry::take();
-        wiforce_telemetry::set_enabled(false);
-        let groups = snap.counters["pipeline.spectral_groups"];
-        let exact = snap.counters["clock.walk_exact_evals"];
-        let snapshots = groups * sim.group.n_snapshots as u64;
-        assert!(groups >= 16, "{groups} spectral groups");
-        assert!(
-            exact * 100 <= snapshots,
-            "{exact} exact clock evaluations over {snapshots} snapshots"
-        );
+        crate::each_backend(|| {
+            // the paper-default spectral press evaluates the clocks one
+            // snapshot at a time only before clock 2's first edge and where
+            // an edge nearly meets a snapshot; a group that fell back to a
+            // per-snapshot walk would put all of its snapshots on the counter
+            let mut sim = Simulation::paper_default(0.9e9);
+            sim.synth_spectral = Some(true);
+            assert!(sim.spectral_eligible());
+            let _gate = crate::TELEMETRY_GATE
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            wiforce_telemetry::set_enabled(true);
+            wiforce_telemetry::reset();
+            let mut rng = StdRng::seed_from_u64(0xED6E);
+            for i in 0..16 {
+                let contact = sim.jittered_contact(1.0 + 0.4 * i as f64, 0.030, &mut rng);
+                sim.measure_phases(contact.as_ref(), &mut rng).unwrap();
+            }
+            let snap = wiforce_telemetry::take();
+            wiforce_telemetry::set_enabled(false);
+            let groups = snap.counters["pipeline.spectral_groups"];
+            let exact = snap.counters["clock.walk_exact_evals"];
+            let snapshots = groups * sim.group.n_snapshots as u64;
+            assert!(groups >= 16, "{groups} spectral groups");
+            assert!(
+                exact * 100 <= snapshots,
+                "{exact} exact clock evaluations over {snapshots} snapshots"
+            );
+        });
     }
 
     /// The per-snapshot recurrence [`state_sums`] replaced, kept as its
@@ -2625,58 +2637,61 @@ mod tests {
 
     #[test]
     fn spectral_lines_reuse_spent_buffers_bitwise() {
-        // writing into a spent Vec — fewer, as many or more groups than
-        // asked for, lines of any length — gives the same bits as fresh
-        // buffers, floor probe included
-        let sim = Simulation::paper_default(2.4e9);
-        let freqs = sim.subcarrier_freqs_hz();
-        let off_cfg = PhaseGroupConfig {
-            line1_hz: sim.group.line1_hz * 1.37,
-            ..sim.group
-        };
-        let contact = sim.contact_for(4.0, 0.040);
-        let run = |spent: Vec<GroupLines>| {
-            let mut rng = StdRng::seed_from_u64(0x5BE7);
-            let mut clock = TagClock::new(&mut rng);
-            let mut noise = PressNoise::from_rng(&mut rng);
-            let spec = FusedExtraction {
-                cfg: &sim.group,
-                floor_cfg: Some(&off_cfg),
-                first_start: clock.reader_time_s(),
+        crate::each_backend(|| {
+            // writing into a spent Vec — fewer, as many or more groups than
+            // asked for, lines of any length — gives the same bits as fresh
+            // buffers, floor probe included
+            let sim = Simulation::paper_default(2.4e9);
+            let freqs = sim.subcarrier_freqs_hz();
+            let off_cfg = PhaseGroupConfig {
+                line1_hz: sim.group.line1_hz * 1.37,
+                ..sim.group
             };
-            let (lines, floor) = sim.synth_lines_spectral(
-                &mut None,
-                &freqs,
-                contact.as_ref(),
-                3,
-                &mut clock,
-                &mut noise,
-                &spec,
-                spent,
-            );
-            let floor = floor.expect("floor probe on group 0");
-            let bits = |v: &[Complex]| v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
-            let mut all: Vec<(u64, u64)> = bits(&floor.p1);
-            all.extend(bits(&floor.p2));
-            for l in &lines {
-                all.extend(bits(&l.p1));
-                all.extend(bits(&l.p2));
+            let contact = sim.contact_for(4.0, 0.040);
+            let run = |spent: Vec<GroupLines>| {
+                let mut rng = StdRng::seed_from_u64(0x5BE7);
+                let mut clock = TagClock::new(&mut rng);
+                let mut noise = PressNoise::from_rng(&mut rng);
+                let spec = FusedExtraction {
+                    cfg: &sim.group,
+                    floor_cfg: Some(&off_cfg),
+                    first_start: clock.reader_time_s(),
+                };
+                let (lines, floor) = sim.synth_lines_spectral(
+                    &mut None,
+                    &freqs,
+                    contact.as_ref(),
+                    3,
+                    &mut clock,
+                    &mut noise,
+                    &spec,
+                    spent,
+                );
+                let floor = floor.expect("floor probe on group 0");
+                let bits =
+                    |v: &[Complex]| v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
+                let mut all: Vec<(u64, u64)> = bits(&floor.p1);
+                all.extend(bits(&floor.p2));
+                for l in &lines {
+                    all.extend(bits(&l.p1));
+                    all.extend(bits(&l.p2));
+                }
+                (lines.len(), all)
+            };
+            let stale = |groups: usize, len: usize| {
+                (0..groups)
+                    .map(|_| GroupLines {
+                        p1: vec![Complex::new(f64::NAN, 1.0); len],
+                        p2: vec![Complex::I; len + 3],
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let fresh = run(Vec::new());
+            assert_eq!(fresh.0, 3);
+            for spent in [stale(2, 64), stale(3, 5), stale(5, 70)] {
+                assert_eq!(run(spent), fresh);
             }
-            (lines.len(), all)
-        };
-        let stale = |groups: usize, len: usize| {
-            (0..groups)
-                .map(|_| GroupLines {
-                    p1: vec![Complex::new(f64::NAN, 1.0); len],
-                    p2: vec![Complex::I; len + 3],
-                })
-                .collect::<Vec<_>>()
-        };
-        let fresh = run(Vec::new());
-        assert_eq!(fresh.0, 3);
-        for spent in [stale(2, 64), stale(3, 5), stale(5, 70)] {
-            assert_eq!(run(spent), fresh);
-        }
+        });
     }
 
     /// One spectral phase group of an untouched press under key `seed`,
@@ -2707,217 +2722,227 @@ mod tests {
 
     #[test]
     fn spectral_press_jitter_covariance_matches_model() {
-        // with phase jitter on, each line minus its noiseless, jitter-free
-        // twin carries the common-mode term i·meanP[k]·J on every
-        // subcarrier at once: its covariance across subcarrier pairs must
-        // be 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·σ_θ²(1−|D̄|²)/N, the
-        // cross-subcarrier structure Ablation 1's combiners consume — over
-        // the air at 2.4 GHz and at the Fig. 16 phantom's SNR
-        let mut phantom = Simulation::paper_default(0.9e9);
-        phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
-        for (label, mut sim) in [
-            ("over the air", Simulation::paper_default(2.4e9)),
-            ("tissue phantom", phantom),
-        ] {
-            sim.synth_spectral = Some(true);
-            sim.frontend.adc_enob_bits = 0; // no quantization term
-            sim.tag_clock_wander_ppm = 0.0; // same state walk for every key
-            assert!(sim.spectral_eligible(), "{label}");
-            assert!(sim.frontend.phase_jitter_rad > 0.0, "{label}");
-            let mut quiet = sim.clone();
-            quiet.frontend.noise_floor = 0.0;
-            quiet.frontend.phase_jitter_rad = 0.0;
-            let det = spectral_group(&quiet, 0);
-            // the group's mean row, from the noiseless time-domain rows of
-            // the same plan
-            let rows = quiet.run_snapshots(
-                None,
-                1,
-                &mut TagClock::new(&mut StdRng::seed_from_u64(42)),
-                &mut PressNoise::from_seed(0),
-            );
-            let n = sim.group.n_snapshots;
-            let mut mean_p = vec![Complex::ZERO; rows.n_cols()];
-            for row in rows.rows() {
-                for (m, &x) in mean_p.iter_mut().zip(row) {
-                    *m += x.scale(1.0 / n as f64);
+        crate::each_dispatch(|workers| {
+            // with phase jitter on, each line minus its noiseless, jitter-free
+            // twin carries the common-mode term i·meanP[k]·J on every
+            // subcarrier at once: its covariance across subcarrier pairs must
+            // be 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·σ_θ²(1−|D̄|²)/N, the
+            // cross-subcarrier structure Ablation 1's combiners consume — over
+            // the air at 2.4 GHz and at the Fig. 16 phantom's SNR
+            let mut phantom = Simulation::paper_default(0.9e9);
+            phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
+            for (label, mut sim) in [
+                ("over the air", Simulation::paper_default(2.4e9)),
+                ("tissue phantom", phantom),
+            ] {
+                sim.synth_spectral = Some(true);
+                sim.synth_workers = Some(workers);
+                sim.frontend.adc_enob_bits = 0; // no quantization term
+                sim.tag_clock_wander_ppm = 0.0; // same state walk for every key
+                assert!(sim.spectral_eligible(), "{label}");
+                assert!(sim.frontend.phase_jitter_rad > 0.0, "{label}");
+                let mut quiet = sim.clone();
+                quiet.frontend.noise_floor = 0.0;
+                quiet.frontend.phase_jitter_rad = 0.0;
+                let det = spectral_group(&quiet, 0);
+                // the group's mean row, from the noiseless time-domain rows of
+                // the same plan
+                let rows = quiet.run_snapshots(
+                    None,
+                    1,
+                    &mut TagClock::new(&mut StdRng::seed_from_u64(42)),
+                    &mut PressNoise::from_seed(0),
+                );
+                let n = sim.group.n_snapshots;
+                let mut mean_p = vec![Complex::ZERO; rows.n_cols()];
+                for row in rows.rows() {
+                    for (m, &x) in mean_p.iter_mut().zip(row) {
+                        *m += x.scale(1.0 / n as f64);
+                    }
                 }
-            }
-            let draws = 400;
-            let k_sub = mean_p.len();
-            let mut residuals = vec![vec![Vec::with_capacity(draws); k_sub]; 2];
-            for seed in 0..draws as u64 {
-                let lines = spectral_group(&sim, 1000 + seed);
-                for (li, (got, want)) in [(&lines.p1, &det.p1), (&lines.p2, &det.p2)]
+                let draws = 400;
+                let k_sub = mean_p.len();
+                let mut residuals = vec![vec![Vec::with_capacity(draws); k_sub]; 2];
+                for seed in 0..draws as u64 {
+                    let lines = spectral_group(&sim, 1000 + seed);
+                    for (li, (got, want)) in [(&lines.p1, &det.p1), (&lines.p2, &det.p2)]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        for k in 0..k_sub {
+                            residuals[li][k].push(got[k] - want[k]);
+                        }
+                    }
+                }
+                let sigma_est = sim
+                    .sounder
+                    .estimate_noise_sigma(sim.frontend.noise_floor)
+                    .expect("white estimate noise");
+                let t_snap = sim.group.snapshot_period_s;
+                for (li, f_hz) in [sim.group.line1_hz, sim.group.line2_hz]
                     .into_iter()
                     .enumerate()
                 {
-                    for k in 0..k_sub {
-                        residuals[li][k].push(got[k] - want[k]);
-                    }
+                    use crate::line_noise_check as lnc;
+                    let sigma_line = lnc::modeled_sigma(sigma_est * sigma_est, f_hz, t_snap, n);
+                    let jitter = sim.frontend.phase_jitter_rad;
+                    let var_j = jitter * jitter * lnc::shrink(f_hz, t_snap, n) / n as f64;
+                    let power = lnc::check_jitter_covariance(
+                        &format!("{label} line {li}"),
+                        &residuals[li],
+                        &vec![mean_p.clone(); draws],
+                        sigma_line,
+                        var_j,
+                    );
+                    println!(
+                        "{label} line {li}: off-diagonal jitter covariance up to {power:.1} σ"
+                    );
+                    // over the air the jitter term dominates the line noise, so
+                    // a missing or decorrelated one could not pass
+                    assert!(label != "over the air" || power > 10.0, "{label}: {power}");
                 }
             }
-            let sigma_est = sim
-                .sounder
-                .estimate_noise_sigma(sim.frontend.noise_floor)
-                .expect("white estimate noise");
-            let t_snap = sim.group.snapshot_period_s;
-            for (li, f_hz) in [sim.group.line1_hz, sim.group.line2_hz]
-                .into_iter()
-                .enumerate()
-            {
-                use crate::line_noise_check as lnc;
-                let sigma_line = lnc::modeled_sigma(sigma_est * sigma_est, f_hz, t_snap, n);
-                let jitter = sim.frontend.phase_jitter_rad;
-                let var_j = jitter * jitter * lnc::shrink(f_hz, t_snap, n) / n as f64;
-                let power = lnc::check_jitter_covariance(
-                    &format!("{label} line {li}"),
-                    &residuals[li],
-                    &vec![mean_p.clone(); draws],
-                    sigma_line,
-                    var_j,
-                );
-                println!("{label} line {li}: off-diagonal jitter covariance up to {power:.1} σ");
-                // over the air the jitter term dominates the line noise, so
-                // a missing or decorrelated one could not pass
-                assert!(label != "over the air" || power > 10.0, "{label}: {power}");
-            }
-        }
+        });
     }
 
     #[test]
     fn spectral_line_noise_moments_and_ks_match_model() {
-        // the spectral arm is accuracy-gated, not bit-pinned, so this
-        // fixture checks the *statistics* the unitarity argument
-        // promises: across 64 independent press keys the residual of each
-        // line against its noiseless twin must be circular white Gaussian
-        // noise of per-component std σ_est·√((1−|D̄|²)/N) — moments, KS,
-        // re/im and adjacent-subcarrier correlations — over the air at
-        // 2.4 GHz and through the Fig. 16 tissue phantom (with its metal
-        // plate) at 900 MHz, where the lines sit far closer to the floor
-        let mut phantom = Simulation::paper_default(0.9e9);
-        phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
-        for (label, mut sim) in [
-            ("over the air", Simulation::paper_default(2.4e9)),
-            ("tissue phantom", phantom),
-        ] {
-            sim.synth_spectral = Some(true);
-            sim.frontend.phase_jitter_rad = 0.0; // isolate additive noise
-            sim.frontend.adc_enob_bits = 0; // no quantization term
-            sim.tag_clock_wander_ppm = 0.0; // same state walk for every key
-            assert!(sim.spectral_eligible(), "{label}");
-            let freqs = sim.subcarrier_freqs_hz();
-            let sigma_est = sim
-                .sounder
-                .estimate_noise_sigma(sim.frontend.noise_floor)
-                .expect("white estimate noise");
-            let sigmas = [sim.group.line1_hz, sim.group.line2_hz].map(|f| {
-                crate::line_noise_check::modeled_sigma(
-                    sigma_est * sigma_est,
-                    f,
-                    sim.group.snapshot_period_s,
-                    sim.group.n_snapshots,
-                )
-            });
+        crate::each_backend(|| {
+            // the spectral arm is accuracy-gated, not bit-pinned, so this
+            // fixture checks the *statistics* the unitarity argument
+            // promises: across 64 independent press keys the residual of each
+            // line against its noiseless twin must be circular white Gaussian
+            // noise of per-component std σ_est·√((1−|D̄|²)/N) — moments, KS,
+            // re/im and adjacent-subcarrier correlations — over the air at
+            // 2.4 GHz and through the Fig. 16 tissue phantom (with its metal
+            // plate) at 900 MHz, where the lines sit far closer to the floor
+            let mut phantom = Simulation::paper_default(0.9e9);
+            phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
+            for (label, mut sim) in [
+                ("over the air", Simulation::paper_default(2.4e9)),
+                ("tissue phantom", phantom),
+            ] {
+                sim.synth_spectral = Some(true);
+                sim.frontend.phase_jitter_rad = 0.0; // isolate additive noise
+                sim.frontend.adc_enob_bits = 0; // no quantization term
+                sim.tag_clock_wander_ppm = 0.0; // same state walk for every key
+                assert!(sim.spectral_eligible(), "{label}");
+                let freqs = sim.subcarrier_freqs_hz();
+                let sigma_est = sim
+                    .sounder
+                    .estimate_noise_sigma(sim.frontend.noise_floor)
+                    .expect("white estimate noise");
+                let sigmas = [sim.group.line1_hz, sim.group.line2_hz].map(|f| {
+                    crate::line_noise_check::modeled_sigma(
+                        sigma_est * sigma_est,
+                        f,
+                        sim.group.snapshot_period_s,
+                        sim.group.n_snapshots,
+                    )
+                });
 
-            // the noiseless twin pins the deterministic part exactly, so
-            // the residuals need no empirical-mean estimate (and the
-            // first-moment check is a real one)
-            let mut quiet = sim.clone();
-            quiet.frontend.noise_floor = 0.0;
-            let det = spectral_group(&quiet, 0);
-            let k_sub = freqs.len();
-            let mut residuals = vec![vec![Vec::new(); k_sub]; 2];
-            for seed in 0..64 {
-                let lines = spectral_group(&sim, 1000 + seed);
-                for (li, (got, want)) in [(&lines.p1, &det.p1), (&lines.p2, &det.p2)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    for k in 0..k_sub {
-                        residuals[li][k].push(got[k] - want[k]);
+                // the noiseless twin pins the deterministic part exactly, so
+                // the residuals need no empirical-mean estimate (and the
+                // first-moment check is a real one)
+                let mut quiet = sim.clone();
+                quiet.frontend.noise_floor = 0.0;
+                let det = spectral_group(&quiet, 0);
+                let k_sub = freqs.len();
+                let mut residuals = vec![vec![Vec::new(); k_sub]; 2];
+                for seed in 0..64 {
+                    let lines = spectral_group(&sim, 1000 + seed);
+                    for (li, (got, want)) in [(&lines.p1, &det.p1), (&lines.p2, &det.p2)]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        for k in 0..k_sub {
+                            residuals[li][k].push(got[k] - want[k]);
+                        }
                     }
                 }
+                // how close to the floor the lines sit: per-bin line power
+                // over noise power
+                let snr_db = 10.0
+                    * (det.p1.iter().map(|z| z.norm_sqr()).sum::<f64>()
+                        / (k_sub as f64 * 2.0 * sigmas[0] * sigmas[0]))
+                        .log10();
+                println!("{label}: port-1 line {snr_db:.1} dB over its noise");
+                crate::line_noise_check::check_circular_white_noise(label, &residuals, &sigmas);
             }
-            // how close to the floor the lines sit: per-bin line power
-            // over noise power
-            let snr_db = 10.0
-                * (det.p1.iter().map(|z| z.norm_sqr()).sum::<f64>()
-                    / (k_sub as f64 * 2.0 * sigmas[0] * sigmas[0]))
-                    .log10();
-            println!("{label}: port-1 line {snr_db:.1} dB over its noise");
-            crate::line_noise_check::check_circular_white_noise(label, &residuals, &sigmas);
-        }
+        });
     }
 
     #[test]
     fn spectral_press_lines_match_time_domain_dft() {
-        // the deterministic half of the spectral model: with no noise
-        // floor, no phase jitter and no ADC both arms are noiseless, and
-        // the spectral lines (state sums + shared finisher) must equal
-        // the mean-subtracted DFT the fused time-domain extraction takes
-        // of the same group plan — tag lines and floor-probe bins, with
-        // and without a contact, wander on
-        let mut worst = 0.0f64;
-        for carrier in [0.9e9, 2.4e9] {
-            let mut sim = Simulation::paper_default(carrier);
-            sim.frontend.noise_floor = 0.0;
-            sim.frontend.phase_jitter_rad = 0.0;
-            sim.frontend.adc_enob_bits = 0;
-            assert!(sim.spectral_eligible());
-            let freqs = sim.subcarrier_freqs_hz();
-            let off_cfg = PhaseGroupConfig {
-                line1_hz: sim.group.line1_hz * 1.37,
-                line2_hz: sim.group.line1_hz * 2.61,
-                ..sim.group
-            };
-            for contact in [None, sim.contact_for(4.0, 0.040)] {
-                let mut rng = StdRng::seed_from_u64(0xDF7);
-                let clock = TagClock::new(&mut rng);
-                let noise = PressNoise::from_rng(&mut rng);
-                let spec = FusedExtraction {
-                    cfg: &sim.group,
-                    floor_cfg: Some(&off_cfg),
-                    first_start: clock.reader_time_s(),
+        crate::each_dispatch(|workers| {
+            // the deterministic half of the spectral model: with no noise
+            // floor, no phase jitter and no ADC both arms are noiseless, and
+            // the spectral lines (state sums + shared finisher) must equal
+            // the mean-subtracted DFT the fused time-domain extraction takes
+            // of the same group plan — tag lines and floor-probe bins, with
+            // and without a contact, wander on
+            let mut worst = 0.0f64;
+            for carrier in [0.9e9, 2.4e9] {
+                let mut sim = Simulation::paper_default(carrier);
+                sim.synth_workers = Some(workers);
+                sim.frontend.noise_floor = 0.0;
+                sim.frontend.phase_jitter_rad = 0.0;
+                sim.frontend.adc_enob_bits = 0;
+                assert!(sim.spectral_eligible());
+                let freqs = sim.subcarrier_freqs_hz();
+                let off_cfg = PhaseGroupConfig {
+                    line1_hz: sim.group.line1_hz * 1.37,
+                    line2_hz: sim.group.line1_hz * 2.61,
+                    ..sim.group
                 };
-                let (lines, floor) = sim.synth_lines_spectral(
-                    &mut None,
-                    &freqs,
-                    contact.as_ref(),
-                    3,
-                    &mut clock.clone(),
-                    &mut noise.clone(),
-                    &spec,
-                    Vec::new(),
-                );
-                let (td_lines, td_floor) = sim.synth_counter(
-                    &mut None,
-                    &freqs,
-                    contact.as_ref(),
-                    3,
-                    &mut clock.clone(),
-                    &mut noise.clone(),
-                    &mut SnapshotMatrix::default(),
-                    Some(&spec),
-                );
-                let pairs = lines.iter().zip(&td_lines).chain(std::iter::once((
-                    floor.as_ref().unwrap(),
-                    td_floor.as_ref().unwrap(),
-                )));
-                for (g, (got, want)) in pairs.enumerate() {
-                    for (got, want) in [(&got.p1, &want.p1), (&got.p2, &want.p2)] {
-                        let err = crate::line_noise_check::line_rel_err(got, want);
-                        worst = worst.max(err);
-                        assert!(
-                            err < 1e-9,
-                            "{carrier:e} Hz, contact {}: group {g} error {err:e}",
-                            contact.is_some()
-                        );
+                for contact in [None, sim.contact_for(4.0, 0.040)] {
+                    let mut rng = StdRng::seed_from_u64(0xDF7);
+                    let clock = TagClock::new(&mut rng);
+                    let noise = PressNoise::from_rng(&mut rng);
+                    let spec = FusedExtraction {
+                        cfg: &sim.group,
+                        floor_cfg: Some(&off_cfg),
+                        first_start: clock.reader_time_s(),
+                    };
+                    let (lines, floor) = sim.synth_lines_spectral(
+                        &mut None,
+                        &freqs,
+                        contact.as_ref(),
+                        3,
+                        &mut clock.clone(),
+                        &mut noise.clone(),
+                        &spec,
+                        Vec::new(),
+                    );
+                    let (td_lines, td_floor) = sim.synth_counter(
+                        &mut None,
+                        &freqs,
+                        contact.as_ref(),
+                        3,
+                        &mut clock.clone(),
+                        &mut noise.clone(),
+                        &mut SnapshotMatrix::default(),
+                        Some(&spec),
+                    );
+                    let pairs = lines.iter().zip(&td_lines).chain(std::iter::once((
+                        floor.as_ref().unwrap(),
+                        td_floor.as_ref().unwrap(),
+                    )));
+                    for (g, (got, want)) in pairs.enumerate() {
+                        for (got, want) in [(&got.p1, &want.p1), (&got.p2, &want.p2)] {
+                            let err = crate::line_noise_check::line_rel_err(got, want);
+                            worst = worst.max(err);
+                            assert!(
+                                err < 1e-9,
+                                "{carrier:e} Hz, contact {}: group {g} error {err:e}",
+                                contact.is_some()
+                            );
+                        }
                     }
                 }
             }
-        }
-        println!("spectral press vs time-domain DFT: worst relative error {worst:e}");
+            println!("spectral press vs time-domain DFT: worst relative error {worst:e}");
+        });
     }
 
     #[test]

@@ -54,39 +54,39 @@
 //! each snapshot's cursor moved with it (the faulted batch injects 144
 //! bursts, was 139). Every spectral pin and spectral half, both FMCW
 //! pins and the inversion lattice held bit for bit.
+//!
+//! Every pin is checked at 1 and 8 synthesis workers (batch workers for
+//! the batch pins), under the detected SIMD dispatch and again with it
+//! held to the scalar bodies: none of them may move a pin.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::batch::{run_batch, BatchConfig, PressSpec, ReaderSpec};
 use wiforce::{ForceReading, SensorModel, Simulation, WiForceError};
+use wiforce_dsp::hash::Fnv;
+use wiforce_dsp::kernels::hold_scalar;
 
-struct Fnv(u64);
+/// Runs `check` at 1 and 8 workers (the argument), under the detected
+/// dispatch and then held to scalar.
+fn each_dispatch(mut check: impl FnMut(usize)) {
+    for scalar in [false, true] {
+        let _scalar = scalar.then(hold_scalar);
+        check(1);
+        check(8);
+    }
+}
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+fn hash_reading(h: &mut Fnv, r: &ForceReading) {
+    for v in [
+        r.force_n,
+        r.location_m,
+        r.dphi1_rad,
+        r.dphi2_rad,
+        r.residual_rad,
+    ] {
+        h.f64(v);
     }
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn f64(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-    fn reading(&mut self, r: &ForceReading) {
-        for v in [
-            r.force_n,
-            r.location_m,
-            r.dphi1_rad,
-            r.dphi2_rad,
-            r.residual_rad,
-        ] {
-            self.f64(v);
-        }
-        self.word(r.touched as u64);
-    }
+    h.word(r.touched as u64);
 }
 
 /// A reading pin and its inversion-free companion, fed in lockstep.
@@ -107,7 +107,7 @@ impl Pins {
         self.phases.word(w);
     }
     fn reading(&mut self, r: &ForceReading) {
-        self.all.reading(r);
+        hash_reading(&mut self.all, r);
         self.phases.f64(r.dphi1_rad);
         self.phases.f64(r.dphi2_rad);
         self.phases.word(r.touched as u64);
@@ -127,13 +127,14 @@ impl Pins {
         }
     }
     fn finish(&self) -> (u64, u64) {
-        (self.all.0, self.phases.0)
+        (self.all.finish(), self.phases.finish())
     }
 }
 
-fn setup(spectral: bool) -> (Simulation, SensorModel) {
+fn setup(spectral: bool, workers: usize) -> (Simulation, SensorModel) {
     let mut sim = Simulation::paper_default(0.9e9);
     sim.synth_spectral = Some(spectral);
+    sim.synth_workers = Some(workers);
     let model = sim.vna_calibration().expect("VNA calibration fits");
     (sim, model)
 }
@@ -154,8 +155,8 @@ fn presses_hash(sim: &Simulation, model: &SensorModel, presses: u64) -> ((u64, u
     (h.finish(), ok)
 }
 
-fn press_hash(spectral: bool, presses: u64) -> (u64, u64) {
-    let (sim, model) = setup(spectral);
+fn press_hash(spectral: bool, presses: u64, workers: usize) -> (u64, u64) {
+    let (sim, model) = setup(spectral, workers);
     let (hash, ok) = presses_hash(&sim, &model, presses);
     assert!(ok * 4 >= presses * 3, "{ok} of {presses} presses read");
     hash
@@ -163,18 +164,22 @@ fn press_hash(spectral: bool, presses: u64) -> (u64, u64) {
 
 #[test]
 fn spectral_press_readings_match_golden_bits() {
-    assert_eq!(
-        press_hash(true, 16),
-        (0x4010_2608_86ca_7c3e, 0xaa57_1d50_559c_e80d)
-    );
+    each_dispatch(|workers| {
+        assert_eq!(
+            press_hash(true, 16, workers),
+            (0x4010_2608_86ca_7c3e, 0xaa57_1d50_559c_e80d)
+        );
+    });
 }
 
 #[test]
 fn time_domain_press_readings_match_golden_bits() {
-    assert_eq!(
-        press_hash(false, 4),
-        (0xba61_37a9_599e_a082, 0xace6_e08b_0665_35ec)
-    );
+    each_dispatch(|workers| {
+        assert_eq!(
+            press_hash(false, 4, workers),
+            (0xba61_37a9_599e_a082, 0xace6_e08b_0665_35ec)
+        );
+    });
 }
 
 /// Presses through the driver branches the default configuration skips:
@@ -186,8 +191,9 @@ fn branch_hash(
     spectral: bool,
     configure: impl Fn(&mut Simulation),
     presses: u64,
+    workers: usize,
 ) -> ((u64, u64), u64) {
-    let (mut sim, model) = setup(spectral);
+    let (mut sim, model) = setup(spectral, workers);
     configure(&mut sim);
     presses_hash(&sim, &model, presses)
 }
@@ -224,47 +230,57 @@ fn walker(sim: &mut Simulation) {
 
 #[test]
 fn tracked_clock_press_readings_match_golden_bits() {
-    assert_eq!(
-        branch_hash(false, tracked_clock, 2),
-        ((0x7591_b898_5000_37e1, 0x29f3_1497_a535_1c5f), 2)
-    );
-    assert_eq!(
-        branch_hash(true, tracked_clock, 4),
-        ((0x9ecf_421c_2754_2393, 0xb3fc_3f3c_798f_1b46), 4)
-    );
+    each_dispatch(|workers| {
+        assert_eq!(
+            branch_hash(false, tracked_clock, 2, workers),
+            ((0x7591_b898_5000_37e1, 0x29f3_1497_a535_1c5f), 2)
+        );
+        assert_eq!(
+            branch_hash(true, tracked_clock, 4, workers),
+            ((0x9ecf_421c_2754_2393, 0xb3fc_3f3c_798f_1b46), 4)
+        );
+    });
 }
 
 #[test]
 fn undetected_tag_errors_match_golden_bits() {
-    assert_eq!(
-        branch_hash(false, phantom_without_plate, 2),
-        ((0x96b5_8e8b_d2b1_722f, 0x96b5_8e8b_d2b1_722f), 0)
-    );
-    assert_eq!(
-        branch_hash(true, phantom_without_plate, 2),
-        ((0xf1ab_b1c4_be40_f06a, 0xf1ab_b1c4_be40_f06a), 0)
-    );
+    each_dispatch(|workers| {
+        assert_eq!(
+            branch_hash(false, phantom_without_plate, 2, workers),
+            ((0x96b5_8e8b_d2b1_722f, 0x96b5_8e8b_d2b1_722f), 0)
+        );
+        assert_eq!(
+            branch_hash(true, phantom_without_plate, 2, workers),
+            ((0xf1ab_b1c4_be40_f06a, 0xf1ab_b1c4_be40_f06a), 0)
+        );
+    });
 }
 
 #[test]
 fn faulted_time_domain_press_readings_match_golden_bits() {
-    let td = branch_hash(false, dropped_and_burst, 2);
-    assert_eq!(td, ((0x37de_7915_60ab_0cd7, 0x4c3c_ebd8_2314_b661), 2));
-    assert_eq!(branch_hash(true, dropped_and_burst, 2), td);
+    each_dispatch(|workers| {
+        let td = branch_hash(false, dropped_and_burst, 2, workers);
+        assert_eq!(td, ((0x37de_7915_60ab_0cd7, 0x4c3c_ebd8_2314_b661), 2));
+        assert_eq!(branch_hash(true, dropped_and_burst, 2, workers), td);
+    });
 }
 
 #[test]
 fn fmcw_press_readings_match_golden_bits() {
-    let td = branch_hash(false, fmcw, 2);
-    assert_eq!(td, ((0x24b9_ccf5_1151_01a6, 0x2204_c682_7db8_56e1), 2));
-    assert_eq!(branch_hash(true, fmcw, 2), td);
+    each_dispatch(|workers| {
+        let td = branch_hash(false, fmcw, 2, workers);
+        assert_eq!(td, ((0x24b9_ccf5_1151_01a6, 0x2204_c682_7db8_56e1), 2));
+        assert_eq!(branch_hash(true, fmcw, 2, workers), td);
+    });
 }
 
 #[test]
 fn mover_press_readings_match_golden_bits() {
-    let td = branch_hash(false, walker, 2);
-    assert_eq!(td, ((0xc26a_f0ed_060e_3368, 0x4953_195e_beb2_d711), 2));
-    assert_eq!(branch_hash(true, walker, 2), td);
+    each_dispatch(|workers| {
+        let td = branch_hash(false, walker, 2, workers);
+        assert_eq!(td, ((0xc26a_f0ed_060e_3368, 0x4953_195e_beb2_d711), 2));
+        assert_eq!(branch_hash(true, walker, 2, workers), td);
+    });
 }
 
 /// A quiet group then a pressed group appended to one matrix through the
@@ -272,51 +288,56 @@ fn mover_press_readings_match_golden_bits() {
 #[test]
 fn snapshot_stream_matches_golden_bits() {
     use wiforce::pipeline::{PressNoise, TagClock};
-    let (sim, _) = setup(false);
-    let mut rng = StdRng::seed_from_u64(0x57_2EA3);
-    let mut clock = TagClock::new(&mut rng);
-    let mut noise = PressNoise::from_rng(&mut rng);
-    let mut stream = wiforce_dsp::SnapshotMatrix::default();
-    sim.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
-    let contact = sim.jittered_contact(4.0, 0.040, &mut rng);
-    sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut noise, &mut stream);
-    assert_eq!(stream.n_rows(), 2 * sim.group.n_snapshots);
-    let mut h = Fnv::new();
-    for z in stream.as_slice() {
-        h.f64(z.re);
-        h.f64(z.im);
-    }
-    h.f64(clock.reader_time_s());
-    assert_eq!(h.0, 0x7ca1_d674_e519_b197);
+    each_dispatch(|workers| {
+        let (sim, _) = setup(false, workers);
+        let mut rng = StdRng::seed_from_u64(0x57_2EA3);
+        let mut clock = TagClock::new(&mut rng);
+        let mut noise = PressNoise::from_rng(&mut rng);
+        let mut stream = wiforce_dsp::SnapshotMatrix::default();
+        sim.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut stream);
+        let contact = sim.jittered_contact(4.0, 0.040, &mut rng);
+        sim.run_snapshots_into(contact.as_ref(), 1, &mut clock, &mut noise, &mut stream);
+        assert_eq!(stream.n_rows(), 2 * sim.group.n_snapshots);
+        let mut h = Fnv::new();
+        for z in stream.as_slice() {
+            h.f64(z.re);
+            h.f64(z.im);
+        }
+        h.f64(clock.reader_time_s());
+        assert_eq!(h.finish(), 0x7ca1_d674_e519_b197);
+    });
 }
 
 #[test]
 fn invert_lattice_matches_golden_bits() {
-    let (_, model) = setup(true);
-    let mut h = Fnv::new();
-    let n = 17;
-    for i in 0..n {
-        for j in 0..n {
-            let phi1 = -3.2 + 6.4 * i as f64 / (n - 1) as f64;
-            let phi2 = -3.2 + 6.4 * j as f64 / (n - 1) as f64;
-            let est = model
-                .invert(phi1, phi2, f64::INFINITY)
-                .expect("finite phases invert");
-            for v in [est.force_n, est.location_m, est.residual_rad] {
-                h.f64(v);
+    each_dispatch(|workers| {
+        let (_, model) = setup(true, workers);
+        let mut h = Fnv::new();
+        let n = 17;
+        for i in 0..n {
+            for j in 0..n {
+                let phi1 = -3.2 + 6.4 * i as f64 / (n - 1) as f64;
+                let phi2 = -3.2 + 6.4 * j as f64 / (n - 1) as f64;
+                let est = model
+                    .invert(phi1, phi2, f64::INFINITY)
+                    .expect("finite phases invert");
+                for v in [est.force_n, est.location_m, est.residual_rad] {
+                    h.f64(v);
+                }
             }
         }
-    }
-    assert_eq!(h.0, 0x3885_3488_3411_85f6);
+        assert_eq!(h.finish(), 0x3885_3488_3411_85f6);
+    });
 }
 
-/// A two-stream batch with three presses per stream, hashed in stream
-/// order.
-fn batch_hash(spectral: bool) -> (u64, u64) {
+/// A two-stream batch with three presses per stream on `workers` batch
+/// workers, hashed in stream order.
+fn batch_hash(spectral: bool, workers: usize) -> (u64, u64) {
     branch_batch_hash(
         spectral,
         |_| {},
         wiforce_channel::faults::FaultConfig::none(),
+        workers,
     )
     .0
 }
@@ -327,8 +348,9 @@ fn branch_batch_hash(
     spectral: bool,
     configure: impl Fn(&mut Simulation),
     faults: wiforce_channel::faults::FaultConfig,
+    workers: usize,
 ) -> ((u64, u64), (u64, u64)) {
-    let (mut sim, model) = setup(spectral);
+    let (mut sim, model) = setup(spectral, workers);
     configure(&mut sim);
     let model = std::sync::Arc::new(model);
     let presses = |k: usize| -> Vec<PressSpec> {
@@ -347,7 +369,7 @@ fn branch_batch_hash(
         &sim,
         &model,
         std::slice::from_ref(&spec),
-        &BatchConfig::wiforce(2),
+        &BatchConfig::wiforce(workers),
     )
     .expect("a valid two-stream reader");
     let mut h = Pins::new();
@@ -366,18 +388,22 @@ fn branch_batch_hash(
 
 #[test]
 fn spectral_batch_readings_match_golden_bits() {
-    assert_eq!(
-        batch_hash(true),
-        (0xf33d_71b9_1812_25bf, 0xc995_3b99_3ff2_904e)
-    );
+    each_dispatch(|workers| {
+        assert_eq!(
+            batch_hash(true, workers),
+            (0xf33d_71b9_1812_25bf, 0xc995_3b99_3ff2_904e)
+        );
+    });
 }
 
 #[test]
 fn time_domain_batch_readings_match_golden_bits() {
-    assert_eq!(
-        batch_hash(false),
-        (0xe7bd_e797_e347_ced5, 0xdb94_b581_1ca1_bb9a)
-    );
+    each_dispatch(|workers| {
+        assert_eq!(
+            batch_hash(false, workers),
+            (0xe7bd_e797_e347_ced5, 0xdb94_b581_1ca1_bb9a)
+        );
+    });
 }
 
 /// Batches through the producer branches the default configuration
@@ -387,52 +413,62 @@ fn time_domain_batch_readings_match_golden_bits() {
 fn faulted_time_domain_batch_readings_match_golden_bits() {
     let mut faults = wiforce_channel::faults::FaultConfig::none();
     dropped_and_burst_faults(&mut faults);
-    assert_eq!(
-        branch_batch_hash(false, |_| {}, faults),
-        ((0x6961_d157_dcb9_cfdf, 0x693e_7d6f_697d_64ce), (150, 144))
-    );
+    each_dispatch(|workers| {
+        assert_eq!(
+            branch_batch_hash(false, |_| {}, faults, workers),
+            ((0x6961_d157_dcb9_cfdf, 0x693e_7d6f_697d_64ce), (150, 144))
+        );
+    });
 }
 
 #[test]
 fn mover_batch_readings_match_golden_bits() {
-    assert_eq!(
-        branch_batch_hash(false, walker, wiforce_channel::faults::FaultConfig::none()).0,
-        (0xce3d_f4fb_b5f7_1d19, 0x08e8_3b4c_a567_2569)
-    );
+    let faults = wiforce_channel::faults::FaultConfig::none();
+    each_dispatch(|workers| {
+        assert_eq!(
+            branch_batch_hash(false, walker, faults, workers).0,
+            (0xce3d_f4fb_b5f7_1d19, 0x08e8_3b4c_a567_2569)
+        );
+    });
 }
 
 #[test]
 fn fmcw_batch_readings_match_golden_bits() {
-    assert_eq!(
-        branch_batch_hash(false, fmcw, wiforce_channel::faults::FaultConfig::none()).0,
-        (0xf8e6_01bb_e7cc_2863, 0x2685_6ce8_4f5b_0f6f)
-    );
+    let faults = wiforce_channel::faults::FaultConfig::none();
+    each_dispatch(|workers| {
+        assert_eq!(
+            branch_batch_hash(false, fmcw, faults, workers).0,
+            (0xf8e6_01bb_e7cc_2863, 0x2685_6ce8_4f5b_0f6f)
+        );
+    });
 }
 
 /// The 8-stream spectral batch on the 800–2000 Hz frequency-multiplexed
 /// plan: every producer window sees several streams' clock edges.
 #[test]
 fn multiplexed_spectral_batch_readings_match_golden_bits() {
-    let (sim, model) = setup(true);
-    let model = std::sync::Arc::new(model);
-    let spec = ReaderSpec::frequency_multiplexed(8, 3, 0xBA7C_8008, &sim.group)
-        .expect("8 clocks fit the 800-2000 Hz band");
-    let report = run_batch(
-        &sim,
-        &model,
-        std::slice::from_ref(&spec),
-        &BatchConfig::wiforce(2),
-    )
-    .expect("a valid 8-stream reader");
-    assert!(report.streams.iter().all(|s| s.readings.len() >= 3));
-    let mut h = Pins::new();
-    for s in &report.streams {
-        h.word(s.failures);
-        h.word(s.readings.len() as u64);
-        for r in &s.readings {
-            h.word(r.group);
-            h.reading(&r.reading);
+    each_dispatch(|workers| {
+        let (sim, model) = setup(true, workers);
+        let model = std::sync::Arc::new(model);
+        let spec = ReaderSpec::frequency_multiplexed(8, 3, 0xBA7C_8008, &sim.group)
+            .expect("8 clocks fit the 800-2000 Hz band");
+        let report = run_batch(
+            &sim,
+            &model,
+            std::slice::from_ref(&spec),
+            &BatchConfig::wiforce(workers),
+        )
+        .expect("a valid 8-stream reader");
+        assert!(report.streams.iter().all(|s| s.readings.len() >= 3));
+        let mut h = Pins::new();
+        for s in &report.streams {
+            h.word(s.failures);
+            h.word(s.readings.len() as u64);
+            for r in &s.readings {
+                h.word(r.group);
+                h.reading(&r.reading);
+            }
         }
-    }
-    assert_eq!(h.finish(), (0xe721_8614_0968_e2e0, 0x159d_8ffc_0952_36b4));
+        assert_eq!(h.finish(), (0xe721_8614_0968_e2e0, 0x159d_8ffc_0952_36b4));
+    });
 }

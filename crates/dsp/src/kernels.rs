@@ -14,18 +14,20 @@
 //! reproduces bit-for-bit whichever path the CPU takes, which the
 //! property tests in this module pin down.
 //!
-//! Setting the `WIFORCE_FORCE_SCALAR` environment variable (to anything
-//! but `""`/`"0"`) before first use forces the scalar bodies, keeping the
-//! fallback path exercised in CI and giving a ground truth to diff
-//! against when debugging a vector unit.
+//! The resolved backend is one process-wide value, so a dispatch is one
+//! relaxed load and one `match`. Tests pin it to the scalar bodies with
+//! [`hold_scalar`]: while any [`ScalarHold`] is alive every thread —
+//! synthesis pool and batch workers included — dispatches to scalar,
+//! which runs the fallback path and gives a ground truth to diff against.
 
 use crate::Complex;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
 
 /// Which instantiation of the kernel bodies the runtime dispatch picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable scalar bodies (also the `WIFORCE_FORCE_SCALAR` override).
+    /// Portable scalar bodies (also what [`hold_scalar`] pins).
     Scalar,
     /// x86-64 AVX2 instantiation.
     Avx2,
@@ -65,10 +67,8 @@ pub const KERNEL_NAMES: &[&str] = &[
     "quantize_complex",
 ];
 
-fn detect(force_scalar: bool) -> Backend {
-    if force_scalar {
-        return Backend::Scalar;
-    }
+/// What the CPU supports: CPUID/NEON detection, scalar fallback.
+fn detect() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f")
@@ -90,22 +90,89 @@ fn detect(force_scalar: bool) -> Backend {
     Backend::Scalar
 }
 
-static BACKEND: OnceLock<Backend> = OnceLock::new();
+/// [`BACKEND`] before the first dispatch resolves it.
+const UNRESOLVED: u8 = u8::MAX;
 
-/// The backend the dispatch table resolved to (decided once per process:
-/// `WIFORCE_FORCE_SCALAR` override first, then CPUID/NEON detection,
-/// scalar fallback).
-pub fn backend() -> Backend {
-    *BACKEND.get_or_init(|| {
-        let force =
-            std::env::var_os("WIFORCE_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-        detect(force)
-    })
+/// The backend every dispatch takes, as `Backend as u8`; written only
+/// under [`HOLDS`]' lock. `Relaxed` throughout: the value publishes no
+/// other data, and every backend gives the same bits, so a thread that
+/// reads a stale value only runs another instantiation.
+static BACKEND: AtomicU8 = AtomicU8::new(UNRESOLVED);
+
+/// Live [`ScalarHold`] guards.
+static HOLDS: Mutex<usize> = Mutex::new(0);
+
+/// The guard count, recovered from a poisoned lock: each update is one
+/// step that leaves it valid, and a guard's `drop` must not panic.
+fn holds() -> std::sync::MutexGuard<'static, usize> {
+    HOLDS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `true` when the scalar override environment variable took effect.
-pub fn forced_scalar() -> bool {
-    backend() == Backend::Scalar && detect(false) != Backend::Scalar
+#[cold]
+fn resolve() -> Backend {
+    // the store happens under the lock, so it cannot undo a hold
+    let held = holds();
+    let b = if *held == 0 {
+        detect()
+    } else {
+        Backend::Scalar
+    };
+    BACKEND.store(b as u8, Ordering::Relaxed);
+    b
+}
+
+/// The backend the dispatch table takes: the detected one (CPUID/NEON,
+/// scalar fallback), or scalar while a [`ScalarHold`] is alive.
+#[inline]
+pub fn backend() -> Backend {
+    const SCALAR: u8 = Backend::Scalar as u8;
+    const AVX2: u8 = Backend::Avx2 as u8;
+    const AVX512: u8 = Backend::Avx512 as u8;
+    const NEON: u8 = Backend::Neon as u8;
+    match BACKEND.load(Ordering::Relaxed) {
+        SCALAR => Backend::Scalar,
+        AVX2 => Backend::Avx2,
+        AVX512 => Backend::Avx512,
+        NEON => Backend::Neon,
+        _ => resolve(),
+    }
+}
+
+/// Pins every thread's dispatch to [`Backend::Scalar`] until the last
+/// live guard drops. Every backend is bit-identical to the scalar bodies,
+/// so a hold that overlaps other work changes its speed, never its
+/// results; tests use it to run the pins under both dispatches in one
+/// process.
+#[must_use = "the hold ends when the guard drops"]
+pub fn hold_scalar() -> ScalarHold {
+    let mut held = holds();
+    *held += 1;
+    BACKEND.store(Backend::Scalar as u8, Ordering::Relaxed);
+    ScalarHold(())
+}
+
+/// Guard of [`hold_scalar`]; dropping the last one restores the detected
+/// backend.
+#[derive(Debug)]
+pub struct ScalarHold(());
+
+impl Drop for ScalarHold {
+    fn drop(&mut self) {
+        let mut held = holds();
+        *held -= 1;
+        if *held == 0 {
+            BACKEND.store(detect() as u8, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Runs `check` under the detected dispatch, then again with it held to
+/// the scalar bodies.
+#[cfg(test)]
+pub(crate) fn each_backend(check: impl Fn()) {
+    check();
+    let _scalar = hold_scalar();
+    check();
 }
 
 /// The dispatched kernel set: `(kernel name, backend name)` per kernel.
@@ -630,20 +697,13 @@ mod tests {
 
     #[test]
     fn backend_is_detected_and_named() {
-        let b = backend();
-        assert!(!b.name().is_empty());
+        // one read: a hold in a concurrent test may flip the backend
+        // between two
         let kernels = active_kernels();
         assert_eq!(kernels.len(), KERNEL_NAMES.len());
-        assert!(kernels.iter().all(|&(_, back)| back == b.name()));
-    }
-
-    #[test]
-    fn forced_scalar_detection_prefers_override() {
-        assert_eq!(detect(true), Backend::Scalar);
-        // with no override, detection picks whatever the CPU supports —
-        // on x86-64/aarch64 CI machines that is at least AVX2/NEON, but
-        // scalar is a valid answer on anything else
-        let _ = detect(false);
+        let b = kernels[0].1;
+        assert!(kernels.iter().all(|&(_, back)| back == b));
+        assert!([detect(), Backend::Scalar].iter().any(|d| d.name() == b));
     }
 
     // Every kernel below: dispatched entry point vs scalar body must be
@@ -762,32 +822,36 @@ mod tests {
 
     #[test]
     fn spectral_line_matches_scalar_bitwise() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for n in [0, 1, 7, 8, 9, 64, 67] {
-            let (statics, spectra, normals, terms) = spectral_line_inputs(&mut rng, n);
-            let rows = spectra_rows(&spectra, n);
-            let mut got = vec![Complex::ZERO; n];
-            spectral_line(&mut got, &statics, rows, &normals, &terms);
-            let mut want = vec![Complex::ZERO; n];
-            spectral_line_body(&mut want, &statics, rows, &normals, &terms);
-            assert_bits_eq(&got, &want);
-            // the element expression, written out in state order
-            for k in 0..n {
-                let b = |q: usize| rows[q][k];
-                let mean_p = statics[k]
-                    + b(0).scale(terms.cbar[0])
-                    + b(1).scale(terms.cbar[1])
-                    + b(2).scale(terms.cbar[2])
-                    + b(3).scale(terms.cbar[3]);
-                let det =
-                    b(0) * terms.w[0] + b(1) * terms.w[1] + b(2) * terms.w[2] + b(3) * terms.w[3];
-                let line = terms.reference
-                    * (det
-                        + normals[k].scale(terms.sigma_line)
-                        + Complex::I * mean_p * terms.jitter);
-                assert_bits_eq(&got[k..k + 1], &[line]);
+        each_backend(|| {
+            let mut rng = StdRng::seed_from_u64(9);
+            for n in [0, 1, 7, 8, 9, 64, 67] {
+                let (statics, spectra, normals, terms) = spectral_line_inputs(&mut rng, n);
+                let rows = spectra_rows(&spectra, n);
+                let mut got = vec![Complex::ZERO; n];
+                spectral_line(&mut got, &statics, rows, &normals, &terms);
+                let mut want = vec![Complex::ZERO; n];
+                spectral_line_body(&mut want, &statics, rows, &normals, &terms);
+                assert_bits_eq(&got, &want);
+                // the element expression, written out in state order
+                for k in 0..n {
+                    let b = |q: usize| rows[q][k];
+                    let mean_p = statics[k]
+                        + b(0).scale(terms.cbar[0])
+                        + b(1).scale(terms.cbar[1])
+                        + b(2).scale(terms.cbar[2])
+                        + b(3).scale(terms.cbar[3]);
+                    let det = b(0) * terms.w[0]
+                        + b(1) * terms.w[1]
+                        + b(2) * terms.w[2]
+                        + b(3) * terms.w[3];
+                    let line = terms.reference
+                        * (det
+                            + normals[k].scale(terms.sigma_line)
+                            + Complex::I * mean_p * terms.jitter);
+                    assert_bits_eq(&got[k..k + 1], &[line]);
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -807,49 +871,53 @@ mod tests {
 
     #[test]
     fn philox_complex_rows_kernel_matches_single_row_bitwise() {
-        // A plane fill must agree per row with the row-at-a-time kernel
-        // and the scalar per-element draw — same counter coordinates —
-        // at lane 0, past one drawn drop decision (lane 1), and further in.
-        let key = [0x5EED_CAFE, 0x89AB_CDEF];
-        let grp_dom = [7, 0];
-        for (rows, lanes, lane0) in [
-            (0usize, 8usize, 0u32),
-            (1, 1, 0),
-            (3, 7, 1),
-            (4, 64, 0),
-            (4, 64, 1),
-            (9, 33, 5),
-            (2, 64, 5),
-        ] {
-            let mut plane = vec![Complex::ZERO; rows * lanes];
-            philox_complex_normals_rows(key, grp_dom, 11, lane0, lanes, &mut plane);
-            let mut want_plane = vec![Complex::ZERO; rows * lanes];
-            philox_complex_normals_rows_body(key, grp_dom, 11, lane0, lanes, &mut want_plane);
-            assert_bits_eq(&plane, &want_plane);
-            for (r, got) in plane.chunks_exact(lanes).enumerate() {
-                let ctr_hi = [11u32.wrapping_add(r as u32), grp_dom[0], grp_dom[1]];
-                let mut row = vec![Complex::ZERO; lanes];
-                philox_complex_normals(key, ctr_hi, lane0, &mut row);
-                assert_bits_eq(got, &row);
-                for (i, z) in got.iter().enumerate() {
-                    let scalar =
-                        crate::rng::philox_complex_normal_at(key, ctr_hi, lane0 + i as u32);
-                    assert_bits_eq(&[*z], &[scalar]);
+        each_backend(|| {
+            // A plane fill must agree per row with the row-at-a-time kernel
+            // and the scalar per-element draw — same counter coordinates —
+            // at lane 0, past one drawn drop decision (lane 1), and further in.
+            let key = [0x5EED_CAFE, 0x89AB_CDEF];
+            let grp_dom = [7, 0];
+            for (rows, lanes, lane0) in [
+                (0usize, 8usize, 0u32),
+                (1, 1, 0),
+                (3, 7, 1),
+                (4, 64, 0),
+                (4, 64, 1),
+                (9, 33, 5),
+                (2, 64, 5),
+            ] {
+                let mut plane = vec![Complex::ZERO; rows * lanes];
+                philox_complex_normals_rows(key, grp_dom, 11, lane0, lanes, &mut plane);
+                let mut want_plane = vec![Complex::ZERO; rows * lanes];
+                philox_complex_normals_rows_body(key, grp_dom, 11, lane0, lanes, &mut want_plane);
+                assert_bits_eq(&plane, &want_plane);
+                for (r, got) in plane.chunks_exact(lanes).enumerate() {
+                    let ctr_hi = [11u32.wrapping_add(r as u32), grp_dom[0], grp_dom[1]];
+                    let mut row = vec![Complex::ZERO; lanes];
+                    philox_complex_normals(key, ctr_hi, lane0, &mut row);
+                    assert_bits_eq(got, &row);
+                    for (i, z) in got.iter().enumerate() {
+                        let scalar =
+                            crate::rng::philox_complex_normal_at(key, ctr_hi, lane0 + i as u32);
+                        assert_bits_eq(&[*z], &[scalar]);
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]
     fn philox_complex_rows_kernel_ignores_partial_tail() {
-        let key = [1, 2];
-        let nan = Complex::new(f64::NAN, f64::NAN);
-        let mut plane = vec![nan; 2 * 8 + 3];
-        philox_complex_normals_rows(key, [0, 0], 0, 0, 8, &mut plane);
-        assert!(plane[..16]
-            .iter()
-            .all(|v| v.re.is_finite() && v.im.is_finite()));
-        assert!(plane[16..].iter().all(|v| v.re.is_nan() && v.im.is_nan()));
+        each_backend(|| {
+            let key = [1, 2];
+            let nan = Complex::new(f64::NAN, f64::NAN);
+            let mut plane = vec![nan; 2 * 8 + 3];
+            philox_complex_normals_rows(key, [0, 0], 0, 0, 8, &mut plane);
+            assert!(plane[..16]
+                .iter()
+                .all(|v| v.re.is_finite() && v.im.is_finite()));
+            assert!(plane[16..].iter().all(|v| v.re.is_nan() && v.im.is_nan()));
+        });
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! * [`fastmath`] — vectorizable polynomial `ln`/`cos` kernels backing the
 //!   bulk noise synthesis.
 //! * [`kernels`] — runtime-dispatched (AVX2/AVX-512/NEON, scalar
-//!   fallback, `WIFORCE_FORCE_SCALAR` override) SIMD instantiations of
-//!   every hot inner loop; all paths bit-identical.
+//!   fallback) SIMD instantiations of every hot inner loop; all paths
+//!   bit-identical.
+//! * [`hash`] — the FNV-1a word hasher behind every configuration token.
 //!
 //! Everything is deterministic given caller-provided RNGs and is `f64`
 //! throughout.
@@ -39,6 +40,7 @@
 pub mod complex;
 pub mod fastmath;
 pub mod fft;
+pub mod hash;
 pub mod interp;
 pub mod kernels;
 pub mod linalg;

@@ -10,7 +10,7 @@
 //! per-sweep estimate is assembled. The grid matches the OFDM sounder's so
 //! the downstream algorithm cannot tell them apart — which is the claim.
 
-use crate::sounder::{fnv_token, ChannelSounder};
+use crate::sounder::ChannelSounder;
 use wiforce_dsp::rng::{complex_gaussian, CounterRng};
 use wiforce_dsp::Complex;
 
@@ -64,7 +64,7 @@ impl ChannelSounder for FmcwSounder {
     /// [`Self::prepare`] (the default: the truth alone) reads nothing
     /// else, so their raw bits are the response-table identity.
     fn response_token(&self) -> u64 {
-        fnv_token([
+        wiforce_dsp::hash::fnv_words([
             self.n_points as u64,
             self.bandwidth_hz.to_bits(),
             self.sweep_s.to_bits(),

@@ -12,7 +12,7 @@
 //! σ²/5, the simulation samples that averaged frame directly — one noise
 //! pass instead of five, same distribution, which the tests verify.
 
-use crate::sounder::{fnv_token, ChannelSounder, PreparedChannel};
+use crate::sounder::{ChannelSounder, PreparedChannel};
 use std::cell::RefCell;
 use wiforce_dsp::fft::{ifft, with_plan};
 use wiforce_dsp::rng::CounterRng;
@@ -421,7 +421,7 @@ impl ChannelSounder for OfdmSounder {
     /// [`Self::prepare`] does — so their raw bits are the response-table
     /// identity.
     fn response_token(&self) -> u64 {
-        fnv_token([
+        wiforce_dsp::hash::fnv_words([
             self.n_subcarriers as u64,
             self.bandwidth_hz.to_bits(),
             self.n_repeats as u64,
@@ -662,47 +662,55 @@ mod tests {
 
     #[test]
     fn wide_rows_path_is_bit_identical_to_row_path() {
-        let s = OfdmSounder::wiforce();
-        // four distinct "switch state" channels, as the pipeline prepares
-        let prepared: Vec<PreparedChannel> = (0..4)
-            .map(|st| {
-                let truth: Vec<Complex> = (0..64)
-                    .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.03 * (k + st) as f64))
-                    .collect();
-                s.prepare(&truth)
-            })
-            .collect();
-        let key = 0x00C0_FFEE_u64 | (7u64 << 40);
-        let group = 3u32;
-        let snap0 = 11u32;
-        let states: Vec<u8> = (0..37u8).map(|r| (r.wrapping_mul(7) >> 1) % 4).collect();
-        let rows = states.len();
-        // a drop decision drawn first moves every row's lanes up by one
-        for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
-            let mut plane = vec![Complex::ZERO; rows * 64];
-            let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-            s.estimate_prepared_counter_rows_into(
-                &prepared,
-                &states,
-                noise,
-                &mut cursors,
-                &mut plane,
-            );
-            let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-            for ((r, &st), cursor) in states.iter().enumerate().zip(&mut rows_cursors) {
-                let mut row = [Complex::ZERO; 64];
-                s.estimate_counter_into(&prepared[usize::from(st)].truth, noise, cursor, &mut row);
-                for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
-                    assert_eq!(w.re.to_bits(), x.re.to_bits(), "r={r} i={i}");
-                    assert_eq!(w.im.to_bits(), x.im.to_bits(), "r={r} i={i}");
-                }
-                // the block hands its cursor back where the row call
-                // leaves it, ready for the burst and front-end draws
-                assert_eq!(cursors[r].lane(), cursor.lane());
-                assert_eq!(
-                    rand::RngCore::next_u64(&mut cursors[r]),
-                    rand::RngCore::next_u64(cursor)
+        for scalar in [false, true] {
+            let _scalar = scalar.then(wiforce_dsp::kernels::hold_scalar);
+            let s = OfdmSounder::wiforce();
+            // four distinct "switch state" channels, as the pipeline prepares
+            let prepared: Vec<PreparedChannel> = (0..4)
+                .map(|st| {
+                    let truth: Vec<Complex> = (0..64)
+                        .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.03 * (k + st) as f64))
+                        .collect();
+                    s.prepare(&truth)
+                })
+                .collect();
+            let key = 0x00C0_FFEE_u64 | (7u64 << 40);
+            let group = 3u32;
+            let snap0 = 11u32;
+            let states: Vec<u8> = (0..37u8).map(|r| (r.wrapping_mul(7) >> 1) % 4).collect();
+            let rows = states.len();
+            // a drop decision drawn first moves every row's lanes up by one
+            for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
+                let mut plane = vec![Complex::ZERO; rows * 64];
+                let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+                s.estimate_prepared_counter_rows_into(
+                    &prepared,
+                    &states,
+                    noise,
+                    &mut cursors,
+                    &mut plane,
                 );
+                let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+                for ((r, &st), cursor) in states.iter().enumerate().zip(&mut rows_cursors) {
+                    let mut row = [Complex::ZERO; 64];
+                    s.estimate_counter_into(
+                        &prepared[usize::from(st)].truth,
+                        noise,
+                        cursor,
+                        &mut row,
+                    );
+                    for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
+                        assert_eq!(w.re.to_bits(), x.re.to_bits(), "r={r} i={i}");
+                        assert_eq!(w.im.to_bits(), x.im.to_bits(), "r={r} i={i}");
+                    }
+                    // the block hands its cursor back where the row call
+                    // leaves it, ready for the burst and front-end draws
+                    assert_eq!(cursors[r].lane(), cursor.lane());
+                    assert_eq!(
+                        rand::RngCore::next_u64(&mut cursors[r]),
+                        rand::RngCore::next_u64(cursor)
+                    );
+                }
             }
         }
     }
@@ -835,28 +843,39 @@ mod tests {
 
     #[test]
     fn wide_truth_rows_path_is_bit_identical_to_row_path() {
-        // the truth-plane path (movers, the batch producer): each row must
-        // match a row-at-a-time estimate on its cursor, and leave that
-        // cursor where the row call stops
-        let s = OfdmSounder::wiforce();
-        let (key, group, snap0) = (0x7EA5_u64 << 33 | 0x77, 5u32, 130u32);
-        for rows in [1usize, 23, 64] {
-            let truths: Vec<Complex> = (0..rows * 64)
-                .map(|i| Complex::from_polar(1.0 + 1e-3 * (i % 97) as f64, 0.02 * (i % 61) as f64))
-                .collect();
-            for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
-                let mut plane = vec![Complex::ZERO; rows * 64];
-                let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-                s.estimate_counter_rows_into(&truths, noise, &mut cursors, &mut plane);
-                let mut row = [Complex::ZERO; 64];
-                let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-                for (r, cursor) in rows_cursors.iter_mut().enumerate() {
-                    s.estimate_counter_into(&truths[r * 64..(r + 1) * 64], noise, cursor, &mut row);
-                    for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
-                        assert_eq!(w.re.to_bits(), x.re.to_bits(), "rows={rows} r={r} i={i}");
-                        assert_eq!(w.im.to_bits(), x.im.to_bits(), "rows={rows} r={r} i={i}");
+        for scalar in [false, true] {
+            let _scalar = scalar.then(wiforce_dsp::kernels::hold_scalar);
+            // the truth-plane path (movers, the batch producer): each row must
+            // match a row-at-a-time estimate on its cursor, and leave that
+            // cursor where the row call stops
+            let s = OfdmSounder::wiforce();
+            let (key, group, snap0) = (0x7EA5_u64 << 33 | 0x77, 5u32, 130u32);
+            for rows in [1usize, 23, 64] {
+                let truths: Vec<Complex> = (0..rows * 64)
+                    .map(|i| {
+                        Complex::from_polar(1.0 + 1e-3 * (i % 97) as f64, 0.02 * (i % 61) as f64)
+                    })
+                    .collect();
+                for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
+                    let mut plane = vec![Complex::ZERO; rows * 64];
+                    let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+                    s.estimate_counter_rows_into(&truths, noise, &mut cursors, &mut plane);
+                    let mut row = [Complex::ZERO; 64];
+                    let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
+                    for (r, cursor) in rows_cursors.iter_mut().enumerate() {
+                        s.estimate_counter_into(
+                            &truths[r * 64..(r + 1) * 64],
+                            noise,
+                            cursor,
+                            &mut row,
+                        );
+                        for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate()
+                        {
+                            assert_eq!(w.re.to_bits(), x.re.to_bits(), "rows={rows} r={r} i={i}");
+                            assert_eq!(w.im.to_bits(), x.im.to_bits(), "rows={rows} r={r} i={i}");
+                        }
+                        assert_eq!(cursors[r].lane(), cursor.lane());
                     }
-                    assert_eq!(cursors[r].lane(), cursor.lane());
                 }
             }
         }

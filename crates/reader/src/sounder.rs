@@ -187,19 +187,6 @@ pub trait ChannelSounder {
     }
 }
 
-/// FNV-1a over the little-endian bytes of `words` — how sounders turn
-/// their configuration fields into a [`ChannelSounder::response_token`].
-pub(crate) fn fnv_token(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,7 +65,6 @@ use wiforce::estimator::{EstimatorConfig, ForceEstimator};
 use wiforce::pipeline::{PressNoise, Simulation, TagClock};
 use wiforce::record::Recording;
 use wiforce::spectrum::{discover_tags, DopplerSpectrum};
-use wiforce::tracking::{Tracker, TrackerConfig};
 use wiforce_channel::faults::FaultConfig;
 use wiforce_telemetry::{trace, AggregatorConfig, PipelineHealth, StreamWindow, TelemetrySnapshot};
 
@@ -212,7 +211,7 @@ fn usage() -> &'static str {
      serve:     --streams N  --presses N  --readers N  --workers N  --queue N\n\
      \x20       --faults none|harsh|saturating  --overflow stall|drop-newest\n\
      \x20       --throttle-ms N  --watch 1  --carrier-ghz F  --seed N  --model F.wfm\n\
-     \x20       --synth-mode auto|spectral|td  pin the synthesis arm\n\
+     \x20       --synth-mode td|spectral  synthesis arm (default td)\n\
      \x20       --trace PATH  write Chrome trace JSON\n\
      \x20       --metrics PATH  write Prometheus text (recorder + per-stream series)"
 }
@@ -523,11 +522,9 @@ fn cmd_spectrum(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs every subsystem once with telemetry enabled — a calibrated press
-/// (mechanics, EM transduction, channel, sounder, fault injection,
-/// harmonic extraction, model inversion), the streaming estimator with
-/// Kalman tracking, and the sample-level stream receiver — then emits the
-/// aggregated [`PipelineHealth`] report.
+/// Runs every subsystem once with telemetry enabled
+/// ([`wiforce::estimator::health_run`]), then emits the aggregated
+/// [`PipelineHealth`] report.
 fn cmd_health(args: &Args) -> Result<(), String> {
     let sim = sim_from(args)?;
     let force = args.f64_or("force", 4.0)?;
@@ -536,71 +533,17 @@ fn cmd_health(args: &Args) -> Result<(), String> {
     let model = model_from(args, &sim)?;
 
     // surface which SIMD backend the DSP kernels dispatched to (stderr,
-    // so piped JSON output stays clean); WIFORCE_FORCE_SCALAR=1 shows the
-    // scalar fallback here
+    // so piped JSON output stays clean)
     eprintln!(
-        "dsp kernels: {} backend{}",
-        wiforce_dsp::kernels::backend().name(),
-        if wiforce_dsp::kernels::forced_scalar() {
-            " (WIFORCE_FORCE_SCALAR)"
-        } else {
-            ""
-        }
+        "dsp kernels: {} backend",
+        wiforce_dsp::kernels::backend().name()
     );
     for (kernel, backend) in wiforce_dsp::kernels::active_kernels() {
         eprintln!("  {kernel:<24} {backend}");
     }
 
-    wiforce_telemetry::reset();
-    wiforce_telemetry::set_enabled(true);
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // 1. one calibrated press through the batch pipeline
-    sim.measure_press(&model, force, loc, &mut rng)
-        .map_err(|e| e.to_string())?;
-
-    // 2. streaming estimator + tracker over a quiet-then-pressed stream
-    let cfg = EstimatorConfig {
-        group: sim.group,
-        reference_groups: 1,
-        ..EstimatorConfig::wiforce(1000.0)
-    };
-    let mut est = ForceEstimator::new(cfg, model);
-    let mut tracker = Tracker::new(TrackerConfig::wiforce());
-    let mut clock = TagClock::new(&mut rng);
-    let mut noise = PressNoise::from_rng(&mut rng);
-    let quiet = sim.run_snapshots(None, 1, &mut clock, &mut noise);
-    for s in quiet.rows() {
-        let _ = est.push_snapshot(s).map_err(|e| e.to_string())?;
-    }
-    let contact = sim.jittered_contact(force, loc, &mut rng);
-    let pressed = sim.run_snapshots(contact.as_ref(), 1, &mut clock, &mut noise);
-    for s in pressed.rows() {
-        if let Some(r) = est.push_snapshot(s).map_err(|e| e.to_string())? {
-            tracker.update(&r);
-        }
-    }
-
-    // 3. sample-level receiver: preamble sync + per-frame channel decode
-    let sounder = wiforce_reader::ofdm::OfdmSounder::wiforce();
-    let chans: Vec<Vec<wiforce_dsp::Complex>> = (0..4)
-        .map(|f| {
-            (0..sounder.n_subcarriers)
-                .map(|k| wiforce_dsp::Complex::from_polar(0.5, 0.02 * k as f64 + 0.05 * f as f64))
-                .collect()
-        })
-        .collect();
-    let rx = wiforce_reader::stream::simulate_rx_stream(&sounder, &chans, 1e-4, 64, &mut rng);
-    let receiver = wiforce_reader::stream::StreamReceiver::new(sounder);
-    if receiver.process(&rx).is_none() {
-        return Err("stream receiver failed to sync".into());
-    }
-
-    // cache gauges are end-of-run only (mid-run readings of the shared
-    // memo counters are scheduling-dependent)
-    sim.emit_cache_gauges();
-    wiforce_telemetry::set_enabled(false);
-    let report = PipelineHealth::collect();
+    let report =
+        wiforce::estimator::health_run(&sim, model, force, loc, seed).map_err(|e| e.to_string())?;
     match args.get("health-json") {
         Some(path) => {
             std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
@@ -617,14 +560,13 @@ fn cmd_health(args: &Args) -> Result<(), String> {
 /// runs. Returns the report plus the reader/worker counts for display.
 fn run_serve_workload(args: &Args) -> Result<(BatchReport, usize, usize), String> {
     let mut sim = sim_from(args)?;
-    // pin the synthesis arm regardless of WIFORCE_SYNTH_SPECTRAL;
-    // "auto" keeps the env selection. spectral falls back to the
-    // time-domain arm per-reader when the scene is ineligible.
-    match args.get("synth-mode").unwrap_or("auto") {
-        "auto" => {}
-        "spectral" => sim.synth_spectral = Some(true),
+    // the synthesis arm: the time-domain reference unless spectral is
+    // asked for, which falls back to the time-domain arm per reader when
+    // the scene is ineligible
+    match args.get("synth-mode").unwrap_or("td") {
         "td" => sim.synth_spectral = Some(false),
-        other => return Err(format!("--synth-mode '{other}': expected auto|spectral|td")),
+        "spectral" => sim.synth_spectral = Some(true),
+        other => return Err(format!("--synth-mode '{other}': expected td|spectral")),
     }
     let streams = args.u64_or("streams", 4)?.max(1) as usize;
     let presses = args.u64_or("presses", 4)?.max(1) as usize;
@@ -850,13 +792,10 @@ mod tests {
 
     #[test]
     fn serve_synth_mode_has_no_wide_or_row_arm() {
-        for mode in ["wide", "row"] {
+        for mode in ["wide", "row", "auto"] {
             let args = parse("serve", &["--synth-mode", mode]).expect("flag parses");
             let err = run_serve_workload(&args).expect_err("retired arm rejected");
-            assert_eq!(
-                err,
-                format!("--synth-mode '{mode}': expected auto|spectral|td")
-            );
+            assert_eq!(err, format!("--synth-mode '{mode}': expected td|spectral"));
         }
     }
 }

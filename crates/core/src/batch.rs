@@ -1395,6 +1395,9 @@ mod tests {
         let (sim, model) = template();
         let spec = ReaderSpec::frequency_multiplexed(2, 1, 0x5CA1, &sim.group).expect("allocation");
         let seen = Mutex::new(Vec::new());
+        let _one = crate::SCALAR_HOLDS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let _scalar = hold_scalar();
         run_batch_observed(
             &sim,

@@ -64,10 +64,17 @@ mod line_noise_check;
 #[cfg(test)]
 static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Serializes the tests that hold the SIMD dispatch to scalar: a hold
+/// reaches every thread, so it would turn another test's detected pass
+/// into a second scalar one.
+#[cfg(test)]
+static SCALAR_HOLDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Runs `check` under the detected SIMD dispatch, then again with it held
 /// to the scalar bodies: every backend must give the same bits.
 #[cfg(test)]
 fn each_backend(mut check: impl FnMut()) {
+    let _one = SCALAR_HOLDS.lock().unwrap_or_else(|e| e.into_inner());
     check();
     let _scalar = wiforce_dsp::kernels::hold_scalar();
     check();

@@ -261,6 +261,9 @@ mod tests {
         use wiforce_dsp::kernels::{backend, hold_scalar, Backend};
         let barrier = Barrier::new(2);
         let seen = Mutex::new(Vec::new());
+        let _one = crate::SCALAR_HOLDS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let _scalar = hold_scalar();
         run_chunks(2, 2, &|_| {
             barrier.wait();

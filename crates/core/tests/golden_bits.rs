@@ -61,14 +61,18 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 use wiforce::batch::{run_batch, BatchConfig, PressSpec, ReaderSpec};
 use wiforce::{ForceReading, SensorModel, Simulation, WiForceError};
 use wiforce_dsp::hash::Fnv;
 use wiforce_dsp::kernels::hold_scalar;
 
 /// Runs `check` at 1 and 8 workers (the argument), under the detected
-/// dispatch and then held to scalar.
+/// dispatch and then held to scalar. One pin at a time: a hold reaches
+/// every thread, so a concurrent pin's detected pass would run scalar.
 fn each_dispatch(mut check: impl FnMut(usize)) {
+    static DISPATCH: Mutex<()> = Mutex::new(());
+    let _one = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     for scalar in [false, true] {
         let _scalar = scalar.then(hold_scalar);
         check(1);

@@ -358,32 +358,30 @@ mod tests {
 
     #[test]
     fn spectral_cursor_is_disjoint_and_pure() {
-        crate::kernels::each_backend(|| {
-            let key = 0xFEED_u64;
-            // pure function of (key, group, bin)
-            let first = |mut c: CounterRng| c.next_u64();
-            let base = first(CounterRng::for_spectral(key, 3, 100_000));
-            assert_eq!(base, first(CounterRng::for_spectral(key, 3, 100_000)));
-            // distinct from other bins, groups, keys, and both time domains
-            assert_ne!(base, first(CounterRng::for_spectral(key, 3, 400_000)));
-            assert_ne!(base, first(CounterRng::for_spectral(key, 4, 100_000)));
-            assert_ne!(base, first(CounterRng::for_spectral(key ^ 1, 3, 100_000)));
-            assert_ne!(base, first(CounterRng::for_snapshot(key, 3, 100_000)));
-            assert_ne!(base, first(CounterRng::for_group(key, 3)));
-            // bulk fills agree with the scalar reference at the same coords
-            let mut c = CounterRng::for_spectral(key, 3, 137_000);
-            let mut buf = vec![Complex::ZERO; 16];
-            c.fill_complex_normals(&mut buf);
-            for (i, w) in buf.iter().enumerate() {
-                let scalar = philox_complex_normal_at(
-                    [key as u32, (key >> 32) as u32],
-                    [137_000, 3, DOMAIN_SPECTRAL],
-                    i as u32,
-                );
-                assert_eq!(w.re.to_bits(), scalar.re.to_bits(), "lane {i}");
-                assert_eq!(w.im.to_bits(), scalar.im.to_bits(), "lane {i}");
-            }
-        });
+        let key = 0xFEED_u64;
+        // pure function of (key, group, bin)
+        let first = |mut c: CounterRng| c.next_u64();
+        let base = first(CounterRng::for_spectral(key, 3, 100_000));
+        assert_eq!(base, first(CounterRng::for_spectral(key, 3, 100_000)));
+        // distinct from other bins, groups, keys, and both time domains
+        assert_ne!(base, first(CounterRng::for_spectral(key, 3, 400_000)));
+        assert_ne!(base, first(CounterRng::for_spectral(key, 4, 100_000)));
+        assert_ne!(base, first(CounterRng::for_spectral(key ^ 1, 3, 100_000)));
+        assert_ne!(base, first(CounterRng::for_snapshot(key, 3, 100_000)));
+        assert_ne!(base, first(CounterRng::for_group(key, 3)));
+        // bulk fills agree with the scalar reference at the same coords
+        let mut c = CounterRng::for_spectral(key, 3, 137_000);
+        let mut buf = vec![Complex::ZERO; 16];
+        c.fill_complex_normals(&mut buf);
+        for (i, w) in buf.iter().enumerate() {
+            let scalar = philox_complex_normal_at(
+                [key as u32, (key >> 32) as u32],
+                [137_000, 3, DOMAIN_SPECTRAL],
+                i as u32,
+            );
+            assert_eq!(w.re.to_bits(), scalar.re.to_bits(), "lane {i}");
+            assert_eq!(w.im.to_bits(), scalar.im.to_bits(), "lane {i}");
+        }
     }
 
     #[test]

@@ -470,6 +470,11 @@ pub fn bins_to_ascending(bins: &[Complex]) -> Vec<Complex> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that hold the SIMD dispatch to scalar: a hold
+    /// reaches every thread, so it would turn another test's detected pass
+    /// into a second scalar one.
+    static SCALAR_HOLDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// One snapshot estimated with noise drawn at `(key, 0, snapshot)`.
     fn estimate(
         s: &OfdmSounder,
@@ -662,6 +667,7 @@ mod tests {
 
     #[test]
     fn wide_rows_path_is_bit_identical_to_row_path() {
+        let _one = SCALAR_HOLDS.lock().unwrap_or_else(|e| e.into_inner());
         for scalar in [false, true] {
             let _scalar = scalar.then(wiforce_dsp::kernels::hold_scalar);
             let s = OfdmSounder::wiforce();
@@ -843,6 +849,7 @@ mod tests {
 
     #[test]
     fn wide_truth_rows_path_is_bit_identical_to_row_path() {
+        let _one = SCALAR_HOLDS.lock().unwrap_or_else(|e| e.into_inner());
         for scalar in [false, true] {
             let _scalar = scalar.then(wiforce_dsp::kernels::hold_scalar);
             // the truth-plane path (movers, the batch producer): each row must

@@ -240,7 +240,7 @@ fn main() {
     let model = sim.vna_calibration().expect("calibration");
     let mut rng = StdRng::seed_from_u64(3);
     // warm up thread-local FFT plans, scratch buffers, and the TSC
-    // calibration the telemetry-on stage clocks convert through
+    // calibration the span clock converts through
     sim.measure_press(&model, 4.0, 0.040, &mut rng)
         .expect("warmup press");
     wiforce_telemetry::fastclock::ns_per_tick();

@@ -424,6 +424,14 @@ fn check_health(file: &str, root: &Value) -> Vec<String> {
                 for key in ["count", "p50_ns", "p95_ns", "max_ns", "total_ns"] {
                     c.number(stage, key, false);
                 }
+                // a stage with entries but no time was never timed: a tally
+                // posing as a span (NaN, for a missing key, compares false)
+                let num = |key| stage.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+                if num("count") > 0.0 && num("total_ns") == 0.0 {
+                    let name = stage.get("name").and_then(Value::as_str).unwrap_or("?");
+                    let count = num("count");
+                    c.fail(format!("stage '{name}' has {count} entries totalling 0 ns"));
+                }
             }
         }
     }
@@ -622,6 +630,11 @@ mod tests {
     /// A minimal health report at `schema`, with `plane_row_share` when
     /// `share`.
     fn health(schema: u64, share: bool) -> Value {
+        health_with_stage(schema, share, 1, 1)
+    }
+
+    /// [`health`] with one stage of `count` entries totalling `total_ns`.
+    fn health_with_stage(schema: u64, share: bool, count: u64, total_ns: u64) -> Value {
         let share = if share {
             r#""plane_row_share": 1.0,"#
         } else {
@@ -630,11 +643,19 @@ mod tests {
         parse(&format!(
             r#"{{"schema_version": {schema}, "snapshot_yield": 1.0,
                 "estimator_reference_locked": true, "response_table_hit_rate": null, {share}
-                "stages": [{{"name": "s", "count": 1, "p50_ns": 1, "p95_ns": 1,
-                             "max_ns": 1, "total_ns": 1}}],
+                "stages": [{{"name": "s", "count": {count}, "p50_ns": 1, "p95_ns": 1,
+                             "max_ns": 1, "total_ns": {total_ns}}}],
                 "counters": {{}}, "gauges": {{}}, "observations": []}}"#
         ))
         .expect("valid JSON")
+    }
+
+    #[test]
+    fn health_rejects_stages_with_entries_but_no_time() {
+        let phantom = check_health("h", &health_with_stage(6, false, 2500, 0));
+        assert_eq!(phantom.len(), 1, "{phantom:?}");
+        assert!(phantom[0].contains("'s' has 2500 entries totalling 0 ns"));
+        assert!(check_health("h", &health_with_stage(6, false, 0, 0)).is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wiforce::calib::SensorModel;
 use wiforce::pipeline::Simulation;
-use wiforce_telemetry::TelemetrySnapshot;
+use wiforce_telemetry::{Recording, TelemetrySnapshot};
 
 /// One press result.
 #[derive(Debug, Clone, Copy)]
@@ -121,9 +121,10 @@ pub fn run_sweep_with_threads(
 /// Like [`run_sweep_with_threads`], but also returns the merged telemetry
 /// of the whole sweep.
 ///
-/// When the telemetry recorder is enabled, each press runs against a
-/// fresh per-thread recorder and its snapshot is captured alongside the
-/// press result; after the workers join, the snapshots are merged in
+/// When the telemetry recorder is enabled, each press runs in a
+/// [`wiforce_telemetry::Scope::capture`] under the caller's open spans
+/// and its recording is kept alongside the press result; after the
+/// workers join, the recordings are replayed in
 /// press-index order — exactly like the result merge — so counters,
 /// gauges, and observation histograms are identical for any thread count
 /// (span *durations* are wall-clock and excluded from that guarantee; see
@@ -161,9 +162,8 @@ pub fn run_sweep_with_threads_telemetry(
         }
     };
 
-    let telemetry_on = wiforce_telemetry::enabled();
-    let mut results: Vec<Option<(PressResult, Option<TelemetrySnapshot>)>> =
-        vec![None; presses.len()];
+    let telemetry = wiforce_telemetry::scope();
+    let mut results: Vec<Option<(PressResult, Option<Recording>)>> = vec![None; presses.len()];
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_threads)
             .map(|_| {
@@ -172,14 +172,7 @@ pub fn run_sweep_with_threads_telemetry(
                     loop {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         let Some(press) = presses.get(idx) else { break };
-                        let snap = if telemetry_on {
-                            wiforce_telemetry::reset();
-                            let r = run_press(press);
-                            (r, Some(wiforce_telemetry::take()))
-                        } else {
-                            (run_press(press), None)
-                        };
-                        done.push((idx, snap));
+                        done.push((idx, telemetry.capture(|| run_press(press))));
                     }
                     done
                 })
@@ -191,18 +184,11 @@ pub fn run_sweep_with_threads_telemetry(
             }
         }
     });
-    let mut merged = TelemetrySnapshot::default();
-    let results = results
+    let (results, recordings): (Vec<PressResult>, Vec<Option<Recording>>) = results
         .into_iter()
-        .map(|r| {
-            let (press, snap) = r.expect("all presses filled");
-            if let Some(snap) = snap {
-                merged.merge_from(&snap);
-            }
-            press
-        })
-        .collect();
-    (results, merged)
+        .map(|r| r.expect("all presses filled"))
+        .unzip();
+    (results, telemetry.snapshot(recordings.iter().flatten()))
 }
 
 /// Force errors (N) of successful presses.

@@ -69,9 +69,9 @@ pub const MAX_TELEMETRY_OVERHEAD_PCT: f64 = 12.0;
 /// Reconciliation band for the schema-v5 stage-sum check: the four
 /// per-stage `*_ns_per_press` entries must sum to within this band of
 /// `ns_per_press_telemetry_on`. The band is deliberately loose — the
-/// stages are span/tick aggregates averaged over every telemetry-on
+/// stages are span aggregates averaged over every telemetry-on
 /// block while the headline is the best block, the fused streaming path
-/// counts spectrum extraction both inside the synthesis wall time and as
+/// counts line extraction both inside the synthesis wall time and as
 /// its own thread-time stage, and parallel synthesis makes thread time
 /// exceed wall time — but it still catches a stage that silently stops
 /// being recorded (sum collapses toward 0) or double-counts wildly.

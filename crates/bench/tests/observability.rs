@@ -1,11 +1,14 @@
-//! End-to-end checks of the exported observability artifacts: a traced
-//! batch run's Chrome trace and a recorded batch run's Prometheus view
-//! must pass the same validators `check_artifacts` applies to CI's
+//! End-to-end checks of the exported observability artifacts: the Chrome
+//! traces of a batch run and of time-domain presses on the synthesis
+//! pool, and a recorded batch run's Prometheus view, must pass the same
+//! validators `check_artifacts` applies to CI's
 //! `wiforce-cli serve --trace/--metrics` outputs.
 //!
-//! The recorder and trace gates are process globals, so both tests run
+//! The recorder and trace gates are process globals, so the tests run
 //! under one shared lock and leave them off.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 use wiforce::batch::{run_batch, BatchConfig, BatchReport, ReaderSpec};
 use wiforce::pipeline::Simulation;
@@ -56,6 +59,75 @@ fn chrome_trace_export_is_structurally_valid() {
     assert!(events
         .iter()
         .any(|e| e.get("ph").and_then(Value::as_str) == Some("f")));
+}
+
+#[test]
+fn traced_time_domain_press_spans_the_synthesis_pool() {
+    let mut sim = Simulation::paper_default(2.4e9);
+    sim.synth_spectral = Some(false);
+    sim.synth_workers = Some(4);
+    let model = sim.vna_calibration().expect("calibration");
+    let (text, dropped) = {
+        let _gates = GATES.lock().unwrap_or_else(|e| e.into_inner());
+        trace::reset();
+        trace::set_trace_enabled(true);
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..2 {
+            sim.measure_press(&model, 4.0, 0.040, &mut rng)
+                .expect("press runs");
+        }
+        trace::set_trace_enabled(false);
+        let snap = trace::collect();
+        trace::reset();
+        (snap.chrome_trace(), snap.dropped)
+    };
+    assert_eq!(dropped, 0);
+    let doc = parse(&text).expect("chrome trace parses as JSON");
+    assert_eq!(validate_chrome_trace(&doc), Vec::<String>::new());
+
+    // the workers' own spans land on their lanes, and every handoff arrow
+    // ends inside a slice of the lane that extracts the group
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+    let mut sounder_lanes = Vec::new();
+    let mut depth: Vec<(u64, i64)> = Vec::new();
+    let (mut starts, mut ends) = (0, 0);
+    for ev in events {
+        let field = |k: &str| ev.get(k).and_then(Value::as_str);
+        let (Some(name), Some(ph)) = (field("name"), field("ph")) else {
+            continue;
+        };
+        let tid = ev.get("tid").and_then(Value::as_f64).unwrap() as u64;
+        let lane_depth = match depth.iter().position(|&(l, _)| l == tid) {
+            Some(i) => &mut depth[i].1,
+            None => {
+                depth.push((tid, 0));
+                &mut depth.last_mut().unwrap().1
+            }
+        };
+        match (ph, name) {
+            ("B", _) => {
+                *lane_depth += 1;
+                if name == "pipeline.sounder" && !sounder_lanes.contains(&tid) {
+                    sounder_lanes.push(tid);
+                }
+            }
+            ("E", _) => *lane_depth -= 1,
+            ("s", "synth.handoff") => starts += 1,
+            ("f", "synth.handoff") => {
+                ends += 1;
+                assert!(*lane_depth > 0, "unbound synth.handoff end on lane {tid}");
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        sounder_lanes.len() >= 2,
+        "sounder slices on {sounder_lanes:?}"
+    );
+    assert!(
+        ends > 0 && ends == starts,
+        "{starts} handoff starts, {ends} ends"
+    );
 }
 
 #[test]

@@ -86,8 +86,8 @@ use wiforce_sensor::SensorTag;
 use wiforce_telemetry::metrics::{MetricsSnapshot, SeriesKey};
 use wiforce_telemetry::trace;
 use wiforce_telemetry::{
-    AggregatorConfig, HealthAggregator, Histogram, StreamHealth, StreamWindow, TelemetrySnapshot,
-    WindowSample,
+    AggregatorConfig, HealthAggregator, Histogram, Recording, Scope, StreamHealth, StreamWindow,
+    TelemetrySnapshot, WindowSample,
 };
 
 /// One scheduled press on a stream's force/location timeline.
@@ -968,8 +968,8 @@ struct Sched {
     /// Rolling health windows, fed as consumers drain (present only on
     /// observed runs).
     health: Option<HealthAggregator>,
-    prod_telem: Vec<Vec<(u64, TelemetrySnapshot)>>,
-    cons_telem: Vec<Vec<(u64, TelemetrySnapshot)>>,
+    prod_telem: Vec<Vec<(u64, Recording)>>,
+    cons_telem: Vec<Vec<(u64, Recording)>>,
 }
 
 impl Sched {
@@ -987,10 +987,12 @@ impl Sched {
 struct Shared {
     sched: Mutex<Sched>,
     cv: Condvar,
+    /// Every produced group and consumed drain records under the caller's
+    /// open spans; the recordings merge in sequence order.
+    telemetry: Scope,
 }
 
 fn worker_loop(shared: &Shared, observer: Option<&(dyn Fn(&StreamWindow) + Sync)>) {
-    let telemetry_on = wiforce_telemetry::enabled();
     let mut guard = shared.sched.lock().expect("scheduler lock");
     loop {
         let drop_newest = guard.overflow == OverflowPolicy::DropNewest;
@@ -1027,13 +1029,9 @@ fn worker_loop(shared: &Shared, observer: Option<&(dyn Fn(&StreamWindow) + Sync)
                     trace::flow_end("batch.handoff", ((flat as u64) << 32) | item.seq);
                 }
             }
-            if telemetry_on {
-                wiforce_telemetry::reset();
-            }
             let latency_mark = state.latencies_ns.len();
             let failure_mark = state.failures;
-            state.consume(&items);
-            let snap = telemetry_on.then(wiforce_telemetry::take);
+            let ((), snap) = shared.telemetry.capture(|| state.consume(&items));
             // one health sample per drained group: its produce→consume
             // latency, the backlog it sat in, and whether an estimate
             // failed while working it off
@@ -1046,7 +1044,6 @@ fn worker_loop(shared: &Shared, observer: Option<&(dyn Fn(&StreamWindow) + Sync)
                     failures_left = failures_left.saturating_sub(1);
                     WindowSample {
                         latency_ns: ns as f64,
-                        snr_db: None,
                         queue_occupancy: occupancy,
                         failed,
                     }
@@ -1085,11 +1082,7 @@ fn worker_loop(shared: &Shared, observer: Option<&(dyn Fn(&StreamWindow) + Sync)
             guard.producer_claimed[r] = true;
             let mut prod = guard.producers[r].take().expect("producer parked");
             drop(guard);
-            if telemetry_on {
-                wiforce_telemetry::reset();
-            }
-            let (seq, matrix) = prod.produce_group();
-            let snap = telemetry_on.then(wiforce_telemetry::take);
+            let ((seq, matrix), snap) = shared.telemetry.capture(|| prod.produce_group());
             let item = GroupItem {
                 seq,
                 snapshots: matrix,
@@ -1271,6 +1264,7 @@ pub fn run_batch_observed(
             cons_telem: vec![Vec::new(); n_streams],
         }),
         cv: Condvar::new(),
+        telemetry: wiforce_telemetry::scope(),
     };
 
     let started = Instant::now();
@@ -1318,22 +1312,16 @@ pub fn run_batch_observed(
         None => Vec::new(),
     };
 
-    // deterministic telemetry merge: producer snapshots in (reader, seq)
-    // order, then consumer snapshots in (stream, first-seq) order —
+    // deterministic telemetry merge: producer recordings in (reader,
+    // seq) order, then consumer recordings in (stream, first-seq) order —
     // independent of which worker ran what, exactly like `run_sweep`
-    let mut merged = TelemetrySnapshot::default();
-    for per_reader in &mut sched.prod_telem {
-        per_reader.sort_by_key(|(seq, _)| *seq);
-        for (_, snap) in per_reader.iter() {
-            merged.merge_from(snap);
-        }
+    for per_item in sched.prod_telem.iter_mut().chain(&mut sched.cons_telem) {
+        per_item.sort_by_key(|(seq, _)| *seq);
     }
-    for per_stream in &mut sched.cons_telem {
-        per_stream.sort_by_key(|(seq, _)| *seq);
-        for (_, snap) in per_stream.iter() {
-            merged.merge_from(snap);
-        }
-    }
+    let items = sched.prod_telem.iter().chain(&sched.cons_telem);
+    let mut merged = shared
+        .telemetry
+        .snapshot(items.flatten().map(|(_, rec)| rec));
     // engine-level aggregates (wall-clock / scheduling dependent)
     merged
         .observations

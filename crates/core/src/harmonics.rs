@@ -112,9 +112,8 @@ pub fn extract_lines(cfg: &PhaseGroupConfig, group: SnapshotView<'_>, start_s: f
 }
 
 /// Records the counters/gauges [`extract_lines`] emits for one extracted
-/// group. Split out so the fused parallel path can run the extraction
-/// math telemetry-silent on a worker and re-emit the events
-/// deterministically (in group order, on the main thread) afterwards.
+/// group. Split out so the spectral arm, which forms its lines without
+/// extracting them, reports each line group the same way.
 pub(crate) fn emit_extraction_telemetry(cfg: &PhaseGroupConfig, lines: &GroupLines) {
     match cfg.method {
         ExtractionMethod::MeanSubtractedDft => {
@@ -139,9 +138,9 @@ pub(crate) fn emit_extraction_telemetry(cfg: &PhaseGroupConfig, lines: &GroupLin
 }
 
 /// [`extract_lines`] without any telemetry (no span, no counters, no
-/// gauges) — the form workers call inside the fused synth→spectrum path,
-/// where per-thread recorders would make reports depend on the worker
-/// count. Identical floating-point results.
+/// gauges) — the math-only form for the off-line floor probe, which is
+/// not a line group (`pipeline.line_to_floor_db` reports it). Identical
+/// floating-point results.
 pub(crate) fn extract_lines_quiet(
     cfg: &PhaseGroupConfig,
     group: SnapshotView<'_>,

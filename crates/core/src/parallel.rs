@@ -8,7 +8,7 @@
 //! detached threads that [`run_chunks`] hands an indexed job to, with the
 //! calling thread participating as a worker. Work is claimed from one
 //! atomic counter (dynamic stealing — chunk costs are uneven when groups
-//! fuse their spectrum extraction), and the call returns only after every
+//! fuse their line extraction), and the call returns only after every
 //! chunk has finished, so the job closure may borrow from the caller's
 //! stack.
 //!
@@ -16,12 +16,14 @@
 //! interleaved — workers write disjoint row ranges and draw from
 //! counter-addressed streams — so one worker and eight produce
 //! bit-identical matrices. The pool therefore needs no
-//! determinism machinery of its own; it only promises completion and
-//! panic propagation.
+//! determinism machinery of its own; it promises completion, panic
+//! propagation, and — while the recorder is on — that each chunk's
+//! telemetry folds back into the caller in chunk order.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use wiforce_telemetry::Recording;
 
 /// Hard ceiling on pool threads, matching the batch engine's cap.
 const MAX_WORKERS: usize = 16;
@@ -140,10 +142,33 @@ fn worker_loop() {
 /// Chunk assignment is dynamic; `f` must be safe to call concurrently
 /// from multiple threads on distinct indices. Panics in `f` are
 /// propagated to the caller after all workers have stopped.
+///
+/// While the recorder is on, each chunk runs in a
+/// [`wiforce_telemetry::Scope::capture`] under the caller's open spans,
+/// replayed on the caller in chunk order, so `f` records with plain
+/// `span!`/`counter!` whichever thread runs it.
 pub(crate) fn run_chunks(workers: usize, n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     if n_chunks == 0 {
         return;
     }
+    let scope = wiforce_telemetry::scope();
+    if !scope.is_recording() {
+        return dispatch(workers, n_chunks, f);
+    }
+    let recordings: Vec<OnceLock<Recording>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
+    dispatch(workers, n_chunks, &|i| {
+        let ((), rec) = scope.capture(|| f(i));
+        if let Some(rec) = rec {
+            let _ = recordings[i].set(rec);
+        }
+    });
+    for rec in recordings.iter().filter_map(OnceLock::get) {
+        wiforce_telemetry::replay(rec);
+    }
+}
+
+/// [`run_chunks`] without its per-chunk captures.
+fn dispatch(workers: usize, n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     let _job = wiforce_telemetry::trace::span_arg("synth.job", n_chunks as u64);
     let extra = workers.min(MAX_WORKERS).saturating_sub(1).min(n_chunks - 1);
     if extra == 0 {
@@ -277,6 +302,30 @@ mod tests {
             "no chunk on a pool thread"
         );
         assert!(seen.iter().all(|&(_, b)| b == Backend::Scalar), "{seen:?}");
+    }
+
+    #[test]
+    fn chunk_recordings_fold_back_in_chunk_order() {
+        let _gate = crate::TELEMETRY_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        wiforce_telemetry::set_enabled(true);
+        for workers in [1, 4] {
+            wiforce_telemetry::reset();
+            {
+                let _outer = wiforce_telemetry::span!("outer");
+                run_chunks(workers, 16, &|i| {
+                    let _s = wiforce_telemetry::span!("chunk");
+                    wiforce_telemetry::counter!("chunks", 1);
+                    wiforce_telemetry::gauge!("last", i as f64);
+                });
+            }
+            let snap = wiforce_telemetry::take();
+            assert_eq!(snap.spans["outer/chunk"].count, 16, "workers {workers}");
+            assert_eq!(snap.counters["chunks"], 16);
+            assert_eq!(snap.gauges["last"], 15.0, "workers {workers}");
+        }
+        wiforce_telemetry::set_enabled(false);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use crate::calib::{CalibrationSample, LocationData, SensorModel};
 use crate::diffphase::{differential, Averaging, DiffPhases};
 use crate::estimator::ForceReading;
 use crate::harmonics::{
-    emit_extraction_telemetry, extract_lines_quiet, ExtractionMethod, GroupLines, PhaseGroupConfig,
+    emit_extraction_telemetry, extract_lines, extract_lines_quiet, ExtractionMethod, GroupLines,
+    PhaseGroupConfig,
 };
 use crate::{parallel, WiForceError};
 use rand::Rng;
@@ -597,10 +598,10 @@ impl Simulation {
     /// interleaving.
     ///
     /// With `fused`, the worker that completes a group's last chunk runs
-    /// line extraction on it immediately ([`extract_lines_quiet`] — no
-    /// telemetry from worker threads); the floor probe rides on group 0.
-    /// All telemetry is re-emitted deterministically on the calling
-    /// thread after the join.
+    /// line extraction on it immediately ([`extract_lines`]); the floor
+    /// probe rides on group 0 through the math-only
+    /// [`extract_lines_quiet`]. Workers record like any thread, and
+    /// [`parallel::run_chunks`] replays their recordings in chunk order.
     ///
     /// `tables` is the press's [`PressTables`] slot: fetched here when
     /// empty, reused as is otherwise.
@@ -617,8 +618,6 @@ impl Simulation {
         fused: Option<&FusedExtraction<'_>>,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
-        let telem = wiforce_telemetry::enabled();
-        use wiforce_telemetry::fastclock;
         let tables = tables.get_or_insert_with(|| self.press_tables(freqs));
         let table = tables.contact_table(contact);
         let cache = &tables.cache;
@@ -659,10 +658,6 @@ impl Simulation {
         let chunks_left: Vec<AtomicUsize> = (0..n_groups)
             .map(|_| AtomicUsize::new(chunks_per_group))
             .collect();
-        let eval_ticks = AtomicU64::new(0);
-        let sounder_ticks = AtomicU64::new(0);
-        let frontend_ticks = AtomicU64::new(0);
-        let (extract_ticks, extract_n) = (AtomicU64::new(0), AtomicU64::new(0));
         let exact_evals = AtomicU64::new(0);
         let dropped = AtomicU64::new(0);
         let bursts = AtomicU64::new(0);
@@ -691,7 +686,7 @@ impl Simulation {
                 )
             };
             let mut tally = BlockTally::default();
-            let (mut l_eval_t, mut l_exact) = (0_u64, 0_u64);
+            let mut l_exact = 0;
             let mut truths = Vec::new();
             let mut b0 = s0;
             while b0 < s1 {
@@ -709,7 +704,7 @@ impl Simulation {
                 let truth = match prepared.as_deref() {
                     Some(states) => BlockTruth::States(states, st),
                     None => {
-                        let t0 = telem.then(fastclock::ticks);
+                        let _eval = wiforce_telemetry::span!("pipeline.channel_eval");
                         truths.resize(rows * n_cols, Complex::ZERO);
                         for (r, truth) in truths.chunks_exact_mut(n_cols).enumerate() {
                             let t_reader = plan.t_reader0 + (b0 + r) as f64 * t_snap;
@@ -718,9 +713,6 @@ impl Simulation {
                                     + gains[k] * table[k][usize::from(st[r])]
                                     + self.scene.dynamic_response(freqs[k], t_reader);
                             }
-                        }
-                        if let Some(t) = t0 {
-                            l_eval_t += fastclock::ticks().wrapping_sub(t);
                         }
                         BlockTruth::Plane(&truths)
                     }
@@ -735,9 +727,6 @@ impl Simulation {
                 b0 = b1;
             }
             exact_evals.fetch_add(l_exact, Ordering::Relaxed);
-            eval_ticks.fetch_add(l_eval_t, Ordering::Relaxed);
-            sounder_ticks.fetch_add(tally.sounder_ticks, Ordering::Relaxed);
-            frontend_ticks.fetch_add(tally.frontend_ticks, Ordering::Relaxed);
             if tally.dropped > 0 {
                 dropped.fetch_add(tally.dropped, Ordering::Relaxed);
             }
@@ -765,14 +754,12 @@ impl Simulation {
                 let flow_id = ((plan.group_id as u64) << 16) | c as u64;
                 trace::flow_start("synth.handoff", flow_id);
                 if chunks_left[g].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let _extract = trace::span_arg("spectrum.extract", plan.group_id as u64);
                     if trace::trace_enabled() {
                         for cc in 0..chunks_per_group {
                             let id = ((plan.group_id as u64) << 16) | cc as u64;
                             trace::flow_end("synth.handoff", id);
                         }
                     }
-                    let t0 = telem.then(fastclock::ticks);
                     // Safety: all chunks of group g have finished writing.
                     let rows = unsafe {
                         std::slice::from_raw_parts(
@@ -781,29 +768,13 @@ impl Simulation {
                         )
                     };
                     let start_s = spec.first_start + g as f64 * group_s;
-                    let lines = extract_lines_quiet(
-                        spec.cfg,
-                        SnapshotView::from_flat(n_cols, rows),
-                        start_s,
-                    );
-                    let mut extracted = 1;
-                    if g == 0 {
-                        if let Some(fc) = spec.floor_cfg {
-                            let fl = extract_lines_quiet(
-                                fc,
-                                SnapshotView::from_flat(n_cols, rows),
-                                spec.first_start,
-                            );
-                            let _ = floor_slot.set(fl);
-                            extracted += 1;
-                        }
+                    let view = SnapshotView::from_flat(n_cols, rows);
+                    let lines = extract_lines(spec.cfg, view, start_s);
+                    if let (0, Some(fc)) = (g, spec.floor_cfg) {
+                        let fl = extract_lines_quiet(fc, view, spec.first_start);
+                        let _ = floor_slot.set(fl);
                     }
                     let _ = line_slots[g].set(lines);
-                    if let Some(t) = t0 {
-                        extract_ticks
-                            .fetch_add(fastclock::ticks().wrapping_sub(t), Ordering::Relaxed);
-                        extract_n.fetch_add(extracted, Ordering::Relaxed);
-                    }
                 }
             }
         };
@@ -828,53 +799,12 @@ impl Simulation {
         };
         let floor = floor_slot.into_inner();
 
-        if telem {
-            // every row is evaluated and sounded; the dropped ones skip
-            // the front end
+        if wiforce_telemetry::enabled() {
             let total = (n_groups * n) as u64;
-            let ns_per_tick = fastclock::ns_per_tick();
-            wiforce_telemetry::span_bulk(
-                "pipeline.channel_eval",
-                total,
-                eval_ticks.into_inner() as f64 * ns_per_tick,
-            );
-            wiforce_telemetry::span_bulk(
-                "pipeline.sounder",
-                total,
-                sounder_ticks.into_inner() as f64 * ns_per_tick,
-            );
-            wiforce_telemetry::span_bulk(
-                "pipeline.frontend",
-                total - total_dropped,
-                frontend_ticks.into_inner() as f64 * ns_per_tick,
-            );
+            let yielded = total.saturating_sub(total_dropped);
             wiforce_telemetry::counter!("pipeline.snapshots_total", total);
             wiforce_telemetry::counter!("clock.walk_exact_evals", exact_evals.into_inner());
-            let yielded = total.saturating_sub(total_dropped);
-            wiforce_telemetry::gauge!(
-                "pipeline.snapshot_yield",
-                if total == 0 {
-                    1.0
-                } else {
-                    yielded as f64 / total as f64
-                }
-            );
-            // deterministic re-emission of the extraction telemetry the
-            // workers withheld: one bulk span for the thread time, then
-            // the per-group counters/gauges in group order (floor last)
-            if let Some(spec) = fused {
-                wiforce_telemetry::span_bulk(
-                    "harmonics.extract_lines",
-                    extract_n.into_inner(),
-                    extract_ticks.into_inner() as f64 * ns_per_tick,
-                );
-                for l in &lines {
-                    emit_extraction_telemetry(spec.cfg, l);
-                }
-                if let (Some(fc), Some(fl)) = (spec.floor_cfg, floor.as_ref()) {
-                    emit_extraction_telemetry(fc, fl);
-                }
-            }
+            wiforce_telemetry::gauge!("pipeline.snapshot_yield", yielded as f64 / total as f64);
         }
         (lines, floor)
     }
@@ -1616,10 +1546,6 @@ pub(crate) struct BlockTally {
     pub(crate) dropped: u64,
     /// Rows hit by a burst fault.
     pub(crate) bursts: u64,
-    /// Fast-clock ticks in the sounder block calls.
-    pub(crate) sounder_ticks: u64,
-    /// Fast-clock ticks in the per-row drop holds, bursts and front end.
-    pub(crate) frontend_ticks: u64,
 }
 
 /// What a time-domain sounding needs besides its truth: the sounder, the
@@ -1650,7 +1576,6 @@ impl SoundingStep<'_> {
         region: &mut [Complex],
         tally: &mut BlockTally,
     ) {
-        use wiforce_telemetry::fastclock;
         let width = self.cache.statics.len();
         let rows = block.len();
         let mut cursors: [CounterRng; CHUNK_ROWS] = std::array::from_fn(|r| {
@@ -1663,7 +1588,7 @@ impl SoundingStep<'_> {
         }
         let noise = self.frontend.noise_floor;
         let out = &mut region[block.start * width..block.end * width];
-        let t0 = fastclock::ticks();
+        let sounder = wiforce_telemetry::span!("pipeline.sounder");
         match truth {
             BlockTruth::States(states, st) => self
                 .sounder
@@ -1672,7 +1597,8 @@ impl SoundingStep<'_> {
                 .sounder
                 .estimate_counter_rows_into(plane, noise, cursors, out),
         }
-        let t1 = fastclock::ticks();
+        drop(sounder);
+        let _frontend = wiforce_telemetry::span!("pipeline.frontend");
         for (r, cursor) in cursors.iter_mut().enumerate() {
             let at = (block.start + r) * width;
             if drops[r] {
@@ -1688,8 +1614,6 @@ impl SoundingStep<'_> {
             tally.bursts += u64::from(self.faults.apply_burst(cursor, row, self.cache.direct_amp));
             self.frontend.process(cursor, row, self.cache.full_scale);
         }
-        tally.sounder_ticks += t1.wrapping_sub(t0);
-        tally.frontend_ticks += fastclock::ticks().wrapping_sub(t1);
     }
 }
 
@@ -2633,6 +2557,41 @@ mod tests {
         let snap = wiforce_telemetry::take();
         wiforce_telemetry::set_enabled(false);
         assert_eq!(snap.counters.get("invert.at_bound"), Some(&1));
+    }
+
+    #[test]
+    fn floor_probe_is_not_a_line_group_on_either_arm() {
+        // the off-line floor probe feeds `pipeline.line_to_floor_db` only:
+        // on both arms a press records exactly its reference and measured
+        // groups under `harmonics.*`
+        let _gate = crate::TELEMETRY_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for spectral in [false, true] {
+            let mut sim = Simulation::paper_default(2.4e9);
+            sim.synth_spectral = Some(spectral);
+            let model = sim.vna_calibration().unwrap();
+            wiforce_telemetry::set_enabled(true);
+            wiforce_telemetry::reset();
+            let mut rng = StdRng::seed_from_u64(11);
+            sim.measure_press(&model, 4.0, 0.040, &mut rng).unwrap();
+            let snap = wiforce_telemetry::take();
+            wiforce_telemetry::set_enabled(false);
+            let ran_spectral = snap.counters.contains_key("pipeline.spectral_groups");
+            assert_eq!(ran_spectral, spectral);
+            assert!(snap.gauges.contains_key("pipeline.line_to_floor_db"));
+            let groups = (sim.reference_groups + sim.measure_groups) as u64;
+            assert_eq!(
+                snap.counters["harmonics.goertzel_groups"], groups,
+                "spectral {spectral}"
+            );
+            for line in ["harmonics.line1_power", "harmonics.line2_power"] {
+                assert_eq!(
+                    snap.observations[line].count, groups,
+                    "spectral {spectral}: {line}"
+                );
+            }
+        }
     }
 
     #[test]

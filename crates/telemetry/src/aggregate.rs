@@ -3,13 +3,12 @@
 //!
 //! [`crate::PipelineHealth`] summarizes a run *after* it finishes; a
 //! serving engine needs the same signal *while* it runs. The
-//! [`HealthAggregator`] folds per-group samples (consume latency, line
-//! SNR, queue occupancy, failures) into fixed-size windows per stream;
-//! when a window closes it emits a [`StreamWindow`] with bucket-accurate
-//! p50/p95/p99 latency and [`DegradationFlags`] — SNR below the floor
-//! for N consecutive windows, queue saturation, worker starvation
-//! (median latency past the starvation bound, i.e. groups sat queued
-//! because no worker picked them up). The batch engine forwards those
+//! [`HealthAggregator`] folds per-group samples (consume latency, queue
+//! occupancy, failures) into fixed-size windows per stream; when a
+//! window closes it emits a [`StreamWindow`] with bucket-accurate
+//! p50/p95/p99 latency and [`DegradationFlags`] — queue saturation and
+//! worker starvation (median latency past the starvation bound, i.e.
+//! groups sat queued because no worker picked them up). The batch engine forwards those
 //! windows to an observer callback incrementally; the CLI `serve`
 //! command prints them as they close.
 //!
@@ -28,11 +27,6 @@ pub struct AggregatorConfig {
     /// Samples (consumed groups) per window; a window closes and emits
     /// after this many `record` calls on a stream. Clamped to ≥ 1.
     pub window: usize,
-    /// SNR floor, dB; a window whose minimum SNR sample sits below it is
-    /// an SNR-breach window.
-    pub snr_floor_db: f64,
-    /// Consecutive breach windows before `snr_below_floor` raises.
-    pub snr_breach_windows: u32,
     /// Queue occupancy (fraction of capacity) at or above which a window
     /// counts as saturated.
     pub queue_saturation: f64,
@@ -45,8 +39,6 @@ impl Default for AggregatorConfig {
     fn default() -> Self {
         AggregatorConfig {
             window: 4,
-            snr_floor_db: 6.0,
-            snr_breach_windows: 2,
             queue_saturation: 0.75,
             starvation_latency_ns: 250e6,
         }
@@ -58,9 +50,6 @@ impl Default for AggregatorConfig {
 pub struct WindowSample {
     /// Produce→consume latency of the group, ns.
     pub latency_ns: f64,
-    /// Line SNR measured on the group, dB (`None` when the consumer has
-    /// no estimate — SNR flags then stay quiet).
-    pub snr_db: Option<f64>,
     /// Queue occupancy observed when the group was drained, in `[0, 1]`.
     pub queue_occupancy: f64,
     /// `true` when the group's estimate failed.
@@ -71,9 +60,6 @@ pub struct WindowSample {
 /// [`StreamHealth`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationFlags {
-    /// Minimum SNR sat below [`AggregatorConfig::snr_floor_db`] for
-    /// [`AggregatorConfig::snr_breach_windows`] consecutive windows.
-    pub snr_below_floor: bool,
     /// Peak queue occupancy reached [`AggregatorConfig::queue_saturation`].
     pub queue_saturated: bool,
     /// Median consume latency exceeded
@@ -84,12 +70,11 @@ pub struct DegradationFlags {
 impl DegradationFlags {
     /// `true` when any flag is raised.
     pub fn any(self) -> bool {
-        self.snr_below_floor || self.queue_saturated || self.worker_starved
+        self.queue_saturated || self.worker_starved
     }
 
     fn or(self, other: DegradationFlags) -> DegradationFlags {
         DegradationFlags {
-            snr_below_floor: self.snr_below_floor || other.snr_below_floor,
             queue_saturated: self.queue_saturated || other.queue_saturated,
             worker_starved: self.worker_starved || other.worker_starved,
         }
@@ -111,8 +96,6 @@ pub struct StreamWindow {
     pub p95_ns: f64,
     /// 99th-percentile consume latency, ns.
     pub p99_ns: f64,
-    /// Worst (minimum) SNR sample in the window, dB.
-    pub min_snr_db: Option<f64>,
     /// Peak queue occupancy in the window.
     pub peak_occupancy: f64,
     /// Failed estimates in the window.
@@ -132,10 +115,8 @@ impl StreamWindow {
             .number("p50_ns", self.p50_ns)
             .number("p95_ns", self.p95_ns)
             .number("p99_ns", self.p99_ns)
-            .number("min_snr_db", self.min_snr_db.unwrap_or(f64::NAN))
             .number("peak_occupancy", self.peak_occupancy)
             .integer("failures", self.failures)
-            .boolean("snr_below_floor", self.flags.snr_below_floor)
             .boolean("queue_saturated", self.flags.queue_saturated)
             .boolean("worker_starved", self.flags.worker_starved);
         w.end_object();
@@ -170,12 +151,10 @@ pub struct StreamHealth {
 struct StreamState {
     window_hist: Histogram,
     rolling_hist: Histogram,
-    win_min_snr: Option<f64>,
     win_peak_occupancy: f64,
     win_failures: u64,
     win_samples: u64,
     windows_closed: u64,
-    snr_breach_run: u32,
     degraded_windows: u64,
     flags_any: DegradationFlags,
     failures_total: u64,
@@ -216,10 +195,6 @@ impl HealthAggregator {
         let window = self.cfg.window;
         let state = self.streams.entry(stream.to_string()).or_default();
         state.window_hist.record(s.latency_ns);
-        state.win_min_snr = match (state.win_min_snr, s.snr_db) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         state.win_peak_occupancy = state.win_peak_occupancy.max(s.queue_occupancy);
         state.win_failures += u64::from(s.failed);
         state.win_samples += 1;
@@ -245,14 +220,7 @@ impl HealthAggregator {
 
     fn close_window(cfg: &AggregatorConfig, stream: &str, state: &mut StreamState) -> StreamWindow {
         let h = &state.window_hist;
-        let breached = state.win_min_snr.is_some_and(|snr| snr < cfg.snr_floor_db);
-        state.snr_breach_run = if breached {
-            state.snr_breach_run + 1
-        } else {
-            0
-        };
         let flags = DegradationFlags {
-            snr_below_floor: state.snr_breach_run >= cfg.snr_breach_windows,
             queue_saturated: state.win_peak_occupancy >= cfg.queue_saturation,
             worker_starved: h.quantile(0.50) > cfg.starvation_latency_ns,
         };
@@ -263,7 +231,6 @@ impl HealthAggregator {
             p50_ns: h.quantile(0.50),
             p95_ns: h.quantile(0.95),
             p99_ns: h.quantile(0.99),
-            min_snr_db: state.win_min_snr,
             peak_occupancy: state.win_peak_occupancy,
             failures: state.win_failures,
             flags,
@@ -273,7 +240,6 @@ impl HealthAggregator {
         state.degraded_windows += u64::from(flags.any());
         state.flags_any = state.flags_any.or(flags);
         state.window_hist = Histogram::default();
-        state.win_min_snr = None;
         state.win_peak_occupancy = 0.0;
         state.win_failures = 0;
         state.win_samples = 0;
@@ -305,10 +271,9 @@ mod tests {
     use super::*;
     use crate::json;
 
-    fn sample(latency_ns: f64, snr_db: f64, occ: f64) -> WindowSample {
+    fn sample(latency_ns: f64, occ: f64) -> WindowSample {
         WindowSample {
             latency_ns,
-            snr_db: Some(snr_db),
             queue_occupancy: occ,
             failed: false,
         }
@@ -320,9 +285,9 @@ mod tests {
             window: 3,
             ..AggregatorConfig::default()
         });
-        assert!(agg.record("s0", sample(1000.0, 20.0, 0.1)).is_none());
-        assert!(agg.record("s0", sample(2000.0, 20.0, 0.2)).is_none());
-        let w = agg.record("s0", sample(4000.0, 20.0, 0.3)).expect("closes");
+        assert!(agg.record("s0", sample(1000.0, 0.1)).is_none());
+        assert!(agg.record("s0", sample(2000.0, 0.2)).is_none());
+        let w = agg.record("s0", sample(4000.0, 0.3)).expect("closes");
         assert_eq!(w.window, 0);
         assert_eq!(w.samples, 3);
         assert!(w.p50_ns >= 1000.0 && w.p50_ns <= 4000.0, "{}", w.p50_ns);
@@ -330,30 +295,10 @@ mod tests {
         assert!(!w.flags.any());
         // second window gets index 1
         for _ in 0..2 {
-            assert!(agg.record("s0", sample(1000.0, 20.0, 0.1)).is_none());
+            assert!(agg.record("s0", sample(1000.0, 0.1)).is_none());
         }
-        let w2 = agg.record("s0", sample(1000.0, 20.0, 0.1)).unwrap();
+        let w2 = agg.record("s0", sample(1000.0, 0.1)).unwrap();
         assert_eq!(w2.window, 1);
-    }
-
-    #[test]
-    fn snr_breach_needs_consecutive_windows() {
-        let cfg = AggregatorConfig {
-            window: 1,
-            snr_floor_db: 10.0,
-            snr_breach_windows: 2,
-            ..AggregatorConfig::default()
-        };
-        let mut agg = HealthAggregator::new(cfg);
-        let w1 = agg.record("s", sample(1.0, 5.0, 0.0)).unwrap();
-        assert!(!w1.flags.snr_below_floor, "one breach window is not enough");
-        let w2 = agg.record("s", sample(1.0, 5.0, 0.0)).unwrap();
-        assert!(w2.flags.snr_below_floor, "second consecutive breach flags");
-        // a healthy window resets the run
-        let w3 = agg.record("s", sample(1.0, 30.0, 0.0)).unwrap();
-        assert!(!w3.flags.snr_below_floor);
-        let w4 = agg.record("s", sample(1.0, 5.0, 0.0)).unwrap();
-        assert!(!w4.flags.snr_below_floor);
     }
 
     #[test]
@@ -362,39 +307,30 @@ mod tests {
             window: 2,
             queue_saturation: 0.75,
             starvation_latency_ns: 1e6,
-            ..AggregatorConfig::default()
         };
         let mut agg = HealthAggregator::new(cfg);
-        agg.record("s", sample(5e6, 20.0, 0.5));
-        let w = agg.record("s", sample(5e6, 20.0, 0.8)).unwrap();
+        agg.record("s", sample(5e6, 0.5));
+        let w = agg.record("s", sample(5e6, 0.8)).unwrap();
         assert!(w.flags.queue_saturated);
         assert!(w.flags.worker_starved);
         assert!(w.flags.any());
     }
 
     #[test]
-    fn missing_snr_keeps_snr_flag_quiet() {
-        let cfg = AggregatorConfig {
-            window: 1,
-            snr_floor_db: 10.0,
-            snr_breach_windows: 1,
+    fn failed_samples_count_per_window() {
+        let mut agg = HealthAggregator::new(AggregatorConfig {
+            window: 2,
             ..AggregatorConfig::default()
+        });
+        let failed = WindowSample {
+            failed: true,
+            ..sample(1.0, 0.0)
         };
-        let mut agg = HealthAggregator::new(cfg);
-        let w = agg
-            .record(
-                "s",
-                WindowSample {
-                    latency_ns: 1.0,
-                    snr_db: None,
-                    queue_occupancy: 0.0,
-                    failed: true,
-                },
-            )
-            .unwrap();
-        assert!(!w.flags.snr_below_floor);
-        assert_eq!(w.min_snr_db, None);
+        assert!(agg.record("s", failed).is_none());
+        let w = agg.record("s", sample(1.0, 0.0)).unwrap();
         assert_eq!(w.failures, 1);
+        assert!(!w.flags.any());
+        assert_eq!(agg.health()[0].failures, 1);
     }
 
     #[test]
@@ -404,9 +340,9 @@ mod tests {
             ..AggregatorConfig::default()
         });
         for _ in 0..4 {
-            agg.record("a", sample(1000.0, 20.0, 0.1));
+            agg.record("a", sample(1000.0, 0.1));
         }
-        agg.record("b", sample(2000.0, 20.0, 0.2));
+        agg.record("b", sample(2000.0, 0.2));
         assert!(agg.flush("a").is_none(), "a has no partial window");
         let wb = agg.flush("b").expect("b has a partial window");
         assert_eq!(wb.samples, 1);
@@ -427,12 +363,12 @@ mod tests {
             window: 1,
             ..AggregatorConfig::default()
         });
-        let w = agg.record("s0", sample(1500.0, 18.0, 0.25)).unwrap();
+        let w = agg.record("s0", sample(1500.0, 0.25)).unwrap();
         let line = w.to_json();
         assert!(!line.contains('\n'), "{line}");
         let v = json::parse(&line).expect("window JSON parses");
         assert_eq!(v.get("stream").unwrap().as_str(), Some("s0"));
         assert_eq!(v.get("samples").unwrap().as_f64(), Some(1.0));
-        assert_eq!(v.get("snr_below_floor"), Some(&json::Value::Bool(false)));
+        assert_eq!(v.get("queue_saturated"), Some(&json::Value::Bool(false)));
     }
 }

@@ -20,6 +20,14 @@
 //! under the joined path (`"pipeline.measure_press/harmonics.extract_lines"`),
 //! giving per-stage latency breakdowns without a global registry.
 //!
+//! There is one event stream. Code on a worker thread records with the
+//! same macros as code on the caller: a parallel region takes a
+//! [`scope`] of the caller's open-span path, runs each piece of work
+//! through [`Scope::capture`] (a fresh recording nested under that
+//! path), and [`replay`]s the recordings in a fixed order, so reports do
+//! not depend on the worker count. Every span is timed by one clock
+//! ([`fastclock`]), read twice, for both the recorder and the trace ring.
+//!
 //! No external dependencies — JSON serialization is the crate's own tiny
 //! writer ([`json`]), and a matching minimal parser is provided for
 //! artifact validation in tests and CI.
@@ -36,7 +44,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 pub mod aggregate;
 pub mod health;
@@ -49,17 +56,16 @@ pub use aggregate::{
 };
 pub use health::PipelineHealth;
 
-/// Cheap timestamp source for per-item stage attribution inside hot
-/// loops.
+/// The one clock behind every [`Span`] and trace event.
 ///
-/// The snapshot engine takes six timestamps per snapshot when telemetry
-/// is on; at ~40 ns per `Instant::now` that alone costs ~0.3 ms per
-/// press — several percent of the whole pipeline, breaching the
-/// telemetry-overhead budget. On x86_64 the TSC is constant-rate on
-/// every CPU this project targets and costs ~8 ns to read, so the stage
-/// clocks accumulate raw ticks and convert the *sums* to nanoseconds
-/// once per call with a lazily calibrated [`fastclock::ns_per_tick`].
-/// Non-x86 targets fall back to `Instant`, where a tick is a nanosecond.
+/// A span reads [`fastclock::ticks`] once when it opens and once when it
+/// drops; its histogram entry and its trace-ring begin/end events come
+/// from those two readings, so a Chrome-trace slice and the recorded
+/// duration agree by construction. On x86_64 the TSC is constant-rate on
+/// every CPU this project targets and costs ~8 ns to read; tick
+/// differences convert to nanoseconds through a once-per-process
+/// calibrated [`fastclock::ns_per_tick`]. Non-x86 targets fall back to
+/// `Instant`, where a tick is a nanosecond.
 pub mod fastclock {
     use std::sync::OnceLock;
     use std::time::Instant;
@@ -85,9 +91,9 @@ pub mod fastclock {
     }
 
     /// Nanoseconds per tick. On x86_64 this is calibrated once per
-    /// process against `Instant` over a ~1 ms busy wait (call it outside
-    /// hot loops — the stage clocks convert accumulated sums, never
-    /// individual deltas); elsewhere it is exactly 1.0.
+    /// process against `Instant` over a ~1 ms busy wait, which
+    /// [`crate::set_enabled`] and [`crate::trace::set_trace_enabled`]
+    /// run up front so no span pays it; elsewhere it is exactly 1.0.
     pub fn ns_per_tick() -> f64 {
         #[cfg(target_arch = "x86_64")]
         {
@@ -125,7 +131,11 @@ pub fn enabled() -> bool {
 }
 
 /// Turns recording on or off (process-wide; all threads observe it).
+/// Turning it on calibrates [`fastclock::ns_per_tick`] first.
 pub fn set_enabled(on: bool) {
+    if on {
+        fastclock::ns_per_tick();
+    }
     ENABLED.store(on, Ordering::Relaxed);
 }
 
@@ -186,22 +196,6 @@ impl Histogram {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.buckets[Self::bucket_index(v)] += 1;
-    }
-
-    /// Records `count` occurrences totalling `total` — the bulk form of
-    /// [`Self::record`] for per-sample events accumulated over a chunk.
-    /// `count` and `sum` stay exact; the samples land in the bucket of
-    /// their chunk mean, so quantiles are chunk-resolution.
-    pub fn record_bulk(&mut self, count: u64, total: f64) {
-        if count == 0 {
-            return;
-        }
-        let mean = total / count as f64;
-        self.count += count;
-        self.sum += total;
-        self.min = self.min.min(mean);
-        self.max = self.max.max(mean);
-        self.buckets[Self::bucket_index(mean)] += count;
     }
 
     /// Merges another histogram into this one (bucket counts add; the
@@ -285,19 +279,16 @@ impl TelemetrySnapshot {
     /// of which thread produced each one.
     pub fn merge_from(&mut self, other: &TelemetrySnapshot) {
         for (k, h) in &other.spans {
-            self.spans.entry(k.clone()).or_default().merge_from(h);
+            update(&mut self.spans, k, |s| s.merge_from(h));
         }
         for (k, &n) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += n;
+            update(&mut self.counters, k, |c| *c += n);
         }
         for (k, &v) in &other.gauges {
-            self.gauges.insert(k.clone(), v);
+            update(&mut self.gauges, k, |g| *g = v);
         }
         for (k, h) in &other.observations {
-            self.observations
-                .entry(k.clone())
-                .or_default()
-                .merge_from(h);
+            update(&mut self.observations, k, |o| o.merge_from(h));
         }
     }
 
@@ -316,6 +307,33 @@ impl TelemetrySnapshot {
     }
 }
 
+/// Applies `f` to `map[key]`, inserted at its default first; a known key does not allocate.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
+}
+
+/// One instrumentation call, as a [`Scope::capture`] logs it.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A span opened.
+    Open(&'static str),
+    /// The innermost open span closed after this many nanoseconds.
+    Close(f64),
+    Counter(&'static str, u64),
+    Gauge(&'static str, f64),
+    Observe(&'static str, f64),
+}
+
+/// What a [`Scope::capture`] recorded: its instrumentation calls in
+/// order, span paths relative to the scope's. A log rather than maps, so
+/// it crosses threads as a few cache lines; replaying it ([`replay`],
+/// [`Scope::snapshot`]) records what the calls would have recorded.
+#[derive(Debug, Clone)]
+pub struct Recording(Vec<Event>);
+
 /// The thread-local metric store. Instrumentation macros write here;
 /// [`take`] drains it.
 #[derive(Debug, Default)]
@@ -323,6 +341,39 @@ pub struct Recorder {
     data: TelemetrySnapshot,
     /// Open-span path stack (names of enclosing spans).
     stack: Vec<&'static str>,
+    /// Scratch for joining a closing span's path.
+    path: String,
+    /// Inside a capture, the log every call goes to instead of `data`.
+    log: Option<Vec<Event>>,
+}
+
+impl Recorder {
+    /// Makes one call: keeps the span stack, then records into `data` —
+    /// or, inside a capture, logs the call.
+    fn apply(&mut self, ev: Event) {
+        let data = &mut self.data;
+        match ev {
+            Event::Open(name) => self.stack.push(name),
+            Event::Close(ns) => {
+                if self.log.is_none() {
+                    self.path.clear();
+                    for name in &self.stack {
+                        self.path.extend([name, "/"]);
+                    }
+                    self.path.pop();
+                    update(&mut data.spans, &self.path, |s| s.record(ns));
+                }
+                self.stack.pop();
+            }
+            _ if self.log.is_some() => {}
+            Event::Counter(name, n) => update(&mut data.counters, name, |c| *c += n),
+            Event::Gauge(name, v) => update(&mut data.gauges, name, |g| *g = v),
+            Event::Observe(name, v) => update(&mut data.observations, name, |o| o.record(v)),
+        }
+        if let Some(log) = &mut self.log {
+            log.push(ev);
+        }
+    }
 }
 
 thread_local! {
@@ -343,10 +394,23 @@ pub fn reset() {
     let _ = take();
 }
 
-/// Merges a drained snapshot into this thread's recorder — used to fold
-/// worker-thread telemetry back into the caller after a parallel region
-/// (merge the workers' snapshots in a deterministic order first). No-op
-/// while disabled.
+/// Replays a [`Recording`] on this thread, under its open spans — how a
+/// parallel region folds its captures back into the caller, in a fixed
+/// order. No-op while disabled.
+pub fn replay(rec: &Recording) {
+    if !enabled() {
+        return;
+    }
+    RECORDER.with(|r| {
+        let recorder = &mut *r.borrow_mut();
+        for &ev in &rec.0 {
+            recorder.apply(ev);
+        }
+    });
+}
+
+/// Merges a snapshot into this thread's recorder (e.g. a batch run's or
+/// a sweep's merged telemetry). No-op while disabled.
 pub fn absorb(snap: &TelemetrySnapshot) {
     if !enabled() {
         return;
@@ -362,15 +426,7 @@ pub fn counter(name: &'static str, n: u64) {
     if !enabled() {
         return;
     }
-    RECORDER.with(|r| {
-        let counters = &mut r.borrow_mut().data.counters;
-        match counters.get_mut(name) {
-            Some(c) => *c += n,
-            None => {
-                counters.insert(name.into(), n);
-            }
-        }
-    });
+    RECORDER.with(|r| r.borrow_mut().apply(Event::Counter(name, n)));
 }
 
 /// Sets a last-value gauge. No-op while disabled.
@@ -379,9 +435,7 @@ pub fn gauge(name: &'static str, v: f64) {
     if !enabled() {
         return;
     }
-    RECORDER.with(|r| {
-        r.borrow_mut().data.gauges.insert(name.into(), v);
-    });
+    RECORDER.with(|r| r.borrow_mut().apply(Event::Gauge(name, v)));
 }
 
 /// Records a value into a fixed-bucket histogram. No-op while disabled.
@@ -390,58 +444,103 @@ pub fn observe(name: &'static str, v: f64) {
     if !enabled() {
         return;
     }
-    RECORDER.with(|r| {
-        r.borrow_mut()
-            .data
-            .observations
-            .entry(name.into())
-            .or_default()
-            .record(v);
-    });
+    RECORDER.with(|r| r.borrow_mut().apply(Event::Observe(name, v)));
 }
 
-/// Records `count` span occurrences totalling `total_ns` nanoseconds
-/// under `name`, joined beneath the currently-open span path — the bulk
-/// companion to [`span!`] for per-sample stages. Hot loops accumulate a
-/// stage's elapsed nanoseconds manually (taking `Instant`s only while
-/// [`enabled`]) and record once per chunk, which removes the thread-local
-/// borrow + path join + map lookup from every sample while keeping the
-/// same hierarchical span path and exact count/total. No-op while
-/// disabled or when `count` is zero.
-#[inline]
-pub fn span_bulk(name: &'static str, count: u64, total_ns: f64) {
-    if count == 0 || !enabled() {
-        return;
+/// The open-span path of the thread that starts a parallel region,
+/// taken by [`scope`]. Work the region hands to other threads (or runs
+/// on the caller) records through [`Scope::capture`] as if it ran inside
+/// those spans. `Sync`, so one scope serves every worker.
+#[derive(Debug)]
+pub struct Scope {
+    /// The caller's open-span path; `None` when the recorder was off.
+    path: Option<Vec<&'static str>>,
+}
+
+/// Snapshots this thread's open-span path for a parallel region (see
+/// [`Scope`]). Reads nothing and allocates nothing while disabled.
+pub fn scope() -> Scope {
+    Scope {
+        path: enabled().then(|| RECORDER.with(|r| r.borrow().stack.clone())),
     }
-    RECORDER.with(|r| {
-        let rec = &mut *r.borrow_mut();
-        let path = rec
-            .stack
-            .iter()
-            .chain(std::iter::once(&name))
-            .copied()
-            .collect::<Vec<_>>()
-            .join("/");
-        rec.data
-            .spans
-            .entry(path)
-            .or_default()
-            .record_bulk(count, total_ns);
-    });
+}
+
+impl Scope {
+    /// `true` when the recorder was on at [`scope`], so captures record.
+    pub fn is_recording(&self) -> bool {
+        self.path.is_some()
+    }
+
+    /// Runs `f` against a fresh recording on the current thread, nested
+    /// under the scope's span path, and returns `f`'s result with that
+    /// recording (`None`, and `f` simply called, when not recording).
+    /// The thread's own span stack is swapped out and back (also when `f`
+    /// unwinds) and its data is untouched, so a caller thread that runs
+    /// region work keeps its open recording. [`replay`] the recordings in
+    /// a fixed order and the report does not depend on who ran what.
+    pub fn capture<T>(&self, f: impl FnOnce() -> T) -> (T, Option<Recording>) {
+        let Some(path) = &self.path else {
+            return (f(), None);
+        };
+        type Own = (Vec<&'static str>, Option<Vec<Event>>);
+        /// Swaps `own` in as the thread's span stack and log, returning
+        /// what was there.
+        fn swap(own: Own) -> Own {
+            RECORDER.with(|r| {
+                let rec = &mut *r.borrow_mut();
+                let stack = std::mem::replace(&mut rec.stack, own.0);
+                (stack, std::mem::replace(&mut rec.log, own.1))
+            })
+        }
+        /// Puts the thread's own stack and log back on drop.
+        struct Restore(Option<Own>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                if let Some(own) = self.0.take() {
+                    swap(own);
+                }
+            }
+        }
+        let mut restore = Restore(Some(swap((path.clone(), Some(Vec::new())))));
+        let out = f();
+        let own = restore.0.take().expect("restored only here or on unwind");
+        let (_, log) = swap(own);
+        (out, Some(Recording(log.expect("a capture logs"))))
+    }
+
+    /// Replays `recordings`, in order, into a fresh snapshot under the
+    /// scope's span path — a parallel region's merged telemetry, without
+    /// touching any thread's recorder.
+    pub fn snapshot<'a>(
+        &self,
+        recordings: impl IntoIterator<Item = &'a Recording>,
+    ) -> TelemetrySnapshot {
+        let mut recorder = Recorder {
+            stack: self.path.clone().unwrap_or_default(),
+            ..Recorder::default()
+        };
+        for rec in recordings {
+            for &ev in &rec.0 {
+                recorder.apply(ev);
+            }
+        }
+        recorder.data
+    }
 }
 
 /// An open timing span. Created by [`span!`]; records its elapsed wall
 /// time under the hierarchical path of enclosing spans when dropped.
-/// When telemetry is disabled the constructor returns an inert value and
-/// `drop` is a no-op.
+/// When both the recorder and the trace ring are off the constructor
+/// returns an inert value and `drop` is a no-op.
 #[must_use = "a span records on drop; binding it to _ ends it immediately"]
 pub struct Span {
-    /// `None` when telemetry was disabled at entry.
-    start: Option<Instant>,
+    /// [`fastclock::ticks`] at entry (0 when inert).
+    start: u64,
     name: &'static str,
     /// Stack depth at entry, so drop can restore it even if inner spans
-    /// leaked (e.g. through an early return).
-    depth: usize,
+    /// leaked (e.g. through an early return); `None` when the recorder
+    /// was off at entry.
+    depth: Option<usize>,
     /// `true` when the trace ring was capturing at entry (the end event
     /// must pair with the begin even if tracing is toggled mid-span).
     traced: bool,
@@ -452,28 +551,28 @@ impl Span {
     ///
     /// When the trace ring is capturing ([`trace::trace_enabled`]) the
     /// span also emits timeline begin/end events — every `span!` site is
-    /// a trace point without separate instrumentation.
+    /// a trace point without separate instrumentation. Both views share
+    /// the span's two clock readings.
     #[inline]
     pub fn enter(name: &'static str) -> Span {
         let traced = trace::trace_enabled();
-        if traced {
-            trace::begin(name);
-        }
-        if !enabled() {
-            return Span {
-                start: None,
-                name,
-                depth: 0,
-                traced,
-            };
-        }
-        let depth = RECORDER.with(|r| {
-            let rec = &mut *r.borrow_mut();
-            rec.stack.push(name);
-            rec.stack.len() - 1
+        let depth = enabled().then(|| {
+            RECORDER.with(|r| {
+                let rec = &mut *r.borrow_mut();
+                rec.apply(Event::Open(name));
+                rec.stack.len() - 1
+            })
         });
+        let start = if traced || depth.is_some() {
+            fastclock::ticks()
+        } else {
+            0
+        };
+        if traced {
+            trace::begin_at(start, name);
+        }
         Span {
-            start: Some(Instant::now()),
+            start,
             name,
             depth,
             traced,
@@ -484,22 +583,21 @@ impl Span {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        if self.traced {
-            trace::end(self.name);
+        if !self.traced && self.depth.is_none() {
+            return;
         }
-        let Some(start) = self.start else { return };
-        let elapsed_ns = start.elapsed().as_nanos() as f64;
+        let end = fastclock::ticks();
+        if self.traced {
+            trace::end_at(end, self.name);
+        }
+        let Some(depth) = self.depth else { return };
+        let elapsed_ns = end.wrapping_sub(self.start) as f64 * fastclock::ns_per_tick();
         RECORDER.with(|r| {
             let rec = &mut *r.borrow_mut();
-            // joined path of enclosing spans + this one
-            let path = rec.stack[..self.depth]
-                .iter()
-                .chain(std::iter::once(&self.name))
-                .copied()
-                .collect::<Vec<_>>()
-                .join("/");
-            rec.stack.truncate(self.depth);
-            rec.data.spans.entry(path).or_default().record(elapsed_ns);
+            // spans leaked inside this one (e.g. through an early return)
+            // close with it
+            rec.stack.truncate(depth + 1);
+            rec.apply(Event::Close(elapsed_ns));
         });
     }
 }
@@ -544,6 +642,7 @@ macro_rules! observe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     /// Serializes access to the global enable flag across tests.
     /// Serializes the tests that flip the process-wide enable gate.
@@ -629,34 +728,94 @@ mod tests {
     }
 
     #[test]
-    fn span_bulk_records_under_open_path() {
+    fn capture_on_another_thread_absorbs_under_the_callers_path() {
         let snap = with_enabled(|| {
-            {
-                let _outer = span!("outer");
-                span_bulk("stage", 625, 625.0 * 2000.0);
-            }
-            span_bulk("stage", 0, 123.0); // zero-count is a no-op
+            let _outer = span!("outer");
+            let scope = scope();
+            let (answer, rec) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    scope.capture(|| {
+                        let _s = span!("stage");
+                        counter("work", 2);
+                        6 * 7
+                    })
+                })
+                .join()
+                .unwrap()
+            });
+            assert_eq!(answer, 42);
+            replay(&rec.expect("recording scope captures"));
+            drop(_outer);
             take()
         });
-        let h = &snap.spans["outer/stage"];
-        assert_eq!(h.count, 625);
-        assert!((h.sum - 1_250_000.0).abs() < 1e-6);
-        assert_eq!(h.min, 2000.0);
-        assert_eq!(h.max, 2000.0);
+        assert_eq!(snap.spans["outer/stage"].count, 1);
+        assert_eq!(snap.spans["outer"].count, 1);
         assert!(!snap.spans.contains_key("stage"));
+        assert_eq!(snap.counters["work"], 2);
     }
 
     #[test]
-    fn record_bulk_matches_repeated_record_counts() {
-        let mut bulk = Histogram::default();
-        bulk.record_bulk(4, 8.0);
-        let mut each = Histogram::default();
-        for _ in 0..4 {
-            each.record(2.0);
-        }
-        assert_eq!(bulk.count, each.count);
-        assert_eq!(bulk.sum, each.sum);
-        assert_eq!(bulk.buckets, each.buckets);
+    fn capture_leaves_the_threads_own_recording_as_it_was() {
+        let snap = with_enabled(|| {
+            let _outer = span!("outer");
+            counter("before", 1);
+            let scope = scope();
+            let ((), rec) = scope.capture(|| {
+                let _s = span!("inside");
+                counter("inside", 1);
+            });
+            let rec = scope.snapshot([&rec.expect("recording scope captures")]);
+            assert_eq!(rec.spans["outer/inside"].count, 1);
+            assert_eq!(rec.counters.get("before"), None);
+            // the open span and the data recorded before are untouched
+            RECORDER.with(|r| assert_eq!(r.borrow().stack, ["outer"]));
+            counter("after", 1);
+            drop(_outer);
+            take()
+        });
+        assert_eq!(snap.counters.get("inside"), None);
+        assert_eq!(snap.counters["before"], 1);
+        assert_eq!(snap.counters["after"], 1);
+        assert_eq!(snap.spans["outer"].count, 1);
+        assert!(!snap.spans.contains_key("outer/inside"));
+    }
+
+    #[test]
+    fn a_capture_inside_a_capture_replays_through_the_outer_one() {
+        let snap = with_enabled(|| {
+            let _outer = span!("outer");
+            let ((), rec) = scope().capture(|| {
+                let _mid = span!("mid");
+                let ((), rec) = scope().capture(|| {
+                    let _leaf = span!("leaf");
+                    gauge("g", 2.0);
+                });
+                replay(&rec.expect("nested scope records"));
+            });
+            replay(&rec.expect("recording scope captures"));
+            drop(_outer);
+            take()
+        });
+        assert_eq!(snap.spans["outer/mid/leaf"].count, 1);
+        assert_eq!(snap.spans["outer/mid"].count, 1);
+        assert_eq!(snap.gauges["g"], 2.0);
+    }
+
+    #[test]
+    fn capture_with_the_recorder_off_returns_and_records_nothing() {
+        let _g = GATE.lock().unwrap();
+        reset();
+        set_enabled(false);
+        let scope = scope();
+        assert!(!scope.is_recording());
+        let (v, rec) = scope.capture(|| {
+            let _s = span!("s");
+            counter("c", 1);
+            3
+        });
+        assert_eq!(v, 3);
+        assert!(rec.is_none());
+        assert!(take().is_empty());
     }
 
     #[test]

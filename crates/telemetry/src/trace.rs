@@ -9,8 +9,8 @@
 //! ([`TraceSnapshot::chrome_trace`]) emits Chrome trace-event JSON that
 //! loads directly in Perfetto or `chrome://tracing`, with one lane per
 //! worker thread, flow arrows linking cross-thread handoffs (producer →
-//! consumer fan-out, synth chunks → fused spectrum extraction), and
-//! per-stream counter tracks.
+//! consumer fan-out, synthesis chunks → their group's fused line
+//! extraction), and per-stream counter tracks.
 //!
 //! ## Hot-path contract
 //!
@@ -173,17 +173,26 @@ pub fn trace_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
-/// Turns timeline capture on or off (process-wide).
+/// Turns timeline capture on or off (process-wide). Turning it on
+/// calibrates [`fastclock::ns_per_tick`] first.
 pub fn set_trace_enabled(on: bool) {
+    if on {
+        fastclock::ns_per_tick();
+    }
     TRACING.store(on, Ordering::Relaxed);
 }
 
-/// Records one event into this thread's ring (cold path: the caller
-/// checked [`trace_enabled`]). Registers the lane on first use and after
-/// every [`reset`].
+/// Records one event stamped now into this thread's ring (cold path:
+/// the caller checked [`trace_enabled`]).
 fn emit(kind: EventKind, name: &'static str, arg: u64, flow: u64) {
+    emit_at(fastclock::ticks(), kind, name, arg, flow);
+}
+
+/// Records one event stamped `tsc` into this thread's ring. Registers
+/// the lane on first use and after every [`reset`].
+fn emit_at(tsc: u64, kind: EventKind, name: &'static str, arg: u64, flow: u64) {
     let ev = TraceEvent {
-        tsc: fastclock::ticks(),
+        tsc,
         name,
         kind,
         arg,
@@ -210,20 +219,15 @@ fn emit(kind: EventKind, name: &'static str, arg: u64, flow: u64) {
     });
 }
 
-/// Emits a span-begin event. No-op while tracing is off.
-#[inline]
-pub fn begin(name: &'static str) {
-    if trace_enabled() {
-        emit(EventKind::Begin, name, NO_ARG, NO_ARG);
-    }
+/// Emits the begin event of a [`crate::Span`] that read `tsc` at entry
+/// (the caller checked [`trace_enabled`]).
+pub(crate) fn begin_at(tsc: u64, name: &'static str) {
+    emit_at(tsc, EventKind::Begin, name, NO_ARG, NO_ARG);
 }
 
-/// Emits a span-end event. No-op while tracing is off.
-#[inline]
-pub fn end(name: &'static str) {
-    if trace_enabled() {
-        emit(EventKind::End, name, NO_ARG, NO_ARG);
-    }
+/// Emits the end event of a [`crate::Span`] that read `tsc` at drop.
+pub(crate) fn end_at(tsc: u64, name: &'static str) {
+    emit_at(tsc, EventKind::End, name, NO_ARG, NO_ARG);
 }
 
 /// Emits an instant event annotated with `arg` (use [`NO_ARG`] for
@@ -295,7 +299,7 @@ impl Drop for TraceSpan {
     #[inline]
     fn drop(&mut self) {
         if self.active {
-            end(self.name);
+            emit(EventKind::End, self.name, NO_ARG, NO_ARG);
         }
     }
 }
@@ -497,9 +501,8 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let snap = with_gate(false, || {
-            begin("x");
-            end("x");
             instant("p", 3);
+            flow_start("f", 1);
             let _s = span("y");
             collect()
         });

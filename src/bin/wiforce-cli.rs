@@ -664,11 +664,10 @@ fn print_serve_report(report: &BatchReport, readers: usize, workers: usize) {
     for h in &report.health {
         if h.flags.any() {
             println!(
-                "degraded: {} ({} of {} windows; snr_below_floor={} queue_saturated={} worker_starved={})",
+                "degraded: {} ({} of {} windows; queue_saturated={} worker_starved={})",
                 h.stream,
                 h.degraded_windows,
                 h.windows,
-                h.flags.snr_below_floor,
                 h.flags.queue_saturated,
                 h.flags.worker_starved
             );

@@ -22,8 +22,10 @@
 //!
 //! ## Determinism
 //!
-//! Each reader has exactly one logical producer with its own seeded RNG,
-//! so the synthesized group sequence is a pure function of the spec;
+//! Each reader has exactly one logical producer, which draws its stream
+//! clocks and one reader key from its seed and addresses every later
+//! draw by `(key, group)`, so the synthesized group sequence is a pure
+//! function of the spec;
 //! each stream's queue is FIFO and its consumer is claimed exclusively,
 //! so groups reach the estimator in sequence order. Per-stream estimates
 //! are therefore bit-identical at any worker count — the same
@@ -61,21 +63,23 @@
 
 use crate::calib::SensorModel;
 use crate::estimator::{EstimatorConfig, ForceEstimator, ForceReading};
+use crate::harmonics::PhaseGroupConfig;
 use crate::multisensor::ContinuumSurface;
 use crate::pipeline::{
-    fill_state_spectra, spectral_row_var, BlockTally, BlockTruth, Simulation, Sounder,
-    SoundingStep, SpectralLines, TagClock, CHUNK_ROWS,
+    fill_state_spectra, spectral_row_var, BlockTally, BlockTruth, GroupPlan, PressNoise,
+    Simulation, Sounder, SoundingStep, SpectralLines, TagClock, CHUNK_ROWS,
 };
 use crate::tracking::{TrackedReading, Tracker, TrackerConfig};
 use crate::WiForceError;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wiforce_channel::cache::ChannelCache;
 use wiforce_channel::faults::FaultConfig;
 use wiforce_channel::{Frontend, Scene};
+use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::{Complex, SnapshotMatrix};
 use wiforce_reader::stream::{GroupItem, TagDemux};
 use wiforce_reader::ChannelSounder;
@@ -115,16 +119,17 @@ pub struct StreamSpec {
 }
 
 /// One physical reader: a shared snapshot stream carrying several
-/// frequency-multiplexed tag streams, with its own fault regime and RNG
+/// frequency-multiplexed tag streams, with its own fault regime and
 /// seed. Faults on one reader can never touch another reader's streams
-/// (independent RNGs), which is what the fault-isolation tests pin down.
+/// (independent keys), which is what the fault-isolation tests pin down.
 #[derive(Debug, Clone)]
 pub struct ReaderSpec {
     /// The tag streams riding this reader's snapshots.
     pub streams: Vec<StreamSpec>,
     /// Channel-level fault injection for this reader.
     pub faults: FaultConfig,
-    /// Seed of the reader's producer RNG (noise, clutter, clock wander).
+    /// Seed of the reader's tag clock phases and of its noise key (noise,
+    /// clutter, clock wander).
     pub seed: u64,
 }
 
@@ -469,7 +474,9 @@ struct StreamSynth {
     /// (`fs`, `4fs`) derive from it.
     fs_hz: f64,
     clock: TagClock,
-    /// Integration-window state walk over `clock`'s instants.
+    /// The group in production's closed-form clock, planned from `clock`.
+    plan: GroupPlan,
+    /// Integration-window state walk over `plan`'s instants.
     walk: WindowWalker,
     /// Slot tables live behind `Arc`s out of the scene's response memo:
     /// the reflection network is identical across streams (clocks never
@@ -492,11 +499,12 @@ impl StreamSynth {
     }
 }
 
-/// The single logical producer of one reader: owns the RNG and all
-/// synthesis state, so the group sequence is deterministic no matter
-/// which worker thread runs it. The RNG draws only the tag clocks and one
-/// press key per group; every noise lane is counter-addressed under that
-/// key. The press-invariant channel state comes from the template
+/// The single logical producer of one reader: owns all synthesis state,
+/// so the group sequence is deterministic no matter which worker thread
+/// runs it. The reader's seed draws only the tag clocks and one reader
+/// key at build; group `seq` is then addressed by `(key, seq)` the way a
+/// press addresses its groups, wander draws and noise lanes alike. The
+/// press-invariant channel state comes from the template
 /// simulation's [`wiforce_channel::SharedChannelCache`], so N readers on
 /// one scene evaluate the static response exactly once between them.
 struct ReaderProducer {
@@ -507,13 +515,13 @@ struct ReaderProducer {
     frontend: Frontend,
     /// This reader's fault regime.
     faults: FaultConfig,
-    rng: StdRng,
-    n_snapshots: usize,
-    t_snap: f64,
+    /// The reader key and the next group's index.
+    noise: PressNoise,
+    /// The snapshot grid (`n_snapshots`, `snapshot_period_s`).
+    group: PhaseGroupConfig,
     t_int: f64,
     wander_ppm: f64,
     reference_groups: usize,
-    groups_done: u64,
     /// Fault tallies over the groups produced so far.
     snapshots_dropped: u64,
     bursts_injected: u64,
@@ -591,6 +599,7 @@ impl ReaderProducer {
                     tag: SensorTag::wiforce_prototype(s.fs_hz),
                     fs_hz: s.fs_hz,
                     clock: TagClock::new(&mut rng),
+                    plan: GroupPlan::default(),
                     walk: WindowWalker::default(),
                     tables,
                     n_presses: s.presses.len(),
@@ -604,13 +613,12 @@ impl ReaderProducer {
             sounder: sim.sounder,
             frontend: sim.frontend,
             faults: spec.faults,
-            rng,
-            n_snapshots: sim.group.n_snapshots,
-            t_snap: sim.group.snapshot_period_s,
+            // drawn after every stream's clock
+            noise: PressNoise::from_rng(&mut rng),
+            group: sim.group,
             t_int: sim.sounder.integration_window_s(),
             wander_ppm: sim.tag_clock_wander_ppm,
             reference_groups: cfg.reference_groups,
-            groups_done: 0,
             snapshots_dropped: 0,
             bursts_injected: 0,
             spectral,
@@ -640,34 +648,37 @@ impl ReaderProducer {
     }
 
     /// Synthesises the next phase group: the shared preamble (reclaim
-    /// the group matrix, step and rebase every stream's clock
-    /// ([`TagClock::rebase`]), draw the group's press
-    /// key — the one sequential draw per group, after which every noise
-    /// lane is a pure function of `(key, group, snapshot or bin, lane)`),
-    /// then one of two line sources — [`Self::spectral_lines`] or
-    /// [`Self::time_domain_rows`] — then the group's counters. Returns
-    /// the group behind an [`Arc`] whose buffer is recycled once every
-    /// consumer has dropped it.
+    /// the group matrix, plan every stream's clock with
+    /// [`TagClock::plan_group`], the streams drawing their wander in
+    /// stream order from the group's one cursor), then one of two line
+    /// sources — [`Self::spectral_lines`] or [`Self::time_domain_rows`],
+    /// both addressed by `(reader key, seq)` — then the group's counters.
+    /// Returns the group behind an [`Arc`] whose buffer is recycled once
+    /// every consumer has dropped it.
     fn produce_group(&mut self) -> (u64, Arc<SnapshotMatrix>) {
         let _span = wiforce_telemetry::span!("batch.produce_group");
-        let seq = self.groups_done;
-        self.groups_done += 1;
+        let seq = self.noise.take_group();
         let mut out = self.reclaim_matrix(self.cache.statics.len());
+        let mut cursor = CounterRng::for_group(self.noise.key(), seq);
         for s in self.streams.iter_mut() {
-            s.clock.step_group(self.wander_ppm, &mut self.rng);
-            // both drive clocks repeat on the base period 1/fs
-            s.clock.rebase(1.0 / s.fs_hz);
+            s.plan = s.clock.plan_group(
+                seq,
+                &mut cursor,
+                self.wander_ppm,
+                self.faults.tag_clock_ppm,
+                s.fs_hz,
+                &self.group,
+            );
         }
-        let key = self.rng.next_u64();
         let (dropped, bursts) = if self.spectral {
-            self.spectral_lines(seq, key, &mut out);
+            self.spectral_lines(seq, &mut out);
             (0, 0)
         } else {
-            self.time_domain_rows(seq, key, &mut out)
+            self.time_domain_rows(seq, &mut out)
         };
         self.snapshots_dropped += dropped;
         self.bursts_injected += bursts;
-        let n = self.n_snapshots as u64;
+        let n = self.group.n_snapshots as u64;
         let exact_evals: u64 = self
             .streams
             .iter_mut()
@@ -686,7 +697,7 @@ impl ReaderProducer {
         }
         let group = Arc::new(out);
         self.retired.push(Arc::clone(&group));
-        (seq, group)
+        (seq.into(), group)
     }
 
     /// Time-domain line source: the group's `n` shared snapshot rows —
@@ -695,10 +706,12 @@ impl ReaderProducer {
     /// ([`eval_shared_truth`]) and goes through
     /// [`SoundingStep::sound_block`], the press engine's draw order.
     /// Returns the group's `(dropped, bursts)` tallies.
-    fn time_domain_rows(&mut self, seq: u64, key: u64, out: &mut SnapshotMatrix) -> (u64, u64) {
-        let n = self.n_snapshots;
+    fn time_domain_rows(&mut self, seq: u32, out: &mut SnapshotMatrix) -> (u64, u64) {
+        let key = self.noise.key();
+        let n = self.group.n_snapshots;
         let width = self.cache.statics.len();
-        let (t_snap, t_int, reference_groups) = (self.t_snap, self.t_int, self.reference_groups);
+        let t_snap = self.group.snapshot_period_s;
+        let (t_int, reference_groups) = (self.t_int, self.reference_groups);
         out.reserve_rows(n);
         let ReaderProducer {
             streams,
@@ -710,21 +723,9 @@ impl ReaderProducer {
             truth_plane,
             ..
         } = self;
-        let has_movers = !scene.movers.is_empty();
-        let mut eval = |row: &mut [Complex]| {
-            eval_shared_truth(
-                streams,
-                scene,
-                cache,
-                seq,
-                reference_groups,
-                t_snap,
-                t_int,
-                faults.tag_clock_ppm,
-                has_movers,
-                row,
-            )
-        };
+        // the scene runs on the reader's clock, which every stream's plan
+        // carries
+        let t_reader0 = streams.first().map_or(0.0, |s| s.plan.t_reader0);
         let step = SoundingStep {
             sounder,
             frontend,
@@ -738,9 +739,23 @@ impl ReaderProducer {
             let rows = CHUNK_ROWS.min(n - s0);
             truth_plane.clear();
             truth_plane.resize(rows * width, Complex::ZERO);
-            truth_plane.chunks_exact_mut(width).for_each(&mut eval);
+            for (r, row) in truth_plane.chunks_exact_mut(width).enumerate() {
+                let snap = s0 + r;
+                let t_reader = t_reader0 + snap as f64 * t_snap;
+                eval_shared_truth(
+                    streams,
+                    scene,
+                    cache,
+                    seq.into(),
+                    reference_groups,
+                    t_int,
+                    snap,
+                    t_reader,
+                    row,
+                );
+            }
             step.sound_block(
-                (key, seq as u32, 0),
+                (key, seq, 0),
                 s0..s0 + rows,
                 BlockTruth::Plane(truth_plane),
                 region,
@@ -763,10 +778,11 @@ impl ReaderProducer {
     /// state's window-weighted line phasors `E_σ` and fractional counts
     /// `n_σ`; the press arm's finisher ([`SpectralLines`]) turns them into
     /// lines with `D̄ = (Σ_σ E_σ)/N`.
-    fn spectral_lines(&mut self, seq: u64, key: u64, out: &mut SnapshotMatrix) {
-        let n = self.n_snapshots;
-        let drift_ppm = self.faults.tag_clock_ppm;
-        let t_snap = self.t_snap;
+    fn spectral_lines(&mut self, seq: u32, out: &mut SnapshotMatrix) {
+        let key = self.noise.key();
+        let n = self.group.n_snapshots;
+        let t_snap = self.group.snapshot_period_s;
+        let start_s = self.group.group_start_s(seq.into());
         let t_int = self.t_int;
         let reference_groups = self.reference_groups;
         let var_row = spectral_row_var(self.sigma_est, &self.frontend, self.cache.full_scale);
@@ -786,8 +802,8 @@ impl ReaderProducer {
             let mut ph = [Complex::ONE; 2];
             let mut e = [[Complex::ZERO; 4]; 2];
             let mut counts = [0.0f64; 4];
-            for _ in 0..n {
-                let t_tag = s.clock.advance(t_snap, drift_ppm);
+            for snap in 0..n {
+                let t_tag = s.plan.t_tag0 + snap as f64 * s.plan.dt_eff;
                 let w = s.walk.weights(&s.tag.clocks, t_tag, t_int);
                 for q in 0..4 {
                     if w[q] != 0.0 {
@@ -801,7 +817,7 @@ impl ReaderProducer {
             }
             fill_state_spectra(
                 &cache.gains,
-                s.table_for_group(seq, reference_groups),
+                s.table_for_group(seq.into(), reference_groups),
                 spectra,
             );
             let lines_of = SpectralLines {
@@ -810,9 +826,9 @@ impl ReaderProducer {
                 var_row,
                 jitter_rad: frontend.phase_jitter_rad,
                 n,
-                start_s: seq as f64 * n as f64 * t_snap,
+                start_s,
                 key,
-                group_id: seq as u32,
+                group_id: seq,
             };
             for (f_hz, e) in line_hz.into_iter().zip(&e) {
                 // D̄ = (Σ_σ E_σ)/N exactly (≈0 on the integer line bins)
@@ -823,10 +839,10 @@ impl ReaderProducer {
     }
 }
 
-/// Evaluates the next snapshot's true shared channel into `row`: advance
-/// every stream's tag clock, accumulate each tag's state-weighted
-/// response onto the static channel, then add any mover Doppler — the
-/// truth rows [`ReaderProducer::time_domain_rows`] hands the sounder.
+/// Evaluates snapshot `snap` of the group in production, at reader time
+/// `t_reader`, into `row`: each stream's tag state-weighted response at
+/// its plan's tag time onto the static channel, then any mover Doppler —
+/// the truth rows [`ReaderProducer::time_domain_rows`] hands the sounder.
 #[allow(clippy::too_many_arguments)]
 fn eval_shared_truth(
     streams: &mut [StreamSynth],
@@ -834,16 +850,14 @@ fn eval_shared_truth(
     cache: &ChannelCache,
     seq: u64,
     reference_groups: usize,
-    t_snap: f64,
     t_int: f64,
-    drift_ppm: f64,
-    has_movers: bool,
+    snap: usize,
+    t_reader: f64,
     row: &mut [Complex],
 ) {
-    let t_reader = streams[0].clock.reader_time_s();
     row.copy_from_slice(&cache.statics);
     for s in streams.iter_mut() {
-        let t_tag = s.clock.advance(t_snap, drift_ppm);
+        let t_tag = s.plan.t_tag0 + snap as f64 * s.plan.dt_eff;
         // average the switch state over the sounder's integration
         // window: instantaneous sampling aliases the square-wave
         // drive's high harmonics onto *other* tags' Doppler bins
@@ -858,7 +872,7 @@ fn eval_shared_truth(
             wiforce_dsp::kernels::blend_states(row, &cache.gains, table, &w);
         }
     }
-    if has_movers {
+    if !scene.movers.is_empty() {
         for (h, &f) in row.iter_mut().zip(&cache.freqs_hz) {
             *h += scene.dynamic_response(f, t_reader);
         }
@@ -1211,7 +1225,7 @@ pub fn run_batch_observed(
         total.push((cfg.reference_groups + spec.max_presses()) as u64);
         let mut dx = TagDemux::new(capacity);
         for (l, s) in spec.streams.iter().enumerate() {
-            dx.register(s.fs_hz);
+            dx.register();
             locate.push((r, l));
             let est_cfg = EstimatorConfig {
                 group: crate::harmonics::PhaseGroupConfig {
@@ -1464,9 +1478,9 @@ mod tests {
     #[test]
     fn spectral_batch_is_worker_invariant() {
         crate::each_backend(|| {
-            // the spectral producer draws one press key per group and keys
-            // every noise lane by (key, group, bin, lane), so readings must
-            // be bit-identical at any worker count
+            // the spectral producer keys every noise lane by (reader key,
+            // group, bin, lane), so readings must be bit-identical at any
+            // worker count
             let (mut sim, model) = template();
             sim.synth_spectral = Some(true);
             let spec =
@@ -1636,8 +1650,8 @@ mod tests {
     #[test]
     fn spectral_and_time_domain_batch_keep_long_clocks_on_the_edge_walk() {
         crate::each_backend(|| {
-            // a batch stream's tag clock is a running sum from the start of
-            // the run; the producer folds it back by whole base periods, so a
+            // a batch stream's tag clock runs on from the start of the run;
+            // the group planner folds it back by whole base periods, so a
             // stream already past 2²⁰ periods of its 2fs drive clock (where
             // the edge walks stop and every window would take the exact
             // split) walks the edges as a fresh stream does, on both line

@@ -171,13 +171,12 @@ impl ForceEstimator {
     }
 
     /// The reader time the estimator expects the *next* group to start
-    /// at — producers synthesizing lines directly (the spectral batch
-    /// path) must phase-reference their synthesis here so pre-extracted
-    /// lines land on the same rotation the extraction path would apply.
+    /// at, [`PhaseGroupConfig::group_start_s`] of its group count: lines
+    /// pushed pre-extracted (the spectral batch producer references
+    /// group `g` at the same expression) land on the rotation extraction
+    /// would apply.
     pub fn next_group_start_s(&self) -> f64 {
-        self.groups_seen as f64
-            * self.cfg.group.n_snapshots as f64
-            * self.cfg.group.snapshot_period_s
+        self.cfg.group.group_start_s(self.groups_seen as u64)
     }
 
     /// Pushes one phase group's pre-extracted spectral lines.

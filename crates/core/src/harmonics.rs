@@ -63,6 +63,12 @@ impl PhaseGroupConfig {
         self.n_snapshots as f64 * self.snapshot_period_s
     }
 
+    /// Receiver time at which group `g` of a stream starts, s: the phase
+    /// reference of its lines.
+    pub fn group_start_s(&self, g: u64) -> f64 {
+        g as f64 * self.n_snapshots as f64 * self.snapshot_period_s
+    }
+
     /// `true` if both lines (and their difference) fall on integer bins of
     /// the group DFT — the orthogonality condition.
     pub fn lines_are_orthogonal(&self) -> bool {

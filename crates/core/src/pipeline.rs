@@ -551,38 +551,28 @@ impl Simulation {
         }
     }
 
-    /// Walks the tag clock through `n_groups` phase groups, drawing each
-    /// group's wander from the counter stream, and hands each group a
-    /// closed-form local clock: snapshot `s` of a group reads
-    /// `t_tag0 + s·dt_eff`, where `dt_eff` folds the group's wander and
-    /// the constant drift fault. The walk is inherently sequential but
-    /// cheap (one wander draw per group), so it runs on the calling
-    /// thread: the time-domain engine collects the plans before any group
-    /// is synthesized, the spectral arm walks them as it goes.
+    /// Walks the tag clock through `n_groups` phase groups, each planned
+    /// by [`TagClock::plan_group`] from its own group cursor. The walk is
+    /// inherently sequential but cheap (one wander draw per group), so it
+    /// runs on the calling thread: the time-domain engine collects the
+    /// plans before any group is synthesized, the spectral arm walks them
+    /// as it goes.
     fn plan_groups<'a>(
         &'a self,
         n_groups: usize,
         clock_state: &'a mut TagClock,
         noise: &'a mut PressNoise,
     ) -> impl Iterator<Item = GroupPlan> + 'a {
-        let n = self.group.n_snapshots as f64;
-        let t_snap = self.group.snapshot_period_s;
         (0..n_groups).map(move |_| {
-            let group_id = noise.next_group;
-            noise.next_group = noise.next_group.wrapping_add(1);
-            let mut group_rng = CounterRng::for_group(noise.key, group_id);
-            clock_state.step_group(self.tag_clock_wander_ppm, &mut group_rng);
-            let dt_eff =
-                t_snap * (1.0 + (clock_state.wander_ppm + self.faults.tag_clock_ppm) * 1e-6);
-            let plan = GroupPlan {
+            let group_id = noise.take_group();
+            clock_state.plan_group(
                 group_id,
-                t_tag0: clock_state.t_tag,
-                t_reader0: clock_state.t_reader,
-                dt_eff,
-            };
-            clock_state.t_tag += n * dt_eff;
-            clock_state.t_reader += n * t_snap;
-            plan
+                &mut CounterRng::for_group(noise.key, group_id),
+                self.tag_clock_wander_ppm,
+                self.faults.tag_clock_ppm,
+                self.tag.clocks.base_freq_hz(),
+                &self.group,
+            )
         })
     }
 
@@ -1258,8 +1248,8 @@ impl Simulation {
 }
 
 /// The per-press handle on the counter-addressed noise stream: one Philox
-/// key (drawn once per press from the caller's `Rng`) plus the running
-/// group index. Every Gaussian the synthesis consumes is a pure function
+/// key (drawn once per press from the caller's `Rng`, or once per batch
+/// reader from its seed) plus the running group index. Every Gaussian the synthesis consumes is a pure function
 /// of `(key, group, snapshot, lane)`, so the same `PressNoise` always
 /// reproduces the same press regardless of worker count, chunking, or
 /// SIMD backend.
@@ -1282,6 +1272,13 @@ impl PressNoise {
     /// A press keyed directly — for fixtures that pin exact realizations.
     pub fn from_seed(key: u64) -> Self {
         PressNoise { key, next_group: 0 }
+    }
+
+    /// The next group index, consumed.
+    pub(crate) fn take_group(&mut self) -> u32 {
+        let group = self.next_group;
+        self.next_group = group.wrapping_add(1);
+        group
     }
 
     /// The press key.
@@ -1508,14 +1505,15 @@ impl SpectralLines<'_> {
     }
 }
 
-/// Closed-form per-group clock handed to synthesis workers: snapshot `s`
+/// Closed-form per-group clock ([`TagClock::plan_group`]): snapshot `s`
 /// of the group evaluates the tag modulation at `t_tag0 + s·dt_eff` and
 /// the scene at `t_reader0 + s·t_snap`.
-struct GroupPlan {
-    group_id: u32,
-    t_tag0: f64,
-    t_reader0: f64,
-    dt_eff: f64,
+#[derive(Default)]
+pub(crate) struct GroupPlan {
+    pub(crate) group_id: u32,
+    pub(crate) t_tag0: f64,
+    pub(crate) t_reader0: f64,
+    pub(crate) dt_eff: f64,
 }
 
 /// Where one block's noiseless channel comes from.
@@ -1657,7 +1655,7 @@ impl PressTables {
     }
 }
 
-/// Base periods after which [`TagClock::rebase`] folds the tag time
+/// Base periods after which [`TagClock::plan_group`] folds the tag time
 /// back: 2¹⁶, well inside the edge walks' 2²⁰ periods of a `2fs` clock.
 const TAG_REBASE_PERIODS: f64 = 65_536.0;
 
@@ -1685,31 +1683,42 @@ impl TagClock {
         }
     }
 
-    /// Updates the per-group wander: mean-reverting random walk with RMS
-    /// `sigma_ppm`.
-    pub(crate) fn step_group<R: Rng + ?Sized>(&mut self, sigma_ppm: f64, rng: &mut R) {
+    /// Plans phase group `group_id` of `group.n_snapshots` snapshots, the
+    /// one tag-time model of both engines. It steps the wander (a
+    /// mean-reverting random walk with RMS `sigma_ppm`, drawn from
+    /// `cursor`), takes whole base periods `1/base_hz` — on which the
+    /// drive repeats — off the tag time once it passes
+    /// [`TAG_REBASE_PERIODS`] of them, so a long stream stays inside the
+    /// edge walks' domain, and returns the group's closed-form clock,
+    /// whose step folds the wander and the constant drift fault
+    /// `drift_ppm`. The clock then stands at the group's end.
+    pub(crate) fn plan_group(
+        &mut self,
+        group_id: u32,
+        cursor: &mut CounterRng,
+        sigma_ppm: f64,
+        drift_ppm: f64,
+        base_hz: f64,
+        group: &PhaseGroupConfig,
+    ) -> GroupPlan {
         if sigma_ppm > 0.0 {
-            self.wander_ppm = 0.8 * self.wander_ppm + 0.6 * sigma_ppm * standard_normal(rng);
+            self.wander_ppm = 0.8 * self.wander_ppm + 0.6 * sigma_ppm * standard_normal(cursor);
         }
-    }
-
-    /// Advances by one reader snapshot period, returning the tag-local
-    /// time used to evaluate the modulation waveforms. `drift_ppm` is the
-    /// constant clock frequency error (fault injection).
-    pub(crate) fn advance(&mut self, t_snap: f64, drift_ppm: f64) -> f64 {
-        let t = self.t_tag;
-        self.t_tag += t_snap * (1.0 + (self.wander_ppm + drift_ppm) * 1e-6);
-        self.t_reader += t_snap;
-        t
-    }
-
-    /// Takes whole periods of `period_s`, on which the drive repeats, off
-    /// the tag time once it passes [`TAG_REBASE_PERIODS`] of them, so a
-    /// long batch stream stays inside the edge walks' domain.
-    pub(crate) fn rebase(&mut self, period_s: f64) {
+        let period_s = 1.0 / base_hz;
         if self.t_tag >= TAG_REBASE_PERIODS * period_s {
             self.t_tag = self.t_tag.rem_euclid(period_s);
         }
+        let t_snap = group.snapshot_period_s;
+        let n = group.n_snapshots as f64;
+        let plan = GroupPlan {
+            group_id,
+            t_tag0: self.t_tag,
+            t_reader0: self.t_reader,
+            dt_eff: t_snap * (1.0 + (self.wander_ppm + drift_ppm) * 1e-6),
+        };
+        self.t_tag += n * plan.dt_eff;
+        self.t_reader += n * t_snap;
+        plan
     }
 
     /// Reader-clock time of the next snapshot, s.
@@ -2687,12 +2696,16 @@ mod tests {
             // subcarrier at once: its covariance across subcarrier pairs must
             // be 2σ_line²·δ_kk′ + meanP[k]·meanP[k′]*·σ_θ²(1−|D̄|²)/N, the
             // cross-subcarrier structure Ablation 1's combiners consume — over
-            // the air at 2.4 GHz and at the Fig. 16 phantom's SNR
+            // the air at 2.4 GHz, at the Fig. 16 phantom's SNR and at the
+            // midpoint of the Fig. 18 line, its weakest point
             let mut phantom = Simulation::paper_default(0.9e9);
             phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
+            let mut midpoint = Simulation::paper_default(0.9e9);
+            midpoint.scene = Scene::fig18(0.9e9, 2.0);
             for (label, mut sim) in [
                 ("over the air", Simulation::paper_default(2.4e9)),
                 ("tissue phantom", phantom),
+                ("Fig. 18 midpoint", midpoint),
             ] {
                 sim.synth_spectral = Some(true);
                 sim.synth_workers = Some(workers);
@@ -2773,13 +2786,17 @@ mod tests {
             // line against its noiseless twin must be circular white Gaussian
             // noise of per-component std σ_est·√((1−|D̄|²)/N) — moments, KS,
             // re/im and adjacent-subcarrier correlations — over the air at
-            // 2.4 GHz and through the Fig. 16 tissue phantom (with its metal
-            // plate) at 900 MHz, where the lines sit far closer to the floor
+            // 2.4 GHz, through the Fig. 16 tissue phantom (with its metal
+            // plate) at 900 MHz, where the lines sit far closer to the floor,
+            // and at the midpoint of the Fig. 18 line, 2 m from either end
             let mut phantom = Simulation::paper_default(0.9e9);
             phantom.scene = Scene::tissue_phantom(0.9e9, 50.0);
+            let mut midpoint = Simulation::paper_default(0.9e9);
+            midpoint.scene = Scene::fig18(0.9e9, 2.0);
             for (label, mut sim) in [
                 ("over the air", Simulation::paper_default(2.4e9)),
                 ("tissue phantom", phantom),
+                ("Fig. 18 midpoint", midpoint),
             ] {
                 sim.synth_spectral = Some(true);
                 sim.frontend.phase_jitter_rad = 0.0; // isolate additive noise

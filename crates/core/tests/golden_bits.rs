@@ -55,6 +55,16 @@
 //! bursts, was 139). Every spectral pin and spectral half, both FMCW
 //! pins and the inversion lattice held bit for bit.
 //!
+//! All six batch pins were re-recorded when the batch producer moved
+//! onto the press's group planner: each group's tag clocks are now the
+//! closed-form plan `t_tag0 + s·dt_eff` (was a running sum), and the
+//! wander draws and every noise lane are addressed by the reader key and
+//! the group index (were a fresh key and wander draws per group from the
+//! reader's sequential RNG). The noise law is unchanged, only its
+//! realization moved, gated by the batch statistical and equivalence
+//! fixtures; the faulted batch now drops 157 snapshots and injects 148
+//! bursts (was 150 and 144). Every press pin held bit for bit.
+//!
 //! Every pin is checked at 1 and 8 synthesis workers (batch workers for
 //! the batch pins), under the detected SIMD dispatch and again with it
 //! held to the scalar bodies: none of them may move a pin.
@@ -395,7 +405,7 @@ fn spectral_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             batch_hash(true, workers),
-            (0xf33d_71b9_1812_25bf, 0xc995_3b99_3ff2_904e)
+            (0x434b_cd66_34cd_7c54, 0x0d3d_25d5_ba8d_e5f6)
         );
     });
 }
@@ -405,7 +415,7 @@ fn time_domain_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             batch_hash(false, workers),
-            (0xe7bd_e797_e347_ced5, 0xdb94_b581_1ca1_bb9a)
+            (0xca82_d0c4_de2c_960a, 0xe490_211f_e3e4_66f8)
         );
     });
 }
@@ -420,7 +430,7 @@ fn faulted_time_domain_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             branch_batch_hash(false, |_| {}, faults, workers),
-            ((0x6961_d157_dcb9_cfdf, 0x693e_7d6f_697d_64ce), (150, 144))
+            ((0xee24_5a78_a5a6_f80b, 0x0e56_fb25_f1a7_344e), (157, 148))
         );
     });
 }
@@ -431,7 +441,7 @@ fn mover_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             branch_batch_hash(false, walker, faults, workers).0,
-            (0xce3d_f4fb_b5f7_1d19, 0x08e8_3b4c_a567_2569)
+            (0x880f_5013_d5ba_9c69, 0xc9dc_479f_fce7_27f5)
         );
     });
 }
@@ -442,7 +452,7 @@ fn fmcw_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             branch_batch_hash(false, fmcw, faults, workers).0,
-            (0xf8e6_01bb_e7cc_2863, 0x2685_6ce8_4f5b_0f6f)
+            (0x238c_19f3_47f0_afe7, 0xed8a_1e9d_46b1_1b81)
         );
     });
 }
@@ -473,6 +483,6 @@ fn multiplexed_spectral_batch_readings_match_golden_bits() {
                 h.reading(&r.reading);
             }
         }
-        assert_eq!(h.finish(), (0xe721_8614_0968_e2e0, 0x159d_8ffc_0952_36b4));
+        assert_eq!(h.finish(), (0xc8de_8154_a8bd_4658, 0xdd6d_9d56_30ab_34ed));
     });
 }

@@ -229,12 +229,11 @@ impl std::error::Error for QueueFull {}
 /// demux hands each registered per-tag stream its own bounded queue of
 /// group items. Because the tags ride the *same* rows (separation happens
 /// in Doppler, not in time), [`TagDemux::fan_out`] clones the shared
-/// `Arc` into every queue; [`TagDemux::match_stream`] additionally routes
-/// externally-tagged traffic (e.g. a second reader's frames annotated
-/// with a line frequency) to the nearest registered clock.
+/// `Arc` into every queue; each stream's consumer picks its own lines out
+/// of the rows. Which tags are present at all is a spectrum question
+/// (`wiforce::spectrum::discover_tags`), not the demux's.
 #[derive(Debug)]
 pub struct TagDemux {
-    fs_hz: Vec<f64>,
     queues: Vec<std::collections::VecDeque<GroupItem>>,
     capacity: usize,
 }
@@ -244,23 +243,20 @@ impl TagDemux {
     /// groups before [`TagDemux::fan_out`] reports backpressure.
     pub fn new(capacity: usize) -> Self {
         TagDemux {
-            fs_hz: Vec::new(),
             queues: Vec::new(),
             capacity: capacity.max(1),
         }
     }
 
-    /// Registers a per-tag stream by its base clock frequency, returning
-    /// its stream index.
-    pub fn register(&mut self, fs_hz: f64) -> usize {
-        self.fs_hz.push(fs_hz);
+    /// Registers a per-tag stream, returning its stream index.
+    pub fn register(&mut self) -> usize {
         self.queues.push(std::collections::VecDeque::new());
-        self.fs_hz.len() - 1
+        self.queues.len() - 1
     }
 
     /// Number of registered streams.
     pub fn n_streams(&self) -> usize {
-        self.fs_hz.len()
+        self.queues.len()
     }
 
     /// Per-stream queue capacity.
@@ -317,38 +313,6 @@ impl TagDemux {
         dropped
     }
 
-    /// Routes an externally-tagged group to the single stream whose
-    /// registered clock is nearest `line_hz` (within `tol_hz`), for
-    /// fan-in of traffic that arrives already separated per tag. Returns
-    /// the stream index it landed on.
-    pub fn route(
-        &mut self,
-        line_hz: f64,
-        tol_hz: f64,
-        item: GroupItem,
-    ) -> Result<usize, QueueFull> {
-        let Some(stream) = self.match_stream(line_hz, tol_hz) else {
-            return Err(QueueFull { stream: usize::MAX });
-        };
-        if self.queues[stream].len() >= self.capacity {
-            return Err(QueueFull { stream });
-        }
-        self.queues[stream].push_back(item);
-        Ok(stream)
-    }
-
-    /// The registered stream whose base clock is nearest `line_hz`,
-    /// if within `tol_hz`.
-    pub fn match_stream(&self, line_hz: f64, tol_hz: f64) -> Option<usize> {
-        let (i, d) = self
-            .fs_hz
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (i, (f - line_hz).abs()))
-            .min_by(|a, b| a.1.total_cmp(&b.1))?;
-        (d <= tol_hz).then_some(i)
-    }
-
     /// Pops the oldest pending group of stream `i` (FIFO).
     pub fn pop(&mut self, i: usize) -> Option<GroupItem> {
         self.queues[i].pop_front()
@@ -362,44 +326,6 @@ impl TagDemux {
     /// `true` when no stream has pending groups.
     pub fn is_empty(&self) -> bool {
         self.queues.iter().all(|q| q.is_empty())
-    }
-
-    /// Doppler power of each registered stream's base line in a group —
-    /// which tags are actually present in the shared rows. Powers are the
-    /// squared magnitude of the mean-subtracted Goertzel sum at `fs`,
-    /// averaged over subcarriers; a silent tag reads orders of magnitude
-    /// below a toggling one.
-    pub fn line_powers(&self, group: &SnapshotMatrix, snapshot_period_s: f64) -> Vec<f64> {
-        let n = group.n_rows();
-        let k = group.n_cols();
-        if n == 0 || k == 0 {
-            return vec![0.0; self.fs_hz.len()];
-        }
-        // per-subcarrier means (static clutter at DC)
-        let mut means = vec![Complex::ZERO; k];
-        for row in group.rows() {
-            for (m, &x) in means.iter_mut().zip(row) {
-                *m += x;
-            }
-        }
-        let inv = 1.0 / n as f64;
-        means.iter_mut().for_each(|m| *m = m.scale(inv));
-        self.fs_hz
-            .iter()
-            .map(|&fs| {
-                let f_norm = fs * snapshot_period_s;
-                let w = Complex::cis(-wiforce_dsp::TAU * f_norm);
-                let mut phase = Complex::ONE;
-                let mut acc = vec![Complex::ZERO; k];
-                for row in group.rows() {
-                    for ((a, &x), &m) in acc.iter_mut().zip(row).zip(&means) {
-                        *a += (x - m) * phase;
-                    }
-                    phase *= w;
-                }
-                acc.iter().map(|z| z.norm_sqr()).sum::<f64>() / (k as f64 * (n * n) as f64)
-            })
-            .collect()
     }
 }
 
@@ -510,8 +436,8 @@ mod tests {
     #[test]
     fn demux_fans_out_to_all_streams_in_order() {
         let mut d = TagDemux::new(4);
-        let a = d.register(1000.0);
-        let b = d.register(1500.0);
+        let a = d.register();
+        let b = d.register();
         assert_eq!(d.n_streams(), 2);
         for seq in 0..3 {
             d.fan_out(group_item(seq)).unwrap();
@@ -528,8 +454,8 @@ mod tests {
     #[test]
     fn demux_backpressures_when_any_queue_full() {
         let mut d = TagDemux::new(2);
-        let a = d.register(1000.0);
-        let b = d.register(1500.0);
+        let a = d.register();
+        let b = d.register();
         d.fan_out(group_item(0)).unwrap();
         d.fan_out(group_item(1)).unwrap();
         assert!(!d.can_accept());
@@ -550,8 +476,8 @@ mod tests {
     #[test]
     fn lossy_fan_out_drops_only_full_streams() {
         let mut d = TagDemux::new(2);
-        let a = d.register(1000.0);
-        let b = d.register(1500.0);
+        let a = d.register();
+        let b = d.register();
         assert!(d.fan_out_lossy(group_item(0)).is_empty());
         assert!(d.fan_out_lossy(group_item(1)).is_empty());
         // b is drained, a stays full: only a drops the next group
@@ -566,48 +492,5 @@ mod tests {
         d.fan_out_lossy(group_item(3));
         d.fan_out_lossy(group_item(4));
         assert_eq!(d.fan_out_lossy(group_item(5)), vec![a, b]);
-    }
-
-    #[test]
-    fn demux_routes_by_nearest_clock() {
-        let mut d = TagDemux::new(4);
-        let a = d.register(1000.0);
-        let b = d.register(1444.4);
-        assert_eq!(d.match_stream(1002.0, 10.0), Some(a));
-        assert_eq!(d.match_stream(1440.0, 10.0), Some(b));
-        assert_eq!(d.match_stream(1200.0, 10.0), None);
-        assert_eq!(d.route(1445.0, 10.0, group_item(7)), Ok(b));
-        assert_eq!(d.depth(a), 0);
-        assert_eq!(d.pop(b).unwrap().seq, 7);
-    }
-
-    #[test]
-    fn line_powers_separate_active_from_silent_tags() {
-        // two on-grid clocks; only the first actually toggles in the rows
-        let period = 57.6e-6;
-        let n = 625usize;
-        let bin = 1.0 / (n as f64 * period);
-        let (f_active, f_silent) = (36.0 * bin, 53.0 * bin);
-        let mut m = SnapshotMatrix::new(3);
-        for i in 0..n {
-            let t = i as f64 * period;
-            let tone = Complex::cis(wiforce_dsp::TAU * f_active * t).scale(0.1);
-            m.push_row(&[
-                Complex::new(1.0, 0.0) + tone,
-                Complex::new(0.5, 0.5) + tone,
-                tone,
-            ]);
-        }
-        let mut d = TagDemux::new(4);
-        d.register(f_active);
-        d.register(f_silent);
-        let p = d.line_powers(&m, period);
-        assert!(p[0] > 1e-3, "active line power {}", p[0]);
-        assert!(
-            p[1] < 1e-9 * p[0],
-            "silent tag leaked: {} vs {}",
-            p[1],
-            p[0]
-        );
     }
 }

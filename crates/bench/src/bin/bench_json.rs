@@ -13,9 +13,9 @@
 //!   synthesized through the counter-addressed `run_snapshots_into` on
 //!   one worker into a reused [`wiforce_dsp::SnapshotMatrix`]: wall time
 //!   and heap allocations per steady-state group;
-//! - `synth_wide` — one group's soundings through the plane kernel the
-//!   time-domain path always takes vs one row call per snapshot, gated
-//!   at ≤ 1.05× by `check_artifacts`;
+//! - `synth_wide` — one group's soundings drawn from the OFDM estimate
+//!   law in blocks, as the time-domain path takes them, vs the estimator
+//!   run once per snapshot, gated at ≤ 1.05× by `check_artifacts`;
 //! - `synth_workers` — the worker count the press loop ran with (the
 //!   machine's parallelism, capped at 8);
 //! - `throughput` — the multi-stream batch engine (`wiforce::batch`) at
@@ -49,7 +49,7 @@ use wiforce::pipeline::{PressNoise, Simulation, TagClock, CHUNK_ROWS};
 use wiforce::tracking::{Tracker, TrackerConfig};
 use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::{Complex, SnapshotMatrix};
-use wiforce_reader::sounder::PreparedChannel;
+use wiforce_reader::sounder::sound_rows;
 use wiforce_reader::{ChannelSounder, OfdmSounder};
 use wiforce_telemetry::json::JsonWriter;
 
@@ -96,9 +96,10 @@ use wiforce_telemetry::json::JsonWriter;
 /// payload superposition arms are no longer written; the `throughput`
 /// points run the default batch producer. Since the wide/row choice
 /// became fixed by configuration, `synth_wide` times one group's
-/// soundings through the plane kernel (`ns_per_group_on`) vs one row
-/// call per snapshot (`ns_per_group_off`), and the `calibration` object
-/// is no longer written.
+/// soundings in blocks as the time-domain path takes them
+/// (`ns_per_group_on`; for OFDM, drawn from the estimate law) vs the
+/// estimator run once per snapshot (`ns_per_group_off`), and the
+/// `calibration` object is no longer written.
 const BENCH_SCHEMA_VERSION: u32 = 10;
 
 /// A pass-through allocator that counts every allocation, so the bench
@@ -165,21 +166,20 @@ fn stage_ns_per_press(
         / press_iters as f64
 }
 
-/// Best-of-`reps` cost of sounding one `rows`-snapshot group, ns, over a
-/// synthetic 4-state prepared table: through the OFDM block method (its
-/// plane kernel) at [`CHUNK_ROWS`] rows per call (`plane`), else through
-/// the per-row reference primitive on each state's truth, one call per
-/// snapshot.
-fn time_sounding_group(rows: usize, reps: usize, plane: bool) -> f64 {
+/// Best-of-`reps` cost of sounding one `rows`-snapshot group, ns, over
+/// four synthetic per-state truths: in blocks of [`CHUNK_ROWS`] through
+/// [`sound_rows`], as the time-domain path takes them (`block`; OFDM
+/// declares its estimate law, so the rows are drawn from it), else
+/// through the estimator once per snapshot.
+fn time_sounding_group(rows: usize, reps: usize, block: bool) -> f64 {
     let sounder = OfdmSounder::wiforce();
     let n = sounder.n_subcarriers;
-    let prepared: Vec<PreparedChannel> = (0..4)
+    let truths: Vec<Vec<Complex>> = (0..4)
         .map(|state| {
             let phase = |k: usize| 0.37 * k as f64 + 1.13 * state as f64;
-            let plane: Vec<Complex> = (0..n)
+            (0..n)
                 .map(|k| Complex::from_polar(0.8 + 0.05 * state as f64, phase(k)))
-                .collect();
-            sounder.prepare(&plane)
+                .collect()
         })
         .collect();
     let mut out = vec![Complex::ZERO; rows * n];
@@ -187,27 +187,24 @@ fn time_sounding_group(rows: usize, reps: usize, plane: bool) -> f64 {
     for rep in 0..reps {
         let key = 0x51D3_C0DE + rep as u64;
         let t0 = Instant::now();
-        if plane {
-            let mut st = [0u8; CHUNK_ROWS];
-            for (c, block) in out.chunks_mut(CHUNK_ROWS * n).enumerate() {
-                let (s0, states) = (c * CHUNK_ROWS, &mut st[..block.len() / n]);
-                for (r, state) in states.iter_mut().enumerate() {
-                    *state = ((s0 + r) % 4) as u8;
-                }
+        if block {
+            for (c, plane) in out.chunks_mut(CHUNK_ROWS * n).enumerate() {
+                let s0 = c * CHUNK_ROWS;
                 let mut cursors: [CounterRng; CHUNK_ROWS] =
                     std::array::from_fn(|r| CounterRng::for_snapshot(key, 7, (s0 + r) as u32));
-                sounder.estimate_prepared_counter_rows_into(
-                    &prepared,
-                    states,
+                let truth = |r: usize| truths[(s0 + r) % 4].as_slice();
+                sound_rows(
+                    &sounder,
+                    truth,
                     0.01,
-                    &mut cursors[..states.len()],
-                    block,
+                    &mut cursors[..plane.len() / n],
+                    plane,
                 );
             }
         } else {
             for (s, row) in out.chunks_exact_mut(n).enumerate() {
                 let mut cursor = CounterRng::for_snapshot(key, 7, s as u32);
-                sounder.estimate_counter_into(&prepared[s % 4].truth, 0.01, &mut cursor, row);
+                sounder.estimate_counter_into(&truths[s % 4], 0.01, &mut cursor, row);
             }
         }
         best = best.min(t0.elapsed().as_nanos() as f64);
@@ -326,12 +323,12 @@ fn main() {
     let ns_per_group = group_elapsed.as_nanos() as f64 / group_iters as f64;
     let allocs_per_group = allocs as f64 / group_iters as f64;
 
-    // --- plane vs row sounding -----------------------------------------
-    // one group's soundings through the plane kernel vs one truth-path
-    // row call per snapshot: bitwise-identical output, so the delta is
-    // what the prepared plane path buys the default time-domain path
+    // --- block vs row sounding -----------------------------------------
+    // one group's soundings drawn from the estimate law in blocks vs the
+    // estimator once per snapshot: the same error law, so the delta is
+    // what drawing from the law buys the default time-domain path
     let group_rows = sim.group.n_snapshots;
-    // the first pass warms the FFT plan and scratch
+    // the first pass warms the caches
     time_sounding_group(group_rows, 1, true);
     let ns_per_group_wide_on = time_sounding_group(group_rows, group_iters, true);
     let ns_per_group_wide_off = time_sounding_group(group_rows, group_iters, false);
@@ -339,7 +336,7 @@ fn main() {
     // --- response-table steady state -----------------------------------
     // repeated presses at one (force, location) with patch jitter zeroed:
     // the warmup press populates the per-scene response memo, after which
-    // every press gathers its prepared sounding tables instead of
+    // every press gathers its per-state sounding tables instead of
     // recomputing them. The paper-default patch jitter is deliberately
     // zeroed — it uniquifies the contact per press, which the memo cannot
     // (and should not) absorb.

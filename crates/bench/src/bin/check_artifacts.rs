@@ -236,8 +236,8 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
     }
 
     // schema v8: the wide-batching / response-table gates — these are
-    // absolute (no baseline needed): the fixed plane-kernel default must
-    // win, the response memo must absorb steady-state presses, the
+    // absolute (no baseline needed): the block sounding the time-domain
+    // path always takes must win, the response memo must absorb steady-state presses, the
     // steady-state group must stay near allocation-free, and a full
     // artifact must clear the 8-stream throughput floor
     if schema >= 8.0 {
@@ -271,7 +271,7 @@ fn check_bench(file: &str, root: &Value) -> Vec<String> {
             if off > 0.0 && on / off > regression::MAX_WIDE_ON_OFF_RATIO {
                 c.fail(format!(
                     "synth_wide.ns_per_group_on = {on:.0} is {:.2}× ns_per_group_off = \
-                     {off:.0} (limit {:.2}×) — wide synthesis is enabled but losing",
+                     {off:.0} (limit {:.2}×) — block sounding is enabled but losing",
                     on / off,
                     regression::MAX_WIDE_ON_OFF_RATIO
                 ));
@@ -399,8 +399,8 @@ fn check_health(file: &str, root: &Value) -> Vec<String> {
 
     // derived synthesis gauges (null when the relevant path never ran,
     // but the keys must exist) over the schema versions that carry them:
-    // the response memo's hit rate since v3, the plane-kernel row share
-    // in v5 only (v6 has one time-domain path)
+    // the response memo's hit rate since v3, the plane row share in v5
+    // only (v6 has one time-domain path)
     let schema = root
         .get("schema_version")
         .and_then(Value::as_f64)

@@ -81,15 +81,15 @@ pub const STAGE_SUM_MIN_RATIO: f64 = 0.35;
 pub const STAGE_SUM_MAX_RATIO: f64 = 2.5;
 
 /// Ceiling on `synth_wide.ns_per_group_on / ns_per_group_off` for v8
-/// artifacts: time-domain synthesis always takes the plane kernel where
-/// the configuration allows it, so an artifact where the plane kernel
-/// costs more than the row calls it replaces (beyond timing noise) means
-/// that fixed choice has stopped paying.
+/// artifacts: time-domain synthesis always sounds in blocks, drawing
+/// OFDM snapshots from the estimate law, so an artifact where that block
+/// sounding costs more than the per-snapshot estimator calls it replaces
+/// (beyond timing noise) means that fixed choice has stopped paying.
 pub const MAX_WIDE_ON_OFF_RATIO: f64 = 1.05;
 
 /// Floor on the steady-state `response_table_hit_rate` for v8 artifacts:
 /// with patch jitter zeroed, every post-warmup press must gather its
-/// prepared sounding tables from the per-scene response memo.
+/// per-state sounding tables from the per-scene response memo.
 pub const MIN_RESPONSE_TABLE_HIT_RATE: f64 = 0.99;
 
 /// Absolute ceiling on `allocs_per_group` for v8 artifacts. The pooled
@@ -285,8 +285,8 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Comparison {
         rows.push(Row::build(metric, baseline, fresh, false));
     }
 
-    // wide-path guard (schema v7+): the fixed plane-kernel default must
-    // stay at least as fast as the row path. Gated on the fresh
+    // block-sounding guard (schema v7+): the fixed block default must
+    // stay at least as fast as the per-snapshot estimator. Gated on the fresh
     // artifact alone — the ratio needs no baseline — and reported as a
     // before/after row so a drift in either leg is visible.
     let wide = |doc: &Value, key: &str| {
@@ -317,8 +317,8 @@ pub fn compare(baseline: &Value, fresh: &Value) -> Comparison {
         if off > 0.0 && on / off > MAX_WIDE_ON_OFF_RATIO {
             violations.push(format!(
                 "synth_wide.ns_per_group_on = {on:.0} is {:.2}× ns_per_group_off = {off:.0} \
-                 (limit {MAX_WIDE_ON_OFF_RATIO:.2}×) — the plane kernel the time-domain \
-                 path always takes is losing to the row path",
+                 (limit {MAX_WIDE_ON_OFF_RATIO:.2}×) — the block sounding the time-domain \
+                 path always takes is losing to the per-snapshot estimator",
                 on / off
             ));
         }

@@ -54,7 +54,7 @@ pub fn config_token(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// Type-erased, bounded map of press-invariant sounding-response tables,
 /// keyed by `(table token, config token)`. The channel crate
-/// cannot name the reader crate's prepared-channel types, so entries are
+/// cannot name its callers' table types, so entries are
 /// stored as `Arc<dyn Any>` and downcast on the way out; a key collision
 /// with a different stored type is treated as a miss and overwritten.
 ///
@@ -131,9 +131,9 @@ impl ChannelCache {
 
     /// Returns the memoized sounding-response tables for the
     /// `(tag-table token, sounder config token)` pair, calling `build`
-    /// only on a miss. `T` is whatever press-invariant precomputation
-    /// the sounder gathers from at estimate time (e.g. a
-    /// `Vec<PreparedChannel>` of per-state payloads); it is stored
+    /// only on a miss. `T` is whatever press-invariant table the caller
+    /// gathers from per snapshot (the pipeline keeps the tag's EM plan
+    /// and the four per-state true channels, state-major); it is stored
     /// type-erased and downcast on every hit. Stale entries are
     /// impossible: a scene mutation changes the fingerprint, and
     /// [`SharedChannelCache::get_or_build`] replaces the whole cache entry,

@@ -1428,7 +1428,7 @@ mod tests {
     #[test]
     fn results_are_worker_count_invariant() {
         // clean, under burst faults, and with a mover (per-snapshot
-        // truths through the sounder's truth-plane block method)
+        // truth planes through the block step)
         let (sim, model) = template();
         let mut moving = sim.clone();
         moving

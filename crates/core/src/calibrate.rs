@@ -1,9 +1,10 @@
 //! The synthesis dispatch as the repository benchmark's `machine` block
 //! reports it.
 //!
-//! Time-domain synthesis decides from the configuration alone: the plane
-//! kernel runs wherever [`crate::Simulation::synth_wide_enabled`] allows
-//! it, at [`crate::pipeline::CHUNK_ROWS`] rows per chunk. Nothing here is
+//! Time-domain synthesis decides from the configuration alone: snapshots
+//! come from the sounder's estimate law wherever
+//! [`crate::Simulation::synth_wide_enabled`] says so, in blocks of
+//! [`crate::pipeline::CHUNK_ROWS`] rows. Nothing here is
 //! measured; the two functions below exist only for that benchmark
 //! block and its `synth.chunk_rows` ledger row, and go when the
 //! benchmark drops them.
@@ -13,7 +14,7 @@ use crate::pipeline::CHUNK_ROWS;
 /// The synthesis dispatch as the benchmark's `machine` block reports it.
 #[derive(Debug, Clone, Copy)]
 pub struct Calibration {
-    /// Whether the plane kernel is the default where eligible (always).
+    /// Whether the block step is the default where eligible (always).
     pub wide_default: bool,
     /// SoA chunk width, [`CHUNK_ROWS`].
     pub chunk_rows: usize,

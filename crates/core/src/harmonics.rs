@@ -144,14 +144,54 @@ pub(crate) fn emit_extraction_telemetry(cfg: &PhaseGroupConfig, lines: &GroupLin
 }
 
 /// [`extract_lines`] without any telemetry (no span, no counters, no
-/// gauges) — the math-only form for the off-line floor probe, which is
-/// not a line group (`pipeline.line_to_floor_db` reports it). Identical
-/// floating-point results.
+/// gauges) — the math-only form. Identical floating-point results.
 pub(crate) fn extract_lines_quiet(
     cfg: &PhaseGroupConfig,
     group: SnapshotView<'_>,
     start_s: f64,
 ) -> GroupLines {
+    let [lines] = extract_line_sets([cfg], group, start_s);
+    lines
+}
+
+/// [`extract_lines`] of `cfg` together with the lines of `floor_cfg`
+/// (the off-line floor probe, which differs from `cfg` only in its line
+/// frequencies) from the same rows: one mean pass and one four-bin
+/// Goertzel pass instead of two of each. Each accumulator receives the
+/// same adds in the same order as two separate extractions, so both
+/// results are bit-identical to them. Only `cfg`'s lines are recorded
+/// as a line group; the probe is not one (`pipeline.line_to_floor_db`
+/// reports it).
+pub(crate) fn extract_lines_with_floor(
+    cfg: &PhaseGroupConfig,
+    floor_cfg: &PhaseGroupConfig,
+    group: SnapshotView<'_>,
+    start_s: f64,
+) -> (GroupLines, GroupLines) {
+    let _span = wiforce_telemetry::span!("harmonics.extract_lines");
+    let [lines, floor] = extract_line_sets([cfg, floor_cfg], group, start_s);
+    emit_extraction_telemetry(cfg, &lines);
+    (lines, floor)
+}
+
+/// The line values of each of `cfgs` from one phase group. The configs
+/// must agree in everything but their line frequencies; the
+/// mean-subtracted DFT shares one mean pass and one Goertzel pass over
+/// the rows among all of them.
+fn extract_line_sets<const M: usize>(
+    cfgs: [&PhaseGroupConfig; M],
+    group: SnapshotView<'_>,
+    start_s: f64,
+) -> [GroupLines; M] {
+    let cfg = cfgs[0];
+    for c in &cfgs[1..] {
+        assert!(
+            c.n_snapshots == cfg.n_snapshots
+                && c.snapshot_period_s == cfg.snapshot_period_s
+                && c.method == cfg.method,
+            "line sets of one group differ only in their lines"
+        );
+    }
     assert_eq!(
         group.n_rows(),
         cfg.n_snapshots,
@@ -159,12 +199,11 @@ pub(crate) fn extract_lines_quiet(
     );
     let n = group.n_rows();
     let k_sub = group.n_cols();
-
-    let f1_norm = cfg.line1_hz * cfg.snapshot_period_s;
-    let f2_norm = cfg.line2_hz * cfg.snapshot_period_s;
-    // absolute-time phase reference for each line
-    let ref1 = Complex::cis(-wiforce_dsp::TAU * cfg.line1_hz * start_s);
-    let ref2 = Complex::cis(-wiforce_dsp::TAU * cfg.line2_hz * start_s);
+    // each config's two normalized line frequencies and absolute-time
+    // phase references
+    let lines_hz = cfgs.map(|c| [c.line1_hz, c.line2_hz]);
+    let f_norms = lines_hz.map(|l| l.map(|f| f * cfg.snapshot_period_s));
+    let refs = lines_hz.map(|l| l.map(|f| Complex::cis(-wiforce_dsp::TAU * f * start_s)));
 
     match cfg.method {
         ExtractionMethod::MeanSubtractedDft => {
@@ -178,20 +217,32 @@ pub(crate) fn extract_lines_quiet(
             }
             let inv_n = 1.0 / n as f64;
             means.iter_mut().for_each(|m| *m = m.scale(inv_n));
-            // pass 2: batched mean-subtracted Goertzel, both lines at once
-            let acc = goertzel_columns(group.as_slice(), k_sub, &[f1_norm, f2_norm], Some(&means));
+            // pass 2: batched mean-subtracted Goertzel, every line at once
+            let acc = goertzel_columns(
+                group.as_slice(),
+                k_sub,
+                f_norms.as_flattened(),
+                Some(&means),
+            );
             // normalize by N so line values approximate the per-snapshot
             // modulated amplitude times the clock Fourier coefficient
-            let p1 = acc[0].iter().map(|z| z.scale(inv_n) * ref1).collect();
-            let p2 = acc[1].iter().map(|z| z.scale(inv_n) * ref2).collect();
-            GroupLines { p1, p2 }
+            std::array::from_fn(|i| {
+                let line = |l: usize| -> Vec<Complex> {
+                    let r = refs[i][l];
+                    acc[2 * i + l].iter().map(|z| z.scale(inv_n) * r).collect()
+                };
+                GroupLines {
+                    p1: line(0),
+                    p2: line(1),
+                }
+            })
         }
-        ExtractionMethod::LeastSquares => {
-            let mut lines = extract_least_squares(cfg, group, f1_norm, f2_norm);
-            lines.p1.iter_mut().for_each(|z| *z *= ref1);
-            lines.p2.iter_mut().for_each(|z| *z *= ref2);
+        ExtractionMethod::LeastSquares => std::array::from_fn(|i| {
+            let mut lines = extract_least_squares(cfgs[i], group, f_norms[i][0], f_norms[i][1]);
+            lines.p1.iter_mut().for_each(|z| *z *= refs[i][0]);
+            lines.p2.iter_mut().for_each(|z| *z *= refs[i][1]);
             lines
-        }
+        }),
     }
 }
 

@@ -17,8 +17,8 @@ use crate::calib::{CalibrationSample, LocationData, SensorModel};
 use crate::diffphase::{differential, Averaging, DiffPhases};
 use crate::estimator::ForceReading;
 use crate::harmonics::{
-    emit_extraction_telemetry, extract_lines, extract_lines_quiet, ExtractionMethod, GroupLines,
-    PhaseGroupConfig,
+    emit_extraction_telemetry, extract_lines, extract_lines_with_floor, ExtractionMethod,
+    GroupLines, PhaseGroupConfig,
 };
 use crate::{parallel, WiForceError};
 use rand::Rng;
@@ -33,14 +33,14 @@ use wiforce_dsp::{Complex, SnapshotMatrix, SnapshotView};
 use wiforce_mech::contact::ContactSolver;
 use wiforce_mech::{AnalyticContactModel, ContactPatch, ForceTransducer, Indenter, SensorMech};
 use wiforce_reader::fmcw::FmcwSounder;
-use wiforce_reader::sounder::PreparedChannel;
+use wiforce_reader::sounder::sound_rows;
 use wiforce_reader::{ChannelSounder, OfdmSounder};
 use wiforce_sensor::tag::{ContactState, ResponsePlan};
 use wiforce_sensor::{ClockPair, SensorTag};
 use wiforce_telemetry::trace;
 
 /// Snapshot rows per synthesis chunk: the unit of work handed to a
-/// synthesis worker and of one plane-kernel sounder call. Counter noise
+/// synthesis worker and of one sounder block call. Counter noise
 /// is addressed by `(key, group, snapshot, lane)`, so the width changes
 /// scheduling only, never the output bits.
 pub const CHUNK_ROWS: usize = 64;
@@ -102,13 +102,6 @@ impl ChannelSounder for Sounder {
         }
     }
 
-    fn prepare(&self, true_channel: &[Complex]) -> PreparedChannel {
-        match self {
-            Sounder::Ofdm(s) => s.prepare(true_channel),
-            Sounder::Fmcw(s) => s.prepare(true_channel),
-        }
-    }
-
     fn estimate_counter_into(
         &self,
         true_channel: &[Complex],
@@ -119,37 +112,6 @@ impl ChannelSounder for Sounder {
         match self {
             Sounder::Ofdm(s) => s.estimate_counter_into(true_channel, noise_std, cursor, out),
             Sounder::Fmcw(s) => s.estimate_counter_into(true_channel, noise_std, cursor, out),
-        }
-    }
-
-    fn estimate_prepared_counter_rows_into(
-        &self,
-        prepared: &[PreparedChannel],
-        states: &[u8],
-        noise_std: f64,
-        cursors: &mut [CounterRng],
-        out: &mut [Complex],
-    ) {
-        match self {
-            Sounder::Ofdm(s) => {
-                s.estimate_prepared_counter_rows_into(prepared, states, noise_std, cursors, out)
-            }
-            Sounder::Fmcw(s) => {
-                s.estimate_prepared_counter_rows_into(prepared, states, noise_std, cursors, out)
-            }
-        }
-    }
-
-    fn estimate_counter_rows_into(
-        &self,
-        truths: &[Complex],
-        noise_std: f64,
-        cursors: &mut [CounterRng],
-        out: &mut [Complex],
-    ) {
-        match self {
-            Sounder::Ofdm(s) => s.estimate_counter_rows_into(truths, noise_std, cursors, out),
-            Sounder::Fmcw(s) => s.estimate_counter_rows_into(truths, noise_std, cursors, out),
         }
     }
 
@@ -270,16 +232,19 @@ impl Simulation {
         }
     }
 
-    /// Whether the sounder has a native plane kernel for its block
-    /// methods (OFDM does; FMCW loops its row primitive). Every
-    /// time-domain snapshot goes through the block methods either way,
-    /// bit for bit, so this reports speed only.
+    /// Whether time-domain snapshots come from the sounder's estimate
+    /// law ([`ChannelSounder::estimate_noise_sigma`] is `Some`: OFDM)
+    /// rather than from its estimator run once per snapshot (FMCW). A
+    /// property of the sounder, not a switch; see
+    /// [`wiforce_reader::sounder::sound_rows`].
     pub fn synth_wide_enabled(&self) -> bool {
-        matches!(self.sounder, Sounder::Ofdm(_))
+        self.sounder
+            .estimate_noise_sigma(self.frontend.noise_floor)
+            .is_some()
     }
 
     /// Resolves the spectral-synthesis flag: the explicit field, else off.
-    /// Unlike the sounder's plane kernel this is an accuracy-class switch,
+    /// This is an accuracy-class switch,
     /// not a pure speed knob: the spectral path is distribution-equivalent
     /// (fixture gated), not bit-identical, so it never defaults on.
     pub fn synth_spectral_enabled(&self) -> bool {
@@ -408,44 +373,35 @@ impl Simulation {
         })
     }
 
-    /// Builds the four per-tag-state prepared channels for a static scene.
+    /// Builds the four per-tag-state true channels of a static scene,
+    /// state-major (`4 × grid`).
     ///
-    /// The untouched table (`untouched`) is press-invariant, so its
-    /// prepared states sit in the channel-cache entry's response memo
-    /// under `(tag token, `[`ChannelSounder::response_token`]`)`: every
-    /// reference press skips both the truth-plane evaluation and the
-    /// per-state `prepare` (for OFDM, symbol multiply + IFFT). A contact
-    /// table's states are built inline and never memoized. Cached and
-    /// rebuilt states are bit-identical — `prepare` is deterministic —
-    /// which the cache-equivalence fixtures pin.
-    fn prepare_states(
+    /// The untouched table (`untouched`) is press-invariant, so its state
+    /// rows sit in the channel-cache entry's response memo under
+    /// `(tag token, `[`ChannelSounder::response_token`]`)`: every
+    /// reference press skips the truth evaluation. A contact table's
+    /// states are built inline and never memoized. Cached and rebuilt
+    /// rows are bit-identical, which the cache-equivalence fixtures pin.
+    fn state_truths(
         &self,
         tables: &PressTables,
         table: &[[Complex; 4]],
         untouched: bool,
-    ) -> Arc<Vec<PreparedChannel>> {
+    ) -> Arc<Vec<Complex>> {
         let cache = &tables.cache;
-        let _s = wiforce_telemetry::span!("pipeline.prepare_states");
+        let _s = wiforce_telemetry::span!("pipeline.state_truths");
         let n_cols = cache.statics.len();
-        let prepare = || -> Vec<PreparedChannel> {
-            let mut plane = vec![Complex::ZERO; n_cols];
-            (0..4)
-                .map(|state| {
-                    wiforce_dsp::kernels::synth_truth(
-                        &mut plane,
-                        &cache.statics,
-                        &cache.gains,
-                        table,
-                        state,
-                    );
-                    self.sounder.prepare(&plane)
-                })
-                .collect()
+        let build = || -> Vec<Complex> {
+            let mut rows = vec![Complex::ZERO; 4 * n_cols];
+            for (state, row) in rows.chunks_exact_mut(n_cols).enumerate() {
+                wiforce_dsp::kernels::synth_truth(row, &cache.statics, &cache.gains, table, state);
+            }
+            rows
         };
         if untouched {
-            cache.response_tables(tables.token, self.sounder.response_token(), prepare)
+            cache.response_tables(tables.token, self.sounder.response_token(), build)
         } else {
-            Arc::new(prepare())
+            Arc::new(build())
         }
     }
 
@@ -589,8 +545,8 @@ impl Simulation {
     ///
     /// With `fused`, the worker that completes a group's last chunk runs
     /// line extraction on it immediately ([`extract_lines`]); the floor
-    /// probe rides on group 0 through the math-only
-    /// [`extract_lines_quiet`]. Workers record like any thread, and
+    /// probe rides on group 0's extraction pass
+    /// ([`extract_lines_with_floor`]). Workers record like any thread, and
     /// [`parallel::run_chunks`] replays their recordings in chunk order.
     ///
     /// `tables` is the press's [`PressTables`] slot: fetched here when
@@ -619,8 +575,8 @@ impl Simulation {
         let has_movers = !self.scene.movers.is_empty();
         let key = noise.key;
 
-        let prepared: Option<Arc<Vec<PreparedChannel>>> =
-            (!has_movers).then(|| self.prepare_states(tables, &table, contact.is_none()));
+        let state_truths: Option<Arc<Vec<Complex>>> =
+            (!has_movers).then(|| self.state_truths(tables, &table, contact.is_none()));
         let plans: Vec<GroupPlan> = self.plan_groups(n_groups, clock_state, noise).collect();
 
         out.set_width(n_cols);
@@ -691,7 +647,7 @@ impl Simulation {
                 }
                 l_exact += runs.exact_evals();
                 let st = &st[..rows];
-                let truth = match prepared.as_deref() {
+                let truth = match state_truths.as_deref() {
                     Some(states) => BlockTruth::States(states, st),
                     None => {
                         let _eval = wiforce_telemetry::span!("pipeline.channel_eval");
@@ -759,11 +715,14 @@ impl Simulation {
                     };
                     let start_s = spec.first_start + g as f64 * group_s;
                     let view = SnapshotView::from_flat(n_cols, rows);
-                    let lines = extract_lines(spec.cfg, view, start_s);
-                    if let (0, Some(fc)) = (g, spec.floor_cfg) {
-                        let fl = extract_lines_quiet(fc, view, spec.first_start);
-                        let _ = floor_slot.set(fl);
-                    }
+                    let lines = match (g, spec.floor_cfg) {
+                        (0, Some(fc)) => {
+                            let (lines, fl) = extract_lines_with_floor(spec.cfg, fc, view, start_s);
+                            let _ = floor_slot.set(fl);
+                            lines
+                        }
+                        _ => extract_lines(spec.cfg, view, start_s),
+                    };
                     let _ = line_slots[g].set(lines);
                 }
             }
@@ -1519,21 +1478,23 @@ pub(crate) struct GroupPlan {
 /// Where one block's noiseless channel comes from.
 #[derive(Clone, Copy)]
 pub(crate) enum BlockTruth<'a> {
-    /// A static scene: the prepared per-state channels, and each row's
-    /// tag state.
-    States(&'a [PreparedChannel], &'a [u8]),
+    /// A static scene: the four per-state true channels, state-major,
+    /// and each row's tag state.
+    States(&'a [Complex], &'a [u8]),
     /// One true channel per row, row-major: movers, or the batch
     /// producer's multi-stream blend.
     Plane(&'a [Complex]),
 }
 
-impl BlockTruth<'_> {
+impl<'a> BlockTruth<'a> {
     /// Row `r`'s noiseless channel.
-    fn row(&self, r: usize, width: usize) -> &[Complex] {
-        match *self {
-            BlockTruth::States(states, st) => &states[usize::from(st[r])].truth,
-            BlockTruth::Plane(plane) => &plane[r * width..(r + 1) * width],
-        }
+    fn row(self, r: usize, width: usize) -> &'a [Complex] {
+        let at = match self {
+            BlockTruth::States(_, st) => usize::from(st[r]),
+            BlockTruth::Plane(_) => r,
+        };
+        let (BlockTruth::States(rows, _) | BlockTruth::Plane(rows)) = self;
+        &rows[at * width..(at + 1) * width]
     }
 }
 
@@ -1561,11 +1522,12 @@ impl SoundingStep<'_> {
     /// row 0 is snapshot `snap0` of group `group` under press key `key`.
     /// This is the one place the time-domain draw order lives, for press
     /// and batch alike: cursors at [`CounterRng::for_snapshot`]`(key,
-    /// group, snapshot)`, the drop decisions, one sounder block call on
-    /// `truth` (which hands each cursor back positioned for its later
-    /// draws), then per row either the drop hold — the previous row of
-    /// `region`, or the row's truth on `region`'s first row — or the
-    /// burst fault and the front end.
+    /// group, snapshot)`, the drop decisions, the sounder's block
+    /// ([`sound_rows`]: the estimate law where the sounder declares one,
+    /// else its estimator per row; each cursor ends where the estimator
+    /// would leave it), then per row either the drop hold — the previous
+    /// row of `region`, or the row's truth on `region`'s first row — or
+    /// the burst fault and the front end.
     pub(crate) fn sound_block(
         &self,
         (key, group, snap0): (u64, u32, usize),
@@ -1587,14 +1549,7 @@ impl SoundingStep<'_> {
         let noise = self.frontend.noise_floor;
         let out = &mut region[block.start * width..block.end * width];
         let sounder = wiforce_telemetry::span!("pipeline.sounder");
-        match truth {
-            BlockTruth::States(states, st) => self
-                .sounder
-                .estimate_prepared_counter_rows_into(states, st, noise, cursors, out),
-            BlockTruth::Plane(plane) => self
-                .sounder
-                .estimate_counter_rows_into(plane, noise, cursors, out),
-        }
+        sound_rows(self.sounder, |r| truth.row(r, width), noise, cursors, out);
         drop(sounder);
         let _frontend = wiforce_telemetry::span!("pipeline.frontend");
         for (r, cursor) in cursors.iter_mut().enumerate() {
@@ -1869,7 +1824,7 @@ mod tests {
             // slot is invalidated before every run) bit for bit, for both
             // sounders, untouched and pressed, before and after a scene
             // mutation (fingerprint invalidation), with and without movers
-            // (prepared-state vs truth-plane path)
+            // (per-state truths vs per-snapshot truth planes)
             let run = |sim: &Simulation, seed: u64, contact: Option<&ContactState>| {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut clock = TagClock::new(&mut rng);
@@ -1900,7 +1855,7 @@ mod tests {
                 let contact = cached.contact_for(3.0, 0.030);
                 let untouched = run(&cached, 41, None);
                 assert_bits_eq(&untouched, &cold(&reference, 41, None), name);
-                // the second untouched run takes its prepared states from the
+                // the second untouched run takes its state truths from the
                 // response memo: two hits (the EM plan and the states), no miss
                 let (h0, m0) = cached.channel_cache.response_stats();
                 assert_bits_eq(&untouched, &run(&cached, 41, None), name);
@@ -1911,7 +1866,7 @@ mod tests {
                 assert_bits_eq(&a, &cold(&reference, 42, contact.as_ref()), name);
 
                 // mutate the scene: the cached run must rebuild, not serve stale
-                // statics — and with movers present the prepared path disables
+                // statics — and with movers present the state truths go unused
                 for sim in [&mut cached, &mut reference] {
                     sim.scene.direct_blockage_db = 7.0;
                     sim.scene
@@ -2919,6 +2874,304 @@ mod tests {
             }
             println!("spectral press vs time-domain DFT: worst relative error {worst:e}");
         });
+    }
+
+    /// A static scene's sounding set-up for the block tests: the
+    /// untouched per-state truths, the channel-cache entry and a row's
+    /// tag states cycling through all four.
+    fn block_setup(
+        sim: &Simulation,
+        rows: usize,
+    ) -> (Arc<Vec<Complex>>, Arc<ChannelCache>, Vec<u8>) {
+        let freqs = sim.subcarrier_freqs_hz();
+        let tables = sim.press_tables(&freqs);
+        let table = tables.contact_table(None);
+        let truths = sim.state_truths(&tables, &table, true);
+        let states = (0..rows).map(|r| ((r * 7 / 3) % 4) as u8).collect();
+        (truths, Arc::clone(&tables.cache), states)
+    }
+
+    /// Group `group` of `states.len()` rows through
+    /// [`SoundingStep::sound_block`] in [`CHUNK_ROWS`] blocks, as the
+    /// press engine runs it.
+    fn sound_group(
+        step: &SoundingStep<'_>,
+        (key, group): (u64, u32),
+        truths: &[Complex],
+        states: &[u8],
+    ) -> (Vec<Complex>, BlockTally) {
+        let width = step.cache.statics.len();
+        let mut region = vec![Complex::ZERO; states.len() * width];
+        let mut tally = BlockTally::default();
+        for b0 in (0..states.len()).step_by(CHUNK_ROWS) {
+            let b1 = (b0 + CHUNK_ROWS).min(states.len());
+            let truth = BlockTruth::States(truths, &states[b0..b1]);
+            step.sound_block((key, group, 0), b0..b1, truth, &mut region, &mut tally);
+        }
+        (region, tally)
+    }
+
+    /// The per-row reference of [`sound_group`]: each snapshot's cursor,
+    /// its drop decision, the sounder's own estimator on that cursor,
+    /// then the drop hold or the burst fault and the front end.
+    fn sound_group_by_rows(
+        step: &SoundingStep<'_>,
+        (key, group): (u64, u32),
+        truths: &[Complex],
+        states: &[u8],
+    ) -> Vec<Complex> {
+        let width = step.cache.statics.len();
+        let mut region = vec![Complex::ZERO; states.len() * width];
+        for (r, &st) in states.iter().enumerate() {
+            let truth = &truths[usize::from(st) * width..][..width];
+            let mut cursor = CounterRng::for_snapshot(key, group, r as u32);
+            let dropped = step.faults.decide_drop(&mut cursor);
+            let (done, rest) = region.split_at_mut(r * width);
+            let row = &mut rest[..width];
+            step.sounder
+                .estimate_counter_into(truth, step.frontend.noise_floor, &mut cursor, row);
+            if dropped {
+                row.copy_from_slice(if r > 0 {
+                    &done[(r - 1) * width..]
+                } else {
+                    truth
+                });
+                continue;
+            }
+            step.faults
+                .apply_burst(&mut cursor, row, step.cache.direct_amp);
+            step.frontend
+                .process(&mut cursor, row, step.cache.full_scale);
+        }
+        region
+    }
+
+    /// Drop and burst faults frequent enough that a 625-row group holds
+    /// both, and a front end whose phase jitter draws after them.
+    fn faulted(mut sim: Simulation) -> Simulation {
+        sim.faults.snapshot_drop_prob = 0.05;
+        sim.faults.burst_prob = 0.05;
+        sim.frontend.adc_enob_bits = 0; // no quantization edge to flip
+        sim
+    }
+
+    #[test]
+    fn fmcw_sound_block_matches_row_estimates_bitwise() {
+        // FMCW declares no estimate law, so a block runs its estimator on
+        // every row: with drop and burst faults on, the block path must
+        // reproduce the per-row draw order bit for bit
+        let sim = faulted(Simulation::paper_default(2.4e9).with_fmcw_sounder());
+        assert!(!sim.synth_wide_enabled());
+        let (truths, cache, states) = block_setup(&sim, sim.group.n_snapshots);
+        let step = SoundingStep {
+            sounder: &sim.sounder,
+            frontend: &sim.frontend,
+            faults: &sim.faults,
+            cache: &cache,
+        };
+        let (block, tally) = sound_group(&step, (0x51CA, 3), &truths, &states);
+        assert!(tally.dropped > 0 && tally.bursts > 0, "both faults fired");
+        let rows = sound_group_by_rows(&step, (0x51CA, 3), &truths, &states);
+        for (i, (a, b)) in block.iter().zip(&rows).enumerate() {
+            assert_eq!(a.re.to_bits(), b.re.to_bits(), "re@{i}");
+            assert_eq!(a.im.to_bits(), b.im.to_bits(), "im@{i}");
+        }
+    }
+
+    #[test]
+    fn sound_block_leaves_cursors_where_rows_do() {
+        // The lane contract of the law draw: with drop and burst faults
+        // on, each row's burst and front-end draws must come from the
+        // lanes they take after the estimator, `n` lanes past the drop
+        // decision. At zero receiver noise the law gives the truth and
+        // the estimator the truth to rounding, so any lane slip shows as
+        // a burst or jitter draw from the wrong lanes.
+        for scalar in [false, true] {
+            let _scalar = scalar.then(wiforce_dsp::kernels::hold_scalar);
+            let mut sim = faulted(Simulation::paper_default(2.4e9));
+            sim.frontend.noise_floor = 0.0;
+            assert!(sim.synth_wide_enabled());
+            let (truths, cache, states) = block_setup(&sim, sim.group.n_snapshots);
+            let step = SoundingStep {
+                sounder: &sim.sounder,
+                frontend: &sim.frontend,
+                faults: &sim.faults,
+                cache: &cache,
+            };
+            let (block, tally) = sound_group(&step, (0x1A4E, 5), &truths, &states);
+            assert!(tally.dropped > 0 && tally.bursts > 0, "both faults fired");
+            let rows = sound_group_by_rows(&step, (0x1A4E, 5), &truths, &states);
+            let scale = truths.iter().map(|h| h.abs()).fold(0.0, f64::max);
+            for (i, (a, b)) in block.iter().zip(&rows).enumerate() {
+                assert!(
+                    (*a - *b).abs() < 1e-12 * scale,
+                    "element {i}: {a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sound_block_is_exact_at_zero_noise() {
+        // σ = 0: the law gives every row its truth exactly
+        let mut sim = Simulation::paper_default(2.4e9);
+        sim.frontend = ideal_frontend(0.0);
+        let (truths, cache, states) = block_setup(&sim, 200);
+        let step = SoundingStep {
+            sounder: &sim.sounder,
+            frontend: &sim.frontend,
+            faults: &sim.faults,
+            cache: &cache,
+        };
+        let (block, _) = sound_group(&step, (7, 0), &truths, &states);
+        let width = cache.statics.len();
+        for (r, row) in block.chunks_exact(width).enumerate() {
+            let st = usize::from(states[r]);
+            assert_eq!(row, &truths[st * width..(st + 1) * width], "row {r}");
+        }
+    }
+
+    /// A front end that passes estimates through untouched (no phase
+    /// jitter, no quantization) at receiver noise `noise_floor`.
+    fn ideal_frontend(noise_floor: f64) -> wiforce_channel::Frontend {
+        wiforce_channel::Frontend {
+            noise_floor,
+            phase_jitter_rad: 0.0,
+            adc_enob_bits: 0,
+        }
+    }
+
+    /// The law fixture: `draws` snapshots of a real scene's per-state
+    /// truths through [`SoundingStep::sound_block`] (drawn from the
+    /// estimate law) and through the OFDM estimator row by row, on the
+    /// same truths. Each path's error must be circular white Gaussian of
+    /// the advertised per-component σ — per-subcarrier mean and
+    /// variance, re/im and adjacent-subcarrier correlations, KS — and
+    /// the two paths' full cross-subcarrier covariance matrices must
+    /// agree with the white model and with each other, entry by entry,
+    /// and pass a two-sample KS test.
+    fn check_estimate_law(label: &str, sim: &Simulation, draws: usize) {
+        let (truths, cache, states) = block_setup(sim, draws);
+        let width = cache.statics.len();
+        let sigma = sim
+            .sounder
+            .estimate_noise_sigma(sim.frontend.noise_floor)
+            .expect("OFDM declares its law");
+        let step = SoundingStep {
+            sounder: &sim.sounder,
+            frontend: &sim.frontend,
+            faults: &sim.faults,
+            cache: &cache,
+        };
+        let errors = |est: &[Complex]| -> Vec<Vec<Complex>> {
+            (0..width)
+                .map(|k| {
+                    (0..draws)
+                        .map(|r| est[r * width + k] - truths[usize::from(states[r]) * width + k])
+                        .collect()
+                })
+                .collect()
+        };
+        let law = errors(&sound_group(&step, (0x1A3, 2), &truths, &states).0);
+        let rows = errors(&sound_group_by_rows(&step, (0x1A4, 2), &truths, &states));
+        let line = |e: &Vec<Vec<Complex>>| vec![e.clone()];
+        crate::line_noise_check::check_circular_white_noise(
+            &format!("{label}, law"),
+            &line(&law),
+            &[sigma],
+        );
+        crate::line_noise_check::check_circular_white_noise(
+            &format!("{label}, estimator"),
+            &line(&rows),
+            &[sigma],
+        );
+
+        // cross-subcarrier covariance C[k][k'] = mean of e_k·e_k'*: the
+        // white model is 2σ²·δ; one draw's Re/Im products have variance
+        // 2σ⁴ off the diagonal and |e_k|² has 4σ⁴ on it
+        let s = draws as f64;
+        let var = 2.0 * sigma * sigma;
+        let cov = |e: &Vec<Vec<Complex>>, k: usize, j: usize| -> Complex {
+            e[k].iter()
+                .zip(&e[j])
+                .map(|(a, b)| *a * b.conj())
+                .sum::<Complex>()
+                .scale(1.0 / s)
+        };
+        for k in 0..width {
+            for j in k..width {
+                let (a, b) = (cov(&law, k, j), cov(&rows, k, j));
+                let model = if j == k { var } else { 0.0 };
+                let se = if j == k { var } else { var / 2f64.sqrt() } / s.sqrt();
+                for (part, x, y) in [("re", a.re, b.re), ("im", a.im, b.im)] {
+                    let m = if part == "re" { model } else { 0.0 };
+                    for (path, v) in [("law", x), ("estimator", y)] {
+                        assert!(
+                            (v - m).abs() < 5.0 * se,
+                            "{label}: {path} cov[{k}][{j}].{part} = {v:e}, model {m:e} (σ {se:e})"
+                        );
+                    }
+                    assert!(
+                        (x - y).abs() < 5.0 * se * 2f64.sqrt(),
+                        "{label}: cov[{k}][{j}].{part} law {x:e} vs estimator {y:e}"
+                    );
+                }
+            }
+        }
+
+        // two-sample KS on the normalized components of both paths
+        let pooled = |e: &Vec<Vec<Complex>>| -> Vec<f64> {
+            let mut z: Vec<f64> = e
+                .iter()
+                .flatten()
+                .flat_map(|v| [v.re / sigma, v.im / sigma])
+                .collect();
+            z.sort_by(f64::total_cmp);
+            z
+        };
+        let (x, y) = (pooled(&law), pooled(&rows));
+        let m = x.len() as f64;
+        let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+        while i < x.len() && j < y.len() {
+            if x[i] <= y[j] {
+                i += 1;
+            } else {
+                j += 1;
+            }
+            d = d.max((i as f64 - j as f64).abs() / m);
+        }
+        // α ≈ 0.001: 1.95·√(2/m) for two samples of m
+        assert!(
+            d < 1.95 * (2.0 / m).sqrt(),
+            "{label}: two-sample KS {d} over {m} components each"
+        );
+    }
+
+    #[test]
+    fn sound_block_error_matches_estimator_law_at_default_snr() {
+        let mut sim = Simulation::paper_default(2.4e9);
+        sim.frontend = ideal_frontend(sim.frontend.noise_floor);
+        check_estimate_law("over the air", &sim, 2048);
+    }
+
+    #[test]
+    fn sound_block_error_matches_estimator_law_at_low_snr() {
+        // the Fig. 16 tissue phantom with its metal plate, where the tag
+        // lines sit far closer to the floor
+        let mut sim = Simulation::paper_default(0.9e9);
+        sim.scene = Scene::tissue_phantom(0.9e9, 50.0);
+        sim.frontend = ideal_frontend(sim.frontend.noise_floor);
+        let (truths, _, _) = block_setup(&sim, 1);
+        let sigma = sim
+            .sounder
+            .estimate_noise_sigma(sim.frontend.noise_floor)
+            .unwrap();
+        let scale = truths.iter().map(|h| h.abs()).fold(0.0, f64::max);
+        println!("tissue phantom: truth {scale:e} vs per-component error σ {sigma:e}");
+        check_estimate_law("tissue phantom", &sim, 2048);
+        // and at a receiver noise that buries the whole channel
+        sim.frontend.noise_floor *= 100.0 * scale / sigma;
+        check_estimate_law("tissue phantom, noise over the channel", &sim, 2048);
     }
 
     #[test]

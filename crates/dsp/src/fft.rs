@@ -191,8 +191,6 @@ pub struct FftPlan {
     pow2: Option<Radix2Tables>,
     /// … or the Bluestein machinery for awkward lengths.
     bluestein: Option<Box<BluesteinPlan>>,
-    /// Reusable split re/im workspace for the row-vectorized transforms.
-    rows_scratch: Vec<f64>,
 }
 
 impl FftPlan {
@@ -204,7 +202,6 @@ impl FftPlan {
                 n,
                 pow2: Some(Radix2Tables::new(n)),
                 bluestein: None,
-                rows_scratch: Vec::new(),
             }
         } else {
             // chirp[k] = e^{-jπk²/n}; k² mod 2n avoids large-angle error
@@ -233,7 +230,6 @@ impl FftPlan {
                     scratch: vec![Complex::ZERO; m],
                     tables,
                 })),
-                rows_scratch: Vec::new(),
             }
         }
     }
@@ -293,58 +289,6 @@ impl FftPlan {
         self.forward_inplace(buf);
         let scale = 1.0 / self.n as f64;
         buf.iter_mut().for_each(|z| *z = z.conj().scale(scale));
-    }
-
-    /// Forward DFT of every length-`n` row of `plane` in place.
-    ///
-    /// Power-of-two plans run all rows through one invocation of the
-    /// row-vectorized [`crate::kernels::fft_pow2_rows`] kernel, whose
-    /// per-row arithmetic is the exact butterfly sequence of
-    /// [`Self::forward_inplace`] — so each row comes out bit-identical
-    /// to a row-at-a-time transform (pinned by tests below). Other
-    /// lengths fall back to per-row Bluestein transforms.
-    ///
-    /// # Panics
-    /// Panics if `plane.len() != rows * self.len()`.
-    pub fn forward_rows_inplace(&mut self, plane: &mut [Complex], rows: usize) {
-        assert_eq!(
-            plane.len(),
-            rows * self.n,
-            "plane must hold exactly `rows` rows of the planned length"
-        );
-        if let Some(tables) = &self.pow2 {
-            crate::kernels::fft_pow2_rows(
-                plane,
-                self.n,
-                &tables.bitrev,
-                &tables.twiddles,
-                &mut self.rows_scratch,
-            );
-            return;
-        }
-        for row in plane.chunks_exact_mut(self.n) {
-            self.forward_inplace(row);
-        }
-    }
-
-    /// Inverse DFT of every length-`n` row of `plane` in place,
-    /// normalized by `1/N`. The conjugate–forward–conjugate/scale
-    /// elementwise wrapper of [`Self::inverse_inplace`] around
-    /// [`Self::forward_rows_inplace`], so per-row results are
-    /// bit-identical to row-at-a-time inverse transforms.
-    ///
-    /// # Panics
-    /// Panics if `plane.len() != rows * self.len()`.
-    pub fn inverse_rows_inplace(&mut self, plane: &mut [Complex], rows: usize) {
-        assert_eq!(
-            plane.len(),
-            rows * self.n,
-            "plane must hold exactly `rows` rows of the planned length"
-        );
-        plane.iter_mut().for_each(|z| *z = z.conj());
-        self.forward_rows_inplace(plane, rows);
-        let scale = 1.0 / self.n as f64;
-        plane.iter_mut().for_each(|z| *z = z.conj().scale(scale));
     }
 
     /// Forward DFT into a fresh vector.
@@ -716,71 +660,6 @@ mod tests {
             outer.forward(&x)
         });
         assert_eq!(out, direct);
-    }
-
-    #[test]
-    fn forward_rows_is_bit_identical_to_per_row() {
-        for n in [1usize, 2, 8, 64] {
-            for rows in [0usize, 1, 3, 8, 64, 100] {
-                let plane: Vec<Complex> = (0..rows * n)
-                    .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.23).cos()))
-                    .collect();
-                let mut wide = plane.clone();
-                FftPlan::new(n).forward_rows_inplace(&mut wide, rows);
-                let mut scalar = plane;
-                let mut plan = FftPlan::new(n);
-                for row in scalar.chunks_exact_mut(n) {
-                    plan.forward_inplace(row);
-                }
-                for (i, (a, b)) in wide.iter().zip(&scalar).enumerate() {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n} rows={rows} re@{i}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n} rows={rows} im@{i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_rows_is_bit_identical_to_per_row() {
-        for (n, rows) in [(8usize, 5usize), (64, 17), (64, 64)] {
-            let plane: Vec<Complex> = (0..rows * n)
-                .map(|i| Complex::new((i as f64 * 0.11).cos(), (i as f64 * 0.41).sin()))
-                .collect();
-            let mut wide = plane.clone();
-            FftPlan::new(n).inverse_rows_inplace(&mut wide, rows);
-            let mut scalar = plane;
-            let mut plan = FftPlan::new(n);
-            for row in scalar.chunks_exact_mut(n) {
-                plan.inverse_inplace(row);
-            }
-            for (i, (a, b)) in wide.iter().zip(&scalar).enumerate() {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n} rows={rows} re@{i}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n} rows={rows} im@{i}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_rows_bluestein_fallback_matches_per_row() {
-        let (n, rows) = (12usize, 7usize);
-        let plane: Vec<Complex> = (0..rows * n)
-            .map(|i| Complex::new((i as f64 * 0.19).sin(), (i as f64 * 0.31).cos()))
-            .collect();
-        let mut wide = plane.clone();
-        FftPlan::new(n).forward_rows_inplace(&mut wide, rows);
-        let mut scalar = plane;
-        let mut plan = FftPlan::new(n);
-        for row in scalar.chunks_exact_mut(n) {
-            plan.forward_inplace(row);
-        }
-        assert_eq!(wide, scalar);
-    }
-
-    #[test]
-    #[should_panic(expected = "rows of the planned length")]
-    fn forward_rows_rejects_ragged_plane() {
-        let mut buf = vec![Complex::ZERO; 10];
-        FftPlan::new(8).forward_rows_inplace(&mut buf, 2);
     }
 
     #[test]

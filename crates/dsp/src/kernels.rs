@@ -59,9 +59,6 @@ pub const KERNEL_NAMES: &[&str] = &[
     "accumulate_state",
     "blend_states",
     "accumulate_noisy",
-    "accumulate_noisy_rows",
-    "eq_reorder_rows",
-    "fft_pow2_rows",
     "spectral_line",
     "apply_window",
     "quantize_complex",
@@ -383,187 +380,6 @@ simd_kernel! {
     pub fn accumulate_noisy(acc: &mut [Complex], signal: &[Complex], noise: &[Complex], amp: f64)
         = accumulate_noisy_body / accumulate_noisy_avx2
         / accumulate_noisy_avx512 / accumulate_noisy_neon
-}
-
-#[inline(always)]
-fn accumulate_noisy_rows_body(
-    acc: &mut [Complex],
-    payloads: &[Complex],
-    states: &[u8],
-    noise: &[Complex],
-    amp: f64,
-) {
-    if states.is_empty() {
-        return;
-    }
-    let n = acc.len() / states.len();
-    for ((row, &st), noise_row) in acc
-        .chunks_exact_mut(n)
-        .zip(states)
-        .zip(noise.chunks_exact(n))
-    {
-        let signal = &payloads[usize::from(st) * n..usize::from(st) * n + n];
-        accumulate_noisy_body(row, signal, noise_row, amp);
-    }
-}
-
-simd_kernel! {
-    /// Wide (snapshot-major) noisy accumulate: `acc` is a plane of
-    /// `states.len()` rows of `n = acc.len() / states.len()` bins each,
-    /// `payloads` holds the four state payloads back-to-back
-    /// (state-major, `4·n` entries), and `noise` carries `n` standard
-    /// complex normals per row. Row `r` receives
-    /// `acc[r][i] += payloads[states[r]][i] + amp·noise[r][i]` — the
-    /// per-row arithmetic is the exact [`accumulate_noisy`] expression,
-    /// so a plane call is bit-identical to row-at-a-time calls.
-    pub fn accumulate_noisy_rows(acc: &mut [Complex], payloads: &[Complex], states: &[u8], noise: &[Complex], amp: f64)
-        = accumulate_noisy_rows_body / accumulate_noisy_rows_avx2
-        / accumulate_noisy_rows_avx512 / accumulate_noisy_rows_neon
-}
-
-#[inline(always)]
-fn eq_reorder_rows_body(out: &mut [Complex], avg: &[Complex], eq: &[Complex]) {
-    let n = eq.len();
-    if n == 0 {
-        return;
-    }
-    let half = n / 2;
-    for (orow, arow) in out.chunks_exact_mut(n).zip(avg.chunks_exact(n)) {
-        for (i, slot) in orow.iter_mut().enumerate() {
-            let bin = (i + n - half) % n;
-            *slot = arow[bin] * eq[bin];
-        }
-    }
-}
-
-simd_kernel! {
-    /// Wide equalize + fftshift reorder: for each row pair of the
-    /// `out`/`avg` planes (row length `n = eq.len()`),
-    /// `out[i] = avg[bin] · eq[bin]` with `bin = (i + n − n/2) mod n` —
-    /// the per-element math of the scalar OFDM estimator's final loop,
-    /// applied to whole snapshot blocks per invocation.
-    pub fn eq_reorder_rows(out: &mut [Complex], avg: &[Complex], eq: &[Complex])
-        = eq_reorder_rows_body / eq_reorder_rows_avx2
-        / eq_reorder_rows_avx512 / eq_reorder_rows_neon
-}
-
-#[inline(always)]
-fn fft_pow2_rows_body(
-    plane: &mut [Complex],
-    n: usize,
-    bitrev: &[u32],
-    twiddles: &[Complex],
-    scratch: &mut Vec<f64>,
-) {
-    if n <= 1 {
-        return;
-    }
-    let rows = plane.len() / n;
-    debug_assert_eq!(plane.len(), rows * n);
-    if rows == 0 {
-        return;
-    }
-    if scratch.len() != 2 * n * rows {
-        // every slot is overwritten by the transpose below, so the fill
-        // value only matters for capacity bookkeeping
-        scratch.clear();
-        scratch.resize(2 * n * rows, 0.0);
-    }
-    let (re, im) = scratch.split_at_mut(n * rows);
-    // Transpose to position-major split re/im lanes (lane r of position k
-    // is row r's bin k), tiled so reads and writes both stay within a few
-    // cache lines per tile.
-    const TILE: usize = 8;
-    for k0 in (0..n).step_by(TILE) {
-        let k1 = (k0 + TILE).min(n);
-        for r0 in (0..rows).step_by(TILE) {
-            let r1 = (r0 + TILE).min(rows);
-            for k in k0..k1 {
-                let re_lane = &mut re[k * rows + r0..k * rows + r1];
-                let im_lane = &mut im[k * rows + r0..k * rows + r1];
-                for (r, (o_re, o_im)) in re_lane.iter_mut().zip(im_lane).enumerate() {
-                    let z = plane[(r0 + r) * n + k];
-                    *o_re = z.re;
-                    *o_im = z.im;
-                }
-            }
-        }
-    }
-    // Bit-reversal as whole-lane block swaps — a pure index permutation
-    // moves values untouched, so this is exactly the scalar swap pass.
-    for (i, &j) in bitrev.iter().enumerate() {
-        let j = j as usize;
-        if j > i {
-            let (a, b) = re.split_at_mut(j * rows);
-            a[i * rows..i * rows + rows].swap_with_slice(&mut b[..rows]);
-            let (a, b) = im.split_at_mut(j * rows);
-            a[i * rows..i * rows + rows].swap_with_slice(&mut b[..rows]);
-        }
-    }
-    // Butterfly stages in the exact order (and with the exact twiddles) of
-    // the scalar planned transform; each lane carries one row, and lanes
-    // never mix, so per-row results match the scalar path bit-for-bit.
-    let mut len = 2;
-    let mut stage_off = 0;
-    while len <= n {
-        let half = len / 2;
-        let tw = &twiddles[stage_off..stage_off + half];
-        let mut start = 0;
-        while start < n {
-            for (i, &w) in tw.iter().enumerate() {
-                let lo = (start + i) * rows;
-                let hi = lo + half * rows;
-                let (re_lo_part, re_hi_part) = re.split_at_mut(hi);
-                let (im_lo_part, im_hi_part) = im.split_at_mut(hi);
-                let lo_re = &mut re_lo_part[lo..lo + rows];
-                let hi_re = &mut re_hi_part[..rows];
-                let lo_im = &mut im_lo_part[lo..lo + rows];
-                let hi_im = &mut im_hi_part[..rows];
-                for r in 0..rows {
-                    let br = hi_re[r] * w.re - hi_im[r] * w.im;
-                    let bi = hi_re[r] * w.im + hi_im[r] * w.re;
-                    let ar = lo_re[r];
-                    let ai = lo_im[r];
-                    lo_re[r] = ar + br;
-                    lo_im[r] = ai + bi;
-                    hi_re[r] = ar - br;
-                    hi_im[r] = ai - bi;
-                }
-            }
-            start += len;
-        }
-        stage_off += half;
-        len <<= 1;
-    }
-    for r0 in (0..rows).step_by(TILE) {
-        let r1 = (r0 + TILE).min(rows);
-        for k0 in (0..n).step_by(TILE) {
-            let k1 = (k0 + TILE).min(n);
-            for r in r0..r1 {
-                let row = &mut plane[r * n..r * n + n];
-                for (k, z) in row.iter_mut().enumerate().take(k1).skip(k0) {
-                    z.re = re[k * rows + r];
-                    z.im = im[k * rows + r];
-                }
-            }
-        }
-    }
-}
-
-simd_kernel! {
-    /// Row-vectorized radix-2 FFT: transforms every length-`n` row of
-    /// `plane` (`plane.len() / n` rows) in one invocation. The rows are
-    /// transposed into position-major split re/im lanes so every
-    /// butterfly touches `rows` contiguous doubles — the vector unit
-    /// spans *rows*, not positions — while each lane executes the exact
-    /// add/mul sequence of the scalar planned transform
-    /// (`FftPlan::forward_inplace`) with the same precomputed `bitrev`
-    /// and `twiddles` tables. Per-row results are therefore bit-identical
-    /// to row-at-a-time scalar transforms (pinned by fft tests).
-    /// `scratch` is caller-owned workspace, resized to `2·n·rows`.
-    pub fn fft_pow2_rows(plane: &mut [Complex], n: usize, bitrev: &[u32], twiddles: &[Complex], scratch: &mut Vec<f64>)
-        = fft_pow2_rows_body / fft_pow2_rows_avx2
-        / fft_pow2_rows_avx512 / fft_pow2_rows_neon
 }
 
 // ---------------------------------------------------------------------
@@ -902,61 +718,6 @@ mod tests {
             .iter()
             .all(|v| v.re.is_finite() && v.im.is_finite()));
         assert!(plane[16..].iter().all(|v| v.re.is_nan() && v.im.is_nan()));
-    }
-
-    #[test]
-    fn accumulate_noisy_rows_matches_scalar_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for (rows, n) in [(1usize, 1usize), (3, 8), (5, 64), (4, 100)] {
-            let payloads = complexes(&mut rng, 4 * n);
-            let states: Vec<u8> = (0..rows).map(|_| rng.gen::<u8>() % 4).collect();
-            let noise = complexes(&mut rng, n * rows);
-            let base = complexes(&mut rng, n * rows);
-            let amp = 0.41;
-
-            let mut got = base.clone();
-            accumulate_noisy_rows(&mut got, &payloads, &states, &noise, amp);
-            let mut body = base.clone();
-            accumulate_noisy_rows_body(&mut body, &payloads, &states, &noise, amp);
-            assert_bits_eq(&got, &body);
-
-            // Reference: one accumulate_noisy call per row.
-            let mut want = base.clone();
-            for r in 0..rows {
-                let st = usize::from(states[r]);
-                accumulate_noisy_body(
-                    &mut want[r * n..(r + 1) * n],
-                    &payloads[st * n..st * n + n],
-                    &noise[n * r..n * (r + 1)],
-                    amp,
-                );
-            }
-            assert_bits_eq(&got, &want);
-        }
-    }
-
-    #[test]
-    fn eq_reorder_rows_matches_reference() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for (rows, n) in [(1usize, 2usize), (3, 8), (5, 64), (2, 100)] {
-            let avg = complexes(&mut rng, rows * n);
-            let eq = complexes(&mut rng, n);
-            let mut got = vec![Complex::ZERO; rows * n];
-            eq_reorder_rows(&mut got, &avg, &eq);
-            let mut body = vec![Complex::ZERO; rows * n];
-            eq_reorder_rows_body(&mut body, &avg, &eq);
-            assert_bits_eq(&got, &body);
-
-            let half = n / 2;
-            let mut want = vec![Complex::ZERO; rows * n];
-            for r in 0..rows {
-                for i in 0..n {
-                    let bin = (i + n - half) % n;
-                    want[r * n + i] = avg[r * n + bin] * eq[bin];
-                }
-            }
-            assert_bits_eq(&got, &want);
-        }
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -60,9 +60,8 @@ impl ChannelSounder for FmcwSounder {
         self.sweep_s
     }
 
-    /// The four configuration fields fix the sweep grid and timing, and
-    /// [`Self::prepare`] (the default: the truth alone) reads nothing
-    /// else, so their raw bits are the response-table identity.
+    /// The four configuration fields fix the sweep grid, the timing and
+    /// the estimate, so their raw bits are the response-table identity.
     fn response_token(&self) -> u64 {
         wiforce_dsp::hash::fnv_words([
             self.n_points as u64,
@@ -139,33 +138,6 @@ mod tests {
         let f = FmcwSounder::matched_to_ofdm();
         let truth: Vec<Complex> = (0..64).map(|i| Complex::cis(i as f64 * 0.1)).collect();
         assert_eq!(estimate(&f, &truth, 0.0, 0, 0), truth);
-    }
-
-    #[test]
-    fn counter_prepared_path_is_bit_identical() {
-        // Same pin for the counter-cursor path: one row through the
-        // prepared block path and the full variant at one coordinate
-        // must agree bitwise and consume the same lanes.
-        let f = FmcwSounder::matched_to_ofdm();
-        let truth: Vec<Complex> = (0..64).map(|i| Complex::cis(i as f64 * 0.2)).collect();
-        let prepared = [f.prepare(&truth)];
-        let mut a = CounterRng::for_snapshot(0x51CA, 1, 7);
-        let mut b = [CounterRng::for_snapshot(0x51CA, 1, 7)];
-        let mut direct = vec![Complex::ZERO; 64];
-        let mut fast = vec![Complex::ZERO; 64];
-        f.estimate_counter_into(&truth, 0.2, &mut a, &mut direct);
-        f.estimate_prepared_counter_rows_into(&prepared, &[0], 0.2, &mut b, &mut fast);
-        for (d, g) in direct.iter().zip(&fast) {
-            assert_eq!(d.re.to_bits(), g.re.to_bits());
-            assert_eq!(d.im.to_bits(), g.im.to_bits());
-        }
-        assert_eq!(a.lane(), b[0].lane());
-        // counter draws are snapshot-local: a different snapshot gives
-        // different noise, the same snapshot reproduces
-        let mut c = CounterRng::for_snapshot(0x51CA, 1, 8);
-        let mut other = vec![Complex::ZERO; 64];
-        f.estimate_counter_into(&truth, 0.2, &mut c, &mut other);
-        assert!(direct.iter().zip(&other).any(|(x, y)| x != y));
     }
 
     #[test]

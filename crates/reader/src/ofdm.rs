@@ -11,8 +11,20 @@
 //! the mean of five iid AWGN draws is exactly one Gaussian of variance
 //! σ²/5, the simulation samples that averaged frame directly — one noise
 //! pass instead of five, same distribution, which the tests verify.
+//!
+//! Time-domain synthesis does not run this estimator per snapshot. The
+//! LS estimate is linear in the received frame, and for the unit-modulus
+//! preamble it maps the frame's white noise unitarily onto the
+//! subcarriers (the forward FFT scales it by `√n`, the equalizers by
+//! `1/√n`). Its error is therefore white circular complex Gaussian with
+//! exactly the per-component std [`ChannelSounder::estimate_noise_sigma`]
+//! returns, the repeat averaging folded in, and
+//! [`crate::sounder::sound_rows`] draws each snapshot from that law. The
+//! estimator here stays as the reference that defines the law; the tests
+//! below check it is circular and white at that std, and the pipeline's
+//! law fixtures compare the drawn snapshots against it.
 
-use crate::sounder::{ChannelSounder, PreparedChannel};
+use crate::sounder::ChannelSounder;
 use std::cell::RefCell;
 use wiforce_dsp::fft::{ifft, with_plan};
 use wiforce_dsp::rng::CounterRng;
@@ -20,7 +32,7 @@ use wiforce_dsp::Complex;
 
 /// Per-thread scratch for the allocation-free OFDM estimation path:
 /// cached preamble symbols and their equalization reciprocals (keyed by
-/// configuration) and reusable frame- and plane-sized buffers.
+/// configuration) and reusable frame-sized buffers.
 struct OfdmScratch {
     key: (usize, u64),
     symbols: Vec<Complex>,
@@ -30,11 +42,8 @@ struct OfdmScratch {
     rx_sym: Vec<Complex>,
     avg: Vec<Complex>,
     /// The averaged frame's complex noise: one standard complex normal
-    /// (one Philox lane) per sample, or a plane of such rows.
+    /// (one Philox lane) per sample.
     normals: Vec<Complex>,
-    /// Noiseless received symbols for the plane paths: the four
-    /// per-state payloads state-major, or one payload per truth row.
-    payload_plane: Vec<Complex>,
 }
 
 impl OfdmScratch {
@@ -49,82 +58,7 @@ impl OfdmScratch {
             self.key = (n, sounder.preamble_seed);
         }
     }
-
-    /// The shared plane tail: the Philox plane kernel draws row `r`'s
-    /// `n` complex lanes where `cursors[r]` stands — the lanes
-    /// [`OfdmSounder::estimate_counter_into`] draws through that cursor —
-    /// then
-    /// `payload_plane[states[r]]` is averaged with them, every row is
-    /// FFT'd and the equalize/reorder kernel writes `out`. Each kernel
-    /// replays the row tail's per-element arithmetic, so each row is
-    /// bit-identical to it, and each cursor is left where the row tail
-    /// leaves it.
-    fn finish_plane(
-        &mut self,
-        states: &[u8],
-        amp: f64,
-        cursors: &mut [CounterRng],
-        out: &mut [Complex],
-    ) {
-        let n = self.eq.len();
-        let rows = states.len();
-        let (key, grp_dom, snap0, lane0) = plane_origin(cursors);
-        self.normals.clear();
-        self.normals.resize(rows * n, Complex::ZERO);
-        wiforce_dsp::kernels::philox_complex_normals_rows(
-            key,
-            grp_dom,
-            snap0,
-            lane0,
-            n,
-            &mut self.normals,
-        );
-        cursors.iter_mut().for_each(|c| c.skip_normals(n));
-        self.avg.clear();
-        self.avg.resize(rows * n, Complex::ZERO);
-        wiforce_dsp::kernels::accumulate_noisy_rows(
-            &mut self.avg,
-            &self.payload_plane,
-            states,
-            &self.normals,
-            amp,
-        );
-        with_plan(n, |plan| plan.forward_rows_inplace(&mut self.avg, rows));
-        wiforce_dsp::kernels::eq_reorder_rows(out, &self.avg, &self.eq);
-    }
 }
-
-/// The plane coordinates `(key, [group, domain], snap0, lane0)` of a
-/// block's cursors, which the plane kernel needs at consecutive
-/// snapshots of one `(key, domain, group)` at one common lane — as both
-/// synthesis engines position them (lane 1 when a drop decision drew
-/// first, else 0).
-///
-/// # Panics
-/// Panics if `cursors` is empty or not laid out that way.
-fn plane_origin(cursors: &[CounterRng]) -> ([u32; 2], [u32; 2], u32, u32) {
-    let (key, hi, lane) = cursors[0].position();
-    for (r, c) in cursors.iter().enumerate() {
-        let want = (key, [hi[0].wrapping_add(r as u32), hi[1], hi[2]], lane);
-        assert!(
-            c.position() == want,
-            "plane rows need cursors at consecutive snapshots and one lane"
-        );
-    }
-    (key, [hi[1], hi[2]], hi[0], lane)
-}
-
-/// `ROW_INDEX[r] == r`: the state lane of a plane whose rows each carry
-/// their own payload.
-const ROW_INDEX: [u8; 256] = {
-    let mut idx = [0u8; 256];
-    let mut r = 0;
-    while r < 256 {
-        idx[r] = r as u8;
-        r += 1;
-    }
-    idx
-};
 
 thread_local! {
     static OFDM_SCRATCH: RefCell<OfdmScratch> = const {
@@ -135,7 +69,6 @@ thread_local! {
             rx_sym: Vec::new(),
             avg: Vec::new(),
             normals: Vec::new(),
-            payload_plane: Vec::new(),
         })
     };
 }
@@ -293,133 +226,9 @@ impl ChannelSounder for OfdmSounder {
         });
     }
 
-    /// Precomputes the noiseless received preamble symbol (symbol
-    /// multiply, IFFT, power scaling) so the block path skips straight
-    /// to the noisy-repeat averaging. A phase-group
-    /// revisits only the tag's four switch states, so four of these
-    /// replace hundreds of per-snapshot IFFTs.
-    fn prepare(&self, true_channel: &[Complex]) -> PreparedChannel {
-        let n = self.n_subcarriers;
-        assert_eq!(
-            true_channel.len(),
-            n,
-            "true_channel must have one entry per subcarrier"
-        );
-        let half = n / 2;
-        let scale = (n as f64).sqrt();
-        let mut payload = vec![Complex::ZERO; n];
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-            for (i, &h) in true_channel.iter().enumerate() {
-                let bin = (i + n - half) % n;
-                payload[bin] = scratch.symbols[bin] * h;
-            }
-        });
-        with_plan(n, |plan| plan.inverse_inplace(&mut payload));
-        payload.iter_mut().for_each(|z| *z = *z * scale);
-        PreparedChannel {
-            truth: true_channel.to_vec(),
-            payload,
-        }
-    }
-
-    /// Plane synthesis from the four per-state payloads: state-major
-    /// payload plane, then the shared plane tail. Each payload is the
-    /// `rx_sym` [`Self::estimate_counter_into`] builds from that state's
-    /// truth, so each row is bit-identical to it.
-    fn estimate_prepared_counter_rows_into(
-        &self,
-        prepared: &[PreparedChannel],
-        states: &[u8],
-        noise_std: f64,
-        cursors: &mut [CounterRng],
-        out: &mut [Complex],
-    ) {
-        let n = self.n_subcarriers;
-        assert_eq!(
-            out.len(),
-            states.len() * n,
-            "output plane must hold one estimate row per state"
-        );
-        assert_eq!(cursors.len(), states.len(), "one cursor per row");
-        for p in prepared {
-            assert_eq!(
-                p.payload.len(),
-                n,
-                "prepared payload must match the sounder configuration"
-            );
-        }
-        if states.is_empty() {
-            return;
-        }
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-            scratch.payload_plane.clear();
-            for p in prepared {
-                scratch.payload_plane.extend_from_slice(&p.payload);
-            }
-            let amp = self.frame_amp(noise_std);
-            scratch.finish_plane(states, amp, cursors, out);
-        });
-    }
-
-    /// Plane synthesis from per-snapshot truths: each row's symbol
-    /// multiply + planned IFFT + scale is element-for-element the
-    /// `rx_sym` build of [`Self::estimate_counter_into`], one payload per
-    /// row, then the shared plane tail.
-    fn estimate_counter_rows_into(
-        &self,
-        truths: &[Complex],
-        noise_std: f64,
-        cursors: &mut [CounterRng],
-        out: &mut [Complex],
-    ) {
-        let n = self.n_subcarriers;
-        let rows = cursors.len();
-        assert_eq!(out.len(), rows * n, "one estimate row per cursor");
-        assert_eq!(truths.len(), rows * n, "one truth row per estimate row");
-        assert!(
-            rows <= ROW_INDEX.len(),
-            "u8 row index: synthesize in blocks of ≤256"
-        );
-        if rows == 0 {
-            return;
-        }
-        let half = n / 2;
-        let scale = (n as f64).sqrt();
-        OFDM_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.refresh_symbols(self);
-            scratch.payload_plane.clear();
-            scratch.payload_plane.resize(rows * n, Complex::ZERO);
-            for (prow, trow) in scratch
-                .payload_plane
-                .chunks_exact_mut(n)
-                .zip(truths.chunks_exact(n))
-            {
-                for (i, &h) in trow.iter().enumerate() {
-                    let bin = (i + n - half) % n;
-                    prow[bin] = scratch.symbols[bin] * h;
-                }
-            }
-            with_plan(n, |plan| {
-                plan.inverse_rows_inplace(&mut scratch.payload_plane, rows)
-            });
-            scratch
-                .payload_plane
-                .iter_mut()
-                .for_each(|z| *z = *z * scale);
-            let amp = self.frame_amp(noise_std);
-            scratch.finish_plane(&ROW_INDEX[..rows], amp, cursors, out);
-        });
-    }
-
-    /// The five configuration fields fully determine the preamble
-    /// symbols, the IFFT plan and the scaling — i.e. everything
-    /// [`Self::prepare`] does — so their raw bits are the response-table
-    /// identity.
+    /// The five configuration fields fully determine the grid, the
+    /// timing and the estimate law, so their raw bits are the
+    /// response-table identity.
     fn response_token(&self) -> u64 {
         wiforce_dsp::hash::fnv_words([
             self.n_subcarriers as u64,
@@ -435,7 +244,9 @@ impl ChannelSounder for OfdmSounder {
     /// per-component std `amp = √(σ²/(2·n_repeats))`, the unnormalized
     /// forward FFT scales white noise by `√n`, and the LS equalizers have
     /// modulus `1/√n` for the unit-modulus QPSK preamble — the two cancel,
-    /// leaving per-component std `amp` on every subcarrier.
+    /// leaving per-component std `amp` on every subcarrier, independent
+    /// of the channel. [`Self::estimate_counter_into`] takes one lane per
+    /// subcarrier, as the law's draw does.
     fn estimate_noise_sigma(&self, noise_std: f64) -> Option<f64> {
         Some(self.frame_amp(noise_std))
     }
@@ -469,11 +280,7 @@ pub fn bins_to_ascending(bins: &[Complex]) -> Vec<Complex> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that hold the SIMD dispatch to scalar: a hold
-    /// reaches every thread, so it would turn another test's detected pass
-    /// into a second scalar one.
-    static SCALAR_HOLDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use crate::sounder::sound_rows;
 
     /// One snapshot estimated with noise drawn at `(key, 0, snapshot)`.
     fn estimate(
@@ -596,31 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_prepared_path_is_bit_identical() {
-        // one row through the prepared block path matches the truth path
-        // at the same coordinate, and both consume one lane per subcarrier
-        let s = OfdmSounder::wiforce();
-        let truth: Vec<Complex> = (0..64)
-            .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.05 * k as f64))
-            .collect();
-        let prepared = [s.prepare(&truth)];
-        for noise in [0.0, 0.05] {
-            let mut a = CounterRng::for_snapshot(0xABCD, 2, 41);
-            let mut b = [CounterRng::for_snapshot(0xABCD, 2, 41)];
-            let mut direct = [Complex::ZERO; 64];
-            let mut fast = [Complex::ZERO; 64];
-            s.estimate_counter_into(&truth, noise, &mut a, &mut direct);
-            s.estimate_prepared_counter_rows_into(&prepared, &[0], noise, &mut b, &mut fast);
-            for (d, f) in direct.iter().zip(&fast) {
-                assert_eq!(d.re.to_bits(), f.re.to_bits());
-                assert_eq!(d.im.to_bits(), f.im.to_bits());
-            }
-            assert_eq!(a.lane(), 64);
-            assert_eq!(b[0].lane(), 64);
-        }
-    }
-
-    #[test]
     fn counter_path_is_order_independent() {
         // Snapshots estimated at distinct coordinates don't interact:
         // evaluating 41 after 40 or on its own gives the same bits — this
@@ -666,57 +448,29 @@ mod tests {
     }
 
     #[test]
-    fn wide_rows_path_is_bit_identical_to_row_path() {
-        let _one = SCALAR_HOLDS.lock().unwrap_or_else(|e| e.into_inner());
-        for scalar in [false, true] {
-            let _scalar = scalar.then(wiforce_dsp::kernels::hold_scalar);
-            let s = OfdmSounder::wiforce();
-            // four distinct "switch state" channels, as the pipeline prepares
-            let prepared: Vec<PreparedChannel> = (0..4)
-                .map(|st| {
-                    let truth: Vec<Complex> = (0..64)
-                        .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.03 * (k + st) as f64))
-                        .collect();
-                    s.prepare(&truth)
-                })
-                .collect();
-            let key = 0x00C0_FFEE_u64 | (7u64 << 40);
-            let group = 3u32;
-            let snap0 = 11u32;
-            let states: Vec<u8> = (0..37u8).map(|r| (r.wrapping_mul(7) >> 1) % 4).collect();
-            let rows = states.len();
-            // a drop decision drawn first moves every row's lanes up by one
-            for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
-                let mut plane = vec![Complex::ZERO; rows * 64];
-                let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-                s.estimate_prepared_counter_rows_into(
-                    &prepared,
-                    &states,
-                    noise,
-                    &mut cursors,
-                    &mut plane,
-                );
-                let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-                for ((r, &st), cursor) in states.iter().enumerate().zip(&mut rows_cursors) {
-                    let mut row = [Complex::ZERO; 64];
-                    s.estimate_counter_into(
-                        &prepared[usize::from(st)].truth,
-                        noise,
-                        cursor,
-                        &mut row,
-                    );
-                    for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate() {
-                        assert_eq!(w.re.to_bits(), x.re.to_bits(), "r={r} i={i}");
-                        assert_eq!(w.im.to_bits(), x.im.to_bits(), "r={r} i={i}");
-                    }
-                    // the block hands its cursor back where the row call
-                    // leaves it, ready for the burst and front-end draws
-                    assert_eq!(cursors[r].lane(), cursor.lane());
-                    assert_eq!(
-                        rand::RngCore::next_u64(&mut cursors[r]),
-                        rand::RngCore::next_u64(cursor)
-                    );
-                }
+    fn law_rows_take_the_row_lanes() {
+        // A block drawn from the law hands every cursor back where the
+        // estimator leaves it, one lane per subcarrier past where it
+        // started (lane 1 past a drawn drop decision), so the burst and
+        // front-end draws after the sounder keep their lanes.
+        let s = OfdmSounder::wiforce();
+        let truth: Vec<Complex> = (0..64)
+            .map(|k| Complex::from_polar(1.0 + 0.01 * k as f64, 0.05 * k as f64))
+            .collect();
+        for (rows, drop_drawn) in [(1usize, false), (37, true), (64, false)] {
+            let lane0 = u32::from(drop_drawn);
+            let mut block = block_cursors(0xABCD, 2, 41, rows, drop_drawn);
+            let mut plane = vec![Complex::ZERO; rows * 64];
+            sound_rows(&s, |_| &truth, 0.05, &mut block, &mut plane);
+            let mut row = [Complex::ZERO; 64];
+            for (b, mut c) in block
+                .iter_mut()
+                .zip(block_cursors(0xABCD, 2, 41, rows, drop_drawn))
+            {
+                s.estimate_counter_into(&truth, 0.05, &mut c, &mut row);
+                assert_eq!(b.lane(), lane0 + 64);
+                assert_eq!(c.lane(), lane0 + 64);
+                assert_eq!(rand::RngCore::next_u64(b), rand::RngCore::next_u64(&mut c));
             }
         }
     }
@@ -799,9 +553,10 @@ mod tests {
     #[test]
     fn ofdm_estimate_noise_is_circular_and_white() {
         // 2048 snapshots of one frequency-selective truth through the
-        // per-row path and the plane path (64-row blocks, each row past a
-        // drawn drop decision): the estimate error must be circular white
-        // complex Gaussian of the advertised per-component std
+        // per-row estimator and drawn from its law (64-row blocks, each
+        // row past a drawn drop decision): the estimate error must be
+        // circular white complex Gaussian of the advertised per-component
+        // std
         let s = OfdmSounder::wiforce();
         let n = s.n_subcarriers;
         let noise = 0.05;
@@ -825,14 +580,13 @@ mod tests {
         }
         assert_circular_white(&errors(&rows), n, sigma, "per-row path");
 
-        let prepared = [s.prepare(&truth)];
         let block = 64;
         let mut plane = vec![Complex::ZERO; snapshots as usize * n];
         for (b, out) in plane.chunks_exact_mut(block * n).enumerate() {
             let mut cursors = block_cursors(0x0C1D, 3, (b * block) as u32, block, true);
-            s.estimate_prepared_counter_rows_into(&prepared, &[0; 64], noise, &mut cursors, out);
+            sound_rows(&s, |_| &truth, noise, &mut cursors, out);
         }
-        assert_circular_white(&errors(&plane), n, sigma, "plane path");
+        assert_circular_white(&errors(&plane), n, sigma, "law path");
     }
 
     #[test]
@@ -848,53 +602,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_truth_rows_path_is_bit_identical_to_row_path() {
-        let _one = SCALAR_HOLDS.lock().unwrap_or_else(|e| e.into_inner());
-        for scalar in [false, true] {
-            let _scalar = scalar.then(wiforce_dsp::kernels::hold_scalar);
-            // the truth-plane path (movers, the batch producer): each row must
-            // match a row-at-a-time estimate on its cursor, and leave that
-            // cursor where the row call stops
-            let s = OfdmSounder::wiforce();
-            let (key, group, snap0) = (0x7EA5_u64 << 33 | 0x77, 5u32, 130u32);
-            for rows in [1usize, 23, 64] {
-                let truths: Vec<Complex> = (0..rows * 64)
-                    .map(|i| {
-                        Complex::from_polar(1.0 + 1e-3 * (i % 97) as f64, 0.02 * (i % 61) as f64)
-                    })
-                    .collect();
-                for (noise, drop_drawn) in [(0.0, false), (0.05, false), (0.05, true)] {
-                    let mut plane = vec![Complex::ZERO; rows * 64];
-                    let mut cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-                    s.estimate_counter_rows_into(&truths, noise, &mut cursors, &mut plane);
-                    let mut row = [Complex::ZERO; 64];
-                    let mut rows_cursors = block_cursors(key, group, snap0, rows, drop_drawn);
-                    for (r, cursor) in rows_cursors.iter_mut().enumerate() {
-                        s.estimate_counter_into(
-                            &truths[r * 64..(r + 1) * 64],
-                            noise,
-                            cursor,
-                            &mut row,
-                        );
-                        for (i, (w, x)) in plane[r * 64..(r + 1) * 64].iter().zip(&row).enumerate()
-                        {
-                            assert_eq!(w.re.to_bits(), x.re.to_bits(), "rows={rows} r={r} i={i}");
-                            assert_eq!(w.im.to_bits(), x.im.to_bits(), "rows={rows} r={r} i={i}");
-                        }
-                        assert_eq!(cursors[r].lane(), cursor.lane());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "consecutive snapshots and one lane")]
     fn plane_rows_reject_scattered_cursors() {
         let s = OfdmSounder::wiforce();
         let mut cursors = [0, 2].map(|snap| CounterRng::for_snapshot(1, 0, snap));
         let mut plane = vec![Complex::ZERO; 2 * 64];
-        s.estimate_counter_rows_into(&vec![Complex::ONE; 2 * 64], 0.0, &mut cursors, &mut plane);
+        sound_rows(&s, |_| &[Complex::ONE; 64], 0.0, &mut cursors, &mut plane);
     }
 
     #[test]

@@ -9,27 +9,6 @@
 use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::Complex;
 
-/// A true channel pre-processed by a sounder for repeated estimation.
-///
-/// Simulations evaluate the same true channel many times (a tag's switch
-/// only has four states, so a whole phase-group revisits four channels
-/// over hundreds of snapshots). [`ChannelSounder::prepare`] folds the
-/// channel-dependent, noise-independent part of the estimation forward
-/// model — for OFDM, the symbol multiply and the IFFT to the time domain —
-/// into this struct once, and
-/// [`ChannelSounder::estimate_prepared_counter_rows_into`] reuses it per
-/// snapshot.
-#[derive(Debug, Clone)]
-pub struct PreparedChannel {
-    /// The true per-frequency channel this was prepared from (ascending
-    /// grid order, one entry per estimate frequency).
-    pub truth: Vec<Complex>,
-    /// Sounder-specific precomputation (for OFDM: the noiseless received
-    /// preamble symbol in the time domain, post-IFFT and scaling). Empty
-    /// when the sounder has no prepared fast path.
-    pub payload: Vec<Complex>,
-}
-
 /// A device that periodically estimates the channel at a fixed grid of
 /// frequency offsets around the carrier.
 pub trait ChannelSounder {
@@ -58,15 +37,19 @@ pub trait ChannelSounder {
     /// level (std-dev of complex AWGN relative to unit TX amplitude).
     ///
     /// Implementations synthesize their actual waveform, push it through
-    /// the (frequency-domain) channel, add noise and run their estimator —
-    /// so estimation gain/loss is real, not assumed. Noise comes from a
-    /// counter-addressed cursor pinned to one simulation coordinate
-    /// (press key, group, snapshot), so the estimate is a pure function
-    /// of that coordinate — snapshots can be synthesized out of order and
-    /// across threads with bit-identical results. Implementations may
-    /// consume the cursor's lanes in any fixed pattern; callers that
-    /// draw after the sounder (burst faults, front-end jitter) continue
-    /// on the same cursor.
+    /// the (frequency-domain) channel, add noise and run their estimator,
+    /// so the estimation gain or loss is derived here, not assumed. This
+    /// is the reference that defines a sounder's estimate law: where the
+    /// estimator's error is white ([`Self::estimate_noise_sigma`] is
+    /// `Some`), [`sound_rows`] draws time-domain snapshots from that law
+    /// instead of running the waveform, and the fixtures compare the two.
+    /// Noise comes from a counter-addressed cursor pinned to one
+    /// simulation coordinate (press key, group, snapshot), so the estimate
+    /// is a pure function of that coordinate — snapshots can be
+    /// synthesized out of order and across threads with bit-identical
+    /// results. Implementations may consume the cursor's lanes in any
+    /// fixed pattern; callers that draw after the sounder (burst faults,
+    /// front-end jitter) continue on the same cursor.
     ///
     /// # Panics
     /// Panics if `true_channel` or `out` differs from the estimate grid
@@ -79,85 +62,13 @@ pub trait ChannelSounder {
         out: &mut [Complex],
     );
 
-    /// Folds the channel-dependent, noise-independent part of the
-    /// estimation forward model into a [`PreparedChannel`] for repeated
-    /// use with [`Self::estimate_prepared_counter_rows_into`].
-    ///
-    /// The default keeps only the truth (no precomputation), which the
-    /// default `estimate_prepared_counter_rows_into` feeds back through
-    /// [`Self::estimate_counter_into`] — correct for every sounder, fast
-    /// for none.
-    fn prepare(&self, true_channel: &[Complex]) -> PreparedChannel {
-        PreparedChannel {
-            truth: true_channel.to_vec(),
-            payload: Vec::new(),
-        }
-    }
-
-    /// Block twin of [`Self::estimate_counter_into`] over prepared
-    /// channels: estimates a block of snapshots in one call. `prepared`
-    /// holds one [`PreparedChannel`] per tag switch state (index = state),
-    /// each built by [`Self::prepare`] on the same sounder configuration,
-    /// `states[r]` selects row `r`'s state, `cursors[r]` is row `r`'s
-    /// noise cursor as the caller positioned it (its snapshot's
-    /// coordinates, past any draw made before the sounder), and `out` is
-    /// a snapshot-major plane of `states.len()` rows of grid-size
-    /// estimates.
-    ///
-    /// Each row must be bit-identical to
-    /// `estimate_counter_into(&prepared[states[r]].truth, …)` on
-    /// `cursors[r]`, and must leave `cursors[r]` where that call would,
-    /// so the draws after the sounder (burst faults, front-end jitter)
-    /// continue on it. The default is that row loop; sounders with a
-    /// plane kernel override it.
-    fn estimate_prepared_counter_rows_into(
-        &self,
-        prepared: &[PreparedChannel],
-        states: &[u8],
-        noise_std: f64,
-        cursors: &mut [CounterRng],
-        out: &mut [Complex],
-    ) {
-        let n = out.len() / states.len().max(1);
-        for ((&state, cursor), row) in states.iter().zip(cursors).zip(out.chunks_exact_mut(n)) {
-            self.estimate_counter_into(&prepared[usize::from(state)].truth, noise_std, cursor, row);
-        }
-    }
-
-    /// Truth-plane twin of [`Self::estimate_prepared_counter_rows_into`]
-    /// under the same cursor contract, for callers whose every snapshot
-    /// sees a distinct channel (moving scatterers, the batch engine's
-    /// multi-stream blend): `truths` is a row-major plane of
-    /// per-snapshot true channels (`cursors.len() × grid`) and `out` the
-    /// matching estimate plane. Each row must be bit-identical to an
-    /// [`Self::estimate_counter_into`] call on that truth row with
-    /// `cursors[r]`; the default is that row loop.
-    fn estimate_counter_rows_into(
-        &self,
-        truths: &[Complex],
-        noise_std: f64,
-        cursors: &mut [CounterRng],
-        out: &mut [Complex],
-    ) {
-        let n = out.len() / cursors.len().max(1);
-        for ((truth, cursor), row) in truths
-            .chunks_exact(n)
-            .zip(cursors)
-            .zip(out.chunks_exact_mut(n))
-        {
-            self.estimate_counter_into(truth, noise_std, cursor, row);
-        }
-    }
-
-    /// Press-invariant identity of this sounder's configuration, for
-    /// response-table caching: two sounders with equal tokens must
-    /// [`Self::prepare`] identically (bit-for-bit) from the same truth.
-    ///
-    /// Callers key cached `Vec<PreparedChannel>` tables by
-    /// `(tag-table token, config token)` in a per-scene memo
-    /// (`wiforce_channel::ChannelCache::response_tables`) and gather
-    /// from them instead of re-preparing every press. Implementations
-    /// FNV-hash the raw bits of the configuration fields `prepare` reads.
+    /// Press-invariant identity of this sounder's configuration: two
+    /// sounders with equal tokens share the estimate grid, timing and
+    /// estimate law. Callers key the per-state true channels they memoize
+    /// for a scene by `(tag-table token, config token)`
+    /// (`wiforce_channel::ChannelCache::response_tables`).
+    /// Implementations FNV-hash the raw bits of their configuration
+    /// fields.
     fn response_token(&self) -> u64;
 
     /// Maximum unambiguous modulation ("artificial Doppler") frequency,
@@ -171,19 +82,79 @@ pub trait ChannelSounder {
     /// `noise_std`, when that error is i.i.d. circular complex Gaussian
     /// and uniform across the grid.
     ///
-    /// `Some(sigma)` is the contract that unlocks spectral-domain direct
-    /// line synthesis: by DFT unitarity, a snapshot whose estimate error
-    /// is white complex Gaussian of per-component std `sigma` contributes
-    /// white complex Gaussian noise of the same per-component std to any
-    /// unit-normalized discrete spectral line across snapshots — so a
-    /// caller can draw the line's noise directly at the consumed bins
-    /// instead of synthesizing and transforming every snapshot. `None`
-    /// (the default) means the error is not white/uniform (e.g. symbol
-    /// amplitudes vary across the grid) and callers must stay on a
-    /// time-domain path.
+    /// `Some(sigma)` states the sounder's estimate law: the
+    /// [`Self::estimate_counter_into`] output is the truth plus white
+    /// circular complex Gaussian error of per-component std `sigma`,
+    /// independent of the truth, and that call takes one cursor lane per
+    /// grid point. Two callers rely on it. [`sound_rows`] draws each
+    /// time-domain snapshot as `truth + sigma·g` on exactly those lanes.
+    /// Spectral-domain direct line synthesis uses DFT unitarity: white
+    /// estimate error of per-component std `sigma` contributes white
+    /// complex Gaussian noise of the same std to any unit-normalized
+    /// spectral line across snapshots, so a caller can draw the line's
+    /// noise directly at the consumed bins. `None` (the default) means the
+    /// error is not white/uniform (e.g. symbol amplitudes vary across the
+    /// grid) or not declared, and callers run the estimator itself.
     fn estimate_noise_sigma(&self, noise_std: f64) -> Option<f64> {
         let _ = noise_std;
         None
+    }
+}
+
+/// Sounds a block of snapshots into `out`, a row-major plane of
+/// `cursors.len()` rows of grid-size estimates: row `r` estimates the
+/// true channel `truth(r)` with noise drawn through `cursors[r]`.
+///
+/// A sounder with a declared estimate law
+/// ([`ChannelSounder::estimate_noise_sigma`] is `Some(sigma)`) gets each
+/// row as `truth(r) + sigma·g_r`, where `g_r` is the `n` standard complex
+/// normals at the lanes its [`ChannelSounder::estimate_counter_into`]
+/// call would take from `cursors[r]`, all filled by one Philox plane
+/// kernel call. Any other sounder runs its estimator once per row. Either
+/// way every cursor is left where that call leaves it, `n` lanes on, so
+/// the draws after the sounder (burst faults, front-end jitter) keep
+/// their lanes.
+///
+/// The cursors must stand at consecutive snapshots of one `(key, domain,
+/// group)` at one common lane, as the synthesis engines position them
+/// (lane 1 when a drop decision drew first, else 0).
+///
+/// # Panics
+/// Panics if `out` is not `cursors.len()` rows of the sounder's grid, or
+/// if the cursors are not laid out that way.
+pub fn sound_rows<'t, S: ChannelSounder + ?Sized>(
+    sounder: &S,
+    truth: impl Fn(usize) -> &'t [Complex],
+    noise_std: f64,
+    cursors: &mut [CounterRng],
+    out: &mut [Complex],
+) {
+    let rows = cursors.len();
+    if rows == 0 {
+        return;
+    }
+    assert_eq!(out.len() % rows, 0, "one estimate row per cursor");
+    let n = out.len() / rows;
+    let Some(sigma) = sounder.estimate_noise_sigma(noise_std) else {
+        for (r, (cursor, row)) in cursors.iter_mut().zip(out.chunks_exact_mut(n)).enumerate() {
+            sounder.estimate_counter_into(truth(r), noise_std, cursor, row);
+        }
+        return;
+    };
+    let (key, hi, lane0) = cursors[0].position();
+    wiforce_dsp::kernels::philox_complex_normals_rows(key, [hi[1], hi[2]], hi[0], lane0, n, out);
+    for (r, (cursor, row)) in cursors.iter_mut().zip(out.chunks_exact_mut(n)).enumerate() {
+        let at = (key, [hi[0].wrapping_add(r as u32), hi[1], hi[2]], lane0);
+        assert!(
+            cursor.position() == at,
+            "block rows need cursors at consecutive snapshots and one lane"
+        );
+        cursor.skip_normals(n);
+        let truth = truth(r);
+        assert_eq!(truth.len(), n, "one truth entry per grid point");
+        for (o, &h) in row.iter_mut().zip(truth) {
+            *o = h + o.scale(sigma);
+        }
     }
 }
 
@@ -233,38 +204,47 @@ mod tests {
         let mut est = [Complex::ZERO; 1];
         d.estimate_counter_into(&[Complex::ONE], 0.0, &mut cursor, &mut est);
         assert_eq!(est, [Complex::ONE]);
-        // without a plane kernel the block methods loop the row primitive
+        // without a declared law a block loops the row primitive
+        let truths = [Complex::ONE, Complex::I];
         let mut plane = [Complex::ZERO; 2];
         let mut cursors = [0, 1].map(|s| CounterRng::for_snapshot(0, 0, s));
-        d.estimate_counter_rows_into(&[Complex::ONE, Complex::I], 0.0, &mut cursors, &mut plane);
-        assert_eq!(plane, [Complex::ONE, Complex::I]);
+        sound_rows(&*d, |r| &truths[r..r + 1], 0.0, &mut cursors, &mut plane);
+        assert_eq!(plane, truths);
     }
 
     #[test]
     fn default_counter_paths_agree() {
-        // For a sounder with no override, the default block loop feeds
-        // each row's prepared truth through the row primitive on that
-        // row's cursor: a lone row at a cursor past one drawn lane
-        // matches the row call on an equally positioned cursor, bit for
-        // bit, and ends where it would.
+        // For a sounder with no declared law, a block feeds each row's
+        // truth through the row primitive on that row's cursor: rows at
+        // cursors past one drawn lane match row calls on equally
+        // positioned cursors, bit for bit, and end where they would.
         let d = Dummy;
-        let truth = [Complex::new(0.3, -1.2)];
-        let prepared = d.prepare(&truth);
-        let mut row_cursor = CounterRng::for_snapshot(9, 0, 5);
-        let _ = rand::RngCore::next_u64(&mut row_cursor);
-        let mut block_cursors = [row_cursor.clone()];
-        let mut out_row = [Complex::ZERO; 1];
-        d.estimate_counter_into(&truth, 0.1, &mut row_cursor, &mut out_row);
-        let mut out_block = [Complex::ZERO; 1];
-        d.estimate_prepared_counter_rows_into(
-            std::slice::from_ref(&prepared),
-            &[0],
+        let truths = [Complex::new(0.3, -1.2), Complex::new(-0.7, 0.4)];
+        let mut row_cursors = [5, 6].map(|s| {
+            let mut c = CounterRng::for_snapshot(9, 0, s);
+            let _ = rand::RngCore::next_u64(&mut c);
+            c
+        });
+        let mut block_cursors = row_cursors.clone();
+        let mut out_rows = [Complex::ZERO; 2];
+        for (r, cursor) in row_cursors.iter_mut().enumerate() {
+            d.estimate_counter_into(&truths[r..r + 1], 0.1, cursor, &mut out_rows[r..r + 1]);
+        }
+        let mut out_block = [Complex::ZERO; 2];
+        sound_rows(
+            &d,
+            |r| &truths[r..r + 1],
             0.1,
             &mut block_cursors,
             &mut out_block,
         );
-        assert_eq!(out_row[0].re.to_bits(), out_block[0].re.to_bits());
-        assert_eq!(out_row[0].im.to_bits(), out_block[0].im.to_bits());
-        assert_eq!(row_cursor.lane(), block_cursors[0].lane());
+        for (a, b) in out_rows.iter().zip(&out_block) {
+            assert_eq!(a.re.to_bits(), b.re.to_bits());
+            assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+        for (a, b) in row_cursors.iter_mut().zip(&mut block_cursors) {
+            assert_eq!(a.lane(), b.lane());
+            assert_eq!(rand::RngCore::next_u64(a), rand::RngCore::next_u64(b));
+        }
     }
 }

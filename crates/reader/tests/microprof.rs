@@ -24,7 +24,7 @@ fn microprof() {
         t.elapsed().as_secs_f64() / iters as f64 * 1e6
     );
 
-    // the plane path draws one complex normal per subcarrier, 64
+    // the estimate-law draw takes one complex normal per subcarrier, 64
     // snapshots a call
     let rows = 64;
     let mut normals = vec![Complex::ZERO; rows * 64];

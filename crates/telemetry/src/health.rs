@@ -23,7 +23,7 @@ use crate::{Histogram, TelemetrySnapshot};
 /// v5 replaced the chunk-width gauge (the width is now a constant) with
 /// `plane_row_share`.
 /// v6 removed `plane_row_share`: every time-domain snapshot goes through
-/// the sounder's block methods, so there is no second path to report.
+/// one block step, so there is no second path to report.
 pub const HEALTH_SCHEMA_VERSION: u64 = 6;
 
 /// Latency statistics for one span path.

@@ -6,8 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wiforce::harmonics::extract_lines;
-use wiforce::pipeline::{state_sums, PrefixPhasors, PressNoise, Simulation, TagClock};
+use wiforce::harmonics::{extract_lines, PrefixPhasors};
+use wiforce::pipeline::{state_sums, PressNoise, Simulation, TagClock};
 use wiforce_dsp::rng::CounterRng;
 use wiforce_dsp::Complex;
 use wiforce_reader::{ChannelSounder, OfdmSounder};

@@ -1,15 +1,20 @@
-//! Manual micro-benchmark decomposing the per-snapshot cost of
-//! `run_snapshots_into`, the spectral press's per-group state walk, sums
-//! and per-line draws and finisher, and the batch producer's per-group
-//! window-weight walk (run with `--ignored --nocapture`). Companion to
+//! Manual micro-benchmark decomposing the time-domain press's per-snapshot
+//! block steps (law draw, front end, line fold) and per-group finish, the
+//! spectral press's per-group state walk, sums and per-line draws and
+//! finisher, and the batch producer's per-group window-weight walk (run
+//! with `--ignored --nocapture`). Companion to
 //! `crates/reader/tests/microprof.rs`, which decomposes the sounder.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use wiforce::pipeline::{state_sums, PrefixPhasors, PressNoise, Simulation, TagClock};
+use wiforce::harmonics::{finish_group, fold_block, PrefixPhasors};
+use wiforce::pipeline::{state_sums, Simulation, CHUNK_ROWS};
+use wiforce_channel::cache::ChannelCache;
 use wiforce_dsp::kernels::{philox_complex_normals, spectral_line, LineTerms};
-use wiforce_dsp::{Complex, SnapshotMatrix};
+use wiforce_dsp::rng::CounterRng;
+use wiforce_dsp::{Complex, SnapshotView};
+use wiforce_reader::sounder::sound_rows;
 use wiforce_reader::ChannelSounder;
 use wiforce_sensor::clock::WindowWalker;
 use wiforce_sensor::multi::allocate_frequencies_on_grid;
@@ -20,30 +25,65 @@ use wiforce_sensor::ClockPair;
 fn microprof_pipeline() {
     let sim = Simulation::paper_default(2.4e9);
     let mut rng = StdRng::seed_from_u64(7);
-    let mut clock = TagClock::new(&mut rng);
-    let mut noise = PressNoise::from_rng(&mut rng);
-    let mut out = SnapshotMatrix::default();
-    sim.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut out);
+    let n = sim.group.n_snapshots;
+    let t_snap = sim.group.snapshot_period_s;
 
+    // the time-domain press's steps over whole phase groups of a static
+    // channel, block by block as its workers take them: the estimate-law
+    // draw, the front end and the line fold per snapshot, then the finish
+    // per group
+    let cache = ChannelCache::build(&sim.scene, &sim.subcarrier_freqs_hz());
+    let width = cache.statics.len();
+    let tables: Vec<PrefixPhasors> = sim
+        .group
+        .fold_bins()
+        .map(|f| PrefixPhasors::new(f, t_snap, n))
+        .collect();
+    let bins: Vec<&PrefixPhasors> = tables.iter().collect();
+    let stride = (1 + bins.len()) * width;
+    let mut partials = vec![Complex::ZERO; n.div_ceil(CHUNK_ROWS) * stride];
+    let mut block = vec![Complex::ZERO; CHUNK_ROWS * width];
     let groups = 20;
-    let t = Instant::now();
-    for _ in 0..groups {
-        out.clear();
-        sim.run_snapshots_into(None, 1, &mut clock, &mut noise, &mut out);
+    let mut us = [0.0; 4];
+    let mut lap = |step: usize, t: Instant| us[step] += t.elapsed().as_secs_f64() * 1e6;
+    for g in 0..groups {
+        for (j, slab) in partials.chunks_exact_mut(stride).enumerate() {
+            let s0 = j * CHUNK_ROWS;
+            let out = &mut block[..CHUNK_ROWS.min(n - s0) * width];
+            let mut cursors: Vec<CounterRng> = (s0..s0 + out.len() / width)
+                .map(|s| CounterRng::for_snapshot(7, g, s as u32))
+                .collect();
+            let t = Instant::now();
+            let noise = sim.frontend.noise_floor;
+            sound_rows(&sim.sounder, |_| &cache.statics, noise, &mut cursors, out);
+            lap(0, t);
+            let t = Instant::now();
+            for (cursor, row) in cursors.iter_mut().zip(out.chunks_exact_mut(width)) {
+                sim.frontend.process(cursor, row, cache.full_scale);
+            }
+            lap(1, t);
+            let t = Instant::now();
+            fold_block(SnapshotView::from_flat(width, out), s0, &bins, slab);
+            lap(2, t);
+        }
+        let t = Instant::now();
+        std::hint::black_box(finish_group(&sim.group, None, &bins, &partials, width, 0.0));
+        lap(3, t);
     }
-    let per_group = t.elapsed().as_secs_f64() / groups as f64;
+    let per_snap = |x: f64| x / (groups as usize * n) as f64;
     println!(
-        "run_snapshots_into: {:.0} us/group, {:.2} us/snapshot",
-        per_group * 1e6,
-        per_group * 1e6 / sim.group.n_snapshots as f64
+        "time-domain group: law draw {:.3}, front end {:.3}, fold {:.3} us/snapshot; \
+         finish {:.1} us/group",
+        per_snap(us[0]),
+        per_snap(us[1]),
+        per_snap(us[2]),
+        us[3] / groups as f64
     );
 
     // the tag-state walk alone over whole phase groups, and the spectral
     // arm's per-state sum on top of it over the two tag lines' prefix
     // tables
     let walked = 4000;
-    let n = sim.group.n_snapshots;
-    let t_snap = sim.group.snapshot_period_s;
     let per_group = |t: Instant| t.elapsed().as_secs_f64() / walked as f64 * 1e6;
     let mut acc = 0usize;
     let t = Instant::now();

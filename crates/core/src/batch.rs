@@ -1721,8 +1721,7 @@ mod tests {
                     line2_hz: 4.0 * st.fs_hz,
                     ..sim.group
                 };
-                let want =
-                    crate::harmonics::extract_lines_quiet(&group, td.view(), seq as f64 * group_s);
+                let want = crate::harmonics::extract_lines(&group, td.view(), seq as f64 * group_s);
                 for (li, want) in [&want.p1, &want.p2].into_iter().enumerate() {
                     let err = crate::line_noise_check::line_rel_err(got.row(2 * i + li), want);
                     worst[i] = worst[i].max(err);

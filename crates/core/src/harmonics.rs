@@ -10,11 +10,11 @@
 //! bins for arbitrary `N`; we default to `N = 625`, the smallest group for
 //! which `fs`, `2fs` and `4fs` all fall on *integer* bins (36/72/144), so
 //! the plain FFT is exactly orthogonal to the static clutter and to the
-//! shared `2fs` line. For other `N` the mean-subtracted Goertzel evaluation
-//! is still provided (and a least-squares line fit for the adventurous —
-//! see [`ExtractionMethod`]).
+//! shared `2fs` line. For other `N` the mean-subtracted DFT is still
+//! provided (and a least-squares line fit for the adventurous — see
+//! [`ExtractionMethod`]).
 
-use wiforce_dsp::fft::goertzel_columns;
+use crate::pipeline::CHUNK_ROWS;
 use wiforce_dsp::linalg::Matrix;
 use wiforce_dsp::{Complex, SnapshotView};
 
@@ -76,6 +76,15 @@ impl PhaseGroupConfig {
         let is_int = |x: f64| (x - x.round()).abs() < 1e-9;
         is_int(bins(self.line1_hz)) && is_int(bins(self.line2_hz))
     }
+
+    /// The bins a group's lines are folded at, Hz: the two lines, with
+    /// least squares' shared `2·line1` tone between them.
+    pub fn fold_bins(&self) -> impl Iterator<Item = f64> {
+        let shared = (self.method == ExtractionMethod::LeastSquares).then_some(2.0 * self.line1_hz);
+        [Some(self.line1_hz), shared, Some(self.line2_hz)]
+            .into_iter()
+            .flatten()
+    }
 }
 
 /// Per-group, per-subcarrier line values: the paper's `P₁[k,g]`, `P₂[k,g]`.
@@ -105,14 +114,28 @@ impl GroupLines {
 /// conjugate-multiplied even when the lines are not integer bins of the
 /// group length (for integer bins the reference is a no-op).
 ///
-/// The mean-subtracted DFT path walks the flat snapshot storage exactly
-/// once per pass (one pass for the per-subcarrier means, one batched
-/// Goertzel pass for both lines × all subcarriers) instead of gathering
-/// each subcarrier's column — same floating-point results, cache-friendly
-/// access.
+/// This is the fold the time-domain press runs while it sounds the
+/// group: each [`CHUNK_ROWS`]-row block is folded into its partial sums
+/// ([`fold_block`]), and the partials are summed in block order and
+/// finished ([`finish_group`]), so a stored group's lines are
+/// bit-identical to the press's.
 pub fn extract_lines(cfg: &PhaseGroupConfig, group: SnapshotView<'_>, start_s: f64) -> GroupLines {
     let _span = wiforce_telemetry::span!("harmonics.extract_lines");
-    let lines = extract_lines_quiet(cfg, group, start_s);
+    let n = group.n_rows();
+    assert_eq!(n, cfg.n_snapshots, "group must hold n_snapshots snapshots");
+    let tables: Vec<PrefixPhasors> = cfg
+        .fold_bins()
+        .map(|f| PrefixPhasors::new(f, cfg.snapshot_period_s, n))
+        .collect();
+    let bins: Vec<&PrefixPhasors> = tables.iter().collect();
+    let width = group.n_cols();
+    let stride = (1 + bins.len()) * width;
+    let mut partials = vec![Complex::ZERO; n.div_ceil(CHUNK_ROWS) * stride];
+    for (j, slab) in partials.chunks_exact_mut(stride).enumerate() {
+        let s0 = j * CHUNK_ROWS;
+        fold_block(group.rows_view(s0, CHUNK_ROWS.min(n - s0)), s0, &bins, slab);
+    }
+    let (lines, _) = finish_group(cfg, None, &bins, &partials, width, start_s);
     emit_extraction_telemetry(cfg, &lines);
     lines
 }
@@ -143,175 +166,166 @@ pub(crate) fn emit_extraction_telemetry(cfg: &PhaseGroupConfig, lines: &GroupLin
     }
 }
 
-/// [`extract_lines`] without any telemetry (no span, no counters, no
-/// gauges) — the math-only form. Identical floating-point results.
-pub(crate) fn extract_lines_quiet(
-    cfg: &PhaseGroupConfig,
-    group: SnapshotView<'_>,
-    start_s: f64,
-) -> GroupLines {
-    let [lines] = extract_line_sets([cfg], group, start_s);
-    lines
+/// Folds one block of a phase group into its partial sums. `rows` holds
+/// snapshots `s0..` of the group; `out`, `1 + bins.len()` rows of the
+/// block's width, receives the column sums `Σ x_s`, then `Σ x_s·p_s` at
+/// each bin, `p_s` the bin's recurrence phasors, each accumulated from
+/// zero in row order. At most six bins: a group's lines and its floor
+/// probe's, each with least squares' shared tone.
+pub fn fold_block(rows: SnapshotView<'_>, s0: usize, bins: &[&PrefixPhasors], out: &mut [Complex]) {
+    let mut phasors: [&[Complex]; 6] = [&[]; 6];
+    for (p, table) in phasors.iter_mut().zip(bins) {
+        *p = &table.phasors[s0..s0 + rows.n_rows()];
+    }
+    out.fill(Complex::ZERO);
+    wiforce_dsp::kernels::fold_rows(out, rows.as_slice(), &phasors[..bins.len()]);
 }
 
-/// [`extract_lines`] of `cfg` together with the lines of `floor_cfg`
-/// (the off-line floor probe, which differs from `cfg` only in its line
-/// frequencies) from the same rows: one mean pass and one four-bin
-/// Goertzel pass instead of two of each. Each accumulator receives the
-/// same adds in the same order as two separate extractions, so both
-/// results are bit-identical to them. Only `cfg`'s lines are recorded
-/// as a line group; the probe is not one (`pipeline.line_to_floor_db`
-/// reports it).
-pub(crate) fn extract_lines_with_floor(
+/// The lines of one phase group from its block partials ([`fold_block`],
+/// block after block), summed in block order so they never depend on
+/// which thread folded which block: `cfg`'s lines from its
+/// [`PhaseGroupConfig::fold_bins`], then `floor`'s (the off-line probe)
+/// from the bins after them, phase-referenced to the group start
+/// `start_s`. The mean-subtracted DFT takes the mean off once,
+/// `Σ(x_s − m)·p_s = S − m·P[N]`; least squares solves the Gram system on
+/// the DC, `f1`, `2f1` and `f2` sums.
+pub fn finish_group(
     cfg: &PhaseGroupConfig,
-    floor_cfg: &PhaseGroupConfig,
-    group: SnapshotView<'_>,
+    floor: Option<&PhaseGroupConfig>,
+    bins: &[&PrefixPhasors],
+    partials: &[Complex],
+    width: usize,
     start_s: f64,
-) -> (GroupLines, GroupLines) {
-    let _span = wiforce_telemetry::span!("harmonics.extract_lines");
-    let [lines, floor] = extract_line_sets([cfg, floor_cfg], group, start_s);
-    emit_extraction_telemetry(cfg, &lines);
+) -> (GroupLines, Option<GroupLines>) {
+    let mut sums = vec![Complex::ZERO; (1 + bins.len()) * width];
+    for slab in partials.chunks_exact(sums.len()) {
+        for (s, &p) in sums.iter_mut().zip(slab) {
+            *s += p;
+        }
+    }
+    let (colsum, bin_sums) = sums.split_at(width);
+    let n_tag = cfg.fold_bins().count();
+    let (tag, probe) = bin_sums.split_at(n_tag * width);
+    let lines = line_set(cfg, colsum, tag, &bins[..n_tag], start_s);
+    let floor = floor.map(|fc| line_set(fc, colsum, probe, &bins[n_tag..], start_s));
     (lines, floor)
 }
 
-/// The line values of each of `cfgs` from one phase group. The configs
-/// must agree in everything but their line frequencies; the
-/// mean-subtracted DFT shares one mean pass and one Goertzel pass over
-/// the rows among all of them.
-fn extract_line_sets<const M: usize>(
-    cfgs: [&PhaseGroupConfig; M],
-    group: SnapshotView<'_>,
+/// One line set's lines from the group's column sums and its bins' sums
+/// (bin after bin), rotated by `e^{-j2πf·start_s}`.
+fn line_set(
+    cfg: &PhaseGroupConfig,
+    colsum: &[Complex],
+    bin_sums: &[Complex],
+    bins: &[&PrefixPhasors],
     start_s: f64,
-) -> [GroupLines; M] {
-    let cfg = cfgs[0];
-    for c in &cfgs[1..] {
-        assert!(
-            c.n_snapshots == cfg.n_snapshots
-                && c.snapshot_period_s == cfg.snapshot_period_s
-                && c.method == cfg.method,
-            "line sets of one group differ only in their lines"
-        );
-    }
-    assert_eq!(
-        group.n_rows(),
-        cfg.n_snapshots,
-        "group must hold n_snapshots snapshots"
-    );
-    let n = group.n_rows();
-    let k_sub = group.n_cols();
-    // each config's two normalized line frequencies and absolute-time
-    // phase references
-    let lines_hz = cfgs.map(|c| [c.line1_hz, c.line2_hz]);
-    let f_norms = lines_hz.map(|l| l.map(|f| f * cfg.snapshot_period_s));
-    let refs = lines_hz.map(|l| l.map(|f| Complex::cis(-wiforce_dsp::TAU * f * start_s)));
-
-    match cfg.method {
+) -> GroupLines {
+    let width = colsum.len();
+    let inv_n = 1.0 / cfg.n_snapshots as f64;
+    let sum = |b: usize| &bin_sums[b * width..(b + 1) * width];
+    let (mut p1, mut p2) = match cfg.method {
         ExtractionMethod::MeanSubtractedDft => {
-            // pass 1: per-subcarrier means, accumulated in row order (the
-            // same addition order as the former per-column gather)
-            let mut means = vec![Complex::ZERO; k_sub];
-            for row in group.rows() {
-                for (m, &x) in means.iter_mut().zip(row) {
-                    *m += x;
-                }
-            }
-            let inv_n = 1.0 / n as f64;
-            means.iter_mut().for_each(|m| *m = m.scale(inv_n));
-            // pass 2: batched mean-subtracted Goertzel, every line at once
-            let acc = goertzel_columns(
-                group.as_slice(),
-                k_sub,
-                f_norms.as_flattened(),
-                Some(&means),
-            );
             // normalize by N so line values approximate the per-snapshot
             // modulated amplitude times the clock Fourier coefficient
-            std::array::from_fn(|i| {
-                let line = |l: usize| -> Vec<Complex> {
-                    let r = refs[i][l];
-                    acc[2 * i + l].iter().map(|z| z.scale(inv_n) * r).collect()
-                };
-                GroupLines {
-                    p1: line(0),
-                    p2: line(1),
-                }
-            })
+            let line = |b: usize| -> Vec<Complex> {
+                let total = bins[b].total();
+                sum(b)
+                    .iter()
+                    .zip(colsum)
+                    .map(|(&s, &c)| (s - c.scale(inv_n) * total).scale(inv_n))
+                    .collect()
+            };
+            (line(0), line(1))
         }
-        ExtractionMethod::LeastSquares => std::array::from_fn(|i| {
-            let mut lines = extract_least_squares(cfgs[i], group, f_norms[i][0], f_norms[i][1]);
-            lines.p1.iter_mut().for_each(|z| *z *= refs[i][0]);
-            lines.p2.iter_mut().for_each(|z| *z *= refs[i][1]);
-            lines
-        }),
-    }
+        ExtractionMethod::LeastSquares => {
+            // Gram matrix of the basis e^{+jω_j s} (DC, f1, 2f1, f2):
+            // G[a][b] = Σ_s p_a(s)·conj(p_b(s)), p the recurrence phasors
+            let phasor = |j: usize, s: usize| match j {
+                0 => Complex::ONE,
+                _ => bins[j - 1].phasors[s],
+            };
+            let mut gram = [[Complex::ZERO; 4]; 4];
+            for s in 0..cfg.n_snapshots {
+                for (a, row) in gram.iter_mut().enumerate() {
+                    for (b, g) in row.iter_mut().enumerate() {
+                        *g += phasor(a, s) * phasor(b, s).conj();
+                    }
+                }
+            }
+            // the complex system as a real 8×8 one on interleaved re/im
+            let real = Matrix::from_fn(8, 8, |r, c| {
+                let g = gram[r / 2][c / 2];
+                match (r % 2, c % 2) {
+                    (0, 0) | (1, 1) => g.re,
+                    (0, 1) => -g.im,
+                    _ => g.im,
+                }
+            });
+            (0..width)
+                .map(|k| {
+                    let rhs: Vec<f64> = std::iter::once(colsum[k])
+                        .chain((0..3).map(|b| sum(b)[k]))
+                        .flat_map(|z| [z.re, z.im])
+                        .collect();
+                    let sol = real.solve(&rhs).expect("gram matrix nonsingular");
+                    (Complex::new(sol[2], sol[3]), Complex::new(sol[6], sol[7]))
+                })
+                .unzip()
+        }
+    };
+    let reference = |f: f64| Complex::cis(-wiforce_dsp::TAU * f * start_s);
+    let (r1, r2) = (reference(cfg.line1_hz), reference(cfg.line2_hz));
+    p1.iter_mut().for_each(|z| *z *= r1);
+    p2.iter_mut().for_each(|z| *z *= r2);
+    GroupLines { p1, p2 }
 }
 
-/// Joint LS fit of DC + three tone amplitudes per subcarrier.
-fn extract_least_squares(
-    cfg: &PhaseGroupConfig,
-    group: SnapshotView<'_>,
-    f1: f64,
-    f2: f64,
-) -> GroupLines {
-    let n = group.n_rows();
-    let k_sub = group.n_cols();
-    // basis tones: DC, f1, f_shared = 2·f1, f2 (complex exponentials)
-    let f_shared = 2.0 * cfg.line1_hz * cfg.snapshot_period_s;
-    let freqs = [0.0, f1, f_shared, f2];
-    let m = freqs.len();
+/// The prefix sums `P[s] = Σ_{j<s} e^{-jωj}`, `s` in `0..=N`, of one
+/// consumed line's snapshot phasors (`ω = 2π·f·T`): the phasor sum over
+/// any snapshot interval `[a, b)` is `P[b] − P[a]`. The phasors are the
+/// recurrence `e^{-jω(j+1)} = e^{-jωj}·e^{-jω}` from 1, as a
+/// per-snapshot walk forms them, and are kept too: the time-domain fold
+/// weighs snapshot `s` by phasor `s`. Press-invariant for a fixed line,
+/// snapshot period and group length, so the press memoizes it on the
+/// channel cache.
+#[derive(Debug, Clone)]
+pub struct PrefixPhasors {
+    phasors: Vec<Complex>,
+    sums: Vec<Complex>,
+}
 
-    // Real-valued normal equations on interleaved re/im: design matrix
-    // B[n][j] = e^{j2πf_j n}; solve (BᴴB)a = Bᴴx per subcarrier. BᴴB is
-    // Hermitian and shared across subcarriers.
-    let basis: Vec<Vec<Complex>> = freqs
-        .iter()
-        .map(|&f| {
-            (0..n)
-                .map(|i| Complex::cis(wiforce_dsp::TAU * f * i as f64))
-                .collect()
-        })
-        .collect();
-    // Gram matrix (complex) as 2m×2m real system
-    let mut gram = vec![vec![Complex::ZERO; m]; m];
-    for a in 0..m {
-        for b in 0..m {
-            gram[a][b] = basis[a]
-                .iter()
-                .zip(&basis[b])
-                .map(|(x, y)| x.conj() * *y)
-                .sum();
+impl PrefixPhasors {
+    /// The table of the line at `line_hz` over `n` snapshots `t_snap`
+    /// apart.
+    pub fn new(line_hz: f64, t_snap: f64, n: usize) -> Self {
+        let rot = Complex::cis(-wiforce_dsp::TAU * line_hz * t_snap);
+        let mut phasors = Vec::with_capacity(n);
+        let mut sums = Vec::with_capacity(n + 1);
+        let (mut acc, mut ph) = (Complex::ZERO, Complex::ONE);
+        sums.push(acc);
+        for _ in 0..n {
+            phasors.push(ph);
+            acc += ph;
+            ph *= rot;
+            sums.push(acc);
         }
+        PrefixPhasors { phasors, sums }
     }
-    let real_mat = Matrix::from_fn(2 * m, 2 * m, |r, c| {
-        let (i, ri) = (r / 2, r % 2);
-        let (j, rj) = (c / 2, c % 2);
-        let g = gram[i][j];
-        match (ri, rj) {
-            (0, 0) => g.re,
-            (0, 1) => -g.im,
-            (1, 0) => g.im,
-            _ => g.re,
-        }
-    });
 
-    let mut p1 = Vec::with_capacity(k_sub);
-    let mut p2 = Vec::with_capacity(k_sub);
-    for k in 0..k_sub {
-        let mut rhs = vec![0.0; 2 * m];
-        for (j, b) in basis.iter().enumerate() {
-            let dot: Complex = b
-                .iter()
-                .zip(group.rows())
-                .map(|(bn, snap)| bn.conj() * snap[k])
-                .sum();
-            rhs[2 * j] = dot.re;
-            rhs[2 * j + 1] = dot.im;
-        }
-        let sol = real_mat.solve(&rhs).expect("gram matrix nonsingular");
-        p1.push(Complex::new(sol[2], sol[3]));
-        p2.push(Complex::new(sol[6], sol[7]));
+    /// Snapshots the table covers (`N`).
+    pub(crate) fn snapshots(&self) -> usize {
+        self.phasors.len()
     }
-    GroupLines { p1, p2 }
+
+    /// `P[N]`: the phasor sum over the whole group.
+    pub(crate) fn total(&self) -> Complex {
+        self.sums[self.sums.len() - 1]
+    }
+
+    /// The phasor sum over the snapshots `[a, b)`.
+    pub(crate) fn over(&self, r: &std::ops::Range<usize>) -> Complex {
+        self.sums[r.end] - self.sums[r.start]
+    }
 }
 
 #[cfg(test)]
@@ -476,68 +490,5 @@ mod tests {
             slip.abs() > 0.5,
             "uncompensated slip should be large, got {slip}"
         );
-    }
-
-    /// The original (pre-`SnapshotMatrix`) extraction: gather each
-    /// subcarrier's column, subtract its mean, run single-bin Goertzels.
-    /// Kept here verbatim as the reference the batched path must match
-    /// bit-for-bit.
-    fn extract_lines_reference(
-        cfg: &PhaseGroupConfig,
-        group: &[Vec<Complex>],
-        start_s: f64,
-    ) -> GroupLines {
-        use wiforce_dsp::fft::goertzel;
-        let n = group.len();
-        let k_sub = group[0].len();
-        let f1_norm = cfg.line1_hz * cfg.snapshot_period_s;
-        let f2_norm = cfg.line2_hz * cfg.snapshot_period_s;
-        let ref1 = Complex::cis(-TAU * cfg.line1_hz * start_s);
-        let ref2 = Complex::cis(-TAU * cfg.line2_hz * start_s);
-        let mut p1 = Vec::with_capacity(k_sub);
-        let mut p2 = Vec::with_capacity(k_sub);
-        let mut col = vec![Complex::ZERO; n];
-        for k in 0..k_sub {
-            let mut mean = Complex::ZERO;
-            for (slot, snap) in col.iter_mut().zip(group) {
-                *slot = snap[k];
-                mean += snap[k];
-            }
-            mean = mean.scale(1.0 / n as f64);
-            col.iter_mut().for_each(|z| *z -= mean);
-            p1.push(goertzel(&col, f1_norm).scale(1.0 / n as f64) * ref1);
-            p2.push(goertzel(&col, f2_norm).scale(1.0 / n as f64) * ref2);
-        }
-        GroupLines { p1, p2 }
-    }
-
-    #[test]
-    fn batched_extraction_is_bit_identical_to_reference() {
-        // a deterministic pseudo-random group (tones + clutter + "noise"
-        // from a hash of the indices), checked bit-for-bit against the
-        // seed implementation — the behavior-preservation guarantee
-        let c = cfg();
-        let k_sub = 7;
-        let rows: Vec<Vec<Complex>> = (0..c.n_snapshots)
-            .map(|n| {
-                let t = n as f64 * c.snapshot_period_s;
-                (0..k_sub)
-                    .map(|k| {
-                        let h = (n.wrapping_mul(2654435761).wrapping_add(k * 40503) & 0xFFFF)
-                            as f64
-                            / 65536.0;
-                        Complex::from_polar(0.3 + 0.1 * k as f64, 1.7 * h)
-                            + Complex::cis(TAU * c.line1_hz * t) * 2e-3
-                            + Complex::cis(TAU * c.line2_hz * t) * 1e-3
-                    })
-                    .collect()
-            })
-            .collect();
-        let start_s = 3.0 * c.group_duration_s();
-        let reference = extract_lines_reference(&c, &rows, start_s);
-        let flat = SnapshotMatrix::from_rows(&rows);
-        let batched = extract_lines(&c, flat.view(), start_s);
-        assert_eq!(batched.p1, reference.p1);
-        assert_eq!(batched.p2, reference.p2);
     }
 }

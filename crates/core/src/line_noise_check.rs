@@ -14,7 +14,7 @@
 //! phase jitter on, [`check_jitter_covariance`] checks the whole
 //! cross-subcarrier covariance the common-mode jitter term adds.
 
-use crate::pipeline::PrefixPhasors;
+use crate::harmonics::PrefixPhasors;
 use wiforce_dsp::Complex;
 
 /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf

@@ -17,13 +17,14 @@ use crate::calib::{CalibrationSample, LocationData, SensorModel};
 use crate::diffphase::{differential, Averaging, DiffPhases};
 use crate::estimator::ForceReading;
 use crate::harmonics::{
-    emit_extraction_telemetry, extract_lines, extract_lines_with_floor, ExtractionMethod,
-    GroupLines, PhaseGroupConfig,
+    emit_extraction_telemetry, finish_group, fold_block, ExtractionMethod, GroupLines,
+    PhaseGroupConfig, PrefixPhasors,
 };
 use crate::{parallel, WiForceError};
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use wiforce_channel::cache::{config_token, ChannelCache, SharedChannelCache};
 use wiforce_channel::faults::FaultConfig;
 use wiforce_channel::{Frontend, Scene, StaticMultipath};
@@ -448,41 +449,8 @@ impl Simulation {
             n_groups,
             clock_state,
             noise,
-            out,
-            None,
+            RowSink::Rows(out),
         );
-    }
-
-    /// Simulates `n_groups` phase groups for a fixed contact state,
-    /// returning the extracted line values per group. Each snapshot group
-    /// is handed to line extraction by whichever worker finishes it,
-    /// while other groups are still synthesizing.
-    #[cfg(test)]
-    fn run_groups(
-        &self,
-        contact: Option<&ContactState>,
-        n_groups: usize,
-        clock_state: &mut TagClock,
-        noise: &mut PressNoise,
-    ) -> Vec<GroupLines> {
-        let freqs = self.subcarrier_freqs_hz();
-        let spec = FusedExtraction {
-            cfg: &self.group,
-            floor_cfg: None,
-            first_start: clock_state.reader_time_s(),
-        };
-        let mut scratch = SnapshotMatrix::default();
-        self.synth_counter(
-            &mut None,
-            &freqs,
-            contact,
-            n_groups,
-            clock_state,
-            noise,
-            &mut scratch,
-            Some(&spec),
-        )
-        .0
     }
 
     /// Fetches the press-invariant state of [`PressTables`]: the scene's
@@ -533,21 +501,24 @@ impl Simulation {
     }
 
     /// The parallel counter-addressed synthesis engine behind
-    /// [`Self::run_snapshots_into`] and the fused group path.
+    /// [`Self::run_snapshots_into`] and the time-domain press.
     ///
     /// The calling thread lays out per-group plans ([`Self::plan_groups`]),
-    /// then the press becomes a bag of disjoint row-range chunks over the
-    /// preallocated region of `out`, executed by [`parallel::run_chunks`].
-    /// Each block of a chunk goes through [`SoundingStep::sound_block`],
-    /// which owns the per-snapshot draw order, so the result is a pure
-    /// function of the press key regardless of worker count or chunk
-    /// interleaving.
+    /// then the groups become a bag of disjoint row-range chunks executed
+    /// by [`parallel::run_chunks`]. Each block of a chunk goes through
+    /// [`SoundingStep::sound_block`], which owns the per-snapshot draw
+    /// order, so the result is a pure function of the press key regardless
+    /// of worker count or chunk interleaving.
     ///
-    /// With `fused`, the worker that completes a group's last chunk runs
-    /// line extraction on it immediately ([`extract_lines`]); the floor
-    /// probe rides on group 0's extraction pass
-    /// ([`extract_lines_with_floor`]). Workers record like any thread, and
-    /// [`parallel::run_chunks`] replays their recordings in chunk order.
+    /// `sink` says where a sounded block goes: into the caller's matrix,
+    /// or — for a press — into the worker's block buffer ([`BLOCK`]),
+    /// folded at once into its group's line partials ([`fold_block`]),
+    /// group 0's floor-probe bins included. Blocks start at multiples of
+    /// [`CHUNK_ROWS`] from the group start, so the partials never depend
+    /// on the chunking; the calling thread then finishes each group from
+    /// its partials in block order ([`finish_group`]). Workers record like
+    /// any thread, and [`parallel::run_chunks`] replays their recordings
+    /// in chunk order.
     ///
     /// `tables` is the press's [`PressTables`] slot: fetched here when
     /// empty, reused as is otherwise.
@@ -560,16 +531,11 @@ impl Simulation {
         n_groups: usize,
         clock_state: &mut TagClock,
         noise: &mut PressNoise,
-        out: &mut SnapshotMatrix,
-        fused: Option<&FusedExtraction<'_>>,
+        sink: RowSink<'_>,
     ) -> (Vec<GroupLines>, Option<GroupLines>) {
         let _span = wiforce_telemetry::span!("pipeline.run_snapshots");
         let tables = tables.get_or_insert_with(|| self.press_tables(freqs));
         let table = tables.contact_table(contact);
-        let cache = &tables.cache;
-        let statics = &cache.statics;
-        let gains = &cache.gains;
-        let n_cols = statics.len();
         let n = self.group.n_snapshots;
         let t_snap = self.group.snapshot_period_s;
         let has_movers = !self.scene.movers.is_empty();
@@ -578,8 +544,37 @@ impl Simulation {
         let state_truths: Option<Arc<Vec<Complex>>> =
             (!has_movers).then(|| self.state_truths(tables, &table, contact.is_none()));
         let plans: Vec<GroupPlan> = self.plan_groups(n_groups, clock_state, noise).collect();
+        let PressTables {
+            cache,
+            tag_prefix,
+            floor_prefix,
+            ..
+        } = tables;
+        let cache: &ChannelCache = cache;
+        let statics = &cache.statics;
+        let gains = &cache.gains;
+        let n_cols = statics.len();
 
-        out.set_width(n_cols);
+        let (region_ptr, fused) = match sink {
+            RowSink::Rows(out) => {
+                out.set_width(n_cols);
+                (out.extend_rows(n_groups * n).as_mut_ptr() as usize, None)
+            }
+            RowSink::Lines(spec) => (0, Some(spec)),
+        };
+        // the folded bins' phasor tables: the lines', then the floor
+        // probe's, which only group 0 folds
+        let mut bins: Vec<&PrefixPhasors> = Vec::new();
+        let mut n_tag = 0;
+        if let Some(spec) = fused {
+            let tag = fold_tables(cache, tag_prefix, spec.cfg);
+            let floor = spec
+                .floor_cfg
+                .map(|fc| fold_tables(cache, floor_prefix, fc));
+            n_tag = tag.len();
+            bins.extend(tag.iter().chain(floor.into_iter().flatten()));
+        }
+        let bins_of = |g: usize| if g == 0 { &bins[..] } else { &bins[..n_tag] };
         if n_groups == 0 || n == 0 {
             return (Vec::new(), None);
         }
@@ -594,16 +589,19 @@ impl Simulation {
         };
         let chunks_per_group = n.div_ceil(chunk_rows);
         let n_chunks = n_groups * chunks_per_group;
-        let region = out.extend_rows(n_groups * n);
-        let region_ptr = region.as_mut_ptr() as usize;
 
-        let group_s = n as f64 * t_snap;
-        let line_slots: Vec<OnceLock<GroupLines>> =
-            (0..n_groups).map(|_| OnceLock::new()).collect();
-        let floor_slot: OnceLock<GroupLines> = OnceLock::new();
-        let chunks_left: Vec<AtomicUsize> = (0..n_groups)
-            .map(|_| AtomicUsize::new(chunks_per_group))
-            .collect();
+        // line partials, group after group, one slab per block: the
+        // column sums, then one row per folded bin
+        let n_blocks = n.div_ceil(CHUNK_ROWS);
+        let slab_len = |g: usize| (1 + bins_of(g).len()) * n_cols;
+        let group_at = |g: usize| match g {
+            0 => 0,
+            _ => n_blocks * (slab_len(0) + (g - 1) * slab_len(1)),
+        };
+        let mut partials = vec![Complex::ZERO; fused.map_or(0, |_| group_at(n_groups))];
+        let partials_ptr = partials.as_mut_ptr() as usize;
+        let flow_id = |group_id: u32, c: usize| (u64::from(group_id) << 16) | c as u64;
+
         let exact_evals = AtomicU64::new(0);
         let dropped = AtomicU64::new(0);
         let bursts = AtomicU64::new(0);
@@ -614,23 +612,14 @@ impl Simulation {
             cache,
         };
 
-        // Synthesizes rows [s0, s1) of group `g` straight into the output
-        // region — one chunk of the work bag — in blocks of at most
-        // CHUNK_ROWS rows: the block's tag states (or its truth plane
-        // when movers make every snapshot's channel distinct), then one
-        // sound_block call. Per-block tables live on the stack; local
-        // tallies flush to the shared atomics per call.
-        let synth_rows = |g: usize, s0: usize, s1: usize| {
+        // Synthesizes rows [s0, s1) of group `g` — one chunk of the work
+        // bag — in blocks of at most CHUNK_ROWS rows: the block's tag
+        // states (or its truth plane when movers make every snapshot's
+        // channel distinct), then one sound_block call into the sink.
+        // Per-block tables live on the stack; local tallies flush to the
+        // shared atomics per call.
+        let synth_rows = |g: usize, s0: usize, s1: usize, buf: &mut Vec<Complex>| {
             let plan = &plans[g];
-            // Safety: callers hand each invocation a row range no other
-            // in-flight invocation overlaps — chunk ranges are disjoint by
-            // construction — and the region outlives the run_chunks call.
-            let base = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (region_ptr as *mut Complex).add((g * n + s0) * n_cols),
-                    (s1 - s0) * n_cols,
-                )
-            };
             let mut tally = BlockTally::default();
             let mut l_exact = 0;
             let mut truths = Vec::new();
@@ -663,13 +652,53 @@ impl Simulation {
                         BlockTruth::Plane(&truths)
                     }
                 };
+                if fused.is_none() {
+                    // Safety: callers hand each invocation a row range no
+                    // other in-flight invocation overlaps — chunk ranges
+                    // are disjoint by construction — and the region
+                    // outlives the run_chunks call.
+                    let chunk = unsafe {
+                        std::slice::from_raw_parts_mut(
+                            (region_ptr as *mut Complex).add((g * n + s0) * n_cols),
+                            (s1 - s0) * n_cols,
+                        )
+                    };
+                    let block = (b0 - s0)..(b1 - s0);
+                    step.sound_block((key, plan.group_id, s0), block, truth, chunk, &mut tally);
+                    b0 = b1;
+                    continue;
+                }
+                // row 0 of the buffer holds the row before the block: the
+                // one a drop on the block's first row holds (drops make a
+                // group one chunk, so it is this chunk's previous block);
+                // a drop on the group's first row holds its truth
+                buf.resize((CHUNK_ROWS + 1) * n_cols, Complex::ZERO);
+                let (snap0, block, region) = match b0 {
+                    0 => (0, 0..rows, &mut buf[n_cols..]),
+                    _ => (b0 - 1, 1..rows + 1, &mut buf[..]),
+                };
                 step.sound_block(
-                    (key, plan.group_id, s0),
-                    (b0 - s0)..(b1 - s0),
+                    (key, plan.group_id, snap0),
+                    block,
                     truth,
-                    base,
+                    region,
                     &mut tally,
                 );
+                let len = slab_len(g);
+                // Safety: the (group, block) slab belongs to the one
+                // invocation that sounds the block, and the partials
+                // outlive the run_chunks call.
+                let slab = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        (partials_ptr as *mut Complex).add(group_at(g) + b0 / CHUNK_ROWS * len),
+                        len,
+                    )
+                };
+                let block_rows = SnapshotView::from_flat(n_cols, &buf[n_cols..(rows + 1) * n_cols]);
+                let fold = wiforce_telemetry::span!("harmonics.extract_lines");
+                fold_block(block_rows, b0, bins_of(g), slab);
+                drop(fold);
+                buf.copy_within(rows * n_cols..(rows + 1) * n_cols, 0);
                 b0 = b1;
             }
             exact_evals.fetch_add(l_exact, Ordering::Relaxed);
@@ -682,49 +711,17 @@ impl Simulation {
         };
 
         let workers = self.synth_workers.unwrap_or_else(parallel::default_workers);
-
         let worker = |ci: usize| {
             let g = ci / chunks_per_group;
             let c = ci % chunks_per_group;
             let s0 = c * chunk_rows;
             let s1 = ((c + 1) * chunk_rows).min(n);
-            synth_rows(g, s0, s1);
-            let plan = &plans[g];
-            // fused streaming: the worker that retires a group's last
-            // chunk extracts its lines right away (AcqRel pairs the row
-            // writes of every sibling chunk with this read)
-            if let Some(spec) = fused {
-                // flow arrows tie every synthesis chunk to the extraction
-                // it feeds; ids are (group_id, chunk) so arrows from
+            BLOCK.with_borrow_mut(|buf| synth_rows(g, s0, s1, buf));
+            if fused.is_some() {
+                // flow arrows tie every synthesis chunk to its group's
+                // finish; ids are (group_id, chunk) so arrows from
                 // different groups never merge
-                let flow_id = ((plan.group_id as u64) << 16) | c as u64;
-                trace::flow_start("synth.handoff", flow_id);
-                if chunks_left[g].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    if trace::trace_enabled() {
-                        for cc in 0..chunks_per_group {
-                            let id = ((plan.group_id as u64) << 16) | cc as u64;
-                            trace::flow_end("synth.handoff", id);
-                        }
-                    }
-                    // Safety: all chunks of group g have finished writing.
-                    let rows = unsafe {
-                        std::slice::from_raw_parts(
-                            (region_ptr as *const Complex).add(g * n * n_cols),
-                            n * n_cols,
-                        )
-                    };
-                    let start_s = spec.first_start + g as f64 * group_s;
-                    let view = SnapshotView::from_flat(n_cols, rows);
-                    let lines = match (g, spec.floor_cfg) {
-                        (0, Some(fc)) => {
-                            let (lines, fl) = extract_lines_with_floor(spec.cfg, fc, view, start_s);
-                            let _ = floor_slot.set(fl);
-                            lines
-                        }
-                        _ => extract_lines(spec.cfg, view, start_s),
-                    };
-                    let _ = line_slots[g].set(lines);
-                }
+                trace::flow_start("synth.handoff", flow_id(plans[g].group_id, c));
             }
         };
         parallel::run_chunks(workers, n_chunks, &worker);
@@ -735,18 +732,30 @@ impl Simulation {
         wiforce_telemetry::counter!("faults.snapshots_dropped", total_dropped);
         wiforce_telemetry::counter!("faults.bursts_injected", bursts.into_inner());
 
-        let lines: Vec<GroupLines> = if fused.is_some() {
-            line_slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .expect("fused extraction ran for every group")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let floor = floor_slot.into_inner();
+        let mut lines = Vec::new();
+        let mut floor = None;
+        if let Some(spec) = fused {
+            let group_s = n as f64 * t_snap;
+            for (g, plan) in plans.iter().enumerate() {
+                if trace::trace_enabled() {
+                    for c in 0..chunks_per_group {
+                        trace::flow_end("synth.handoff", flow_id(plan.group_id, c));
+                    }
+                }
+                let _finish = wiforce_telemetry::span!("harmonics.extract_lines");
+                let (group, probe) = finish_group(
+                    spec.cfg,
+                    spec.floor_cfg.filter(|_| g == 0),
+                    bins_of(g),
+                    &partials[group_at(g)..group_at(g + 1)],
+                    n_cols,
+                    spec.first_start + g as f64 * group_s,
+                );
+                emit_extraction_telemetry(spec.cfg, &group);
+                lines.push(group);
+                floor = floor.or(probe);
+            }
+        }
 
         if wiforce_telemetry::enabled() {
             let total = (n_groups * n) as u64;
@@ -768,20 +777,27 @@ impl Simulation {
     /// two sources, chosen once per press: spectral direct synthesis when
     /// enabled and inside its validity envelope
     /// ([`Self::spectral_eligible`]), else time-domain counter synthesis
-    /// with extraction fused onto the synthesis workers.
+    /// with each sounded block folded into line partials on the synthesis
+    /// workers.
     pub fn measure_phases<R: Rng>(
         &self,
         contact: Option<&ContactState>,
         rng: &mut R,
     ) -> Result<DiffPhases, WiForceError> {
         let _span = wiforce_telemetry::span!("pipeline.measure_phases");
+        if self.reference_groups == 0 || self.measure_groups == 0 || self.group.n_snapshots == 0 {
+            return Err(WiForceError::Config(format!(
+                "a press needs reference groups, measurement groups and snapshots \
+                 (reference_groups {}, measure_groups {}, n_snapshots {})",
+                self.reference_groups, self.measure_groups, self.group.n_snapshots
+            )));
+        }
         let mut clock = TagClock::new(rng);
         let mut noise = PressNoise::from_rng(rng);
         // the subcarrier grid is press-invariant: computed once and shared
         // by both synthesis calls
         let freqs = self.subcarrier_freqs_hz();
         let spectral = self.synth_spectral_enabled() && self.spectral_eligible();
-        let mut scratch = SnapshotMatrix::default();
         // fetched by the reference call, reused by the measurement call
         let mut tables: Option<PressTables> = None;
         // `spent`: groups whose buffers the spectral arm may reuse
@@ -806,7 +822,6 @@ impl Simulation {
                     spent,
                 )
             } else {
-                scratch.clear();
                 self.synth_counter(
                     &mut tables,
                     &freqs,
@@ -814,8 +829,7 @@ impl Simulation {
                     n_groups,
                     &mut clock,
                     &mut noise,
-                    &mut scratch,
-                    Some(&spec),
+                    RowSink::Lines(&spec),
                 )
             }
         };
@@ -953,19 +967,10 @@ impl Simulation {
             Arc::new(build_spectra())
         };
 
-        // per-line prefix phasor tables: press-invariant, memoized by
-        // (line, snapshot period, N)
-        let prefix = |f_hz: f64| {
-            let token = config_token([f_hz.to_bits(), t_snap.to_bits(), n as u64]);
-            cache.response_tables(token, PREFIX_TABLE_SALT, || {
-                PrefixPhasors::new(f_hz, t_snap, n)
-            })
-        };
-        let tag_prefix = &*tag_slot
-            .get_or_insert_with(|| [prefix(spec.cfg.line1_hz), prefix(spec.cfg.line2_hz)]);
-        let floor_prefix = spec.floor_cfg.map(|fc| {
-            &*floor_slot.get_or_insert_with(|| [prefix(fc.line1_hz), prefix(fc.line2_hz)])
-        });
+        // the two lines' prefix tables (the mean-subtracted DFT folds
+        // exactly its lines)
+        let tag_prefix = fold_tables(cache, tag_slot, spec.cfg);
+        let floor_prefix = spec.floor_cfg.map(|fc| fold_tables(cache, floor_slot, fc));
 
         let group_s = n as f64 * t_snap;
         let mut lines_of = SpectralLines {
@@ -996,9 +1001,9 @@ impl Simulation {
                 nf = 4;
             }
 
-            let [p1, p2] = tag_prefix;
+            let (p1, p2) = (&tag_prefix[0], &tag_prefix[1]);
             let tables: [&PrefixPhasors; 4] = match floor_prefix {
-                Some([f1, f2]) if with_floor => [p1, p2, f1, f2],
+                Some(f) if with_floor => [p1, p2, &f[0], &f[1]],
                 _ => [p1, p2, p1, p2],
             };
             let sums = state_sums(&self.tag.clocks, plan.t_tag0, plan.dt_eff, &tables[..nf]);
@@ -1256,54 +1261,10 @@ const EM_PLAN_SALT: u64 = 0x656d_706c_616e_3031;
 /// (`b"spectbl1"` as a u64).
 const SPECTRAL_TABLE_SALT: u64 = 0x7370_6563_7462_6c31;
 
-/// Memo salt of the per-line [`PrefixPhasors`] tables among the
+/// Memo salt of a line set's [`PrefixPhasors`] tables among the
 /// `response_tables` entries, whose token is the [`config_token`] of
-/// (line Hz, snapshot period, N) (`b"prefix01"` as a u64).
+/// (fold bins' Hz, snapshot period, N) (`b"prefix01"` as a u64).
 const PREFIX_TABLE_SALT: u64 = 0x7072_6566_6978_3031;
-
-/// The prefix sums `P[s] = Σ_{j<s} e^{-jωj}`, `s` in `0..=N`, of one
-/// consumed line's snapshot phasors (`ω = 2π·f·T`): the phasor sum over
-/// any snapshot interval `[a, b)` is `P[b] − P[a]`. The phasors are the
-/// recurrence `e^{-jω(j+1)} = e^{-jωj}·e^{-jω}` from 1, as a
-/// per-snapshot walk forms them. Press-invariant for a fixed line,
-/// snapshot period and group length, so the spectral arm memoizes it on
-/// the channel cache.
-#[derive(Debug, Clone)]
-pub struct PrefixPhasors {
-    sums: Vec<Complex>,
-}
-
-impl PrefixPhasors {
-    /// The table of the line at `line_hz` over `n` snapshots `t_snap`
-    /// apart.
-    pub fn new(line_hz: f64, t_snap: f64, n: usize) -> Self {
-        let rot = Complex::cis(-wiforce_dsp::TAU * line_hz * t_snap);
-        let mut sums = Vec::with_capacity(n + 1);
-        let (mut acc, mut ph) = (Complex::ZERO, Complex::ONE);
-        sums.push(acc);
-        for _ in 0..n {
-            acc += ph;
-            ph *= rot;
-            sums.push(acc);
-        }
-        PrefixPhasors { sums }
-    }
-
-    /// Snapshots the table covers (`N`).
-    pub(crate) fn snapshots(&self) -> usize {
-        self.sums.len() - 1
-    }
-
-    /// `P[N]`: the phasor sum over the whole group.
-    pub(crate) fn total(&self) -> Complex {
-        self.sums[self.sums.len() - 1]
-    }
-
-    /// The phasor sum over the snapshots `[a, b)`.
-    fn over(&self, r: &std::ops::Range<usize>) -> Complex {
-        self.sums[r.end] - self.sums[r.start]
-    }
-}
 
 /// Per-state line phasor sums of one phase group; see [`state_sums`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1570,11 +1531,27 @@ impl SoundingStep<'_> {
     }
 }
 
-/// Streaming-extraction request for [`Simulation::synth_counter`].
+/// Where [`Simulation::synth_counter`] puts each sounded block.
+enum RowSink<'a> {
+    /// Appended to the caller's matrix: the snapshot stream.
+    Rows(&'a mut SnapshotMatrix),
+    /// Folded into line partials and finished into each group's lines.
+    Lines(&'a FusedExtraction<'a>),
+}
+
+thread_local! {
+    /// A synthesis worker's block buffer for [`RowSink::Lines`]: the row
+    /// before the block, then the block's rows. Each thread allocates it
+    /// once.
+    static BLOCK: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Line request for [`Simulation::synth_counter`] and the spectral arm.
 struct FusedExtraction<'a> {
     cfg: &'a PhaseGroupConfig,
-    /// Off-line floor probe configuration, extracted from group 0's rows
-    /// (the tag-detection floor rides on the first reference group).
+    /// Off-line floor probe configuration, read from group 0 alongside
+    /// its lines (the tag-detection floor rides on the first reference
+    /// group).
     floor_cfg: Option<&'a PhaseGroupConfig>,
     /// Reader time of the first synthesized snapshot.
     first_start: f64,
@@ -1593,10 +1570,10 @@ struct PressTables {
     plan: Arc<ResponsePlan>,
     /// The untouched per-state backscatter spectra.
     untouched_spectra: Option<Arc<Vec<Complex>>>,
-    /// Prefix tables of the two tag lines.
-    tag_prefix: Option<[Arc<PrefixPhasors>; 2]>,
-    /// Prefix tables of the two floor-probe bins.
-    floor_prefix: Option<[Arc<PrefixPhasors>; 2]>,
+    /// Prefix tables of the tag lines' fold bins ([`fold_tables`]).
+    tag_prefix: Option<Arc<Vec<PrefixPhasors>>>,
+    /// Prefix tables of the floor probe's fold bins.
+    floor_prefix: Option<Arc<Vec<PrefixPhasors>>>,
     /// The line finisher's normals scratch.
     normals: Vec<Complex>,
 }
@@ -1608,6 +1585,27 @@ impl PressTables {
         let _s = wiforce_telemetry::span!("pipeline.em_transduction");
         self.plan.table(contact)
     }
+}
+
+/// The prefix tables of `cfg`'s fold bins
+/// ([`PhaseGroupConfig::fold_bins`]; the mean-subtracted DFT's are its two
+/// lines), kept in the press's `slot`: press-invariant, so memoized on the
+/// channel cache by (bins, snapshot period, N).
+fn fold_tables<'s>(
+    cache: &ChannelCache,
+    slot: &'s mut Option<Arc<Vec<PrefixPhasors>>>,
+    cfg: &PhaseGroupConfig,
+) -> &'s [PrefixPhasors] {
+    let (t_snap, n) = (cfg.snapshot_period_s, cfg.n_snapshots);
+    slot.get_or_insert_with(|| {
+        let words = cfg.fold_bins().map(f64::to_bits);
+        let token = config_token(words.chain([t_snap.to_bits(), n as u64]));
+        cache.response_tables(token, PREFIX_TABLE_SALT, || {
+            cfg.fold_bins()
+                .map(|f_hz| PrefixPhasors::new(f_hz, t_snap, n))
+                .collect()
+        })
+    })
 }
 
 /// Base periods after which [`TagClock::plan_group`] folds the tag time
@@ -2052,41 +2050,261 @@ mod tests {
         });
     }
 
-    #[test]
-    fn fused_extraction_matches_unfused_bitwise() {
-        // the streaming synth→spectrum path must yield the same lines as
-        // extracting from the assembled matrix afterwards
-        let mut sim = fast_sim(0.9e9);
-        sim.synth_workers = Some(4);
-        let contact = sim.contact_for(4.0, 0.040);
-        let n_groups = 3;
+    /// Simulates `n_groups` phase groups of `sim` for a fixed contact
+    /// state, returning the line values per group, folded while they are
+    /// sounded, and the lines of `floor_cfg` from group 0.
+    fn run_groups(
+        sim: &Simulation,
+        contact: Option<&ContactState>,
+        n_groups: usize,
+        clock_state: &mut TagClock,
+        noise: &mut PressNoise,
+        floor_cfg: Option<&PhaseGroupConfig>,
+    ) -> (Vec<GroupLines>, Option<GroupLines>) {
+        let spec = FusedExtraction {
+            cfg: &sim.group,
+            floor_cfg,
+            first_start: clock_state.reader_time_s(),
+        };
+        let freqs = sim.subcarrier_freqs_hz();
+        let sink = RowSink::Lines(&spec);
+        sim.synth_counter(
+            &mut None,
+            &freqs,
+            contact,
+            n_groups,
+            clock_state,
+            noise,
+            sink,
+        )
+    }
 
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut clock_a = TagClock::new(&mut rng);
-        let mut noise_a = PressNoise::from_seed(0xABCD);
-        let first_start = clock_a.reader_time_s();
-        let fused = sim.run_groups(contact.as_ref(), n_groups, &mut clock_a, &mut noise_a);
+    /// The off-line floor probe of `sim`'s press (as in
+    /// [`Simulation::measure_phases`]).
+    fn floor_probe(sim: &Simulation) -> PhaseGroupConfig {
+        PhaseGroupConfig {
+            line1_hz: sim.group.line1_hz * 1.37,
+            line2_hz: sim.group.line1_hz * 2.61,
+            ..sim.group
+        }
+    }
 
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut clock_b = TagClock::new(&mut rng);
-        let mut noise_b = PressNoise::from_seed(0xABCD);
-        let snaps = sim.run_snapshots(contact.as_ref(), n_groups, &mut clock_b, &mut noise_b);
+    /// `n_groups` groups of one press of `sim` at 4 N, 60 mm, as the
+    /// press folds them (with the floor probe on group 0) and as
+    /// `extract` reads them from the stored snapshot stream of the same
+    /// key, in pairs `(folded, stored)`: each group's lines, then group
+    /// 0's floor probe.
+    fn folded_and_stored(
+        sim: &Simulation,
+        n_groups: usize,
+        extract: impl Fn(&PhaseGroupConfig, SnapshotView<'_>, f64) -> GroupLines,
+    ) -> Vec<(GroupLines, GroupLines)> {
+        let contact = sim.contact_for(4.0, 0.060);
+        let off_cfg = floor_probe(sim);
+        let start = || {
+            let mut rng = StdRng::seed_from_u64(3);
+            (TagClock::new(&mut rng), PressNoise::from_seed(0xABCD))
+        };
+        let (mut clock, mut noise) = start();
+        let first_start = clock.reader_time_s();
+        let (folded, floor) = run_groups(
+            sim,
+            contact.as_ref(),
+            n_groups,
+            &mut clock,
+            &mut noise,
+            Some(&off_cfg),
+        );
+        let (mut clock, mut noise) = start();
+        let snaps = sim.run_snapshots(contact.as_ref(), n_groups, &mut clock, &mut noise);
         let n = sim.group.n_snapshots;
         let group_s = n as f64 * sim.group.snapshot_period_s;
-        assert_eq!(fused.len(), n_groups);
-        for (g, fused_lines) in fused.iter().enumerate() {
-            let lines = extract_lines(
-                &sim.group,
+        let stored = |cfg, g: usize| {
+            extract(
+                cfg,
                 snaps.rows_view(g * n, n),
                 first_start + g as f64 * group_s,
-            );
-            for (a, b) in fused_lines.p1.iter().zip(&lines.p1) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
+            )
+        };
+        assert_eq!(folded.len(), n_groups);
+        let floor = floor.expect("group 0 folds the floor probe");
+        let mut pairs: Vec<_> = folded
+            .into_iter()
+            .enumerate()
+            .map(|(g, lines)| (lines, stored(&sim.group, g)))
+            .collect();
+        pairs.push((floor, stored(&off_cfg, 0)));
+        pairs
+    }
+
+    #[test]
+    fn fused_extraction_matches_unfused_bitwise() {
+        // the press's fold of each sounded block must yield the same lines
+        // as extract_lines over the stored group: clean (64-row chunks),
+        // under snapshot drops (one chunk per group on the press, the
+        // held row carried across its blocks; 64-row blocks in
+        // extract_lines) and with least squares, group 0's floor probe
+        // included, at 1 and 8 workers under both dispatches
+        let mut dropping = fast_sim(0.9e9);
+        dropping.faults.snapshot_drop_prob = 0.2;
+        let mut ls = fast_sim(0.9e9);
+        ls.group.method = ExtractionMethod::LeastSquares;
+        let cases = [
+            ("clean", fast_sim(0.9e9)),
+            ("drops", dropping),
+            ("least squares", ls),
+        ];
+        crate::each_dispatch(|workers| {
+            for (name, base) in &cases {
+                let mut sim = base.clone();
+                sim.synth_workers = Some(workers);
+                for (i, (got, want)) in folded_and_stored(&sim, 3, extract_lines).iter().enumerate()
+                {
+                    let bits = |l: &GroupLines| -> Vec<(u64, u64)> {
+                        l.p1.iter()
+                            .chain(&l.p2)
+                            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(got), bits(want), "{name}, {workers} workers, set {i}");
+                }
             }
-            for (a, b) in fused_lines.p2.iter().zip(&lines.p2) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
+        });
+        // the drops reach a block's first row, whose hold is the previous
+        // block's last row
+        let sim = &cases[1].1;
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut clock = TagClock::new(&mut rng);
+        let snaps = sim.run_snapshots(None, 3, &mut clock, &mut PressNoise::from_seed(0xABCD));
+        let n = sim.group.n_snapshots;
+        let held = (1..3 * n).filter(|&s| s % n > 0 && (s % n).is_multiple_of(CHUNK_ROWS));
+        assert!(held.into_iter().any(|s| snaps.row(s) == snaps.row(s - 1)));
+    }
+
+    /// Today's two-pass extraction, kept as the fold's rounding
+    /// reference: for the mean-subtracted DFT a mean pass, then
+    /// `Σ(x_s − m)·p_s` with the phasor recurrence run from the group's
+    /// first snapshot; for least squares the normal equations of the
+    /// `cis` tone basis (DC, f1, 2f1, f2).
+    fn two_pass_lines(cfg: &PhaseGroupConfig, group: SnapshotView<'_>, start_s: f64) -> GroupLines {
+        let (n, width) = (group.n_rows(), group.n_cols());
+        let inv_n = 1.0 / n as f64;
+        let tau = wiforce_dsp::TAU;
+        let f_norms = [cfg.line1_hz, cfg.line2_hz].map(|f| f * cfg.snapshot_period_s);
+        let [p1, p2] = match cfg.method {
+            ExtractionMethod::MeanSubtractedDft => {
+                let mut means = vec![Complex::ZERO; width];
+                for row in group.rows() {
+                    for (m, &x) in means.iter_mut().zip(row) {
+                        *m += x;
+                    }
+                }
+                means.iter_mut().for_each(|m| *m = m.scale(inv_n));
+                let centred: Vec<Complex> = group
+                    .rows()
+                    .flat_map(|row| row.iter().zip(&means).map(|(&x, &m)| x - m))
+                    .collect();
+                let acc = wiforce_dsp::fft::goertzel_columns(&centred, width, &f_norms);
+                [0, 1].map(|l| acc[l].iter().map(|z| z.scale(inv_n)).collect::<Vec<_>>())
+            }
+            ExtractionMethod::LeastSquares => {
+                let shared = 2.0 * cfg.line1_hz * cfg.snapshot_period_s;
+                let basis: Vec<Vec<Complex>> = [0.0, f_norms[0], shared, f_norms[1]]
+                    .iter()
+                    .map(|&f| (0..n).map(|i| Complex::cis(tau * f * i as f64)).collect())
+                    .collect();
+                let gram = wiforce_dsp::linalg::Matrix::from_fn(8, 8, |r, c| {
+                    let g: Complex = basis[r / 2]
+                        .iter()
+                        .zip(&basis[c / 2])
+                        .map(|(x, y)| x.conj() * *y)
+                        .sum();
+                    match (r % 2, c % 2) {
+                        (0, 0) | (1, 1) => g.re,
+                        (0, 1) => -g.im,
+                        _ => g.im,
+                    }
+                });
+                let mut lines = [Vec::new(), Vec::new()];
+                for k in 0..width {
+                    let rhs: Vec<f64> = basis
+                        .iter()
+                        .flat_map(|b| {
+                            let d: Complex = b
+                                .iter()
+                                .zip(group.rows())
+                                .map(|(bn, row)| bn.conj() * row[k])
+                                .sum();
+                            [d.re, d.im]
+                        })
+                        .collect();
+                    let sol = gram.solve(&rhs).expect("gram matrix nonsingular");
+                    lines[0].push(Complex::new(sol[2], sol[3]));
+                    lines[1].push(Complex::new(sol[6], sol[7]));
+                }
+                lines
+            }
+        };
+        let rotate = |p: Vec<Complex>, f: f64| -> Vec<Complex> {
+            let r = Complex::cis(-tau * f * start_s);
+            p.into_iter().map(|z| z * r).collect()
+        };
+        GroupLines {
+            p1: rotate(p1, cfg.line1_hz),
+            p2: rotate(p2, cfg.line2_hz),
+        }
+    }
+
+    #[test]
+    fn fold_matches_two_pass_extraction_within_rounding() {
+        // the fold takes the mean off once (`S − m·P[N]`) and sums 64-row
+        // block partials; the two-pass extraction subtracts the mean from
+        // every sample. On real press groups they may differ by rounding
+        // only: the default group, group 0's non-integer floor bins, the
+        // Fig. 16 phantom (low line SNR), and least squares at N = 600,
+        // where the lines are off-bin and the phase reference of later
+        // groups matters
+        let mut phantom = fast_sim(0.9e9);
+        phantom.scene = wiforce_channel::Scene::tissue_phantom(0.9e9, 50.0);
+        let mut ls = fast_sim(0.9e9);
+        ls.group.method = ExtractionMethod::LeastSquares;
+        ls.group.n_snapshots = 600;
+        let mut worst = 0.0f64;
+        for (name, sim) in [
+            ("default", fast_sim(0.9e9)),
+            ("phantom", phantom),
+            ("least squares", ls),
+        ] {
+            for (i, (got, want)) in folded_and_stored(&sim, 3, two_pass_lines)
+                .iter()
+                .enumerate()
+            {
+                for (got, want) in [(&got.p1, &want.p1), (&got.p2, &want.p2)] {
+                    let err = crate::line_noise_check::line_rel_err(got, want);
+                    worst = worst.max(err);
+                    assert!(err < 1e-9, "{name}, set {i}: relative error {err:e}");
+                }
+            }
+        }
+        println!("fold vs two-pass extraction: worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn zero_group_counts_are_config_errors() {
+        // a press needs a reference group (its floor probe rides on the
+        // first), a measurement group and snapshots, on either arm
+        for (reference, measure, n) in [(0, 1, 625), (1, 0, 625), (1, 1, 0)] {
+            for spectral in [false, true] {
+                let mut sim = fast_sim(0.9e9);
+                sim.reference_groups = reference;
+                sim.measure_groups = measure;
+                sim.group.n_snapshots = n;
+                sim.synth_spectral = Some(spectral);
+                let res = sim.measure_phases(None, &mut StdRng::seed_from_u64(5));
+                assert!(
+                    matches!(res, Err(WiForceError::Config(_))),
+                    "groups ({reference}, {measure}), {n} snapshots, spectral {spectral}: {res:?}"
+                );
             }
         }
     }
@@ -2852,8 +3070,7 @@ mod tests {
                         3,
                         &mut clock.clone(),
                         &mut noise.clone(),
-                        &mut SnapshotMatrix::default(),
-                        Some(&spec),
+                        RowSink::Lines(&spec),
                     );
                     let pairs = lines.iter().zip(&td_lines).chain(std::iter::once((
                         floor.as_ref().unwrap(),

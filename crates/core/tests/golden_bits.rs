@@ -204,7 +204,7 @@ fn time_domain_press_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             press_hash(false, 4, workers),
-            (0xa100_bf7d_4c41_e38b, 0xd6cc_369d_89e0_4d62)
+            (0x8771_9a2d_15f7_b216, 0x5725_2392_7070_65aa)
         );
     });
 }
@@ -260,7 +260,7 @@ fn tracked_clock_press_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             branch_hash(false, tracked_clock, 2, workers),
-            ((0xbe89_939d_b451_52a3, 0xf92e_9a60_b0e2_5978), 2)
+            ((0xdb91_4a4f_660f_600d, 0xe5b5_47f8_6eb5_39cc), 2)
         );
         assert_eq!(
             branch_hash(true, tracked_clock, 4, workers),
@@ -287,7 +287,7 @@ fn undetected_tag_errors_match_golden_bits() {
 fn faulted_time_domain_press_readings_match_golden_bits() {
     each_dispatch(|workers| {
         let td = branch_hash(false, dropped_and_burst, 2, workers);
-        assert_eq!(td, ((0xcfcf_6863_ef73_5515, 0xa8e6_7251_8844_27bb), 2));
+        assert_eq!(td, ((0x3af9_9ec9_c968_1944, 0x95a1_a26a_ea66_5f6f), 2));
         assert_eq!(branch_hash(true, dropped_and_burst, 2, workers), td);
     });
 }
@@ -296,7 +296,7 @@ fn faulted_time_domain_press_readings_match_golden_bits() {
 fn fmcw_press_readings_match_golden_bits() {
     each_dispatch(|workers| {
         let td = branch_hash(false, fmcw, 2, workers);
-        assert_eq!(td, ((0x24b9_ccf5_1151_01a6, 0x2204_c682_7db8_56e1), 2));
+        assert_eq!(td, ((0x147c_67bc_872a_7c81, 0x6a68_4672_6fd9_d3f8), 2));
         assert_eq!(branch_hash(true, fmcw, 2, workers), td);
     });
 }
@@ -305,7 +305,7 @@ fn fmcw_press_readings_match_golden_bits() {
 fn mover_press_readings_match_golden_bits() {
     each_dispatch(|workers| {
         let td = branch_hash(false, walker, 2, workers);
-        assert_eq!(td, ((0x4291_084d_b573_2995, 0x96b5_0bb4_6f9e_c47b), 2));
+        assert_eq!(td, ((0xf303_8be7_b8ba_30d6, 0x0186_9415_4216_b4dd), 2));
         assert_eq!(branch_hash(true, walker, 2, workers), td);
     });
 }
@@ -428,7 +428,7 @@ fn time_domain_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             batch_hash(false, workers),
-            (0xd52c_cacc_14a2_722f, 0x753f_2207_b1b4_d1b4)
+            (0x2b37_9301_6fdd_1310, 0x5107_cca1_296a_8acc)
         );
     });
 }
@@ -443,7 +443,7 @@ fn faulted_time_domain_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             branch_batch_hash(false, |_| {}, faults, workers),
-            ((0x3f2c_d8da_f6e7_0792, 0x883d_6873_3106_fda2), (157, 148))
+            ((0x53a5_52f8_9746_eac7, 0x645b_4366_6bcc_ce8d), (157, 148))
         );
     });
 }
@@ -454,7 +454,7 @@ fn mover_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             branch_batch_hash(false, walker, faults, workers).0,
-            (0xbf26_be71_2d42_abca, 0xfa78_0250_05e8_134c)
+            (0x3875_55a9_e333_4012, 0x8436_0f6c_1883_dc47)
         );
     });
 }
@@ -465,7 +465,7 @@ fn fmcw_batch_readings_match_golden_bits() {
     each_dispatch(|workers| {
         assert_eq!(
             branch_batch_hash(false, fmcw, faults, workers).0,
-            (0x238c_19f3_47f0_afe7, 0xed8a_1e9d_46b1_1b81)
+            (0x2fb0_09df_9e82_bd6f, 0x443c_d03c_b8bc_eb3b)
         );
     });
 }

@@ -383,55 +383,38 @@ pub fn goertzel(x: &[Complex], f_norm: f64) -> Complex {
 /// `data` holds `n_rows × n_cols` samples (row major, as in
 /// [`crate::snapshots::SnapshotMatrix`]); column `k` is the time series of
 /// subcarrier `k`. The returned `out[j][k]` equals
-/// `goertzel(column_k - offset_k, f_norms[j])`, with `offset_k` taken from
-/// `col_offsets` (or zero when `None`).
+/// `goertzel(column_k, f_norms[j])`.
 ///
 /// Instead of gathering each column and running [`goertzel`] per bin —
 /// `n_cols × f_norms.len()` strided passes — this walks the matrix **once**
-/// in memory order, advancing one shared phase recurrence per row and
-/// accumulating every (bin, column) pair on the way through. Because the
-/// per-column operations (addition order, phasor recurrence) are exactly
-/// those of the per-column evaluation, the results are bit-identical to
-/// it, just sequential in memory.
+/// in memory order through the line-fold kernel
+/// ([`crate::kernels::fold_rows`]), each bin weighted by the phasor
+/// recurrence [`goertzel`] runs. Every (bin, column) accumulator receives
+/// the per-column evaluation's adds in its order, so the results are
+/// bit-identical to it, just sequential in memory.
 ///
 /// # Panics
-/// Panics if `data.len()` is not a multiple of `n_cols`, or if
-/// `col_offsets` is present with a length other than `n_cols`.
-pub fn goertzel_columns(
-    data: &[Complex],
-    n_cols: usize,
-    f_norms: &[f64],
-    col_offsets: Option<&[Complex]>,
-) -> Vec<Vec<Complex>> {
+/// Panics if `data.len()` is not a multiple of `n_cols`.
+pub fn goertzel_columns(data: &[Complex], n_cols: usize, f_norms: &[f64]) -> Vec<Vec<Complex>> {
     assert!(n_cols > 0, "matrix must have at least one column");
     assert_eq!(data.len() % n_cols, 0, "data is not a whole number of rows");
-    if let Some(off) = col_offsets {
-        assert_eq!(off.len(), n_cols, "offset length must match column count");
-    }
-    let ws: Vec<Complex> = f_norms.iter().map(|&f| Complex::cis(-TAU * f)).collect();
-    let mut phases = vec![Complex::ONE; ws.len()];
-    let mut out = vec![vec![Complex::ZERO; n_cols]; ws.len()];
-    for row in data.chunks_exact(n_cols) {
-        // One dispatched row pass per line: each acc[j][k] still receives
-        // exactly one add per row, so the result is bit-identical to the
-        // per-column formulation this replaces.
-        match col_offsets {
-            Some(off) => {
-                for (acc, &phase) in out.iter_mut().zip(&phases) {
-                    crate::kernels::cmac_sub_scaled(acc, row, off, phase);
-                }
-            }
-            None => {
-                for (acc, &phase) in out.iter_mut().zip(&phases) {
-                    crate::kernels::cmac_scaled(acc, row, phase);
-                }
-            }
-        }
-        for (phase, &w) in phases.iter_mut().zip(&ws) {
-            *phase *= w;
-        }
-    }
-    out
+    let phasors: Vec<Vec<Complex>> = f_norms
+        .iter()
+        .map(|&f| {
+            let w = Complex::cis(-TAU * f);
+            std::iter::successors(Some(Complex::ONE), |p| Some(*p * w))
+                .take(data.len() / n_cols)
+                .collect()
+        })
+        .collect();
+    let bins: Vec<&[Complex]> = phasors.iter().map(Vec::as_slice).collect();
+    // the fold's first row holds the column sums, which this drops
+    let mut out = vec![Complex::ZERO; (1 + bins.len()) * n_cols];
+    crate::kernels::fold_rows(&mut out, data, &bins);
+    out.chunks_exact(n_cols)
+        .skip(1)
+        .map(<[Complex]>::to_vec)
+        .collect()
 }
 
 /// Swaps the two halves of a spectrum so the zero bin sits in the middle
@@ -680,7 +663,7 @@ mod tests {
             .map(|i| Complex::new((i as f64 * 0.13).sin(), (i as f64 * 0.29).cos()))
             .collect();
         let f_norms = [0.0576, 0.2304];
-        let batched = goertzel_columns(&data, n_cols, &f_norms, None);
+        let batched = goertzel_columns(&data, n_cols, &f_norms);
         for k in 0..n_cols {
             let col: Vec<Complex> = (0..n_rows).map(|n| data[n * n_cols + k]).collect();
             for (j, &f) in f_norms.iter().enumerate() {
@@ -690,35 +673,8 @@ mod tests {
     }
 
     #[test]
-    fn goertzel_columns_subtracts_offsets_bit_identically() {
-        let n_rows = 40;
-        let n_cols = 5;
-        let data: Vec<Complex> = (0..n_rows * n_cols)
-            .map(|i| Complex::new((i as f64 * 0.07).cos(), (i as f64 * 0.11).sin()))
-            .collect();
-        // per-column means, like the harmonic extractor's mean subtraction
-        let mut means = vec![Complex::ZERO; n_cols];
-        for row in data.chunks_exact(n_cols) {
-            for (m, &x) in means.iter_mut().zip(row) {
-                *m += x;
-            }
-        }
-        means
-            .iter_mut()
-            .for_each(|m| *m = m.scale(1.0 / n_rows as f64));
-        let f_norms = [0.031];
-        let batched = goertzel_columns(&data, n_cols, &f_norms, Some(&means));
-        for k in 0..n_cols {
-            let col: Vec<Complex> = (0..n_rows)
-                .map(|n| data[n * n_cols + k] - means[k])
-                .collect();
-            assert_eq!(batched[0][k], goertzel(&col, f_norms[0]), "col {k}");
-        }
-    }
-
-    #[test]
     fn goertzel_columns_empty_rows() {
-        let out = goertzel_columns(&[], 4, &[0.1, 0.2], None);
+        let out = goertzel_columns(&[], 4, &[0.1, 0.2]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|b| b.iter().all(|z| *z == Complex::ZERO)));
     }

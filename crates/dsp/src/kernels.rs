@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernels for the pipeline's inner loops.
 //!
 //! Every hot per-sample loop in the simulator — Philox noise fill,
-//! complex multiply-accumulate (Goertzel row passes, tag-response
+//! complex multiply-accumulate (the line fold, tag-response
 //! synthesis, preamble repeat averaging), the spectral line finisher,
 //! window application, ADC quantization — funnels
 //! through this module. Each
@@ -53,8 +53,7 @@ impl Backend {
 pub const KERNEL_NAMES: &[&str] = &[
     "philox_complex_normals",
     "philox_complex_normals_rows",
-    "cmac_scaled",
-    "cmac_sub_scaled",
+    "fold_rows",
     "synth_truth",
     "accumulate_state",
     "blend_states",
@@ -284,31 +283,31 @@ simd_kernel! {
 // ---------------------------------------------------------------------
 
 #[inline(always)]
-fn cmac_scaled_body(acc: &mut [Complex], x: &[Complex], s: Complex) {
-    for (a, &v) in acc.iter_mut().zip(x) {
-        *a += v * s;
+fn fold_rows_body(out: &mut [Complex], rows: &[Complex], phasors: &[&[Complex]]) {
+    let width = out.len() / (1 + phasors.len());
+    if width == 0 {
+        return;
+    }
+    let (sums, accs) = out.split_at_mut(width);
+    for (r, row) in rows.chunks_exact(width).enumerate() {
+        for (a, &x) in sums.iter_mut().zip(row) {
+            *a += x;
+        }
+        for (acc, p) in accs.chunks_exact_mut(width).zip(phasors) {
+            for (a, &x) in acc.iter_mut().zip(row) {
+                *a += x * p[r];
+            }
+        }
     }
 }
 
 simd_kernel! {
-    /// `acc[i] += x[i] · s` — the offset-free Goertzel row update.
-    pub fn cmac_scaled(acc: &mut [Complex], x: &[Complex], s: Complex)
-        = cmac_scaled_body / cmac_scaled_avx2 / cmac_scaled_avx512 / cmac_scaled_neon
-}
-
-#[inline(always)]
-fn cmac_sub_scaled_body(acc: &mut [Complex], x: &[Complex], off: &[Complex], s: Complex) {
-    for ((a, &v), &o) in acc.iter_mut().zip(x).zip(off) {
-        *a += (v - o) * s;
-    }
-}
-
-simd_kernel! {
-    /// `acc[i] += (x[i] − off[i]) · s` — the mean-removed Goertzel row
-    /// update.
-    pub fn cmac_sub_scaled(acc: &mut [Complex], x: &[Complex], off: &[Complex], s: Complex)
-        = cmac_sub_scaled_body / cmac_sub_scaled_avx2
-        / cmac_sub_scaled_avx512 / cmac_sub_scaled_neon
+    /// The time-domain line fold's block update (also the batched
+    /// Goertzel's). `out` holds `1 + phasors.len()` rows of `rows`' width:
+    /// each row `r` of `rows` is added to the first (the column sums) and,
+    /// times `phasors[b][r]`, to row `b + 1`.
+    pub fn fold_rows(out: &mut [Complex], rows: &[Complex], phasors: &[&[Complex]])
+        = fold_rows_body / fold_rows_avx2 / fold_rows_avx512 / fold_rows_neon
 }
 
 #[inline(always)]
@@ -554,21 +553,15 @@ mod tests {
     fn cmac_kernels_match_scalar_bitwise() {
         let mut rng = StdRng::seed_from_u64(2);
         for n in [1, 5, 8, 64, 127] {
-            let x = complexes(&mut rng, n);
-            let off = complexes(&mut rng, n);
-            let s = Complex::new(rng.gen(), rng.gen());
-            let base = complexes(&mut rng, n);
-
+            // a 3-row block of width n at two bins
+            let rows = complexes(&mut rng, 3 * n);
+            let (p1, p2) = (complexes(&mut rng, 3), complexes(&mut rng, 3));
+            let phasors: [&[Complex]; 2] = [&p1, &p2];
+            let base = complexes(&mut rng, 3 * n);
             let mut got = base.clone();
-            cmac_scaled(&mut got, &x, s);
+            fold_rows(&mut got, &rows, &phasors);
             let mut want = base.clone();
-            cmac_scaled_body(&mut want, &x, s);
-            assert_bits_eq(&got, &want);
-
-            let mut got = base.clone();
-            cmac_sub_scaled(&mut got, &x, &off, s);
-            let mut want = base.clone();
-            cmac_sub_scaled_body(&mut want, &x, &off, s);
+            fold_rows_body(&mut want, &rows, &phasors);
             assert_bits_eq(&got, &want);
         }
     }

@@ -501,7 +501,9 @@ impl Scope {
                 }
             }
         }
-        let mut restore = Restore(Some(swap((path.clone(), Some(Vec::new())))));
+        // a synthesis chunk logs three spans: one allocation
+        let log = Vec::with_capacity(8);
+        let mut restore = Restore(Some(swap((path.clone(), Some(log)))));
         let out = f();
         let own = restore.0.take().expect("restored only here or on unwind");
         let (_, log) = swap(own);
